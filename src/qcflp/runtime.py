@@ -14,8 +14,12 @@ Disequations that cannot be decided yet are parked and re-examined as
 bindings arrive; leftovers surface as residual constraints and flag the
 answer as conditional.
 
-Nondeterminism is implemented with generators over copy-on-branch stores,
-so exhausted branches leave no traces.
+Nondeterminism is implemented with generators over one mutable store per
+solve.  Every store mutation logs the old value on an undo trail; a
+generator takes a trail mark before it yields and undoes to that mark
+when it resumes or finishes, so exhausted branches leave no traces (the
+WAM discipline).  Each answer carries a snapshot: a copy of the store
+without the trail, independent of the search that goes on.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .constraints import Interval, _constraint_step, eval_primitive
 from .domains import QualDomain, U
 from .syntax import Program, print_constraint
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    FALSE, TRUE, Var, apply_subst, format_real, vars_of)
+                    FALSE, TRUE, Var, format_real, vars_of)
 
 ARITH = ("+", "-", "*")
 RELS = ("<=", "<", ">=", ">")
@@ -40,6 +44,9 @@ INF = float("inf")
 # interval tuples (lo, hi, lo_open, hi_open); a lightweight mirror of
 # constraints.Interval used in the solver's hot loop
 IV_FULL = (-INF, INF, False, False)
+
+# worklist steps after which one propagation gives up (and flags the run)
+PROPAGATION_GUARD = 20000
 
 
 def _iv_empty(t) -> bool:
@@ -96,6 +103,12 @@ class EvalRec:
     rename: Optional[dict] = None  # original rule variable -> renamed Var
 
 
+# undo-trail markers for entries that are not plain "table[key] = old"
+_MISSING = object()    # the key was absent: delete it
+_TRUNC = object()      # a list grew: cut it back to the logged length
+_DISCARD = object()    # a set gained the key: discard it
+
+
 @dataclass
 class Store:
     subst: dict = field(default_factory=dict)
@@ -106,12 +119,62 @@ class Store:
     evals: dict = field(default_factory=dict)       # id(call expr) -> EvalRec
     declared: set = field(default_factory=set)      # qVal-introduced variables
     malformed: bool = False                         # bound on an undeclared one
+    # (table, key, old) entries, newest last; see undo()
+    trail: list = field(default_factory=list, repr=False, compare=False)
 
     def copy(self) -> "Store":
+        """An independent snapshot, with an empty trail."""
         return Store(dict(self.subst), dict(self.ivals), list(self.qcons),
                      {k: list(v) for k, v in self.qindex.items()},
                      list(self.suspended), dict(self.evals),
                      set(self.declared), self.malformed)
+
+    # Every mutation goes through these, so undo() can reverse it.  The
+    # scalar and replaced-list fields are logged through self.__dict__.
+
+    def assign(self, table: dict, key, value) -> None:
+        self.trail.append((table, key, table.get(key, _MISSING)))
+        table[key] = value
+
+    def remove(self, table: dict, key):
+        old = table.pop(key)
+        self.trail.append((table, key, old))
+        return old
+
+    def push(self, lst: list, item) -> None:
+        self.trail.append((lst, len(lst), _TRUNC))
+        lst.append(item)
+
+    def index(self, name: str, ids) -> None:
+        """Add constraint ids to the watch list of a variable."""
+        lst = self.qindex.get(name)
+        if lst is None:
+            self.assign(self.qindex, name, list(ids))
+        else:
+            self.trail.append((lst, len(lst), _TRUNC))
+            lst.extend(ids)
+
+    def declare(self, name: str) -> None:
+        if name not in self.declared:
+            self.declared.add(name)
+            self.trail.append((self.declared, name, _DISCARD))
+
+    def set_field(self, name: str, value) -> None:
+        self.assign(self.__dict__, name, value)
+
+    def undo(self, mark: int) -> None:
+        """Reverse every mutation logged after trail position mark."""
+        trail = self.trail
+        while len(trail) > mark:
+            table, key, old = trail.pop()
+            if old is _MISSING:
+                del table[key]
+            elif old is _TRUNC:
+                del table[key:]
+            elif old is _DISCARD:
+                table.discard(key)
+            else:
+                table[key] = old
 
 
 @dataclass
@@ -121,6 +184,34 @@ class Answer:
     residual: list                 # unresolved constraints (pretty-printable)
     flags: list
     store: Store = field(repr=False, compare=False, default=None)
+
+
+def _template(e: Expr, pos: dict, sig):
+    """Rename template of an expression (see Solver._rename_rule).
+
+    A variable becomes its position in the rule's variable list; an
+    application that holds a variable or a function call becomes a
+    (symbol, kid templates) pair to rebuild; anything else is shared.
+    Call nodes are always rebuilt, because call-time choice is keyed by
+    the identity of the call.
+    """
+    if isinstance(e, Var):
+        return pos[e.name]
+    if isinstance(e, App) and e.args:
+        kids = tuple(_template(a, pos, sig) for a in e.args)
+        if sig.kind(e.symbol) in ("df", "pf") or \
+                any(type(k) in (int, tuple) for k in kids):
+            return (e.symbol, kids)
+    return e
+
+
+def _build(t, vs: list):
+    kind = type(t)
+    if kind is int:
+        return vs[t]
+    if kind is tuple:
+        return App(t[0], tuple([_build(k, vs) for k in t[1]]))
+    return t
 
 
 class Solver:
@@ -134,17 +225,14 @@ class Solver:
         self._rules = {}
         for i, r in enumerate(program.rules):
             self._rules.setdefault(r.name, []).append((i, r))
-        self._rule_vars = {}
+        self._templates = {}        # rule index -> rename template
         self._fresh = itertools.count()
         self.cut = False
+        self.guard_hits = 0         # propagations stopped by the step guard
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-
-    def _log(self, msg: str) -> None:
-        if self.trace:
-            self.trace(msg)
 
     def walk(self, store: Store, e: Expr) -> Expr:
         while isinstance(e, Var) and e.name in store.subst:
@@ -161,18 +249,34 @@ class Solver:
     def _fresh_var(self) -> Var:
         return Var(f"~{next(self._fresh)}")
 
-    def _rename_rule(self, rule):
-        key = id(rule)
-        if key not in self._rule_vars:
-            self._rule_vars[key] = sorted(vars_of(rule.patterns)
-                                          | vars_of(rule.rhs)
-                                          | vars_of(rule.conditions))
+    def _rename_rule(self, index: int, rule):
+        """A fresh instance of a rule: patterns, rhs, conditions, renaming.
+
+        The rule is compiled once into templates over its sorted variable
+        list; an instance rebuilds only the spines that hold variables or
+        calls and shares every other subterm.
+        """
+        tpl = self._templates.get(index)
+        if tpl is None:
+            names = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
+                           | vars_of(rule.conditions))
+            pos = {v: i for i, v in enumerate(names)}
+            tpl = self._templates[index] = (
+                names,
+                tuple(_template(p, pos, self.sig) for p in rule.patterns),
+                _template(rule.rhs, pos, self.sig),
+                tuple((c.symbol, tuple(_template(a, pos, self.sig) for a in c.args),
+                       _template(c.result, pos, self.sig))
+                      for c in rule.conditions))
+        names, pats_t, rhs_t, conds_t = tpl
         n = next(self._fresh)
-        ren = {v: Var(f"~{n}~{v}") for v in self._rule_vars[key]}
-        pats = tuple(apply_subst(p, ren) for p in rule.patterns)
-        rhs = apply_subst(rule.rhs, ren)
-        conds = tuple(apply_subst(c, ren) for c in rule.conditions)
-        return pats, rhs, conds, ren
+        vs = [Var(f"~{n}~{v}") for v in names]
+        pats = tuple([_build(p, vs) for p in pats_t])
+        rhs = _build(rhs_t, vs)
+        conds = tuple([AtomicConstraint(sym, tuple([_build(a, vs) for a in args]),
+                                        _build(res, vs))
+                       for sym, args, res in conds_t])
+        return pats, rhs, conds, dict(zip(names, vs))
 
     # ------------------------------------------------------------------
     # interval store
@@ -258,7 +362,7 @@ class Solver:
         t = (clo, chi, clo_o, chi_o)
         if _iv_empty(t):
             return "fail"
-        store.ivals[name] = t
+        store.assign(store.ivals, name, t)
         return "changed"
 
     def _step_constraint(self, store: Store, idx: int):
@@ -328,7 +432,7 @@ class Solver:
         # generic fallback through the full interval engine
         c = kind[1]
         resolved = AtomicConstraint(
-            c.symbol, tuple(self._resolve_numeric(store, a) for a in c.args),
+            c.symbol, tuple(self.resolve(store, a) for a in c.args),
             self.walk(store, c.result))
         roots = vars_of(resolved)
         box = {n: Interval(*store.ivals[n]) for n in roots if n in store.ivals}
@@ -339,22 +443,24 @@ class Solver:
                 return None
             t = (iv.lo, iv.hi, iv.lo_open, iv.hi_open)
             if store.ivals.get(n, IV_FULL) != t:
-                store.ivals[n] = t
+                store.assign(store.ivals, n, t)
                 changed.add(n)
         return changed
 
-    def _resolve_numeric(self, store: Store, e: Expr) -> Expr:
-        e = self.walk(store, e)
-        if isinstance(e, App) and e.args:
-            return App(e.symbol, tuple(self._resolve_numeric(store, a) for a in e.args))
-        return e
-
     def _propagate_from(self, store: Store, seeds) -> bool:
+        """Worklist propagation; False when some interval empties.
+
+        A propagation that runs into the step guard stops where it is:
+        the box may then violate a posted bound, so the run is flagged
+        as cut and every later answer carries "incomplete".
+        """
         queue = list(seeds)
         guard = 0
         while queue:
             guard += 1
-            if guard > 20000:
+            if guard > PROPAGATION_GUARD:
+                self.cut = True
+                self.guard_hits += 1
                 break
             idx = queue.pop()
             changed = self._step_constraint(store, idx)
@@ -366,47 +472,48 @@ class Solver:
                         queue.append(j)
         return True
 
-    def _post(self, store: Store, c: AtomicConstraint, orig: AtomicConstraint) -> bool:
+    def _post(self, store: Store, c: AtomicConstraint, orig: AtomicConstraint,
+              names: set) -> bool:
+        """Post c, whose variables are names; orig is c before resolution."""
         compiled = self._compile_post(c)
         # well-formed translations declare every qualification variable
         # before bounding it; a bound whose source names were never
         # declared marks the whole branch as malformed
+        orig_names = names if orig is c else vars_of(orig)
         if orig.symbol == "qVal":
-            for name in vars_of(orig):
-                store.declared.add(name)
-        else:
-            for name in vars_of(orig):
-                if name not in store.declared:
-                    store.malformed = True
-        store.qcons.append(compiled)
-        idx = len(store.qcons) - 1
-        for name in vars_of(c):
-            store.qindex.setdefault(name, []).append(idx)
+            for name in orig_names:
+                store.declare(name)
+        elif not store.malformed and not orig_names <= store.declared:
+            store.set_field("malformed", True)
+        idx = len(store.qcons)
+        store.push(store.qcons, compiled)
+        for name in names:
+            store.index(name, (idx,))
         return self._propagate_from(store, [idx])
 
     def post_qual(self, store: Store, c: AtomicConstraint):
         """Post one qualification constraint; a fresh store, or None on failure."""
         out = store.copy()
-        if not self._post(out, c, c):
+        if not self._post(out, c, c, vars_of(c)):
             return None
         return out
 
     def _bind(self, store: Store, name: str, value: Expr) -> bool:
-        store.subst[name] = value
+        """Bind name to value and re-propagate; on False the caller undoes."""
+        store.assign(store.subst, name, value)
         seeds = list(store.qindex.get(name, ()))
         if name in store.ivals:
-            iv = store.ivals.pop(name)
+            iv = store.remove(store.ivals, name)
             v = self.walk(store, value)
             if isinstance(v, Var):
                 merged = _iv_meet(iv, store.ivals.get(v.name, IV_FULL))
                 if _iv_empty(merged):
                     return False
-                store.ivals[v.name] = merged
+                store.assign(store.ivals, v.name, merged)
                 # constraints watching the old name now watch the new root
-                root_ids = store.qindex.get(v.name, [])
-                seeds = seeds + list(root_ids)
+                seeds += store.qindex.get(v.name, ())
                 if name in store.qindex:
-                    store.qindex.setdefault(v.name, []).extend(store.qindex[name])
+                    store.index(v.name, store.qindex[name])
             elif isinstance(v, Basic):
                 lo, hi, lo_o, hi_o = iv
                 if not (lo < v.value < hi or (v.value == lo and not lo_o)
@@ -420,27 +527,42 @@ class Solver:
 
     # ------------------------------------------------------------------
     # head normal forms
+    #
+    # The search generators below share one store.  Each one yields with
+    # its own mutations in place and, on resumption or exhaustion, undoes
+    # back to the trail mark it took before making them; a failed _bind
+    # or _post is undone the same way.
     # ------------------------------------------------------------------
 
     def hnf(self, e: Expr, store: Store, depth: int) -> Iterator[tuple]:
+        """Head normal forms of e, each with an independent store.
+
+        The given store is left unchanged.
+        """
+        work = store.copy()
+        for h in self._hnf(e, work, depth):
+            yield h, work.copy()
+
+    def _hnf(self, e: Expr, store: Store, depth: int) -> Iterator[Expr]:
         e = self.walk(store, e)
         if isinstance(e, (Var, Basic)):
-            yield e, store
+            yield e
             return
         if isinstance(e, Bottom):
             return
         kind = self.sig.kind(e.symbol)
         if kind == "dc" or kind is None:
-            yield e, store
+            yield e
             return
         # call-time choice: a call already reduced in this branch keeps
         # its value; alternatives only arise by backtracking above it
         rec = store.evals.get(id(e))
         if rec is not None and rec.call is e:
-            yield rec.result, store
+            yield rec.result
             return
+        trail = store.trail
         if kind == "pf":
-            for args, st in self._reduce_args(list(e.args), store, depth):
+            for args in self._reduce_args(e.args, store, depth):
                 if not all(isinstance(a, (Basic, App)) for a in args):
                     self.cut = True
                     continue
@@ -452,35 +574,38 @@ class Solver:
                     if any(vars_of(a) for a in args):
                         self.cut = True  # undecided, not undefined
                     continue
-                st2 = st.copy()
-                st2.evals[id(e)] = EvalRec(e, "prim", res)
-                yield res, st2
+                mark = len(trail)
+                store.assign(store.evals, id(e), EvalRec(e, "prim", res))
+                yield res
+                store.undo(mark)
             return
         # defined function: try the rules in program order
         if depth <= 0:
             self.cut = True
             return
-        for index, rule in self._rules.get(e.symbol, []):
-            pats, rhs, conds, ren = self._rename_rule(rule)
-            st = store.copy()
-            self._log(f"try rule {index}: {rule.name}")
-            for st1 in self._unify_seq(list(pats), list(e.args), st, depth):
-                for st2 in self._solve_all(list(conds), st1, depth - 1):
-                    for res, st3 in self.hnf(rhs, st2, depth - 1):
-                        st4 = st3.copy()
-                        st4.evals[id(e)] = EvalRec(e, "fun", res, index, pats,
-                                                   rhs, conds, ren)
-                        yield res, st4
+        for index, rule in self._rules.get(e.symbol, ()):
+            pats, rhs, conds, ren = self._rename_rule(index, rule)
+            if self.trace:
+                self.trace(f"try rule {index}: {rule.name}")
+            for _ in self._unify_seq(pats, e.args, store, depth):
+                for _ in self._solve_all(conds, store, depth - 1):
+                    for res in self._hnf(rhs, store, depth - 1):
+                        mark = len(trail)
+                        store.assign(store.evals, id(e), EvalRec(
+                            e, "fun", res, index, pats, rhs, conds, ren))
+                        yield res
+                        store.undo(mark)
 
-    def _reduce_args(self, args: list, store: Store, depth: int) -> Iterator[tuple]:
-        if not args:
-            yield (), store
+    def _reduce_args(self, args: tuple, store: Store, depth: int,
+                     i: int = 0) -> Iterator[tuple]:
+        if i == len(args):
+            yield ()
             return
-        for v, st in self._reduce_value(args[0], store, depth):
-            for rest, st2 in self._reduce_args(args[1:], st, depth):
-                yield (v,) + rest, st2
+        for v in self._reduce_value(args[i], store, depth):
+            for rest in self._reduce_args(args, store, depth, i + 1):
+                yield (v,) + rest
 
-    def _reduce_value(self, e: Expr, store: Store, depth: int) -> Iterator[tuple]:
+    def _reduce_value(self, e: Expr, store: Store, depth: int) -> Iterator[Expr]:
         """Reduce to a value as deeply as possible, leaving free variables.
 
         Arithmetic nodes are reduced structurally rather than demanded, so
@@ -489,48 +614,52 @@ class Solver:
         """
         e = self.walk(store, e)
         if isinstance(e, App) and e.symbol in ARITH and len(e.args) == 2:
-            for parts, st in self._reduce_args(list(e.args), store, depth):
+            for parts in self._reduce_args(e.args, store, depth):
                 if all(isinstance(p, Basic) for p in parts):
-                    yield eval_primitive(e.symbol, list(parts)), st
+                    yield eval_primitive(e.symbol, list(parts))
                 else:
-                    yield App(e.symbol, parts), st
+                    yield App(e.symbol, parts)
             return
-        for h, st in self.hnf(e, store, depth):
+        for h in self._hnf(e, store, depth):
             if isinstance(h, App) and h.args and self.sig.kind(h.symbol) != "pf":
-                for parts, st2 in self._reduce_args(list(h.args), st, depth):
-                    yield App(h.symbol, parts), st2
+                for parts in self._reduce_args(h.args, store, depth):
+                    yield App(h.symbol, parts)
             else:
-                yield h, st
+                yield h
 
     # ------------------------------------------------------------------
     # unification
     # ------------------------------------------------------------------
 
-    def _unify_seq(self, pats: list, args: list, store: Store, depth: int) -> Iterator[Store]:
-        if not pats:
-            yield store
+    def _unify_seq(self, pats: tuple, args: tuple, store: Store, depth: int,
+                   i: int = 0) -> Iterator[None]:
+        if i == len(pats):
+            yield
             return
-        for st in self._unify_pattern(pats[0], args[0], store, depth):
-            yield from self._unify_seq(pats[1:], args[1:], st, depth)
+        for _ in self._unify_pattern(pats[i], args[i], store, depth):
+            yield from self._unify_seq(pats, args, store, depth, i + 1)
 
-    def _unify_pattern(self, pat: Expr, arg: Expr, store: Store, depth: int) -> Iterator[Store]:
+    def _unify_pattern(self, pat: Expr, arg: Expr, store: Store,
+                       depth: int) -> Iterator[None]:
         pat = self.walk(store, pat)
         if isinstance(pat, Var):
-            st = store.copy()
-            if self._bind(st, pat.name, arg):
-                yield st
+            mark = len(store.trail)
+            if self._bind(store, pat.name, arg):
+                yield
+            store.undo(mark)
             return
-        for h, st in self.hnf(arg, store, depth):
+        for h in self._hnf(arg, store, depth):
             if isinstance(h, Var):
-                st2 = st.copy()
-                if self._bind(st2, h.name, pat):
-                    yield st2
+                mark = len(store.trail)
+                if self._bind(store, h.name, pat):
+                    yield
+                store.undo(mark)
             elif isinstance(pat, Basic):
                 if isinstance(h, Basic) and h.value == pat.value:
-                    yield st
+                    yield
             elif isinstance(pat, App) and isinstance(h, App) \
                     and pat.symbol == h.symbol and len(pat.args) == len(h.args):
-                yield from self._unify_seq(list(pat.args), list(h.args), st, depth)
+                yield from self._unify_seq(pat.args, h.args, store, depth)
 
     def _occurs(self, store: Store, name: str, e: Expr) -> bool:
         e = self.walk(store, e)
@@ -540,48 +669,50 @@ class Solver:
             return any(self._occurs(store, name, a) for a in e.args)
         return False
 
-    def _unify_strict(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[Store]:
+    def _unify_strict(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[None]:
         """Strict equality: both sides evaluate to the same total value."""
-        for ha, st1 in self.hnf(a, store, depth):
-            for hb, st2 in self.hnf(b, st1, depth):
-                yield from self._unify_heads(ha, hb, st2, depth)
+        for ha in self._hnf(a, store, depth):
+            for hb in self._hnf(b, store, depth):
+                yield from self._unify_heads(ha, hb, store, depth)
 
-    def _unify_heads(self, ha: Expr, hb: Expr, store: Store, depth: int) -> Iterator[Store]:
+    def _unify_heads(self, ha: Expr, hb: Expr, store: Store, depth: int) -> Iterator[None]:
         if isinstance(ha, Var) and isinstance(hb, Var):
-            st = store.copy()
-            if ha.name == hb.name or self._bind(st, ha.name, hb):
-                yield st
+            mark = len(store.trail)
+            if ha.name == hb.name or self._bind(store, ha.name, hb):
+                yield
+            store.undo(mark)
             return
         if isinstance(ha, Var) or isinstance(hb, Var):
             v, t = (ha, hb) if isinstance(ha, Var) else (hb, ha)
+            mark = len(store.trail)
             if isinstance(t, Basic):
-                st = store.copy()
-                if self._bind(st, v.name, t):
-                    yield st
+                if self._bind(store, v.name, t):
+                    yield
+                store.undo(mark)
                 return
             # t is a constructor application: bind to a skeleton and force parts
             if self._occurs(store, v.name, t):
                 return
             fresh = tuple(self._fresh_var() for _ in t.args)
-            st = store.copy()
-            if not self._bind(st, v.name, App(t.symbol, fresh)):
-                return
-            yield from self._strict_seq(list(fresh), list(t.args), st, depth)
+            if self._bind(store, v.name, App(t.symbol, fresh)):
+                yield from self._strict_seq(fresh, t.args, store, depth)
+            store.undo(mark)
             return
         if isinstance(ha, Basic) and isinstance(hb, Basic):
             if ha.value == hb.value:
-                yield store
+                yield
             return
         if isinstance(ha, App) and isinstance(hb, App) \
                 and ha.symbol == hb.symbol and len(ha.args) == len(hb.args):
-            yield from self._strict_seq(list(ha.args), list(hb.args), store, depth)
+            yield from self._strict_seq(ha.args, hb.args, store, depth)
 
-    def _strict_seq(self, xs: list, ys: list, store: Store, depth: int) -> Iterator[Store]:
-        if not xs:
-            yield store
+    def _strict_seq(self, xs: tuple, ys: tuple, store: Store, depth: int,
+                    i: int = 0) -> Iterator[None]:
+        if i == len(xs):
+            yield
             return
-        for st in self._unify_strict(xs[0], ys[0], store, depth):
-            yield from self._strict_seq(xs[1:], ys[1:], st, depth)
+        for _ in self._unify_strict(xs[i], ys[i], store, depth):
+            yield from self._strict_seq(xs, ys, store, depth, i + 1)
 
     # ------------------------------------------------------------------
     # disequality
@@ -616,18 +747,19 @@ class Solver:
                 verdict = "unknown"
         return verdict
 
-    def _disequal(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[Store]:
-        for ha, st1 in self.hnf(a, store, depth):
-            for hb, st2 in self.hnf(b, st1, depth):
-                verdict = self._static_compare(st2, ha, hb)
+    def _disequal(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[None]:
+        for ha in self._hnf(a, store, depth):
+            for hb in self._hnf(b, store, depth):
+                verdict = self._static_compare(store, ha, hb)
                 if verdict == "diff":
-                    yield st2
+                    yield
                 elif verdict == "unknown":
-                    st3 = st2.copy()
-                    st3.suspended.append(AtomicConstraint("==", (ha, hb), FALSE))
-                    yield st3
+                    mark = len(store.trail)
+                    store.push(store.suspended, AtomicConstraint("==", (ha, hb), FALSE))
+                    yield
+                    store.undo(mark)
 
-    def _check_suspended(self, store: Store) -> Optional[bool]:
+    def _check_suspended(self, store: Store) -> bool:
         """Re-examine parked disequations; False on refutation."""
         keep = []
         for c in store.suspended:
@@ -636,7 +768,8 @@ class Solver:
                 return False
             if verdict == "unknown":
                 keep.append(c)
-        store.suspended = keep
+        if len(keep) != len(store.suspended):
+            store.set_field("suspended", keep)
         return True
 
     # ------------------------------------------------------------------
@@ -651,18 +784,19 @@ class Solver:
             return all(self._numeric_shape(store, a) for a in e.args)
         return False
 
-    def _solve_all(self, cs: list, store: Store, depth: int) -> Iterator[Store]:
-        if not cs:
-            yield store
+    def _solve_all(self, cs: tuple, store: Store, depth: int,
+                   i: int = 0) -> Iterator[None]:
+        if i == len(cs):
+            yield
             return
-        for st in self.solve_constraint(cs[0], store, depth):
-            st2 = st.copy()
-            ok = self._check_suspended(st2)
-            if ok is False:
-                continue
-            yield from self._solve_all(cs[1:], st2, depth)
+        for _ in self._solve_constraint(cs[i], store, depth):
+            mark = len(store.trail)
+            if self._check_suspended(store):
+                yield from self._solve_all(cs, store, depth, i + 1)
+            store.undo(mark)
 
-    def solve_constraint(self, c: AtomicConstraint, store: Store, depth: int) -> Iterator[Store]:
+    def _solve_constraint(self, c: AtomicConstraint, store: Store,
+                          depth: int) -> Iterator[None]:
         want = self.walk(store, c.result)
         if c.symbol == "==":
             if want == TRUE:
@@ -672,58 +806,66 @@ class Solver:
                 yield from self._disequal(c.args[0], c.args[1], store, depth)
                 return
             if isinstance(want, Var):
-                for st in self._unify_strict(c.args[0], c.args[1], store, depth):
-                    st2 = st.copy()
-                    if self._bind(st2, want.name, TRUE):
-                        yield st2
-                for st in self._disequal(c.args[0], c.args[1], store, depth):
-                    st2 = st.copy()
-                    if self._bind(st2, want.name, FALSE):
-                        yield st2
-                return
+                for outcome, branch in ((TRUE, self._unify_strict),
+                                        (FALSE, self._disequal)):
+                    for _ in branch(c.args[0], c.args[1], store, depth):
+                        mark = len(store.trail)
+                        if self._bind(store, want.name, outcome):
+                            yield
+                        store.undo(mark)
             return
         # primitive constraints: arithmetic relations and qualification bounds
-        for args, st in self._reduce_args(list(c.args), store, depth):
-            ground = all(isinstance(a, (Basic, App)) and not vars_of(a) for a in args)
-            if ground:
+        for args in self._reduce_args(c.args, store, depth):
+            names = vars_of(args)
+            mark = len(store.trail)
+            if not names and all(isinstance(a, (Basic, App)) for a in args):
                 try:
                     res = eval_primitive(c.symbol, list(args))
                 except Exception:
                     continue
                 if res == BOTTOM:
                     continue
-                w = self.walk(st, want)
+                w = self.walk(store, want)
                 if isinstance(w, Var):
-                    st2 = st.copy()
-                    if self._bind(st2, w.name, res):
-                        yield st2
+                    if self._bind(store, w.name, res):
+                        yield
+                    store.undo(mark)
                 elif res == w:
-                    yield st
+                    yield
                 continue
             if want in (TRUE, FALSE) and c.symbol in (*RELS, "qVal", "qBound", "==") \
-                    and all(self._numeric_shape(st, a) for a in args):
-                st2 = st.copy()
-                if self._post(st2, AtomicConstraint(c.symbol, tuple(args), want), c):
-                    yield st2
+                    and all(self._numeric_shape(store, a) for a in args):
+                if self._post(store, AtomicConstraint(c.symbol, args, want), c, names):
+                    yield
+                store.undo(mark)
                 continue
             # outside the decidable fragment: park it
-            st2 = st.copy()
-            st2.suspended.append(AtomicConstraint(c.symbol, tuple(args), want))
-            yield st2
+            store.push(store.suspended, AtomicConstraint(c.symbol, args, want))
+            yield
+            store.undo(mark)
 
     # ------------------------------------------------------------------
     # answers
     # ------------------------------------------------------------------
 
     def solve(self, constraints: list, wvars: list, datavars: list) -> Iterator[Answer]:
-        """Enumerate qualified answers for a translated goal conjunction."""
+        """Enumerate qualified answers for a translated goal conjunction.
+
+        The search runs on one store; each answer gets a snapshot of it.
+        """
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
         self.cut = False
         emitted = 0
-        for st in self._solve_all(list(constraints), Store(), self.limits.depth):
-            if self._check_suspended(st) is False:
+        store = Store()
+        for _ in self._solve_all(tuple(constraints), store, self.limits.depth):
+            mark = len(store.trail)
+            ans = None
+            if self._check_suspended(store):
+                ans = self._answer(store.copy(), wvars, datavars)
+            store.undo(mark)
+            if ans is None:
                 continue
-            yield self._answer(st, wvars, datavars)
+            yield ans
             emitted += 1
             if self.limits.answers is not None and emitted >= self.limits.answers:
                 return

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import BOOK4, LIBRARY
+from conftest import BOOK4, LIBRARY, ROOT
 from qcflp.cli import main
 
 GOAL = '(search("German","Essay",intermediate) == R) # W | W >= 0.65'
@@ -164,3 +166,15 @@ def test_solve_simplify_same_answer(capsys):
     plain = capsys.readouterr().out
     assert run("solve", str(LIBRARY), "--goal", GOAL, "--simplify") == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("module", ["qcflp", "qcflp.cli"])
+def test_python_dash_m_runs_cli(module):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "solve", str(LIBRARY), "--goal", GOAL],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == "{ R -> 4 } { W in [0.65, 0.7] }\n"

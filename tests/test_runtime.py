@@ -55,6 +55,26 @@ def test_post_qual_store_operation():
     assert solver.post_qual(store2, parse_constraints("W >= 0.8")[0]) is None
 
 
+def test_propagation_guard_flags_run():
+    # the two bounds chase each other down one factor of 0.99 at a time,
+    # far past the step guard; the unfinished box breaks B <= A
+    p = parse_program("f --> true")
+    translated, _ = transform_program(p)
+    text = "qVal(A), qVal(B), A <= 0.99*B, B <= A"
+    solver = Solver(translated)
+    store = Store()
+    for c in parse_constraints(text):
+        store = solver.post_qual(store, c)
+        assert store is not None
+    assert solver.guard_hits == 1 and solver.cut
+    assert store.ivals["B"][1] > store.ivals["A"][1]
+
+    solver = Solver(translated)
+    answers = list(solver.solve(parse_constraints(text), ["A", "B"], []))
+    assert solver.guard_hits == 1
+    assert [a.flags for a in answers] == [["incomplete"]]
+
+
 def test_hnf_examples(library):
     translated, _ = transform_program(library)
     solver = Solver(translated)
