@@ -8,6 +8,8 @@ a small contract so scripts can rely on them:
 * prove: 0 certificate produced or valid, 1 not found or invalid,
   3 undecided
 * oracle: 0 no mismatches, 1 mismatches, 4 budget or guardrail exceeded
+* any command: 5 input nested too deeply for the interpreter's recursion
+  limit
 """
 
 from __future__ import annotations
@@ -103,6 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except RecursionError:
+        print(f"{args.command}: term nested too deeply "
+              f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 5
+
+
+def _run(args) -> int:
     try:
         dom = domain_from_name(args.qdom)
     except ValueError as exc:

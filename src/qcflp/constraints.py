@@ -454,7 +454,7 @@ def satisfiable(constraints, seed: int = 0) -> SatResult:
     """Sound three-valued satisfiability of a primitive constraint set."""
     constraints = list(constraints)
     for c in constraints:
-        if not vars_free(c):
+        if not vars_of(c):
             truth = holds_under(c, {})
             if truth is False:
                 return SatResult("unsat")
@@ -479,13 +479,9 @@ def satisfiable(constraints, seed: int = 0) -> SatResult:
     return SatResult("unknown")
 
 
-def vars_free(c: AtomicConstraint) -> set:
-    return vars_of(c)
-
-
 def _provably_true(c: AtomicConstraint, box: Box) -> bool:
     """Whether c holds for every point of the box (sound check)."""
-    if not vars_free(c):
+    if not vars_of(c):
         return holds_under(c, {}) is True
     want = c.result
     if c.symbol == "qVal" and want == TRUE:
@@ -524,14 +520,14 @@ def entails(constraints, c: AtomicConstraint, seed: int = 0) -> EntailResult:
     box = propagate(constraints, {})
     if box is None:
         return EntailResult("entailed")  # empty solution set entails anything
-    for v in vars_free(c):
+    for v in vars_of(c):
         box.setdefault(v, FULL)
     if _provably_true(c, box):
         return EntailResult("entailed")
     # hunt for a counterexample valuation in the box
-    allvars = set(box) | vars_free(c)
+    allvars = set(box) | vars_of(c)
     for p in constraints:
-        allvars |= vars_free(p)
+        allvars |= vars_of(p)
     names = sorted(allvars)
     rng = random.Random(seed)
     if not names:

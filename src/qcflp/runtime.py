@@ -10,9 +10,13 @@ evaluated at most once per branch (call-time choice).
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store that is re-propagated to fixpoint
 after every post or aliasing, and an empty interval prunes the branch.
-Disequations that cannot be decided yet are parked and re-examined as
-bindings arrive; leftovers surface as residual constraints and flag the
-answer as conditional.
+A qVal post narrows its variable to (0, 1] once and is never re-stepped;
+aliasing meets intervals, so the range holds from then on.  The qVal and
+monomial-bound conditions of a rule are compiled with its renaming
+template and posted without reducing their arguments.  Disequations that
+cannot be decided yet are parked and re-examined as bindings arrive;
+leftovers surface as residual constraints and flag the answer as
+conditional.
 
 Nondeterminism is implemented with generators over one mutable store per
 solve.  Every store mutation logs the old value on an undo trail; a
@@ -214,6 +218,80 @@ def _build(t, vs: list):
     return t
 
 
+_FLIP = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
+
+
+def _monomial(e: Expr, key):
+    """(coefficient, key(var name)), or (value, None) for a constant; or None."""
+    if isinstance(e, Basic):
+        return (e.value, None)
+    if isinstance(e, Var):
+        return (1.0, key(e.name))
+    if isinstance(e, App) and e.symbol == "*" and len(e.args) == 2:
+        a, b = e.args
+        if isinstance(a, Basic) and isinstance(b, Var) and a.value > 0:
+            return (a.value, key(b.name))
+        if isinstance(b, Basic) and isinstance(a, Var) and b.value > 0:
+            return (b.value, key(a.name))
+    return None
+
+
+def _compile_bound(c: AtomicConstraint, key):
+    """("qval", x) for qVal(X); ("mono", strict, L, R) for a bound
+    k*x REL m*y, normalised to L < R or L <= R; None for anything else.
+    """
+    sym, want = c.symbol, c.result
+    if sym == "qVal":
+        if want == TRUE and isinstance(c.args[0], Var):
+            return ("qval", key(c.args[0].name))
+        return None
+    if sym not in RELS or want not in (TRUE, FALSE):
+        return None
+    if want == FALSE:
+        sym = _FLIP[sym]
+    lhs, rhs = c.args
+    if sym in (">=", ">"):
+        lhs, rhs = rhs, lhs
+    L, R = _monomial(lhs, key), _monomial(rhs, key)
+    if L is None or R is None:
+        return None
+    return ("mono", sym in ("<", ">"), L, R)
+
+
+def _instance_side(side, ns: list):
+    k, p = side
+    return side if p is None else (k, ns[p])
+
+
+def _walk_name(subst: dict, name: str):
+    """The root name a variable name is bound through, or its non-variable value."""
+    v = subst.get(name)
+    while v is not None:
+        if type(v) is not Var:
+            return v
+        name = v.name
+        v = subst.get(name)
+    return name
+
+
+def _walk_side(subst: dict, side):
+    """A compiled monomial side (k, name) with name walked to its root.
+
+    A side whose variable is bound to a literal becomes the constant
+    (k * value, None); None when it is bound to anything else.  A side
+    already at its root is returned as is.
+    """
+    name = side[1]
+    if name is None or name not in subst:
+        return side
+    v = _walk_name(subst, name)
+    if type(v) is str:
+        return (side[0], v)
+    if type(v) is Basic:
+        return (side[0] * v.value, None)
+    return None
+
+
 class Solver:
     def __init__(self, program: Program, dom: QualDomain = U,
                  limits: Limits = None, trace=None):
@@ -229,6 +307,7 @@ class Solver:
         self._fresh = itertools.count()
         self.cut = False
         self.guard_hits = 0         # propagations stopped by the step guard
+        self.prop_steps = 0         # worklist steps over all propagations
 
     # ------------------------------------------------------------------
     # plumbing
@@ -250,7 +329,9 @@ class Solver:
         return Var(f"~{next(self._fresh)}")
 
     def _rename_rule(self, index: int, rule):
-        """A fresh instance of a rule: patterns, rhs, conditions, renaming.
+        """A fresh instance of a rule: patterns, rhs, conditions, renaming
+        and the compiled conditions (None where a condition takes the
+        general path; see _post_condition).
 
         The rule is compiled once into templates over its sorted variable
         list; an instance rebuilds only the spines that hold variables or
@@ -267,16 +348,23 @@ class Solver:
                 _template(rule.rhs, pos, self.sig),
                 tuple((c.symbol, tuple(_template(a, pos, self.sig) for a in c.args),
                        _template(c.result, pos, self.sig))
-                      for c in rule.conditions))
-        names, pats_t, rhs_t, conds_t = tpl
+                      for c in rule.conditions),
+                tuple(_compile_bound(c, pos.__getitem__) for c in rule.conditions))
+        names, pats_t, rhs_t, conds_t, compiled_t = tpl
         n = next(self._fresh)
-        vs = [Var(f"~{n}~{v}") for v in names]
+        ns = [f"~{n}~{v}" for v in names]
+        vs = [Var(x) for x in ns]
         pats = tuple([_build(p, vs) for p in pats_t])
         rhs = _build(rhs_t, vs)
         conds = tuple([AtomicConstraint(sym, tuple([_build(a, vs) for a in args]),
                                         _build(res, vs))
                        for sym, args, res in conds_t])
-        return pats, rhs, conds, dict(zip(names, vs))
+        compiled = tuple([
+            None if t is None else
+            ("qval", ns[t[1]]) if t[0] == "qval" else
+            ("mono", t[1], _instance_side(t[2], ns), _instance_side(t[3], ns))
+            for t in compiled_t])
+        return pats, rhs, conds, dict(zip(names, vs)), compiled
 
     # ------------------------------------------------------------------
     # interval store
@@ -285,53 +373,19 @@ class Solver:
     # either side possibly constant) plus the qualification-range shape;
     # anything else falls back to the generic engine.  Propagation runs a
     # worklist seeded by the posted constraint or the rebound variable.
+    #
+    # A qVal post narrows its root to (0, 1] on the spot and is never
+    # queued: _bind meets the intervals of aliased variables and checks
+    # a bound literal against the interval, so the range keeps holding.
+    # A rule's qVal and monomial conditions arrive precompiled from its
+    # template (_post_condition); goal constraints and every other
+    # condition are reduced and compiled by _solve_constraint.  Both end
+    # in _post.
     # ------------------------------------------------------------------
 
-    def _compile_post(self, c: AtomicConstraint):
-        want = c.result
-        if c.symbol == "qVal" and want == TRUE and isinstance(c.args[0], Var):
-            return ("qval", c.args[0].name)
-        sym = c.symbol
-        if sym in RELS and want == FALSE:
-            sym = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}[sym]
-            want = TRUE
-        if sym in RELS and want == TRUE:
-            lhs, rhs = c.args
-            if sym in (">=", ">"):
-                lhs, rhs = rhs, lhs
-                sym = "<=" if sym == ">=" else "<"
-            L = self._monomial(lhs)
-            R = self._monomial(rhs)
-            if L is not None and R is not None:
-                return ("mono", sym == "<", L, R)
-        return ("generic", c)
-
     @staticmethod
-    def _monomial(e: Expr):
-        """(coefficient, var name) with name None for constants, or None."""
-        if isinstance(e, Basic):
-            return (e.value, None)
-        if isinstance(e, Var):
-            return (1.0, e.name)
-        if isinstance(e, App) and e.symbol == "*" and len(e.args) == 2:
-            a, b = e.args
-            if isinstance(a, Basic) and isinstance(b, Var) and a.value > 0:
-                return (a.value, b.name)
-            if isinstance(b, Basic) and isinstance(a, Var) and b.value > 0:
-                return (b.value, a.name)
-        return None
-
-    def _resolve_side(self, store: Store, side):
-        """Resolve a monomial side to ('c', value) or ('v', coef, root)."""
-        k, name = side
-        if name is None:
-            return ("c", k)
-        v = self.walk(store, Var(name))
-        if isinstance(v, Basic):
-            return ("c", k * v.value)
-        if isinstance(v, Var):
-            return ("v", k, v.name)
-        return None
+    def _compile_post(c: AtomicConstraint):
+        return _compile_bound(c, lambda name: name) or ("generic", c)
 
     def _narrow(self, store: Store, name: str, lo=None, lo_open=False,
                 hi=None, hi_open=False):
@@ -365,69 +419,65 @@ class Solver:
         store.assign(store.ivals, name, t)
         return "changed"
 
+    def _post_qval(self, store: Store, name: str) -> bool:
+        """Narrow the root of name to (0, 1] and propagate what watches it."""
+        v = _walk_name(store.subst, name)
+        if type(v) is not str:
+            return isinstance(v, Basic) and 0.0 < v.value <= 1.0
+        r = self._narrow(store, v, lo=0.0, lo_open=True)
+        if r == "fail":
+            return False
+        r2 = self._narrow(store, v, hi=1.0)
+        if r2 == "fail":
+            return False
+        if r == "changed" or r2 == "changed":
+            seeds = store.qindex.get(v)
+            if seeds:
+                return self._propagate_from(store, seeds)
+        return True
+
     def _step_constraint(self, store: Store, idx: int):
-        """One propagation step; returns None on failure else changed roots."""
+        """One propagation step; None on failure, else the changed roots."""
         kind = store.qcons[idx]
-        changed = set()
-        if kind[0] == "qval":
-            v = self.walk(store, Var(kind[1]))
-            if isinstance(v, Basic):
-                return None if not (0.0 < v.value <= 1.0) else changed
-            if not isinstance(v, Var):
-                return None
-            r = self._narrow(store, v.name, lo=0.0, lo_open=True)
-            if r == "fail":
-                return None
-            r2 = self._narrow(store, v.name, hi=1.0)
-            if r2 == "fail":
-                return None
-            if "changed" in (r, r2):
-                changed.add(v.name)
-            return changed
         if kind[0] == "mono":
             _, strict, L, R = kind
-            ls = self._resolve_side(store, L)
-            rs = self._resolve_side(store, R)
-            if ls is None or rs is None:
+            subst = store.subst
+            L = _walk_side(subst, L)
+            R = _walk_side(subst, R)
+            if L is None or R is None:
                 return None
-            if ls[0] == "c" and rs[0] == "c":
-                ok = ls[1] < rs[1] if strict else ls[1] <= rs[1]
-                return changed if ok else None
-            if ls[0] == "c":
-                _, kr, ry = rs
-                r = self._narrow(store, ry, lo=_div_down(ls[1], kr),
-                                 lo_open=strict)
+            kl, lx = L
+            kr, ry = R
+            if lx is None and ry is None:
+                ok = kl < kr if strict else kl <= kr
+                return () if ok else None
+            if lx is None:
+                r = self._narrow(store, ry, lo=_div_down(kl, kr), lo_open=strict)
                 if r == "fail":
                     return None
-                if r == "changed":
-                    changed.add(ry)
-                return changed
-            if rs[0] == "c":
-                _, kl, lx = ls
-                r = self._narrow(store, lx, hi=rs[1] / kl, hi_open=strict)
+                return (ry,) if r == "changed" else ()
+            if ry is None:
+                r = self._narrow(store, lx, hi=kr / kl, hi_open=strict)
                 if r == "fail":
                     return None
-                if r == "changed":
-                    changed.add(lx)
-                return changed
-            _, kl, lx = ls
-            _, kr, ry = rs
-            xlo, xhi, xlo_o, xhi_o = store.ivals.get(lx, IV_FULL)
-            ylo, yhi, ylo_o, yhi_o = store.ivals.get(ry, IV_FULL)
+                return (lx,) if r == "changed" else ()
+            xlo, _, xlo_o, _ = store.ivals.get(lx, IV_FULL)
+            _, yhi, _, yhi_o = store.ivals.get(ry, IV_FULL)
+            changed = ()
             if yhi != INF:
                 r = self._narrow(store, lx, hi=kr * yhi / kl,
                                  hi_open=yhi_o or strict)
                 if r == "fail":
                     return None
                 if r == "changed":
-                    changed.add(lx)
+                    changed = (lx,)
             if xlo != -INF:
                 r = self._narrow(store, ry, lo=_div_down(kl * xlo, kr),
                                  lo_open=xlo_o or strict)
                 if r == "fail":
                     return None
-                if r == "changed":
-                    changed.add(ry)
+                if r == "changed" and ry not in changed:
+                    changed += (ry,)
             return changed
         # generic fallback through the full interval engine
         c = kind[1]
@@ -438,13 +488,14 @@ class Solver:
         box = {n: Interval(*store.ivals[n]) for n in roots if n in store.ivals}
         if _constraint_step(resolved, box) is None:
             return None
+        changed = []
         for n, iv in box.items():
             if iv.is_empty():
                 return None
             t = (iv.lo, iv.hi, iv.lo_open, iv.hi_open)
             if store.ivals.get(n, IV_FULL) != t:
                 store.assign(store.ivals, n, t)
-                changed.add(n)
+                changed.append(n)
         return changed
 
     def _propagate_from(self, store: Store, seeds) -> bool:
@@ -455,46 +506,77 @@ class Solver:
         as cut and every later answer carries "incomplete".
         """
         queue = list(seeds)
-        guard = 0
+        qindex = store.qindex
+        steps = 0
+        ok = True
         while queue:
-            guard += 1
-            if guard > PROPAGATION_GUARD:
+            if steps == PROPAGATION_GUARD:
                 self.cut = True
                 self.guard_hits += 1
                 break
+            steps += 1
             idx = queue.pop()
             changed = self._step_constraint(store, idx)
             if changed is None:
-                return False
+                ok = False
+                break
             for name in changed:
-                for j in store.qindex.get(name, ()):
+                for j in qindex.get(name, ()):
                     if j != idx:
                         queue.append(j)
-        return True
+        self.prop_steps += steps
+        return ok
 
-    def _post(self, store: Store, c: AtomicConstraint, orig: AtomicConstraint,
-              names: set) -> bool:
-        """Post c, whose variables are names; orig is c before resolution."""
-        compiled = self._compile_post(c)
+    def _post(self, store: Store, compiled, orig_names, declares: bool,
+              names) -> bool:
+        """Post one compiled constraint and propagate it.
+
+        orig_names are the variables of the constraint as written; a qVal
+        (declares) declares them.  names are the roots it is posted on.
+        """
         # well-formed translations declare every qualification variable
         # before bounding it; a bound whose source names were never
         # declared marks the whole branch as malformed
-        orig_names = names if orig is c else vars_of(orig)
-        if orig.symbol == "qVal":
+        if declares:
             for name in orig_names:
                 store.declare(name)
-        elif not store.malformed and not orig_names <= store.declared:
+        elif not store.malformed and not store.declared.issuperset(orig_names):
             store.set_field("malformed", True)
+        if compiled[0] == "qval":
+            return self._post_qval(store, compiled[1])
         idx = len(store.qcons)
         store.push(store.qcons, compiled)
         for name in names:
             store.index(name, (idx,))
-        return self._propagate_from(store, [idx])
+        return self._propagate_from(store, (idx,))
+
+    def _post_condition(self, store: Store, compiled):
+        """Post a precompiled rule condition (see _rename_rule).
+
+        Returns None, having changed nothing, when the condition needs the
+        general path: a side bound to neither a variable nor a literal, or
+        every side a literal (the general path evaluates those).
+        """
+        subst = store.subst
+        if compiled[0] == "qval":
+            name = compiled[1]
+            if type(_walk_name(subst, name)) is not str:
+                return None
+            return self._post(store, compiled, (name,), True, ())
+        _, strict, L, R = compiled
+        Lw, Rw = _walk_side(subst, L), _walk_side(subst, R)
+        if Lw is None or Rw is None or (Lw[1] is None and Rw[1] is None):
+            return None
+        names = {n for n in (Lw[1], Rw[1]) if n is not None}
+        orig = [n for n in (L[1], R[1]) if n is not None]
+        return self._post(store, ("mono", strict, Lw, Rw), orig, False, names)
 
     def post_qual(self, store: Store, c: AtomicConstraint):
         """Post one qualification constraint; a fresh store, or None on failure."""
         out = store.copy()
-        if not self._post(out, c, c, vars_of(c)):
+        names = vars_of(c)
+        if not self._post(out, self._compile_post(c), names,
+                          c.symbol == "qVal", names):
             return None
         return out
 
@@ -584,11 +666,11 @@ class Solver:
             self.cut = True
             return
         for index, rule in self._rules.get(e.symbol, ()):
-            pats, rhs, conds, ren = self._rename_rule(index, rule)
+            pats, rhs, conds, ren, compiled = self._rename_rule(index, rule)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
             for _ in self._unify_seq(pats, e.args, store, depth):
-                for _ in self._solve_all(conds, store, depth - 1):
+                for _ in self._solve_all(conds, store, depth - 1, compiled):
                     for res in self._hnf(rhs, store, depth - 1):
                         mark = len(trail)
                         store.assign(store.evals, id(e), EvalRec(
@@ -785,15 +867,28 @@ class Solver:
         return False
 
     def _solve_all(self, cs: tuple, store: Store, depth: int,
-                   i: int = 0) -> Iterator[None]:
+                   compiled: tuple = (), i: int = 0) -> Iterator[None]:
+        """Solve cs[i:] left to right; compiled[j], when given and not
+        None, is the precompiled form of cs[j] (see _post_condition)."""
+        mark = len(store.trail)
+        # precompiled conditions are deterministic: post them in a row
+        while i < len(compiled) and compiled[i] is not None:
+            ok = self._post_condition(store, compiled[i])
+            if ok is None:
+                break
+            if not (ok and self._check_suspended(store)):
+                store.undo(mark)
+                return
+            i += 1
         if i == len(cs):
             yield
-            return
-        for _ in self._solve_constraint(cs[i], store, depth):
-            mark = len(store.trail)
-            if self._check_suspended(store):
-                yield from self._solve_all(cs, store, depth, i + 1)
-            store.undo(mark)
+        else:
+            for _ in self._solve_constraint(cs[i], store, depth):
+                m = len(store.trail)
+                if self._check_suspended(store):
+                    yield from self._solve_all(cs, store, depth, compiled, i + 1)
+                store.undo(m)
+        store.undo(mark)
 
     def _solve_constraint(self, c: AtomicConstraint, store: Store,
                           depth: int) -> Iterator[None]:
@@ -835,7 +930,8 @@ class Solver:
                 continue
             if want in (TRUE, FALSE) and c.symbol in (*RELS, "qVal", "qBound", "==") \
                     and all(self._numeric_shape(store, a) for a in args):
-                if self._post(store, AtomicConstraint(c.symbol, args, want), c, names):
+                compiled = self._compile_post(AtomicConstraint(c.symbol, args, want))
+                if self._post(store, compiled, vars_of(c), c.symbol == "qVal", names):
                     yield
                 store.undo(mark)
                 continue

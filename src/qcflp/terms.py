@@ -246,23 +246,22 @@ def compose_subst(sigma: Subst, tau: Subst) -> Subst:
 
 
 def vars_of(obj) -> set:
+    """Names of the variables in an expression, constraint, or tuple/list
+    of such; iterative, so arbitrarily deep terms are fine."""
     acc: set = set()
-    _collect_vars(obj, acc)
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Var):
+            acc.add(obj.name)
+        elif isinstance(obj, App):
+            stack.extend(obj.args)
+        elif isinstance(obj, AtomicConstraint):
+            stack.extend(obj.args)
+            stack.append(obj.result)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
     return acc
-
-
-def _collect_vars(obj, acc: set) -> None:
-    if isinstance(obj, Var):
-        acc.add(obj.name)
-    elif isinstance(obj, App):
-        for a in obj.args:
-            _collect_vars(a, acc)
-    elif isinstance(obj, AtomicConstraint):
-        for e in constraint_exprs(obj):
-            _collect_vars(e, acc)
-    elif isinstance(obj, (tuple, list)):
-        for x in obj:
-            _collect_vars(x, acc)
 
 
 # ======================================================================

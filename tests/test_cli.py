@@ -178,3 +178,30 @@ def test_python_dash_m_runs_cli(module):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "{ R -> 4 } { W in [0.65, 0.7] }\n"
+
+
+DEEP_LIST_GOAL = ("(member(7,[" + ",".join(str(i) for i in range(1500))
+                  + "]) == true) # W | W >= 0.5")
+DEEP_TERM_GOAL = "(f(" + "s(" * 200 + "z" + ")" * 200 + ") == R) # W"
+
+
+@pytest.mark.parametrize("program, goal", [
+    (None, DEEP_LIST_GOAL),
+    ("data nat = z | s(nat)\nf(X) --> X\n", DEEP_TERM_GOAL),
+], ids=["list-1500", "nested-200"])
+def test_deep_term_exit_5(tmp_path, program, goal):
+    # a fresh interpreter, so the recursion limit is the default one
+    path = LIBRARY
+    if program is not None:
+        path = tmp_path / "nat.qcflp"
+        path.write_text(program)
+    src = str(ROOT / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcflp", "solve", str(path), "--goal", goal],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("solve: term nested too deeply")
+    assert proc.stderr.count("\n") == 1

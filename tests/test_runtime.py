@@ -75,6 +75,56 @@ def test_propagation_guard_flags_run():
     assert [a.flags for a in answers] == [["incomplete"]]
 
 
+# Golden answers of the solver that reduced and compiled every rule
+# condition on each try; precompiled conditions must give the same.  A
+# bound whose sides are all literals is evaluated, not posted.  The
+# malformed-qual flag on f(Y) bounds a data variable, not a
+# qualification one, but is kept as it was.
+EDGE = "f(X) -0.9-> true <== X <= 0.5\ng(X) --> f(X)"
+
+
+@pytest.mark.parametrize("goal, expected", [
+    ("f(0.3)", ["{ } { W in (0, 0.9] }"]),
+    ("f(0.7)", []),
+    ("f(Y)", ["{ } { W in (0, 0.9] } [malformed-qual]"]),
+    ("g(Y)", ["{ } { W in (0, 0.9] } [malformed-qual]"]),
+])
+def test_rule_condition_edge_cases(goal, expected):
+    answers, _, _ = solve_text(parse_program(EDGE), f"({goal} == true) # W")
+    assert [render_answer(a) for a in answers] == expected
+
+
+def test_bound_on_constructor_stays_parked():
+    # a qualification variable bound to a constructor is not numeric:
+    # its bound is parked and the answer is conditional
+    p = parse_program("data nat = z | s(nat)\n"
+                      "h(W) --> true <== qVal(V), W <= 0.9*V")
+    solver = Solver(p)
+    answers = list(solver.solve(parse_constraints("h(s(Y)) == true"), [], ["Y"]))
+    assert [render_answer(a) for a in answers] == \
+        ["{ } { } << s(Y) <= 0.9*~0~V >> [conditional]"]
+
+
+def test_qval_is_never_queued(library):
+    p = parse_program("f --> true")
+    translated, _ = transform_program(p)
+    solver = Solver(translated)
+    constraints = parse_constraints("qVal(W), W <= 0.9, W >= 0.65")
+    answers = list(solver.solve(constraints, ["W"], []))
+    # qVal narrows on the spot; each bound takes one step, and the
+    # second re-steps the first
+    assert solver.prop_steps == 3
+    assert [c[0] for c in answers[0].store.qcons] == ["mono", "mono"]
+
+    answers, solver, _ = solve_text(
+        library,
+        '(search("German","Essay",intermediate) == R) # W | W >= 0.3',
+        depth=64)
+    assert answers and solver.prop_steps > 0
+    for ans in answers:
+        assert all(c[0] != "qval" for c in ans.store.qcons)
+
+
 def test_hnf_examples(library):
     translated, _ = transform_program(library)
     solver = Solver(translated)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 from hypothesis import given, strategies as st
 
@@ -99,3 +100,19 @@ def test_signature_disjointness():
         sig.register_df("c", 1)
     with pytest.raises(SignatureError):
         sig.register_dc("c", 3)
+
+
+def test_vars_of_deep_terms():
+    # deeper than the default recursion limit, which an earlier solve in
+    # this process may have raised
+    deep = Var("X")
+    for i in range(5000):
+        deep = App("s", (deep, Basic(i)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        found = vars_of(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == {"X"}
+    assert vars_of([App("c", (Var("A"), Var("B"))), (Var("A"),)]) == {"A", "B"}
