@@ -36,7 +36,8 @@ from typing import Iterator, Optional
 
 from .constraints import Interval, _constraint_step, eval_primitive
 from .domains import QualDomain, U
-from .syntax import Program, print_constraint
+from .semantics import ProofTree, atom_statement, production
+from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     FALSE, TRUE, Var, format_real, vars_of)
 
@@ -842,9 +843,16 @@ class Solver:
                     store.undo(mark)
 
     def _check_suspended(self, store: Store) -> bool:
-        """Re-examine parked disequations; False on refutation."""
+        """Re-examine parked disequations; False on refutation.
+
+        Other parked constraints (outside the decidable fragment) are
+        kept as they are, to surface as residuals.
+        """
         keep = []
         for c in store.suspended:
+            if c.symbol != "==" or c.result is not FALSE:
+                keep.append(c)
+                continue
             verdict = self._static_compare(store, c.args[0], c.args[1])
             if verdict == "same":
                 return False
@@ -1028,12 +1036,26 @@ class _Replay:
     one); data variables resolve through the substitution; calls resolve
     through the recorded reductions, and unevaluated calls denote the
     undefined value on result positions.
+
+    Resolution is memoized per answer store.  value and display resolve
+    each walked App node once, and production_tree builds the subtree for
+    a walked node and a target once; every later request gets the same
+    object.  Replay is then linear in the size of the proof, and equal
+    parts of the trees and their statements are shared objects.  This is
+    sound because the store is the answer's own snapshot, which replay
+    only reads, and trees and terms are immutable.  Each memo is keyed on
+    node identity and keeps its key nodes alive next to the result, so an
+    id cannot be reused; keying on the terms themselves would hash and
+    compare them structurally, which is quadratic again.
     """
 
     def __init__(self, solver: Solver, store: Store):
         self.solver = solver
         self.store = store
         self.sig = solver.sig
+        self._values = {}     # id(App) -> (App, value)
+        self._shown = {}      # id(App) -> (App, display)
+        self._trees = {}      # (id(e), id(target)) -> (e, target, tree)
 
     def _walk(self, e: Expr) -> Expr:
         return self.solver.walk(self.store, e)
@@ -1047,34 +1069,61 @@ class _Replay:
         e = self._walk(e)
         if isinstance(e, Var):
             return self._rho(e.name) or e
-        if isinstance(e, App):
-            rec = self.store.evals.get(id(e))
-            if rec is not None and rec.call is e:
-                return self.value(rec.result)
+        if not isinstance(e, App):
+            return e
+        hit = self._values.get(id(e))
+        if hit is not None:
+            return hit[1]
+        rec = self.store.evals.get(id(e))
+        if rec is not None and rec.call is e:
+            out = self.value(rec.result)
+        else:
             kind = self.sig.kind(e.symbol)
             if kind == "dc" or kind is None:
-                return App(e.symbol, tuple(self.value(a) for a in e.args))
-            if kind == "pf":
-                parts = [self.value(a) for a in e.args]
+                out = self._rebuild(e, [self.value(a) for a in e.args])
+            elif kind == "pf":
                 try:
-                    return eval_primitive(e.symbol, parts)
+                    out = eval_primitive(e.symbol,
+                                         [self.value(a) for a in e.args])
                 except Exception:
-                    return BOTTOM
-            return BOTTOM
-        return e
+                    out = BOTTOM
+            else:
+                out = BOTTOM
+        self._values[id(e)] = (e, out)
+        return out
 
     def display(self, e: Expr) -> Expr:
         """Left-side resolution: keeps call structure in place."""
         e = self._walk(e)
         if isinstance(e, Var):
             return self._rho(e.name) or e
-        if isinstance(e, App) and e.args:
-            return App(e.symbol, tuple(self.display(a) for a in e.args))
-        return e
+        if not (isinstance(e, App) and e.args):
+            return e
+        hit = self._shown.get(id(e))
+        if hit is not None:
+            return hit[1]
+        out = self._rebuild(e, [self.display(a) for a in e.args])
+        self._shown[id(e)] = (e, out)
+        return out
 
-    def production_tree(self, e: Expr, target: Expr):
-        from .semantics import ProofTree, production
+    @staticmethod
+    def _rebuild(e: App, args: list) -> App:
+        """e with its arguments replaced; e itself when none changed."""
+        if all(a is b for a, b in zip(args, e.args)):
+            return e
+        return App(e.symbol, tuple(args))
+
+    def production_tree(self, e: Expr, target: Expr) -> ProofTree:
         ew = self._walk(e)
+        key = (id(ew), id(target))
+        hit = self._trees.get(key)
+        if hit is not None:
+            return hit[2]
+        tree = self._production_tree(ew, target)
+        self._trees[key] = (ew, target, tree)
+        return tree
+
+    def _production_tree(self, ew: Expr, target: Expr) -> ProofTree:
         shown = self.display(ew)
         if isinstance(target, Bottom):
             return ProofTree("triv", production(shown, BOTTOM))
@@ -1109,8 +1158,7 @@ class _Replay:
             return ProofTree("cons", production(shown, target), kids)
         raise ReplayError(f"no recorded reduction for {shown!r}")
 
-    def atom_tree(self, c: AtomicConstraint):
-        from .semantics import ProofTree, atom_statement
+    def atom_tree(self, c: AtomicConstraint) -> ProofTree:
         kids = tuple(self.production_tree(a, self.value(a)) for a in c.args)
         shown = AtomicConstraint(c.symbol,
                                  tuple(self.display(a) for a in c.args),
@@ -1148,7 +1196,6 @@ def format_interval(iv: Interval) -> str:
 
 
 def render_answer(ans: Answer) -> str:
-    from .syntax import print_expr
     parts = []
     if ans.subst:
         inner = ", ".join(f"{v} -> {print_expr(t)}" for v, t in sorted(ans.subst.items()))
@@ -1165,7 +1212,6 @@ def render_answer(ans: Answer) -> str:
 
 
 def answer_record(ans: Answer) -> dict:
-    from .syntax import print_expr
     return {
         "subst": {v: print_expr(t) for v, t in sorted(ans.subst.items())},
         "qual": {w: {"lo": iv.lo, "hi": iv.hi,

@@ -106,6 +106,21 @@ def test_solve_flagged_only(tmp_path):
     assert run("solve", str(src), "--goal", "f(Y) == true # W") == 3
 
 
+@pytest.mark.parametrize("condition, residual", [
+    ("qVal(X)", "qVal(s(Y))"),
+    ("X <= 0.5", "s(Y) <= 0.5"),
+], ids=["qval", "bound"])
+def test_parked_condition_is_kept(tmp_path, capsys, condition, residual):
+    # a condition parked outside the decidable fragment is not a
+    # disequation: re-examining bindings must keep it, not crash on it
+    # or drop it
+    src = tmp_path / "nat.qcflp"
+    src.write_text(f"data nat = z | s(nat)\nh(X) --> true <== {condition}\n")
+    assert run("solve", str(src), "--goal", "(h(s(Y)) == true) # W") == 3
+    assert capsys.readouterr().out == \
+        f"{{ }} {{ W in (0, 1] }} << {residual} >> [conditional]\n"
+
+
 def test_prove_and_check_certificate(tmp_path, capsys):
     cert = tmp_path / "genre.proof"
     assert run("prove", str(LIBRARY), "--statement", GENRE_STMT,

@@ -1,0 +1,138 @@
+"""Proof replay: pinned certificates, shared resolution, long inputs.
+
+Replay resolves each stored node once per answer and shares the result;
+the certificates it produces must stay byte for byte what the
+unmemoized replay produced.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import BOOK4
+from qcflp.runtime import Limits, Solver, _Replay, replay_trees
+from qcflp.semantics import check_proof, serialize_proof
+from qcflp.syntax import parse_goal, parse_program
+from qcflp.terms import App
+from qcflp.transform import transform_goal, transform_program
+
+PAPER = '(search("German","Essay",intermediate) == R) # W'
+
+# Tree sizes of each clean answer's replayed goal constraints, in answer
+# order, and the SHA-256 of all their certificates concatenated, taken
+# from the unmemoized replay.
+GOLDEN_GOALS = [
+    (f"{PAPER} | W >= 0.65", [[2, 2, 3, 3, 3230]]),
+    (f"{PAPER} | W >= 0.5", [[2, 2, 3, 3, 3230]]),
+    ("(search(L,G,V) == R) # W | W >= 0.6",
+     [[2, 2, 3, 3, n] for n in (1076, 1632, 1747, 1870, 1632, 1747, 1870,
+                                2907, 3052, 3093, 3230, 3093, 3230)]),
+    (f"(guessGenre({BOOK4}) == G) # W | W >= 0.5",
+     [[2, 2, 3, 3, 271], [2, 2, 3, 3, 416]]),
+]
+GOLDEN_SHA256 = \
+    "940df08481076a8334aa7239e15dd616c5c9d66296b093fed9a182ef5ece22c5"
+
+
+@pytest.fixture(scope="module")
+def translated_library(library):
+    return transform_program(library)[0]
+
+
+def clean_answers(program, translated, goal_text, depth=64):
+    constraints, wvars, datavars = transform_goal(parse_goal(goal_text),
+                                                  program)
+    solver = Solver(translated, limits=Limits(depth=depth))
+    answers = [a for a in solver.solve(constraints, wvars, datavars)
+               if not a.flags]
+    return solver, answers, constraints
+
+
+def test_golden_certificates(library, translated_library):
+    digest = hashlib.sha256()
+    for goal, sizes in GOLDEN_GOALS:
+        solver, answers, constraints = clean_answers(
+            library, translated_library, goal)
+        got = []
+        for ans in answers:
+            trees = replay_trees(solver, ans, constraints)
+            got.append([t.size() for t in trees])
+            for tree in trees:
+                assert check_proof(translated_library, None, tree).status \
+                    == "valid"
+                digest.update(serialize_proof(tree, "u", None).encode())
+        assert got == sizes, goal
+    assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_resolution_is_shared(library, translated_library):
+    solver, answers, constraints = clean_answers(
+        library, translated_library, f"{PAPER} | W >= 0.65")
+    r = _Replay(solver, answers[0].store)
+    stored = [rec.call for rec in answers[0].store.evals.values()]
+    assert stored
+    for call in stored:
+        assert r.display(call) is r.display(call)
+        assert r.value(call) is r.value(call)
+    # replaying the goal again hands out the subtrees built the first time
+    first = [r.atom_tree(c) for c in constraints]
+    again = [r.atom_tree(c) for c in constraints]
+    for a, b in zip(first, again):
+        assert a is not b and a == b
+        # a child on a call or constructor node is the same object
+        for x, y in zip(a.children, b.children):
+            if isinstance(x.conclusion.lhs, App):
+                assert x is y
+        assert check_proof(translated_library, None, a).status == "valid"
+
+
+WALK = "walk([]) --> true\nwalk(_X:T) --> walk(T)"
+
+
+def test_long_list_replay_is_linear():
+    n = 200
+    program = parse_program(WALK)
+    translated = transform_program(program)[0]
+    items = ",".join(str(i) for i in range(n))
+    solver, answers, constraints = clean_answers(
+        program, translated, f"(walk([{items}]) == true) # W", depth=2 * n)
+    assert len(answers) == 1
+    r = _Replay(solver, answers[0].store)
+    trees = [r.atom_tree(c) for c in constraints]
+    nodes = sum(t.size() for t in trees)
+    assert all(check_proof(translated, None, t).status == "valid"
+               for t in trees)
+    # the tree is quadratic in n (each level proves its whole argument
+    # list), but every stored App node is resolved at most once per
+    # direction, so resolution stays linear in n
+    resolved = len(r._shown) + len(r._values)
+    assert resolved <= nodes
+    assert resolved <= 5 * n
+    # and the trees share what was resolved: their distinct subtrees and
+    # the distinct App objects of their statements are linear in n too
+    subtrees, apps = distinct_parts(trees)
+    assert subtrees <= 15 * n < nodes
+    assert apps <= 5 * n
+
+
+def distinct_parts(trees) -> tuple:
+    """Distinct ProofTree objects, and distinct App objects in their
+    statements and substitutions, reachable from trees."""
+    seen_trees, seen_apps = set(), set()
+    todo, terms = list(trees), []
+    while todo:
+        t = todo.pop()
+        if id(t) in seen_trees:
+            continue
+        seen_trees.add(id(t))
+        todo.extend(t.children)
+        s = t.conclusion
+        terms += [s.lhs, s.rhs] if s.atom is None else \
+            [*s.atom.args, s.atom.result]
+        terms += [v for _, v in t.theta]
+    while terms:
+        e = terms.pop()
+        if isinstance(e, App) and id(e) not in seen_apps:
+            seen_apps.add(id(e))
+            terms.extend(e.args)
+    return len(seen_trees), len(seen_apps)
