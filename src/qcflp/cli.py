@@ -24,7 +24,7 @@ from .oracle import compare, count_qual_sites, default_universe
 from .runtime import Limits, Solver, answer_record, render_answer
 from .semantics import (check_proof, holds, parse_proof, parse_statement,
                         serialize_proof)
-from .syntax import (ParseError, parse_goal, parse_program,
+from .syntax import (ParseError, parse_expr, parse_goal, parse_program,
                      print_constraints, print_program)
 from .transform import (TransformError, simplify_constraints, simplify_rule,
                         transform_goal, transform_program)
@@ -256,7 +256,6 @@ def _run(args) -> int:
             return 1
         universe = default_universe(program)
         if args.universe:
-            from .syntax import parse_expr
             for part in args.universe.split(","):
                 term = parse_expr(part.strip())
                 if term not in universe:

@@ -6,6 +6,12 @@ of per-variable intervals (with open/closed bounds), plus ground
 structural (dis)equality on constructor data.  Everything outside that
 fragment answers "unknown".
 
+Interval is the package's one interval type: the solver's interval store
+holds Intervals as well and unpacks them as tuples in its hot loop.
+Propagation narrows exactly, here as in the solver, and stops when a
+round changes nothing or after PROPAGATION_GUARD steps, the guard that
+bounds each of the solver's propagations too.
+
 Primitive evaluation follows the usual strictness discipline: a result
 is undefined (bottom) whenever a demanded argument is undefined, and any
 defined result is a literal or a nullary constructor.  Strict equality
@@ -19,7 +25,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import (App, AtomicConstraint, Basic, Bottom, Expr, FALSE, TRUE,
                     Var, BOTTOM, BUILTIN_PF, format_real, is_ground, is_total,
@@ -29,6 +35,12 @@ INF = math.inf
 
 ARITH = {"+", "-", "*"}
 RELS = {"<=", "<", ">=", ">"}
+# the comparison that holds exactly when the key does not
+FLIP = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
+
+# narrowing steps after which one propagation gives up; the box it stops
+# at is still an over-approximation of the solutions
+PROPAGATION_GUARD = 20000
 
 
 class PrimitiveError(ValueError):
@@ -108,8 +120,7 @@ def _clash(a: Expr, b: Expr) -> bool:
 # Intervals with open/closed bounds
 # ======================================================================
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: float = -INF
     hi: float = INF
     lo_open: bool = False
@@ -305,8 +316,7 @@ def _constraint_step(c: AtomicConstraint, box: Box) -> Optional[bool]:
         if want == TRUE:
             return _rel_enforce(c.symbol, c.args[0], c.args[1], box)
         if want == FALSE:
-            neg = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}[c.symbol]
-            return _rel_enforce(neg, c.args[0], c.args[1], box)
+            return _rel_enforce(FLIP[c.symbol], c.args[0], c.args[1], box)
         return False
     if c.symbol == "==" and want in (TRUE, FALSE):
         a, b = c.args
@@ -339,29 +349,27 @@ def _constraint_step(c: AtomicConstraint, box: Box) -> Optional[bool]:
     return False
 
 
-def _iv_close(a: Interval, b: Interval, eps: float = 1e-13) -> bool:
-    return a.lo_open == b.lo_open and a.hi_open == b.hi_open \
-        and (a.lo == b.lo or abs(a.lo - b.lo) <= eps) \
-        and (a.hi == b.hi or abs(a.hi - b.hi) <= eps)
-
-
-def propagate(constraints, box: Box, rounds: int = 60) -> Optional[Box]:
+def propagate(constraints, box: Box) -> Optional[Box]:
     """Fixpoint propagation of all constraints; None means unsatisfiable.
 
-    Stops once a round improves nothing beyond float noise; stopping early
-    is sound (intervals are only ever over-approximated).
+    Narrowing is exact.  Rounds run until one changes nothing, or until
+    PROPAGATION_GUARD constraint steps have run; stopping there is sound,
+    because the box is only ever an over-approximation.
     """
-    for _ in range(rounds):
+    steps = 0
+    while True:
         before = dict(box)
         for c in constraints:
+            if steps == PROPAGATION_GUARD:
+                return box
+            steps += 1
             if _constraint_step(c, box) is None:
                 return None
         for iv in box.values():
             if iv.is_empty():
                 return None
-        if all(k in before and _iv_close(before[k], v) for k, v in box.items()):
-            break
-    return box
+        if box == before:
+            return box
 
 
 # ======================================================================
@@ -503,7 +511,7 @@ def _provably_true(c: AtomicConstraint, box: Box) -> bool:
             gt = ib.hi < ia.lo or (ib.hi == ia.lo and (ib.hi_open or ia.lo_open))
             return lt or gt
         if not pos:
-            sym = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}[sym]
+            sym = FLIP[sym]
         if sym in (">", ">="):
             ia, ib = ib, ia
             sym = "<" if sym == ">" else "<="

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .constraints import INF
 from .domains import QualDomain, U
 from .runtime import Limits, Solver
 from .semantics import bounded_lfp
@@ -135,7 +136,7 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
                     for suf in dom.leaf_suffixes():
                         iv = ans.qual["W" + suf]
                         corner.append(iv.hi)
-                        if iv.hi == float("inf"):
+                        if iv.hi == INF:
                             note = "unbounded qualification"
                     corners.append(tuple(corner))
                 run = _antichain(corners)
@@ -148,14 +149,11 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
 
 
 def count_qual_sites(program: Program, dom: QualDomain = U) -> int:
-    """How many qualification constraints the transformation emits."""
-    from .transform import Emitter, FreshSupply, transform_rule
-    from .terms import vars_of
-    avoid = set()
-    for r in program.rules:
-        avoid |= vars_of(r.patterns) | vars_of(r.rhs) | vars_of(r.conditions)
-    supply = FreshSupply(0, avoid)
-    em = Emitter(dom)
-    for r in program.rules:
-        transform_rule(r, program.signature, supply, em)
-    return em.next_site
+    """How many qualification constraints the transformation emits.
+
+    A translated rule keeps one condition per source condition; every
+    other condition it has is an emitted site.
+    """
+    translated, _ = transform_program(program, dom)
+    return sum(len(t.conditions) - len(r.conditions)
+               for t, r in zip(translated.rules, program.rules))

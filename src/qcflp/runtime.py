@@ -10,6 +10,9 @@ evaluated at most once per branch (call-time choice).
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store that is re-propagated to fixpoint
 after every post or aliasing, and an empty interval prunes the branch.
+The store holds constraints.Interval values, the type the entailment
+checker uses, and a propagation that runs into the shared step guard
+constraints.PROPAGATION_GUARD flags the run as incomplete.
 A qVal post narrows its variable to (0, 1] once and is never re-stepped;
 aliasing meets intervals, so the range holds from then on.  The qVal and
 monomial-bound conditions of a rule are compiled with its renaming
@@ -34,28 +37,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .constraints import Interval, _constraint_step, eval_primitive
+from .constraints import (ARITH, FLIP, FULL, INF, PROPAGATION_GUARD, RELS,
+                          Interval, _constraint_step, eval_primitive, point)
 from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     FALSE, TRUE, Var, format_real, vars_of)
-
-ARITH = ("+", "-", "*")
-RELS = ("<=", "<", ">=", ">")
-
-INF = float("inf")
-
-# interval tuples (lo, hi, lo_open, hi_open); a lightweight mirror of
-# constraints.Interval used in the solver's hot loop
-IV_FULL = (-INF, INF, False, False)
-
-# worklist steps after which one propagation gives up (and flags the run)
-PROPAGATION_GUARD = 20000
-
-
-def _iv_empty(t) -> bool:
-    return t[0] > t[1] or (t[0] == t[1] and (t[2] or t[3]))
 
 
 def _div_down(x: float, k: float) -> float:
@@ -71,22 +59,6 @@ def _div_down(x: float, k: float) -> float:
     if out in (INF, -INF):
         return out
     return math.nextafter(out, -INF)
-
-
-def _iv_meet(a, b):
-    if a[0] > b[0]:
-        lo, lo_o = a[0], a[2]
-    elif b[0] > a[0]:
-        lo, lo_o = b[0], b[2]
-    else:
-        lo, lo_o = a[0], a[2] or b[2]
-    if a[1] < b[1]:
-        hi, hi_o = a[1], a[3]
-    elif b[1] < a[1]:
-        hi, hi_o = b[1], b[3]
-    else:
-        hi, hi_o = a[1], a[3] or b[3]
-    return (lo, hi, lo_o, hi_o)
 
 
 @dataclass
@@ -117,7 +89,7 @@ _DISCARD = object()    # a set gained the key: discard it
 @dataclass
 class Store:
     subst: dict = field(default_factory=dict)
-    ivals: dict = field(default_factory=dict)       # root var -> interval tuple
+    ivals: dict = field(default_factory=dict)       # root var -> Interval
     qcons: list = field(default_factory=list)       # compiled posted constraints
     qindex: dict = field(default_factory=dict)      # var name -> constraint ids
     suspended: list = field(default_factory=list)   # parked disequations
@@ -219,9 +191,6 @@ def _build(t, vs: list):
     return t
 
 
-_FLIP = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
-
-
 def _monomial(e: Expr, key):
     """(coefficient, key(var name)), or (value, None) for a constant; or None."""
     if isinstance(e, Basic):
@@ -249,7 +218,7 @@ def _compile_bound(c: AtomicConstraint, key):
     if sym not in RELS or want not in (TRUE, FALSE):
         return None
     if want == FALSE:
-        sym = _FLIP[sym]
+        sym = FLIP[sym]
     lhs, rhs = c.args
     if sym in (">=", ">"):
         lhs, rhs = rhs, lhs
@@ -370,10 +339,14 @@ class Solver:
     # ------------------------------------------------------------------
     # interval store
     #
+    # store.ivals maps each root variable to a constraints.Interval;
+    # being a named tuple, it unpacks like (lo, hi, lo_open, hi_open).
     # Posted constraints are compiled to monomial bounds k*x REL m*y (with
     # either side possibly constant) plus the qualification-range shape;
-    # anything else falls back to the generic engine.  Propagation runs a
-    # worklist seeded by the posted constraint or the rebound variable.
+    # anything else falls back to one step of the generic engine
+    # (constraints._constraint_step) on the same Interval values.
+    # Propagation runs a worklist seeded by the posted constraint or the
+    # rebound variable, for at most PROPAGATION_GUARD steps.
     #
     # A qVal post narrows its root to (0, 1] on the spot and is never
     # queued: _bind meets the intervals of aliased variables and checks
@@ -396,7 +369,7 @@ class Solver:
         under plain float comparison; runaway ulp chains are cut by the
         propagation step guard instead of a tolerance here.
         """
-        clo, chi, clo_o, chi_o = store.ivals.get(name, IV_FULL)
+        clo, chi, clo_o, chi_o = store.ivals.get(name, FULL)
         changed = False
         if lo is not None:
             if lo > clo:
@@ -414,10 +387,10 @@ class Solver:
                 changed = True
         if not changed:
             return "same"
-        t = (clo, chi, clo_o, chi_o)
-        if _iv_empty(t):
+        iv = Interval(clo, chi, clo_o, chi_o)
+        if iv.is_empty():
             return "fail"
-        store.assign(store.ivals, name, t)
+        store.assign(store.ivals, name, iv)
         return "changed"
 
     def _post_qval(self, store: Store, name: str) -> bool:
@@ -425,13 +398,10 @@ class Solver:
         v = _walk_name(store.subst, name)
         if type(v) is not str:
             return isinstance(v, Basic) and 0.0 < v.value <= 1.0
-        r = self._narrow(store, v, lo=0.0, lo_open=True)
+        r = self._narrow(store, v, lo=0.0, lo_open=True, hi=1.0)
         if r == "fail":
             return False
-        r2 = self._narrow(store, v, hi=1.0)
-        if r2 == "fail":
-            return False
-        if r == "changed" or r2 == "changed":
+        if r == "changed":
             seeds = store.qindex.get(v)
             if seeds:
                 return self._propagate_from(store, seeds)
@@ -462,8 +432,8 @@ class Solver:
                 if r == "fail":
                     return None
                 return (lx,) if r == "changed" else ()
-            xlo, _, xlo_o, _ = store.ivals.get(lx, IV_FULL)
-            _, yhi, _, yhi_o = store.ivals.get(ry, IV_FULL)
+            xlo, _, xlo_o, _ = store.ivals.get(lx, FULL)
+            _, yhi, _, yhi_o = store.ivals.get(ry, FULL)
             changed = ()
             if yhi != INF:
                 r = self._narrow(store, lx, hi=kr * yhi / kl,
@@ -486,16 +456,15 @@ class Solver:
             c.symbol, tuple(self.resolve(store, a) for a in c.args),
             self.walk(store, c.result))
         roots = vars_of(resolved)
-        box = {n: Interval(*store.ivals[n]) for n in roots if n in store.ivals}
+        box = {n: store.ivals[n] for n in roots if n in store.ivals}
         if _constraint_step(resolved, box) is None:
             return None
         changed = []
         for n, iv in box.items():
             if iv.is_empty():
                 return None
-            t = (iv.lo, iv.hi, iv.lo_open, iv.hi_open)
-            if store.ivals.get(n, IV_FULL) != t:
-                store.assign(store.ivals, n, t)
+            if store.ivals.get(n, FULL) != iv:
+                store.assign(store.ivals, n, iv)
                 changed.append(n)
         return changed
 
@@ -589,8 +558,8 @@ class Solver:
             iv = store.remove(store.ivals, name)
             v = self.walk(store, value)
             if isinstance(v, Var):
-                merged = _iv_meet(iv, store.ivals.get(v.name, IV_FULL))
-                if _iv_empty(merged):
+                merged = iv.intersect(store.ivals.get(v.name, FULL))
+                if merged.is_empty():
                     return False
                 store.assign(store.ivals, v.name, merged)
                 # constraints watching the old name now watch the new root
@@ -598,9 +567,7 @@ class Solver:
                 if name in store.qindex:
                     store.index(v.name, store.qindex[name])
             elif isinstance(v, Basic):
-                lo, hi, lo_o, hi_o = iv
-                if not (lo < v.value < hi or (v.value == lo and not lo_o)
-                        or (v.value == hi and not hi_o)):
+                if not iv.contains(v.value):
                     return False
             else:
                 return False  # an interval-carrying variable is numeric
@@ -988,11 +955,11 @@ class Solver:
             for leaf in self._leaves(w):
                 root = self.walk(store, Var(leaf))
                 if isinstance(root, Var):
-                    qual[leaf] = Interval(*store.ivals.get(root.name, IV_FULL))
+                    qual[leaf] = store.ivals.get(root.name, FULL)
                 elif isinstance(root, Basic):
-                    qual[leaf] = Interval(root.value, root.value)
+                    qual[leaf] = point(root.value)
                 else:
-                    qual[leaf] = Interval()
+                    qual[leaf] = FULL
         flags = []
         if self.cut:
             flags.append("incomplete")
@@ -1061,8 +1028,8 @@ class _Replay:
         return self.solver.walk(self.store, e)
 
     def _rho(self, name: str):
-        t = self.store.ivals.get(name)
-        return None if t is None else Basic(t[1])
+        iv = self.store.ivals.get(name)
+        return None if iv is None else Basic(iv.hi)
 
     def value(self, e: Expr) -> Expr:
         """Result-side resolution: a term, with unevaluated calls as bottom."""
@@ -1183,15 +1150,15 @@ def replay_trees(solver: Solver, answer: Answer, constraints: list) -> list:
 # ======================================================================
 
 def _fmt_bound(x: float) -> str:
-    return format_real(x) if x not in (float("inf"), float("-inf")) else \
+    return format_real(x) if x not in (INF, -INF) else \
         ("inf" if x > 0 else "-inf")
 
 
 def format_interval(iv: Interval) -> str:
     if iv.lo == iv.hi and not iv.lo_open and not iv.hi_open:
         return format_real(iv.lo)
-    left = "(" if iv.lo_open or iv.lo == float("-inf") else "["
-    right = ")" if iv.hi_open or iv.hi == float("inf") else "]"
+    left = "(" if iv.lo_open or iv.lo == -INF else "["
+    right = ")" if iv.hi_open or iv.hi == INF else "]"
     return f"{left}{_fmt_bound(iv.lo)}, {_fmt_bound(iv.hi)}{right}"
 
 

@@ -30,13 +30,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .constraints import entails, satisfiable
+from .constraints import entails, eval_primitive, satisfiable
 from .domains import QualDomain, U
 from .syntax import (Program, _Parser, ParseError, Diagnostic, print_constraint,
                      print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr, Var,
-                    apply_subst, constraint_info_leq, info_leq, term_glb,
-                    term_lub, vars_of)
+                    apply_subst, constraint_info_leq, format_real, info_leq,
+                    term_glb, term_lub, vars_of)
 
 CHECK_TOL = 1e-12
 
@@ -501,7 +501,6 @@ class ProofSearch:
                 yield res, d, ProofTree("cons", production(e, res, d, pi), trees)
             return
         if kind == "pf":
-            from .constraints import eval_primitive
             for parts in self._reduce_seq(list(e.args), pi, depth, need):
                 terms = [p[0] for p in parts]
                 d = dom.glb_all(p[1] for p in parts)
@@ -746,7 +745,6 @@ class _FactReducer:
                     dom.glb_all(p[1] for p in parts)
             return
         if kind == "pf":
-            from .constraints import eval_primitive
             for parts in self._seq(list(e.args)):
                 try:
                     v = eval_primitive(e.symbol, [p[0] for p in parts])
@@ -787,13 +785,12 @@ class _FactReducer:
 
 
 def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
-                quals: Optional[list] = None, pis: Optional[list] = None,
+                pis: Optional[list] = None,
                 budget: int = 2000000) -> Interpretation:
     """Iterate the immediate-consequence step k times over a finite family.
 
     universe is a finite list of ground terms used to instantiate rule
-    variables; quals optionally restricts recorded qualification values
-    to a grid; pis is the family of hypothesis sets (default: the empty
+    variables; pis is the family of hypothesis sets (default: the empty
     set only).  A blown budget sets the partial flag.
     """
     pis = [()] if pis is None else [tuple(p) for p in pis]
@@ -835,46 +832,13 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
                             if not dom.is_strict(d):
                                 continue
                             key = (rule.name, head_args, t, pi_idx)
-                            for dd in _grid_clip(d, quals, dom):
-                                if new.add(key, dd, dom):
-                                    changed = True
+                            if new.add(key, d, dom):
+                                changed = True
         if not changed:
             interp = new
             break
         interp = new
     return interp
-
-
-def _grid_clip(d, quals, dom: QualDomain) -> list:
-    if quals is None:
-        return [d]
-    below = [q for q in quals if dom.leq(q, d, CHECK_TOL)]
-    out = []
-    for q in below:
-        if not any(dom.leq(q, o, CHECK_TOL) and not dom.eq(q, o, CHECK_TOL) for o in below if o is not q):
-            if not any(dom.eq(q, o, CHECK_TOL) for o in out):
-                out.append(q)
-    return out
-
-
-def factor_grid(program: Program, dom: QualDomain, depth: int = 4) -> list:
-    """Attenuation factors closed under the attenuation product, plus top."""
-    base = {dom.top()}
-    for r in program.rules:
-        base.add(dom.coerce(r.attenuation))
-    grid = set()
-    frontier = {dom.top()}
-    for _ in range(depth):
-        nxt = set()
-        for g in frontier:
-            for b in base:
-                v = dom.attenuate(g, b)
-                key = tuple(dom.split(v))
-                if key not in {tuple(dom.split(x)) for x in grid | nxt}:
-                    nxt.add(v)
-        grid |= nxt
-        frontier = nxt
-    return sorted(grid, key=lambda v: dom.split(v))
 
 
 # ======================================================================
@@ -930,7 +894,6 @@ def print_statement(stmt: QStatement, dom: Optional[QualDomain] = None) -> str:
 def _fmt_raw(q) -> str:
     if isinstance(q, tuple):
         return "(" + ",".join(_fmt_raw(x) for x in q) + ")"
-    from .terms import format_real
     return format_real(float(q))
 
 

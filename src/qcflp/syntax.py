@@ -200,9 +200,6 @@ class Program:
         return isinstance(other, Program) and self.signature == other.signature \
             and self.rules == other.rules
 
-    def rules_for(self, symbol: str) -> list:
-        return [(i, r) for i, r in enumerate(self.rules) if r.name == symbol]
-
 
 @dataclass(frozen=True)
 class GoalItem:

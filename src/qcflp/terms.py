@@ -193,18 +193,6 @@ def constraint_exprs(c: AtomicConstraint) -> Iterator[Expr]:
     yield c.result
 
 
-def is_primitive_constraint(c: AtomicConstraint, sig: Signature) -> bool:
-    return all(not contains_df(e, sig) for e in constraint_exprs(c))
-
-
-def contains_df(e: Expr, sig: Signature) -> bool:
-    if isinstance(e, App):
-        if sig.kind(e.symbol) == "df":
-            return True
-        return any(contains_df(a, sig) for a in e.args)
-    return False
-
-
 # ======================================================================
 # Substitutions
 # ======================================================================

@@ -157,6 +157,23 @@ def test_propagation_empty():
     assert propagate(cs("W >= 0.8, W <= 0.7"), {}) is None
 
 
+def test_halving_chase_is_unsat():
+    # A <= B/2 <= A/2 drives both upper bounds down through the
+    # subnormals to 0, where qVal's open lower bound empties them
+    assert satisfiable(cs("qVal(A), qVal(B), A <= 0.5*B, B <= A")).status \
+        == "unsat"
+
+
+def test_slow_chase_stops_at_the_guard():
+    # a factor of 0.99 needs far more steps than the guard allows; the
+    # unfinished box is still an over-approximation, so it stays non-empty
+    box = propagate(cs("qVal(A), qVal(B), A <= 0.99*B, B <= A"), {})
+    assert box is not None and set(box) == {"A", "B"}
+    for iv in box.values():
+        assert not iv.is_empty()
+        assert (iv.lo, iv.lo_open) == (0.0, True) and iv.hi < 1e-3
+
+
 def test_interval_multiplication_strictness():
     a = Interval(float("-inf"), 0.0, False, True)
     prod = iv_mul(a, a)

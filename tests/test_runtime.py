@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import BOOK2, BOOK4, random_layered_program
+from qcflp.constraints import Interval
 from qcflp.domains import U
 from qcflp.runtime import (Limits, Solver, Store, answer_record, render_answer,
                            replay_trees)
@@ -123,6 +124,24 @@ def test_qval_is_never_queued(library):
     assert answers and solver.prop_steps > 0
     for ans in answers:
         assert all(c[0] != "qval" for c in ans.store.qcons)
+
+
+def test_store_and_answers_hold_intervals(library):
+    # the solver keeps constraints.Interval values, whether it narrows a
+    # compiled monomial bound or falls back to the generic engine
+    answers, _, _ = solve_text(
+        library,
+        '(search("German","Essay",intermediate) == R) # W | W >= 0.5',
+        depth=64)
+    translated, _ = transform_program(parse_program("f --> true"))
+    answers += Solver(translated).solve(
+        parse_constraints("qVal(W), qVal(V), W + V <= 1.2, W >= 0.3"),
+        ["W", "V"], [])
+    assert len(answers) > 1
+    for ans in answers:
+        assert ans.store.ivals and ans.qual
+        for iv in (*ans.store.ivals.values(), *ans.qual.values()):
+            assert type(iv) is Interval
 
 
 def test_hnf_examples(library):

@@ -6,7 +6,7 @@ import pytest
 from conftest import BOOK4
 from qcflp.domains import U
 from qcflp.semantics import (ProofTree, atom_statement, bounded_lfp,
-                             check_proof, factor_grid, holds,
+                             check_proof, holds,
                              instantiate_rule, parse_proof, parse_statement,
                              print_statement, production, serialize_proof,
                              statement_entails, weaken_tree)
@@ -281,21 +281,6 @@ def test_lfp_canonicity_desk_scale():
     # and conversely, a derivable fact shows up in the iterate
     assert interp.max_quals("h", (App("a"),), TRUE, 0, U) == [pytest.approx(0.4)]
     assert interp.max_quals("h", (App("b"),), TRUE, 0, U) == []
-
-
-def test_factor_grid():
-    p = parse_program("f -0.9-> true\ng -0.5-> f")
-    grid = factor_grid(p, U, depth=2)
-    for expected in (1.0, 0.9, 0.5, 0.45):
-        assert any(abs(g - expected) < 1e-9 for g in grid)
-
-
-def test_lfp_grid_restriction():
-    p = parse_program("g -0.9-> true")
-    interp = bounded_lfp(p, U, 2, [], quals=[1.0, 0.9, 0.5])
-    assert interp.max_quals("g", (), TRUE, 0, U) == [0.9]
-    interp2 = bounded_lfp(p, U, 2, [], quals=[1.0, 0.5])
-    assert interp2.max_quals("g", (), TRUE, 0, U) == [0.5]
 
 
 # ----------------------------------------------------------------------
