@@ -264,13 +264,17 @@ def _run(args) -> int:
             print(f"guardrail exceeded: {len(program.rules)} rules, "
                   f"{len(universe)} universe terms", file=sys.stderr)
             return 4
-        if args.mutate is not None:
-            total = count_qual_sites(program, dom)
-            if not (0 <= args.mutate < total):
-                print(f"mutation site out of range (0..{total - 1})", file=sys.stderr)
-                return 2
-        report = compare(program, dom, k=args.k, universe=universe,
-                         depth=args.depth, drop_site=args.mutate)
+        try:
+            if args.mutate is not None:
+                total = count_qual_sites(program, dom)
+                if not (0 <= args.mutate < total):
+                    print(f"mutation site out of range (0..{total - 1})", file=sys.stderr)
+                    return 2
+            report = compare(program, dom, k=args.k, universe=universe,
+                             depth=args.depth, drop_site=args.mutate)
+        except TransformError as exc:
+            print(f"{args.file}: {exc}", file=sys.stderr)
+            return 1
         for rec in report.records:
             status = "ok" if rec.match else "MISMATCH"
             extra = f" ({rec.note})" if rec.note else ""

@@ -6,11 +6,11 @@ of per-variable intervals (with open/closed bounds), plus ground
 structural (dis)equality on constructor data.  Everything outside that
 fragment answers "unknown".
 
-Interval is the package's one interval type: the solver's interval store
-holds Intervals as well and unpacks them as tuples in its hot loop.
-Propagation narrows exactly, here as in the solver, and stops when a
-round changes nothing or after PROPAGATION_GUARD steps, the guard that
-bounds each of the solver's propagations too.
+Interval is the package's one interval type, and propagate_from is its
+one propagator: a worklist over compiled constraints that both the
+solver's interval store and propagate run, until nothing changes or for
+at most PROPAGATION_GUARD steps.  Narrowing rounds outward: a derived
+bound is exact in floats or moved an ulp away from the solutions.
 
 Primitive evaluation follows the usual strictness discipline: a result
 is undefined (bottom) whenever a demanded argument is undefined, and any
@@ -148,10 +148,12 @@ class Interval(NamedTuple):
         return Interval(lo, hi, lo_open, hi_open)
 
     def __repr__(self):
-        l = "(" if self.lo_open else "["
-        r = ")" if self.hi_open else "]"
-        return f"{l}{format_real(self.lo) if self.lo != -INF else '-inf'}, " \
-               f"{format_real(self.hi) if self.hi != INF else 'inf'}{r}"
+        """A closed point prints as its number; an infinite bound prints open."""
+        if self.lo == self.hi and not (self.lo_open or self.hi_open):
+            return format_real(self.lo)
+        l = "(" if self.lo_open or self.lo == -INF else "["
+        r = ")" if self.hi_open or self.hi == INF else "]"
+        return f"{l}{format_real(self.lo)}, {format_real(self.hi)}{r}"
 
 
 FULL = Interval()
@@ -244,12 +246,23 @@ def eval_box(e: Expr, box: Box) -> Optional[Interval]:
     return None
 
 
+def _widen(iv: Interval) -> Interval:
+    """iv one ulp wider on each finite side.
+
+    A target derived by float arithmetic may have rounded inward past a
+    solution; the widened one keeps it.
+    """
+    return Interval(math.nextafter(iv.lo, -INF), math.nextafter(iv.hi, INF),
+                    iv.lo_open, iv.hi_open)
+
+
 def narrow(e: Expr, target: Interval, box: Box) -> bool:
     """Intersect the values of e with target, narrowing box variables.
 
     Returns False when the constraint is certainly unsatisfiable over the
     box.  Narrowing descends only through single paths, which is sound
-    regardless of repeated variables.
+    regardless of repeated variables; the target of an operation and each
+    one derived from it for an argument are rounded outward.
     """
     cur = eval_box(e, box)
     if cur is None:
@@ -257,27 +270,24 @@ def narrow(e: Expr, target: Interval, box: Box) -> bool:
     new = cur.intersect(target)
     if new.is_empty():
         return False
-    if isinstance(e, Basic):
-        return True
     if isinstance(e, Var):
         box[e.name] = new
         return True
     if isinstance(e, App) and e.symbol in ARITH:
         a, b = e.args
-        ia = eval_box(a, box) or FULL
         ib = eval_box(b, box) or FULL
+        new = _widen(new)  # e's float value may have rounded into it
         if e.symbol == "+":
-            return narrow(a, iv_sub(new, ib), box) and narrow(b, iv_sub(new, eval_box(a, box) or FULL), box)
+            return narrow(a, _widen(iv_sub(new, ib)), box) and \
+                narrow(b, _widen(iv_sub(new, eval_box(a, box) or FULL)), box)
         if e.symbol == "-":
-            return narrow(a, iv_add(new, ib), box) and narrow(b, iv_sub(eval_box(a, box) or FULL, new), box)
-        if e.symbol == "*":
-            ta = iv_div(new, ib)
-            if ta is not None and not narrow(a, ta, box):
-                return False
-            tb = iv_div(new, eval_box(a, box) or FULL)
-            if tb is not None and not narrow(b, tb, box):
-                return False
-            return True
+            return narrow(a, _widen(iv_add(new, ib)), box) and \
+                narrow(b, _widen(iv_sub(eval_box(a, box) or FULL, new)), box)
+        ta = iv_div(new, ib)
+        if ta is not None and not narrow(a, _widen(ta), box):
+            return False
+        tb = iv_div(new, eval_box(a, box) or FULL)
+        return tb is None or narrow(b, _widen(tb), box)
     return True
 
 
@@ -293,7 +303,6 @@ def _rel_enforce(symbol: str, lhs: Expr, rhs: Expr, box: Box) -> Optional[bool]:
     strict = symbol == "<"
     if not narrow(lhs, Interval(-INF, ir.hi, False, ir.hi_open or strict), box):
         return None
-    ir = eval_box(rhs, box) or FULL
     il = eval_box(lhs, box) or FULL
     if not narrow(rhs, Interval(il.lo, INF, il.lo_open or strict, False), box):
         return None
@@ -329,13 +338,9 @@ def _constraint_step(c: AtomicConstraint, box: Box) -> Optional[bool]:
                 if not narrow(a, both, box) or not narrow(b, both, box):
                     return None
                 return True
-            # disequality: only useful when one side is a point at a closed end
-            if ia.lo == ia.hi and not ia.lo_open:
-                if ib.lo == ib.hi and ib.lo == ia.lo and not ib.lo_open:
-                    return None
-                return True
-            if ib.lo == ib.hi and not ib.lo_open:
-                return True
+            # disequality: refuted only by two equal closed points
+            if ia.lo == ia.hi == ib.lo == ib.hi and not (ia.lo_open or ib.lo_open):
+                return None
             return True
         # ground structural (dis)equality
         if is_ground(a) and is_ground(b):
@@ -349,27 +354,245 @@ def _constraint_step(c: AtomicConstraint, box: Box) -> Optional[bool]:
     return False
 
 
-def propagate(constraints, box: Box) -> Optional[Box]:
-    """Fixpoint propagation of all constraints; None means unsatisfiable.
+# ======================================================================
+# Compiled constraints and the worklist propagator
+# ======================================================================
+#
+# A constraint compiles to ("qval", x), to a monomial bound
+# ("mono", strict, L, R) meaning L < R or L <= R with each side (k, var
+# name) or (value, None), or else to ("generic", c), one step of the box
+# engine above.  Steps walk names through a substitution and write each
+# narrowed interval through the caller's write function, so the solver
+# can log it on its undo trail.
 
-    Narrowing is exact.  Rounds run until one changes nothing, or until
-    PROPAGATION_GUARD constraint steps have run; stopping there is sound,
-    because the box is only ever an over-approximation.
+def _div_down(x: float, k: float) -> float:
+    """x / k, rounded one step toward minus infinity.
+
+    Derived lower bounds must not exceed their exact real value, or a
+    threshold equal to a representable product of factors would cut the
+    very branch that produced it.
     """
+    if k == 1.0:
+        return x
+    out = x / k
+    if out in (INF, -INF):
+        return out
+    return math.nextafter(out, -INF)
+
+
+def _monomial(e: Expr, key):
+    """(coefficient, key(var name)), or (value, None) for a constant; or None."""
+    if isinstance(e, Basic):
+        return (e.value, None)
+    if isinstance(e, Var):
+        return (1.0, key(e.name))
+    if isinstance(e, App) and e.symbol == "*" and len(e.args) == 2:
+        a, b = e.args
+        if isinstance(a, Basic) and isinstance(b, Var) and a.value > 0:
+            return (a.value, key(b.name))
+        if isinstance(b, Basic) and isinstance(a, Var) and b.value > 0:
+            return (b.value, key(a.name))
+    return None
+
+
+def compile_bound(c: AtomicConstraint, key):
+    """("qval", x) or ("mono", strict, L, R) for c, with each variable
+    name mapped through key; None for anything else."""
+    sym, want = c.symbol, c.result
+    if sym == "qVal":
+        if want == TRUE and isinstance(c.args[0], Var):
+            return ("qval", key(c.args[0].name))
+        return None
+    if sym not in RELS or want not in (TRUE, FALSE):
+        return None
+    if want == FALSE:
+        sym = FLIP[sym]
+    lhs, rhs = c.args
+    if sym in (">=", ">"):
+        lhs, rhs = rhs, lhs
+    L, R = _monomial(lhs, key), _monomial(rhs, key)
+    if L is None or R is None:
+        return None
+    return ("mono", sym in ("<", ">"), L, R)
+
+
+def compile_post(c: AtomicConstraint):
+    """The compiled form of c, ("generic", c) outside the bound shapes."""
+    return compile_bound(c, str) or ("generic", c)  # str: names as they are
+
+
+def walk_name(subst: dict, name: str):
+    """The root name a variable name is bound through, or its non-variable value."""
+    v = subst.get(name)
+    while v is not None:
+        if type(v) is not Var:
+            return v
+        name = v.name
+        v = subst.get(name)
+    return name
+
+
+def walk_side(subst: dict, side):
+    """A compiled monomial side (k, name) with name walked to its root.
+
+    A side whose variable is bound to a literal becomes the constant
+    (k * value, None); None when it is bound to anything else.  A side
+    already at its root is returned as is.
+    """
+    name = side[1]
+    if name is None or name not in subst:
+        return side
+    v = walk_name(subst, name)
+    if type(v) is str:
+        return (side[0], v)
+    if type(v) is Basic:
+        return (side[0] * v.value, None)
+    return None
+
+
+def _resolve(subst: dict, e: Expr) -> Expr:
+    """Deep substitution walk; keeps unevaluated calls in place."""
+    while isinstance(e, Var) and e.name in subst:
+        e = subst[e.name]
+    if isinstance(e, App) and e.args:
+        return App(e.symbol, tuple(_resolve(subst, a) for a in e.args))
+    return e
+
+
+def narrow_bound(ivals: dict, write, name: str, lo=None, lo_open=False,
+                 hi=None, hi_open=False):
+    """Tighten one bound to the given value; 'fail', 'changed' or 'same'.
+
+    No tolerance is applied: runaway ulp chains are cut by the
+    propagation step guard instead.
+    """
+    clo, chi, clo_o, chi_o = ivals.get(name, FULL)
+    changed = False
+    if lo is not None:
+        if lo > clo:
+            clo, clo_o = lo, lo_open
+            changed = True
+        elif lo == clo and lo_open and not clo_o:
+            clo_o = True
+            changed = True
+    if hi is not None:
+        if hi < chi:
+            chi, chi_o = hi, hi_open
+            changed = True
+        elif hi == chi and hi_open and not chi_o:
+            chi_o = True
+            changed = True
+    if not changed:
+        return "same"
+    iv = Interval(clo, chi, clo_o, chi_o)
+    if iv.is_empty():
+        return "fail"
+    write(name, iv)
+    return "changed"
+
+
+_ONE = Interval(1.0, 1.0)
+
+
+def _step(con, ivals: dict, subst: dict, write):
+    """One propagation step; None on failure, else the changed roots."""
+    if con[0] == "mono":
+        _, strict, L, R = con
+        L = walk_side(subst, L)
+        R = walk_side(subst, R)
+        if L is None or R is None:
+            return None
+        kl, lx = L
+        kr, ry = R
+        if lx is None and ry is None:
+            return () if (kl < kr if strict else kl <= kr) else None
+        # a constant side k reads as k times the point 1
+        xlo, _, xlo_o, _ = _ONE if lx is None else ivals.get(lx, FULL)
+        _, yhi, _, yhi_o = _ONE if ry is None else ivals.get(ry, FULL)
+        changed = ()
+        if lx is not None and yhi != INF:
+            # x <= kr*y/kl: exact in floats for kl == 1, else rounded up
+            hi = kr * yhi if kl == 1.0 else math.nextafter(kr * yhi / kl, INF)
+            r = narrow_bound(ivals, write, lx, hi=hi, hi_open=yhi_o or strict)
+            if r == "fail":
+                return None
+            if r == "changed":
+                changed = (lx,)
+        if ry is not None and xlo != -INF:
+            r = narrow_bound(ivals, write, ry, lo=_div_down(kl * xlo, kr),
+                             lo_open=xlo_o or strict)
+            if r == "fail":
+                return None
+            if r == "changed" and ry not in changed:
+                changed += (ry,)
+        return changed
+    c = con[1]
+    resolved = AtomicConstraint(
+        c.symbol, tuple(_resolve(subst, a) for a in c.args),
+        _resolve(subst, c.result))
+    box = {n: ivals[n] for n in vars_of(resolved) if n in ivals}
+    if _constraint_step(resolved, box) is None:
+        return None
+    changed = []
+    for n, iv in box.items():
+        if iv.is_empty():
+            return None
+        if ivals.get(n, FULL) != iv:
+            write(n, iv)
+            changed.append(n)
+    return changed
+
+
+def propagate_from(cons: list, index: dict, ivals: dict, subst: dict,
+                   write, seeds) -> tuple:
+    """Worklist propagation of compiled constraints from the seed ids.
+
+    index maps a root name to the ids of the constraints that watch it.
+    Returns (ok, steps, guard_hit): ok is False when some interval
+    empties; a run that reaches PROPAGATION_GUARD steps stops where it
+    is, and its intervals may still violate a constraint.
+    """
+    queue = list(seeds)
     steps = 0
-    while True:
-        before = dict(box)
-        for c in constraints:
-            if steps == PROPAGATION_GUARD:
-                return box
-            steps += 1
-            if _constraint_step(c, box) is None:
+    while queue:
+        if steps == PROPAGATION_GUARD:
+            return True, steps, True
+        steps += 1
+        idx = queue.pop()
+        changed = _step(cons[idx], ivals, subst, write)
+        if changed is None:
+            return False, steps, False
+        for name in changed:
+            for j in index.get(name, ()):
+                if j != idx:
+                    queue.append(j)
+    return True, steps, False
+
+
+def propagate(constraints, box: Box) -> Optional[Box]:
+    """Narrow box by all constraints; None means unsatisfiable.
+
+    Each qVal(X) narrows X to (0, 1] on the spot; every other constraint
+    is compiled, indexed by its variables and seeded once.  Every
+    variable of a numeric constraint gets an entry.
+    """
+    cons, index = [], {}
+    write = box.__setitem__
+    for c in constraints:
+        names = vars_of(c)
+        if all(_numeric_expr(a) for a in c.args):
+            for n in names:
+                box.setdefault(n, FULL)
+        con = compile_post(c)
+        if con[0] == "qval":
+            if narrow_bound(box, write, con[1], 0.0, True, 1.0) == "fail":
                 return None
-        for iv in box.values():
-            if iv.is_empty():
-                return None
-        if box == before:
-            return box
+            continue
+        for n in names:
+            index.setdefault(n, []).append(len(cons))
+        cons.append(con)
+    ok, _, _ = propagate_from(cons, index, box, {}, write, range(len(cons)))
+    return box if ok else None
 
 
 # ======================================================================

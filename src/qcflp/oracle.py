@@ -120,7 +120,7 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
                 call = App(fname, tuple(args))
                 constraint = AtomicConstraint("==", (call, target), TRUE)
                 fix = [tuple(dom.split(d))
-                       for d in interp.max_quals(fname, tuple(args), target, 0, dom)]
+                       for d in interp.max_quals(fname, tuple(args), target, dom)]
                 fix = _antichain(fix)
 
                 goal = Goal((GoalItem(constraint, "W", None),))

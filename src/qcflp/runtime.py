@@ -8,18 +8,14 @@ shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).
 
 Qualification constraints are numeric and never enumerate their variables:
-they feed a per-variable interval store that is re-propagated to fixpoint
-after every post or aliasing, and an empty interval prunes the branch.
-The store holds constraints.Interval values, the type the entailment
-checker uses, and a propagation that runs into the shared step guard
-constraints.PROPAGATION_GUARD flags the run as incomplete.
-A qVal post narrows its variable to (0, 1] once and is never re-stepped;
-aliasing meets intervals, so the range holds from then on.  The qVal and
-monomial-bound conditions of a rule are compiled with its renaming
-template and posted without reducing their arguments.  Disequations that
-cannot be decided yet are parked and re-examined as bindings arrive;
-leftovers surface as residual constraints and flag the answer as
-conditional.
+they feed a per-variable interval store, propagated after every post or
+aliasing by the entailment checker's own worklist (constraints.py); an
+empty interval prunes the branch, and a propagation that reaches the
+step guard flags the run as incomplete.  The qVal and monomial-bound
+conditions of a rule are compiled with its renaming template and posted
+without reducing their arguments.  Disequations that cannot be decided
+yet are parked and re-examined as bindings arrive; leftovers surface as
+residual constraints and flag the answer as conditional.
 
 Nondeterminism is implemented with generators over one mutable store per
 solve.  Every store mutation logs the old value on an undo trail; a
@@ -32,33 +28,18 @@ without the trail, independent of the search that goes on.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .constraints import (ARITH, FLIP, FULL, INF, PROPAGATION_GUARD, RELS,
-                          Interval, _constraint_step, eval_primitive, point)
+from .constraints import (ARITH, FULL, RELS, compile_bound, compile_post,
+                          eval_primitive, narrow_bound, point, propagate_from,
+                          walk_name, walk_side)
 from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    FALSE, TRUE, Var, format_real, vars_of)
-
-
-def _div_down(x: float, k: float) -> float:
-    """x / k, rounded one step toward minus infinity.
-
-    Derived lower bounds must not exceed their exact real value, or a
-    threshold equal to a representable product of factors would cut the
-    very branch that produced it.
-    """
-    if k == 1.0:
-        return x
-    out = x / k
-    if out in (INF, -INF):
-        return out
-    return math.nextafter(out, -INF)
+                    FALSE, TRUE, Var, vars_of)
 
 
 @dataclass
@@ -112,6 +93,12 @@ class Store:
     def assign(self, table: dict, key, value) -> None:
         self.trail.append((table, key, table.get(key, _MISSING)))
         table[key] = value
+
+    def set_interval(self, name: str, iv) -> None:
+        """assign() on ivals, inlined: the propagator's write function."""
+        ivals = self.ivals
+        self.trail.append((ivals, name, ivals.get(name, _MISSING)))
+        ivals[name] = iv
 
     def remove(self, table: dict, key):
         old = table.pop(key)
@@ -191,75 +178,9 @@ def _build(t, vs: list):
     return t
 
 
-def _monomial(e: Expr, key):
-    """(coefficient, key(var name)), or (value, None) for a constant; or None."""
-    if isinstance(e, Basic):
-        return (e.value, None)
-    if isinstance(e, Var):
-        return (1.0, key(e.name))
-    if isinstance(e, App) and e.symbol == "*" and len(e.args) == 2:
-        a, b = e.args
-        if isinstance(a, Basic) and isinstance(b, Var) and a.value > 0:
-            return (a.value, key(b.name))
-        if isinstance(b, Basic) and isinstance(a, Var) and b.value > 0:
-            return (b.value, key(a.name))
-    return None
-
-
-def _compile_bound(c: AtomicConstraint, key):
-    """("qval", x) for qVal(X); ("mono", strict, L, R) for a bound
-    k*x REL m*y, normalised to L < R or L <= R; None for anything else.
-    """
-    sym, want = c.symbol, c.result
-    if sym == "qVal":
-        if want == TRUE and isinstance(c.args[0], Var):
-            return ("qval", key(c.args[0].name))
-        return None
-    if sym not in RELS or want not in (TRUE, FALSE):
-        return None
-    if want == FALSE:
-        sym = FLIP[sym]
-    lhs, rhs = c.args
-    if sym in (">=", ">"):
-        lhs, rhs = rhs, lhs
-    L, R = _monomial(lhs, key), _monomial(rhs, key)
-    if L is None or R is None:
-        return None
-    return ("mono", sym in ("<", ">"), L, R)
-
-
 def _instance_side(side, ns: list):
     k, p = side
     return side if p is None else (k, ns[p])
-
-
-def _walk_name(subst: dict, name: str):
-    """The root name a variable name is bound through, or its non-variable value."""
-    v = subst.get(name)
-    while v is not None:
-        if type(v) is not Var:
-            return v
-        name = v.name
-        v = subst.get(name)
-    return name
-
-
-def _walk_side(subst: dict, side):
-    """A compiled monomial side (k, name) with name walked to its root.
-
-    A side whose variable is bound to a literal becomes the constant
-    (k * value, None); None when it is bound to anything else.  A side
-    already at its root is returned as is.
-    """
-    name = side[1]
-    if name is None or name not in subst:
-        return side
-    v = _walk_name(subst, name)
-    if type(v) is str:
-        return (side[0], v)
-    if type(v) is Basic:
-        return (side[0] * v.value, None)
-    return None
 
 
 class Solver:
@@ -288,13 +209,6 @@ class Solver:
             e = store.subst[e.name]
         return e
 
-    def resolve(self, store: Store, e: Expr) -> Expr:
-        """Deep substitution walk; keeps unevaluated calls in place."""
-        e = self.walk(store, e)
-        if isinstance(e, App) and e.args:
-            return App(e.symbol, tuple(self.resolve(store, a) for a in e.args))
-        return e
-
     def _fresh_var(self) -> Var:
         return Var(f"~{next(self._fresh)}")
 
@@ -319,7 +233,7 @@ class Solver:
                 tuple((c.symbol, tuple(_template(a, pos, self.sig) for a in c.args),
                        _template(c.result, pos, self.sig))
                       for c in rule.conditions),
-                tuple(_compile_bound(c, pos.__getitem__) for c in rule.conditions))
+                tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions))
         names, pats_t, rhs_t, conds_t, compiled_t = tpl
         n = next(self._fresh)
         ns = [f"~{n}~{v}" for v in names]
@@ -337,68 +251,18 @@ class Solver:
         return pats, rhs, conds, dict(zip(names, vs)), compiled
 
     # ------------------------------------------------------------------
-    # interval store
-    #
-    # store.ivals maps each root variable to a constraints.Interval;
-    # being a named tuple, it unpacks like (lo, hi, lo_open, hi_open).
-    # Posted constraints are compiled to monomial bounds k*x REL m*y (with
-    # either side possibly constant) plus the qualification-range shape;
-    # anything else falls back to one step of the generic engine
-    # (constraints._constraint_step) on the same Interval values.
-    # Propagation runs a worklist seeded by the posted constraint or the
-    # rebound variable, for at most PROPAGATION_GUARD steps.
-    #
-    # A qVal post narrows its root to (0, 1] on the spot and is never
-    # queued: _bind meets the intervals of aliased variables and checks
-    # a bound literal against the interval, so the range keeps holding.
-    # A rule's qVal and monomial conditions arrive precompiled from its
-    # template (_post_condition); goal constraints and every other
-    # condition are reduced and compiled by _solve_constraint.  Both end
-    # in _post.
+    # interval store: root variable -> constraints.Interval, narrowed by
+    # constraints.propagate_from through store.set_interval.  A qVal post
+    # narrows its root once and is never queued: _bind meets aliased
+    # intervals and checks a bound literal, so the range keeps holding.
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _compile_post(c: AtomicConstraint):
-        return _compile_bound(c, lambda name: name) or ("generic", c)
-
-    def _narrow(self, store: Store, name: str, lo=None, lo_open=False,
-                hi=None, hi_open=False):
-        """Tighten one bound exactly; returns 'fail', 'changed' or 'same'.
-
-        Exact narrowing makes the fixpoint satisfy every posted bound
-        under plain float comparison; runaway ulp chains are cut by the
-        propagation step guard instead of a tolerance here.
-        """
-        clo, chi, clo_o, chi_o = store.ivals.get(name, FULL)
-        changed = False
-        if lo is not None:
-            if lo > clo:
-                clo, clo_o = lo, lo_open
-                changed = True
-            elif lo == clo and lo_open and not clo_o:
-                clo_o = True
-                changed = True
-        if hi is not None:
-            if hi < chi:
-                chi, chi_o = hi, hi_open
-                changed = True
-            elif hi == chi and hi_open and not chi_o:
-                chi_o = True
-                changed = True
-        if not changed:
-            return "same"
-        iv = Interval(clo, chi, clo_o, chi_o)
-        if iv.is_empty():
-            return "fail"
-        store.assign(store.ivals, name, iv)
-        return "changed"
 
     def _post_qval(self, store: Store, name: str) -> bool:
         """Narrow the root of name to (0, 1] and propagate what watches it."""
-        v = _walk_name(store.subst, name)
+        v = walk_name(store.subst, name)
         if type(v) is not str:
             return isinstance(v, Basic) and 0.0 < v.value <= 1.0
-        r = self._narrow(store, v, lo=0.0, lo_open=True, hi=1.0)
+        r = narrow_bound(store.ivals, store.set_interval, v, 0.0, True, 1.0)
         if r == "fail":
             return False
         if r == "changed":
@@ -407,94 +271,20 @@ class Solver:
                 return self._propagate_from(store, seeds)
         return True
 
-    def _step_constraint(self, store: Store, idx: int):
-        """One propagation step; None on failure, else the changed roots."""
-        kind = store.qcons[idx]
-        if kind[0] == "mono":
-            _, strict, L, R = kind
-            subst = store.subst
-            L = _walk_side(subst, L)
-            R = _walk_side(subst, R)
-            if L is None or R is None:
-                return None
-            kl, lx = L
-            kr, ry = R
-            if lx is None and ry is None:
-                ok = kl < kr if strict else kl <= kr
-                return () if ok else None
-            if lx is None:
-                r = self._narrow(store, ry, lo=_div_down(kl, kr), lo_open=strict)
-                if r == "fail":
-                    return None
-                return (ry,) if r == "changed" else ()
-            if ry is None:
-                r = self._narrow(store, lx, hi=kr / kl, hi_open=strict)
-                if r == "fail":
-                    return None
-                return (lx,) if r == "changed" else ()
-            xlo, _, xlo_o, _ = store.ivals.get(lx, FULL)
-            _, yhi, _, yhi_o = store.ivals.get(ry, FULL)
-            changed = ()
-            if yhi != INF:
-                r = self._narrow(store, lx, hi=kr * yhi / kl,
-                                 hi_open=yhi_o or strict)
-                if r == "fail":
-                    return None
-                if r == "changed":
-                    changed = (lx,)
-            if xlo != -INF:
-                r = self._narrow(store, ry, lo=_div_down(kl * xlo, kr),
-                                 lo_open=xlo_o or strict)
-                if r == "fail":
-                    return None
-                if r == "changed" and ry not in changed:
-                    changed += (ry,)
-            return changed
-        # generic fallback through the full interval engine
-        c = kind[1]
-        resolved = AtomicConstraint(
-            c.symbol, tuple(self.resolve(store, a) for a in c.args),
-            self.walk(store, c.result))
-        roots = vars_of(resolved)
-        box = {n: store.ivals[n] for n in roots if n in store.ivals}
-        if _constraint_step(resolved, box) is None:
-            return None
-        changed = []
-        for n, iv in box.items():
-            if iv.is_empty():
-                return None
-            if store.ivals.get(n, FULL) != iv:
-                store.assign(store.ivals, n, iv)
-                changed.append(n)
-        return changed
-
     def _propagate_from(self, store: Store, seeds) -> bool:
-        """Worklist propagation; False when some interval empties.
+        """Run the worklist from seeds; False when some interval empties.
 
         A propagation that runs into the step guard stops where it is:
         the box may then violate a posted bound, so the run is flagged
         as cut and every later answer carries "incomplete".
         """
-        queue = list(seeds)
-        qindex = store.qindex
-        steps = 0
-        ok = True
-        while queue:
-            if steps == PROPAGATION_GUARD:
-                self.cut = True
-                self.guard_hits += 1
-                break
-            steps += 1
-            idx = queue.pop()
-            changed = self._step_constraint(store, idx)
-            if changed is None:
-                ok = False
-                break
-            for name in changed:
-                for j in qindex.get(name, ()):
-                    if j != idx:
-                        queue.append(j)
+        ok, steps, guard_hit = propagate_from(
+            store.qcons, store.qindex, store.ivals, store.subst,
+            store.set_interval, seeds)
         self.prop_steps += steps
+        if guard_hit:
+            self.cut = True
+            self.guard_hits += 1
         return ok
 
     def _post(self, store: Store, compiled, orig_names, declares: bool,
@@ -530,11 +320,11 @@ class Solver:
         subst = store.subst
         if compiled[0] == "qval":
             name = compiled[1]
-            if type(_walk_name(subst, name)) is not str:
+            if type(walk_name(subst, name)) is not str:
                 return None
             return self._post(store, compiled, (name,), True, ())
         _, strict, L, R = compiled
-        Lw, Rw = _walk_side(subst, L), _walk_side(subst, R)
+        Lw, Rw = walk_side(subst, L), walk_side(subst, R)
         if Lw is None or Rw is None or (Lw[1] is None and Rw[1] is None):
             return None
         names = {n for n in (Lw[1], Rw[1]) if n is not None}
@@ -545,7 +335,7 @@ class Solver:
         """Post one qualification constraint; a fresh store, or None on failure."""
         out = store.copy()
         names = vars_of(c)
-        if not self._post(out, self._compile_post(c), names,
+        if not self._post(out, compile_post(c), names,
                           c.symbol == "qVal", names):
             return None
         return out
@@ -905,7 +695,7 @@ class Solver:
                 continue
             if want in (TRUE, FALSE) and c.symbol in (*RELS, "qVal", "qBound", "==") \
                     and all(self._numeric_shape(store, a) for a in args):
-                compiled = self._compile_post(AtomicConstraint(c.symbol, args, want))
+                compiled = compile_post(AtomicConstraint(c.symbol, args, want))
                 if self._post(store, compiled, vars_of(c), c.symbol == "qVal", names):
                     yield
                 store.undo(mark)
@@ -1149,19 +939,6 @@ def replay_trees(solver: Solver, answer: Answer, constraints: list) -> list:
 # Rendering
 # ======================================================================
 
-def _fmt_bound(x: float) -> str:
-    return format_real(x) if x not in (INF, -INF) else \
-        ("inf" if x > 0 else "-inf")
-
-
-def format_interval(iv: Interval) -> str:
-    if iv.lo == iv.hi and not iv.lo_open and not iv.hi_open:
-        return format_real(iv.lo)
-    left = "(" if iv.lo_open or iv.lo == -INF else "["
-    right = ")" if iv.hi_open or iv.hi == INF else "]"
-    return f"{left}{_fmt_bound(iv.lo)}, {_fmt_bound(iv.hi)}{right}"
-
-
 def render_answer(ans: Answer) -> str:
     parts = []
     if ans.subst:
@@ -1169,7 +946,7 @@ def render_answer(ans: Answer) -> str:
         parts.append("{ " + inner + " }")
     else:
         parts.append("{ }")
-    quals = ", ".join(f"{w} in {format_interval(iv)}" for w, iv in sorted(ans.qual.items()))
+    quals = ", ".join(f"{w} in {iv!r}" for w, iv in sorted(ans.qual.items()))
     parts.append("{ " + quals + " }" if quals else "{ }")
     if ans.residual:
         parts.append("<< " + ", ".join(print_constraint(c) for c in ans.residual) + " >>")

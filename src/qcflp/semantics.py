@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .constraints import entails, eval_primitive, satisfiable
+from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
 from .syntax import (Program, _Parser, ParseError, Diagnostic, print_constraint,
                      print_expr)
@@ -425,26 +425,6 @@ class HoldsResult:
     tree: Optional[ProofTree] = None
 
 
-def _approx_tree(value: Expr, target: Expr, d, pi) -> Optional[ProofTree]:
-    """A purely structural proof that value rewrites to target."""
-    if isinstance(target, Bottom):
-        return ProofTree("triv", production(value, BOTTOM, d, pi))
-    if isinstance(value, (Var, Basic)):
-        if value == target:
-            return ProofTree("refl", production(value, value, d, pi))
-        return None
-    if isinstance(value, App) and isinstance(target, App) \
-            and value.symbol == target.symbol and len(value.args) == len(target.args):
-        kids = []
-        for v, t in zip(value.args, target.args):
-            k = _approx_tree(v, t, d, pi)
-            if k is None:
-                return None
-            kids.append(k)
-        return ProofTree("cons", production(value, target, d, pi), tuple(kids))
-    return None
-
-
 class ProofSearch:
     """Depth-bounded proof search over a qualified program.
 
@@ -685,7 +665,7 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
 class Interpretation:
     """Finitely many non-trivial facts; closure is implicit at query time."""
 
-    facts: dict = field(default_factory=dict)   # (f,args,result,pi_idx) -> [quals]
+    facts: dict = field(default_factory=dict)   # (f,args,result) -> [quals]
     partial: bool = False
 
     def add(self, key, d, dom: QualDomain) -> bool:
@@ -704,12 +684,12 @@ class Interpretation:
     def __eq__(self, other):
         return isinstance(other, Interpretation) and self.facts == other.facts
 
-    def max_quals(self, fname: str, args: tuple, result: Expr, pi_idx: int,
+    def max_quals(self, fname: str, args: tuple, result: Expr,
                   dom: QualDomain) -> list:
         """Maximal qualifications for a fact, using entailment closure."""
         out: list = []
-        for (f, a, t, p), quals in self.facts.items():
-            if f != fname or p != pi_idx or len(a) != len(args):
+        for (f, a, t), quals in self.facts.items():
+            if f != fname or len(a) != len(args):
                 continue
             if all(info_leq(x, y) for x, y in zip(args, a)) and info_leq(result, t):
                 for d in quals:
@@ -722,13 +702,10 @@ class Interpretation:
 class _FactReducer:
     """Derivability of ground premises from an interpretation's facts."""
 
-    def __init__(self, interp: Interpretation, program: Program, dom: QualDomain,
-                 pi: tuple, pi_idx: int):
+    def __init__(self, interp: Interpretation, program: Program, dom: QualDomain):
         self.interp = interp
         self.sig = program.signature
         self.dom = dom
-        self.pi = pi
-        self.pi_idx = pi_idx
 
     def reduce(self, e: Expr) -> Iterator[tuple]:
         dom = self.dom
@@ -754,8 +731,8 @@ class _FactReducer:
                     yield v, dom.glb_all(p[1] for p in parts)
             return
         # defined symbol: consult the facts
-        for (f, fargs, t, p), quals in self.interp.facts.items():
-            if f != e.symbol or p != self.pi_idx or len(fargs) != len(e.args):
+        for (f, fargs, t), quals in self.interp.facts.items():
+            if f != e.symbol or len(fargs) != len(e.args):
                 continue
             for parts in self._seq(list(e.args)):
                 if all(info_leq(fa, u) for fa, (u, _) in zip(fargs, parts)):
@@ -772,12 +749,11 @@ class _FactReducer:
                 yield [first] + rest
 
     def atom_quals(self, c: AtomicConstraint) -> list:
+        """Qualifications under which the ground constraint c holds."""
         out = []
         for parts in self._seq(list(c.args)):
-            side = entails(self.pi, AtomicConstraint(c.symbol,
-                                                     tuple(p[0] for p in parts),
-                                                     c.result))
-            if side.status == "entailed":
+            if holds_under(AtomicConstraint(c.symbol, tuple(p[0] for p in parts),
+                                            c.result), {}) is True:
                 d = self.dom.glb_all(p[1] for p in parts)
                 if not any(self.dom.eq(d, o, CHECK_TOL) for o in out):
                     out.append(d)
@@ -785,15 +761,13 @@ class _FactReducer:
 
 
 def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
-                pis: Optional[list] = None,
                 budget: int = 2000000) -> Interpretation:
     """Iterate the immediate-consequence step k times over a finite family.
 
     universe is a finite list of ground terms used to instantiate rule
-    variables; pis is the family of hypothesis sets (default: the empty
-    set only).  A blown budget sets the partial flag.
+    variables, so every rule instance is ground.  A blown budget sets
+    the partial flag.
     """
-    pis = [()] if pis is None else [tuple(p) for p in pis]
     interp = Interpretation()
     steps = 0
     for _ in range(k):
@@ -803,37 +777,36 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
             rule_vars = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
                                | vars_of(rule.conditions))
             alpha = dom.coerce(rule.attenuation)
-            for pi_idx, pi in enumerate(pis):
-                red = _FactReducer(interp, program, dom, pi, pi_idx)
-                for combo in itertools.product(universe, repeat=len(rule_vars)):
-                    steps += 1
-                    if steps > budget:
-                        new.partial = True
-                        interp = new
-                        return interp
-                    theta = dict(zip(rule_vars, combo))
-                    cond_sets = []
-                    ok = True
-                    for c in rule.conditions:
-                        ds = red.atom_quals(apply_subst(c, theta))
-                        if not ds:
-                            ok = False
-                            break
-                        cond_sets.append(ds)
-                    if not ok:
+            red = _FactReducer(interp, program, dom)
+            for combo in itertools.product(universe, repeat=len(rule_vars)):
+                steps += 1
+                if steps > budget:
+                    new.partial = True
+                    interp = new
+                    return interp
+                theta = dict(zip(rule_vars, combo))
+                cond_sets = []
+                ok = True
+                for c in rule.conditions:
+                    ds = red.atom_quals(apply_subst(c, theta))
+                    if not ds:
+                        ok = False
+                        break
+                    cond_sets.append(ds)
+                if not ok:
+                    continue
+                head_args = tuple(apply_subst(p, theta) for p in rule.patterns)
+                rhs_inst = apply_subst(rule.rhs, theta)
+                for t, d0 in red.reduce(rhs_inst):
+                    if isinstance(t, Bottom):
                         continue
-                    head_args = tuple(apply_subst(p, theta) for p in rule.patterns)
-                    rhs_inst = apply_subst(rule.rhs, theta)
-                    for t, d0 in red.reduce(rhs_inst):
-                        if isinstance(t, Bottom):
+                    for cond_combo in itertools.product(*cond_sets):
+                        d = dom.attenuate(alpha, dom.glb_all((d0, *cond_combo)))
+                        if not dom.is_strict(d):
                             continue
-                        for cond_combo in itertools.product(*cond_sets):
-                            d = dom.attenuate(alpha, dom.glb_all((d0, *cond_combo)))
-                            if not dom.is_strict(d):
-                                continue
-                            key = (rule.name, head_args, t, pi_idx)
-                            if new.add(key, d, dom):
-                                changed = True
+                        key = (rule.name, head_args, t)
+                        if new.add(key, d, dom):
+                            changed = True
         if not changed:
             interp = new
             break

@@ -91,7 +91,7 @@ def is_char_atom(e: Expr) -> bool:
 
 
 def format_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):
         return str(int(x))
     return repr(x)
 

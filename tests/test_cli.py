@@ -144,6 +144,22 @@ def test_tampered_certificate_rejected(tmp_path):
     assert run("prove", str(LIBRARY), "--check", str(bad)) == 1
 
 
+def test_prove_rounding_repro_not_found(tmp_path, capsys):
+    # X = 0.18986, Y = 0.863 satisfies the hypotheses, so they are not
+    # vacuous and f(Y) -> true has no derivation
+    src = tmp_path / "f.qcflp"
+    src.write_text("f(X) --> false\n")
+    stmt = "(f(Y) -> true) # 1 <== X >= 0.18986, X <= 0.22*Y, Y <= 0.863"
+    assert run("prove", str(src), "--statement", stmt) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "not_found\n"
+    # a one-node certificate calling the statement vacuous is rejected
+    cert = tmp_path / "triv.proof"
+    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
+                    f"0\ttriv\t-\t-\t-\t{stmt}\n")
+    assert run("prove", str(src), "--check", str(cert)) == 1
+
+
 def test_oracle_roundtrip(tmp_path, capsys):
     src = tmp_path / "chain.qcflp"
     src.write_text("f -0.9-> true\ng -0.8-> f\n")
@@ -155,6 +171,17 @@ def test_oracle_roundtrip(tmp_path, capsys):
     # dropping a chained factor is caught too
     assert run("oracle", str(src), "--k", "4", "--depth", "6",
                "--mutate", "4") == 1
+
+
+def test_oracle_transform_error(tmp_path, capsys):
+    # a program the translation rejects ends in one line, as with solve
+    src = tmp_path / "primed.qcflp"
+    src.write_text("f' --> true\n")
+    for extra in ((), ("--mutate", "0")):
+        assert run("oracle", str(src), *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{src}: defined symbol")
+        assert err.count("\n") == 1
 
 
 def test_oracle_guardrail(tmp_path):

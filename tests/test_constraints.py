@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -178,3 +179,46 @@ def test_interval_multiplication_strictness():
     a = Interval(float("-inf"), 0.0, False, True)
     prod = iv_mul(a, a)
     assert prod.lo == 0.0 and prod.lo_open  # strictly negative reals square positive
+
+
+ROUNDING_HYPS = "X >= 0.18986, X <= 0.22*Y, Y <= 0.863"
+
+
+def test_rounding_repro_is_satisfiable():
+    # X = 0.18986, Y = 0.863 satisfies all three in floats
+    res = satisfiable(cs(ROUNDING_HYPS))
+    assert res.status == "sat"
+    assert all(holds_under(h, res.witness) for h in cs(ROUNDING_HYPS))
+    assert entails(cs(ROUNDING_HYPS), c("Y >= 5")).status == "not_entailed"
+
+
+# lhs of lhs <= k*Y: its template, its float value at X = x, and the x
+# at which its real value is t
+FLOAT_SHAPES = {
+    "monomial": ("X", lambda x, m: x, lambda t, m: t),
+    "generic": ("X + 0", lambda x, m: x + 0.0, lambda t, m: t),
+    "coefficient": ("{m}*X", lambda x, m: m * x, lambda t, m: t / m),
+    "sum": ("X + {m}", lambda x, m: x + m, lambda t, m: t - m),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FLOAT_SHAPES))
+def test_no_false_unsat_on_float_witness(shape):
+    # X = the largest float with value(X) <= k*b and Y = b lie on the
+    # boundary of lhs <= k*Y; whenever that point satisfies the
+    # constraints in floats, narrowing must not empty the box
+    lhs, value, solve = FLOAT_SHAPES[shape]
+    rng = random.Random(6)
+    tested = false_unsat = 0
+    for _ in range(1000):
+        k, b, m = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0), rng.uniform(0.1, 3.0)
+        x = solve(k * b, m)
+        while value(x, m) > k * b:
+            x = math.nextafter(x, -math.inf)
+        while value(math.nextafter(x, math.inf), m) <= k * b:
+            x = math.nextafter(x, math.inf)
+        hyps = cs(f"X >= {x!r}, {lhs.format(m=repr(m))} <= {k!r}*Y, Y <= {b!r}")
+        if all(holds_under(h, {"X": x, "Y": b}) for h in hyps):
+            tested += 1
+            false_unsat += satisfiable(hyps).status == "unsat"
+    assert tested > 300 and false_unsat == 0

@@ -185,7 +185,7 @@ def test_entailment_preservation_sampled():
     for _ in range(5):
         p = random_layered_program(rng)
         interp = bounded_lfp(p, U, 5, _universe(p))
-        for (f, args, result, _), quals in list(interp.facts.items())[:4]:
+        for (f, args, result), quals in list(interp.facts.items())[:4]:
             phi = production(App(f, args), result, max(quals), ())
             weaker = production(App(f, args), _prune_rng(result, rng),
                                 max(quals) * rng.uniform(0.3, 1.0), ())
@@ -203,14 +203,14 @@ def test_conservation_property_desk_scale():
     p = parse_program("f --> true\ng -0.8-> f\nh(X) -0.5-> g <== X == a")
     universe = [TRUE, parse_expr("a"), parse_expr("b")]
     interp = bounded_lfp(p, U, 6, universe)
-    red = _FactReducer(interp, p, U, (), 0)
+    red = _FactReducer(interp, p, U)
     for fname, arity in p.signature.df.items():
         from itertools import product as cartesian
         for args in cartesian(universe, repeat=arity):
             for target in universe:
                 derivable = [d for t, d in red.reduce(App(fname, tuple(args)))
                              if info_leq(target, t)]
-                closure = interp.max_quals(fname, tuple(args), target, 0, U)
+                closure = interp.max_quals(fname, tuple(args), target, U)
                 if closure:
                     assert derivable
                     assert max(derivable) == pytest.approx(max(closure))
@@ -224,7 +224,7 @@ def test_proof_search_emits_checkable_trees_randomly():
     for _ in range(5):
         p = random_layered_program(rng)
         interp = bounded_lfp(p, U, 5, _universe(p))
-        for (f, args, result, _), quals in list(interp.facts.items())[:6]:
+        for (f, args, result), quals in list(interp.facts.items())[:6]:
             d = max(quals)
             r = holds(p, U, production(App(f, args), result, d, ()), depth=7)
             assert r.status == "derivable", (f, result, d)
@@ -243,16 +243,16 @@ def _universe(p):
 def test_lfp_plain_fact():
     p = parse_program("f --> true")
     interp = bounded_lfp(p, U, 1, [])
-    assert interp.max_quals("f", (), TRUE, 0, U) == [1.0]
+    assert interp.max_quals("f", (), TRUE, U) == [1.0]
 
 
 def test_lfp_attenuated_fact_excludes_higher():
     p = parse_program("g -0.9-> true")
     interp = bounded_lfp(p, U, 1, [])
-    (d,) = interp.max_quals("g", (), TRUE, 0, U)
+    (d,) = interp.max_quals("g", (), TRUE, U)
     assert d == pytest.approx(0.9)
     # nothing in the closure reaches 0.95
-    assert all(q <= 0.95 for q in interp.max_quals("g", (), TRUE, 0, U))
+    assert all(q <= 0.95 for q in interp.max_quals("g", (), TRUE, U))
 
 
 def test_lfp_zero_iterations_only_trivial():
@@ -274,13 +274,13 @@ def test_lfp_canonicity_desk_scale():
     p = parse_program("f --> true\ng -0.8-> f\nh(X) -0.5-> g <== X == a")
     universe = [TRUE, App("a"), App("b")]
     interp = bounded_lfp(p, U, 6, universe)
-    for (f, args, result, _), quals in interp.facts.items():
+    for (f, args, result), quals in interp.facts.items():
         for d in quals:
             r = holds(p, U, production(App(f, args), result, d, ()), depth=8)
             assert r.status == "derivable"
     # and conversely, a derivable fact shows up in the iterate
-    assert interp.max_quals("h", (App("a"),), TRUE, 0, U) == [pytest.approx(0.4)]
-    assert interp.max_quals("h", (App("b"),), TRUE, 0, U) == []
+    assert interp.max_quals("h", (App("a"),), TRUE, U) == [pytest.approx(0.4)]
+    assert interp.max_quals("h", (App("b"),), TRUE, U) == []
 
 
 # ----------------------------------------------------------------------
