@@ -21,6 +21,9 @@ SAMPLES = [
      "a -0.9-> true\np(z) -0.95-> true\np(s(N)) -0.5-> p(N)\n"
      "c(X) -0.7-> a <== p(X)", "u", ["s(z)", "s(s(z))"]),
     ("pairs", "m -(0.9,0.8)-> true\nn -(0.7,1)-> m", "uxu", []),
+    ("join",
+     "succ(c0) -0.7-> c1\nsucc(c1) -0.9-> c2\nsucc(c2) -0.8-> c3\n"
+     "hop2(X) -0.6-> succ(Y) <== succ(X) == Y", "u", []),
 ]
 
 

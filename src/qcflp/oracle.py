@@ -100,14 +100,19 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
             universe: Optional[list] = None, depth: int = 8,
             drop_site: Optional[int] = None, max_goals: int = 400,
             lfp_budget: int = 2000000) -> OracleReport:
-    """Compare fixpoint-derived facts with solver answers over a goal family."""
+    """Compare fixpoint-derived facts with solver answers over a goal family.
+
+    lfp_budget caps the rule instances the fixpoint evaluates (see
+    bounded_lfp).  One solver answers every goal, so each rule is
+    compiled once per comparison.
+    """
     report = OracleReport()
     universe = default_universe(program) if universe is None else list(universe)
     interp = bounded_lfp(program, dom, k, universe, budget=lfp_budget)
     report.partial = interp.partial
 
     translated, _ = transform_program(program, dom, drop_site=drop_site)
-    leaf_count = len(dom.leaf_suffixes())
+    solver = Solver(translated, dom, Limits(depth=depth))
 
     goals = 0
     for fname, arity in sorted(program.signature.df.items()):
@@ -125,7 +130,6 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
 
                 goal = Goal((GoalItem(constraint, "W", None),))
                 cs, wn, dv = transform_goal(goal, program, dom)
-                solver = Solver(translated, dom, Limits(depth=depth))
                 corners = []
                 note = ""
                 for ans in solver.solve(cs, wn, dv):

@@ -1,7 +1,9 @@
 """Goal solver for translated constraint programs.
 
 The solver performs demand-driven conditional narrowing with chronological
-backtracking.  Rules are tried in program order; head patterns force the
+backtracking.  Rules are tried in program order, except that a rule whose
+head cannot match the call, as far as the call's arguments are already
+values, is skipped before it is renamed; head patterns force the
 evaluation of arguments only as far as unification demands; conditions run
 left to right before the right-hand side replaces the call.  Bindings are
 shared through the substitution and a call reached through a variable is
@@ -28,7 +30,6 @@ without the trail, independent of the search that goes on.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -39,7 +40,7 @@ from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    FALSE, TRUE, Var, vars_of)
+                    FALSE, TRUE, Var, deep_recursion, vars_of)
 
 
 @dataclass
@@ -169,6 +170,18 @@ def _template(e: Expr, pos: dict, sig):
     return e
 
 
+def _head_probe(rule):
+    """(position, head) of the first head pattern that is not a variable,
+    or None.  The head is the value of a literal and (symbol, arity) of a
+    constructor pattern.  Heads are linear, so unifying the variables
+    before it only binds them.
+    """
+    for i, p in enumerate(rule.patterns):
+        if not isinstance(p, Var):
+            return i, (p.value if isinstance(p, Basic) else (p.symbol, len(p.args)))
+    return None
+
+
 def _build(t, vs: list):
     kind = type(t)
     if kind is int:
@@ -191,9 +204,9 @@ class Solver:
         self.dom = dom
         self.limits = limits or Limits()
         self.trace = trace
-        self._rules = {}
+        self._rules = {}            # symbol -> [(index, rule, head probe)]
         for i, r in enumerate(program.rules):
-            self._rules.setdefault(r.name, []).append((i, r))
+            self._rules.setdefault(r.name, []).append((i, r, _head_probe(r)))
         self._templates = {}        # rule index -> rename template
         self._fresh = itertools.count()
         self.cut = False
@@ -423,7 +436,14 @@ class Solver:
         if depth <= 0:
             self.cut = True
             return
-        for index, rule in self._rules.get(e.symbol, ()):
+        for index, rule, probe in self._rules.get(e.symbol, ()):
+            if probe is not None:
+                head = self._value_head(store, e.args[probe[0]])
+                if head is not None and head != probe[1]:
+                    # the head cannot match: skip the renaming, but take
+                    # its fresh number, so variable names do not change
+                    next(self._fresh)
+                    continue
             pats, rhs, conds, ren, compiled = self._rename_rule(index, rule)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
@@ -435,6 +455,16 @@ class Solver:
                             e, "fun", res, index, pats, rhs, conds, ren))
                         yield res
                         store.undo(mark)
+
+    def _value_head(self, store: Store, e: Expr):
+        """The head of e (see _head_probe) when e already walks to a
+        literal or a constructor value, else None; evaluates nothing."""
+        e = self.walk(store, e)
+        if isinstance(e, Basic):
+            return e.value
+        if isinstance(e, App) and self.sig.kind(e.symbol) in ("dc", None):
+            return e.symbol, len(e.args)
+        return None
 
     def _reduce_args(self, args: tuple, store: Store, depth: int,
                      i: int = 0) -> Iterator[tuple]:
@@ -713,12 +743,27 @@ class Solver:
         """Enumerate qualified answers for a translated goal conjunction.
 
         The search runs on one store; each answer gets a snapshot of it.
+        It runs under deep_recursion; the caller gets each answer back
+        under its own recursion limit.
         """
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
+        search = self._search(tuple(constraints), wvars, datavars)
+        try:
+            while True:
+                with deep_recursion():
+                    ans = next(search, None)
+                if ans is None:
+                    return
+                yield ans
+        finally:
+            with deep_recursion():
+                search.close()
+
+    def _search(self, constraints: tuple, wvars: list,
+                datavars: list) -> Iterator[Answer]:
         self.cut = False
         emitted = 0
         store = Store()
-        for _ in self._solve_all(tuple(constraints), store, self.limits.depth):
+        for _ in self._solve_all(constraints, store, self.limits.depth):
             mark = len(store.trail)
             ans = None
             if self._check_suspended(store):
@@ -932,7 +977,8 @@ def replay_trees(solver: Solver, answer: Answer, constraints: list) -> list:
     if answer.residual:
         raise ReplayError("conditional answers cannot be replayed")
     r = _Replay(solver, answer.store)
-    return [r.atom_tree(c) for c in constraints]
+    with deep_recursion():
+        return [r.atom_tree(c) for c in constraints]
 
 
 # ======================================================================

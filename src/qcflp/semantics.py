@@ -18,10 +18,11 @@ small rewriting logic whose rules are, informally:
 
 This module provides a structural checker for such proof trees, a
 depth-bounded proof search that emits checkable trees, a statement
-entailment test, and a bounded immediate-consequence iteration usable as
-an executable oracle on finite universes.  A parallel qualification-free
-variant of the same machinery (statements with no qualification) is used
-to validate translated programs and solver answers.
+entailment test, and a bounded, semi-naive immediate-consequence
+iteration over indexed facts, usable as an executable oracle on finite
+universes.  A parallel qualification-free variant of the same machinery
+(statements with no qualification) is used to validate translated
+programs and solver answers.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from typing import Iterator, Optional
 
 from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
-from .syntax import (Program, _Parser, ParseError, Diagnostic, print_constraint,
-                     print_expr)
-from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr, Var,
-                    apply_subst, constraint_info_leq, format_real, info_leq,
-                    term_glb, term_lub, vars_of)
+from .syntax import (Program, _Parser, ParseError, Diagnostic, _vars_in_order,
+                     print_constraint, print_expr)
+from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr, TRUE,
+                    Var, apply_subst, constraint_exprs, constraint_info_leq,
+                    deep_recursion, format_real, info_leq, is_ground,
+                    is_term, is_total, term_glb, term_lub, vars_of)
 
 CHECK_TOL = 1e-12
 
@@ -256,7 +258,8 @@ def check_proof(program: Program, dom: Optional[QualDomain],
     qualification and attenuation bounds are not checked.
     """
     try:
-        return _check_node(program, dom, tree, path="root")
+        with deep_recursion():
+            return _check_node(program, dom, tree, path="root")
     except Exception as exc:  # malformed nodes surface as invalid
         return CheckResult("invalid", f"malformed tree: {exc}")
 
@@ -663,13 +666,27 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
 
 @dataclass
 class Interpretation:
-    """Finitely many non-trivial facts; closure is implicit at query time."""
+    """Finitely many non-trivial facts; closure is implicit at query time.
+
+    Fact arguments and results are ground total terms.  A total term is
+    below another in the information order only when the two are equal,
+    so calls are looked up by key: results indexes the facts by call,
+    (symbol, args) -> result terms.
+    """
 
     facts: dict = field(default_factory=dict)   # (f,args,result) -> [quals]
     partial: bool = False
+    results: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for f, args, t in self.facts:
+            self.results.setdefault((f, args), []).append(t)
 
     def add(self, key, d, dom: QualDomain) -> bool:
-        row = self.facts.setdefault(key, [])
+        row = self.facts.get(key)
+        if row is None:
+            row = self.facts[key] = []
+            self.results.setdefault(key[:2], []).append(key[2])
         for existing in row:
             if dom.leq(d, existing, CHECK_TOL):
                 return False
@@ -677,25 +694,25 @@ class Interpretation:
         row.append(d)
         return True
 
-    def copy(self) -> "Interpretation":
-        out = Interpretation({k: list(v) for k, v in self.facts.items()}, self.partial)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Interpretation) and self.facts == other.facts
 
     def max_quals(self, fname: str, args: tuple, result: Expr,
                   dom: QualDomain) -> list:
         """Maximal qualifications for a fact, using entailment closure."""
+        if is_total(result) and all(is_total(a) for a in args):
+            rows = [self.facts.get((fname, args, result), ())]
+        else:  # a partial query sits below every fact that refines it
+            rows = [quals for (f, a, t), quals in self.facts.items()
+                    if f == fname and len(a) == len(args)
+                    and all(info_leq(x, y) for x, y in zip(args, a))
+                    and info_leq(result, t)]
         out: list = []
-        for (f, a, t), quals in self.facts.items():
-            if f != fname or len(a) != len(args):
-                continue
-            if all(info_leq(x, y) for x, y in zip(args, a)) and info_leq(result, t):
-                for d in quals:
-                    if not any(dom.leq(d, o, CHECK_TOL) for o in out):
-                        out = [o for o in out if not dom.leq(o, d, CHECK_TOL)]
-                        out.append(d)
+        for quals in rows:
+            for d in quals:
+                if not any(dom.leq(d, o, CHECK_TOL) for o in out):
+                    out = [o for o in out if not dom.leq(o, d, CHECK_TOL)]
+                    out.append(d)
         return out
 
 
@@ -730,15 +747,16 @@ class _FactReducer:
                 if v != BOTTOM:
                     yield v, dom.glb_all(p[1] for p in parts)
             return
-        # defined symbol: consult the facts
-        for (f, fargs, t), quals in self.interp.facts.items():
-            if f != e.symbol or len(fargs) != len(e.args):
-                continue
-            for parts in self._seq(list(e.args)):
-                if all(info_leq(fa, u) for fa, (u, _) in zip(fargs, parts)):
-                    d_args = self.dom.glb_all(p2[1] for p2 in parts)
-                    for d0 in quals:
-                        yield t, self.dom.glb(d0, d_args)
+        # defined symbol: look the reduced call up in the facts
+        facts, results = self.interp.facts, self.interp.results
+        for parts in self._seq(list(e.args)):
+            args = tuple(p[0] for p in parts)
+            ts = results.get((e.symbol, args))
+            if ts:
+                d_args = dom.glb_all(p[1] for p in parts)
+                for t in ts:
+                    for d0 in facts[(e.symbol, args, t)]:
+                        yield t, dom.glb(d0, d_args)
 
     def _seq(self, exprs: list) -> Iterator[list]:
         if not exprs:
@@ -760,58 +778,167 @@ class _FactReducer:
         return out
 
 
+class _RulePlan:
+    """How bounded_lfp grounds one rule: steps that bind its variables
+    and evaluate its conditions, in an order fixed once.
+
+    ("check", j) evaluates condition j as soon as its variables are
+    bound; an instance whose condition has no qualification stops there.
+    ("bind", v, side) serves a condition v == side (or side == v) whose
+    side has only bound variables: v takes the universe terms among the
+    results of reducing side, and every universe term that is not a
+    constructor term.  A constructor term outside those results cannot
+    satisfy the equation, which holds only on equal totals.
+    ("enum", v) lets v range over the whole universe.  Variables are
+    taken in order of first occurrence in the conditions, so a chain of
+    equations threads each value through to the next.
+    """
+
+    def __init__(self, rule, sig):
+        self.rule = rule
+        self.calls = {s for s in _symbols((rule.rhs, *rule.conditions))
+                      if sig.kind(s) == "df"}
+        conds = rule.conditions
+        cvars = [vars_of(c) for c in conds]
+        order = [v for c in conds for x in constraint_exprs(c)
+                 for v in _vars_in_order(x)]
+        order += sorted(vars_of(rule.patterns) | vars_of(rule.rhs))
+        bound, pending, self.steps = set(), list(range(len(conds))), []
+        while True:
+            for j in [j for j in pending if cvars[j] <= bound]:
+                self.steps.append(("check", j))
+                pending.remove(j)
+            bind = next(((j, b) for j in pending
+                         for b in [_bindable(conds[j], bound)] if b), None)
+            if bind is not None:
+                j, (v, side) = bind
+                self.steps.append(("bind", v, side))
+            else:
+                v = next((v for v in order if v not in bound), None)
+                if v is None:
+                    return
+                self.steps.append(("enum", v))
+            bound.add(v)
+
+    def instances(self, red: _FactReducer, universe: list, constructor: set):
+        """Yield (theta, qualifications of each condition) per ground
+        instance whose conditions all hold, and None per instance, or
+        partial instance, ruled out by a condition."""
+        conds, steps = self.rule.conditions, self.steps
+        theta, cond_sets = {}, [None] * len(conds)
+
+        def run(i):
+            if i == len(steps):
+                yield dict(theta), list(cond_sets)
+                return
+            step = steps[i]
+            if step[0] == "check":
+                ds = red.atom_quals(apply_subst(conds[step[1]], theta))
+                if not ds:
+                    yield None
+                    return
+                cond_sets[step[1]] = ds
+                yield from run(i + 1)
+                return
+            values = universe
+            if step[0] == "bind":
+                results = {t for t, _ in red.reduce(apply_subst(step[2], theta))}
+                values = [u for u in universe
+                          if u in results or u not in constructor]
+                if not values:
+                    yield None
+                    return
+            for u in values:
+                theta[step[1]] = u
+                yield from run(i + 1)
+            theta.pop(step[1], None)
+
+        return run(0)
+
+
+def _bindable(c: AtomicConstraint, bound: set):
+    """(v, side) when c is v == side or side == v with v unbound and
+    every variable of side bound, else None."""
+    if c.symbol != "==" or c.result != TRUE:
+        return None
+    for v, side in ((c.args[1], c.args[0]), (c.args[0], c.args[1])):
+        if isinstance(v, Var) and v.name not in bound \
+                and vars_of(side) <= bound:
+            return v.name, side
+    return None
+
+
+def _symbols(exprs) -> set:
+    out = set()
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, AtomicConstraint):
+            todo += [*e.args, e.result]
+        elif isinstance(e, App):
+            out.add(e.symbol)
+            todo += e.args
+    return out
+
+
 def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
                 budget: int = 2000000) -> Interpretation:
     """Iterate the immediate-consequence step k times over a finite family.
 
-    universe is a finite list of ground terms used to instantiate rule
-    variables, so every rule instance is ground.  A blown budget sets
-    the partial flag.
+    Round i computes interp_i = interp_{i-1} join T(interp_{i-1}), where T
+    fires the rule instances whose variables take values in universe, a
+    finite list of ground terms, so every instance is ground.  The
+    iteration is semi-naive: from round 2 on, a rule fires only when a
+    defined symbol it calls gained or improved a fact in the round
+    before, since otherwise it derives what it derived then.  Condition
+    variables are bound by joining with the indexed facts (_RulePlan),
+    which skips only instances whose conditions cannot all hold.
+
+    budget caps the rule instances evaluated: each ground instance, and
+    each partial instance that a condition rules out, counts one.  A
+    blown budget sets the partial flag.
     """
     interp = Interpretation()
+    sig = program.signature
+    plans = [_RulePlan(rule, sig) for rule in program.rules]
+    constructor = {u for u in universe
+                   if is_term(u, sig) and is_ground(u) and is_total(u)}
     steps = 0
+    changed = None              # symbols improved by the last round
     for _ in range(k):
-        new = interp.copy()
-        changed = False
-        for rule in program.rules:
-            rule_vars = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
-                               | vars_of(rule.conditions))
+        red = _FactReducer(interp, program, dom)
+        derived = []            # (fact key, qualification), in order
+        for plan in plans:
+            if changed is not None and not plan.calls & changed:
+                continue
+            rule = plan.rule
             alpha = dom.coerce(rule.attenuation)
-            red = _FactReducer(interp, program, dom)
-            for combo in itertools.product(universe, repeat=len(rule_vars)):
+            for inst in plan.instances(red, universe, constructor):
                 steps += 1
                 if steps > budget:
-                    new.partial = True
-                    interp = new
+                    _extend(interp, derived, dom)
+                    interp.partial = True
                     return interp
-                theta = dict(zip(rule_vars, combo))
-                cond_sets = []
-                ok = True
-                for c in rule.conditions:
-                    ds = red.atom_quals(apply_subst(c, theta))
-                    if not ds:
-                        ok = False
-                        break
-                    cond_sets.append(ds)
-                if not ok:
+                if inst is None:
                     continue
+                theta, cond_sets = inst
                 head_args = tuple(apply_subst(p, theta) for p in rule.patterns)
-                rhs_inst = apply_subst(rule.rhs, theta)
-                for t, d0 in red.reduce(rhs_inst):
+                for t, d0 in red.reduce(apply_subst(rule.rhs, theta)):
                     if isinstance(t, Bottom):
                         continue
                     for cond_combo in itertools.product(*cond_sets):
                         d = dom.attenuate(alpha, dom.glb_all((d0, *cond_combo)))
-                        if not dom.is_strict(d):
-                            continue
-                        key = (rule.name, head_args, t)
-                        if new.add(key, d, dom):
-                            changed = True
+                        if dom.is_strict(d):
+                            derived.append(((rule.name, head_args, t), d))
+        changed = _extend(interp, derived, dom)
         if not changed:
-            interp = new
             break
-        interp = new
     return interp
+
+
+def _extend(interp: Interpretation, derived: list, dom: QualDomain) -> set:
+    """Add the derived facts; the symbols whose facts grew or improved."""
+    return {key[0] for key, d in derived if interp.add(key, d, dom)}
 
 
 # ======================================================================

@@ -17,6 +17,8 @@ Constraint sets are finite conjunctions of atomic constraints.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
@@ -344,3 +346,27 @@ def expr_size(e: Expr) -> int:
     if isinstance(e, App):
         return 1 + sum(expr_size(a) for a in e.args)
     return 1
+
+
+# ======================================================================
+# Recursion depth
+# ======================================================================
+
+DEEP_RECURSION_LIMIT = 100000
+
+
+@contextmanager
+def deep_recursion():
+    """Raise the interpreter's recursion limit to DEEP_RECURSION_LIMIT in
+    the block and restore the old limit when it exits.
+
+    The solver, proof replay and the proof checker recurse once per
+    nested term, call or proof node.  The limit is process-wide, so it
+    is raised only while they run.
+    """
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, DEEP_RECURSION_LIMIT))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -6,14 +6,15 @@ unmemoized replay produced.
 """
 
 import hashlib
+import sys
 
 import pytest
 
 from conftest import BOOK4
 from qcflp.runtime import Limits, Solver, _Replay, replay_trees
 from qcflp.semantics import check_proof, serialize_proof
-from qcflp.syntax import parse_goal, parse_program
-from qcflp.terms import App
+from qcflp.syntax import Goal, GoalItem, parse_goal, parse_program
+from qcflp.terms import App, AtomicConstraint, TRUE, Var
 from qcflp.transform import transform_goal, transform_program
 
 PAPER = '(search("German","Essay",intermediate) == R) # W'
@@ -136,3 +137,56 @@ def distinct_parts(trees) -> tuple:
             seen_apps.add(id(e))
             terms.extend(e.args)
     return len(seen_trees), len(seen_apps)
+
+
+def test_recursion_limit_is_restored():
+    # the solver, replay and the checker raise the interpreter's
+    # recursion limit only while they run
+    program = parse_program(WALK)
+    translated = transform_program(program)[0]
+    goal = "(walk([1,2,3]) == true) # W"
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1234)
+    try:
+        solver, answers, constraints = clean_answers(program, translated, goal)
+        assert len(answers) == 1
+        assert sys.getrecursionlimit() == 1234
+        trees = replay_trees(solver, answers[0], constraints)
+        assert sys.getrecursionlimit() == 1234
+        assert all(check_proof(translated, None, t).status == "valid"
+                   for t in trees)
+        assert sys.getrecursionlimit() == 1234
+        # between answers the caller runs under its own limit, and
+        # closing the search early restores it too
+        cs, wvars, datavars = transform_goal(parse_goal(goal), program)
+        search = Solver(translated).solve(cs, wvars, datavars)
+        next(search)
+        assert sys.getrecursionlimit() == 1234
+        search.close()
+        assert sys.getrecursionlimit() == 1234
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_deep_replay_and_check_under_the_default_limit():
+    # 300 nested constructors take the replay and the checker past the
+    # default recursion limit; each raises it for itself
+    program = parse_program("data nat = z | s(nat)\n"
+                            "count(z) --> z\ncount(s(N)) --> s(count(N))")
+    translated = transform_program(program)[0]
+    deep = App("z")
+    for _ in range(300):
+        deep = App("s", (deep,))
+    goal = Goal((GoalItem(AtomicConstraint(
+        "==", (App("count", (deep,)), Var("R")), TRUE), "W", None),))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        constraints, wvars, datavars = transform_goal(goal, program)
+        solver = Solver(translated, limits=Limits(depth=700))
+        (answer,) = solver.solve(constraints, wvars, datavars)
+        trees = replay_trees(solver, answer, constraints)
+        assert [check_proof(translated, None, t).status for t in trees] == \
+            ["valid"] * len(constraints)
+    finally:
+        sys.setrecursionlimit(old)
