@@ -26,7 +26,6 @@ from .semantics import (check_proof, holds, parse_proof, parse_statement,
                         serialize_proof)
 from .syntax import (ParseError, parse_expr, parse_goal, parse_program,
                      print_constraints, print_program)
-from .terms import deep_recursion
 from .transform import (TransformError, simplify_constraints, simplify_rule,
                         transform_goal, transform_program)
 
@@ -194,16 +193,15 @@ def _run(args) -> int:
         trace = (lambda msg: print(f"-- {msg}", file=sys.stderr)) if args.trace else None
         solver = Solver(translated, dom, Limits(args.depth, args.answers), trace)
         clean = flagged = 0
-        with deep_recursion():  # answers are as deep as the search went
-            for ans in solver.solve(constraints, wvars, datavars):
-                if args.json:
-                    print(json.dumps(answer_record(ans)))
-                else:
-                    print(render_answer(ans))
-                if ans.flags:
-                    flagged += 1
-                else:
-                    clean += 1
+        for ans in solver.solve(constraints, wvars, datavars):
+            if args.json:
+                print(json.dumps(answer_record(ans)))
+            else:
+                print(render_answer(ans))
+            if ans.flags:
+                flagged += 1
+            else:
+                clean += 1
         if clean:
             return 0
         return 3 if flagged else 1

@@ -985,6 +985,10 @@ def replay_trees(solver: Solver, answer: Answer, constraints: list) -> list:
 # Rendering
 # ======================================================================
 
+# An answer's terms are as deep as the search went, so rendering one
+# raises the recursion limit as the search does.
+
+@deep_recursion()
 def render_answer(ans: Answer) -> str:
     parts = []
     if ans.subst:
@@ -1001,6 +1005,7 @@ def render_answer(ans: Answer) -> str:
     return " ".join(parts)
 
 
+@deep_recursion()
 def answer_record(ans: Answer) -> dict:
     return {
         "subst": {v: print_expr(t) for v, t in sorted(ans.subst.items())},

@@ -671,16 +671,12 @@ class Interpretation:
     Fact arguments and results are ground total terms.  A total term is
     below another in the information order only when the two are equal,
     so calls are looked up by key: results indexes the facts by call,
-    (symbol, args) -> result terms.
+    (symbol, args) -> result terms, and add keeps it in step.
     """
 
     facts: dict = field(default_factory=dict)   # (f,args,result) -> [quals]
     partial: bool = False
     results: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        for f, args, t in self.facts:
-            self.results.setdefault((f, args), []).append(t)
 
     def add(self, key, d, dom: QualDomain) -> bool:
         row = self.facts.get(key)
@@ -792,17 +788,23 @@ class _RulePlan:
     ("enum", v) lets v range over the whole universe.  Variables are
     taken in order of first occurrence in the conditions, so a chain of
     equations threads each value through to the next.
+
+    calls holds the defined symbols whose facts the rule's instances
+    read: those written in its right-hand side and conditions, and, for
+    a rule with variables, those in universe_calls, the defined symbols
+    of the universe terms a variable may take.
     """
 
-    def __init__(self, rule, sig):
+    def __init__(self, rule, sig, universe_calls: set):
         self.rule = rule
-        self.calls = {s for s in _symbols((rule.rhs, *rule.conditions))
-                      if sig.kind(s) == "df"}
+        self.calls = _defined(sig, (rule.rhs, *rule.conditions))
         conds = rule.conditions
         cvars = [vars_of(c) for c in conds]
         order = [v for c in conds for x in constraint_exprs(c)
                  for v in _vars_in_order(x)]
         order += sorted(vars_of(rule.patterns) | vars_of(rule.rhs))
+        if order:
+            self.calls |= universe_calls
         bound, pending, self.steps = set(), list(range(len(conds))), []
         while True:
             for j in [j for j in pending if cvars[j] <= bound]:
@@ -868,7 +870,8 @@ def _bindable(c: AtomicConstraint, bound: set):
     return None
 
 
-def _symbols(exprs) -> set:
+def _defined(sig, exprs) -> set:
+    """The defined symbols occurring in exprs."""
     out = set()
     todo = list(exprs)
     while todo:
@@ -876,7 +879,8 @@ def _symbols(exprs) -> set:
         if isinstance(e, AtomicConstraint):
             todo += [*e.args, e.result]
         elif isinstance(e, App):
-            out.add(e.symbol)
+            if sig.kind(e.symbol) == "df":
+                out.add(e.symbol)
             todo += e.args
     return out
 
@@ -890,9 +894,12 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
     finite list of ground terms, so every instance is ground.  The
     iteration is semi-naive: from round 2 on, a rule fires only when a
     defined symbol it calls gained or improved a fact in the round
-    before, since otherwise it derives what it derived then.  Condition
-    variables are bound by joining with the indexed facts (_RulePlan),
-    which skips only instances whose conditions cannot all hold.
+    before, since otherwise it derives what it derived then.  A variable
+    bound to a universe term that is a call reads that call's facts, so
+    a rule with variables also counts the defined symbols of the
+    universe as called.  Condition variables are bound by joining with
+    the indexed facts (_RulePlan), which skips only instances whose
+    conditions cannot all hold.
 
     budget caps the rule instances evaluated: each ground instance, and
     each partial instance that a condition rules out, counts one.  A
@@ -900,9 +907,10 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
     """
     interp = Interpretation()
     sig = program.signature
-    plans = [_RulePlan(rule, sig) for rule in program.rules]
     constructor = {u for u in universe
                    if is_term(u, sig) and is_ground(u) and is_total(u)}
+    universe_calls = _defined(sig, [u for u in universe if u not in constructor])
+    plans = [_RulePlan(rule, sig, universe_calls) for rule in program.rules]
     steps = 0
     changed = None              # symbols improved by the last round
     for _ in range(k):

@@ -360,9 +360,10 @@ def deep_recursion():
     """Raise the interpreter's recursion limit to DEEP_RECURSION_LIMIT in
     the block and restore the old limit when it exits.
 
-    The solver, proof replay and the proof checker recurse once per
-    nested term, call or proof node.  The limit is process-wide, so it
-    is raised only while they run.
+    The solver, proof replay, the proof checker and answer rendering
+    recurse once per nested term, call or proof node.  The limit is
+    process-wide, so it is raised only while they run.  It also serves
+    as a decorator.
     """
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, DEEP_RECURSION_LIMIT))

@@ -75,7 +75,8 @@ s(n5) -0.5-> n0
 """
 
 # condition variables on the left of ==, behind a constructor, in a
-# disequation and in arithmetic, and a universe term that is a call
+# disequation and in arithmetic, a universe term that is a call, and a
+# rule that calls nothing yet reads succ's facts through that term
 MIXED = """
 data nat = z | s(nat)
 succ(z) -0.9-> s(z)
@@ -85,6 +86,7 @@ wrap(X) -0.9-> pair(X, Y) <== Y == succ(X), Y /= s(z)
 two(X) --> Z <== s(Z) == succ(X)
 num(X) -0.5-> N <== N == 1 + 1, N >= 2, succ(X) == s(s(z))
 at(X) -0.5-> true <== X == succ(z)
+id(X) --> X
 """
 
 
@@ -169,12 +171,12 @@ GOLDEN = {'branching': [(0, 'e3b0c44298fc1c14'),
                          (12, '567e6ebcd9ba9ecf'),
                          (12, '567e6ebcd9ba9ecf')],
            'mixed': [(0, 'e3b0c44298fc1c14'),
-                     (2, '71d65a3e75a91bdf'),
-                     (14, '2bc2ce3d1a52a694'),
-                     (14, '2bc2ce3d1a52a694'),
-                     (14, '2bc2ce3d1a52a694'),
-                     (14, '2bc2ce3d1a52a694'),
-                     (14, '2bc2ce3d1a52a694')],
+                     (9, '0d08c9180fd5338e'),
+                     (22, '1c5161e85f65bd2e'),
+                     (22, '1c5161e85f65bd2e'),
+                     (22, '1c5161e85f65bd2e'),
+                     (22, '1c5161e85f65bd2e'),
+                     (22, '1c5161e85f65bd2e')],
            'pairs': [(0, 'e3b0c44298fc1c14'),
                      (1, 'f1de9391fda3e7d8'),
                      (2, '8151672a0df97568'),

@@ -11,10 +11,11 @@ import sys
 import pytest
 
 from conftest import BOOK4
-from qcflp.runtime import Limits, Solver, _Replay, replay_trees
+from qcflp.runtime import (Limits, Solver, _Replay, answer_record, render_answer,
+                           replay_trees)
 from qcflp.semantics import check_proof, serialize_proof
 from qcflp.syntax import Goal, GoalItem, parse_goal, parse_program
-from qcflp.terms import App, AtomicConstraint, TRUE, Var
+from qcflp.terms import App, AtomicConstraint, TRUE, Var, deep_recursion
 from qcflp.transform import transform_goal, transform_program
 
 PAPER = '(search("German","Essay",intermediate) == R) # W'
@@ -168,17 +169,27 @@ def test_recursion_limit_is_restored():
         sys.setrecursionlimit(old)
 
 
+COUNT = "data nat = z | s(nat)\ncount(z) --> z\ncount(s(N)) --> s(count(N))"
+
+
+def nested_s(n):
+    deep = App("z")
+    for _ in range(n):
+        deep = App("s", (deep,))
+    return deep
+
+
+def count_goal(n):
+    return Goal((GoalItem(AtomicConstraint(
+        "==", (App("count", (nested_s(n),)), Var("R")), TRUE), "W", None),))
+
+
 def test_deep_replay_and_check_under_the_default_limit():
     # 300 nested constructors take the replay and the checker past the
     # default recursion limit; each raises it for itself
-    program = parse_program("data nat = z | s(nat)\n"
-                            "count(z) --> z\ncount(s(N)) --> s(count(N))")
+    program = parse_program(COUNT)
     translated = transform_program(program)[0]
-    deep = App("z")
-    for _ in range(300):
-        deep = App("s", (deep,))
-    goal = Goal((GoalItem(AtomicConstraint(
-        "==", (App("count", (deep,)), Var("R")), TRUE), "W", None),))
+    goal = count_goal(300)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -188,5 +199,25 @@ def test_deep_replay_and_check_under_the_default_limit():
         trees = replay_trees(solver, answer, constraints)
         assert [check_proof(translated, None, t).status for t in trees] == \
             ["valid"] * len(constraints)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_deep_answer_renders_under_the_default_limit():
+    # an answer 400 constructors deep takes printing past the default
+    # recursion limit; rendering raises it for itself and restores it
+    program = parse_program(COUNT)
+    translated = transform_program(program)[0]
+    with deep_recursion():  # building the goal is not under test
+        constraints, wvars, datavars = transform_goal(count_goal(400), program)
+    (answer,) = Solver(translated, limits=Limits(depth=900)).solve(
+        constraints, wvars, datavars)
+    expected = "s(" * 400 + "z" + ")" * 400
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert render_answer(answer).startswith("{ R -> " + expected + " }")
+        assert answer_record(answer)["subst"] == {"R": expected}
+        assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
