@@ -2,9 +2,11 @@
 
 The package parses attenuated conditional rewrite programs, translates
 them into qualification-free constrained programs, and solves goals
-under qualification thresholds.  Two independent semantic engines (a
-rewriting-logic prover and a bounded fixpoint oracle) cross-check the
-solver.
+under qualification thresholds.  Two semantic engines, a rewriting-logic
+prover and a bounded fixpoint oracle, cross-check the solver.  They share
+the constructor and primitive rules and differ in how a call rewrites;
+an independent proof checker validates every certificate the prover
+emits.
 """
 
 from .domains import (CertaintyDomain, MalformedValueError, ProductDomain,

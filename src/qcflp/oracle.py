@@ -20,8 +20,7 @@ from .domains import QualDomain, U
 from .runtime import Limits, Solver
 from .semantics import bounded_lfp
 from .syntax import Goal, GoalItem, Program, print_expr
-from .terms import (App, AtomicConstraint, Expr, TRUE, is_ground,
-                    is_term, is_total)
+from .terms import App, AtomicConstraint, Expr, TRUE, is_value
 from .transform import transform_goal, transform_program
 
 TOL = 1e-9
@@ -54,8 +53,7 @@ def default_universe(program: Program, limit: int = 24) -> list:
         if isinstance(e, App):
             for a in e.args:
                 visit(a)
-        if is_term(e, program.signature) and is_ground(e) and is_total(e) \
-                and e not in seen:
+        if is_value(e, program.signature) and e not in seen:
             seen.append(e)
 
     for r in program.rules:
@@ -102,6 +100,9 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
             lfp_budget: int = 2000000) -> OracleReport:
     """Compare fixpoint-derived facts with solver answers over a goal family.
 
+    The goals are f(args) == target for each defined f, with args drawn
+    from the universe and target from its constructor terms (is_value):
+    a call rewrites only to those, so a fact never has a call as result.
     lfp_budget caps the rule instances the fixpoint evaluates (see
     bounded_lfp).  One solver answers every goal, so each rule is
     compiled once per comparison.
@@ -114,10 +115,11 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     translated, _ = transform_program(program, dom, drop_site=drop_site)
     solver = Solver(translated, dom, Limits(depth=depth))
 
+    targets = [u for u in universe if is_value(u, program.signature)]
     goals = 0
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
-            for target in universe:
+            for target in targets:
                 goals += 1
                 if goals > max_goals:
                     report.partial = True

@@ -447,7 +447,7 @@ class Solver:
             pats, rhs, conds, ren, compiled = self._rename_rule(index, rule)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
-            for _ in self._unify_seq(pats, e.args, store, depth):
+            for _ in self._pairwise(self._unify_pattern, pats, e.args, store, depth):
                 for _ in self._solve_all(conds, store, depth - 1, compiled):
                     for res in self._hnf(rhs, store, depth - 1):
                         mark = len(trail)
@@ -501,13 +501,19 @@ class Solver:
     # unification
     # ------------------------------------------------------------------
 
-    def _unify_seq(self, pats: tuple, args: tuple, store: Store, depth: int,
-                   i: int = 0) -> Iterator[None]:
-        if i == len(pats):
+    def _pairwise(self, step, xs: tuple, ys: tuple, store: Store, depth: int,
+                  i: int = 0) -> Iterator[None]:
+        """Run step on each pair (xs[k], ys[k]) in turn, backtracking
+        through every combination of their solutions."""
+        if i == len(xs):
             yield
             return
-        for _ in self._unify_pattern(pats[i], args[i], store, depth):
-            yield from self._unify_seq(pats, args, store, depth, i + 1)
+        last = i + 1 == len(xs)  # the last pair yields without one more frame
+        for _ in step(xs[i], ys[i], store, depth):
+            if last:
+                yield
+            else:
+                yield from self._pairwise(step, xs, ys, store, depth, i + 1)
 
     def _unify_pattern(self, pat: Expr, arg: Expr, store: Store,
                        depth: int) -> Iterator[None]:
@@ -529,7 +535,8 @@ class Solver:
                     yield
             elif isinstance(pat, App) and isinstance(h, App) \
                     and pat.symbol == h.symbol and len(pat.args) == len(h.args):
-                yield from self._unify_seq(pat.args, h.args, store, depth)
+                yield from self._pairwise(self._unify_pattern, pat.args, h.args,
+                                          store, depth)
 
     def _occurs(self, store: Store, name: str, e: Expr) -> bool:
         e = self.walk(store, e)
@@ -565,7 +572,8 @@ class Solver:
                 return
             fresh = tuple(self._fresh_var() for _ in t.args)
             if self._bind(store, v.name, App(t.symbol, fresh)):
-                yield from self._strict_seq(fresh, t.args, store, depth)
+                yield from self._pairwise(self._unify_strict, fresh, t.args,
+                                          store, depth)
             store.undo(mark)
             return
         if isinstance(ha, Basic) and isinstance(hb, Basic):
@@ -574,15 +582,8 @@ class Solver:
             return
         if isinstance(ha, App) and isinstance(hb, App) \
                 and ha.symbol == hb.symbol and len(ha.args) == len(hb.args):
-            yield from self._strict_seq(ha.args, hb.args, store, depth)
-
-    def _strict_seq(self, xs: tuple, ys: tuple, store: Store, depth: int,
-                    i: int = 0) -> Iterator[None]:
-        if i == len(xs):
-            yield
-            return
-        for _ in self._unify_strict(xs[i], ys[i], store, depth):
-            yield from self._strict_seq(xs, ys, store, depth, i + 1)
+            yield from self._pairwise(self._unify_strict, ha.args, hb.args,
+                                      store, depth)
 
     # ------------------------------------------------------------------
     # disequality

@@ -20,7 +20,13 @@ This module provides a structural checker for such proof trees, a
 depth-bounded proof search that emits checkable trees, a statement
 entailment test, and a bounded, semi-naive immediate-consequence
 iteration over indexed facts, usable as an executable oracle on finite
-universes.  A parallel qualification-free variant of the same machinery
+universes.  The search and the iteration reduce expressions with one
+shared core (_Reducer) for triv, refl, cons and prim.  They differ in
+the fun rule (the search tries rule instances, the iteration looks the
+call up in the facts derived so far) and in how an atom's evaluated form
+is decided (entailed by the hypotheses, or true as a ground form); the
+checker shares none of it and validates every tree the search emits.
+A parallel qualification-free variant of the same machinery
 (statements with no qualification) is used to validate translated
 programs and solver answers.
 """
@@ -28,8 +34,9 @@ programs and solver answers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
@@ -37,8 +44,8 @@ from .syntax import (Program, _Parser, ParseError, Diagnostic, _vars_in_order,
                      print_constraint, print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr, TRUE,
                     Var, apply_subst, constraint_exprs, constraint_info_leq,
-                    deep_recursion, format_real, info_leq, is_ground,
-                    is_term, is_total, term_glb, term_lub, vars_of)
+                    deep_recursion, format_real, info_leq, is_total,
+                    is_value, term_glb, term_lub, vars_of)
 
 CHECK_TOL = 1e-12
 
@@ -221,9 +228,6 @@ def _verify_witness(phi: QStatement, psi: QStatement, sigma: dict) -> bool:
 # Proof trees and the checker
 # ======================================================================
 
-TAGS = ("triv", "refl", "cons", "fun", "prim", "atom")
-
-
 @dataclass(frozen=True)
 class ProofTree:
     tag: str
@@ -290,10 +294,6 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
         return CheckResult("invalid", f"{path}: trivial statement proved by {tree.tag}")
 
     pi = stmt.hypotheses
-    unknown = None
-
-    def sub(i, child):
-        return _check_node(program, dom, child, f"{path}.{i}")
 
     def qbound(d, bound) -> bool:
         if dom is None:
@@ -321,15 +321,15 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
                                                stmt.rhs.args)):
             c = child.conclusion
             if not c.is_production() or c.lhs != e or c.rhs != t_ or c.hypotheses != pi:
-                return CheckResult("invalid", f"{path}.{i}: premise shape mismatch")
-            if not qbound(stmt.qual, c.qual):
-                return CheckResult("invalid", f"{path}.{i}: qualification bound violated")
-            r = sub(i, child)
-            if r.status == "invalid":
-                return r
-            if r.status == "unknown":
-                unknown = r
-        return unknown or CheckResult("valid")
+                bad = CheckResult("invalid", f"{path}.{i}: premise shape mismatch")
+            elif not qbound(stmt.qual, c.qual):
+                bad = CheckResult("invalid", f"{path}.{i}: qualification bound violated")
+            else:
+                continue
+            # the premises before the first malformed one are checked first
+            r = _premises(program, dom, tree.children[:i], path)
+            return r if r is not None and r.status == "invalid" else bad
+        return _premises(program, dom, tree.children, path) or CheckResult("valid")
 
     if tree.tag == "fun":
         if not stmt.is_production() or not isinstance(stmt.lhs, App) \
@@ -356,26 +356,18 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
         if not c.is_production() or c.lhs != rhs or c.rhs != stmt.rhs \
                 or c.hypotheses != pi:
             return CheckResult("invalid", f"{path}.{n}: right-hand side premise mismatch")
-        if dom is not None:
-            a = dom.coerce(alpha)
-            if not qbound(stmt.qual, dom.attenuate(a, dom.coerce(c.qual))):
-                return CheckResult("invalid", f"{path}.{n}: attenuation bound violated")
+        a = None if dom is None else dom.coerce(alpha)
+        if a is not None and not qbound(stmt.qual, dom.attenuate(a, dom.coerce(c.qual))):
+            return CheckResult("invalid", f"{path}.{n}: attenuation bound violated")
         for j in range(m):
             c = tree.children[n + 1 + j].conclusion
             if c.is_production() or c.atom != conds[j] or c.hypotheses != pi:
                 return CheckResult("invalid", f"{path}.{n+1+j}: condition premise mismatch")
-            if dom is not None:
-                a = dom.coerce(alpha)
-                if not qbound(stmt.qual, dom.attenuate(a, dom.coerce(c.qual))):
-                    return CheckResult("invalid",
-                                       f"{path}.{n+1+j}: attenuation bound violated")
-        for i, child in enumerate(tree.children):
-            r = sub(i, child)
-            if r.status == "invalid":
-                return r
-            if r.status == "unknown":
-                unknown = r
-        return unknown or CheckResult("valid")
+            if a is not None and not qbound(stmt.qual,
+                                            dom.attenuate(a, dom.coerce(c.qual))):
+                return CheckResult("invalid",
+                                   f"{path}.{n+1+j}: attenuation bound violated")
+        return _premises(program, dom, tree.children, path) or CheckResult("valid")
 
     if tree.tag in ("prim", "atom"):
         if tree.tag == "prim":
@@ -402,20 +394,30 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
             if not qbound(stmt.qual, c.qual):
                 return CheckResult("invalid", f"{path}.{i}: qualification bound violated")
             reduced.append(c.rhs)
-        for i, child in enumerate(tree.children):
-            r = sub(i, child)
-            if r.status == "invalid":
-                return r
-            if r.status == "unknown":
-                unknown = r
+        r = _premises(program, dom, tree.children, path)
+        if r is not None and r.status == "invalid":
+            return r
         side = entails(pi, AtomicConstraint(symbol, tuple(reduced), result))
         if side.status == "not_entailed":
             return CheckResult("invalid", f"{path}: hypotheses do not entail the evaluation")
         if side.status == "unknown":
             return CheckResult("unknown", f"{path}: entailment undecided")
-        return unknown or CheckResult("valid")
+        return r or CheckResult("valid")
 
     return CheckResult("invalid", f"{path}: unknown tag {tree.tag!r}")
+
+
+def _premises(program, dom, children, path: str) -> Optional[CheckResult]:
+    """Check premises in order: the first invalid verdict, else the last
+    unknown one, else None."""
+    unknown = None
+    for i, child in enumerate(children):
+        r = _check_node(program, dom, child, f"{path}.{i}")
+        if r.status == "invalid":
+            return r
+        if r.status == "unknown":
+            unknown = r
+    return unknown
 
 
 # ======================================================================
@@ -428,170 +430,176 @@ class HoldsResult:
     tree: Optional[ProofTree] = None
 
 
-class ProofSearch:
-    """Depth-bounded proof search over a qualified program.
+class _Reducer:
+    """The rewriting rules the proof search and the fixpoint share.
 
-    Rules whose conditions or right-hand side mention variables that do
-    not occur in the head patterns are outside the search fragment and
-    make the outcome unknown rather than failed.
+    reduce covers triv, refl, cons and prim, and atom_quals reduces an
+    atomic statement's arguments; a subclass supplies the fun case
+    (_call) and decides a reduced atom (_decide).  Every proof node is
+    built by _proof, which the fixpoint overrides to build none.  budget
+    caps the reduce calls; a blown budget, like any undecided step, sets
+    unknown.
     """
 
-    def __init__(self, program: Program, dom: QualDomain = U, budget: int = 200000):
-        self.program = program
+    def __init__(self, program: Program, dom: QualDomain, budget=math.inf):
         self.sig = program.signature
         self.dom = dom
-        self.unknown = False
         self.budget = budget
-        self._rules = {}
-        for i, r in enumerate(program.rules):
-            self._rules.setdefault(r.name, []).append((i, r))
+        self.unknown = False
 
-    def _tick(self) -> bool:
+    def reduce(self, e: Expr, pi: tuple = (), depth: int = 0,
+               need=None) -> Iterable[tuple]:
+        """The (result term, qualification, proof tree) triples for e.
+
+        A leaf returns its one triple directly and a call or application
+        returns a generator, so no node pays for a generator it does not
+        need.
+        """
         self.budget -= 1
         if self.budget <= 0:
             self.unknown = True
-            return False
-        return True
-
-    def reduce(self, e: Expr, pi: tuple, depth: int, need=None) -> Iterator[tuple]:
-        """Yield (result term, qualification, proof tree) for e.
-
-        need is a lower bound the derivation's qualification must reach;
-        rule branches whose attenuation cannot reach it are failed
-        outright, which keeps recursive programs searchable.
-        """
-        if not self._tick():
-            return
-        dom = self.dom
-        if need is None:
-            need = dom.bottom()
+            return ()
         if isinstance(e, Bottom):
-            yield BOTTOM, dom.top(), ProofTree("triv",
-                                               production(BOTTOM, BOTTOM,
-                                                          dom.top(), pi))
-            return
+            top = self.dom.top()
+            return ((BOTTOM, top, self._proof("triv", BOTTOM, BOTTOM, top, pi)),)
         if isinstance(e, (Var, Basic)):
-            yield e, dom.top(), ProofTree("refl", production(e, e, dom.top(), pi))
-            return
+            top = self.dom.top()
+            return ((e, top, self._proof("refl", e, e, top, pi)),)
         kind = self.sig.kind(e.symbol)
-        if kind == "dc" or kind is None:
-            for parts in self._reduce_seq(list(e.args), pi, depth, need):
-                terms = tuple(p[0] for p in parts)
-                quals = [p[1] for p in parts]
-                trees = tuple(p[2] for p in parts)
-                d = dom.glb_all(quals)
+        if kind == "df":
+            return self._call(e, pi, depth, need)
+        return self._apply(e, kind == "pf", pi, depth, need)
+
+    def _apply(self, e: App, primitive: bool, pi: tuple, depth: int,
+               need) -> Iterator[tuple]:
+        """The cons rule, or the prim rule when primitive."""
+        dom = self.dom
+        for parts in self._seq(self.reduce, e.args, pi, depth, need):
+            terms = tuple(p[0] for p in parts)
+            d = dom.glb_all([p[1] for p in parts])
+            trees = tuple(p[2] for p in parts)
+            if not primitive:
                 res = App(e.symbol, terms)
-                yield res, d, ProofTree("cons", production(e, res, d, pi), trees)
+                yield res, d, self._proof("cons", e, res, d, pi, trees)
+                continue
+            try:
+                v = eval_primitive(e.symbol, terms)
+            except Exception:
+                continue
+            if v == BOTTOM:
+                if any(vars_of(t) for t in terms):
+                    self.unknown = True
+                continue
+            yield v, d, self._proof("prim", e, v, d, pi, trees)
+
+    def _proof(self, tag: str, lhs: Optional[Expr], rhs: Optional[Expr], d,
+               pi: tuple, children: tuple = (),
+               atom: Optional[AtomicConstraint] = None) -> Optional[ProofTree]:
+        """The proof node concluding (lhs -> rhs) # d <== pi, or atom # d
+        <== pi."""
+        return ProofTree(tag, QStatement(lhs, rhs, atom, d, tuple(pi)), children)
+
+    def atom_quals(self, c: AtomicConstraint, pi: tuple = (), depth: int = 0,
+                   need=None) -> Iterator[tuple]:
+        """Yield (evaluated constraint, qualification, proof tree) for
+        each derivation of the atomic statement c."""
+        for parts in self._seq(self.reduce, c.args, pi, depth, need):
+            form = AtomicConstraint(c.symbol, tuple(p[0] for p in parts), c.result)
+            if self._decide(form, pi):
+                d = self.dom.glb_all([p[1] for p in parts])
+                yield form, d, self._proof("atom", None, None, d, pi,
+                                           tuple(p[2] for p in parts), c)
+
+    def _seq(self, step, items: tuple, pi: tuple, depth: int, need,
+             pats: tuple = (), theta: Optional[dict] = None,
+             i: int = 0) -> Iterator[list]:
+        """Yield a list of step results, one per item, for each combination.
+
+        With pats, the i-th result term must match pats[i], checked as
+        soon as it is produced, and the match binds theta in place.
+        """
+        if i == len(items):
+            yield []
             return
-        if kind == "pf":
-            for parts in self._reduce_seq(list(e.args), pi, depth, need):
-                terms = [p[0] for p in parts]
-                d = dom.glb_all(p[1] for p in parts)
-                try:
-                    v = eval_primitive(e.symbol, terms)
-                except Exception:
-                    continue
-                if v == BOTTOM:
-                    if any(vars_of(t) for t in terms):
-                        self.unknown = True
-                    continue
-                tree = ProofTree("prim", production(e, v, d, pi),
-                                 tuple(p[2] for p in parts))
-                yield v, d, tree
-            return
-        # defined function
+        for first in step(items[i], pi, depth, need):
+            if not pats or _match(pats[i], first[0], theta):
+                for rest in self._seq(step, items, pi, depth, need, pats,
+                                      theta, i + 1):
+                    yield [first, *rest]
+
+
+def _match(pat: Expr, value: Expr, out: dict) -> bool:
+    if isinstance(pat, Var):
+        out[pat.name] = value
+        return True
+    if isinstance(pat, Basic):
+        return isinstance(value, Basic) and value.value == pat.value
+    if isinstance(pat, App):
+        return isinstance(value, App) and value.symbol == pat.symbol \
+            and len(value.args) == len(pat.args) \
+            and all(_match(p, v, out) for p, v in zip(pat.args, value.args))
+    return False
+
+
+class ProofSearch(_Reducer):
+    """Depth-bounded proof search over a qualified program.
+
+    A call rewrites through rule instances, and an atom holds when the
+    hypotheses entail its evaluated form.  Rules whose conditions or
+    right-hand side mention variables that do not occur in the head
+    patterns are outside the search fragment and make the outcome
+    unknown rather than failed.
+    """
+
+    def __init__(self, program: Program, dom: QualDomain = U, budget: int = 200000):
+        super().__init__(program, dom, budget)
+        self._rules = {}
+        for i, r in enumerate(program.rules):
+            in_fragment = vars_of((r.rhs, r.conditions)) <= vars_of(r.patterns)
+            self._rules.setdefault(r.name, []).append(
+                (i, r, dom.coerce(r.attenuation), in_fragment))
+
+    def _call(self, e: App, pi: tuple, depth: int, need) -> Iterator[tuple]:
+        """need is a lower bound the derivation's qualification must
+        reach; rule branches whose attenuation cannot reach it are failed
+        outright, which keeps recursive programs searchable."""
         if depth <= 0:
             self.unknown = True
             return
-        for index, rule in self._rules.get(e.symbol, []):
-            alpha = self.dom.coerce(rule.attenuation)
-            inner_need = self.dom.factor_residual(need, alpha)
+        dom = self.dom
+        for index, rule, alpha, in_fragment in self._rules.get(e.symbol, ()):
+            inner_need = dom.factor_residual(need, alpha)
             if inner_need is None:
                 continue  # this rule can never reach the required bound
-            head_vars = vars_of(rule.patterns)
-            extra = (vars_of(rule.rhs) | vars_of(rule.conditions)) - head_vars
-            if extra:
+            if not in_fragment:
                 self.unknown = True
                 continue
-            for combo in self._match_args(list(rule.patterns), list(e.args),
-                                          pi, depth, {}, need):
-                theta, arg_parts = combo
-                inst_conds = [apply_subst(c, theta) for c in rule.conditions]
-                for cond_parts in self._atoms_seq(inst_conds, pi, depth - 1, inner_need):
+            theta: dict = {}
+            for arg_parts in self._seq(self.reduce, e.args, pi, depth, need,
+                                       rule.patterns, theta):
+                conds = [apply_subst(c, theta) for c in rule.conditions]
+                for cond_parts in self._seq(self.atom_quals, conds, pi,
+                                            depth - 1, inner_need):
                     rhs_inst = apply_subst(rule.rhs, theta)
-                    for t, d0, rhs_tree in self.reduce(rhs_inst, pi, depth - 1, inner_need):
+                    for t, d0, rhs_tree in self.reduce(rhs_inst, pi, depth - 1,
+                                                       inner_need):
                         quals = [p[1] for p in arg_parts]
-                        quals.append(self.dom.attenuate(alpha, d0))
-                        quals += [self.dom.attenuate(alpha, p[0]) for p in cond_parts]
-                        d = self.dom.glb_all(quals)
-                        if not self.dom.is_strict(d):
+                        quals.append(dom.attenuate(alpha, d0))
+                        quals += [dom.attenuate(alpha, p[1]) for p in cond_parts]
+                        d = dom.glb_all(quals)
+                        if not dom.is_strict(d):
                             continue
                         children = tuple(p[2] for p in arg_parts) + (rhs_tree,) \
-                            + tuple(p[1] for p in cond_parts)
-                        tree = ProofTree("fun", production(e, t, d, pi), children,
-                                         rule_index=index,
-                                         theta=tuple(sorted((k, v) for k, v in theta.items())))
-                        yield t, d, tree
-        return
+                            + tuple(p[2] for p in cond_parts)
+                        yield t, d, ProofTree("fun", production(e, t, d, pi),
+                                              children, index,
+                                              tuple(sorted(theta.items())))
 
-    def _reduce_seq(self, exprs: list, pi: tuple, depth: int, need) -> Iterator[list]:
-        if not exprs:
-            yield []
-            return
-        for first in self.reduce(exprs[0], pi, depth, need):
-            for rest in self._reduce_seq(exprs[1:], pi, depth, need):
-                yield [first] + rest
-
-    def _match_args(self, pats: list, args: list, pi: tuple, depth: int,
-                    theta: dict, need) -> Iterator[tuple]:
-        if not pats:
-            yield dict(theta), []
-            return
-        for s, d, tree in self.reduce(args[0], pi, depth, need):
-            binding = {}
-            if self._match(pats[0], s, binding):
-                theta2 = dict(theta)
-                theta2.update(binding)
-                for t2, rest in self._match_args(pats[1:], args[1:], pi, depth,
-                                                 theta2, need):
-                    yield t2, [(s, d, tree)] + rest
-
-    def _match(self, pat: Expr, value: Expr, out: dict) -> bool:
-        if isinstance(pat, Var):
-            out[pat.name] = value
-            return True
-        if isinstance(pat, Basic):
-            return isinstance(value, Basic) and value.value == pat.value
-        if isinstance(pat, App):
-            return isinstance(value, App) and value.symbol == pat.symbol \
-                and len(value.args) == len(pat.args) \
-                and all(self._match(p, v, out) for p, v in zip(pat.args, value.args))
-        return False
-
-    def atom_quals(self, c: AtomicConstraint, pi: tuple, depth: int,
-                   need=None) -> Iterator[tuple]:
-        """Yield (qualification, proof tree) for a derivable atomic statement."""
-        if need is None:
-            need = self.dom.bottom()
-        for parts in self._reduce_seq(list(c.args), pi, depth, need):
-            terms = tuple(p[0] for p in parts)
-            d = self.dom.glb_all(p[1] for p in parts)
-            side = entails(pi, AtomicConstraint(c.symbol, terms, c.result))
-            if side.status == "unknown":
-                self.unknown = True
-                continue
-            if side.status == "entailed":
-                tree = ProofTree("atom", atom_statement(c, d, pi),
-                                 tuple(p[2] for p in parts))
-                yield d, tree
-
-    def _atoms_seq(self, cs: list, pi: tuple, depth: int, need) -> Iterator[list]:
-        if not cs:
-            yield []
-            return
-        for first in self.atom_quals(cs[0], pi, depth, need):
-            for rest in self._atoms_seq(cs[1:], pi, depth, need):
-                yield [first] + rest
+    def _decide(self, c: AtomicConstraint, pi: tuple) -> bool:
+        side = entails(pi, c)
+        if side.status == "unknown":
+            self.unknown = True
+        return side.status == "entailed"
 
 
 def weaken_tree(tree: ProofTree, rhs: Optional[Expr], d, dom: QualDomain) -> Optional[ProofTree]:
@@ -653,7 +661,7 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
                 if out is not None:
                     return HoldsResult("derivable", out)
     else:
-        for m, tree in search.atom_quals(stmt.atom, stmt.hypotheses, depth, d):
+        for _, m, tree in search.atom_quals(stmt.atom, stmt.hypotheses, depth, d):
             if dom.leq(d, m, CHECK_TOL):
                 return HoldsResult("derivable",
                                    weaken_tree(tree, None, stmt.qual, dom))
@@ -712,66 +720,34 @@ class Interpretation:
         return out
 
 
-class _FactReducer:
-    """Derivability of ground premises from an interpretation's facts."""
+class _FactReducer(_Reducer):
+    """Derivability of ground premises from an interpretation's facts.
+
+    A call is looked up in the indexed facts, which carry no proof tree,
+    and an atom holds when its ground evaluated form is true.
+    """
 
     def __init__(self, interp: Interpretation, program: Program, dom: QualDomain):
+        super().__init__(program, dom)
         self.interp = interp
-        self.sig = program.signature
-        self.dom = dom
 
-    def reduce(self, e: Expr) -> Iterator[tuple]:
+    def _call(self, e: App, pi: tuple, depth: int, need) -> Iterator[tuple]:
         dom = self.dom
-        if isinstance(e, Bottom):
-            yield BOTTOM, dom.top()
-            return
-        if isinstance(e, (Var, Basic)):
-            yield e, dom.top()
-            return
-        kind = self.sig.kind(e.symbol)
-        if kind == "dc" or kind is None:
-            for parts in self._seq(list(e.args)):
-                yield App(e.symbol, tuple(p[0] for p in parts)), \
-                    dom.glb_all(p[1] for p in parts)
-            return
-        if kind == "pf":
-            for parts in self._seq(list(e.args)):
-                try:
-                    v = eval_primitive(e.symbol, [p[0] for p in parts])
-                except Exception:
-                    continue
-                if v != BOTTOM:
-                    yield v, dom.glb_all(p[1] for p in parts)
-            return
-        # defined symbol: look the reduced call up in the facts
         facts, results = self.interp.facts, self.interp.results
-        for parts in self._seq(list(e.args)):
+        for parts in self._seq(self.reduce, e.args, pi, depth, need):
             args = tuple(p[0] for p in parts)
             ts = results.get((e.symbol, args))
             if ts:
-                d_args = dom.glb_all(p[1] for p in parts)
+                d_args = dom.glb_all([p[1] for p in parts])
                 for t in ts:
                     for d0 in facts[(e.symbol, args, t)]:
-                        yield t, dom.glb(d0, d_args)
+                        yield t, dom.glb(d0, d_args), None
 
-    def _seq(self, exprs: list) -> Iterator[list]:
-        if not exprs:
-            yield []
-            return
-        for first in self.reduce(exprs[0]):
-            for rest in self._seq(exprs[1:]):
-                yield [first] + rest
+    def _decide(self, c: AtomicConstraint, pi: tuple) -> bool:
+        return holds_under(c, {}) is True
 
-    def atom_quals(self, c: AtomicConstraint) -> list:
-        """Qualifications under which the ground constraint c holds."""
-        out = []
-        for parts in self._seq(list(c.args)):
-            if holds_under(AtomicConstraint(c.symbol, tuple(p[0] for p in parts),
-                                            c.result), {}) is True:
-                d = self.dom.glb_all(p[1] for p in parts)
-                if not any(self.dom.eq(d, o, CHECK_TOL) for o in out):
-                    out.append(d)
-        return out
+    def _proof(self, *_) -> None:
+        return None  # facts carry no proof, so their consequences need none
 
 
 class _RulePlan:
@@ -835,7 +811,8 @@ class _RulePlan:
                 return
             step = steps[i]
             if step[0] == "check":
-                ds = red.atom_quals(apply_subst(conds[step[1]], theta))
+                ds = [d for _, d, _ in
+                      red.atom_quals(apply_subst(conds[step[1]], theta))]
                 if not ds:
                     yield None
                     return
@@ -844,7 +821,7 @@ class _RulePlan:
                 return
             values = universe
             if step[0] == "bind":
-                results = {t for t, _ in red.reduce(apply_subst(step[2], theta))}
+                results = {t for t, _, _ in red.reduce(apply_subst(step[2], theta))}
                 values = [u for u in universe
                           if u in results or u not in constructor]
                 if not values:
@@ -907,8 +884,7 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
     """
     interp = Interpretation()
     sig = program.signature
-    constructor = {u for u in universe
-                   if is_term(u, sig) and is_ground(u) and is_total(u)}
+    constructor = {u for u in universe if is_value(u, sig)}
     universe_calls = _defined(sig, [u for u in universe if u not in constructor])
     plans = [_RulePlan(rule, sig, universe_calls) for rule in program.rules]
     steps = 0
@@ -931,7 +907,7 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
                     continue
                 theta, cond_sets = inst
                 head_args = tuple(apply_subst(p, theta) for p in rule.patterns)
-                for t, d0 in red.reduce(apply_subst(rule.rhs, theta)):
+                for t, d0, _ in red.reduce(apply_subst(rule.rhs, theta)):
                     if isinstance(t, Bottom):
                         continue
                     for cond_combo in itertools.product(*cond_sets):

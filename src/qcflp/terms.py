@@ -285,6 +285,11 @@ def is_total(e) -> bool:
     return True
 
 
+def is_value(e: Expr, sig: Signature) -> bool:
+    """A ground, total constructor term: what a call can rewrite to."""
+    return is_term(e, sig) and is_ground(e) and is_total(e)
+
+
 def info_leq(e1: Expr, e2: Expr) -> bool:
     """Information ordering: bottom below everything, else structural."""
     if isinstance(e1, Bottom):
@@ -340,12 +345,6 @@ def term_lub(e1: Expr, e2: Expr) -> Optional[Expr]:
             parts.append(j)
         return App(e1.symbol, tuple(parts))
     return None
-
-
-def expr_size(e: Expr) -> int:
-    if isinstance(e, App):
-        return 1 + sum(expr_size(a) for a in e.args)
-    return 1
 
 
 # ======================================================================

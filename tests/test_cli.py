@@ -173,6 +173,19 @@ def test_oracle_roundtrip(tmp_path, capsys):
                "--mutate", "4") == 1
 
 
+def test_oracle_call_in_universe(tmp_path, capsys):
+    # a call in the universe is an argument, never a target: a call
+    # rewrites only to constructor terms, so `id(c1) == succ(c0)` is no
+    # goal, while `id(succ(c0)) == c1` is
+    src = tmp_path / "id.qcflp"
+    src.write_text("succ(c0) --> c1\nid(X) --> X\n")
+    assert run("oracle", str(src), "--universe", "succ(c0)", "--k", "3") == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "4 goals, 0 mismatches"
+    assert "MISMATCH" not in out and "== succ(c0)" not in out
+    assert "ok       id(succ(c0)) == c1  fixpoint=[(1.0,)] solver=[(1.0,)]" in out
+
+
 def test_oracle_transform_error(tmp_path, capsys):
     # a program the translation rejects ends in one line, as with solve
     src = tmp_path / "primed.qcflp"

@@ -208,7 +208,7 @@ def test_conservation_property_desk_scale():
         from itertools import product as cartesian
         for args in cartesian(universe, repeat=arity):
             for target in universe:
-                derivable = [d for t, d in red.reduce(App(fname, tuple(args)))
+                derivable = [d for t, d, _ in red.reduce(App(fname, tuple(args)))
                              if info_leq(target, t)]
                 closure = interp.max_quals(fname, tuple(args), target, U)
                 if closure:
