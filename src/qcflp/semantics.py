@@ -88,9 +88,14 @@ def triviality(stmt: QStatement) -> str:
     """'yes' / 'no' / 'unknown': is the statement vacuously derivable?"""
     if stmt.is_production() and stmt.rhs == BOTTOM:
         return "yes"
-    if not stmt.hypotheses:
+    return _vacuity(stmt.hypotheses)
+
+
+def _vacuity(hypotheses: tuple) -> str:
+    """'yes' / 'no' / 'unknown': are the hypotheses unsatisfiable?"""
+    if not hypotheses:
         return "no"
-    verdict = satisfiable(stmt.hypotheses)
+    verdict = satisfiable(hypotheses)
     if verdict.status == "unsat":
         return "yes"
     if verdict.status == "sat":
@@ -259,16 +264,47 @@ def check_proof(program: Program, dom: Optional[QualDomain],
     """Validate a proof tree node by node against the program.
 
     dom None selects the qualification-free variant: statements carry no
-    qualification and attenuation bounds are not checked.
+    qualification and attenuation bounds are not checked.  A subtree
+    object that several parents share is checked once per call.
     """
     try:
         with deep_recursion():
-            return _check_node(program, dom, tree, path="root")
+            return _check_node(_CheckState(program, dom), tree, "root")
     except Exception as exc:  # malformed nodes surface as invalid
         return CheckResult("invalid", f"malformed tree: {exc}")
 
 
-def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
+class _CheckState:
+    """What one check_proof call has decided so far.
+
+    A node's verdict depends only on the program, the domain and the
+    subtree, since each parent compares its premises' conclusions itself,
+    so the ids of the subtrees found valid are kept and those subtrees
+    are not checked again; the root keeps them alive, so no id is reused
+    while the call runs.  An invalid verdict ends the check, and an
+    unknown one is recomputed under its own path, so reasons do not
+    depend on the sharing.  Every premise carries its parent's
+    hypotheses, whose vacuity is decided once per distinct tuple.
+    """
+
+    def __init__(self, program: Program, dom: Optional[QualDomain]):
+        self.program = program
+        self.dom = dom
+        self.valid: set = set()
+        self.vacuous: dict = {}
+
+    def triviality(self, stmt: QStatement) -> str:
+        if stmt.is_production() and stmt.rhs == BOTTOM:
+            return "yes"
+        pi = stmt.hypotheses
+        t = self.vacuous.get(pi)
+        if t is None:
+            t = self.vacuous[pi] = _vacuity(pi)
+        return t
+
+
+def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
+    program, dom = chk.program, chk.dom
     stmt = tree.conclusion
     if dom is not None:
         if stmt.qual is None:
@@ -281,7 +317,7 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
     if tree.tag == "triv":
         if tree.children:
             return CheckResult("invalid", f"{path}: trivial nodes have no premises")
-        t = triviality(stmt)
+        t = chk.triviality(stmt)
         if t == "yes":
             return CheckResult("valid")
         if t == "no":
@@ -289,7 +325,7 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
         return CheckResult("unknown", f"{path}: hypotheses satisfiability unknown")
 
     # the trivial rule is mandatory for trivial statements
-    t = triviality(stmt)
+    t = chk.triviality(stmt)
     if t == "yes":
         return CheckResult("invalid", f"{path}: trivial statement proved by {tree.tag}")
 
@@ -327,9 +363,9 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
             else:
                 continue
             # the premises before the first malformed one are checked first
-            r = _premises(program, dom, tree.children[:i], path)
+            r = _premises(chk, tree.children[:i], path)
             return r if r is not None and r.status == "invalid" else bad
-        return _premises(program, dom, tree.children, path) or CheckResult("valid")
+        return _premises(chk, tree.children, path) or CheckResult("valid")
 
     if tree.tag == "fun":
         if not stmt.is_production() or not isinstance(stmt.lhs, App) \
@@ -367,7 +403,7 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
                                             dom.attenuate(a, dom.coerce(c.qual))):
                 return CheckResult("invalid",
                                    f"{path}.{n+1+j}: attenuation bound violated")
-        return _premises(program, dom, tree.children, path) or CheckResult("valid")
+        return _premises(chk, tree.children, path) or CheckResult("valid")
 
     if tree.tag in ("prim", "atom"):
         if tree.tag == "prim":
@@ -394,7 +430,7 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
             if not qbound(stmt.qual, c.qual):
                 return CheckResult("invalid", f"{path}.{i}: qualification bound violated")
             reduced.append(c.rhs)
-        r = _premises(program, dom, tree.children, path)
+        r = _premises(chk, tree.children, path)
         if r is not None and r.status == "invalid":
             return r
         side = entails(pi, AtomicConstraint(symbol, tuple(reduced), result))
@@ -407,16 +443,20 @@ def _check_node(program, dom, tree: ProofTree, path: str) -> CheckResult:
     return CheckResult("invalid", f"{path}: unknown tag {tree.tag!r}")
 
 
-def _premises(program, dom, children, path: str) -> Optional[CheckResult]:
+def _premises(chk: _CheckState, children, path: str) -> Optional[CheckResult]:
     """Check premises in order: the first invalid verdict, else the last
-    unknown one, else None."""
+    unknown one, else None.  Premises found valid before are skipped."""
     unknown = None
     for i, child in enumerate(children):
-        r = _check_node(program, dom, child, f"{path}.{i}")
+        if id(child) in chk.valid:
+            continue
+        r = _check_node(chk, child, f"{path}.{i}")
         if r.status == "invalid":
             return r
         if r.status == "unknown":
             unknown = r
+        else:
+            chk.valid.add(id(child))
     return unknown
 
 
@@ -1007,33 +1047,61 @@ def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]
 
 
 def parse_proof(text: str) -> tuple:
-    """Returns (domain name, ProofTree)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["qcflp-proof", "v1"]:
+    """Returns (domain name, ProofTree).
+
+    A premise names an earlier node line, so a certificate cannot express
+    a cycle.  A line that repeats an earlier line's tag, rule,
+    substitution, premises and conclusion yields that line's ProofTree,
+    so a subproof written once per occurrence parses into one object.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].split() != ["qcflp-proof", "v1"]:
         raise ParseError([Diagnostic(1, 1, "not a proof certificate")])
-    domain_name = lines[1].split()[1]
-    count = int(lines[2].split()[1])
-    root = int(lines[3].split()[1])
+
+    def fail(no: int, message: str):
+        raise ParseError([Diagnostic(no, 1, message)])
+
+    domain_name = lines[1][1].split()[1]
+    count_no, count = lines[2][0], int(lines[2][1].split()[1])
+    root_no, root = lines[3][0], int(lines[3][1].split()[1])
+    if count != len(lines) - 4:
+        fail(count_no, f"nodes {count}, but {len(lines) - 4} node lines follow")
     built: dict = {}
-    for ln in lines[4:4 + count]:
+    interned: dict = {}
+    for no, ln in lines[4:]:
         idx_s, tag, rule_s, theta_s, kids_s, concl_s = ln.split("\t")
         idx = int(idx_s)
-        theta = ()
-        if theta_s != "-":
-            pairs = []
-            body = theta_s.strip()[1:-1]
-            if body.strip():
-                for part in body.split(";"):
-                    name, _, rhs = part.partition("->")
-                    p = _Parser(rhs.strip())
-                    pairs.append((name.strip(), p.parse_expr()))
-            theta = tuple(pairs)
-        kids = () if kids_s == "-" else tuple(built[int(k)] for k in kids_s.split(","))
-        stmt = parse_statement(concl_s)
-        if domain_name == "-":
-            stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
-        built[idx] = ProofTree(tag, stmt,
-                               kids,
-                               None if rule_s == "-" else int(rule_s),
-                               theta)
+        if idx in built:
+            fail(no, f"node {idx} is defined twice")
+        kids = []
+        for k in ([] if kids_s == "-" else kids_s.split(",")):
+            kid = built.get(int(k))
+            if kid is None:
+                fail(no, f"premise {k.strip()} names no earlier node")
+            kids.append(kid)
+        key = (tag, rule_s, theta_s, tuple(map(id, kids)), concl_s)
+        node = interned.get(key)
+        if node is None:
+            stmt = parse_statement(concl_s)
+            if domain_name == "-":
+                stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
+            node = interned[key] = ProofTree(tag, stmt, tuple(kids),
+                                             None if rule_s == "-" else int(rule_s),
+                                             _parse_theta(theta_s))
+        built[idx] = node
+    if root not in built:
+        fail(root_no, f"root {root} names no node")
     return domain_name, built[root]
+
+
+def _parse_theta(text: str) -> tuple:
+    if text == "-":
+        return ()
+    pairs = []
+    body = text.strip()[1:-1]
+    if body.strip():
+        for part in body.split(";"):
+            name, _, rhs = part.partition("->")
+            pairs.append((name.strip(), _Parser(rhs.strip()).parse_expr()))
+    return tuple(pairs)
+

@@ -144,6 +144,15 @@ def test_tampered_certificate_rejected(tmp_path):
     assert run("prove", str(LIBRARY), "--check", str(bad)) == 1
 
 
+def test_dangling_certificate_reference(tmp_path, capsys):
+    cert = tmp_path / "dangling.proof"
+    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
+                    "0\tcons\t-\t-\t5\t(c(X) -> c(X)) # 0.5\n")
+    assert run("prove", str(LIBRARY), "--check", str(cert)) == 1
+    assert capsys.readouterr().err == \
+        f"{cert}: malformed certificate: 5:1: premise 5 names no earlier node\n"
+
+
 def test_prove_rounding_repro_not_found(tmp_path, capsys):
     # X = 0.18986, Y = 0.863 satisfies the hypotheses, so they are not
     # vacuous and f(Y) -> true has no derivation

@@ -13,6 +13,7 @@ import pytest
 from conftest import BOOK4
 from qcflp.runtime import (Limits, Solver, _Replay, answer_record, render_answer,
                            replay_trees)
+import qcflp.semantics
 from qcflp.semantics import check_proof, serialize_proof
 from qcflp.syntax import Goal, GoalItem, parse_goal, parse_program
 from qcflp.terms import App, AtomicConstraint, TRUE, Var, deep_recursion
@@ -91,7 +92,7 @@ def test_resolution_is_shared(library, translated_library):
 WALK = "walk([]) --> true\nwalk(_X:T) --> walk(T)"
 
 
-def test_long_list_replay_is_linear():
+def test_long_list_replay_is_linear(monkeypatch):
     n = 200
     program = parse_program(WALK)
     translated = transform_program(program)[0]
@@ -102,8 +103,18 @@ def test_long_list_replay_is_linear():
     r = _Replay(solver, answers[0].store)
     trees = [r.atom_tree(c) for c in constraints]
     nodes = sum(t.size() for t in trees)
+    checked = []
+    check_node = qcflp.semantics._check_node
+
+    def counting(chk, tree, path):
+        checked.append(tree)
+        return check_node(chk, tree, path)
+
+    monkeypatch.setattr(qcflp.semantics, "_check_node", counting)
     assert all(check_proof(translated, None, t).status == "valid"
                for t in trees)
+    # the checker decides each distinct subtree once per call
+    assert len(checked) == sum(distinct_parts([t])[0] for t in trees)
     # the tree is quadratic in n (each level proves its whole argument
     # list), but every stored App node is resolved at most once per
     # direction, so resolution stays linear in n

@@ -1,5 +1,7 @@
 """Smoke tests of the example scripts under scripts/."""
 
+import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -24,3 +26,51 @@ def test_oracle_sweep():
     counts = re.findall(r"(\d+)/(\d+) dropped conditions caught", proc.stdout)
     assert counts
     assert all(caught == sites for caught, sites in counts)
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(ops_per_s: float, p50: float, failed: int = 0,
+               digest: str = "230545bfecae47ca") -> str:
+    """The tail of a benchmark/run.py stdout, as the summariser reads it."""
+    metrics = {"ops_per_s": {"value": ops_per_s, "unit": "1/ref_s"},
+               "op_p50_ms": {"value": p50, "unit": "ref_ms"}}
+    return (f"workload catalogue: 1 pass(es) of 15 ops\n"
+            f"  answers digest (information only): {digest}\n"
+            + json.dumps({"correct": True, "attempted": 90, "failed": failed,
+                          "metrics": metrics}) + "\n")
+
+
+def test_bench_pairs_aggregation():
+    bp = load_script("bench_pairs")
+    assert bp.parse_seeds("7,11-13") == [7, 11, 12, 13]
+    parent = [7.0, 7.2, 7.4, 7.1, 7.3, 7.2, 7.0, 7.4, 7.3, 7.1]
+    change = [11.0, 11.5, 11.2, 7.0, 11.1, 11.3, 11.6, 11.4, 11.2, 11.0]
+    pairs = [(bp.parse_run(canned_run(p, 40.0)),
+              bp.parse_run(canned_run(c, 40.0 if i else 30.0, failed=int(i == 9),
+                                      digest="ffff" if i == 5 else "230545bfecae47ca")))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    entry = bp.summarise(range(1, 11), pairs,
+                         {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    assert entry["pairs"] == 10 and entry["seeds"] == list(range(1, 11))
+    assert entry["answers_digest_identical"] is False
+    assert entry["failed_ops"][9] == [0, 1] and entry["failed_ops"][0] == [0, 0]
+    ops = entry["metrics"]["ops_per_s"]
+    assert ops["unit"] == "1/ref_s" and ops["better"] == "higher"
+    assert ops["change_wins"] == "9/10"
+    assert ops["parent"] == {"median": 7.2, "q1": 7.1, "q3": 7.3}
+    assert ops["runs"]["change"] == change
+    # a tie is not a win; lower is better for latency
+    assert entry["metrics"]["op_p50_ms"]["change_wins"] == "1/10"
+    claim = bp.judge_claim(entry, "ops_per_s")
+    assert claim["change_wins"] == "9/10" and claim["holds"] is True
+    assert abs(claim["parent_iqr"] - 0.2) < 1e-9
+    # the same gains without a ninth win do not hold
+    pairs[0] = (pairs[0][0], bp.parse_run(canned_run(6.0, 40.0)))
+    entry = bp.summarise(range(1, 11), pairs, {"ops_per_s": "higher"})
+    assert bp.judge_claim(entry, "ops_per_s")["holds"] is False

@@ -1,16 +1,19 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import BOOK4
 from qcflp.domains import U
-from qcflp.semantics import (ProofTree, atom_statement, bounded_lfp,
+import qcflp.semantics
+from qcflp.semantics import (CheckResult, ProofTree, atom_statement, bounded_lfp,
                              check_proof, holds,
                              instantiate_rule, parse_proof, parse_statement,
                              print_statement, production, serialize_proof,
                              statement_entails, weaken_tree)
-from qcflp.syntax import parse_constraints, parse_expr, parse_program
+from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
+                          parse_program)
 from qcflp.terms import (App, Basic, BOTTOM, TRUE, Var, apply_subst, info_leq)
 
 
@@ -86,6 +89,92 @@ def test_cons_bound_violation(library):
     p = parse_program("f(X) --> c(X)")
     res = check_proof(p, U, bad)
     assert res.status == "invalid" and "bound" in res.reason
+
+
+BIN = "data bin = leaf | node(bin, bin)\nf(X) --> X"
+X, Y = Var("X"), Var("Y")
+
+
+def refl(e, q=0.5, pi=()):
+    return ProofTree("refl", production(e, e, q, pi))
+
+
+def cons(e, premises, q=0.5, pi=()):
+    return ProofTree("cons", production(e, e, q, pi), tuple(premises))
+
+
+def node(a, b):
+    return App("node", (a, b))
+
+
+def test_shared_subtree_is_checked_once():
+    # 64 levels whose two premises are one object: 2^64 occurrences of
+    # the leaf, 65 distinct subtrees
+    e, tree = X, refl(X)
+    for _ in range(64):
+        e = node(e, e)
+        tree = cons(e, (tree, tree))
+    t0 = time.perf_counter()
+    assert check_proof(parse_program(BIN), U, tree) == CheckResult("valid")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _invalid_below_shared():
+    bad = ProofTree("refl", production(Y, Y, 0.5, ()), (refl(Y),))
+    shared = cons(node(X, Y), (refl(X), bad))
+    return cons(node(node(X, Y), node(X, Y)), (shared, shared))
+
+
+def _invalid_after_shared_valid():
+    ok = cons(node(X, X), (refl(X), refl(X)))
+    nxx = node(X, X)
+    high = cons(node(nxx, nxx), (ok, ok), q=0.9)
+    return cons(node(nxx, node(nxx, nxx)), (ok, high))
+
+
+UNDECIDED = tuple(parse_constraints("X*X == 2"))
+
+
+def _unknown_twice():
+    t = ProofTree("triv", production(X, X, 0.5, UNDECIDED))
+    return cons(node(X, X), (t, t), pi=UNDECIDED)
+
+
+def _unknown_below_shared():
+    u = _unknown_twice()
+    return cons(node(node(X, X), node(X, X)), (u, u), pi=UNDECIDED)
+
+
+# reasons pinned from the checker that walked every occurrence
+@pytest.mark.parametrize("build, expected", [
+    (_invalid_below_shared,
+     CheckResult("invalid", "root.0.1: reflexivity has no premises")),
+    (_invalid_after_shared_valid,
+     CheckResult("invalid", "root.1.0: qualification bound violated")),
+    (_unknown_twice,
+     CheckResult("unknown", "root.1: hypotheses satisfiability unknown")),
+    (_unknown_below_shared,
+     CheckResult("unknown", "root.1.1: hypotheses satisfiability unknown")),
+], ids=["invalid-below-shared", "invalid-after-shared", "unknown-twice",
+        "unknown-below-shared"])
+def test_shared_subtree_reasons(build, expected):
+    assert check_proof(parse_program(BIN), U, build()) == expected
+
+
+def test_vacuity_decided_once_per_check(monkeypatch):
+    p = parse_program("f(X) --> g(s(X), X)\ng(A, X) --> true <== X >= 0")
+    r = holds(p, U, stmt("(f(Y) -> true) # 1 <== Y >= 1"))
+    assert r.status == "derivable" and r.tree.size() == 10
+    calls = []
+    satisfiable = qcflp.semantics.satisfiable
+
+    def counting(hypotheses, *args):
+        calls.append(hypotheses)
+        return satisfiable(hypotheses, *args)
+
+    monkeypatch.setattr(qcflp.semantics, "satisfiable", counting)
+    assert check_proof(p, U, r.tree).status == "valid"
+    assert len(calls) == 1
 
 
 def test_instantiate_rule(library):
@@ -306,6 +395,47 @@ def test_certificate_roundtrip(library):
     assert name == "u"
     assert tree == r.tree
     assert check_proof(library, U, tree).status == "valid"
+
+
+def test_repeated_lines_parse_into_one_object():
+    tree = cons(node(X, X), (refl(X), refl(X)))
+    assert tree.children[0] is not tree.children[1]
+    cert = serialize_proof(tree, "u", U)
+    _, parsed = parse_proof(cert)
+    assert parsed.children[0] is parsed.children[1]
+    assert parsed == tree
+
+
+HEAD = "qcflp-proof v1\ndomain u\nnodes {}\nroot {}\n"
+LEAF = "\trefl\t-\t-\t-\t(X -> X) # 0.5"
+PAIR = "\tcons\t-\t-\t{}\t(node(X, X) -> node(X, X)) # 0.5"
+
+
+@pytest.mark.parametrize("lines, count, root, line, message", [
+    (["0" + LEAF, "1" + PAIR.format("0,5")], 2, 1,
+     6, "premise 5 names no earlier node"),
+    (["0" + PAIR.format("1,1"), "1" + LEAF], 2, 0,
+     5, "premise 1 names no earlier node"),
+    (["0" + LEAF, "0" + LEAF], 2, 0, 6, "node 0 is defined twice"),
+    (["0" + LEAF, "1" + PAIR.format("0,0")], 2, 3, 4, "root 3 names no node"),
+    (["0" + LEAF], 2, 0, 3, "nodes 2, but 1 node lines follow"),
+], ids=["dangling", "forward", "repeated-id", "root", "count"])
+def test_bad_certificate_references(lines, count, root, line, message):
+    text = HEAD.format(count, root) + "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_proof(text)
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.message) == (line, message)
+
+
+def test_certificate_cannot_express_a_cycle():
+    # each node may only name earlier lines, so in a cycle the first
+    # line written names one that is not yet defined
+    for lines in (["0" + PAIR.format("0,0")],
+                  ["0" + PAIR.format("1,1"), "1" + PAIR.format("0,0")]):
+        text = HEAD.format(len(lines), 0) + "\n".join(lines) + "\n"
+        with pytest.raises(ParseError, match="5:1: premise"):
+            parse_proof(text)
 
 
 def test_weaken_tree(library):
