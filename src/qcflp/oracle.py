@@ -20,7 +20,7 @@ from .domains import QualDomain, U
 from .runtime import Limits, Solver
 from .semantics import bounded_lfp
 from .syntax import Goal, GoalItem, Program, print_expr
-from .terms import App, AtomicConstraint, Expr, TRUE, is_value
+from .terms import App, AtomicConstraint, Expr, TRUE, Var, is_value
 from .transform import transform_goal, transform_program
 
 TOL = 1e-9
@@ -103,9 +103,14 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     The goals are f(args) == target for each defined f, with args drawn
     from the universe and target from its constructor terms (is_value):
     a call rewrites only to those, so a fact never has a call as result.
-    lfp_budget caps the rule instances the fixpoint evaluates (see
-    bounded_lfp).  One solver answers every goal, so each rule is
-    compiled once per comparison.
+    max_goals counts these (call, target) pairs.  lfp_budget caps the
+    rule instances the fixpoint evaluates (see bounded_lfp).  One solver
+    answers every goal, so each rule is compiled once per comparison.
+
+    The solver is asked f(args) == T once per call, with the result T
+    free, and its answers are grouped by the value of T (see
+    _answers_by_result); a call whose answers do not all give T a value
+    has each target posed as its own goal.
     """
     report = OracleReport()
     universe = default_universe(program) if universe is None else list(universe)
@@ -119,39 +124,85 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     goals = 0
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
-            for target in targets:
-                goals += 1
-                if goals > max_goals:
-                    report.partial = True
-                    return report
-                call = App(fname, tuple(args))
-                constraint = AtomicConstraint("==", (call, target), TRUE)
+            asked = targets[:max(max_goals - goals, 0)]
+            goals += len(asked)
+            call = App(fname, tuple(args))
+            by_result = _answers_by_result(solver, program, dom, call) if asked else {}
+            for target in asked:
                 fix = [tuple(dom.split(d))
                        for d in interp.max_quals(fname, tuple(args), target, dom)]
                 fix = _antichain(fix)
-
-                goal = Goal((GoalItem(constraint, "W", None),))
-                cs, wn, dv = transform_goal(goal, program, dom)
-                corners = []
-                note = ""
-                for ans in solver.solve(cs, wn, dv):
-                    if "conditional" in ans.flags or "malformed-qual" in ans.flags:
-                        note = "flagged answer: " + ",".join(ans.flags)
-                        continue
-                    corner = []
-                    for suf in dom.leaf_suffixes():
-                        iv = ans.qual["W" + suf]
-                        corner.append(iv.hi)
-                        if iv.hi == INF:
-                            note = "unbounded qualification"
-                    corners.append(tuple(corner))
-                run = _antichain(corners)
+                if by_result is None:
+                    answers = _solve(solver, program, dom, call, target)
+                else:
+                    answers = by_result.get(target, ())
+                run, note = _corners(answers, dom)
                 match = _sets_match(fix, run)
                 if fix or run or not match:
                     report.records.append(OracleRecord(
                         f"{print_expr(call)} == {print_expr(target)}",
                         fix, run, match, note))
+            if len(asked) < len(targets):
+                report.partial = True
+                return report
     return report
+
+
+RESULT = Var("T")
+
+
+def _solve(solver: Solver, program: Program, dom: QualDomain, call: App,
+           result: Expr):
+    """The solver's answers to the goal (call == result) # W."""
+    goal = Goal((GoalItem(AtomicConstraint("==", (call, result), TRUE), "W", None),))
+    return solver.solve(*transform_goal(goal, program, dom))
+
+
+def _flagged(ans) -> bool:
+    return "conditional" in ans.flags or "malformed-qual" in ans.flags
+
+
+def _answers_by_result(solver: Solver, program: Program, dom: QualDomain,
+                       call: App) -> Optional[dict]:
+    """The answers to (call == T) # W, grouped by the value of T.
+
+    A group holds the answers that the goal call == value has, in the
+    same order: strict equality demands a constructor value, so fixing
+    the result only prunes derivations that end in another one.  None
+    when some answer leaves T a variable, with or without an interval,
+    or a term that holds one (k(z) --> s(Y), h(z) --> Y <== Y <= 0.5),
+    since such an answer stands for several targets at once; or when a
+    flagged answer is also incomplete, since the cut that flag names may
+    have been made on the way to another value, and a note shows the
+    flags of a flagged answer.
+    """
+    groups = {}
+    for ans in _solve(solver, program, dom, call, RESULT):
+        value = ans.subst.get(RESULT.name)
+        if value is None or not is_value(value, program.signature) \
+                or (_flagged(ans) and "incomplete" in ans.flags):
+            return None
+        groups.setdefault(value, []).append(ans)
+    return groups
+
+
+def _corners(answers, dom: QualDomain) -> tuple:
+    """The maximal qualification corners of one goal's answers, and a note
+    on why an answer was left out or is unbounded."""
+    corners = []
+    note = ""
+    for ans in answers:
+        if _flagged(ans):
+            note = "flagged answer: " + ",".join(ans.flags)
+            continue
+        corner = []
+        for suf in dom.leaf_suffixes():
+            iv = ans.qual["W" + suf]
+            corner.append(iv.hi)
+            if iv.hi == INF:
+                note = "unbounded qualification"
+        corners.append(tuple(corner))
+    return _antichain(corners), note
 
 
 def count_qual_sites(program: Program, dom: QualDomain = U) -> int:

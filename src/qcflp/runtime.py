@@ -78,6 +78,8 @@ class Store:
     evals: dict = field(default_factory=dict)       # id(call expr) -> EvalRec
     declared: set = field(default_factory=set)      # qVal-introduced variables
     malformed: bool = False                         # bound on an undeclared one
+    datavars: frozenset = frozenset()               # the goal's data variables
+    data_bounds: list = field(default_factory=list)  # ids of bounds on data ones
     # (table, key, old) entries, newest last; see undo()
     trail: list = field(default_factory=list, repr=False, compare=False)
 
@@ -86,7 +88,8 @@ class Store:
         return Store(dict(self.subst), dict(self.ivals), list(self.qcons),
                      {k: list(v) for k, v in self.qindex.items()},
                      list(self.suspended), dict(self.evals),
-                     set(self.declared), self.malformed)
+                     set(self.declared), self.malformed, self.datavars,
+                     list(self.data_bounds))
 
     # Every mutation goes through these, so undo() can reverse it.  The
     # scalar and replaced-list fields are logged through self.__dict__.
@@ -182,6 +185,25 @@ def _head_probe(rule):
     return None
 
 
+def _qual_vars(rule, sig) -> set:
+    """Names of the qualification variables of a translated rule: those
+    of the qualification argument of its head and of each call, and
+    those that a qVal condition names.  The rest are data variables."""
+    out = vars_of(rule.patterns[-1]) if rule.patterns else set()
+    stack = [rule.rhs]
+    for c in rule.conditions:
+        if c.symbol == "qVal":
+            out |= vars_of(c.args)
+        stack += [*c.args, c.result]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, App) and e.args:
+            if sig.kind(e.symbol) == "df":
+                out |= vars_of(e.args[-1])
+            stack.extend(e.args)
+    return out
+
+
 def _build(t, vs: list):
     kind = type(t)
     if kind is int:
@@ -189,6 +211,23 @@ def _build(t, vs: list):
     if kind is tuple:
         return App(t[0], tuple([_build(k, vs) for k in t[1]]))
     return t
+
+
+def _posted(compiled) -> AtomicConstraint:
+    """The constraint that a compiled post stands for (see compile_bound)."""
+    if compiled[0] == "generic":
+        return compiled[1]
+    _, strict, L, R = compiled
+    if L[1] is None and R[1] is not None:  # 0.1 < Y reads Y > 0.1
+        return AtomicConstraint(">" if strict else ">=", (_side(R), _side(L)), TRUE)
+    return AtomicConstraint("<" if strict else "<=", (_side(L), _side(R)), TRUE)
+
+
+def _side(side) -> Expr:
+    k, name = side
+    if name is None:
+        return Basic(k)
+    return Var(name) if k == 1 else App("*", (Basic(k), Var(name)))
 
 
 def _instance_side(side, ns: list):
@@ -208,6 +247,7 @@ class Solver:
         for i, r in enumerate(program.rules):
             self._rules.setdefault(r.name, []).append((i, r, _head_probe(r)))
         self._templates = {}        # rule index -> rename template
+        self._quals = {}            # rule index -> its qualification variables
         self._fresh = itertools.count()
         self.cut = False
         self.guard_hits = 0         # propagations stopped by the step guard
@@ -301,30 +341,56 @@ class Solver:
         return ok
 
     def _post(self, store: Store, compiled, orig_names, declares: bool,
-              names) -> bool:
+              names, rule=None) -> bool:
         """Post one compiled constraint and propagate it.
 
         orig_names are the variables of the constraint as written; a qVal
         (declares) declares them.  names are the roots it is posted on.
+        rule is the index of the rule whose condition it is, None for a
+        goal constraint.
         """
         # well-formed translations declare every qualification variable
-        # before bounding it; a bound whose source names were never
-        # declared marks the whole branch as malformed
+        # before bounding it; a bound on a qualification variable that
+        # was never declared marks the whole branch as malformed, and any
+        # other bound on an undeclared variable bounds a data variable
+        data = False
         if declares:
             for name in orig_names:
                 store.declare(name)
         elif not store.malformed and not store.declared.issuperset(orig_names):
-            store.set_field("malformed", True)
+            if self._bounds_undeclared_qual(rule, orig_names, store):
+                store.set_field("malformed", True)
+            else:
+                data = True
         if compiled[0] == "qval":
             return self._post_qval(store, compiled[1])
         idx = len(store.qcons)
         store.push(store.qcons, compiled)
+        if data:
+            store.push(store.data_bounds, idx)
         for name in names:
             store.index(name, (idx,))
         return self._propagate_from(store, (idx,))
 
-    def _post_condition(self, store: Store, compiled):
-        """Post a precompiled rule condition (see _rename_rule).
+    def _bounds_undeclared_qual(self, rule, names, store: Store) -> bool:
+        """Whether names, the variables of a bound as written, hold a
+        qualification variable that no qVal declared.  A bound may name
+        data variables too, which are never declared.  The qualification
+        variables of a rule are found once, on the first bound that names
+        an undeclared variable, so well-formed posts never pay for it; a
+        goal's are all of its variables but its data variables."""
+        undeclared = [n for n in names if n not in store.declared]
+        if rule is None:
+            return any(n not in store.datavars for n in undeclared)
+        quals = self._quals.get(rule)
+        if quals is None:
+            quals = self._quals[rule] = _qual_vars(self.program.rules[rule], self.sig)
+        # a renamed variable is "~<instance>~<name in the rule>"
+        return any(n.rpartition("~")[2] in quals for n in undeclared)
+
+    def _post_condition(self, store: Store, compiled, rule: int):
+        """Post a precompiled condition of the rule with index rule (see
+        _rename_rule).
 
         Returns None, having changed nothing, when the condition needs the
         general path: a side bound to neither a variable nor a literal, or
@@ -342,7 +408,7 @@ class Solver:
             return None
         names = {n for n in (Lw[1], Rw[1]) if n is not None}
         orig = [n for n in (L[1], R[1]) if n is not None]
-        return self._post(store, ("mono", strict, Lw, Rw), orig, False, names)
+        return self._post(store, ("mono", strict, Lw, Rw), orig, False, names, rule)
 
     def post_qual(self, store: Store, c: AtomicConstraint):
         """Post one qualification constraint; a fresh store, or None on failure."""
@@ -448,7 +514,7 @@ class Solver:
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
             for _ in self._pairwise(self._unify_pattern, pats, e.args, store, depth):
-                for _ in self._solve_all(conds, store, depth - 1, compiled):
+                for _ in self._solve_all(conds, store, depth - 1, index, compiled):
                     for res in self._hnf(rhs, store, depth - 1):
                         mark = len(trail)
                         store.assign(store.evals, id(e), EvalRec(
@@ -662,14 +728,16 @@ class Solver:
             return all(self._numeric_shape(store, a) for a in e.args)
         return False
 
-    def _solve_all(self, cs: tuple, store: Store, depth: int,
+    def _solve_all(self, cs: tuple, store: Store, depth: int, rule,
                    compiled: tuple = (), i: int = 0) -> Iterator[None]:
-        """Solve cs[i:] left to right; compiled[j], when given and not
-        None, is the precompiled form of cs[j] (see _post_condition)."""
+        """Solve cs[i:] left to right: the conditions of the rule with
+        index rule, or the goal's constraints when rule is None (see
+        _bounds_undeclared_qual).  compiled[j], when given and not None,
+        is the precompiled form of cs[j] (see _post_condition)."""
         mark = len(store.trail)
         # precompiled conditions are deterministic: post them in a row
         while i < len(compiled) and compiled[i] is not None:
-            ok = self._post_condition(store, compiled[i])
+            ok = self._post_condition(store, compiled[i], rule)
             if ok is None:
                 break
             if not (ok and self._check_suspended(store)):
@@ -679,15 +747,16 @@ class Solver:
         if i == len(cs):
             yield
         else:
-            for _ in self._solve_constraint(cs[i], store, depth):
+            for _ in self._solve_constraint(cs[i], store, depth, rule):
                 m = len(store.trail)
                 if self._check_suspended(store):
-                    yield from self._solve_all(cs, store, depth, compiled, i + 1)
+                    yield from self._solve_all(cs, store, depth, rule, compiled, i + 1)
                 store.undo(m)
         store.undo(mark)
 
     def _solve_constraint(self, c: AtomicConstraint, store: Store,
-                          depth: int) -> Iterator[None]:
+                          depth: int, rule) -> Iterator[None]:
+        """Solve c on the general path; rule as in _solve_all."""
         want = self.walk(store, c.result)
         if c.symbol == "==":
             if want == TRUE:
@@ -727,7 +796,9 @@ class Solver:
             if want in (TRUE, FALSE) and c.symbol in (*RELS, "qVal", "qBound", "==") \
                     and all(self._numeric_shape(store, a) for a in args):
                 compiled = compile_post(AtomicConstraint(c.symbol, args, want))
-                if self._post(store, compiled, vars_of(c), c.symbol == "qVal", names):
+                declares = c.symbol == "qVal"
+                if self._post(store, compiled, vars_of(c), declares, names,
+                              rule):
                     yield
                 store.undo(mark)
                 continue
@@ -763,8 +834,8 @@ class Solver:
                 datavars: list) -> Iterator[Answer]:
         self.cut = False
         emitted = 0
-        store = Store()
-        for _ in self._solve_all(constraints, store, self.limits.depth):
+        store = Store(datavars=frozenset(datavars))
+        for _ in self._solve_all(constraints, store, self.limits.depth, None):
             mark = len(store.trail)
             ans = None
             if self._check_suspended(store):
@@ -800,11 +871,27 @@ class Solver:
         if self.cut:
             flags.append("incomplete")
         residual = [self._resolve_constraint(store, c) for c in store.suspended]
+        if not store.malformed:  # a malformed answer is flagged as a whole
+            residual += self._data_bounds(store)
         if residual:
             flags.append("conditional")
         if store.malformed:
             flags.append("malformed-qual")
         return Answer(subst, qual, residual, flags, store)
+
+    def _data_bounds(self, store: Store) -> list:
+        """The posted bounds on data variables that are still unbound,
+        whether of the goal (Y <= 0.5) or local to a rule (X * X < 0).
+        Interval narrowing does not refute every unsatisfiable set of
+        such bounds, so without them the answer would claim that the goal
+        holds for every value of the variable, or that some value exists.
+        qVal-declared variables are qualification ones, not data."""
+        out = []
+        for i in store.data_bounds:
+            c = self._resolve_constraint(store, _posted(store.qcons[i]))
+            if not store.declared.issuperset(vars_of(c)):
+                out.append(c)
+        return out
 
     def resolve_result(self, store: Store, e: Expr) -> Expr:
         """Deep resolution through bindings and recorded evaluations."""
@@ -896,10 +983,10 @@ class _Replay:
         return out
 
     def display(self, e: Expr) -> Expr:
-        """Left-side resolution: keeps call structure in place."""
-        e = self._walk(e)
+        """Left-side resolution: keeps call structure in place, except
+        that a variable shows its value, as a rule's theta records it."""
         if isinstance(e, Var):
-            return self._rho(e.name) or e
+            return self.value(e)
         if not (isinstance(e, App) and e.args):
             return e
         hit = self._shown.get(id(e))
@@ -917,7 +1004,8 @@ class _Replay:
         return App(e.symbol, tuple(args))
 
     def production_tree(self, e: Expr, target: Expr) -> ProofTree:
-        ew = self._walk(e)
+        # a variable is proved at its value, as it is displayed
+        ew = self.value(e) if isinstance(e, Var) else e
         key = (id(ew), id(target))
         hit = self._trees.get(key)
         if hit is not None:

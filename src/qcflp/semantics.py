@@ -969,8 +969,61 @@ def _extend(interp: Interpretation, derived: list, dom: QualDomain) -> set:
 # Statement and certificate input/output
 # ======================================================================
 
-def parse_statement(text: str) -> QStatement:
-    p = _Parser(text)
+class _SharingParser(_Parser):
+    """A parser that returns one object for equal terms, within one table.
+
+    A compound term is keyed on its symbol and the ids of its arguments,
+    which are themselves shared and kept alive by the term that the table
+    holds; a variable on its name, and a number on its text as written,
+    so 1 and 1.0 stay apart.  Strings and lists are rebuilt cell by cell,
+    so equal tails are one object; a whole string is also kept under its
+    text, which saves the rebuild when it recurs.
+    """
+
+    def __init__(self, text: str, share: dict):
+        super().__init__(text)
+        self.share = share
+
+    def app(self, symbol: str, args: tuple = ()) -> App:
+        key = (symbol, *map(id, args))
+        hit = self.share.get(key)
+        if hit is None:
+            hit = self.share[key] = App(symbol, args)
+        return hit
+
+    def parse_atom(self) -> Expr:
+        start = self.pos
+        first = self.tokens[start]
+        kind = first.kind
+        if kind == "STRING":
+            hit = self.share.get(first.text)
+            if hit is not None:
+                self.pos += 1
+                return hit
+        e = super().parse_atom()
+        if kind in ("IDENT", "(", "BOTTOM"):
+            return e  # built by app, or a constant
+        if kind == "CHAR":
+            return self.app(e.symbol)
+        if kind in ("STRING", "["):
+            items = []
+            while e.args:
+                items.append(e.args[0] if kind == "[" else self.app(e.args[0].symbol))
+                e = e.args[1]
+            for item in reversed(items):
+                e = self.app(":", (item, e))
+            if kind == "STRING":
+                self.share[first.text] = e
+            return e
+        key = e.name if kind == "VAR" else \
+            "".join(t.text for t in self.tokens[start:self.pos])
+        return self.share.setdefault(key, e)
+
+
+def parse_statement(text: str, share: Optional[dict] = None) -> QStatement:
+    """The statement text reads; with share, its terms are shared with
+    every term parsed with the same table (see _SharingParser)."""
+    p = _Parser(text) if share is None else _SharingParser(text, share)
     save = p.pos
     stmt = None
     if p.at("("):
@@ -1053,6 +1106,9 @@ def parse_proof(text: str) -> tuple:
     a cycle.  A line that repeats an earlier line's tag, rule,
     substitution, premises and conclusion yields that line's ProofTree,
     so a subproof written once per occurrence parses into one object.
+    Equal terms of the certificate's statements and substitutions parse
+    into one object as well (_SharingParser), so the checker's equality
+    tests on them stop at identity.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].split() != ["qcflp-proof", "v1"]:
@@ -1068,6 +1124,7 @@ def parse_proof(text: str) -> tuple:
         fail(count_no, f"nodes {count}, but {len(lines) - 4} node lines follow")
     built: dict = {}
     interned: dict = {}
+    share: dict = {}
     for no, ln in lines[4:]:
         idx_s, tag, rule_s, theta_s, kids_s, concl_s = ln.split("\t")
         idx = int(idx_s)
@@ -1082,19 +1139,19 @@ def parse_proof(text: str) -> tuple:
         key = (tag, rule_s, theta_s, tuple(map(id, kids)), concl_s)
         node = interned.get(key)
         if node is None:
-            stmt = parse_statement(concl_s)
+            stmt = parse_statement(concl_s, share)
             if domain_name == "-":
                 stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
             node = interned[key] = ProofTree(tag, stmt, tuple(kids),
                                              None if rule_s == "-" else int(rule_s),
-                                             _parse_theta(theta_s))
+                                             _parse_theta(theta_s, share))
         built[idx] = node
     if root not in built:
         fail(root_no, f"root {root} names no node")
     return domain_name, built[root]
 
 
-def _parse_theta(text: str) -> tuple:
+def _parse_theta(text: str, share: dict) -> tuple:
     if text == "-":
         return ()
     pairs = []
@@ -1102,6 +1159,6 @@ def _parse_theta(text: str) -> tuple:
     if body.strip():
         for part in body.split(";"):
             name, _, rhs = part.partition("->")
-            pairs.append((name.strip(), _Parser(rhs.strip()).parse_expr()))
+            pairs.append((name.strip(), _SharingParser(rhs.strip(), share).parse_expr()))
     return tuple(pairs)
 

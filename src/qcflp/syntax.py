@@ -218,6 +218,9 @@ class Goal:
 # ======================================================================
 
 class _Parser:
+    # builds every compound term the parser reads (see semantics._SharingParser)
+    app = App
+
     def __init__(self, text: str):
         self.tokens = lex(text)
         self.pos = 0
@@ -255,8 +258,8 @@ class _Parser:
             self.next()
             rhs = self.parse_cons()
             if t.kind == "/=":
-                return App("==", (App("==", (lhs, rhs)), FALSE))
-            return App(t.kind, (lhs, rhs))
+                return self.app("==", (self.app("==", (lhs, rhs)), FALSE))
+            return self.app(t.kind, (lhs, rhs))
         return lhs
 
     def parse_cons(self) -> Expr:
@@ -264,21 +267,21 @@ class _Parser:
         if self.at(":"):
             self.next()
             tail = self.parse_cons()
-            return App(":", (head, tail))
+            return self.app(":", (head, tail))
         return head
 
     def parse_add(self) -> Expr:
         e = self.parse_mul()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            e = App(op, (e, self.parse_mul()))
+            e = self.app(op, (e, self.parse_mul()))
         return e
 
     def parse_mul(self) -> Expr:
         e = self.parse_atom()
         while self.at("*"):
             self.next()
-            e = App("*", (e, self.parse_atom()))
+            e = self.app("*", (e, self.parse_atom()))
         return e
 
     def parse_atom(self) -> Expr:
@@ -316,8 +319,8 @@ class _Parser:
                     self.next()
                     args.append(self.parse_expr())
                 self.expect(")")
-                return App(t.text, tuple(args))
-            return App(t.text)
+                return self.app(t.text, tuple(args))
+            return self.app(t.text)
         if t.kind == "(":
             self.next()
             e = self.parse_expr()

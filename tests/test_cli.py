@@ -195,6 +195,17 @@ def test_oracle_call_in_universe(tmp_path, capsys):
     assert "ok       id(succ(c0)) == c1  fixpoint=[(1.0,)] solver=[(1.0,)]" in out
 
 
+def test_oracle_data_bound_is_no_mismatch(tmp_path, capsys):
+    # Y <= 0.5 bounds a data variable: the solver's answer for
+    # h(z) == 0.5 is clean and agrees with the fixpoint
+    src = tmp_path / "bounded.qcflp"
+    src.write_text("data nat = z | s(nat)\nh(z) --> Y <== Y <= 0.5\n")
+    assert run("oracle", str(src)) == 0
+    assert capsys.readouterr().out == (
+        "ok       h(z) == 0.5  fixpoint=[(1.0,)] solver=[(1.0,)]\n"
+        "1 goals, 0 mismatches\n")
+
+
 def test_oracle_transform_error(tmp_path, capsys):
     # a program the translation rejects ends in one line, as with solve
     src = tmp_path / "primed.qcflp"

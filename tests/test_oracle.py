@@ -1,8 +1,17 @@
+import itertools
+
 import pytest
 
+import qcflp.oracle
+from qcflp.constraints import INF
 from qcflp.domains import U, domain_from_name
-from qcflp.oracle import compare, count_qual_sites, default_universe
-from qcflp.syntax import parse_expr, parse_program
+from qcflp.oracle import (OracleRecord, OracleReport, _antichain, _sets_match,
+                          compare, count_qual_sites, default_universe)
+from qcflp.runtime import Limits, Solver
+from qcflp.semantics import bounded_lfp
+from qcflp.syntax import Goal, GoalItem, parse_expr, parse_program, print_expr
+from qcflp.terms import App, AtomicConstraint, TRUE, is_value
+from qcflp.transform import transform_goal, transform_program
 
 UXU = domain_from_name("uxu")
 
@@ -88,3 +97,152 @@ def test_default_universe_collects_ground_terms():
     p = parse_program(BRANCHING)
     terms = default_universe(p)
     assert parse_expr("z") in terms and parse_expr("true") in terms
+
+
+# ----------------------------------------------------------------------
+# one solver query per call, against a goal per (call, target) pair
+# ----------------------------------------------------------------------
+
+def per_target_compare(program, dom=U, k=6, universe=None, depth=8,
+                       drop_site=None, max_goals=400, lfp_budget=2000000):
+    """compare as it was before the result was asked free: one solve for
+    every (call, target) pair.  The reference for the grouped queries."""
+    report = OracleReport()
+    universe = default_universe(program) if universe is None else list(universe)
+    interp = bounded_lfp(program, dom, k, universe, budget=lfp_budget)
+    report.partial = interp.partial
+    translated, _ = transform_program(program, dom, drop_site=drop_site)
+    solver = Solver(translated, dom, Limits(depth=depth))
+    targets = [u for u in universe if is_value(u, program.signature)]
+    goals = 0
+    for fname, arity in sorted(program.signature.df.items()):
+        for args in itertools.product(universe, repeat=arity):
+            for target in targets:
+                goals += 1
+                if goals > max_goals:
+                    report.partial = True
+                    return report
+                call = App(fname, tuple(args))
+                constraint = AtomicConstraint("==", (call, target), TRUE)
+                fix = _antichain([tuple(dom.split(d)) for d in
+                                  interp.max_quals(fname, tuple(args), target, dom)])
+                goal = Goal((GoalItem(constraint, "W", None),))
+                corners = []
+                note = ""
+                for ans in solver.solve(*transform_goal(goal, program, dom)):
+                    if "conditional" in ans.flags or "malformed-qual" in ans.flags:
+                        note = "flagged answer: " + ",".join(ans.flags)
+                        continue
+                    corner = []
+                    for suf in dom.leaf_suffixes():
+                        iv = ans.qual["W" + suf]
+                        corner.append(iv.hi)
+                        if iv.hi == INF:
+                            note = "unbounded qualification"
+                    corners.append(tuple(corner))
+                run = _antichain(corners)
+                match = _sets_match(fix, run)
+                if fix or run or not match:
+                    report.records.append(OracleRecord(
+                        f"{print_expr(call)} == {print_expr(target)}",
+                        fix, run, match, note))
+    return report
+
+
+UXU_CHAIN = """
+m -(0.9,0.8)-> true
+n -(0.7,1)-> m
+o -(0.8,0.5)-> n
+"""
+
+# the result of k(z) is s(Y) for every Y, and that of h(z) a variable
+# with an interval: no answer names one target, so each is asked alone
+OPEN_RESULT = "data nat = z | s(nat)\nk(z) --> s(Y)\nk(s(X)) -0.5-> X\n"
+BOUNDED_RESULT = "data nat = z | s(nat)\nh(z) --> Y <== Y <= 0.5\nh(s(z)) -0.5-> z\n"
+# asked free, g's first rule runs into the depth bound on the way to
+# s(loop), and the conditional answer c comes after that cut; g == c
+# never evaluates loop, so its note must not say incomplete
+CUT_BEFORE_FLAGGED = ("data d = a | c | s(d)\nloop --> loop\ng --> s(loop)\n"
+                      "g --> c <== h(X) == true\nh(Y) --> true <== Y /= a\n")
+
+
+def _cases():
+    cases = []
+    for name, source, dom, extra in [
+            ("chain", CHAIN, U, []),
+            ("branching", BRANCHING, U, ["s(z)", "s(s(z))"]),
+            ("pairs", PAIRS, UXU, []),
+            ("uxu-chain", UXU_CHAIN, UXU, [])]:
+        p = parse_program(source, dom)
+        universe = default_universe(p) + [parse_expr(t) for t in extra]
+        for site in [None, *range(count_qual_sites(p, dom))]:
+            cases.append(pytest.param(p, dom, universe, {"drop_site": site},
+                                      id=f"{name}-{site}"))
+    for name, source in [("open", OPEN_RESULT), ("bounded", BOUNDED_RESULT)]:
+        p = parse_program(source, U)
+        universe = [parse_expr(t) for t in ("z", "s(z)", "s(s(z))", "0.5", "0.7")]
+        cases.append(pytest.param(p, U, universe, {}, id=name))
+    p = parse_program(CUT_BEFORE_FLAGGED, U)
+    universe = [parse_expr(t) for t in ("a", "c", "s(a)")]
+    cases.append(pytest.param(p, U, universe, {}, id="cut-before-flagged"))
+    p = parse_program(BRANCHING, U)
+    universe = default_universe(p) + [parse_expr("s(z)")]
+    cases.append(pytest.param(p, U, universe, {"max_goals": 5}, id="truncated"))
+    return cases
+
+
+@pytest.mark.parametrize("program, dom, universe, kw", _cases())
+def test_grouped_queries_match_per_target_goals(program, dom, universe, kw):
+    got = compare(program, dom, k=6, universe=universe, depth=8, **kw)
+    want = per_target_compare(program, dom, k=6, universe=universe, depth=8, **kw)
+    assert got.records == want.records
+    assert got.partial == want.partial
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = Solver.solve
+
+    def counting(self, constraints, wvars, datavars):
+        calls.append(datavars)
+        return solve(self, constraints, wvars, datavars)
+
+    monkeypatch.setattr(qcflp.oracle.Solver, "solve", counting)
+    return calls
+
+
+def test_one_solve_per_call_when_results_are_values(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    p = parse_program(BRANCHING, U)
+    universe = default_universe(p) + [parse_expr("s(z)"), parse_expr("s(s(z))")]
+    report = compare(p, U, k=6, universe=universe, depth=8)
+    assert report.mismatches == []
+    # a/0, and c/1 and p/1 over the universe; every call has all of the
+    # universe's values as targets, but is solved once, with a free result
+    n = len(universe)
+    assert len(calls) == 1 + 2 * n
+    assert calls == [["T"]] * len(calls)
+
+
+def test_open_results_ask_each_target(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    p = parse_program(OPEN_RESULT, U)
+    universe = [parse_expr(t) for t in ("z", "s(z)", "s(s(z))")]
+    report = compare(p, U, k=6, universe=universe, depth=8)
+    assert report.mismatches == []
+    by_goal = {r.goal: r.solver for r in report.records}
+    assert by_goal["k(z) == s(z)"] == by_goal["k(z) == s(s(z))"] == [(1.0,)]
+    # k(z) falls back to one goal per target; k(s(z)) and k(s(s(z))) do not
+    assert len(calls) == 3 + len(universe)
+
+
+def test_bounded_result_reports_no_mismatch():
+    # h(z)'s result Y is bounded by a data condition, not a qualification
+    # one: the answer for h(z) == 0.5 is clean, not malformed
+    p = parse_program(BOUNDED_RESULT, U)
+    report = compare(p, U, k=4)
+    assert not report.partial
+    assert report.mismatches == []
+    by_goal = {r.goal: r for r in report.records}
+    assert by_goal["h(z) == 0.5"].solver == [(1.0,)]
+    assert by_goal["h(z) == 0.5"].note == ""

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import BOOK4
+from conftest import BOOK4, distinct_parts
 from qcflp.runtime import (Limits, Solver, _Replay, answer_record, render_answer,
                            replay_trees)
 import qcflp.semantics
@@ -128,29 +128,6 @@ def test_long_list_replay_is_linear(monkeypatch):
     assert apps <= 5 * n
 
 
-def distinct_parts(trees) -> tuple:
-    """Distinct ProofTree objects, and distinct App objects in their
-    statements and substitutions, reachable from trees."""
-    seen_trees, seen_apps = set(), set()
-    todo, terms = list(trees), []
-    while todo:
-        t = todo.pop()
-        if id(t) in seen_trees:
-            continue
-        seen_trees.add(id(t))
-        todo.extend(t.children)
-        s = t.conclusion
-        terms += [s.lhs, s.rhs] if s.atom is None else \
-            [*s.atom.args, s.atom.result]
-        terms += [v for _, v in t.theta]
-    while terms:
-        e = terms.pop()
-        if isinstance(e, App) and id(e) not in seen_apps:
-            seen_apps.add(id(e))
-            terms.extend(e.args)
-    return len(seen_trees), len(seen_apps)
-
-
 def test_recursion_limit_is_restored():
     # the solver, replay and the checker raise the interpreter's
     # recursion limit only while they run
@@ -232,3 +209,24 @@ def test_deep_answer_renders_under_the_default_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
+
+
+UP = ("data nat = z | s(nat)\n"
+      "up(N) --> z <== N == 0\n"
+      "up(N) --> s(up(N - 1)) <== N > 0")
+
+
+@pytest.mark.parametrize("n", [1, 2, 100])
+def test_replay_through_arithmetic_is_valid(n):
+    # the recursive call's argument N - 1 is an unevaluated call that N
+    # is bound to; theta records its value, and the conditions and the
+    # right-hand side show and prove N at that value too
+    program = parse_program(UP)
+    translated = transform_program(program)[0]
+    solver, answers, constraints = clean_answers(
+        program, translated, f"(up({n}) == R) # W", depth=2 * n + 8)
+    (answer,) = answers
+    assert render_answer(answer).startswith("{ R -> " + "s(" * n + "z")
+    trees = replay_trees(solver, answer, constraints)
+    assert [check_proof(translated, None, t).status for t in trees] == \
+        ["valid"] * len(constraints)

@@ -78,21 +78,56 @@ def test_propagation_guard_flags_run():
 
 # Golden answers of the solver that reduced and compiled every rule
 # condition on each try; precompiled conditions must give the same.  A
-# bound whose sides are all literals is evaluated, not posted.  The
-# malformed-qual flag on f(Y) bounds a data variable, not a
-# qualification one, but is kept as it was.
+# bound whose sides are all literals is evaluated, not posted.  f(Y)
+# bounds a data variable, not a qualification one: the answer is not
+# malformed, and it keeps the bound on Y as a residual.
 EDGE = "f(X) -0.9-> true <== X <= 0.5\ng(X) --> f(X)"
 
 
 @pytest.mark.parametrize("goal, expected", [
     ("f(0.3)", ["{ } { W in (0, 0.9] }"]),
     ("f(0.7)", []),
-    ("f(Y)", ["{ } { W in (0, 0.9] } [malformed-qual]"]),
-    ("g(Y)", ["{ } { W in (0, 0.9] } [malformed-qual]"]),
+    ("f(Y)", ["{ } { W in (0, 0.9] } << Y <= 0.5 >> [conditional]"]),
+    ("g(Y)", ["{ } { W in (0, 0.9] } << Y <= 0.5 >> [conditional]"]),
 ])
 def test_rule_condition_edge_cases(goal, expected):
     answers, _, _ = solve_text(parse_program(EDGE), f"({goal} == true) # W")
     assert [render_answer(a) for a in answers] == expected
+
+
+@pytest.mark.parametrize("program, goal, expected", [
+    # the result holds a variable bounded by data conditions
+    ("data nat = z | s(nat)\nk(z) --> s(Y) <== Y <= 0.5, Y > 0.1",
+     "(k(z) == R) # W",
+     "{ R -> s(~0~Y) } { W in (0, 1] } << ~0~Y <= 0.5, ~0~Y > 0.1 >> [conditional]"),
+    # a bound outside the monomial shapes takes the general path
+    ("p(X) --> true <== X + 1 <= 2", "(p(Y) == true) # W",
+     "{ } { W in (0, 1] } << Y + 1 <= 2 >> [conditional]"),
+    # the goal itself bounds its data variable
+    ("f(X) --> true", "(f(Y) == true) # W, (Y <= 0.5) # V",
+     "{ } { V in (0, 1], W in (0, 1] } << Y <= 0.5 >> [conditional]"),
+    # bounds on a rule's local variables, which the goal's values never
+    # reach and narrowing cannot refute: the answer must not be clean
+    ("f --> true <== X * X < 0", "(f == true) # W",
+     "{ } { W in (0, 1] } << ~0~X*~0~X < 0 >> [conditional]"),
+    ("f --> true <== X + Z <= 1, X + Z >= 2", "(f == true) # W",
+     "{ } { W in (0, 1] } << ~0~X + ~0~Z <= 1, ~0~X + ~0~Z >= 2 >> [conditional]"),
+], ids=["in-result", "general-path", "in-goal", "local-square", "local-pair"])
+def test_data_bounds_are_residual(program, goal, expected):
+    # every answer names the bounds that its unbound data variables must
+    # meet, and none of them is a bound on a qualification variable
+    answers, _, _ = solve_text(parse_program(program), goal)
+    assert [render_answer(a) for a in answers] == [expected]
+
+
+def test_undeclared_qualification_bound_is_malformed():
+    # dropping a rule's qVal leaves its bounds on an undeclared
+    # qualification variable: that is still flagged, and only that
+    p = parse_program(EDGE)
+    translated, _ = transform_program(p, U, drop_site=0)
+    cs, wvars, datavars = transform_goal(parse_goal("(f(0.3) == true) # W"), p)
+    answers = list(Solver(translated).solve(cs, wvars, datavars))
+    assert [a.flags for a in answers] == [["malformed-qual"]]
 
 
 def test_bound_on_constructor_stays_parked():

@@ -4,17 +4,19 @@ import time
 
 import pytest
 
-from conftest import BOOK4
+from conftest import BOOK4, distinct_parts
 from qcflp.domains import U
 import qcflp.semantics
-from qcflp.semantics import (CheckResult, ProofTree, atom_statement, bounded_lfp,
+from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
+                             bounded_lfp,
                              check_proof, holds,
                              instantiate_rule, parse_proof, parse_statement,
                              print_statement, production, serialize_proof,
                              statement_entails, weaken_tree)
 from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
                           parse_program)
-from qcflp.terms import (App, Basic, BOTTOM, TRUE, Var, apply_subst, info_leq)
+from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, TRUE, Var,
+                         apply_subst, info_leq)
 
 
 def stmt(text):
@@ -404,6 +406,68 @@ def test_repeated_lines_parse_into_one_object():
     _, parsed = parse_proof(cert)
     assert parsed.children[0] is parsed.children[1]
     assert parsed == tree
+
+
+def _unshared(tree):
+    """A copy of tree that shares no subtree, statement or term."""
+    def term(e):
+        if isinstance(e, App):
+            return App(e.symbol, tuple(term(a) for a in e.args))
+        if isinstance(e, Basic):
+            return Basic(e.value)
+        if isinstance(e, Var):
+            return Var(e.name)
+        return e
+
+    def constraint(c):
+        return None if c is None else \
+            AtomicConstraint(c.symbol, tuple(map(term, c.args)), term(c.result))
+
+    s = tree.conclusion
+    return ProofTree(tree.tag,
+                     QStatement(None if s.lhs is None else term(s.lhs),
+                                None if s.rhs is None else term(s.rhs),
+                                constraint(s.atom), s.qual,
+                                tuple(map(constraint, s.hypotheses))),
+                     tuple(map(_unshared, tree.children)), tree.rule_index,
+                     tuple((n, term(v)) for n, v in tree.theta))
+
+
+def test_certificate_terms_are_shared(library):
+    # equal terms of a certificate parse into one object: at most as
+    # many App objects as in the tree holds built (2,773 against 501
+    # when only lines were shared)
+    r = holds(library, U, stmt(f"(guessGenre({BOOK4}) -> \"Essay\") # 0.7"),
+              depth=6)
+    cert = serialize_proof(r.tree, "u", U)
+    _, parsed = parse_proof(cert)
+    assert parsed == r.tree
+    assert distinct_parts([parsed])[1] <= distinct_parts([r.tree])[1] == 501
+    s = parsed.conclusion
+    assert parsed.children[0].conclusion.lhs is s.lhs.args[0]
+    # every verdict and reason is that of the same tree without sharing
+    assert check_proof(library, U, parsed).status == "valid"
+    rng = random.Random(3)
+    lines = cert.splitlines()
+    words = ["0.7", "0.5", "1", "true", "\"Essay\"", "X", "0", "cons", "refl"]
+    statuses = set()
+    for _ in range(60):
+        tampered = list(lines)
+        i = rng.randrange(4, len(lines))
+        parts = tampered[i].split("\t")
+        j = rng.choice((3, 5, 5))  # the substitution or the conclusion
+        toks = parts[j].split(" ")
+        toks[rng.randrange(len(toks))] = rng.choice(words)
+        parts[j] = " ".join(toks)
+        tampered[i] = "\t".join(parts)
+        try:
+            _, tree = parse_proof("\n".join(tampered) + "\n")
+        except (ParseError, ValueError):
+            continue
+        verdict = check_proof(library, U, tree)
+        assert verdict == check_proof(library, U, _unshared(tree))
+        statuses.add(verdict.status)
+    assert statuses == {"valid", "invalid"}
 
 
 HEAD = "qcflp-proof v1\ndomain u\nnodes {}\nroot {}\n"
