@@ -459,14 +459,14 @@ def _resolve(subst: dict, e: Expr) -> Expr:
     return e
 
 
-def narrow_bound(ivals: dict, write, name: str, lo=None, lo_open=False,
-                 hi=None, hi_open=False):
-    """Tighten one bound to the given value; 'fail', 'changed' or 'same'.
+def tighten(iv: Interval, lo=None, lo_open=False, hi=None, hi_open=False):
+    """iv with the given bounds put in where they are tighter than its
+    own, which may leave it empty; None when neither is tighter.
 
     No tolerance is applied: runaway ulp chains are cut by the
     propagation step guard instead.
     """
-    clo, chi, clo_o, chi_o = ivals.get(name, FULL)
+    clo, chi, clo_o, chi_o = iv
     changed = False
     if lo is not None:
         if lo > clo:
@@ -483,8 +483,17 @@ def narrow_bound(ivals: dict, write, name: str, lo=None, lo_open=False,
             chi_o = True
             changed = True
     if not changed:
+        return None
+    return Interval(clo, chi, clo_o, chi_o)
+
+
+def narrow_bound(ivals: dict, write, name: str, lo=None, lo_open=False,
+                 hi=None, hi_open=False):
+    """Tighten one bound of name to the given value (see tighten);
+    'fail', 'changed' or 'same'."""
+    iv = tighten(ivals.get(name, FULL), lo, lo_open, hi, hi_open)
+    if iv is None:
         return "same"
-    iv = Interval(clo, chi, clo_o, chi_o)
     if iv.is_empty():
         return "fail"
     write(name, iv)

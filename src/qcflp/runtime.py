@@ -3,7 +3,9 @@
 The solver performs demand-driven conditional narrowing with chronological
 backtracking.  Rules are tried in program order, except that a rule whose
 head cannot match the call, as far as the call's arguments are already
-values, is skipped before it is renamed; head patterns force the
+values, is skipped before it is renamed, and so is a rule whose
+attenuation caps the call's qualification below the lower bound that it
+already has; head patterns force the
 evaluation of arguments only as far as unification demands; conditions run
 left to right before the right-hand side replaces the call.  Bindings are
 shared through the substitution and a call reached through a variable is
@@ -35,7 +37,7 @@ from typing import Iterator, Optional
 
 from .constraints import (ARITH, FULL, RELS, compile_bound, compile_post,
                           eval_primitive, narrow_bound, point, propagate_from,
-                          walk_name, walk_side)
+                          tighten, walk_name, walk_side)
 from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
@@ -185,6 +187,52 @@ def _head_probe(rule):
     return None
 
 
+def _qual_caps(pats_t: tuple, compiled_t: tuple) -> tuple:
+    """The qualification probe of a rule template: (path, a, strict) for
+    each leaf of the last head pattern, the call's qualification
+    argument, that a leading compiled bound leaf <= a caps (leaf < a
+    when strict).  path is the (constructor, argument index) steps from
+    the pattern down to the leaf.
+
+    Only the leading run of compiled conditions counts, up to the first
+    one that names a data pattern variable: the posts in it evaluate
+    nothing.  A cap at the top (leaf <= 1) is left out, as a qVal posts
+    it too.  A rule with a data pattern that is not a variable gets no
+    probe, since unifying that pattern can evaluate a call.
+    """
+    data = pats_t[:-1]
+    for p in data:
+        if type(p) is not int:
+            return ()
+    leaves = _leaf_paths(pats_t[-1], (), {}) if pats_t else {}
+    caps = {}
+    for c in compiled_t:
+        if c is None:
+            break
+        if c[0] == "qval":
+            if c[1] in data:
+                break
+            continue
+        _, strict, (k, x), (a, y) = c
+        if x in data or y in data:
+            break
+        if y is None and k == 1.0 and x in leaves and x not in caps \
+                and (a, strict) != (1.0, False):
+            caps[x] = (leaves[x], a, strict)
+    return tuple(caps.values())
+
+
+def _leaf_paths(t, path: tuple, out: dict) -> dict:
+    """out, with each variable position of pattern template t mapped to
+    its path (see _qual_caps)."""
+    if type(t) is int:
+        out[t] = path
+    elif type(t) is tuple:
+        for i, k in enumerate(t[1]):
+            _leaf_paths(k, path + ((t[0], i),), out)
+    return out
+
+
 def _qual_vars(rule, sig) -> set:
     """Names of the qualification variables of a translated rule: those
     of the qualification argument of its head and of each call, and
@@ -265,29 +313,17 @@ class Solver:
     def _fresh_var(self) -> Var:
         return Var(f"~{next(self._fresh)}")
 
-    def _rename_rule(self, index: int, rule):
-        """A fresh instance of a rule: patterns, rhs, conditions, renaming
-        and the compiled conditions (None where a condition takes the
-        general path; see _post_condition).
+    def _rename_rule(self, tpl: tuple):
+        """A fresh instance of a rule from its template (_compile_rule):
+        patterns, rhs, conditions, renaming and the compiled conditions
+        (None where a condition takes the general path; see
+        _post_condition).
 
         The rule is compiled once into templates over its sorted variable
         list; an instance rebuilds only the spines that hold variables or
         calls and shares every other subterm.
         """
-        tpl = self._templates.get(index)
-        if tpl is None:
-            names = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
-                           | vars_of(rule.conditions))
-            pos = {v: i for i, v in enumerate(names)}
-            tpl = self._templates[index] = (
-                names,
-                tuple(_template(p, pos, self.sig) for p in rule.patterns),
-                _template(rule.rhs, pos, self.sig),
-                tuple((c.symbol, tuple(_template(a, pos, self.sig) for a in c.args),
-                       _template(c.result, pos, self.sig))
-                      for c in rule.conditions),
-                tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions))
-        names, pats_t, rhs_t, conds_t, compiled_t = tpl
+        names, pats_t, rhs_t, conds_t, compiled_t, _ = tpl
         n = next(self._fresh)
         ns = [f"~{n}~{v}" for v in names]
         vs = [Var(x) for x in ns]
@@ -302,6 +338,25 @@ class Solver:
             ("mono", t[1], _instance_side(t[2], ns), _instance_side(t[3], ns))
             for t in compiled_t])
         return pats, rhs, conds, dict(zip(names, vs)), compiled
+
+    def _compile_rule(self, index: int, rule) -> tuple:
+        """The rename template of a rule, made on its first use: its
+        sorted variable list, the templates of its patterns, rhs and
+        conditions, its compiled conditions and its qualification probe
+        (_qual_caps)."""
+        names = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
+                       | vars_of(rule.conditions))
+        pos = {v: i for i, v in enumerate(names)}
+        pats_t = tuple(_template(p, pos, self.sig) for p in rule.patterns)
+        compiled_t = tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions)
+        tpl = self._templates[index] = (
+            names, pats_t,
+            _template(rule.rhs, pos, self.sig),
+            tuple((c.symbol, tuple(_template(a, pos, self.sig) for a in c.args),
+                   _template(c.result, pos, self.sig))
+                  for c in rule.conditions),
+            compiled_t, _qual_caps(pats_t, compiled_t))
+        return tpl
 
     # ------------------------------------------------------------------
     # interval store: root variable -> constraints.Interval, narrowed by
@@ -510,7 +565,13 @@ class Solver:
                     # its fresh number, so variable names do not change
                     next(self._fresh)
                     continue
-            pats, rhs, conds, ren, compiled = self._rename_rule(index, rule)
+            tpl = self._templates.get(index) or self._compile_rule(index, rule)
+            if tpl[5] and self._over_cap(store, e.args[-1], tpl[5]):
+                # the rule's attenuation is below the qualification the
+                # call already needs: skip it as the head probe does
+                next(self._fresh)
+                continue
+            pats, rhs, conds, ren, compiled = self._rename_rule(tpl)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
             for _ in self._pairwise(self._unify_pattern, pats, e.args, store, depth):
@@ -531,6 +592,30 @@ class Solver:
         if isinstance(e, App) and self.sig.kind(e.symbol) in ("dc", None):
             return e.symbol, len(e.args)
         return None
+
+    def _over_cap(self, store: Store, arg: Expr, caps: tuple) -> bool:
+        """Whether a rule with these caps (see _qual_caps) fails on the
+        call's qualification argument arg: posting some cap on the leaf
+        it bounds would empty that leaf's interval, as narrow_bound
+        tests it.  The posts before a cap only narrow, so the rule would
+        fail at that post; evaluates nothing."""
+        for path, a, strict in caps:
+            x = self.walk(store, arg)
+            for symbol, i in path:
+                x = self.walk(store, x.args[i]) \
+                    if type(x) is App and x.symbol == symbol else None
+            if type(x) is Var:
+                iv = store.ivals.get(x.name)
+            elif type(x) is Basic:
+                iv = point(x.value)
+            else:
+                continue
+            # only an interval that starts at or above the cap can empty
+            if iv is not None and iv.lo >= a:
+                iv = tighten(iv, hi=a, hi_open=strict)
+                if iv is not None and iv.is_empty():
+                    return True
+        return False
 
     def _reduce_args(self, args: tuple, store: Store, depth: int,
                      i: int = 0) -> Iterator[tuple]:

@@ -1117,34 +1117,57 @@ def parse_proof(text: str) -> tuple:
     def fail(no: int, message: str):
         raise ParseError([Diagnostic(no, 1, message)])
 
-    domain_name = lines[1][1].split()[1]
-    count_no, count = lines[2][0], int(lines[2][1].split()[1])
-    root_no, root = lines[3][0], int(lines[3][1].split()[1])
+    def number(no: int, what: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            fail(no, f"{what} {text.strip()!r} is not an integer")
+
+    def header(i: int, key: str) -> tuple:
+        if i == len(lines):
+            fail(lines[-1][0], f"certificate ends before its '{key}' line")
+        no, ln = lines[i]
+        words = ln.split()
+        if len(words) != 2 or words[0] != key:
+            fail(no, f"expected '{key} <value>', found {ln.strip()!r}")
+        return no, words[1]
+
+    domain_name = header(1, "domain")[1]
+    count_no, count = header(2, "nodes")
+    count = number(count_no, "nodes", count)
+    root_no, root = header(3, "root")
+    root = number(root_no, "root", root)
     if count != len(lines) - 4:
         fail(count_no, f"nodes {count}, but {len(lines) - 4} node lines follow")
     built: dict = {}
     interned: dict = {}
     share: dict = {}
     for no, ln in lines[4:]:
-        idx_s, tag, rule_s, theta_s, kids_s, concl_s = ln.split("\t")
-        idx = int(idx_s)
+        fields = ln.split("\t")
+        if len(fields) != 6:
+            fail(no, f"a node line has 6 tab-separated fields, not {len(fields)}")
+        idx_s, tag, rule_s, theta_s, kids_s, concl_s = fields
+        idx = number(no, "node id", idx_s)
         if idx in built:
             fail(no, f"node {idx} is defined twice")
         kids = []
         for k in ([] if kids_s == "-" else kids_s.split(",")):
-            kid = built.get(int(k))
+            kid = built.get(number(no, "premise", k))
             if kid is None:
                 fail(no, f"premise {k.strip()} names no earlier node")
             kids.append(kid)
         key = (tag, rule_s, theta_s, tuple(map(id, kids)), concl_s)
         node = interned.get(key)
         if node is None:
-            stmt = parse_statement(concl_s, share)
+            rule = None if rule_s == "-" else number(no, "rule index", rule_s)
+            try:
+                stmt = parse_statement(concl_s, share)
+                theta = _parse_theta(theta_s, share)
+            except ParseError as exc:
+                fail(no, exc.diagnostics[0].message)
             if domain_name == "-":
                 stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
-            node = interned[key] = ProofTree(tag, stmt, tuple(kids),
-                                             None if rule_s == "-" else int(rule_s),
-                                             _parse_theta(theta_s, share))
+            node = interned[key] = ProofTree(tag, stmt, tuple(kids), rule, theta)
         built[idx] = node
     if root not in built:
         fail(root_no, f"root {root} names no node")

@@ -153,6 +153,15 @@ def test_dangling_certificate_reference(tmp_path, capsys):
         f"{cert}: malformed certificate: 5:1: premise 5 names no earlier node\n"
 
 
+def test_malformed_certificate_line(tmp_path, capsys):
+    cert = tmp_path / "bad-id.proof"
+    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
+                    "a1\trefl\t-\t-\t-\t(X -> X) # 0.5\n")
+    assert run("prove", str(LIBRARY), "--check", str(cert)) == 1
+    assert capsys.readouterr().err == \
+        f"{cert}: malformed certificate: 5:1: node id 'a1' is not an integer\n"
+
+
 def test_prove_rounding_repro_not_found(tmp_path, capsys):
     # X = 0.18986, Y = 0.863 satisfies the hypotheses, so they are not
     # vacuous and f(Y) -> true has no derivation

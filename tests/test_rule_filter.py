@@ -1,9 +1,12 @@
-"""Rules whose head cannot match a call are skipped before renaming.
+"""Rules that cannot succeed on a call are skipped before renaming.
 
-A rule's probe is its first head pattern that is not a variable; when
-the call argument there already is a literal or a constructor value
-with another head, the solver goes on to the next rule without renaming
-this one.  The filter evaluates nothing, so answers, flags and variable
+A rule's head probe is its first head pattern that is not a variable;
+when the call argument there already is a literal or a constructor
+value with another head, the solver goes on to the next rule without
+renaming this one.  Its qualification probe is the constant bound that
+its attenuation puts on the call's qualification argument; when that
+argument's interval lies above it, the rule is skipped as well.  The
+filters evaluate nothing, so answers, flags, certificates and variable
 names are those of trying every rule.
 """
 
@@ -12,9 +15,13 @@ import pytest
 from conftest import BOOK4
 from test_fixpoint import DAG
 from qcflp import runtime
+from qcflp.constraints import Interval, narrow_bound
 from qcflp.domains import U, domain_from_name
-from qcflp.runtime import Limits, Solver, render_answer
+from qcflp.runtime import (Limits, Solver, Store, render_answer,
+                           replay_trees)
+from qcflp.semantics import serialize_proof
 from qcflp.syntax import parse_goal, parse_program
+from qcflp.terms import Basic, Var
 from qcflp.transform import transform_goal, transform_program
 
 SPIN = """
@@ -41,9 +48,9 @@ def count_renames(monkeypatch):
     count = [0]
     rename = Solver._rename_rule
 
-    def counted(self, index, rule):
+    def counted(self, tpl):
         count[0] += 1
-        return rename(self, index, rule)
+        return rename(self, tpl)
     monkeypatch.setattr(Solver, "_rename_rule", counted)
     return count
 
@@ -115,3 +122,120 @@ def test_threshold_sweep_answers_unchanged(library_text, goal, dom_name,
     dom = domain_from_name(dom_name)
     program = parse_program(library_text, dom)
     assert solve(program, goal, depth, dom) == expected
+
+
+# The qualification probe: a rule whose attenuation caps the call's
+# qualification below the lower bound it already has is skipped before
+# it is renamed, as a rule whose head cannot match is.
+
+def solve_certified(program, goal, depth, dom):
+    """The rendered answers of a goal, and the certificates of the
+    replayed trees of each clean answer."""
+    translated, _ = transform_program(program, dom)
+    constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
+    solver = Solver(translated, dom, Limits(depth=depth))
+    answers = list(solver.solve(constraints, wvars, datavars))
+    certs = [serialize_proof(tree, dom.name, None)
+             for a in answers if not a.flags
+             for tree in replay_trees(solver, a, constraints)]
+    return [render_answer(a) for a in answers], certs
+
+
+# rule renamings with the probe: at most so many, or exactly so many
+# where no goal threshold lets it fire
+MAX_RENAMES = {(f"{PAPER} | W >= 0.3", 64): 8000,
+               (f"(guessGenre({BOOK4}) == G) # W | W >= 0.3", 64): 3900}
+EXACT_RENAMES = {(PAPER, 5): 712, (PAPER, 6): 2729}
+
+
+@pytest.mark.parametrize("goal,dom_name,depth,expected", THRESHOLD_SWEEP)
+def test_qual_probe_keeps_answers_and_certificates(
+        monkeypatch, count_renames, library_text, goal, dom_name, depth, expected):
+    dom = domain_from_name(dom_name)
+    program = parse_program(library_text, dom)
+    probed = solve_certified(program, goal, depth, dom)
+    renames = count_renames[0]
+    monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
+    count_renames[0] = 0
+    assert solve_certified(program, goal, depth, dom) == probed
+    assert probed[0] == expected
+    assert renames <= count_renames[0]
+    assert renames <= MAX_RENAMES.get((goal, depth), renames)
+    assert renames == EXACT_RENAMES.get((goal, depth), renames)
+
+
+def test_probe_keeps_a_rule_whose_cap_the_threshold_meets(count_renames):
+    assert solve("f -0.9-> true", "(f == true) # W | W >= 0.9") == \
+        ["{ } { W in 0.9 }"]
+    assert count_renames[0] == 1
+    count_renames[0] = 0
+    assert solve("f -0.9-> true", "(f == true) # W | W >= 0.91") == []
+    assert count_renames[0] == 0
+
+
+def test_trace_leaves_out_rules_the_qual_probe_skips():
+    lines = []
+    assert solve("f -0.9-> true\nf --> true", "(f == true) # W | W >= 0.95",
+                 trace=lines.append) == ["{ } { W in [0.95, 1] }"]
+    assert lines == ["try rule 1: f'"]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["cap", "strict-cap"])
+@pytest.mark.parametrize("lo_open", [False, True], ids=["closed", "open"])
+def test_probe_and_propagator_agree_at_the_cap(lo_open, strict):
+    # W >= 0.9 (or W > 0.9) against the cap W <= 0.9 (or W < 0.9)
+    iv = Interval(0.9, 1.0, lo_open, False)
+    solver = Solver(parse_program("f --> true"))
+    skips = solver._over_cap(Store(ivals={"W": iv}), Var("W"), (((), 0.9, strict),))
+    ivals = {"W": iv}
+    fails = narrow_bound(ivals, ivals.__setitem__, "W", hi=0.9, hi_open=strict)
+    assert skips == (fails == "fail") == (lo_open or strict)
+    # a literal argument is a closed point
+    literal = Store(subst={"W": Basic(0.9)})
+    assert solver._over_cap(literal, Var("W"), (((), 0.9, strict),)) == strict
+
+
+@pytest.mark.parametrize("threshold,answers", [
+    ("(0.9,0.8)", ["{ } { W.1 in 0.9, W.2 in 0.8 }"]),
+    ("(0.9,0.81)", []),
+    ("(0.91,0.5)", []),
+])
+def test_uxu_probe_skips_on_either_component(count_renames, threshold, answers):
+    uxu = domain_from_name("uxu")
+    assert solve(parse_program("m -(0.9,0.8)-> true", uxu),
+                 f"(m == true) # W | W >= {threshold}", dom=uxu) == answers
+    assert count_renames[0] == len(answers)
+
+
+RESIDUAL = """
+f(X) -0.5-> true
+f(X) --> g(X)
+g(X) --> true <== Y * Y < X
+"""
+
+
+def test_probe_keeps_fresh_variable_names(monkeypatch, count_renames):
+    goal = "(f(Z) == true) # W | W >= 0.6"
+    probed = solve(RESIDUAL, goal)
+    assert probed == ["{ } { W in [0.6, 1] } << ~2~Y*~2~Y < Z >> [conditional]"]
+    assert count_renames[0] == 2
+    monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
+    assert solve(RESIDUAL, goal) == probed
+
+
+CAPPED_SPIN = """
+data nat = z | s(nat)
+spin(X) --> spin(X)
+f(z) -0.5-> true
+f(s(N)) -0.5-> true
+g --> f(spin(z))
+g --> true
+"""
+
+
+def test_qual_probe_behind_a_cut_call_keeps_incomplete():
+    # both f rules are capped below the threshold, but matching their
+    # constructor patterns evaluates spin(z), and the depth cut that
+    # this hits flags the answer of g's second rule
+    assert solve(CAPPED_SPIN, "(g == R) # W | W >= 0.6", depth=5) == \
+        ["{ R -> true } { W in [0.6, 1] } [incomplete]"]

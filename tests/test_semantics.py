@@ -492,6 +492,33 @@ def test_bad_certificate_references(lines, count, root, line, message):
     assert (diag.line, diag.message) == (line, message)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    (HEAD.format(1, 0) + "a1" + LEAF, 5, "node id 'a1' is not an integer"),
+    (HEAD.format(1, 0) + "0\tfun\tx\t-\t-\t(X -> X) # 0.5", 5,
+     "rule index 'x' is not an integer"),
+    (HEAD.format(2, 1) + "0" + LEAF + "\n1" + PAIR.format("0,b"), 6,
+     "premise 'b' is not an integer"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t(X -> X) # 0.5", 5,
+     "a node line has 6 tab-separated fields, not 5"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\t(X -> ", 5,
+     "expected ')', found '->'"),
+    ("qcflp-proof v1\ndomain\nnodes 1\nroot 0\n0" + LEAF, 2,
+     "expected 'domain <value>', found 'domain'"),
+    ("qcflp-proof v1\ndomain u\nnodes x\nroot 0\n0" + LEAF, 3,
+     "nodes 'x' is not an integer"),
+    ("qcflp-proof v1\ndomain u\nnodes 1\nroot 0.5\n0" + LEAF, 4,
+     "root '0.5' is not an integer"),
+    ("qcflp-proof v1\ndomain u\n", 2,
+     "certificate ends before its 'nodes' line"),
+], ids=["node-id", "rule-index", "premise", "fields", "conclusion",
+        "domain", "nodes", "root", "short"])
+def test_malformed_certificate_lines(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_proof(text + "\n")
+    (diag,) = err.value.diagnostics
+    assert (diag.line, diag.col, diag.message) == (line, 1, message)
+
+
 def test_certificate_cannot_express_a_cycle():
     # each node may only name earlier lines, so in a cycle the first
     # line written names one that is not yet defined
