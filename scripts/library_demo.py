@@ -2,8 +2,9 @@
 """End-to-end walk through the library example.
 
 Parses the catalogue program, shows a slice of the translated rules,
-solves the flagship query at a few thresholds, and replays the first
-answer as a machine-checked derivation.
+solves the flagship query at a few thresholds, replays the first
+answer as a machine-checked derivation, and replays every answer of an
+open query on one solver, which shares equal subproofs across answers.
 """
 
 import pathlib
@@ -13,12 +14,13 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qcflp.runtime import Limits, Solver, render_answer, replay_trees
-from qcflp.semantics import check_proof
+from qcflp.semantics import check_proof, distinct_parts
 from qcflp.syntax import parse_goal, parse_program, print_rule
 from qcflp.transform import transform_goal, transform_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOAL = '(search("German","Essay",intermediate) == R) # W | W >= %s'
+OPEN = "(search(L,G,V) == R) # W | W >= 0.6"
 
 
 def main():
@@ -53,6 +55,16 @@ def main():
     verdicts = {check_proof(translated, None, t).status for t in trees}
     print(f"\nreplayed the first answer as {len(trees)} derivations "
           f"(sizes {sizes}); checker says: {sorted(verdicts)}")
+
+    constraints, wvars, datavars = transform_goal(parse_goal(OPEN), program)
+    solver = Solver(translated, limits=Limits(depth=64))
+    answers = [a for a in solver.solve(constraints, wvars, datavars)
+               if not a.flags]
+    trees = [t for a in answers for t in replay_trees(solver, a, constraints)]
+    occurrences = sum(t.size() for t in trees)
+    subproofs, _ = distinct_parts(trees)
+    print(f"replayed {len(answers)} answers of {OPEN} on one solver: "
+          f"{occurrences} proof nodes, {subproofs} distinct subproofs")
 
 
 if __name__ == "__main__":

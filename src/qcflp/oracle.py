@@ -12,18 +12,21 @@ here as a mismatch.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .constraints import INF
+from .constraints import FULL, INF, holds_under
 from .domains import QualDomain, U
 from .runtime import Limits, Solver
 from .semantics import bounded_lfp
 from .syntax import Goal, GoalItem, Program, print_expr
-from .terms import App, AtomicConstraint, Expr, TRUE, Var, is_value
+from .terms import (App, AtomicConstraint, Basic, Expr, TRUE, Var, is_value,
+                    vars_of)
 from .transform import transform_goal, transform_program
 
 TOL = 1e-9
+WITNESS_TRIES = 4096
 
 
 @dataclass
@@ -121,6 +124,7 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     solver = Solver(translated, dom, Limits(depth=depth))
 
     targets = [u for u in universe if is_value(u, program.signature)]
+    points = [float(u.value) for u in universe if isinstance(u, Basic)]
     goals = 0
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
@@ -136,7 +140,7 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
                     answers = _solve(solver, program, dom, call, target)
                 else:
                     answers = by_result.get(target, ())
-                run, note = _corners(answers, dom)
+                run, note = _corners(answers, dom, points)
                 match = _sets_match(fix, run)
                 if fix or run or not match:
                     report.records.append(OracleRecord(
@@ -186,13 +190,14 @@ def _answers_by_result(solver: Solver, program: Program, dom: QualDomain,
     return groups
 
 
-def _corners(answers, dom: QualDomain) -> tuple:
+def _corners(answers, dom: QualDomain, points: list) -> tuple:
     """The maximal qualification corners of one goal's answers, and a note
-    on why an answer was left out or is unbounded."""
+    on why an answer was left out or is unbounded.  A flagged answer is
+    left out unless _witnessed shows that its residuals hold."""
     corners = []
     note = ""
     for ans in answers:
-        if _flagged(ans):
+        if _flagged(ans) and not _witnessed(ans, points):
             note = "flagged answer: " + ",".join(ans.flags)
             continue
         corner = []
@@ -203,6 +208,27 @@ def _corners(answers, dom: QualDomain) -> tuple:
                 note = "unbounded qualification"
         corners.append(tuple(corner))
     return _antichain(corners), note
+
+
+def _witnessed(ans, points) -> bool:
+    """Whether a conditional answer holds as it stands: some assignment
+    of points to its residuals' variables, each point in its variable's
+    narrowed interval, satisfies every residual evaluated exactly
+    (f --> true <== X <= 0.5 at X = 0.5; X * X < 0 has no such point).
+    The points are the universe's literals, since the fixpoint draws a
+    rule-local variable from the universe: a witness outside it would
+    show the universe's limit, not a fault of either engine.  Past
+    WITNESS_TRIES assignments the answer is left out."""
+    if "malformed-qual" in ans.flags:
+        return False
+    names = sorted(vars_of(ans.residual))
+    columns = [[x for x in points if ans.store.ivals.get(n, FULL).contains(x)]
+               for n in names]
+    if math.prod(map(len, columns)) > WITNESS_TRIES:
+        return False
+    return any(all(holds_under(c, dict(zip(names, xs))) is True
+                   for c in ans.residual)
+               for xs in itertools.product(*columns))
 
 
 def count_qual_sites(program: Program, dom: QualDomain = U) -> int:

@@ -300,6 +300,7 @@ class Solver:
         self.cut = False
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
+        self.hashcons = _HashCons()  # what replay shares across answers
 
     # ------------------------------------------------------------------
     # plumbing
@@ -1003,6 +1004,87 @@ class ReplayError(ValueError):
     pass
 
 
+class _HashCons:
+    """The canonical terms and proof nodes of one solver's replays.
+
+    A term is canonical when it is the one object of its structure in
+    the table: an application is keyed by its symbol and the ids of its
+    canonical arguments, a literal, a variable or bottom by its value.
+    A proof node is keyed by its tag, its rule index, the ids of its
+    conclusion's terms, of its theta values (the rule fixes their names)
+    and of its children.  Equal parts of the trees of every answer a
+    solver replays are then one object, which check_proof decides once
+    per call.
+
+    A ground data term (constructors and literals only, no variable and
+    no call) resolves to the same canonical term in every store.  ground
+    maps the id of every such object that replay has met, and of its
+    canonical form, to [term, canonical term, its proof against that
+    canonical term or None until built]; a book record of the program's
+    library list is then resolved and proved once per solver.
+
+    Every table keeps its key objects alive, in the canonical term or
+    node it maps to or in the ground entry, so no id is reused while the
+    solver lives.
+    """
+
+    def __init__(self):
+        self.terms = {}
+        self.nodes = {}
+        self.ground = {}
+
+    def leaf(self, e: Expr) -> Expr:
+        """The canonical literal, variable, bottom or nullary application."""
+        if isinstance(e, Basic):
+            # an int and a float of one value can print apart
+            key = (Basic, type(e.value), e.value)
+        elif isinstance(e, App):
+            key = (e.symbol,)
+        else:
+            key = e
+        return self.terms.setdefault(key, e)
+
+    def app(self, e: App, args: list) -> App:
+        """The canonical application of e's symbol to canonical args; e
+        itself when it is the first of its structure and args are its own."""
+        key = (e.symbol, *map(id, args))
+        out = self.terms.get(key)
+        if out is None:
+            out = e if all(a is b for a, b in zip(args, e.args)) \
+                else App(e.symbol, tuple(args))
+            self.terms[key] = out
+        return out
+
+    def data(self, e: App, args: list) -> App:
+        """app(e, args) for a constructor application, which is entered
+        in ground when every argument of e is ground data."""
+        out = self.app(e, args)
+        ground = self.ground
+        if all(type(a) is Basic or id(a) in ground for a in e.args):
+            ground[id(e)] = ground[id(out)] = [e, out, None]
+        return out
+
+    def node(self, tag: str, lhs: Expr, rhs: Expr, kids: tuple = (),
+             rule_index: Optional[int] = None, theta: tuple = ()) -> ProofTree:
+        key = (tag, rule_index, id(lhs), id(rhs), *map(id, kids),
+               *[id(v) for _, v in theta])
+        tree = self.nodes.get(key)
+        if tree is None:
+            tree = self.nodes[key] = ProofTree(
+                tag, production(lhs, rhs), kids, rule_index, theta)
+        return tree
+
+    def atom(self, symbol: str, args: tuple, result: Expr,
+             kids: tuple) -> ProofTree:
+        key = ("atom", symbol, id(result), *map(id, args), *map(id, kids))
+        tree = self.nodes.get(key)
+        if tree is None:
+            tree = self.nodes[key] = ProofTree(
+                "atom", atom_statement(AtomicConstraint(symbol, args, result)),
+                kids)
+        return tree
+
+
 class _Replay:
     """Rebuilds qualification-free proof trees from a solved store.
 
@@ -1012,22 +1094,28 @@ class _Replay:
     through the recorded reductions, and unevaluated calls denote the
     undefined value on result positions.
 
-    Resolution is memoized per answer store.  value and display resolve
-    each walked App node once, and production_tree builds the subtree for
-    a walked node and a target once; every later request gets the same
-    object.  Replay is then linear in the size of the proof, and equal
-    parts of the trees and their statements are shared objects.  This is
-    sound because the store is the answer's own snapshot, which replay
-    only reads, and trees and terms are immutable.  Each memo is keyed on
-    node identity and keeps its key nodes alive next to the result, so an
-    id cannot be reused; keying on the terms themselves would hash and
-    compare them structurally, which is quadratic again.
+    Every term and proof node that replay hands out is canonical in the
+    solver's _HashCons, so structurally equal parts of the trees of all
+    the answers of one solver are one object, and replaying a goal again
+    returns the same trees.  A ground data term resolves, and is proved
+    against itself, once per solver.
+
+    What depends on the store is memoized per answer: value and display
+    resolve each walked App node once, and production_tree builds the
+    subtree for a walked node and a target once.  Replay is then linear
+    in the size of the proof.  This is sound because the store is the
+    answer's own snapshot, which replay only reads, and trees and terms
+    are immutable.  Each memo is keyed on node identity and keeps its key
+    nodes alive next to the result, so an id cannot be reused; keying on
+    the terms themselves would hash and compare them structurally, which
+    is quadratic again.
     """
 
     def __init__(self, solver: Solver, store: Store):
         self.solver = solver
         self.store = store
         self.sig = solver.sig
+        self.share = solver.hashcons
         self._values = {}     # id(App) -> (App, value)
         self._shown = {}      # id(App) -> (App, display)
         self._trees = {}      # (id(e), id(target)) -> (e, target, tree)
@@ -1035,35 +1123,36 @@ class _Replay:
     def _walk(self, e: Expr) -> Expr:
         return self.solver.walk(self.store, e)
 
-    def _rho(self, name: str):
-        iv = self.store.ivals.get(name)
-        return None if iv is None else Basic(iv.hi)
+    def _is_data(self, symbol: str) -> bool:
+        kind = self.sig.kind(symbol)
+        return kind == "dc" or kind is None
 
     def value(self, e: Expr) -> Expr:
         """Result-side resolution: a term, with unevaluated calls as bottom."""
         e = self._walk(e)
         if isinstance(e, Var):
-            return self._rho(e.name) or e
+            iv = self.store.ivals.get(e.name)
+            return self.share.leaf(e if iv is None else Basic(iv.hi))
         if not isinstance(e, App):
-            return e
-        hit = self._values.get(id(e))
+            return self.share.leaf(e)
+        hit = self.share.ground.get(id(e)) or self._values.get(id(e))
         if hit is not None:
             return hit[1]
         rec = self.store.evals.get(id(e))
         if rec is not None and rec.call is e:
             out = self.value(rec.result)
-        else:
-            kind = self.sig.kind(e.symbol)
-            if kind == "dc" or kind is None:
-                out = self._rebuild(e, [self.value(a) for a in e.args])
-            elif kind == "pf":
-                try:
-                    out = eval_primitive(e.symbol,
-                                         [self.value(a) for a in e.args])
-                except Exception:
-                    out = BOTTOM
-            else:
+        elif self._is_data(e.symbol):
+            out = self.share.data(e, [self.value(a) for a in e.args])
+            if id(e) in self.share.ground:
+                return out
+        elif self.sig.kind(e.symbol) == "pf":
+            try:
+                out = self.share.leaf(eval_primitive(
+                    e.symbol, [self.value(a) for a in e.args]))
+            except Exception:
                 out = BOTTOM
+        else:
+            out = BOTTOM
         self._values[id(e)] = (e, out)
         return out
 
@@ -1072,25 +1161,29 @@ class _Replay:
         that a variable shows its value, as a rule's theta records it."""
         if isinstance(e, Var):
             return self.value(e)
-        if not (isinstance(e, App) and e.args):
-            return e
-        hit = self._shown.get(id(e))
+        if not isinstance(e, App):
+            return self.share.leaf(e)
+        hit = self.share.ground.get(id(e)) or self._shown.get(id(e))
         if hit is not None:
             return hit[1]
-        out = self._rebuild(e, [self.display(a) for a in e.args])
+        args = [self.display(a) for a in e.args]
+        if self._is_data(e.symbol):
+            out = self.share.data(e, args)
+            if id(e) in self.share.ground:
+                return out
+        else:
+            out = self.share.app(e, args)
         self._shown[id(e)] = (e, out)
         return out
-
-    @staticmethod
-    def _rebuild(e: App, args: list) -> App:
-        """e with its arguments replaced; e itself when none changed."""
-        if all(a is b for a, b in zip(args, e.args)):
-            return e
-        return App(e.symbol, tuple(args))
 
     def production_tree(self, e: Expr, target: Expr) -> ProofTree:
         # a variable is proved at its value, as it is displayed
         ew = self.value(e) if isinstance(e, Var) else e
+        g = self.share.ground.get(id(ew))
+        if g is not None and g[1] is target:
+            if g[2] is None:
+                g[2] = self._production_tree(ew, target)
+            return g[2]
         key = (id(ew), id(target))
         hit = self._trees.get(key)
         if hit is not None:
@@ -1100,13 +1193,14 @@ class _Replay:
         return tree
 
     def _production_tree(self, ew: Expr, target: Expr) -> ProofTree:
+        node = self.share.node
         shown = self.display(ew)
         if isinstance(target, Bottom):
-            return ProofTree("triv", production(shown, BOTTOM))
+            return node("triv", shown, BOTTOM)
         if isinstance(shown, (Var, Basic)):
             if shown != target:
                 raise ReplayError(f"cannot replay {shown!r} to {target!r}")
-            return ProofTree("refl", production(shown, target))
+            return node("refl", shown, target)
         rec = self.store.evals.get(id(ew))
         rec = rec if rec is not None and rec.call is ew else None
         kind = self.sig.kind(ew.symbol)
@@ -1120,26 +1214,23 @@ class _Replay:
             kids.append(self.production_tree(rec.rhs, target))
             for c in rec.conditions:
                 kids.append(self.atom_tree(c))
-            return ProofTree("fun", production(shown, target), tuple(kids),
-                             rule_index=rec.rule_index, theta=theta)
+            return node("fun", shown, target, tuple(kids), rec.rule_index, theta)
         if kind == "pf":
             kids = tuple(self.production_tree(a, self.value(a)) for a in ew.args)
-            return ProofTree("prim", production(shown, target), kids)
+            return node("prim", shown, target, kids)
         if kind == "dc" or kind is None:
             if not (isinstance(target, App) and target.symbol == ew.symbol
                     and len(target.args) == len(ew.args)):
                 raise ReplayError(f"constructor mismatch replaying {shown!r}")
             kids = tuple(self.production_tree(a, t)
                          for a, t in zip(ew.args, target.args))
-            return ProofTree("cons", production(shown, target), kids)
+            return node("cons", shown, target, kids)
         raise ReplayError(f"no recorded reduction for {shown!r}")
 
     def atom_tree(self, c: AtomicConstraint) -> ProofTree:
         kids = tuple(self.production_tree(a, self.value(a)) for a in c.args)
-        shown = AtomicConstraint(c.symbol,
-                                 tuple(self.display(a) for a in c.args),
-                                 self.value(c.result))
-        return ProofTree("atom", atom_statement(shown), kids)
+        return self.share.atom(c.symbol, tuple(self.display(a) for a in c.args),
+                               self.value(c.result), kids)
 
 
 def replay_trees(solver: Solver, answer: Answer, constraints: list) -> list:

@@ -245,6 +245,33 @@ class ProofTree:
         return 1 + sum(c.size() for c in self.children)
 
 
+def distinct_parts(trees) -> tuple:
+    """(distinct ProofTree objects, distinct App objects in their
+    statements and substitutions) reachable from trees.
+
+    size() counts occurrences, so a subproof that several parents share
+    counts once per parent; these are the objects the trees are made of.
+    """
+    seen_trees, seen_apps = set(), set()
+    todo, terms = list(trees), []
+    while todo:
+        t = todo.pop()
+        if id(t) in seen_trees:
+            continue
+        seen_trees.add(id(t))
+        todo.extend(t.children)
+        s = t.conclusion
+        terms += [s.lhs, s.rhs] if s.atom is None else \
+            [*s.atom.args, s.atom.result]
+        terms += [v for _, v in t.theta]
+    while terms:
+        e = terms.pop()
+        if isinstance(e, App) and id(e) not in seen_apps:
+            seen_apps.add(id(e))
+            terms.extend(e.args)
+    return len(seen_trees), len(seen_apps)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     status: str                  # "valid" | "invalid" | "unknown"

@@ -14,29 +14,6 @@ BOOK4 = ('book(4, "Beim Hauten der Zwiebel", "Gunter Grass", "German", '
 BOOK2 = 'book(2, "Dune", "F. P. Herbert", "English", "SciFi", medium, 345)'
 
 
-def distinct_parts(trees) -> tuple:
-    """Distinct ProofTree objects, and distinct App objects in their
-    statements and substitutions, reachable from trees."""
-    seen_trees, seen_apps = set(), set()
-    todo, terms = list(trees), []
-    while todo:
-        t = todo.pop()
-        if id(t) in seen_trees:
-            continue
-        seen_trees.add(id(t))
-        todo.extend(t.children)
-        s = t.conclusion
-        terms += [s.lhs, s.rhs] if s.atom is None else \
-            [*s.atom.args, s.atom.result]
-        terms += [v for _, v in t.theta]
-    while terms:
-        e = terms.pop()
-        if isinstance(e, App) and id(e) not in seen_apps:
-            seen_apps.add(id(e))
-            terms.extend(e.args)
-    return len(seen_trees), len(seen_apps)
-
-
 @pytest.fixture(scope="session")
 def library_text():
     return LIBRARY.read_text()

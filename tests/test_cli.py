@@ -215,6 +215,17 @@ def test_oracle_data_bound_is_no_mismatch(tmp_path, capsys):
         "1 goals, 0 mismatches\n")
 
 
+def test_oracle_conditional_answer_with_a_witness(tmp_path, capsys):
+    # X is local to the rule; X = 0.5 satisfies the answer's residual
+    # X <= 0.5, so the conditional answer agrees with the fixpoint
+    src = tmp_path / "local.qcflp"
+    src.write_text("f --> true <== X <= 0.5\n")
+    assert run("oracle", str(src)) == 0
+    assert capsys.readouterr().out == (
+        "ok       f == true  fixpoint=[(1.0,)] solver=[(1.0,)]\n"
+        "1 goals, 0 mismatches\n")
+
+
 def test_oracle_transform_error(tmp_path, capsys):
     # a program the translation rejects ends in one line, as with solve
     src = tmp_path / "primed.qcflp"

@@ -10,7 +10,7 @@ from qcflp.oracle import (OracleRecord, OracleReport, _antichain, _sets_match,
 from qcflp.runtime import Limits, Solver
 from qcflp.semantics import bounded_lfp
 from qcflp.syntax import Goal, GoalItem, parse_expr, parse_program, print_expr
-from qcflp.terms import App, AtomicConstraint, TRUE, is_value
+from qcflp.terms import App, AtomicConstraint, Basic, TRUE, is_value
 from qcflp.transform import transform_goal, transform_program
 
 UXU = domain_from_name("uxu")
@@ -246,3 +246,31 @@ def test_bounded_result_reports_no_mismatch():
     by_goal = {r.goal: r for r in report.records}
     assert by_goal["h(z) == 0.5"].solver == [(1.0,)]
     assert by_goal["h(z) == 0.5"].note == ""
+
+
+@pytest.mark.parametrize("source, solver, note", [
+    # X is rule-local; 0.5 is a universe literal that satisfies X <= 0.5
+    ("f --> true <== X <= 0.5", [(1.0,)], ""),
+    ("f --> true <== X <= 0.5, X > 0.2", [(1.0,)], ""),
+    # no real number satisfies X * X < 0
+    ("f --> true <== X * X < 0", [], "flagged answer: conditional"),
+    # Y > 0.7 holds for some real, but for no universe literal, and the
+    # fixpoint draws Y from the universe: both sides have no fact
+    ("f --> true <== X <= 0.5, Y > 0.7", [], "flagged answer: conditional"),
+    # X = Y = 0.5 satisfies a residual on two variables
+    ("f --> true <== X <= Y, Y <= 0.5", [(1.0,)], ""),
+    # 0.5, the one literal in X's interval, fails X /= 0.5
+    ("f --> true <== X /= 0.5, X <= 0.5", [], "flagged answer: conditional"),
+])
+def test_conditional_answer_with_a_witness_is_a_corner(source, solver, note):
+    p = parse_program(source, U)
+    call = App("f")
+    answers = list(qcflp.oracle._solve(
+        Solver(transform_program(p, U)[0], U), p, U, call, TRUE))
+    assert [a.flags for a in answers] == [["conditional"]]
+    points = [float(u.value) for u in default_universe(p)
+              if isinstance(u, Basic)]
+    assert qcflp.oracle._corners(answers, U, points) == (solver, note)
+    report = compare(p, U, k=4)
+    assert report.mismatches == []
+    assert [r.solver for r in report.records] == ([solver] if solver else [])

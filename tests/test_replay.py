@@ -1,20 +1,22 @@
 """Proof replay: pinned certificates, shared resolution, long inputs.
 
-Replay resolves each stored node once per answer and shares the result;
-the certificates it produces must stay byte for byte what the
-unmemoized replay produced.
+Replay resolves each stored node once per answer, and the terms and
+proof nodes it builds are canonical across all the answers of one
+solver; the certificates it produces must stay byte for byte what the
+unmemoized, unshared replay produced.
 """
 
+import gc
 import hashlib
 import sys
 
 import pytest
 
-from conftest import BOOK4, distinct_parts
+from conftest import BOOK4
 from qcflp.runtime import (Limits, Solver, _Replay, answer_record, render_answer,
                            replay_trees)
 import qcflp.semantics
-from qcflp.semantics import check_proof, serialize_proof
+from qcflp.semantics import check_proof, distinct_parts, serialize_proof
 from qcflp.syntax import Goal, GoalItem, parse_goal, parse_program
 from qcflp.terms import App, AtomicConstraint, TRUE, Var, deep_recursion
 from qcflp.transform import transform_goal, transform_program
@@ -81,12 +83,105 @@ def test_resolution_is_shared(library, translated_library):
     first = [r.atom_tree(c) for c in constraints]
     again = [r.atom_tree(c) for c in constraints]
     for a, b in zip(first, again):
-        assert a is not b and a == b
+        assert a is b
         # a child on a call or constructor node is the same object
         for x, y in zip(a.children, b.children):
             if isinstance(x.conclusion.lhs, App):
                 assert x is y
         assert check_proof(translated_library, None, a).status == "valid"
+
+
+OPEN = "(search(L,G,V) == R) # W | W >= 0.6"
+
+
+def structural_classes(trees) -> dict:
+    """id of every subproof reachable from trees -> the number of its
+    structural class: two subproofs share a class when they are equal."""
+    classes, out = {}, {}
+
+    def cls(t):
+        hit = out.get(id(t))
+        if hit is None:
+            key = (t.tag, t.rule_index, repr(t.conclusion), repr(t.theta),
+                   tuple(cls(c) for c in t.children))
+            hit = out[id(t)] = classes.setdefault(key, len(classes))
+        return hit
+
+    with deep_recursion():
+        for t in trees:
+            cls(t)
+    return out
+
+
+def test_equal_subproofs_are_one_object(library, translated_library):
+    solver, answers, constraints = clean_answers(
+        library, translated_library, OPEN)
+    trees = [replay_trees(solver, a, constraints) for a in answers]
+    assert len(trees) == 13
+    for tree in (t for ts in trees for t in ts):
+        assert distinct_parts([tree])[0] == \
+            len(set(structural_classes([tree]).values()))
+    # across answers too: one object per structural class
+    every = [t for ts in trees for t in ts]
+    classes = structural_classes(every)
+    assert distinct_parts(every)[0] == len(classes) \
+        == len(set(classes.values()))
+    # most of the first answer's subproofs (its book records among
+    # them) are objects of the last answer's trees too
+    first, last = (set(map(id, _subproofs(ts))) for ts in (trees[0], trees[-1]))
+    assert len(first & last) > len(first) // 2
+
+
+def _subproofs(trees) -> list:
+    seen, todo = {}, list(trees)
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t.children)
+    return list(seen.values())
+
+
+def certificates(solver, answer, constraints) -> list:
+    return [serialize_proof(t, "u", None)
+            for t in replay_trees(solver, answer, constraints)]
+
+
+@pytest.mark.parametrize("text,goal", [
+    (None, OPEN),
+    # two answers whose proofs differ in their rule index only
+    ("f --> true\nf --> true", "(f == R) # W"),
+], ids=["library", "twin-rules"])
+def test_shared_replay_matches_a_fresh_solver(library, translated_library,
+                                              text, goal):
+    # answer k replayed after answers 0..k-1 reads as it does on a
+    # solver that replays nothing else
+    program = library if text is None else parse_program(text)
+    translated = translated_library if text is None else \
+        transform_program(program)[0]
+    solver, answers, constraints = clean_answers(program, translated, goal)
+    assert len(answers) > 1
+    for ans in answers:
+        assert certificates(solver, ans, constraints) == \
+            certificates(Solver(translated), ans, constraints)
+
+
+def test_shared_replay_survives_collection(library, translated_library):
+    # the tables keep their keys alive: once the earlier trees and
+    # answers are dropped and collected, no id of theirs is reused
+    solver, answers, constraints = clean_answers(
+        library, translated_library, OPEN)
+    expected = [certificates(Solver(translated_library), a, constraints)
+                for a in answers]
+    half = len(answers) // 2
+    trees = [replay_trees(solver, a, constraints) for a in answers[:half]]
+    del trees, answers[:half]
+    gc.collect()
+    for ans, certs in zip(answers, expected[half:]):
+        trees = replay_trees(solver, ans, constraints)
+        assert [check_proof(translated_library, None, t).status
+                for t in trees] == ["valid"] * len(trees)
+        assert [serialize_proof(t, "u", None) for t in trees] == certs
 
 
 WALK = "walk([]) --> true\nwalk(_X:T) --> walk(T)"

@@ -18,6 +18,12 @@ def test_library_demo():
     proc = run_script("library_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert "checker says: ['valid']" in proc.stdout
+    # the answers one solver replays share their equal subproofs
+    (answers, nodes, distinct), = re.findall(
+        r"replayed (\d+) answers of .* on one solver: "
+        r"(\d+) proof nodes, (\d+) distinct subproofs", proc.stdout)
+    assert int(answers) == 13
+    assert 0 < int(distinct) < int(nodes) // 10
 
 
 def test_oracle_sweep():

@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from conftest import BOOK4, distinct_parts
+from conftest import BOOK4
 from qcflp.domains import U
 import qcflp.semantics
 from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
                              bounded_lfp,
-                             check_proof, holds,
+                             check_proof, distinct_parts, holds,
                              instantiate_rule, parse_proof, parse_statement,
                              print_statement, production, serialize_proof,
                              statement_entails, weaken_tree)
