@@ -1,15 +1,23 @@
 """Command-line front end.
 
-Subcommands: check, transform, solve, prove, oracle.  Exit codes follow
-a small contract so scripts can rely on them:
+Subcommands: check, transform, solve, prove, oracle.  Each one reads and
+parses all its inputs (_load) before it prints anything, and writes its
+files through one guarded writer (_write).  Exit codes:
 
-* check/transform: 0 clean, 1 diagnostics, 2 I/O failure
-* solve: 0 at least one clean answer, 1 none, 3 only flagged answers
-* prove: 0 certificate produced or valid, 1 not found or invalid,
-  3 undecided
-* oracle: 0 no mismatches, 1 mismatches, 4 budget or guardrail exceeded
-* any command: 5 input nested too deeply for the interpreter's recursion
-  limit
+* 0: check parsed the program, transform translated it, solve found a
+  clean answer, prove derived the statement or found the certificate
+  valid, oracle found no mismatch
+* 1: an input diagnostic, as <label>:<line>:<col>: message with the
+  file's path, <goal>, <statement> or <universe> as label, or a malformed
+  certificate; a program the translation rejects; no answer, no
+  derivation, an invalid certificate or an oracle mismatch
+* 2: a usage error, an unknown --qdom, an input file that cannot be read
+  or an output file that cannot be written, prove without --statement
+  or --check, an oracle --mutate site out of range
+* 3: solve found only flagged answers; prove could not decide
+* 4: oracle exceeded --max-rules or --max-universe, or its goal cap or
+  fixpoint budget
+* 5: input nested too deeply for the interpreter's recursion limit
 """
 
 from __future__ import annotations
@@ -28,16 +36,6 @@ from .syntax import (ParseError, parse_expr, parse_goal, parse_program,
                      print_constraints, print_program)
 from .transform import (TransformError, simplify_constraints, simplify_rule,
                         transform_goal, transform_program)
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _report_diags(path: str, exc: ParseError) -> None:
-    for d in exc.diagnostics:
-        print(f"{path}:{d}", file=sys.stderr)
 
 
 def _env_seed() -> int:
@@ -103,189 +101,181 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _Exit(Exception):
+    """Ends a command with an exit code and the lines it prints to stderr."""
+
+    def __init__(self, code: int, *lines: str):
+        super().__init__(code)
+        self.code, self.lines = code, lines
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return COMMANDS[args.command](_load(args))
+    except _Exit as exc:
+        for line in exc.lines:
+            print(line, file=sys.stderr)
+        return exc.code
+    except TransformError as exc:
+        print(f"{args.file}: {exc}", file=sys.stderr)
+        return 1
     except RecursionError:
         print(f"{args.command}: term nested too deeply "
               f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 5
 
 
-def _run(args) -> int:
+def _load(args):
+    """Reads and parses every input the command was given, and returns
+    args with each input option replaced by what it parses to: the
+    program (as args.program, with args.dom and args.seed), then --goal,
+    --statement, each --universe term, and the --check certificate with
+    its domain line (as args.certificate, a (domain or None, tree) pair)."""
     try:
-        dom = domain_from_name(args.qdom)
+        args.dom = domain_from_name(args.qdom)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else _env_seed()
+        raise _Exit(2, str(exc))
+    if args.seed is None:
+        args.seed = _env_seed()
+    args.program = _parsed(args.file, parse_program, _read(args.file), args.dom)
+    given = vars(args)
+    if given.get("goal") is not None:
+        args.goal = _parsed("<goal>", parse_goal, args.goal, args.dom)
+    if given.get("statement") is not None:
+        args.statement = _parsed("<statement>", parse_statement, args.statement)
+    if given.get("universe") is not None:
+        args.universe = [_parsed("<universe>", parse_expr, part.strip())
+                         for part in args.universe.split(",")]
+    if given.get("check") is not None:
+        text = _read(args.check)
+        try:
+            name, tree = parse_proof(text)
+            args.certificate = (None if name == "-" else domain_from_name(name),
+                                tree)
+        except (ParseError, ValueError, KeyError, IndexError) as exc:
+            raise _Exit(1, f"{args.check}: malformed certificate: {exc}")
+    return args
+
+
+def _read(path: str) -> str:
     try:
-        text = _read(args.file)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(2, f"cannot read {path}: {exc}")
 
-    if args.command == "check":
-        try:
-            parse_program(text, dom)
-        except ParseError as exc:
-            _report_diags(args.file, exc)
-            return 1
-        print("ok")
-        return 0
 
-    if args.command == "transform":
-        try:
-            program = parse_program(text, dom)
-            translated, emit_map = transform_program(program, dom, seed=seed)
-        except (ParseError, TransformError) as exc:
-            if isinstance(exc, ParseError):
-                _report_diags(args.file, exc)
-            else:
-                print(f"{args.file}: {exc}", file=sys.stderr)
-            return 1
-        if args.simplify:
-            translated.rules = [simplify_rule(r) for r in translated.rules]
-        out_text = print_program(translated)
-        if args.output:
-            try:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(out_text)
-            except OSError as exc:
-                print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-                return 2
-            if args.emit_map:
-                with open(args.output + ".map", "w", encoding="utf-8") as fh:
-                    for entry in emit_map:
-                        fh.write(json.dumps(entry) + "\n")
-        else:
-            sys.stdout.write(out_text)
-            if args.emit_map:
-                for entry in emit_map:
-                    print(json.dumps(entry))
-        if args.goal:
-            try:
-                goal = parse_goal(args.goal, dom)
-            except ParseError as exc:
-                _report_diags("<goal>", exc)
-                return 1
-            constraints, _, _ = transform_goal(goal, program, dom, seed=seed)
-            if args.simplify:
-                constraints = simplify_constraints(constraints)
-            print(print_constraints(constraints))
-        return 0
+def _parsed(label: str, parse, text: str, *rest):
+    try:
+        return parse(text, *rest)
+    except ParseError as exc:
+        raise _Exit(1, *(f"{label}:{d}" for d in exc.diagnostics))
 
-    if args.command == "solve":
-        try:
-            program = parse_program(text, dom)
-            goal = parse_goal(args.goal, dom)
-            translated, _ = transform_program(program, dom, seed=seed)
-        except (ParseError, TransformError) as exc:
-            if isinstance(exc, ParseError):
-                _report_diags(args.file, exc)
-            else:
-                print(f"{args.file}: {exc}", file=sys.stderr)
-            return 1
-        constraints, wvars, datavars = transform_goal(goal, program, dom, seed=seed)
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Exit(2, f"cannot write {path}: {exc}")
+
+
+def _check(args) -> int:
+    print("ok")
+    return 0
+
+
+def _transform(args) -> int:
+    program, dom, seed = args.program, args.dom, args.seed
+    translated, emit_map = transform_program(program, dom, seed=seed)
+    if args.simplify:
+        translated.rules = [simplify_rule(r) for r in translated.rules]
+    out_text = print_program(translated)
+    map_text = "".join(json.dumps(entry) + "\n" for entry in emit_map) \
+        if args.emit_map else ""
+    if args.output:
+        _write(args.output, out_text)
+        if args.emit_map:
+            _write(args.output + ".map", map_text)
+    else:
+        sys.stdout.write(out_text + map_text)
+    if args.goal is not None:
+        constraints, _, _ = transform_goal(args.goal, program, dom, seed=seed)
         if args.simplify:
             constraints = simplify_constraints(constraints)
-        trace = (lambda msg: print(f"-- {msg}", file=sys.stderr)) if args.trace else None
-        solver = Solver(translated, dom, Limits(args.depth, args.answers), trace)
-        clean = flagged = 0
-        for ans in solver.solve(constraints, wvars, datavars):
-            if args.json:
-                print(json.dumps(answer_record(ans)))
-            else:
-                print(render_answer(ans))
-            if ans.flags:
-                flagged += 1
-            else:
-                clean += 1
-        if clean:
-            return 0
-        return 3 if flagged else 1
+        print(print_constraints(constraints))
+    return 0
 
-    if args.command == "prove":
-        try:
-            program = parse_program(text, dom)
-        except ParseError as exc:
-            _report_diags(args.file, exc)
-            return 1
-        if args.check:
-            try:
-                cert_text = _read(args.check)
-            except OSError as exc:
-                print(f"cannot read {args.check}: {exc}", file=sys.stderr)
-                return 2
-            try:
-                dom_name, tree = parse_proof(cert_text)
-            except (ParseError, ValueError, KeyError, IndexError) as exc:
-                print(f"{args.check}: malformed certificate: {exc}", file=sys.stderr)
-                return 1
-            cdom = None if dom_name == "-" else domain_from_name(dom_name)
-            verdict = check_proof(program, cdom, tree)
-            print(verdict.status + (f": {verdict.reason}" if verdict.reason else ""))
-            return {"valid": 0, "invalid": 1, "unknown": 3}[verdict.status]
-        if not args.statement:
-            print("prove needs --statement or --check", file=sys.stderr)
-            return 2
-        try:
-            stmt = parse_statement(args.statement)
-        except ParseError as exc:
-            _report_diags("<statement>", exc)
-            return 1
-        result = holds(program, dom, stmt, depth=args.depth)
-        if result.status == "derivable":
-            cert = serialize_proof(result.tree, dom.name, dom)
-            if args.output:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(cert)
-                print("derivable")
-            else:
-                sys.stdout.write(cert)
-            return 0
-        print(result.status, file=sys.stderr)
-        return 1 if result.status == "not_found" else 3
 
-    if args.command == "oracle":
-        try:
-            program = parse_program(text, dom)
-        except ParseError as exc:
-            _report_diags(args.file, exc)
-            return 1
-        universe = default_universe(program)
-        if args.universe:
-            for part in args.universe.split(","):
-                term = parse_expr(part.strip())
-                if term not in universe:
-                    universe.append(term)
-        if len(program.rules) > args.max_rules or len(universe) > args.max_universe:
-            print(f"guardrail exceeded: {len(program.rules)} rules, "
-                  f"{len(universe)} universe terms", file=sys.stderr)
-            return 4
-        try:
-            if args.mutate is not None:
-                total = count_qual_sites(program, dom)
-                if not (0 <= args.mutate < total):
-                    print(f"mutation site out of range (0..{total - 1})", file=sys.stderr)
-                    return 2
-            report = compare(program, dom, k=args.k, universe=universe,
-                             depth=args.depth, drop_site=args.mutate)
-        except TransformError as exc:
-            print(f"{args.file}: {exc}", file=sys.stderr)
-            return 1
-        for rec in report.records:
-            status = "ok" if rec.match else "MISMATCH"
-            extra = f" ({rec.note})" if rec.note else ""
-            print(f"{status:8s} {rec.goal}  fixpoint={rec.fixpoint} solver={rec.solver}{extra}")
-        print(f"{len(report.records)} goals, {len(report.mismatches)} mismatches"
-              + (", partial" if report.partial else ""))
-        if report.partial:
-            return 4
-        return 1 if report.mismatches else 0
+def _solve(args) -> int:
+    program, dom, seed = args.program, args.dom, args.seed
+    translated, _ = transform_program(program, dom, seed=seed)
+    constraints, wvars, datavars = transform_goal(args.goal, program, dom, seed=seed)
+    if args.simplify:
+        constraints = simplify_constraints(constraints)
+    trace = (lambda msg: print(f"-- {msg}", file=sys.stderr)) if args.trace else None
+    solver = Solver(translated, dom, Limits(args.depth, args.answers), trace)
+    clean = flagged = 0
+    for ans in solver.solve(constraints, wvars, datavars):
+        print(json.dumps(answer_record(ans)) if args.json else render_answer(ans))
+        if ans.flags:
+            flagged += 1
+        else:
+            clean += 1
+    if clean:
+        return 0
+    return 3 if flagged else 1
 
-    return 2
+
+def _prove(args) -> int:
+    if args.check is not None:
+        verdict = check_proof(args.program, *args.certificate)
+        print(verdict.status + (f": {verdict.reason}" if verdict.reason else ""))
+        return {"valid": 0, "invalid": 1, "unknown": 3}[verdict.status]
+    if args.statement is None:
+        raise _Exit(2, "prove needs --statement or --check")
+    dom = args.dom
+    result = holds(args.program, dom, args.statement, depth=args.depth)
+    if result.status != "derivable":
+        raise _Exit(1 if result.status == "not_found" else 3, result.status)
+    cert = serialize_proof(result.tree, dom.name, dom)
+    if args.output:
+        _write(args.output, cert)
+        print("derivable")
+    else:
+        sys.stdout.write(cert)
+    return 0
+
+
+def _oracle(args) -> int:
+    program, dom = args.program, args.dom
+    universe = default_universe(program)
+    for term in args.universe or ():
+        if term not in universe:
+            universe.append(term)
+    if len(program.rules) > args.max_rules or len(universe) > args.max_universe:
+        raise _Exit(4, f"guardrail exceeded: {len(program.rules)} rules, "
+                       f"{len(universe)} universe terms")
+    if args.mutate is not None:
+        total = count_qual_sites(program, dom)
+        if not 0 <= args.mutate < total:
+            raise _Exit(2, f"mutation site out of range (0..{total - 1})")
+    report = compare(program, dom, k=args.k, universe=universe,
+                     depth=args.depth, drop_site=args.mutate)
+    for rec in report.records:
+        status = "ok" if rec.match else "MISMATCH"
+        extra = f" ({rec.note})" if rec.note else ""
+        print(f"{status:8s} {rec.goal}  fixpoint={rec.fixpoint} solver={rec.solver}{extra}")
+    print(f"{len(report.records)} goals, {len(report.mismatches)} mismatches"
+          + (", partial" if report.partial else ""))
+    if report.partial:
+        return 4
+    return 1 if report.mismatches else 0
+
+
+COMMANDS = {"check": _check, "transform": _transform, "solve": _solve,
+            "prove": _prove, "oracle": _oracle}
 
 
 def entry() -> None:

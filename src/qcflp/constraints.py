@@ -41,6 +41,10 @@ FLIP = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
 # narrowing steps after which one propagation gives up; the box it stops
 # at is still an over-approximation of the solutions
 PROPAGATION_GUARD = 20000
+# satisfiable and entails try at most SEARCH_TRIES candidate valuations,
+# drawn with a fixed seed so that their verdicts and witnesses repeat
+SEARCH_SEED = 0
+SEARCH_TRIES = 400
 
 
 class PrimitiveError(ValueError):
@@ -690,7 +694,20 @@ def _all_hold(constraints, val: dict) -> bool:
     return all(holds_under(c, val) is True for c in constraints)
 
 
-def satisfiable(constraints, seed: int = 0) -> SatResult:
+def _search(names: list, box: Box, accept) -> Optional[dict]:
+    """The first of at most SEARCH_TRIES valuations of names, each drawn
+    from candidate points of the name's interval in box, that accept
+    takes; None when none does."""
+    rng = random.Random(SEARCH_SEED)
+    columns = [_candidate_points(box.get(n, FULL), rng) or [0.0] for n in names]
+    for combo in itertools.islice(itertools.product(*columns), SEARCH_TRIES):
+        val = dict(zip(names, combo))
+        if accept(val):
+            return val
+    return None
+
+
+def satisfiable(constraints) -> SatResult:
     """Sound three-valued satisfiability of a primitive constraint set."""
     constraints = list(constraints)
     for c in constraints:
@@ -701,22 +718,8 @@ def satisfiable(constraints, seed: int = 0) -> SatResult:
     box = propagate(constraints, {})
     if box is None:
         return SatResult("unsat")
-    names = sorted(box)
-    rng = random.Random(seed)
-    if not names:
-        if _all_hold(constraints, {}):
-            return SatResult("sat", {})
-        return SatResult("unknown")
-    columns = [_candidate_points(box[n], rng) or [_pick_point(box[n])] for n in names]
-    tried = 0
-    for combo in itertools.product(*columns):
-        tried += 1
-        if tried > 400:
-            break
-        val = dict(zip(names, combo))
-        if _all_hold(constraints, val):
-            return SatResult("sat", val)
-    return SatResult("unknown")
+    val = _search(sorted(box), box, lambda val: _all_hold(constraints, val))
+    return SatResult("unknown") if val is None else SatResult("sat", val)
 
 
 def _provably_true(c: AtomicConstraint, box: Box) -> bool:
@@ -754,7 +757,7 @@ def _provably_true(c: AtomicConstraint, box: Box) -> bool:
     return False
 
 
-def entails(constraints, c: AtomicConstraint, seed: int = 0) -> EntailResult:
+def entails(constraints, c: AtomicConstraint) -> EntailResult:
     """Sound three-valued entailment of one constraint by a set."""
     constraints = list(constraints)
     box = propagate(constraints, {})
@@ -769,7 +772,6 @@ def entails(constraints, c: AtomicConstraint, seed: int = 0) -> EntailResult:
     for p in constraints:
         allvars |= vars_of(p)
     names = sorted(allvars)
-    rng = random.Random(seed)
     if not names:
         truth = holds_under(c, {})
         if truth is True:
@@ -777,15 +779,6 @@ def entails(constraints, c: AtomicConstraint, seed: int = 0) -> EntailResult:
         if truth is False:
             return EntailResult("not_entailed", {})
         return EntailResult("unknown")
-    columns = [_candidate_points(box.get(n, FULL), rng) or [0.0] for n in names]
-    tried = 0
-    for combo in itertools.product(*columns):
-        tried += 1
-        if tried > 400:
-            break
-        val = dict(zip(names, combo))
-        if _all_hold(constraints, val) and holds_under(c, val) is False:
-            return EntailResult("not_entailed", val)
-    # last resort: if the hypothesis set plus the negation cannot be decided,
-    # but ground evaluation settles c everywhere we sampled, report unknown
-    return EntailResult("unknown")
+    val = _search(names, box, lambda val: _all_hold(constraints, val)
+                  and holds_under(c, val) is False)
+    return EntailResult("unknown") if val is None else EntailResult("not_entailed", val)

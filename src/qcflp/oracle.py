@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .constraints import FULL, INF, holds_under
+from .constraints import INF, holds_under
 from .domains import QualDomain, U
 from .runtime import Limits, Solver
 from .semantics import bounded_lfp
@@ -124,7 +124,7 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     solver = Solver(translated, dom, Limits(depth=depth))
 
     targets = [u for u in universe if is_value(u, program.signature)]
-    points = [float(u.value) for u in universe if isinstance(u, Basic)]
+    points = [float(u.value) if isinstance(u, Basic) else u for u in targets]
     goals = 0
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
@@ -212,17 +212,21 @@ def _corners(answers, dom: QualDomain, points: list) -> tuple:
 
 def _witnessed(ans, points) -> bool:
     """Whether a conditional answer holds as it stands: some assignment
-    of points to its residuals' variables, each point in its variable's
-    narrowed interval, satisfies every residual evaluated exactly
-    (f --> true <== X <= 0.5 at X = 0.5; X * X < 0 has no such point).
-    The points are the universe's literals, since the fixpoint draws a
-    rule-local variable from the universe: a witness outside it would
-    show the universe's limit, not a fault of either engine.  Past
-    WITNESS_TRIES assignments the answer is left out."""
+    of points to its residuals' variables satisfies every residual
+    evaluated exactly (f --> true <== X <= 0.5 at X = 0.5; X * X < 0 has
+    no such point).  A variable with a narrowed interval is tried at the
+    literals (floats) of points in it; one without, a data variable such
+    as Y in Y /= a, at every point, constructor terms included.  The
+    points come from the universe, since the fixpoint draws a rule-local
+    variable from it: a witness outside it would show the universe's
+    limit, not a fault of either engine.  Past WITNESS_TRIES assignments
+    the answer is left out."""
     if "malformed-qual" in ans.flags:
         return False
     names = sorted(vars_of(ans.residual))
-    columns = [[x for x in points if ans.store.ivals.get(n, FULL).contains(x)]
+    columns = [points if n not in ans.store.ivals else
+               [x for x in points if isinstance(x, float)
+                and ans.store.ivals[n].contains(x)]
                for n in names]
     if math.prod(map(len, columns)) > WITNESS_TRIES:
         return False

@@ -300,3 +300,38 @@ def test_deep_term_exit_5(tmp_path, program, goal):
     assert proc.stdout == ""
     assert proc.stderr.startswith("solve: term nested too deeply")
     assert proc.stderr.count("\n") == 1
+
+
+BAD_GOAL = "(f == true # W"
+
+
+@pytest.mark.parametrize("argv, code, label", [
+    (["oracle", "{p}", "--universe", "a(,"], 1, "<universe>:1:"),
+    (["prove", "{p}", "--check", "{cert}"], 1, "{cert}: malformed certificate: "),
+    (["prove", "{p}", "--statement", "(f -> true) # 0.5",
+      "-o", "/nonexistent/dir/x.proof"], 2, "cannot write /nonexistent/dir/x.proof: "),
+    (["transform", "{p}", "-o", "{out}", "--emit-map"], 2, "cannot write {out}.map: "),
+    (["solve", "{p}", "--goal", BAD_GOAL], 1, "<goal>:1:"),
+    (["transform", "{p}", "--goal", BAD_GOAL], 1, "<goal>:1:"),
+], ids=["bad-universe", "unknown-cert-domain", "unwritable-prove-output",
+        "unwritable-map", "bad-solve-goal", "bad-transform-goal"])
+def test_input_and_output_errors_end_in_one_line(tmp_path, argv, code, label):
+    # a bad input or an unwritable output ends in its documented exit
+    # code and one labelled stderr line, with nothing on stdout
+    paths = {"p": tmp_path / "p.qcflp", "cert": tmp_path / "c.proof",
+             "out": tmp_path / "x.cflp"}
+    paths["p"].write_text("f -0.9-> true\n")
+    paths["cert"].write_text("qcflp-proof v1\ndomain zzz\nnodes 1\nroot 0\n"
+                             "0\trefl\t-\t-\t-\t(X -> X) # 0.5\n")
+    (tmp_path / "x.cflp.map").mkdir()
+    src = str(ROOT / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcflp", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(label.format(**paths))

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 import qcflp.oracle
-from qcflp.constraints import INF
 from qcflp.domains import U, domain_from_name
 from qcflp.oracle import (OracleRecord, OracleReport, _antichain, _sets_match,
                           compare, count_qual_sites, default_universe)
@@ -106,7 +105,9 @@ def test_default_universe_collects_ground_terms():
 def per_target_compare(program, dom=U, k=6, universe=None, depth=8,
                        drop_site=None, max_goals=400, lfp_budget=2000000):
     """compare as it was before the result was asked free: one solve for
-    every (call, target) pair.  The reference for the grouped queries."""
+    every (call, target) pair.  The reference for the grouped queries;
+    it reads corners with oracle._corners, so it checks only the
+    grouping."""
     report = OracleReport()
     universe = default_universe(program) if universe is None else list(universe)
     interp = bounded_lfp(program, dom, k, universe, budget=lfp_budget)
@@ -114,6 +115,7 @@ def per_target_compare(program, dom=U, k=6, universe=None, depth=8,
     translated, _ = transform_program(program, dom, drop_site=drop_site)
     solver = Solver(translated, dom, Limits(depth=depth))
     targets = [u for u in universe if is_value(u, program.signature)]
+    points = [float(u.value) if isinstance(u, Basic) else u for u in targets]
     goals = 0
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
@@ -127,20 +129,8 @@ def per_target_compare(program, dom=U, k=6, universe=None, depth=8,
                 fix = _antichain([tuple(dom.split(d)) for d in
                                   interp.max_quals(fname, tuple(args), target, dom)])
                 goal = Goal((GoalItem(constraint, "W", None),))
-                corners = []
-                note = ""
-                for ans in solver.solve(*transform_goal(goal, program, dom)):
-                    if "conditional" in ans.flags or "malformed-qual" in ans.flags:
-                        note = "flagged answer: " + ",".join(ans.flags)
-                        continue
-                    corner = []
-                    for suf in dom.leaf_suffixes():
-                        iv = ans.qual["W" + suf]
-                        corner.append(iv.hi)
-                        if iv.hi == INF:
-                            note = "unbounded qualification"
-                    corners.append(tuple(corner))
-                run = _antichain(corners)
+                answers = solver.solve(*transform_goal(goal, program, dom))
+                run, note = qcflp.oracle._corners(answers, dom, points)
                 match = _sets_match(fix, run)
                 if fix or run or not match:
                     report.records.append(OracleRecord(
@@ -197,6 +187,18 @@ def test_grouped_queries_match_per_target_goals(program, dom, universe, kw):
     want = per_target_compare(program, dom, k=6, universe=universe, depth=8, **kw)
     assert got.records == want.records
     assert got.partial == want.partial
+
+
+def test_disequation_witnessed_by_a_constructor_term():
+    # X has no interval; X = c satisfies the residual X /= a, so the
+    # conditional answer for g == c agrees with the fixpoint
+    p = parse_program(CUT_BEFORE_FLAGGED, U)
+    universe = [parse_expr(t) for t in ("a", "c", "s(a)")]
+    report = compare(p, U, k=6, universe=universe, depth=8)
+    assert report.mismatches == []
+    by_goal = {r.goal: r for r in report.records}
+    assert by_goal["g == c"].solver == [(1.0,)]
+    assert by_goal["g == c"].note == ""
 
 
 def _count_solves(monkeypatch):
