@@ -32,7 +32,7 @@ from .oracle import compare, count_qual_sites, default_universe
 from .runtime import Limits, Solver, answer_record, render_answer
 from .semantics import (check_proof, holds, parse_proof, parse_statement,
                         serialize_proof)
-from .syntax import (ParseError, parse_expr, parse_goal, parse_program,
+from .syntax import (ParseError, parse_expr_list, parse_goal, parse_program,
                      print_constraints, print_program)
 from .transform import (TransformError, simplify_constraints, simplify_rule,
                         transform_goal, transform_program)
@@ -145,10 +145,10 @@ def _load(args):
     if given.get("statement") is not None:
         args.statement = _parsed("<statement>", parse_statement, args.statement)
     if given.get("universe") is not None:
-        args.universe = [_parsed("<universe>", parse_expr, part.strip())
-                         for part in args.universe.split(",")]
+        args.universe = _parsed("<universe>", parse_expr_list, args.universe)
     if given.get("check") is not None:
-        text = _read(args.check)
+        # a certificate's lines end at "\n" only; a string in it may hold "\r"
+        text = _read(args.check, newline="")
         try:
             name, tree = parse_proof(text)
             args.certificate = (None if name == "-" else domain_from_name(name),
@@ -158,9 +158,9 @@ def _load(args):
     return args
 
 
-def _read(path: str) -> str:
+def _read(path: str, newline=None) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
             return fh.read()
     except OSError as exc:
         raise _Exit(2, f"cannot read {path}: {exc}")

@@ -42,7 +42,7 @@ from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    FALSE, TRUE, Var, deep_recursion, vars_of)
+                    FALSE, HashCons, TRUE, Var, deep_recursion, vars_of)
 
 
 @dataclass
@@ -1004,17 +1004,14 @@ class ReplayError(ValueError):
     pass
 
 
-class _HashCons:
+class _HashCons(HashCons):
     """The canonical terms and proof nodes of one solver's replays.
 
-    A term is canonical when it is the one object of its structure in
-    the table: an application is keyed by its symbol and the ids of its
-    canonical arguments, a literal, a variable or bottom by its value.
-    A proof node is keyed by its tag, its rule index, the ids of its
-    conclusion's terms, of its theta values (the rule fixes their names)
-    and of its children.  Equal parts of the trees of every answer a
-    solver replays are then one object, which check_proof decides once
-    per call.
+    Terms are canonical as in terms.HashCons.  A proof node is keyed by
+    its tag, its rule index, the ids of its conclusion's terms, of its
+    theta values (the rule fixes their names) and of its children.  Equal
+    parts of the trees of every answer a solver replays are then one
+    object, which check_proof decides once per call.
 
     A ground data term (constructors and literals only, no variable and
     no call) resolves to the same canonical term in every store.  ground
@@ -1029,36 +1026,14 @@ class _HashCons:
     """
 
     def __init__(self):
-        self.terms = {}
+        super().__init__()
         self.nodes = {}
         self.ground = {}
 
-    def leaf(self, e: Expr) -> Expr:
-        """The canonical literal, variable, bottom or nullary application."""
-        if isinstance(e, Basic):
-            # an int and a float of one value can print apart
-            key = (Basic, type(e.value), e.value)
-        elif isinstance(e, App):
-            key = (e.symbol,)
-        else:
-            key = e
-        return self.terms.setdefault(key, e)
-
-    def app(self, e: App, args: list) -> App:
-        """The canonical application of e's symbol to canonical args; e
-        itself when it is the first of its structure and args are its own."""
-        key = (e.symbol, *map(id, args))
-        out = self.terms.get(key)
-        if out is None:
-            out = e if all(a is b for a, b in zip(args, e.args)) \
-                else App(e.symbol, tuple(args))
-            self.terms[key] = out
-        return out
-
     def data(self, e: App, args: list) -> App:
-        """app(e, args) for a constructor application, which is entered
+        """app(e.symbol, args) for a constructor application, which is entered
         in ground when every argument of e is ground data."""
-        out = self.app(e, args)
+        out = self.app(e.symbol, args)
         ground = self.ground
         if all(type(a) is Basic or id(a) in ground for a in e.args):
             ground[id(e)] = ground[id(out)] = [e, out, None]
@@ -1172,7 +1147,7 @@ class _Replay:
             if id(e) in self.share.ground:
                 return out
         else:
-            out = self.share.app(e, args)
+            out = self.share.app(e.symbol, args)
         self._shown[id(e)] = (e, out)
         return out
 

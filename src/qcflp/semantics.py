@@ -42,10 +42,10 @@ from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
 from .syntax import (Program, _Parser, ParseError, Diagnostic, _vars_in_order,
                      print_constraint, print_expr)
-from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr, TRUE,
-                    Var, apply_subst, constraint_exprs, constraint_info_leq,
-                    deep_recursion, format_real, info_leq, is_total,
-                    is_value, term_glb, term_lub, vars_of)
+from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
+                    HashCons, TRUE, Var, apply_subst, constraint_exprs,
+                    constraint_info_leq, deep_recursion, format_real, info_leq,
+                    is_total, is_value, term_glb, term_lub, vars_of)
 
 CHECK_TOL = 1e-12
 
@@ -996,61 +996,11 @@ def _extend(interp: Interpretation, derived: list, dom: QualDomain) -> set:
 # Statement and certificate input/output
 # ======================================================================
 
-class _SharingParser(_Parser):
-    """A parser that returns one object for equal terms, within one table.
-
-    A compound term is keyed on its symbol and the ids of its arguments,
-    which are themselves shared and kept alive by the term that the table
-    holds; a variable on its name, and a number on its text as written,
-    so 1 and 1.0 stay apart.  Strings and lists are rebuilt cell by cell,
-    so equal tails are one object; a whole string is also kept under its
-    text, which saves the rebuild when it recurs.
-    """
-
-    def __init__(self, text: str, share: dict):
-        super().__init__(text)
-        self.share = share
-
-    def app(self, symbol: str, args: tuple = ()) -> App:
-        key = (symbol, *map(id, args))
-        hit = self.share.get(key)
-        if hit is None:
-            hit = self.share[key] = App(symbol, args)
-        return hit
-
-    def parse_atom(self) -> Expr:
-        start = self.pos
-        first = self.tokens[start]
-        kind = first.kind
-        if kind == "STRING":
-            hit = self.share.get(first.text)
-            if hit is not None:
-                self.pos += 1
-                return hit
-        e = super().parse_atom()
-        if kind in ("IDENT", "(", "BOTTOM"):
-            return e  # built by app, or a constant
-        if kind == "CHAR":
-            return self.app(e.symbol)
-        if kind in ("STRING", "["):
-            items = []
-            while e.args:
-                items.append(e.args[0] if kind == "[" else self.app(e.args[0].symbol))
-                e = e.args[1]
-            for item in reversed(items):
-                e = self.app(":", (item, e))
-            if kind == "STRING":
-                self.share[first.text] = e
-            return e
-        key = e.name if kind == "VAR" else \
-            "".join(t.text for t in self.tokens[start:self.pos])
-        return self.share.setdefault(key, e)
-
-
-def parse_statement(text: str, share: Optional[dict] = None) -> QStatement:
-    """The statement text reads; with share, its terms are shared with
-    every term parsed with the same table (see _SharingParser)."""
-    p = _Parser(text) if share is None else _SharingParser(text, share)
+def parse_statement(text: str, share: Optional[HashCons] = None) -> QStatement:
+    """The statement text reads; with a terms.HashCons table, its terms
+    are canonical in it, so equal terms of every text read with the table
+    are one object."""
+    p = _Parser(text, share)
     save = p.pos
     stmt = None
     if p.at("("):
@@ -1075,7 +1025,7 @@ def parse_statement(text: str, share: Optional[dict] = None) -> QStatement:
     hyps = ()
     if p.at("<=="):
         p.next()
-        hyps = tuple(p.parse_constraint_list())
+        hyps = tuple(p.parse_sep_list(p.parse_constraint))
     p.expect("EOF")
     if stmt is not None:
         return production(stmt[0], stmt[1], qual, hyps)
@@ -1133,11 +1083,13 @@ def parse_proof(text: str) -> tuple:
     a cycle.  A line that repeats an earlier line's tag, rule,
     substitution, premises and conclusion yields that line's ProofTree,
     so a subproof written once per occurrence parses into one object.
-    Equal terms of the certificate's statements and substitutions parse
-    into one object as well (_SharingParser), so the checker's equality
-    tests on them stop at identity.
+    The certificate's statements and substitutions are read with one
+    terms.HashCons table, so their equal terms are one object as well and
+    the checker's equality tests on them stop at identity.  Lines end at
+    "\n" only, as serialize_proof writes them: a string or char may hold
+    any other line-breaking character.
     """
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines or lines[0][1].split() != ["qcflp-proof", "v1"]:
         raise ParseError([Diagnostic(1, 1, "not a proof certificate")])
 
@@ -1168,7 +1120,7 @@ def parse_proof(text: str) -> tuple:
         fail(count_no, f"nodes {count}, but {len(lines) - 4} node lines follow")
     built: dict = {}
     interned: dict = {}
-    share: dict = {}
+    share = HashCons()
     for no, ln in lines[4:]:
         fields = ln.split("\t")
         if len(fields) != 6:
@@ -1201,14 +1153,19 @@ def parse_proof(text: str) -> tuple:
     return domain_name, built[root]
 
 
-def _parse_theta(text: str, share: dict) -> tuple:
+def _parse_theta(text: str, share: HashCons) -> tuple:
+    """A node's substitution: - or {V -> e; ...}, read inside its first
+    and last characters."""
     if text == "-":
         return ()
-    pairs = []
-    body = text.strip()[1:-1]
-    if body.strip():
-        for part in body.split(";"):
-            name, _, rhs = part.partition("->")
-            pairs.append((name.strip(), _SharingParser(rhs.strip(), share).parse_expr()))
+    p = _Parser(text.strip()[1:-1], share)
+
+    def binding() -> tuple:
+        name = p.expect("VAR").text
+        p.expect("->")
+        return name, p.parse_expr()
+
+    pairs = [] if p.at("EOF") else p.parse_sep_list(binding, ";")
+    p.expect("EOF")
     return tuple(pairs)
 

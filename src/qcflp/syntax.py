@@ -28,9 +28,9 @@ from typing import Optional
 
 from .domains import MalformedValueError, QualDomain, U
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, BUILTIN_PF,
-                    Expr, FALSE, Signature, SignatureError, TRUE, Var,
-                    char_atom, format_real, is_char_atom, is_term, mklist,
-                    mkstring, vars_of)
+                    Expr, FALSE, HashCons, NIL, Signature, SignatureError,
+                    TRUE, Var, char_atom, format_real, is_char_atom, is_term,
+                    vars_of)
 
 RESERVED = {"type", "data"}
 
@@ -79,7 +79,7 @@ _CHAR = re.compile(r"'(\\.|[^'\\])'")
 
 _PUNCT = ["<==", "-->", "->", "::", "==", "/=", "<=", ">=",
           "<", ">", "+", "-", "*", ":", "=", "|", "#",
-          "(", ")", "[", "]", ","]
+          "(", ")", "[", "]", ",", ";"]
 
 
 def lex(text: str) -> list:
@@ -218,13 +218,31 @@ class Goal:
 # ======================================================================
 
 class _Parser:
-    # builds every compound term the parser reads (see semantics._SharingParser)
+    """Recursive descent over the tokens of one text.
+
+    Every term goes through two hooks: app builds an application and
+    leaf returns a number, variable, char, bottom or nullary constant.
+    Without a table they build plain terms.  With a terms.HashCons table
+    they are its methods, so every term read with one table is canonical
+    in it, and a whole string is also kept under its token text.
+    Programs and goals are read without a table: the solver keys
+    call-time choice on the identity of a call.
+    """
+
     app = App
 
-    def __init__(self, text: str):
+    @staticmethod
+    def leaf(e: Expr) -> Expr:
+        return e
+
+    def __init__(self, text: str, share: Optional[HashCons] = None):
         self.tokens = lex(text)
         self.pos = 0
         self.anon = 0
+        self.share = share
+        if share is not None:
+            self.app = share.app
+            self.leaf = share.leaf
 
     # -- token plumbing ------------------------------------------------
 
@@ -246,6 +264,14 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
+    def parse_sep_list(self, parse_item, sep: str = ",") -> list:
+        """One or more parse_item() results separated by sep."""
+        out = [parse_item()]
+        while self.at(sep):
+            self.next()
+            out.append(parse_item())
+        return out
+
     # -- expressions -----------------------------------------------------
 
     def parse_expr(self) -> Expr:
@@ -258,7 +284,7 @@ class _Parser:
             self.next()
             rhs = self.parse_cons()
             if t.kind == "/=":
-                return self.app("==", (self.app("==", (lhs, rhs)), FALSE))
+                return self.app("==", (self.app("==", (lhs, rhs)), self.leaf(FALSE)))
             return self.app(t.kind, (lhs, rhs))
         return lhs
 
@@ -288,36 +314,33 @@ class _Parser:
         t = self.peek()
         if t.kind == "NUMBER":
             self.next()
-            return Basic(float(t.text))
+            return self.leaf(Basic(float(t.text)))
         if t.kind == "-" and self.peek(1).kind == "NUMBER":
             self.next()
             num = self.next()
-            return Basic(-float(num.text))
+            return self.leaf(Basic(-float(num.text)))
         if t.kind == "STRING":
             self.next()
-            return mkstring(_unescape(t.text[1:-1]))
+            return self.parse_string(t.text)
         if t.kind == "CHAR":
             self.next()
-            return char_atom(_unescape(t.text[1:-1]))
+            return self.leaf(char_atom(_unescape(t.text[1:-1])))
         if t.kind == "BOTTOM":
             self.next()
-            return BOTTOM
+            return self.leaf(BOTTOM)
         if t.kind == "VAR":
             self.next()
             if t.text == "_":
                 self.anon += 1
-                return Var(f"_u{self.anon}")
-            return Var(t.text)
+                return self.leaf(Var(f"_u{self.anon}"))
+            return self.leaf(Var(t.text))
         if t.kind == "IDENT":
             if t.text in RESERVED:
                 _fail(t.line, t.col, f"reserved word {t.text!r} cannot be used in an expression")
             self.next()
             if self.at("("):
                 self.next()
-                args = [self.parse_expr()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_expr())
+                args = self.parse_sep_list(self.parse_expr)
                 self.expect(")")
                 return self.app(t.text, tuple(args))
             return self.app(t.text)
@@ -328,15 +351,26 @@ class _Parser:
             return e
         if t.kind == "[":
             self.next()
-            items = []
-            if not self.at("]"):
-                items.append(self.parse_expr())
-                while self.at(","):
-                    self.next()
-                    items.append(self.parse_expr())
+            items = [] if self.at("]") else self.parse_sep_list(self.parse_expr)
             self.expect("]")
-            return mklist(items)
+            return self.cons_list(items)
         _fail(t.line, t.col, f"unexpected token {t.text!r}")
+
+    def cons_list(self, items: list) -> Expr:
+        out = self.leaf(NIL)
+        for item in reversed(items):
+            out = self.app(":", (item, out))
+        return out
+
+    def parse_string(self, token: str) -> Expr:
+        """The character list of a string token; with a table, built once
+        per token text."""
+        terms = {} if self.share is None else self.share.terms
+        out = terms.get(token)
+        if out is None:
+            out = terms[token] = self.cons_list(
+                [self.leaf(char_atom(c)) for c in _unescape(token[1:-1])])
+        return out
 
     # -- constraints -----------------------------------------------------
 
@@ -347,13 +381,6 @@ class _Parser:
         if c is None:
             _fail(t.line, t.col, "expected an atomic constraint")
         return c
-
-    def parse_constraint_list(self) -> list:
-        out = [self.parse_constraint()]
-        while self.at(","):
-            self.next()
-            out.append(self.parse_constraint())
-        return out
 
     # -- qualification literals -------------------------------------------
 
@@ -383,10 +410,7 @@ class _Parser:
             self.expect("]")
         elif t.kind == "(":
             self.next()
-            self.parse_type_expr()
-            while self.at(","):
-                self.next()
-                self.parse_type_expr()
+            self.parse_sep_list(self.parse_type_expr)
             self.expect(")")
         else:
             _fail(t.line, t.col, f"expected a type, found {t.text!r}")
@@ -401,10 +425,7 @@ class _Parser:
             t = self.peek()
             if t.kind == "IDENT" and t.text == "type":
                 self.next()
-                self.expect("IDENT")
-                while self.at(","):
-                    self.next()
-                    self.expect("IDENT")
+                self.parse_sep_list(lambda: self.expect("IDENT"))
                 self.expect("=")
                 self.parse_type_expr()
                 continue
@@ -417,12 +438,7 @@ class _Parser:
                     arity = 0
                     if self.at("("):
                         self.next()
-                        self.parse_type_expr()
-                        arity = 1
-                        while self.at(","):
-                            self.next()
-                            self.parse_type_expr()
-                            arity += 1
+                        arity = len(self.parse_sep_list(self.parse_type_expr))
                         self.expect(")")
                     decls.append((ctor.text, arity, ctor.line, ctor.col))
                     if self.at("|"):
@@ -446,10 +462,7 @@ class _Parser:
         patterns = []
         if self.at("("):
             self.next()
-            patterns.append(self.parse_expr())
-            while self.at(","):
-                self.next()
-                patterns.append(self.parse_expr())
+            patterns = self.parse_sep_list(self.parse_expr)
             self.expect(")")
         t = self.peek()
         if t.kind == "-->":
@@ -465,23 +478,19 @@ class _Parser:
         conditions = []
         if self.at("<=="):
             self.next()
-            conditions = self.parse_constraint_list()
+            conditions = self.parse_sep_list(self.parse_constraint)
         return ProgramRule(head.text, tuple(patterns), atten, rhs,
                            tuple(conditions), line=head.line)
 
     # -- goals ----------------------------------------------------------------
 
+    def parse_goal_entry(self) -> tuple:
+        c = self.parse_constraint()
+        self.expect("#")
+        return c, self.expect("VAR")
+
     def parse_goal(self) -> Goal:
-        entries = []
-        while True:
-            c = self.parse_constraint()
-            self.expect("#")
-            w = self.expect("VAR")
-            entries.append((c, w))
-            if self.at(","):
-                self.next()
-                continue
-            break
+        entries = self.parse_sep_list(self.parse_goal_entry)
         thresholds = {}
         if self.at("|"):
             self.next()
@@ -669,7 +678,7 @@ def parse_goal(text: str, dom: QualDomain = U) -> Goal:
 def parse_constraints(text: str) -> list:
     """A bare comma-separated constraint conjunction (translated goals)."""
     p = _Parser(text)
-    out = p.parse_constraint_list()
+    out = p.parse_sep_list(p.parse_constraint)
     p.expect("EOF")
     return out
 
@@ -679,6 +688,14 @@ def parse_expr(text: str) -> Expr:
     e = p.parse_expr()
     p.expect("EOF")
     return e
+
+
+def parse_expr_list(text: str) -> list:
+    """A comma-separated list of expressions (oracle --universe)."""
+    p = _Parser(text)
+    out = p.parse_sep_list(p.parse_expr)
+    p.expect("EOF")
+    return out
 
 
 # ======================================================================

@@ -98,6 +98,42 @@ def format_real(x: float) -> str:
     return repr(x)
 
 
+class HashCons:
+    """A table of canonical terms: one object per distinct term.
+
+    A term is canonical when it is the one object of its structure in
+    the table: an application is keyed by its symbol and the ids of its
+    canonical arguments, a literal by its type and value, a nullary
+    application, a variable or bottom by its value.  Equality tests on
+    canonical terms of one table then stop at identity.  The table keeps
+    every key object alive, in the canonical term it maps to, so no id is
+    reused while the table lives (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006).
+    """
+
+    def __init__(self):
+        self.terms = {}
+
+    def leaf(self, e: Expr) -> Expr:
+        """The canonical literal, variable, bottom or nullary application."""
+        if isinstance(e, Basic):
+            # an int and a float of one value can print apart
+            key = (Basic, type(e.value), e.value)
+        elif isinstance(e, App):
+            key = (e.symbol,)
+        else:
+            key = e
+        return self.terms.setdefault(key, e)
+
+    def app(self, symbol: str, args=()) -> App:
+        """The canonical application of symbol to canonical args."""
+        key = (symbol, *map(id, args))
+        out = self.terms.get(key)
+        if out is None:
+            out = self.terms[key] = App(symbol, tuple(args))
+        return out
+
+
 # ======================================================================
 # Signatures
 # ======================================================================

@@ -1,7 +1,9 @@
+import os
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from qcflp.syntax import Program, ProgramRule, parse_program
 from qcflp.terms import App, AtomicConstraint, TRUE
@@ -12,6 +14,13 @@ LIBRARY = ROOT / "programs" / "library.qcflp"
 BOOK4 = ('book(4, "Beim Hauten der Zwiebel", "Gunter Grass", "German", '
          '"Biography", medium, 432)')
 BOOK2 = 'book(2, "Dune", "F. P. Herbert", "English", "SciFi", medium, 345)'
+
+# Property tests draw the same examples on every run; a manual sweep
+# draws fresh ones: QCFLP_HYPOTHESIS_PROFILE=sweep python -m pytest tests
+settings.register_profile("tier1", derandomize=True, max_examples=100,
+                          deadline=None)
+settings.register_profile("sweep", max_examples=5000, deadline=None)
+settings.load_profile(os.environ.get("QCFLP_HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

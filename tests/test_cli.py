@@ -204,6 +204,33 @@ def test_oracle_call_in_universe(tmp_path, capsys):
     assert "ok       id(succ(c0)) == c1  fixpoint=[(1.0,)] solver=[(1.0,)]" in out
 
 
+def test_oracle_universe_term_with_two_arguments(tmp_path, capsys):
+    # --universe is one comma-separated term list: the comma inside
+    # pair(a,b) separates arguments, not terms
+    src = tmp_path / "pair.qcflp"
+    src.write_text("data d = a | b | pair(d, d)\nf(X) --> X\n")
+    assert run("oracle", str(src), "--universe", "pair(a,b)") == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "ok       f(pair(a, b)) == pair(a, b)  fixpoint=[(1.0,)] solver=[(1.0,)]",
+        "1 goals, 0 mismatches"]
+
+
+@pytest.mark.parametrize("text", ['"a;b"', "';'", '"a\rb"', '"a\u2028b"'],
+                         ids=["semicolon", "semicolon-char", "cr", "line-separator"])
+def test_prove_certificate_with_separators_in_strings(tmp_path, capsys, text):
+    # a certificate that prove writes checks valid, whatever characters
+    # its strings and substitutions hold
+    src = tmp_path / "f.qcflp"
+    src.write_text("f(X) --> X\n")
+    cert = tmp_path / "c.proof"
+    assert run("prove", str(src), "--statement", f"(f({text}) -> {text}) # 1",
+               "-o", str(cert)) == 0
+    assert capsys.readouterr().out == "derivable\n"
+    assert run("prove", str(src), "--check", str(cert)) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_oracle_data_bound_is_no_mismatch(tmp_path, capsys):
     # Y <= 0.5 bounds a data variable: the solver's answer for
     # h(z) == 0.5 is clean and agrees with the fixpoint

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import BOOK4
 from qcflp.domains import U
@@ -15,8 +16,8 @@ from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
                              statement_entails, weaken_tree)
 from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
                           parse_program)
-from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, TRUE, Var,
-                         apply_subst, info_leq)
+from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, HashCons, TRUE,
+                         Var, apply_subst, char_atom, info_leq, mkstring)
 
 
 def stmt(text):
@@ -468,6 +469,52 @@ def test_certificate_terms_are_shared(library):
         assert verdict == check_proof(library, U, _unshared(tree))
         statuses.add(verdict.status)
     assert statuses == {"valid", "invalid"}
+
+
+def _apps(e):
+    """Every App occurrence in e."""
+    if isinstance(e, App):
+        yield e
+        for a in e.args:
+            yield from _apps(a)
+
+
+def test_statement_terms_are_canonical_in_a_table():
+    # every distinct subterm of a statement read with a table is one
+    # object: strings, lists, chars, numbers and variables alike
+    share = HashCons()
+    s = parse_statement('(f("ab", ["ab", \'a\', 1, X], \'a\':"b", g(X, 1.0, -2))'
+                        ' -> g(X, 1, "ab":[[]], [])) # 0.5', share)
+    apps = [*_apps(s.lhs), *_apps(s.rhs)]
+    structural = len(set(apps))
+    assert distinct_parts([ProofTree("refl", s)])[1] == structural < len(apps)
+    again = parse_statement('("b" -> [X, 1])', share)
+    assert again.lhs is s.lhs.args[2].args[1]
+    assert again.rhs.args[0] is s.lhs.args[3].args[0]  # X
+    assert again.rhs.args[1].args[0] is s.lhs.args[3].args[1]  # 1
+    # without a table, nothing is shared
+    plain = parse_statement('(f("ab", "ab") -> [])')
+    assert plain.lhs.args[0] == plain.lhs.args[1]
+    assert plain.lhs.args[0] is not plain.lhs.args[1]
+
+
+F_ID = parse_program("f(X) --> X")
+# characters that break lines for str.splitlines, the certificate's own
+# separators, and the quotes and escapes of string and char literals
+TRICKY = [";", '"', "'", "\\", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+          "\x1e", "\x85", "\u2028", "\u2029", "{", "}", "#", "-", ">", " ", "a"]
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(TRICKY + ["->"]), max_size=6).map("".join).map(mkstring),
+    st.sampled_from(TRICKY).map(char_atom)))
+def test_certificates_round_trip_any_string_or_char(term):
+    r = holds(F_ID, U, production(App("f", (term,)), term, 1.0))
+    assert r.status == "derivable"
+    cert = serialize_proof(r.tree, "u", U)
+    _, parsed = parse_proof(cert)
+    assert parsed == r.tree
+    assert check_proof(F_ID, U, parsed).status == "valid"
 
 
 HEAD = "qcflp-proof v1\ndomain u\nnodes {}\nroot {}\n"
