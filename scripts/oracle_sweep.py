@@ -24,6 +24,9 @@ SAMPLES = [
     ("join",
      "succ(c0) -0.7-> c1\nsucc(c1) -0.9-> c2\nsucc(c2) -0.8-> c3\n"
      "hop2(X) -0.6-> succ(Y) <== succ(X) == Y", "u", []),
+    ("hop2",
+     "succ(c0) -0.7-> c1\nsucc(c1) -0.9-> c2\nsucc(c2) -0.8-> c3\n"
+     "hop2(X) -0.6-> Z <== succ(X) == Y, succ(Y) == Z", "u", []),
 ]
 
 

@@ -190,9 +190,10 @@ def _head_probe(rule):
 def _qual_caps(pats_t: tuple, compiled_t: tuple) -> tuple:
     """The qualification probe of a rule template: (path, a, strict) for
     each leaf of the last head pattern, the call's qualification
-    argument, that a leading compiled bound leaf <= a caps (leaf < a
-    when strict).  path is the (constructor, argument index) steps from
-    the pattern down to the leaf.
+    argument, that a leading compiled bound caps at a: leaf <= a, or
+    leaf <= a*V after a qVal(V), as V <= 1 (leaf < a when strict).
+    path is the (constructor, argument index) steps from the pattern
+    down to the leaf.
 
     Only the leading run of compiled conditions counts, up to the first
     one that names a data pattern variable: the posts in it evaluate
@@ -206,17 +207,19 @@ def _qual_caps(pats_t: tuple, compiled_t: tuple) -> tuple:
             return ()
     leaves = _leaf_paths(pats_t[-1], (), {}) if pats_t else {}
     caps = {}
+    qvals = {None}              # None: the constant side of a bound
     for c in compiled_t:
         if c is None:
             break
         if c[0] == "qval":
             if c[1] in data:
                 break
+            qvals.add(c[1])
             continue
         _, strict, (k, x), (a, y) = c
         if x in data or y in data:
             break
-        if y is None and k == 1.0 and x in leaves and x not in caps \
+        if y in qvals and k == 1.0 and x in leaves and x not in caps \
                 and (a, strict) != (1.0, False):
             caps[x] = (leaves[x], a, strict)
     return tuple(caps.values())

@@ -1154,11 +1154,13 @@ def parse_proof(text: str) -> tuple:
 
 
 def _parse_theta(text: str, share: HashCons) -> tuple:
-    """A node's substitution: - or {V -> e; ...}, read inside its first
-    and last characters."""
+    """A node's substitution: - or {V -> e; ...}."""
     if text == "-":
         return ()
-    p = _Parser(text.strip()[1:-1], share)
+    if len(text) < 2 or text[0] != "{" or text[-1] != "}":
+        raise ParseError([Diagnostic(
+            1, 1, f"substitution {text!r} is not '-' or '{{...}}'")])
+    p = _Parser(text[1:-1], share)
 
     def binding() -> tuple:
         name = p.expect("VAR").text

@@ -142,7 +142,6 @@ BUILTIN_DC = {"true": 0, "false": 0, "[]": 0, ":": 2}
 BUILTIN_PF = {"+": 2, "-": 2, "*": 2,
               "<=": 2, "<": 2, ">=": 2, ">": 2,
               "==": 2, "qVal": 1, "qBound": 3}
-COMPARISONS = ("==", "/=", "<=", "<", ">=", ">")
 
 
 class SignatureError(ValueError):
@@ -161,9 +160,6 @@ class Signature:
     dc: dict = field(default_factory=lambda: dict(BUILTIN_DC))
     pf: dict = field(default_factory=lambda: dict(BUILTIN_PF))
     df: dict = field(default_factory=dict)
-
-    def copy(self) -> "Signature":
-        return Signature(dict(self.dc), dict(self.pf), dict(self.df))
 
     def kind(self, symbol: str) -> Optional[str]:
         if symbol in self.dc or (len(symbol) >= 3 and symbol[0] == "'"):
@@ -221,9 +217,6 @@ class AtomicConstraint:
 
     def __repr__(self):
         return f"{self.symbol}({', '.join(map(repr, self.args))}) == {self.result!r}"
-
-
-ConstraintSet = tuple  # of AtomicConstraint, read conjunctively
 
 
 def constraint_exprs(c: AtomicConstraint) -> Iterator[Expr]:

@@ -8,6 +8,13 @@ that it cannot exceed the qualification of any nested call.  Rules add
 the attenuation factor as an upper bound; goals add the user threshold
 as a lower bound.
 
+Every upper bound follows one rule: W gets one bound W <= alpha*Wi per
+qualified premise Wi (a call in the rule's right-hand side or
+conditions, or nested in a call), and the constant bound W <= alpha
+only where there is no premise at all.  No bound that qVal implies is
+emitted: qVal(Wi) makes Wi <= 1, so a premise bound already implies
+the constant one, and a constant at the top (W <= 1) is left out.
+
 Qualification bounds are lowered to real arithmetic at emission time.
 For the certainty lattice a bound "x at most alpha times y" becomes the
 constraint x <= alpha*y (the factor is dropped when it is the top).
@@ -112,7 +119,9 @@ def lower_qval(wname: str, dom: QualDomain) -> list:
 def lower_upper_bound(wname: str, factor, dom: QualDomain, upper: Optional[str]) -> list:
     """Constraints for: W at most factor attenuated with upper.
 
-    upper None means the top value; the factor is a checked domain value.
+    upper None means the top value, and then a component at the top
+    gives no constraint, as qVal(W) implies it; the factor is a checked
+    domain value.
     """
     out = []
     comps = dom.split(factor)
@@ -120,7 +129,8 @@ def lower_upper_bound(wname: str, factor, dom: QualDomain, upper: Optional[str])
                              leaf_names(upper, dom) if upper else [None] * len(comps),
                              comps):
         if comp is None:
-            out.append(AtomicConstraint("<=", (Var(name), Basic(k)), TRUE))
+            if k != 1.0:
+                out.append(AtomicConstraint("<=", (Var(name), Basic(k)), TRUE))
         elif k == 1.0:
             out.append(AtomicConstraint("<=", (Var(name), Var(comp)), TRUE))
         else:
@@ -134,8 +144,13 @@ def lower_lower_bound(wname: str, bound, dom: QualDomain) -> list:
             for n, k in zip(leaf_names(wname, dom), dom.split(bound))]
 
 
+def premise_bounds(wname: str, factor, premises, dom: QualDomain) -> list:
+    """Constraints for: W at most factor attenuated with each premise."""
+    return [c for w2 in premises for c in lower_upper_bound(wname, factor, dom, w2)]
+
+
 # ======================================================================
-# Expression, constraint, statement translation
+# Expression and constraint translation
 # ======================================================================
 
 def primed(symbol: str) -> str:
@@ -153,9 +168,7 @@ def transform_expr(e: Expr, sig: Signature, supply: FreshSupply,
         inner = [w for p in parts for w in p.wvars]
         if kind == "df":
             w = supply.fresh()
-            omega += em.emit(lower_qval(w, dom))
-            for w2 in inner:
-                omega += em.emit(lower_upper_bound(w, dom.top(), dom, w2))
+            omega += em.emit(lower_qval(w, dom) + premise_bounds(w, dom.top(), inner, dom))
             return TransformOutput(App(primed(e.symbol), args + (qual_arg_expr(w, dom),)),
                                    tuple(omega), (w,))
         return TransformOutput(App(e.symbol, args), tuple(omega), tuple(inner))
@@ -172,36 +185,6 @@ def transform_constraint(c: AtomicConstraint, sig: Signature, supply: FreshSuppl
             omega, wvars)
 
 
-@dataclass(frozen=True)
-class TranslatedStatement:
-    body: object             # Expr production pair or AtomicConstraint
-    hypotheses: tuple
-    qual_constraints: tuple
-
-
-def transform_statement(stmt, sig: Signature, supply: FreshSupply,
-                        dom: QualDomain = U) -> TranslatedStatement:
-    """Translate a qualified statement, adding the bound on its value.
-
-    stmt is a semantics.QStatement; the result keeps the hypotheses and
-    collects the qualification constraints separately, including the
-    lower bound expressing the statement's own qualification.
-    """
-    em = Emitter(dom)
-    d = dom.coerce(stmt.qual)
-    if stmt.is_production():
-        out = transform_expr(stmt.lhs, sig, supply, em)
-        omega = list(out.constraints)
-        wvars = out.wvars
-        body = (out.expr, stmt.rhs)
-    else:
-        body, omega, wvars = transform_constraint(stmt.atom, sig, supply, em)
-        omega = list(omega)
-    for w in wvars:
-        omega += lower_lower_bound(w, d, dom)
-    return TranslatedStatement(body, stmt.hypotheses, tuple(omega))
-
-
 # ======================================================================
 # Rules, programs, goals
 # ======================================================================
@@ -212,34 +195,25 @@ def transform_rule(rule: ProgramRule, sig: Signature, supply: FreshSupply,
     dom = em.dom
     alpha = dom.coerce(rule.attenuation)
     w = supply.fresh()
-    introduced = [w]
-    conditions = list(em.emit(lower_qval(w, dom)))
-
+    head = em.emit(lower_qval(w, dom))
     rhs_out = transform_expr(rule.rhs, sig, supply, em)
-    conditions += rhs_out.constraints
-    if rhs_out.wvars:
-        for w2 in rhs_out.wvars:
-            conditions += em.emit(lower_upper_bound(w, alpha, dom, w2))
-    else:
-        conditions += em.emit(lower_upper_bound(w, alpha, dom, None))
-    introduced += [x for x in rhs_out.wvars]
-
+    conditions = [*rhs_out.constraints,
+                  *em.emit(premise_bounds(w, alpha, rhs_out.wvars, dom))]
+    introduced = [w, *rhs_out.wvars]
     for c in rule.conditions:
         c2, omega, wvars = transform_constraint(c, sig, supply, em)
-        conditions += omega
-        if wvars:
-            for w2 in wvars:
-                conditions += em.emit(lower_upper_bound(w, alpha, dom, w2))
-        else:
-            conditions += em.emit(lower_upper_bound(w, alpha, dom, None))
-        conditions.append(c2)
-        introduced += list(wvars)
+        conditions += [*omega, *em.emit(premise_bounds(w, alpha, wvars, dom)), c2]
+        introduced += wvars
+    if len(introduced) == 1:
+        # no premise, so no site was emitted after qVal(W): alpha alone
+        # takes the sites that follow it
+        head += em.emit(lower_upper_bound(w, alpha, dom, None))
 
     new_rule = ProgramRule(primed(rule.name),
                            rule.patterns + (qual_arg_expr(w, dom),),
                            1.0,
                            rhs_out.expr,
-                           tuple(conditions),
+                           tuple(head + conditions),
                            line=rule.line)
     return new_rule, introduced
 
@@ -291,12 +265,8 @@ def transform_goal(goal: Goal, program: Program, dom: QualDomain = U,
         c2, omega, wvars = transform_constraint(item.constraint,
                                                 program.signature, supply, em)
         out += omega
-        out += em.emit(lower_qval(item.wvar, dom))
-        if wvars:
-            for w2 in wvars:
-                out += em.emit(lower_upper_bound(item.wvar, dom.top(), dom, w2))
-        else:
-            out += em.emit(lower_upper_bound(item.wvar, dom.top(), dom, None))
+        out += em.emit(lower_qval(item.wvar, dom)
+                       + premise_bounds(item.wvar, dom.top(), wvars, dom))
         if item.threshold is not None:
             out += em.emit(lower_lower_bound(item.wvar, dom.coerce(item.threshold), dom))
         out.append(c2)

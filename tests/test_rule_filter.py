@@ -164,6 +164,35 @@ def test_qual_probe_keeps_answers_and_certificates(
     assert renames == EXACT_RENAMES.get((goal, depth), renames)
 
 
+def test_paper_goal_posts_no_implied_bounds(count_renames, library):
+    # the translation emits no bound that qVal or a premise bound implies,
+    # so the solver propagates fewer posts for the same rule tries
+    translated, _ = transform_program(library)
+    constraints, wvars, datavars = transform_goal(
+        parse_goal(f"{PAPER} | W >= 0.3"), library)
+    solver = Solver(translated, limits=Limits(depth=64))
+    answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
+    assert answers == ["{ R -> 4 } { W in [0.3, 0.7] }"]
+    assert count_renames[0] == 7961
+    assert solver.prop_steps <= 40000
+
+
+def test_qual_probe_reads_the_cap_from_a_premise_bound(library):
+    # guessGenre(B) -0.9-> "Fantasy" <== guessGenre(B) == "SciFi" bounds
+    # its W only by W <= 0.9*V after qVal(V); as V <= 1, that caps W at 0.9
+    translated, _ = transform_program(library)
+    solver = Solver(translated)
+    caps = []
+    for i, (source, rule) in enumerate(zip(library.rules, translated.rules)):
+        if source.name == "guessGenre" and source.attenuation < 1:
+            assert not [c for c in rule.conditions
+                        if c.symbol == "<=" and isinstance(c.args[1], Basic)]
+            assert solver._compile_rule(i, rule)[-1] == \
+                (((), source.attenuation, False),)
+            caps.append(source.attenuation)
+    assert caps == [0.9, 0.8, 0.7, 0.7]
+
+
 def test_probe_keeps_a_rule_whose_cap_the_threshold_meets(count_renames):
     assert solve("f -0.9-> true", "(f == true) # W | W >= 0.9") == \
         ["{ } { W in 0.9 }"]

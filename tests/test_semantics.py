@@ -452,15 +452,16 @@ def test_certificate_terms_are_shared(library):
     lines = cert.splitlines()
     words = ["0.7", "0.5", "1", "true", "\"Essay\"", "X", "0", "cons", "refl"]
     statuses = set()
-    for _ in range(60):
+    for n in range(61):
         tampered = list(lines)
-        i = rng.randrange(4, len(lines))
-        parts = tampered[i].split("\t")
-        j = rng.choice((3, 5, 5))  # the substitution or the conclusion
-        toks = parts[j].split(" ")
-        toks[rng.randrange(len(toks))] = rng.choice(words)
-        parts[j] = " ".join(toks)
-        tampered[i] = "\t".join(parts)
+        if n:  # round 0 reads the certificate as written
+            i = rng.randrange(4, len(lines))
+            parts = tampered[i].split("\t")
+            j = rng.choice((3, 5, 5))  # the substitution or the conclusion
+            toks = parts[j].split(" ")
+            toks[rng.randrange(len(toks))] = rng.choice(words)
+            parts[j] = " ".join(toks)
+            tampered[i] = "\t".join(parts)
         try:
             _, tree = parse_proof("\n".join(tampered) + "\n")
         except (ParseError, ValueError):
@@ -557,8 +558,12 @@ def test_bad_certificate_references(lines, count, root, line, message):
      "root '0.5' is not an integer"),
     ("qcflp-proof v1\ndomain u\n", 2,
      "certificate ends before its 'nodes' line"),
+    (HEAD.format(1, 0) + "0\trefl\t-\tX\t-\t(X -> X) # 0.5", 5,
+     "substitution 'X' is not '-' or '{...}'"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t0\t-\t(X -> X) # 0.5", 5,
+     "substitution '0' is not '-' or '{...}'"),
 ], ids=["node-id", "rule-index", "premise", "fields", "conclusion",
-        "domain", "nodes", "root", "short"])
+        "domain", "nodes", "root", "short", "theta-var", "theta-number"])
 def test_malformed_certificate_lines(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_proof(text + "\n")

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from conftest import random_layered_program
 from qcflp.domains import U, domain_from_name
 from qcflp.syntax import (parse_constraints, parse_expr, parse_goal,
                           parse_program, print_constraints, print_program,
                           print_rule)
-from qcflp.terms import Var, vars_of
+from qcflp.terms import Basic, Var, vars_of
 from qcflp.transform import (Emitter, FreshSupply, TransformError,
                              simplify_constraints, simplify_rule,
                              transform_expr, transform_goal, transform_program,
@@ -52,33 +53,12 @@ def test_nested_calls_chain(library):
     assert out.wvars == ("_W2",)
 
 
-def test_statement_translation(library):
-    from qcflp.semantics import parse_statement
-    from qcflp.transform import transform_statement
-    supply = FreshSupply(0)
-    out = transform_statement(parse_statement('(guessGenre(B) -> "Essay") # 0.7'),
-                              library.signature, supply, U)
-    lhs, rhs = out.body
-    assert lhs == parse_expr("guessGenre'(B, _W0)")
-    assert rhs == parse_expr('"Essay"')
-    assert list(out.qual_constraints) == parse_constraints("qVal(_W0), _W0 >= 0.7")
-
-    out = transform_statement(parse_statement("(X -> X) # 0.5"),
-                              library.signature, FreshSupply(0), U)
-    assert out.body == (Var("X"), Var("X"))
-    assert out.qual_constraints == ()
-
-    out = transform_statement(parse_statement("1 <= 2 # 0.5"),
-                              library.signature, FreshSupply(0), U)
-    assert out.qual_constraints == ()
-
-
 def test_rule_no_calls(library):
     rule = library.rules[1]  # the empty-list membership rule
     supply = FreshSupply(0)
     new_rule, introduced = transform_rule(rule, library.signature, supply, Emitter(U))
     assert print_rule(new_rule) == \
-        "member'(B, [], _W0) --> false <== qVal(_W0), _W0 <= 1"
+        "member'(B, [], _W0) --> false <== qVal(_W0)"
     assert introduced == ["_W0"]
 
 
@@ -88,7 +68,7 @@ def test_rule_with_condition_call(library):
     supply = FreshSupply(0)
     new_rule, introduced = transform_rule(rule, library.signature, supply, Emitter(U))
     assert print_rule(new_rule) == (
-        "guessGenre'(B, _W0) --> \"Fantasy\" <== qVal(_W0), _W0 <= 0.9, "
+        "guessGenre'(B, _W0) --> \"Fantasy\" <== qVal(_W0), "
         "qVal(_W1), _W0 <= 0.9*_W1, guessGenre'(B, _W1) == \"SciFi\"")
     assert introduced == ["_W0", "_W1"]
 
@@ -162,7 +142,7 @@ def test_goal_primitive_only():
     p = parse_program("f --> true")
     goal = parse_goal("1 <= 2 # W | W >= 0.5")
     constraints, _, _ = transform_goal(goal, p)
-    assert print_constraints(constraints) == "qVal(W), W <= 1, W >= 0.5, 1 <= 2"
+    assert print_constraints(constraints) == "qVal(W), W >= 0.5, 1 <= 2"
 
 
 def test_goal_two_conjuncts_disjoint():
@@ -198,11 +178,10 @@ def test_simplify_rule_threads_variable():
     simplified = simplify_rule(translated.rules[2])
     assert print_rule(simplified) == (
         "member'(B, H:T, _W2) --> member'(B, T, _W2) "
-        "<== qVal(_W2), _W2 <= 1, B /= H")
+        "<== qVal(_W2), B /= H")
 
 
 def test_structural_preservation_random():
-    from conftest import random_layered_program
     rng = random.Random(21)
     for _ in range(8):
         p = random_layered_program(rng)
@@ -241,3 +220,40 @@ def test_uxu_lowering():
 def test_emitted_site_count_stable(library):
     from qcflp.oracle import count_qual_sites
     assert count_qual_sites(library, U) == count_qual_sites(library, U)
+
+
+def _constant_bounds(rule, qual_vars):
+    return [c for c in rule.conditions
+            if c.symbol == "<=" and isinstance(c.args[1], Basic)
+            and isinstance(c.args[0], Var)
+            and c.args[0].name.split(".")[0] in qual_vars]
+
+
+@pytest.mark.parametrize("source", ["library-u", "library-uxu", "random"])
+def test_no_bound_that_qval_implies(library_text, source):
+    # qVal(V) gives V <= 1, so a top constant W <= 1 is implied by qVal(W),
+    # and any W <= a by a premise bound W <= a*V
+    if source == "random":
+        rng = random.Random(8)
+        cases = [(random_layered_program(rng), U) for _ in range(12)]
+    else:
+        dom = domain_from_name(source.split("-")[1])
+        cases = [(parse_program(library_text, dom), dom)]
+    constant_rules = 0
+    for program, dom in cases:
+        translated, emit_map = transform_program(program, dom)
+        for rule, entry in zip(translated.rules, emit_map):
+            bounds = _constant_bounds(rule, entry["qual_vars"])
+            assert all(c.args[1].value < 1.0 for c in bounds), print_rule(rule)
+            if bounds:
+                # only a rule without a qualified premise: its own W alone
+                assert len(entry["qual_vars"]) == 1, print_rule(rule)
+                assert len(set(bounds)) == len(bounds), print_rule(rule)
+                constant_rules += 1
+    assert constant_rules > 0 or source != "random"
+
+
+def test_library_site_counts(library_text):
+    from qcflp.oracle import count_qual_sites
+    assert count_qual_sites(parse_program(library_text), U) == 70
+    assert count_qual_sites(parse_program(library_text, UXU), UXU) == 140
