@@ -18,6 +18,9 @@ files through one guarded writer (_write).  Exit codes:
 * 4: oracle exceeded --max-rules or --max-universe, or its goal cap or
   fixpoint budget
 * 5: input nested too deeply for the interpreter's recursion limit
+
+solve stops quietly when the reader closes stdout, and exits with the
+code of the answers it has written.
 """
 
 from __future__ import annotations
@@ -34,15 +37,7 @@ from .semantics import (check_proof, holds, parse_proof, parse_statement,
                         serialize_proof)
 from .syntax import (ParseError, parse_expr_list, parse_goal, parse_program,
                      print_constraints, print_program)
-from .transform import (TransformError, simplify_constraints, simplify_rule,
-                        transform_goal, transform_program)
-
-
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get("QCFLP_SEED", "0"))
-    except ValueError:
-        return 0
+from .transform import TransformError, transform_goal, transform_program
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--qdom", default="u", help="qualification domain (u, uxu)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="fresh-variable seed (default: QCFLP_SEED or 0)")
 
     p = sub.add_parser("check", help="parse and validate a program")
     p.add_argument("file")
@@ -64,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write the translated program here")
     p.add_argument("--goal", help="also translate this goal")
-    p.add_argument("--simplify", action="store_true",
-                   help="collapse single-use qualification chains")
     p.add_argument("--emit-map", action="store_true",
                    help="write a rule/variable map next to the output")
     common(p)
@@ -76,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=64)
     p.add_argument("--answers", type=int, default=None)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--simplify", action="store_true")
     p.add_argument("--trace", action="store_true")
     common(p)
 
@@ -129,15 +119,13 @@ def main(argv=None) -> int:
 def _load(args):
     """Reads and parses every input the command was given, and returns
     args with each input option replaced by what it parses to: the
-    program (as args.program, with args.dom and args.seed), then --goal,
+    program (as args.program, with args.dom), then --goal,
     --statement, each --universe term, and the --check certificate with
     its domain line (as args.certificate, a (domain or None, tree) pair)."""
     try:
         args.dom = domain_from_name(args.qdom)
     except ValueError as exc:
         raise _Exit(2, str(exc))
-    if args.seed is None:
-        args.seed = _env_seed()
     args.program = _parsed(args.file, parse_program, _read(args.file), args.dom)
     given = vars(args)
     if given.get("goal") is not None:
@@ -181,16 +169,27 @@ def _write(path: str, text: str) -> None:
         raise _Exit(2, f"cannot write {path}: {exc}")
 
 
+def _print_now(line: str) -> bool:
+    """Prints line and flushes it; False when the reader has closed
+    stdout, which then points at os.devnull so that no later flush fails."""
+    try:
+        print(line, flush=True)
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
 def _check(args) -> int:
     print("ok")
     return 0
 
 
 def _transform(args) -> int:
-    program, dom, seed = args.program, args.dom, args.seed
-    translated, emit_map = transform_program(program, dom, seed=seed)
-    if args.simplify:
-        translated.rules = [simplify_rule(r) for r in translated.rules]
+    program, dom = args.program, args.dom
+    translated, emit_map = transform_program(program, dom)
     out_text = print_program(translated)
     map_text = "".join(json.dumps(entry) + "\n" for entry in emit_map) \
         if args.emit_map else ""
@@ -201,24 +200,22 @@ def _transform(args) -> int:
     else:
         sys.stdout.write(out_text + map_text)
     if args.goal is not None:
-        constraints, _, _ = transform_goal(args.goal, program, dom, seed=seed)
-        if args.simplify:
-            constraints = simplify_constraints(constraints)
+        constraints, _, _ = transform_goal(args.goal, program, dom)
         print(print_constraints(constraints))
     return 0
 
 
 def _solve(args) -> int:
-    program, dom, seed = args.program, args.dom, args.seed
-    translated, _ = transform_program(program, dom, seed=seed)
-    constraints, wvars, datavars = transform_goal(args.goal, program, dom, seed=seed)
-    if args.simplify:
-        constraints = simplify_constraints(constraints)
+    program, dom = args.program, args.dom
+    translated, _ = transform_program(program, dom)
+    constraints, wvars, datavars = transform_goal(args.goal, program, dom)
     trace = (lambda msg: print(f"-- {msg}", file=sys.stderr)) if args.trace else None
     solver = Solver(translated, dom, Limits(args.depth, args.answers), trace)
     clean = flagged = 0
     for ans in solver.solve(constraints, wvars, datavars):
-        print(json.dumps(answer_record(ans)) if args.json else render_answer(ans))
+        if not _print_now(json.dumps(answer_record(ans)) if args.json
+                          else render_answer(ans)):
+            break  # no one reads on: stop, as --answers does
         if ans.flags:
             flagged += 1
         else:

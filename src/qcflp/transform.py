@@ -1,38 +1,45 @@
 """Translation into qualification-free constrained programs.
 
 Every defined function f of arity n becomes a function f' of arity n+1
-whose extra argument threads a qualification variable.  Each call to a
-defined function introduces a fresh qualification variable W together
-with constraints stating that W is a proper qualification value and
-that it cannot exceed the qualification of any nested call.  Rules add
-the attenuation factor as an upper bound; goals add the user threshold
-as a lower bound.
+whose extra argument threads a qualification variable W: at most the
+qualification the call is derived with.  Rules bound W by their
+attenuation; goals add the user threshold as a lower bound.
 
-Every upper bound follows one rule: W gets one bound W <= alpha*Wi per
-qualified premise Wi (a call in the rule's right-hand side or
-conditions, or nested in a call), and the constant bound W <= alpha
-only where there is no premise at all.  No bound that qVal implies is
-emitted: qVal(Wi) makes Wi <= 1, so a premise bound already implies
-the constant one, and a constant at the top (W <= 1) is left out.
+A premise is a call in a rule's right-hand side or conditions (at the
+rule's factor alpha), a call at the top of a goal item (at the top
+factor) or a call nested in another call (at the top factor).  Each
+component of a premise at factor 1 shares its parent's leaf: the goal
+item's W, the rule's own leaf, or the leaf of the call it is nested
+in.  Only a component at a factor k < 1 gets a fresh leaf V, declared
+and bounded at the call site: qVal(V) and leaf <= k*V.  So a goal's calls all take
+its W, as in qVal(W), W >= 0.65, search'(..., W) == R.
+
+A rule's head declares, with qVal, only the leaves it bounds: the
+components where alpha < 1.  A leaf that a rule only passes on is
+declared by its caller.  A rule with no call bounds W by alpha itself,
+W <= alpha.  No bound that qVal implies (a factor of 1) is emitted.  So
+every qVal a rule emits is named by a later bound of the rule, and a
+mutation that drops it leaves that bound on an undeclared qualification
+variable, which the solver flags as malformed-qual.
 
 Qualification bounds are lowered to real arithmetic at emission time.
 For the certainty lattice a bound "x at most alpha times y" becomes the
-constraint x <= alpha*y (the factor is dropped when it is the top).
-Product lattices are lowered by variable splitting: a qualification
-variable W stands for component variables W.1, W.2, ..., threaded
-through calls as a constructor tuple, with every bound emitted
-componentwise.
+constraint x <= alpha*y.  Product lattices are lowered by variable
+splitting: a qualification variable W stands for component variables
+W.1, W.2, ..., its leaves, threaded through calls as a constructor
+tuple, with every bound emitted componentwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 from .domains import ProductDomain, QualDomain, U
 from .syntax import Goal, Program, ProgramRule
-from .terms import (App, AtomicConstraint, BUILTIN_PF, Basic, Expr, Signature,
-                    TRUE, Var, apply_subst, vars_of)
+from .terms import (App, AtomicConstraint, Basic, Expr, Signature, TRUE, Var,
+                    vars_of)
 
 PAIR_CTOR = "qpair"
 
@@ -41,35 +48,19 @@ class TransformError(ValueError):
     pass
 
 
-@dataclass
 class FreshSupply:
-    """Deterministic stream of qualification variable names.
+    """Deterministic stream of qualification variable names _W0, _W1, ...
 
-    Names follow the pattern _W<k>; the seed offsets the counter so that
-    distinct seeds give distinct streams.  Names already used by the
-    source are skipped, which keeps the introduced variables disjoint
-    from program variables by construction.
+    Names in avoid (those the source uses) are skipped, which keeps the
+    introduced variables disjoint from program variables by construction.
     """
 
-    seed: int = 0
-    avoid: set = field(default_factory=set)
-
-    def __post_init__(self):
-        self._counter = self.seed
+    def __init__(self, avoid=()):
+        self.avoid = set(avoid)
+        self._names = (f"_W{k}" for k in itertools.count())
 
     def fresh(self) -> str:
-        while True:
-            name = f"_W{self._counter}"
-            self._counter += 1
-            if name not in self.avoid:
-                return name
-
-
-@dataclass(frozen=True)
-class TransformOutput:
-    expr: Expr
-    constraints: tuple       # qualification constraints, already lowered
-    wvars: tuple             # outermost qualification variables of expr
+        return next(n for n in self._names if n not in self.avoid)
 
 
 @dataclass
@@ -83,16 +74,11 @@ class Emitter:
     dom: QualDomain
     drop_site: Optional[int] = None
     next_site: int = 0
-    dropped: bool = False
 
     def emit(self, constraints: list) -> list:
-        out = []
-        for c in constraints:
-            if self.next_site == self.drop_site:
-                self.dropped = True
-            else:
-                out.append(c)
-            self.next_site += 1
+        out = [c for i, c in enumerate(constraints, self.next_site)
+               if i != self.drop_site]
+        self.next_site += len(constraints)
         return out
 
 
@@ -100,53 +86,34 @@ class Emitter:
 # Lowering of qualification constraints to real arithmetic
 # ======================================================================
 
-def qual_arg_expr(wname: str, dom: QualDomain) -> Expr:
-    """The expression that threads W through a translated call."""
+def qual_arg_expr(leaves: list, dom: QualDomain) -> Expr:
+    """The expression that threads leaves, one variable name per
+    component in leaf_suffixes order, through a translated call."""
     if isinstance(dom, ProductDomain):
-        return App(PAIR_CTOR, (qual_arg_expr(f"{wname}.1", dom.left),
-                               qual_arg_expr(f"{wname}.2", dom.right)))
-    return Var(wname)
+        n = len(dom.left.leaf_suffixes())
+        return App(PAIR_CTOR, (qual_arg_expr(leaves[:n], dom.left),
+                               qual_arg_expr(leaves[n:], dom.right)))
+    return Var(leaves[0])
 
 
 def leaf_names(wname: str, dom: QualDomain) -> list:
     return [wname + suf for suf in dom.leaf_suffixes()]
 
 
-def lower_qval(wname: str, dom: QualDomain) -> list:
-    return [AtomicConstraint("qVal", (Var(n),), TRUE) for n in leaf_names(wname, dom)]
+def lower_qval(leaves: list) -> list:
+    return [AtomicConstraint("qVal", (Var(n),), TRUE) for n in leaves]
 
 
-def lower_upper_bound(wname: str, factor, dom: QualDomain, upper: Optional[str]) -> list:
-    """Constraints for: W at most factor attenuated with upper.
-
-    upper None means the top value, and then a component at the top
-    gives no constraint, as qVal(W) implies it; the factor is a checked
-    domain value.
-    """
-    out = []
-    comps = dom.split(factor)
-    for name, comp, k in zip(leaf_names(wname, dom),
-                             leaf_names(upper, dom) if upper else [None] * len(comps),
-                             comps):
-        if comp is None:
-            if k != 1.0:
-                out.append(AtomicConstraint("<=", (Var(name), Basic(k)), TRUE))
-        elif k == 1.0:
-            out.append(AtomicConstraint("<=", (Var(name), Var(comp)), TRUE))
-        else:
-            out.append(AtomicConstraint("<=", (Var(name), App("*", (Basic(k), Var(comp)))), TRUE))
-    return out
+def lower_upper_bound(leaf: str, k: float, premise: Optional[str] = None):
+    """The constraint: leaf at most k, or at most k times the premise leaf."""
+    rhs = Basic(k) if premise is None else App("*", (Basic(k), Var(premise)))
+    return AtomicConstraint("<=", (Var(leaf), rhs), TRUE)
 
 
 def lower_lower_bound(wname: str, bound, dom: QualDomain) -> list:
     """Constraints for: W at least the given value."""
     return [AtomicConstraint(">=", (Var(n), Basic(k)), TRUE)
             for n, k in zip(leaf_names(wname, dom), dom.split(bound))]
-
-
-def premise_bounds(wname: str, factor, premises, dom: QualDomain) -> list:
-    """Constraints for: W at most factor attenuated with each premise."""
-    return [c for w2 in premises for c in lower_upper_bound(wname, factor, dom, w2)]
 
 
 # ======================================================================
@@ -157,32 +124,24 @@ def primed(symbol: str) -> str:
     return symbol + "'"
 
 
-def transform_expr(e: Expr, sig: Signature, supply: FreshSupply,
-                   em: Emitter) -> TransformOutput:
-    dom = em.dom
-    if isinstance(e, App):
-        kind = sig.kind(e.symbol)
-        parts = [transform_expr(a, sig, supply, em) for a in e.args]
-        args = tuple(p.expr for p in parts)
-        omega = [c for p in parts for c in p.constraints]
-        inner = [w for p in parts for w in p.wvars]
-        if kind == "df":
-            w = supply.fresh()
-            omega += em.emit(lower_qval(w, dom) + premise_bounds(w, dom.top(), inner, dom))
-            return TransformOutput(App(primed(e.symbol), args + (qual_arg_expr(w, dom),)),
-                                   tuple(omega), (w,))
-        return TransformOutput(App(e.symbol, args), tuple(omega), tuple(inner))
-    return TransformOutput(e, (), ())
+def transform_expr(e: Expr, sig: Signature, call_arg) -> Expr:
+    """e with every call to a defined function primed and given its
+    qualification argument: call_arg() for a call at the top of e, and
+    its caller's for a call nested in another call."""
+    if not isinstance(e, App):
+        return e
+    if sig.kind(e.symbol) == "df":
+        arg = call_arg()
+        args = tuple(transform_expr(a, sig, lambda: arg) for a in e.args)
+        return App(primed(e.symbol), args + (arg,))
+    return App(e.symbol, tuple(transform_expr(a, sig, call_arg) for a in e.args))
 
 
-def transform_constraint(c: AtomicConstraint, sig: Signature, supply: FreshSupply,
-                         em: Emitter) -> tuple:
-    """Translate an atomic constraint; returns (constraint, omega, wvars)."""
-    parts = [transform_expr(a, sig, supply, em) for a in c.args]
-    omega = [x for p in parts for x in p.constraints]
-    wvars = [w for p in parts for w in p.wvars]
-    return (AtomicConstraint(c.symbol, tuple(p.expr for p in parts), c.result),
-            omega, wvars)
+def transform_constraint(c: AtomicConstraint, sig: Signature,
+                         call_arg) -> AtomicConstraint:
+    return AtomicConstraint(c.symbol,
+                            tuple(transform_expr(a, sig, call_arg) for a in c.args),
+                            c.result)
 
 
 # ======================================================================
@@ -193,32 +152,45 @@ def transform_rule(rule: ProgramRule, sig: Signature, supply: FreshSupply,
                    em: Emitter) -> tuple:
     """Translate one rule; returns (rule, introduced qualification vars)."""
     dom = em.dom
-    alpha = dom.coerce(rule.attenuation)
     w = supply.fresh()
-    head = em.emit(lower_qval(w, dom))
-    rhs_out = transform_expr(rule.rhs, sig, supply, em)
-    conditions = [*rhs_out.constraints,
-                  *em.emit(premise_bounds(w, alpha, rhs_out.wvars, dom))]
-    introduced = [w, *rhs_out.wvars]
+    head = leaf_names(w, dom)
+    alpha = dom.split(dom.coerce(rule.attenuation))
+    bounded = {h: k for h, k in zip(head, alpha) if k != 1.0}
+    declared = em.emit(lower_qval(list(bounded)))
+    conditions = []
+    introduced = [w]
+    shared = qual_arg_expr(head, dom)
+
+    def premise() -> Expr:
+        # the call's leaves: the head's where alpha is 1, else fresh ones
+        if not bounded:
+            return shared
+        v = supply.fresh()
+        introduced.append(v)
+        fresh = {h: n for h, n in zip(head, leaf_names(v, dom)) if h in bounded}
+        conditions.extend(em.emit(
+            lower_qval(list(fresh.values()))
+            + [lower_upper_bound(h, k, fresh[h]) for h, k in bounded.items()]))
+        return qual_arg_expr([fresh.get(h, h) for h in head], dom)
+
+    rhs = transform_expr(rule.rhs, sig, premise)
     for c in rule.conditions:
-        c2, omega, wvars = transform_constraint(c, sig, supply, em)
-        conditions += [*omega, *em.emit(premise_bounds(w, alpha, wvars, dom)), c2]
-        introduced += wvars
+        conditions.append(transform_constraint(c, sig, premise))
     if len(introduced) == 1:
-        # no premise, so no site was emitted after qVal(W): alpha alone
-        # takes the sites that follow it
-        head += em.emit(lower_upper_bound(w, alpha, dom, None))
+        # no bounded premise, so no site was emitted after the head's
+        # qVal: alpha alone takes the sites that follow it
+        declared += em.emit([lower_upper_bound(h, k) for h, k in bounded.items()])
 
     new_rule = ProgramRule(primed(rule.name),
-                           rule.patterns + (qual_arg_expr(w, dom),),
+                           rule.patterns + (shared,),
                            1.0,
-                           rhs_out.expr,
-                           tuple(head + conditions),
+                           rhs,
+                           tuple(declared + conditions),
                            line=rule.line)
     return new_rule, introduced
 
 
-def transform_program(program: Program, dom: QualDomain = U, seed: int = 0,
+def transform_program(program: Program, dom: QualDomain = U, *,
                       drop_site: Optional[int] = None) -> tuple:
     """Translate a whole program; returns (Program, emit_map list).
 
@@ -233,7 +205,7 @@ def transform_program(program: Program, dom: QualDomain = U, seed: int = 0,
     avoid = set()
     for r in program.rules:
         avoid |= vars_of(r.patterns) | vars_of(r.rhs) | vars_of(r.conditions)
-    supply = FreshSupply(seed, avoid)
+    supply = FreshSupply(avoid)
     em = Emitter(dom, drop_site)
 
     sig = Signature(dict(program.signature.dc), dict(program.signature.pf),
@@ -251,120 +223,20 @@ def transform_program(program: Program, dom: QualDomain = U, seed: int = 0,
     return Program(sig, rules), emit_map
 
 
-def transform_goal(goal: Goal, program: Program, dom: QualDomain = U,
-                   seed: int = 0) -> tuple:
-    """Translate a goal; returns (constraints, goal wvars, data vars)."""
-    avoid = set()
-    for item in goal.items:
-        avoid |= vars_of(item.constraint) | {item.wvar}
-    supply = FreshSupply(seed, avoid)
-    em = Emitter(dom)
+def transform_goal(goal: Goal, program: Program, dom: QualDomain = U) -> tuple:
+    """Translate a goal; returns (constraints, goal wvars, data vars).
+
+    Each item declares its W and bounds it below by its threshold, and
+    every call in the item takes that W.
+    """
     out = []
-    wnames = []
     for item in goal.items:
-        c2, omega, wvars = transform_constraint(item.constraint,
-                                                program.signature, supply, em)
-        out += omega
-        out += em.emit(lower_qval(item.wvar, dom)
-                       + premise_bounds(item.wvar, dom.top(), wvars, dom))
+        leaves = leaf_names(item.wvar, dom)
+        arg = qual_arg_expr(leaves, dom)
+        out += lower_qval(leaves)
         if item.threshold is not None:
-            out += em.emit(lower_lower_bound(item.wvar, dom.coerce(item.threshold), dom))
-        out.append(c2)
-        wnames.append(item.wvar)
+            out += lower_lower_bound(item.wvar, dom.coerce(item.threshold), dom)
+        out.append(transform_constraint(item.constraint, program.signature,
+                                        lambda: arg))
     datavars = sorted(vars_of(tuple(item.constraint for item in goal.items)))
-    return out, wnames, datavars
-
-
-# ======================================================================
-# Constraint simplification (chain collapsing)
-# ======================================================================
-
-def _is_qval(c: AtomicConstraint) -> bool:
-    return c.symbol == "qVal" and len(c.args) == 1 and isinstance(c.args[0], Var)
-
-
-def _chain_of(c: AtomicConstraint):
-    """For u <= v with both variables, return (u, v)."""
-    if c.symbol == "<=" and c.result == TRUE and len(c.args) == 2 \
-            and isinstance(c.args[0], Var) and isinstance(c.args[1], Var):
-        return (c.args[0].name, c.args[1].name)
-    return None
-
-
-def _occurrences(name: str, obj, acc: list, in_call: bool = False):
-    """Collect (in_call,) flags for each occurrence of the variable.
-
-    An occurrence counts as a call argument when the path to it passes
-    through an application of a non-primitive symbol.
-    """
-    if isinstance(obj, Var) and obj.name == name:
-        acc.append(in_call)
-    elif isinstance(obj, App):
-        deeper = in_call or obj.symbol not in BUILTIN_PF
-        for a in obj.args:
-            _occurrences(name, a, acc, deeper)
-    elif isinstance(obj, AtomicConstraint):
-        for a in obj.args:
-            _occurrences(name, a, acc, in_call)
-        _occurrences(name, obj.result, acc, in_call)
-
-
-def simplify_constraints(constraints: list) -> list:
-    """Collapse single-use qualification chains.
-
-    A variable v is eliminated when its only occurrences are one qVal(v),
-    one chain u <= v with no factor, and one call argument position; v is
-    then renamed to u and the now-trivial constraints are dropped.  The
-    pass runs to a fixpoint and is the identity elsewhere.
-    """
-    items = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        chains = {}
-        for idx, c in enumerate(items):
-            ch = _chain_of(c)
-            if ch:
-                chains.setdefault(ch[1], []).append((idx, ch[0]))
-        for v, uses in chains.items():
-            if len(uses) != 1:
-                continue
-            chain_idx, u = uses[0]
-            qval_idx = [i for i, c in enumerate(items)
-                        if _is_qval(c) and c.args[0].name == v]
-            if len(qval_idx) != 1:
-                continue
-            other = []
-            for i, c in enumerate(items):
-                if i in (chain_idx, qval_idx[0]):
-                    continue
-                occ: list = []
-                _occurrences(v, c, occ)
-                other += occ
-            if len(other) != 1 or other[0] is not True:
-                continue
-            items = [c for i, c in enumerate(items) if i != chain_idx]
-            items = [apply_subst(c, {v: Var(u)}) for c in items]
-            # the renamed qVal may now duplicate an existing one
-            seen = set()
-            deduped = []
-            for c in items:
-                if _is_qval(c):
-                    key = c.args[0].name
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                deduped.append(c)
-            items = deduped
-            changed = True
-            break
-    return items
-
-
-def simplify_rule(rule: ProgramRule) -> ProgramRule:
-    """Chain collapsing inside one translated rule."""
-    carrier = AtomicConstraint("==", (rule.rhs, TRUE), TRUE)
-    items = simplify_constraints(list(rule.conditions) + [carrier])
-    new_rhs = items[-1].args[0]
-    return ProgramRule(rule.name, rule.patterns, rule.attenuation,
-                       new_rhs, tuple(items[:-1]), line=rule.line)
+    return out, [item.wvar for item in goal.items], datavars

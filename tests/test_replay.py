@@ -27,16 +27,16 @@ PAPER = '(search("German","Essay",intermediate) == R) # W'
 # order, and the SHA-256 of all their certificates concatenated, taken
 # from the unmemoized replay.
 GOLDEN_GOALS = [
-    (f"{PAPER} | W >= 0.65", [[2, 2, 3, 3, 3194]]),
-    (f"{PAPER} | W >= 0.5", [[2, 2, 3, 3, 3194]]),
+    (f"{PAPER} | W >= 0.65", [[2, 3, 3122]]),
+    (f"{PAPER} | W >= 0.5", [[2, 3, 3122]]),
     ("(search(L,G,V) == R) # W | W >= 0.6",
-     [[2, 2, 3, 3, n] for n in (1049, 1605, 1717, 1837, 1605, 1717, 1837,
-                                2874, 3016, 3060, 3194, 3060, 3194)]),
+     [[2, 3, n] for n in (996, 1547, 1659, 1779, 1547, 1659, 1779,
+                          2807, 2949, 2988, 3122, 2988, 3122)]),
     (f"(guessGenre({BOOK4}) == G) # W | W >= 0.5",
-     [[2, 2, 3, 3, 268], [2, 2, 3, 3, 410]]),
+     [[2, 3, 259], [2, 3, 401]]),
 ]
 GOLDEN_SHA256 = \
-    "4cc5b99f26e9ba1c864273d753118d9608c7e3ff98a74febacce55c224b334fe"
+    "7dd3b174c615c4489ac4537357e93e7947aab3ae7edf29e0f9e80c5e7f3f229e"
 
 
 @pytest.fixture(scope="module")

@@ -177,6 +177,31 @@ def test_paper_goal_posts_no_implied_bounds(count_renames, library):
     assert solver.prop_steps <= 40000
 
 
+# goal, depth, rule tries, answers, and the propagation steps that the
+# chained translation (a fresh variable and W <= Wi per premise at
+# factor 1) made on it
+SHARED_PREMISE_SEARCH = [
+    (f"{PAPER} | W >= 0.65", 64, 104, 1, 258),
+    ("(search(L,G,V) == R) # W | W >= 0.6", 64, 509, 13, 1395),
+    ("(guessGenre(B) == G) # W", 6, 7166, 6, 37774),
+]
+
+
+@pytest.mark.parametrize("goal,depth,tries,answers,chained_steps",
+                         SHARED_PREMISE_SEARCH, ids=["paper", "search", "guessGenre"])
+def test_shared_premise_variable_keeps_the_search(count_renames, library, goal,
+                                                  depth, tries, answers, chained_steps):
+    # a premise at factor 1 passes its parent's variable on instead of a
+    # chained fresh one: the rule tries and answers are those of the
+    # chained translation, and the solver propagates fewer steps
+    translated, _ = transform_program(library)
+    constraints, wvars, datavars = transform_goal(parse_goal(goal), library)
+    solver = Solver(translated, limits=Limits(depth=depth))
+    assert len(list(solver.solve(constraints, wvars, datavars))) == answers
+    assert count_renames[0] == tries
+    assert solver.prop_steps < chained_steps
+
+
 def test_qual_probe_reads_the_cap_from_a_premise_bound(library):
     # guessGenre(B) -0.9-> "Fantasy" <== guessGenre(B) == "SciFi" bounds
     # its W only by W <= 0.9*V after qVal(V); as V <= 1, that caps W at 0.9

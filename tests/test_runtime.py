@@ -197,7 +197,8 @@ def test_member_head_normal_form():
                       "member(B,H:T) --> member(B,T) <== B /= H")
     translated, _ = transform_program(p)
     solver = Solver(translated)
-    store = Store()
+    # a translated caller declares the leaf it passes on
+    store = solver.post_qual(Store(), parse_constraints("qVal(W)")[0])
     call = parse_expr("member'(b, [b], W)")
     outcomes = list(solver.hnf(call, store, 8))
     assert outcomes[0][0] == TRUE

@@ -9,63 +9,63 @@ from qcflp.syntax import (parse_constraints, parse_expr, parse_goal,
                           print_rule)
 from qcflp.terms import Basic, Var, vars_of
 from qcflp.transform import (Emitter, FreshSupply, TransformError,
-                             simplify_constraints, simplify_rule,
                              transform_expr, transform_goal, transform_program,
                              transform_rule)
 
 UXU = domain_from_name("uxu")
 
 
-def _tx_expr(text, program, seed=0):
-    supply = FreshSupply(seed)
-    em = Emitter(U)
-    return transform_expr(parse_expr(text), program.signature, supply, em)
+def _tx_expr(text, program):
+    # each call at the top takes a fresh qualification argument
+    supply = FreshSupply()
+    return transform_expr(parse_expr(text), program.signature,
+                          lambda: Var(supply.fresh()))
 
 
 def test_expr_atoms_unchanged(library):
-    out = _tx_expr("B", library)
-    assert out.expr == Var("B") and out.constraints == () and out.wvars == ()
-    out = _tx_expr("3", library)
-    assert out.constraints == () and out.wvars == ()
+    assert _tx_expr("B", library) == Var("B")
+    assert _tx_expr("3", library) == parse_expr("3")
 
 
 def test_expr_call_gets_fresh_variable(library):
-    out = _tx_expr("guessGenre(B)", library)
-    assert out.expr == parse_expr("guessGenre'(B, _W0)")
-    assert list(out.constraints) == parse_constraints("qVal(_W0)")
-    assert out.wvars == ("_W0",)
+    assert _tx_expr("guessGenre(B)", library) == parse_expr("guessGenre'(B, _W0)")
 
 
 def test_expr_call_under_constructor(library):
-    # one call nested under a constructor: the variable set survives upward
+    # calls under a constructor are each at the top
     p = parse_program("f(X) --> c(X)")
-    out = _tx_expr("c(f(X))", p)
-    assert out.expr == parse_expr("c(f'(X, _W0))")
-    assert list(out.constraints) == parse_constraints("qVal(_W0)")
-    assert out.wvars == ("_W0",)
+    assert _tx_expr("c(f(X), f(Y))", p) == parse_expr("c(f'(X, _W0), f'(Y, _W1))")
 
 
 def test_nested_calls_chain(library):
-    out = _tx_expr("guessGenre(member(B, library))", library)
-    assert out.expr == parse_expr("guessGenre'(member'(B, library'(_W0), _W1), _W2)")
-    assert list(out.constraints) == parse_constraints(
-        "qVal(_W0), qVal(_W1), _W1 <= _W0, qVal(_W2), _W2 <= _W1")
-    assert out.wvars == ("_W2",)
+    # a call nested in a call is a premise at factor 1: it takes its
+    # caller's qualification argument
+    assert _tx_expr("guessGenre(member(B, library))", library) == \
+        parse_expr("guessGenre'(member'(B, library'(_W0), _W0), _W0)")
 
 
 def test_rule_no_calls(library):
     rule = library.rules[1]  # the empty-list membership rule
-    supply = FreshSupply(0)
+    supply = FreshSupply()
     new_rule, introduced = transform_rule(rule, library.signature, supply, Emitter(U))
+    # alpha is 1, so the head bounds nothing and declares nothing
+    assert print_rule(new_rule) == "member'(B, [], _W0) --> false"
+    assert introduced == ["_W0"]
+
+
+def test_rule_at_factor_one_threads_its_variable(library):
+    rule = library.rules[3]  # member(B,H:T) --> member(B,T) <== B /= H
+    new_rule, introduced = transform_rule(rule, library.signature, FreshSupply(),
+                                          Emitter(U))
     assert print_rule(new_rule) == \
-        "member'(B, [], _W0) --> false <== qVal(_W0)"
+        "member'(B, H:T, _W0) --> member'(B, T, _W0) <== B /= H"
     assert introduced == ["_W0"]
 
 
 def test_rule_with_condition_call(library):
     rule = next(r for r in library.rules
                 if r.name == "guessGenre" and r.attenuation == 0.9)
-    supply = FreshSupply(0)
+    supply = FreshSupply()
     new_rule, introduced = transform_rule(rule, library.signature, supply, Emitter(U))
     assert print_rule(new_rule) == (
         "guessGenre'(B, _W0) --> \"Fantasy\" <== qVal(_W0), "
@@ -75,7 +75,7 @@ def test_rule_with_condition_call(library):
 
 def test_rule_with_rhs_call():
     p = parse_program("g --> true\nf(X) -0.8-> g")
-    supply = FreshSupply(0)
+    supply = FreshSupply()
     rule = p.rules[1]
     new_rule, _ = transform_rule(rule, p.signature, supply, Emitter(U))
     assert print_rule(new_rule) == \
@@ -115,11 +115,9 @@ def test_freshness_hygiene(library):
 
 
 def test_determinism(library):
-    t1, _ = transform_program(library, seed=0)
-    t2, _ = transform_program(library, seed=0)
+    t1, _ = transform_program(library)
+    t2, _ = transform_program(library)
     assert print_program(t1) == print_program(t2)
-    t3, _ = transform_program(library, seed=7)
-    assert print_program(t3) != print_program(t1)
     assert parse_program(print_program(t1)) == t1  # printed form parses back
 
 
@@ -132,9 +130,8 @@ def test_transform_of_transformed_rejected(library):
 def test_goal_transform_exact(library):
     goal = parse_goal('(search("German","Essay",intermediate) == R) # W | W >= 0.65')
     constraints, wvars, datavars = transform_goal(goal, library)
-    assert print_constraints(constraints) == (
-        'qVal(_W0), qVal(W), W <= _W0, W >= 0.65, '
-        'search\'("German", "Essay", intermediate, _W0) == R')
+    assert print_constraints(constraints) == \
+        'qVal(W), W >= 0.65, search\'("German", "Essay", intermediate, W) == R'
     assert wvars == ["W"] and datavars == ["R"]
 
 
@@ -150,35 +147,9 @@ def test_goal_two_conjuncts_disjoint():
     goal = parse_goal("f == true # W1, g == true # W2")
     constraints, wvars, _ = transform_goal(goal, p)
     assert wvars == ["W1", "W2"]
-    text = print_constraints(constraints)
-    assert "_W0" in text and "_W1" in text
-
-
-def test_simplify_goal_to_session_form(library):
-    goal = parse_goal('(search("German","Essay",intermediate) == R) # W | W >= 0.65')
-    constraints, _, _ = transform_goal(goal, library)
-    simplified = simplify_constraints(constraints)
-    assert print_constraints(simplified) == \
-        'qVal(W), W >= 0.65, search\'("German", "Essay", intermediate, W) == R'
-    # idempotent
-    assert simplify_constraints(simplified) == simplified
-
-
-def test_simplify_respects_double_use():
-    cs = parse_constraints(
-        "qVal(_W0), qVal(W), W <= _W0, f'(_W0) == A, g'(_W0) == B")
-    assert simplify_constraints(cs) == cs
-
-
-def test_simplify_rule_threads_variable():
-    p = parse_program("member(B,[]) --> false\n"
-                      "member(B,H:_T) --> true <== B == H\n"
-                      "member(B,H:T) --> member(B,T) <== B /= H")
-    translated, _ = transform_program(p)
-    simplified = simplify_rule(translated.rules[2])
-    assert print_rule(simplified) == (
-        "member'(B, H:T, _W2) --> member'(B, T, _W2) "
-        "<== qVal(_W2), B /= H")
+    # each conjunct's calls take its own W
+    assert print_constraints(constraints) == \
+        "qVal(W1), f'(W1), qVal(W2), g'(W2)"
 
 
 def test_structural_preservation_random():
@@ -192,23 +163,6 @@ def test_structural_preservation_random():
             assert len(new.patterns) == len(old.patterns) + 1
 
 
-def test_simplified_rules_preserve_answers(library):
-    from qcflp.runtime import Limits, Solver, render_answer
-    from qcflp.syntax import Program, parse_goal
-
-    translated, _ = transform_program(library)
-    simplified = Program(translated.signature,
-                         [simplify_rule(r) for r in translated.rules])
-    assert parse_program(print_program(simplified)) == simplified
-    goal = parse_goal('(search("German","Essay",intermediate) == R) # W | W >= 0.65')
-    cs, wn, dv = transform_goal(goal, library)
-    outs = []
-    for prog in (translated, simplified):
-        solver = Solver(prog, limits=Limits(depth=64))
-        outs.append([render_answer(a) for a in solver.solve(cs, wn, dv)])
-    assert outs[0] == outs[1] == ["{ R -> 4 } { W in [0.65, 0.7] }"]
-
-
 def test_uxu_lowering():
     p = parse_program("m -(0.9,0.8)-> true", UXU)
     t, _ = transform_program(p, UXU)
@@ -217,9 +171,14 @@ def test_uxu_lowering():
         "<== qVal(_W0.1), qVal(_W0.2), _W0.1 <= 0.9, _W0.2 <= 0.8")
 
 
-def test_emitted_site_count_stable(library):
-    from qcflp.oracle import count_qual_sites
-    assert count_qual_sites(library, U) == count_qual_sites(library, U)
+def test_uxu_premise_shares_the_component_at_factor_one():
+    # the first component gets a fresh leaf bounded at 0.9, the second
+    # passes the head's leaf on, so the head declares only the first
+    p = parse_program("g --> true\nm -(0.9,1)-> g", UXU)
+    t, _ = transform_program(p, UXU)
+    assert print_rule(t.rules[1]) == (
+        "m'(qpair(_W1.1, _W1.2)) --> g'(qpair(_W2.1, _W1.2)) "
+        "<== qVal(_W1.1), qVal(_W2.1), _W1.1 <= 0.9*_W2.1")
 
 
 def _constant_bounds(rule, qual_vars):
@@ -255,5 +214,54 @@ def test_no_bound_that_qval_implies(library_text, source):
 
 def test_library_site_counts(library_text):
     from qcflp.oracle import count_qual_sites
-    assert count_qual_sites(parse_program(library_text), U) == 70
-    assert count_qual_sites(parse_program(library_text, UXU), UXU) == 140
+    assert count_qual_sites(parse_program(library_text), U) == 36
+    assert count_qual_sites(parse_program(library_text, UXU), UXU) == 72
+
+
+def _invariant_cases(library_text, source):
+    """(program, domain, goal texts) for the threaded-translation checks."""
+    if source == "random":
+        out = []
+        for seed in range(12):
+            p = random_layered_program(random.Random(seed))
+            out.append((p, U, [f"{r.name} == V # W" for r in p.rules]))
+        return out
+    dom = domain_from_name(source.split("-")[1])
+    t = "(0.65,0.65)" if dom is not U else "0.65"
+    return [(parse_program(library_text, dom), dom,
+             [f'(search("German","Essay",intermediate) == R) # W | W >= {t}',
+              "(search(L,G,V) == R) # W", "(guessGenre(B) == G) # W"])]
+
+
+def _declared_then_bounded(conditions, passed_on=()):
+    """The qVal-declared names that no later bound of conditions names,
+    leaving out passed_on."""
+    loose = []
+    for i, c in enumerate(conditions):
+        if c.symbol == "qVal" and c.args[0].name not in passed_on:
+            later = [d for d in conditions[i + 1:] if d.symbol in ("<=", ">=")]
+            if not any(c.args[0].name in vars_of(d) for d in later):
+                loose.append(c.args[0].name)
+    return loose
+
+
+@pytest.mark.parametrize("source", ["library-u", "library-uxu", "random"])
+def test_threaded_translation(library_text, source):
+    # no chain W <= V is left, every emitted qVal is named by a later
+    # bound (so dropping it makes the bound [malformed-qual]) unless it
+    # declares a goal's W, and printed translations parse back equal
+    for program, dom, goals in _invariant_cases(library_text, source):
+        translated, _ = transform_program(program, dom)
+        assert parse_program(print_program(translated), dom) == translated
+        for rule in translated.rules:
+            assert not [c for c in rule.conditions if c.symbol == "<="
+                        and isinstance(c.args[1], Var)], print_rule(rule)
+            assert not _declared_then_bounded(rule.conditions), print_rule(rule)
+        for text in goals:
+            goal = parse_goal(text, dom)
+            constraints, wvars, _ = transform_goal(goal, program, dom)
+            printed = print_constraints(constraints)
+            assert parse_constraints(printed) == constraints
+            assert not [c for c in constraints if c.symbol == "<="], printed
+            leaves = {w + suf for w in wvars for suf in dom.leaf_suffixes()}
+            assert not _declared_then_bounded(constraints, leaves), printed
