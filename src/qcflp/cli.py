@@ -14,13 +14,15 @@ files through one guarded writer (_write).  Exit codes:
 * 2: a usage error, an unknown --qdom, an input file that cannot be read
   or an output file that cannot be written, prove without --statement
   or --check, an oracle --mutate site out of range
-* 3: solve found only flagged answers; prove could not decide
+* 3: solve found only flagged answers, or none in a search that was cut;
+  prove could not decide
 * 4: oracle exceeded --max-rules or --max-universe, or its goal cap or
   fixpoint budget
 * 5: input nested too deeply for the interpreter's recursion limit
 
-solve stops quietly when the reader closes stdout, and exits with the
-code of the answers it has written.
+solve reports a cut search on stderr when no answer it printed is
+flagged incomplete.  It stops quietly when the reader closes stdout, and
+exits with the code of the answers it has written.
 """
 
 from __future__ import annotations
@@ -212,17 +214,26 @@ def _solve(args) -> int:
     trace = (lambda msg: print(f"-- {msg}", file=sys.stderr)) if args.trace else None
     solver = Solver(translated, dom, Limits(args.depth, args.answers), trace)
     clean = flagged = 0
+    flagged_cut = silent_cut = False
     for ans in solver.solve(constraints, wvars, datavars):
         if not _print_now(json.dumps(answer_record(ans)) if args.json
                           else render_answer(ans)):
             break  # no one reads on: stop, as --answers does
         if ans.flags:
             flagged += 1
+            flagged_cut = flagged_cut or "incomplete" in ans.flags
         else:
             clean += 1
+    else:
+        # a cut after the last answer, or with none, flags no answer
+        silent_cut = solver.cut and not flagged_cut
+        if silent_cut:
+            print(f"solve: search cut by --depth {args.depth}, the "
+                  f"propagation guard or an undecided primitive; answers "
+                  f"may be missing", file=sys.stderr)
     if clean:
         return 0
-    return 3 if flagged else 1
+    return 3 if flagged or silent_cut else 1
 
 
 def _prove(args) -> int:

@@ -9,7 +9,10 @@ already has; head patterns force the
 evaluation of arguments only as far as unification demands; conditions run
 left to right before the right-hand side replaces the call.  Bindings are
 shared through the substitution and a call reached through a variable is
-evaluated at most once per branch (call-time choice).
+evaluated at most once per branch (call-time choice).  Ground data (literals
+and constructors only) is bound and compared whole, with no occurs check;
+the bind takes the fresh numbers a cell-by-cell bind takes, so printed
+names are kept.
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -286,6 +289,23 @@ def _instance_side(side, ns: list):
     return side if p is None else (k, ns[p])
 
 
+def _same_data(a: Expr, b: Expr) -> bool:
+    """Whether ground data a and b are equal, literals by value; iterative."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is Basic or type(y) is Basic:
+            if not (type(x) is type(y) and x.value == y.value):
+                return False
+        elif x.symbol != y.symbol or len(x.args) != len(y.args):
+            return False
+        else:
+            stack += zip(x.args, y.args)
+    return True
+
+
 class Solver:
     def __init__(self, program: Program, dom: QualDomain = U,
                  limits: Limits = None, trace=None):
@@ -299,6 +319,7 @@ class Solver:
             self._rules.setdefault(r.name, []).append((i, r, _head_probe(r)))
         self._templates = {}        # rule index -> rename template
         self._quals = {}            # rule index -> its qualification variables
+        self._ground = {}           # id -> (term, node count) of ground data
         self._fresh = itertools.count()
         self.cut = False
         self.guard_hits = 0         # propagations stopped by the step guard
@@ -316,6 +337,38 @@ class Solver:
 
     def _fresh_var(self) -> Var:
         return Var(f"~{next(self._fresh)}")
+
+    def _skip_fresh(self, n: int) -> None:
+        """Take n fresh numbers without using them."""
+        if n:
+            next(itertools.islice(self._fresh, n, n), None)
+
+    def _ground_size(self, t: Expr) -> Optional[int]:
+        """The node count of t when t is ground data: literals and
+        constructor applications only (as _hnf treats them), no variable
+        and no call; else None.  Decided once per term object, without
+        recursion; only ground results are kept, with the term, so that
+        no id is reused."""
+        known = self._ground
+        hit = known.get(id(t))
+        if hit is not None:
+            return hit[1]
+        stack = [t]
+        while stack:
+            e = stack[-1]
+            if type(e) is Basic or id(e) in known:
+                stack.pop()
+            elif type(e) is not App or self.sig.kind(e.symbol) not in ("dc", None):
+                return None
+            else:
+                todo = [a for a in e.args if type(a) is not Basic and id(a) not in known]
+                if todo:
+                    stack += todo
+                else:
+                    stack.pop()
+                    known[id(e)] = (e, 1 + sum([1 if type(a) is Basic else known[id(a)][1]
+                                                for a in e.args]))
+        return 1 if type(t) is Basic else known[id(t)][1]
 
     def _rename_rule(self, tpl: tuple):
         """A fresh instance of a rule from its template (_compile_rule):
@@ -717,9 +770,16 @@ class Solver:
         if isinstance(ha, Var) or isinstance(hb, Var):
             v, t = (ha, hb) if isinstance(ha, Var) else (hb, ha)
             mark = len(store.trail)
-            if isinstance(t, Basic):
+            size = self._ground_size(t)
+            if size is not None:
+                # ground data is bound whole, with no occurs check; it takes
+                # the fresh numbers that the skeleton below would: one per
+                # node but the root, or one per argument when the bind fails
                 if self._bind(store, v.name, t):
+                    self._skip_fresh(size - 1)
                     yield
+                elif size > 1:
+                    self._skip_fresh(len(t.args))
                 store.undo(mark)
                 return
             # t is a constructor application: bind to a skeleton and force parts
@@ -737,6 +797,10 @@ class Solver:
             return
         if isinstance(ha, App) and isinstance(hb, App) \
                 and ha.symbol == hb.symbol and len(ha.args) == len(hb.args):
+            if self._ground_size(ha) and self._ground_size(hb):
+                if _same_data(ha, hb):  # ground data: compared whole
+                    yield
+                return
             yield from self._pairwise(self._unify_strict, ha.args, hb.args,
                                       store, depth)
 

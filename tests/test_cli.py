@@ -282,6 +282,46 @@ def test_solve_product_domain(tmp_path, capsys):
     assert "W.1 in [0.5, 0.63]" in out and "W.2 in [0.5, 0.8]" in out
 
 
+# reach(a) finds b, a and c again on each lap of the a-b cycle, 0.9 times
+# lower, until --depth cuts the search after its last answer.
+REACH = """data node = a | b | c
+edge(a) --> b
+edge(b) --> a
+edge(b) --> c
+reach(X) --> Y <== edge(X) == Y
+reach(X) -0.9-> Y <== edge(X) == Z, reach(Z) == Y
+"""
+CUT_LINE = ("solve: search cut by --depth {}, the propagation guard or an "
+            "undecided primitive; answers may be missing\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("source, goal, depth, answers, code", [
+    (REACH, "(reach(a) == Y) # W", 12, 16, 0),
+    ("loop --> loop\n", "(loop == true) # W", 5, 0, 3),
+], ids=["reach-clean-answers", "loop-no-answer"])
+def test_cut_after_the_last_answer_is_reported(tmp_path, capsys, json_flag,
+                                               source, goal, depth, answers,
+                                               code):
+    # no answer is flagged incomplete, so the cut is reported on its own
+    src = tmp_path / "cut.qcflp"
+    src.write_text(source)
+    assert run("solve", str(src), "--goal", goal, "--depth", str(depth),
+               *json_flag) == code
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == answers
+    assert "incomplete" not in out
+    assert err == CUT_LINE.format(depth)
+
+
+def test_cut_flagged_on_an_answer_is_not_repeated(capsys):
+    goal = '(search("German","Essay",intermediate) == R) # W'
+    assert run("solve", str(LIBRARY), "--goal", goal, "--depth", "5") == 3
+    out, err = capsys.readouterr()
+    assert out == "{ R -> 4 } { W in (0, 0.7] } [incomplete]\n"
+    assert err == ""
+
+
 @pytest.mark.parametrize("module", ["qcflp", "qcflp.cli"])
 def test_python_dash_m_runs_cli(module):
     src = str(ROOT / "src")

@@ -342,3 +342,64 @@ def test_replay_random_programs():
                 assert check_proof(translated, None, tree).status == "valid"
                 checked += 1
     assert checked > 0
+
+
+# Ground data (literals and constructor applications, with no variable
+# and no call) is bound and compared whole.  A whole bind takes the fresh
+# numbers that binding a skeleton cell by cell takes: one per node but
+# the root, or one per argument of the root when the bind fails.  So a
+# name printed after it is the same.
+
+FRESH_AFTER = "data nat = z | s(nat)\ng --> s(Y)\n"
+
+
+@pytest.mark.parametrize("goal, expected", [
+    ('(X == "abc") # W1',
+     '{ R -> s(~6~Y), X -> "abc" } { W1 in (0, 1], W2 in (0, 1] }'),
+    ('(pair(1, "ab") == X) # W1',
+     '{ R -> s(~6~Y), X -> pair(1, "ab") } { W1 in (0, 1], W2 in (0, 1] }'),
+    # a skeleton for pair, then "ab" whole
+    ('(X == pair("ab", Z)) # W1',
+     '{ R -> s(~6~Y), X -> pair("ab", Z) } { W1 in (0, 1], W2 in (0, 1] }'),
+    ('("abc" == "abc") # W1', '{ R -> s(~0~Y) } { W1 in (0, 1], W2 in (0, 1] }'),
+    ('(pair(X, 2) == pair(1.0, 2.0)) # W1',
+     '{ R -> s(~0~Y), X -> 1 } { W1 in (0, 1], W2 in (0, 1] }'),
+], ids=["string", "pair", "partly-ground", "compare", "literal-values"])
+def test_whole_bind_keeps_fresh_names(goal, expected):
+    answers, _, _ = solve_text(parse_program(FRESH_AFTER),
+                               f"{goal}, (g == R) # W2")
+    assert [render_answer(a) for a in answers] == [expected]
+
+
+FAILED_BIND = """
+data nat = z | s(nat)
+f(Y) --> true <== Y >= 0.5
+g(X) --> z <== f(X) == true, X == "ab"
+g(X) --> s(Y)
+"""
+
+
+def test_failed_whole_bind_keeps_fresh_names():
+    # f gives X an interval, so binding X to "ab" fails; the bind takes
+    # 2 numbers, one per argument of "ab"'s first cell, and g's second
+    # rule is renamed with number 4 (g's first rule took 0, f's rule 1)
+    answers, _, _ = solve_text(parse_program(FAILED_BIND), "(g(X) == R) # W")
+    assert [render_answer(a) for a in answers] == ["{ R -> s(~4~Y) } { W in (0, 1] }"]
+
+
+def test_ground_bind_is_linear(monkeypatch):
+    # a cell-by-cell bind runs an occurs check over the rest of the string
+    # at every cell: 90,901 calls on this goal
+    calls = []
+    occurs = Solver._occurs
+    monkeypatch.setattr(Solver, "_occurs", lambda self, *args:
+                        calls.append(args) or occurs(self, *args))
+    text = "abcdefghij" * 30
+    answers, solver, constraints = solve_text(
+        parse_program("f --> true"), f'(X == "{text}") # W')
+    assert [render_answer(a) for a in answers] == \
+        [f'{{ X -> "{text}" }} {{ W in (0, 1] }}']
+    assert calls == []
+    assert next(solver._fresh) == 600  # 300 cells and 300 characters
+    for tree in replay_trees(solver, answers[0], constraints):
+        assert check_proof(solver.program, None, tree).status == "valid"
