@@ -18,11 +18,13 @@ files through one guarded writer (_write).  Exit codes:
   prove could not decide
 * 4: oracle exceeded --max-rules or --max-universe, or its goal cap or
   fixpoint budget
-* 5: input nested too deeply for the interpreter's recursion limit
+* 5: input nested too deeply for the raised recursion limit that every
+  command runs under (terms.run_deep)
 
-solve reports a cut search on stderr when no answer it printed is
-flagged incomplete.  It stops quietly when the reader closes stdout, and
-exits with the code of the answers it has written.
+solve reports a cut search on stderr, naming the limits that cut it,
+when no answer it printed is flagged incomplete.  It stops quietly when
+the reader closes stdout, and exits with the code of the answers it has
+written.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .semantics import (check_proof, holds, parse_proof, parse_statement,
                         serialize_proof)
 from .syntax import (ParseError, parse_expr_list, parse_goal, parse_program,
                      print_constraints, print_program)
+from .terms import run_deep
 from .transform import TransformError, transform_goal, transform_program
 
 
@@ -102,7 +105,12 @@ class _Exit(Exception):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # the parser, the translation, the solver and the printers all
+    # recurse once per nested term, so one raised limit covers the command
+    return run_deep(_run, build_parser().parse_args(argv))
+
+
+def _run(args) -> int:
     try:
         return COMMANDS[args.command](_load(args))
     except _Exit as exc:
@@ -228,8 +236,11 @@ def _solve(args) -> int:
         # a cut after the last answer, or with none, flags no answer
         silent_cut = solver.cut and not flagged_cut
         if silent_cut:
-            print(f"solve: search cut by --depth {args.depth}, the "
-                  f"propagation guard or an undecided primitive; answers "
+            causes = [text for reason, text in (
+                ("depth", f"--depth {args.depth}"),
+                ("guard", "the propagation guard"),
+                ("primitive", "an undecided primitive")) if reason in solver.cut]
+            print(f"solve: search cut by {' and '.join(causes)}; answers "
                   f"may be missing", file=sys.stderr)
     if clean:
         return 0

@@ -10,9 +10,7 @@ evaluation of arguments only as far as unification demands; conditions run
 left to right before the right-hand side replaces the call.  Bindings are
 shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).  Ground data (literals
-and constructors only) is bound and compared whole, with no occurs check;
-the bind takes the fresh numbers a cell-by-cell bind takes, so printed
-names are kept.
+and constructors only) is bound and compared whole, with no occurs check.
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -45,7 +43,8 @@ from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    FALSE, HashCons, TRUE, Var, deep_recursion, vars_of)
+                    FALSE, HashCons, TRUE, Var, apply_subst, deep_recursion,
+                    vars_of)
 
 
 @dataclass
@@ -319,9 +318,9 @@ class Solver:
             self._rules.setdefault(r.name, []).append((i, r, _head_probe(r)))
         self._templates = {}        # rule index -> rename template
         self._quals = {}            # rule index -> its qualification variables
-        self._ground = {}           # id -> (term, node count) of ground data
+        self._ground = {}           # id -> term, for ground data
         self._fresh = itertools.count()
-        self.cut = False
+        self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
         self.hashcons = _HashCons()  # what replay shares across answers
@@ -338,21 +337,12 @@ class Solver:
     def _fresh_var(self) -> Var:
         return Var(f"~{next(self._fresh)}")
 
-    def _skip_fresh(self, n: int) -> None:
-        """Take n fresh numbers without using them."""
-        if n:
-            next(itertools.islice(self._fresh, n, n), None)
-
-    def _ground_size(self, t: Expr) -> Optional[int]:
-        """The node count of t when t is ground data: literals and
-        constructor applications only (as _hnf treats them), no variable
-        and no call; else None.  Decided once per term object, without
-        recursion; only ground results are kept, with the term, so that
-        no id is reused."""
+    def _is_ground(self, t: Expr) -> bool:
+        """Whether t is ground data: literals and constructor applications
+        only (as _hnf treats them), no variable and no call.  Decided once
+        per term object, without recursion; only ground terms are kept,
+        by id with the term, so that no id is reused."""
         known = self._ground
-        hit = known.get(id(t))
-        if hit is not None:
-            return hit[1]
         stack = [t]
         while stack:
             e = stack[-1]
@@ -366,9 +356,8 @@ class Solver:
                     stack += todo
                 else:
                     stack.pop()
-                    known[id(e)] = (e, 1 + sum([1 if type(a) is Basic else known[id(a)][1]
-                                                for a in e.args]))
-        return 1 if type(t) is Basic else known[id(t)][1]
+                    known[id(e)] = e
+        return True
 
     def _rename_rule(self, tpl: tuple):
         """A fresh instance of a rule from its template (_compile_rule):
@@ -448,7 +437,7 @@ class Solver:
             store.set_interval, seeds)
         self.prop_steps += steps
         if guard_hit:
-            self.cut = True
+            self.cut.add("guard")
             self.guard_hits += 1
         return ok
 
@@ -522,15 +511,6 @@ class Solver:
         orig = [n for n in (L[1], R[1]) if n is not None]
         return self._post(store, ("mono", strict, Lw, Rw), orig, False, names, rule)
 
-    def post_qual(self, store: Store, c: AtomicConstraint):
-        """Post one qualification constraint; a fresh store, or None on failure."""
-        out = store.copy()
-        names = vars_of(c)
-        if not self._post(out, compile_post(c), names,
-                          c.symbol == "qVal", names):
-            return None
-        return out
-
     def _bind(self, store: Store, name: str, value: Expr) -> bool:
         """Bind name to value and re-propagate; on False the caller undoes."""
         store.assign(store.subst, name, value)
@@ -565,15 +545,6 @@ class Solver:
     # or _post is undone the same way.
     # ------------------------------------------------------------------
 
-    def hnf(self, e: Expr, store: Store, depth: int) -> Iterator[tuple]:
-        """Head normal forms of e, each with an independent store.
-
-        The given store is left unchanged.
-        """
-        work = store.copy()
-        for h in self._hnf(e, work, depth):
-            yield h, work.copy()
-
     def _hnf(self, e: Expr, store: Store, depth: int) -> Iterator[Expr]:
         e = self.walk(store, e)
         if isinstance(e, (Var, Basic)):
@@ -595,7 +566,7 @@ class Solver:
         if kind == "pf":
             for args in self._reduce_args(e.args, store, depth):
                 if not all(isinstance(a, (Basic, App)) for a in args):
-                    self.cut = True
+                    self.cut.add("primitive")
                     continue
                 try:
                     res = eval_primitive(e.symbol, list(args))
@@ -603,7 +574,7 @@ class Solver:
                     continue
                 if res == BOTTOM:
                     if any(vars_of(a) for a in args):
-                        self.cut = True  # undecided, not undefined
+                        self.cut.add("primitive")  # undecided, not undefined
                     continue
                 mark = len(trail)
                 store.assign(store.evals, id(e), EvalRec(e, "prim", res))
@@ -612,21 +583,17 @@ class Solver:
             return
         # defined function: try the rules in program order
         if depth <= 0:
-            self.cut = True
+            self.cut.add("depth")
             return
         for index, rule, probe in self._rules.get(e.symbol, ()):
             if probe is not None:
                 head = self._value_head(store, e.args[probe[0]])
                 if head is not None and head != probe[1]:
-                    # the head cannot match: skip the renaming, but take
-                    # its fresh number, so variable names do not change
-                    next(self._fresh)
-                    continue
+                    continue  # the head cannot match: skip the renaming
             tpl = self._templates.get(index) or self._compile_rule(index, rule)
             if tpl[5] and self._over_cap(store, e.args[-1], tpl[5]):
                 # the rule's attenuation is below the qualification the
                 # call already needs: skip it as the head probe does
-                next(self._fresh)
                 continue
             pats, rhs, conds, ren, compiled = self._rename_rule(tpl)
             if self.trace:
@@ -770,16 +737,10 @@ class Solver:
         if isinstance(ha, Var) or isinstance(hb, Var):
             v, t = (ha, hb) if isinstance(ha, Var) else (hb, ha)
             mark = len(store.trail)
-            size = self._ground_size(t)
-            if size is not None:
-                # ground data is bound whole, with no occurs check; it takes
-                # the fresh numbers that the skeleton below would: one per
-                # node but the root, or one per argument when the bind fails
+            if self._is_ground(t):
+                # ground data is bound whole, with no occurs check
                 if self._bind(store, v.name, t):
-                    self._skip_fresh(size - 1)
                     yield
-                elif size > 1:
-                    self._skip_fresh(len(t.args))
                 store.undo(mark)
                 return
             # t is a constructor application: bind to a skeleton and force parts
@@ -797,7 +758,7 @@ class Solver:
             return
         if isinstance(ha, App) and isinstance(hb, App) \
                 and ha.symbol == hb.symbol and len(ha.args) == len(hb.args):
-            if self._ground_size(ha) and self._ground_size(hb):
+            if self._is_ground(ha) and self._is_ground(hb):
                 if _same_data(ha, hb):  # ground data: compared whole
                     yield
                 return
@@ -985,7 +946,7 @@ class Solver:
 
     def _search(self, constraints: tuple, wvars: list,
                 datavars: list) -> Iterator[Answer]:
-        self.cut = False
+        self.cut = set()
         emitted = 0
         store = Store(datavars=frozenset(datavars))
         for _ in self._solve_all(constraints, store, self.limits.depth, None):
@@ -1295,18 +1256,46 @@ def replay_trees(solver: Solver, answer: Answer, constraints: list) -> list:
 # An answer's terms are as deep as the search went, so rendering one
 # raises the recursion limit as the search does.
 
+def _printed(ans: Answer) -> tuple:
+    """The sorted bindings and the residuals of an answer as they print.
+
+    An answer is defined up to renaming of the variables that the search
+    introduced, ~n and ~n~X (variable X of rule instance n).  Each n is
+    renumbered by its first occurrence, in the bindings and then in the
+    residuals, so no printed name depends on how many fresh numbers the
+    search used.  The answer keeps the raw names, which its store knows.
+    """
+    subst = sorted(ans.subst.items())
+    numbers, renamed = {}, {}
+    stack = [*reversed(ans.residual), *[t for _, t in reversed(subst)]]
+    while stack:  # pre-order, left to right
+        e = stack.pop()
+        if type(e) is Var and e.name.startswith("~") and e.name not in renamed:
+            n, sep, rest = e.name[1:].partition("~")
+            renamed[e.name] = Var(f"~{numbers.setdefault(n, len(numbers))}{sep}{rest}")
+        elif type(e) is App:
+            stack += reversed(e.args)
+        elif type(e) is AtomicConstraint:
+            stack += reversed((*e.args, e.result))
+    if not renamed:
+        return subst, ans.residual
+    return ([(v, apply_subst(t, renamed)) for v, t in subst],
+            apply_subst(ans.residual, renamed))
+
+
 @deep_recursion()
 def render_answer(ans: Answer) -> str:
+    subst, residual = _printed(ans)
     parts = []
-    if ans.subst:
-        inner = ", ".join(f"{v} -> {print_expr(t)}" for v, t in sorted(ans.subst.items()))
+    if subst:
+        inner = ", ".join(f"{v} -> {print_expr(t)}" for v, t in subst)
         parts.append("{ " + inner + " }")
     else:
         parts.append("{ }")
     quals = ", ".join(f"{w} in {iv!r}" for w, iv in sorted(ans.qual.items()))
     parts.append("{ " + quals + " }" if quals else "{ }")
-    if ans.residual:
-        parts.append("<< " + ", ".join(print_constraint(c) for c in ans.residual) + " >>")
+    if residual:
+        parts.append("<< " + ", ".join(print_constraint(c) for c in residual) + " >>")
     if ans.flags:
         parts.append("[" + ", ".join(ans.flags) + "]")
     return " ".join(parts)
@@ -1314,11 +1303,12 @@ def render_answer(ans: Answer) -> str:
 
 @deep_recursion()
 def answer_record(ans: Answer) -> dict:
+    subst, residual = _printed(ans)
     return {
-        "subst": {v: print_expr(t) for v, t in sorted(ans.subst.items())},
+        "subst": {v: print_expr(t) for v, t in subst},
         "qual": {w: {"lo": iv.lo, "hi": iv.hi,
                      "lo_open": iv.lo_open, "hi_open": iv.hi_open}
                  for w, iv in sorted(ans.qual.items())},
-        "residual": [print_constraint(c) for c in ans.residual],
+        "residual": [print_constraint(c) for c in residual],
         "flags": list(ans.flags),
     }

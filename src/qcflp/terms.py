@@ -18,6 +18,7 @@ Constraint sets are finite conjunctions of atomic constraints.
 from __future__ import annotations
 
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
@@ -399,3 +400,36 @@ def deep_recursion():
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+# Calls that pass through C (a generator that tuple() drives, a dataclass
+# ==) use the C stack at every level, and a main thread's 8 MB overflows,
+# crashing the interpreter, near 20,000 nested terms; 64 MB held every
+# deep input tried.  Only the pages that a run reaches are used.
+DEEP_STACK_BYTES = 256 * 1024 * 1024
+
+
+def run_deep(fn, *args):
+    """fn(*args) under deep_recursion, on a thread with a C stack of
+    DEEP_STACK_BYTES, so that input nested too deeply ends in a
+    RecursionError and not in a crash."""
+    out = []
+
+    def body():
+        with deep_recursion():
+            try:
+                out.append((fn(*args), None))
+            except BaseException as exc:
+                out.append((None, exc))
+
+    old = threading.stack_size(DEEP_STACK_BYTES)
+    try:
+        worker = threading.Thread(target=body, daemon=True)
+        worker.start()
+    finally:
+        threading.stack_size(old)
+    worker.join()
+    value, exc = out[0]
+    if exc is not None:
+        raise exc
+    return value

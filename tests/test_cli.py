@@ -291,19 +291,24 @@ edge(b) --> c
 reach(X) --> Y <== edge(X) == Y
 reach(X) -0.9-> Y <== edge(X) == Z, reach(Z) == Y
 """
-CUT_LINE = ("solve: search cut by --depth {}, the propagation guard or an "
-            "undecided primitive; answers may be missing\n")
+# The bounds of tests/test_runtime.py's test_propagation_guard_flags_run
+# chase each other past the step guard; f == true then fails, so there
+# is no answer to flag.
+GUARD_GOAL = ("(A > 0) # W3, (A <= 1) # W4, (A <= 0.99*B) # W1, (B <= A) # W2, "
+              "(f == true) # W5")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
-@pytest.mark.parametrize("source, goal, depth, answers, code", [
-    (REACH, "(reach(a) == Y) # W", 12, 16, 0),
-    ("loop --> loop\n", "(loop == true) # W", 5, 0, 3),
-], ids=["reach-clean-answers", "loop-no-answer"])
+@pytest.mark.parametrize("source, goal, depth, answers, code, cause", [
+    (REACH, "(reach(a) == Y) # W", 12, 16, 0, "--depth 12"),
+    ("loop --> loop\n", "(loop == true) # W", 5, 0, 3, "--depth 5"),
+    ("f --> false\n", GUARD_GOAL, 64, 0, 3, "the propagation guard"),
+], ids=["reach-clean-answers", "loop-no-answer", "guard-no-answer"])
 def test_cut_after_the_last_answer_is_reported(tmp_path, capsys, json_flag,
                                                source, goal, depth, answers,
-                                               code):
-    # no answer is flagged incomplete, so the cut is reported on its own
+                                               code, cause):
+    # no answer is flagged incomplete, so the cut is reported on its own,
+    # with the one limit that cut it
     src = tmp_path / "cut.qcflp"
     src.write_text(source)
     assert run("solve", str(src), "--goal", goal, "--depth", str(depth),
@@ -311,7 +316,7 @@ def test_cut_after_the_last_answer_is_reported(tmp_path, capsys, json_flag,
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == answers
     assert "incomplete" not in out
-    assert err == CUT_LINE.format(depth)
+    assert err == f"solve: search cut by {cause}; answers may be missing\n"
 
 
 def test_cut_flagged_on_an_answer_is_not_repeated(capsys):
@@ -357,17 +362,16 @@ def test_solve_stops_quietly_when_stdout_closes(tmp_path, unbuffered):
     proc.stderr.close()
 
 
-DEEP_LIST_GOAL = ("(member(7,[" + ",".join(str(i) for i in range(1500))
-                  + "]) == true) # W | W >= 0.5")
-DEEP_TERM_GOAL = "(f(" + "s(" * 200 + "z" + ")" * 200 + ") == R) # W"
+NAT = "data nat = z | s(nat)\nf(X) --> X\n"
 
 
-@pytest.mark.parametrize("program, goal", [
-    (None, DEEP_LIST_GOAL),
-    ("data nat = z | s(nat)\nf(X) --> X\n", DEEP_TERM_GOAL),
-], ids=["list-1500", "nested-200"])
-def test_deep_term_exit_5(tmp_path, program, goal):
-    # a fresh interpreter, so the recursion limit is the default one
+def nested_s(n):
+    return "s(" * n + "z" + ")" * n
+
+
+def solve_fresh(tmp_path, program, goal):
+    """solve in a fresh interpreter, so the recursion limit starts at the
+    default one."""
     path = LIBRARY
     if program is not None:
         path = tmp_path / "nat.qcflp"
@@ -375,9 +379,28 @@ def test_deep_term_exit_5(tmp_path, program, goal):
     src = str(ROOT / "src")
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "qcflp", "solve", str(path), "--goal", goal],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("program, goal, answer", [
+    (None, "(member(7,[" + ",".join(str(i) for i in range(1500))
+     + "]) == true) # W | W >= 0.5", "{ } { W in [0.5, 1] }"),
+    (NAT, f"(f({nested_s(200)}) == R) # W",
+     f"{{ R -> {nested_s(200)} }} {{ W in (0, 1] }}"),
+    (None, "(member(7,[" + ",".join(str(i) for i in range(20000))
+     + "]) == true) # W | W >= 0.5", "{ } { W in [0.5, 1] }"),
+], ids=["list-1500", "nested-200", "list-20000"])
+def test_deep_input_solves(tmp_path, program, goal, answer):
+    # the parser and the translation run under the solver's raised limit;
+    # 20,000 cells overflow the C stack of a main thread
+    proc = solve_fresh(tmp_path, program, goal)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer + "\n", "")
+
+
+def test_deep_term_exit_5(tmp_path):
+    proc = solve_fresh(tmp_path, NAT, f"(f({nested_s(20000)}) == R) # W")
     assert proc.returncode == 5
     assert proc.stdout == ""
     assert proc.stderr.startswith("solve: term nested too deeply")

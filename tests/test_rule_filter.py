@@ -271,7 +271,7 @@ g(X) --> true <== Y * Y < X
 def test_probe_keeps_fresh_variable_names(monkeypatch, count_renames):
     goal = "(f(Z) == true) # W | W >= 0.6"
     probed = solve(RESIDUAL, goal)
-    assert probed == ["{ } { W in [0.6, 1] } << ~2~Y*~2~Y < Z >> [conditional]"]
+    assert probed == ["{ } { W in [0.6, 1] } << ~0~Y*~0~Y < Z >> [conditional]"]
     assert count_renames[0] == 2
     monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
     assert solve(RESIDUAL, goal) == probed

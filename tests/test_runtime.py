@@ -1,15 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import BOOK2, BOOK4, random_layered_program
+from qcflp import runtime
 from qcflp.constraints import Interval
 from qcflp.domains import U
 from qcflp.runtime import (Limits, Solver, Store, answer_record, render_answer,
                            replay_trees)
 from qcflp.semantics import check_proof
 from qcflp.syntax import parse_constraints, parse_expr, parse_goal, parse_program
-from qcflp.terms import Basic, TRUE, Var
+from qcflp.terms import Basic, Var
 from qcflp.transform import transform_goal, transform_program
 
 
@@ -41,19 +43,23 @@ def test_interval_posting_examples():
 
 
 def test_post_qual_store_operation():
+    # each post narrows the answer's store, and a bound that empties an
+    # interval leaves no answer
     p = parse_program("f --> true")
     translated, _ = transform_program(p)
     solver = Solver(translated)
-    store = Store()
-    for text in ("qVal(W)", "W <= 0.9", "W >= 0.65"):
-        store = solver.post_qual(store, parse_constraints(text)[0])
-        assert store is not None
+
+    def store_of(text):
+        answers = list(solver.solve(parse_constraints(text), ["W"], []))
+        return answers[0].store if answers else None
+
+    store = store_of("qVal(W), W <= 0.9, W >= 0.65")
     root = solver.walk(store, Var("W")).name
     assert store.ivals[root][:2] == (0.65, 0.9)
-    store2 = solver.post_qual(store, parse_constraints("qVal(W1)")[0])
-    store2 = solver.post_qual(store2, parse_constraints("W <= 0.7*W1")[0])
+    store2 = store_of("qVal(W), W <= 0.9, W >= 0.65, qVal(W1), W <= 0.7*W1")
     assert store2.ivals[root][1] == pytest.approx(0.7)
-    assert solver.post_qual(store2, parse_constraints("W >= 0.8")[0]) is None
+    assert store_of("qVal(W), W <= 0.9, W >= 0.65, qVal(W1), W <= 0.7*W1, "
+                    "W >= 0.8") is None
 
 
 def test_propagation_guard_flags_run():
@@ -63,17 +69,11 @@ def test_propagation_guard_flags_run():
     translated, _ = transform_program(p)
     text = "qVal(A), qVal(B), A <= 0.99*B, B <= A"
     solver = Solver(translated)
-    store = Store()
-    for c in parse_constraints(text):
-        store = solver.post_qual(store, c)
-        assert store is not None
-    assert solver.guard_hits == 1 and solver.cut
-    assert store.ivals["B"][1] > store.ivals["A"][1]
-
-    solver = Solver(translated)
     answers = list(solver.solve(parse_constraints(text), ["A", "B"], []))
-    assert solver.guard_hits == 1
+    assert solver.guard_hits == 1 and solver.cut == {"guard"}
     assert [a.flags for a in answers] == [["incomplete"]]
+    ivals = answers[0].store.ivals
+    assert ivals["B"][1] > ivals["A"][1]
 
 
 # Golden answers of the solver that reduced and compiled every rule
@@ -183,12 +183,10 @@ def test_hnf_examples(library):
     translated, _ = transform_program(library)
     solver = Solver(translated)
     # a literal is its own head normal form
-    results = list(solver.hnf(Basic(3.0), Store(), 8))
-    assert results[0][0] == Basic(3.0)
+    assert list(solver._hnf(Basic(3.0), Store(), 8)) == [Basic(3.0)]
 
     call = parse_expr(f"getPages'({BOOK4}, W)")
-    values = [v for v, _ in solver.hnf(call, Store(), 8)]
-    assert values == [Basic(432.0)]
+    assert list(solver._hnf(call, Store(), 8)) == [Basic(432.0)]
 
 
 def test_member_head_normal_form():
@@ -198,11 +196,10 @@ def test_member_head_normal_form():
     translated, _ = transform_program(p)
     solver = Solver(translated)
     # a translated caller declares the leaf it passes on
-    store = solver.post_qual(Store(), parse_constraints("qVal(W)")[0])
-    call = parse_expr("member'(b, [b], W)")
-    outcomes = list(solver.hnf(call, store, 8))
-    assert outcomes[0][0] == TRUE
-    final = outcomes[0][1]
+    goal = parse_constraints("qVal(W), member'(b, [b], W) == true")
+    answers = list(solver.solve(goal, ["W"], []))
+    assert len(answers) == 1 and answers[0].flags == []
+    final = answers[0].store
     root = solver.walk(final, Var("W"))
     lo, hi, lo_open, hi_open = final.ivals[root.name]
     assert (lo, hi, lo_open, hi_open) == (0.0, 1.0, True, False)
@@ -344,23 +341,64 @@ def test_replay_random_programs():
     assert checked > 0
 
 
+# An answer prints the variables that the search introduced by first
+# occurrence, so printed names do not depend on how many fresh numbers
+# the search used: h's first rule is skipped by its head and m's first by
+# its attenuation, and neither is renamed.
+
+CANONICAL = """
+data nat = z | s(nat)
+g --> s(Y)
+h(s(N)) --> false
+h(z) --> true
+m -0.5-> true
+m --> true
+k(X) --> true <== Y * Y < X
+f(Z) --> pair(g, g) <== h(z) == true, m == true, k(Z) == true
+"""
+
+
+def test_answer_names_do_not_depend_on_fresh_numbers(monkeypatch):
+    program = parse_program(CANONICAL)
+    translated, _ = transform_program(program)
+    goal = parse_goal("(f(Z) == R) # W | W >= 0.6")
+    constraints, wvars, datavars = transform_goal(goal, program)
+
+    def run(start):
+        solver = Solver(translated)
+        solver._fresh = itertools.count(start)
+        (ans,) = solver.solve(constraints, wvars, datavars)
+        return (render_answer(ans), answer_record(ans)), repr(ans.subst)
+
+    printed, raw = run(0)
+    assert printed[0] == ("{ R -> pair(s(~0~Y), s(~1~Y)) } { W in [0.6, 1] } "
+                          "<< ~2~Y*~2~Y < Z >> [conditional]")
+    assert printed[1]["subst"] == {"R": "pair(s(~0~Y), s(~1~Y))"}
+    assert printed[1]["residual"] == ["~2~Y*~2~Y < Z"]
+    shifted, shifted_raw = run(1000)
+    monkeypatch.setattr(runtime, "_head_probe", lambda rule: None)
+    monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
+    unprobed, unprobed_raw = run(0)
+    assert shifted == printed and unprobed == printed
+    # the answers themselves keep the solver's names, which differ
+    assert len({raw, shifted_raw, unprobed_raw}) == 3
+
+
 # Ground data (literals and constructor applications, with no variable
-# and no call) is bound and compared whole.  A whole bind takes the fresh
-# numbers that binding a skeleton cell by cell takes: one per node but
-# the root, or one per argument of the root when the bind fails.  So a
-# name printed after it is the same.
+# and no call) is bound and compared whole.  Names printed after it are
+# those of a cell-by-cell bind.
 
 FRESH_AFTER = "data nat = z | s(nat)\ng --> s(Y)\n"
 
 
 @pytest.mark.parametrize("goal, expected", [
     ('(X == "abc") # W1',
-     '{ R -> s(~6~Y), X -> "abc" } { W1 in (0, 1], W2 in (0, 1] }'),
+     '{ R -> s(~0~Y), X -> "abc" } { W1 in (0, 1], W2 in (0, 1] }'),
     ('(pair(1, "ab") == X) # W1',
-     '{ R -> s(~6~Y), X -> pair(1, "ab") } { W1 in (0, 1], W2 in (0, 1] }'),
+     '{ R -> s(~0~Y), X -> pair(1, "ab") } { W1 in (0, 1], W2 in (0, 1] }'),
     # a skeleton for pair, then "ab" whole
     ('(X == pair("ab", Z)) # W1',
-     '{ R -> s(~6~Y), X -> pair("ab", Z) } { W1 in (0, 1], W2 in (0, 1] }'),
+     '{ R -> s(~0~Y), X -> pair("ab", Z) } { W1 in (0, 1], W2 in (0, 1] }'),
     ('("abc" == "abc") # W1', '{ R -> s(~0~Y) } { W1 in (0, 1], W2 in (0, 1] }'),
     ('(pair(X, 2) == pair(1.0, 2.0)) # W1',
      '{ R -> s(~0~Y), X -> 1 } { W1 in (0, 1], W2 in (0, 1] }'),
@@ -380,11 +418,10 @@ g(X) --> s(Y)
 
 
 def test_failed_whole_bind_keeps_fresh_names():
-    # f gives X an interval, so binding X to "ab" fails; the bind takes
-    # 2 numbers, one per argument of "ab"'s first cell, and g's second
-    # rule is renamed with number 4 (g's first rule took 0, f's rule 1)
+    # f gives X an interval, so binding X to "ab" fails, and g's second
+    # rule gives the answer
     answers, _, _ = solve_text(parse_program(FAILED_BIND), "(g(X) == R) # W")
-    assert [render_answer(a) for a in answers] == ["{ R -> s(~4~Y) } { W in (0, 1] }"]
+    assert [render_answer(a) for a in answers] == ["{ R -> s(~0~Y) } { W in (0, 1] }"]
 
 
 def test_ground_bind_is_linear(monkeypatch):
@@ -400,6 +437,5 @@ def test_ground_bind_is_linear(monkeypatch):
     assert [render_answer(a) for a in answers] == \
         [f'{{ X -> "{text}" }} {{ W in (0, 1] }}']
     assert calls == []
-    assert next(solver._fresh) == 600  # 300 cells and 300 characters
     for tree in replay_trees(solver, answers[0], constraints):
         assert check_proof(solver.program, None, tree).status == "valid"
