@@ -10,12 +10,14 @@ files through one guarded writer (_write).  Exit codes:
 * 1: an input diagnostic, as <label>:<line>:<col>: message with the
   file's path, <goal>, <statement> or <universe> as label, or a malformed
   certificate; a program the translation rejects; no answer, no
-  derivation, an invalid certificate or an oracle mismatch
+  derivation in a search that was not cut, an invalid certificate or an
+  oracle mismatch
 * 2: a usage error, an unknown --qdom, an input file that cannot be read
   or an output file that cannot be written, prove without --statement
   or --check, an oracle --mutate site out of range
 * 3: solve found only flagged answers, or none in a search that was cut;
-  prove could not decide
+  prove found no derivation in a search that was cut or left a residual
+  undecided, or could not decide the certificate
 * 4: oracle exceeded --max-rules or --max-universe, or its goal cap or
   fixpoint budget
 * 5: input nested too deeply for the raised recursion limit that every

@@ -107,14 +107,6 @@ class QualDomain:
     def format(self, d: QualValue) -> str:
         raise NotImplementedError
 
-    def factor_residual(self, need: QualValue, alpha: QualValue, tol: float = 1e-9):
-        """Least premise bound q with need below alpha attenuated with q.
-
-        Returns None when no premise qualification can reach the target
-        through this factor, which soundly prunes a derivation branch.
-        """
-        raise NotImplementedError
-
 
 class CertaintyDomain(QualDomain):
     """Certainty degrees in [0, 1]; attenuation is multiplication."""
@@ -164,14 +156,6 @@ class CertaintyDomain(QualDomain):
     def format(self, d) -> str:
         x = self.check(d)
         return str(int(x)) if x == int(x) else repr(x)
-
-    def factor_residual(self, need, alpha, tol: float = 1e-9):
-        n, a = self.check(need), self.check(alpha)
-        if n <= 0.0:
-            return 0.0
-        if a <= 0.0 or n / a > 1.0 + tol:
-            return None
-        return min(1.0, n / a)
 
 
 class ProductDomain(QualDomain):
@@ -239,15 +223,6 @@ class ProductDomain(QualDomain):
     def format(self, d) -> str:
         d = self.check(d)
         return f"({self.left.format(d[0])},{self.right.format(d[1])})"
-
-    def factor_residual(self, need, alpha, tol: float = 1e-9):
-        need = self.check(need)
-        alpha = self.check(alpha)
-        l = self.left.factor_residual(need[0], alpha[0], tol)
-        r = self.right.factor_residual(need[1], alpha[1], tol)
-        if l is None or r is None:
-            return None
-        return (l, r)
 
 
 U = CertaintyDomain()

@@ -28,6 +28,11 @@ generator takes a trail mark before it yields and undoes to that mark
 when it resumes or finishes, so exhausted branches leave no traces (the
 WAM discipline).  Each answer carries a snapshot: a copy of the store
 without the trail, independent of the search that goes on.
+
+Proof replay (replay_trees) rebuilds an answer's derivation in the
+translated program from its snapshot, each qualification variable at the
+upper bound of its interval; semantics.holds maps it back to the source
+program, so the solver is the toolchain's one derivation engine.
 """
 
 from __future__ import annotations
@@ -1091,9 +1096,10 @@ class _HashCons(HashCons):
 class _Replay:
     """Rebuilds qualification-free proof trees from a solved store.
 
-    Qualification variables are instantiated at the upper bound of their
-    interval (any point of the box is a solution, the bound is the best
-    one); data variables resolve through the substitution; calls resolve
+    Qualification variables, those a qVal declared, are instantiated at
+    the upper bound of their interval (any point of the box is a
+    solution, the bound is the best one); data variables resolve through
+    the substitution and stay variables when unbound; calls resolve
     through the recorded reductions, and unevaluated calls denote the
     undefined value on result positions.
 
@@ -1135,7 +1141,9 @@ class _Replay:
         e = self._walk(e)
         if isinstance(e, Var):
             iv = self.store.ivals.get(e.name)
-            return self.share.leaf(e if iv is None else Basic(iv.hi))
+            if iv is None or e.name not in self.store.declared:
+                return self.share.leaf(e)
+            return self.share.leaf(Basic(iv.hi))
         if not isinstance(e, App):
             return self.share.leaf(e)
         hit = self.share.ground.get(id(e)) or self._values.get(id(e))

@@ -16,32 +16,29 @@ small rewriting logic whose rules are, informally:
 * prim/atom: primitive applications and atomic constraints hold when the
   hypotheses entail the evaluated form.
 
-This module provides a structural checker for such proof trees, a
-depth-bounded proof search that emits checkable trees, a statement
-entailment test, and a bounded, semi-naive immediate-consequence
-iteration over indexed facts, usable as an executable oracle on finite
-universes.  The search and the iteration reduce expressions with one
-shared core (_Reducer) for triv, refl, cons and prim.  They differ in
-the fun rule (the search tries rule instances, the iteration looks the
-call up in the facts derived so far) and in how an atom's evaluated form
-is decided (entailed by the hypotheses, or true as a ground form); the
-checker shares none of it and validates every tree the search emits.
-A parallel qualification-free variant of the same machinery
-(statements with no qualification) is used to validate translated
-programs and solver answers.
+This module provides a structural checker for such proof trees, bounded
+derivability (holds), a statement entailment test, and a bounded,
+semi-naive immediate-consequence iteration over indexed facts, usable as
+an executable oracle on finite universes.  holds derives through the
+one derivation engine, the solver of runtime.py: it solves the statement
+against the translated program, replays the answer and maps the replayed
+tree back to the source program (transform.SourceProof).  The iteration
+reduces ground premises with _FactReducer, which looks calls up in the
+facts derived so far.  The checker shares no code with either; its
+qualification-free variant (statements with no qualification) validates
+solver answers against translated programs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
-from .syntax import (Program, _Parser, ParseError, Diagnostic, _vars_in_order,
-                     print_constraint, print_expr)
+from .syntax import (Goal, GoalItem, Program, _Parser, ParseError, Diagnostic,
+                     _vars_in_order, print_constraint, print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     HashCons, TRUE, Var, apply_subst, constraint_exprs,
                     constraint_info_leq, deep_recursion, format_real, info_leq,
@@ -488,185 +485,13 @@ def _premises(chk: _CheckState, children, path: str) -> Optional[CheckResult]:
 
 
 # ======================================================================
-# Proof search
+# Derivability through the solver
 # ======================================================================
 
 @dataclass(frozen=True)
 class HoldsResult:
     status: str                  # "derivable" | "not_found" | "unknown"
     tree: Optional[ProofTree] = None
-
-
-class _Reducer:
-    """The rewriting rules the proof search and the fixpoint share.
-
-    reduce covers triv, refl, cons and prim, and atom_quals reduces an
-    atomic statement's arguments; a subclass supplies the fun case
-    (_call) and decides a reduced atom (_decide).  Every proof node is
-    built by _proof, which the fixpoint overrides to build none.  budget
-    caps the reduce calls; a blown budget, like any undecided step, sets
-    unknown.
-    """
-
-    def __init__(self, program: Program, dom: QualDomain, budget=math.inf):
-        self.sig = program.signature
-        self.dom = dom
-        self.budget = budget
-        self.unknown = False
-
-    def reduce(self, e: Expr, pi: tuple = (), depth: int = 0,
-               need=None) -> Iterable[tuple]:
-        """The (result term, qualification, proof tree) triples for e.
-
-        A leaf returns its one triple directly and a call or application
-        returns a generator, so no node pays for a generator it does not
-        need.
-        """
-        self.budget -= 1
-        if self.budget <= 0:
-            self.unknown = True
-            return ()
-        if isinstance(e, Bottom):
-            top = self.dom.top()
-            return ((BOTTOM, top, self._proof("triv", BOTTOM, BOTTOM, top, pi)),)
-        if isinstance(e, (Var, Basic)):
-            top = self.dom.top()
-            return ((e, top, self._proof("refl", e, e, top, pi)),)
-        kind = self.sig.kind(e.symbol)
-        if kind == "df":
-            return self._call(e, pi, depth, need)
-        return self._apply(e, kind == "pf", pi, depth, need)
-
-    def _apply(self, e: App, primitive: bool, pi: tuple, depth: int,
-               need) -> Iterator[tuple]:
-        """The cons rule, or the prim rule when primitive."""
-        dom = self.dom
-        for parts in self._seq(self.reduce, e.args, pi, depth, need):
-            terms = tuple(p[0] for p in parts)
-            d = dom.glb_all([p[1] for p in parts])
-            trees = tuple(p[2] for p in parts)
-            if not primitive:
-                res = App(e.symbol, terms)
-                yield res, d, self._proof("cons", e, res, d, pi, trees)
-                continue
-            try:
-                v = eval_primitive(e.symbol, terms)
-            except Exception:
-                continue
-            if v == BOTTOM:
-                if any(vars_of(t) for t in terms):
-                    self.unknown = True
-                continue
-            yield v, d, self._proof("prim", e, v, d, pi, trees)
-
-    def _proof(self, tag: str, lhs: Optional[Expr], rhs: Optional[Expr], d,
-               pi: tuple, children: tuple = (),
-               atom: Optional[AtomicConstraint] = None) -> Optional[ProofTree]:
-        """The proof node concluding (lhs -> rhs) # d <== pi, or atom # d
-        <== pi."""
-        return ProofTree(tag, QStatement(lhs, rhs, atom, d, tuple(pi)), children)
-
-    def atom_quals(self, c: AtomicConstraint, pi: tuple = (), depth: int = 0,
-                   need=None) -> Iterator[tuple]:
-        """Yield (evaluated constraint, qualification, proof tree) for
-        each derivation of the atomic statement c."""
-        for parts in self._seq(self.reduce, c.args, pi, depth, need):
-            form = AtomicConstraint(c.symbol, tuple(p[0] for p in parts), c.result)
-            if self._decide(form, pi):
-                d = self.dom.glb_all([p[1] for p in parts])
-                yield form, d, self._proof("atom", None, None, d, pi,
-                                           tuple(p[2] for p in parts), c)
-
-    def _seq(self, step, items: tuple, pi: tuple, depth: int, need,
-             pats: tuple = (), theta: Optional[dict] = None,
-             i: int = 0) -> Iterator[list]:
-        """Yield a list of step results, one per item, for each combination.
-
-        With pats, the i-th result term must match pats[i], checked as
-        soon as it is produced, and the match binds theta in place.
-        """
-        if i == len(items):
-            yield []
-            return
-        for first in step(items[i], pi, depth, need):
-            if not pats or _match(pats[i], first[0], theta):
-                for rest in self._seq(step, items, pi, depth, need, pats,
-                                      theta, i + 1):
-                    yield [first, *rest]
-
-
-def _match(pat: Expr, value: Expr, out: dict) -> bool:
-    if isinstance(pat, Var):
-        out[pat.name] = value
-        return True
-    if isinstance(pat, Basic):
-        return isinstance(value, Basic) and value.value == pat.value
-    if isinstance(pat, App):
-        return isinstance(value, App) and value.symbol == pat.symbol \
-            and len(value.args) == len(pat.args) \
-            and all(_match(p, v, out) for p, v in zip(pat.args, value.args))
-    return False
-
-
-class ProofSearch(_Reducer):
-    """Depth-bounded proof search over a qualified program.
-
-    A call rewrites through rule instances, and an atom holds when the
-    hypotheses entail its evaluated form.  Rules whose conditions or
-    right-hand side mention variables that do not occur in the head
-    patterns are outside the search fragment and make the outcome
-    unknown rather than failed.
-    """
-
-    def __init__(self, program: Program, dom: QualDomain = U, budget: int = 200000):
-        super().__init__(program, dom, budget)
-        self._rules = {}
-        for i, r in enumerate(program.rules):
-            in_fragment = vars_of((r.rhs, r.conditions)) <= vars_of(r.patterns)
-            self._rules.setdefault(r.name, []).append(
-                (i, r, dom.coerce(r.attenuation), in_fragment))
-
-    def _call(self, e: App, pi: tuple, depth: int, need) -> Iterator[tuple]:
-        """need is a lower bound the derivation's qualification must
-        reach; rule branches whose attenuation cannot reach it are failed
-        outright, which keeps recursive programs searchable."""
-        if depth <= 0:
-            self.unknown = True
-            return
-        dom = self.dom
-        for index, rule, alpha, in_fragment in self._rules.get(e.symbol, ()):
-            inner_need = dom.factor_residual(need, alpha)
-            if inner_need is None:
-                continue  # this rule can never reach the required bound
-            if not in_fragment:
-                self.unknown = True
-                continue
-            theta: dict = {}
-            for arg_parts in self._seq(self.reduce, e.args, pi, depth, need,
-                                       rule.patterns, theta):
-                conds = [apply_subst(c, theta) for c in rule.conditions]
-                for cond_parts in self._seq(self.atom_quals, conds, pi,
-                                            depth - 1, inner_need):
-                    rhs_inst = apply_subst(rule.rhs, theta)
-                    for t, d0, rhs_tree in self.reduce(rhs_inst, pi, depth - 1,
-                                                       inner_need):
-                        quals = [p[1] for p in arg_parts]
-                        quals.append(dom.attenuate(alpha, d0))
-                        quals += [dom.attenuate(alpha, p[1]) for p in cond_parts]
-                        d = dom.glb_all(quals)
-                        if not dom.is_strict(d):
-                            continue
-                        children = tuple(p[2] for p in arg_parts) + (rhs_tree,) \
-                            + tuple(p[2] for p in cond_parts)
-                        yield t, d, ProofTree("fun", production(e, t, d, pi),
-                                              children, index,
-                                              tuple(sorted(theta.items())))
-
-    def _decide(self, c: AtomicConstraint, pi: tuple) -> bool:
-        side = entails(pi, c)
-        if side.status == "unknown":
-            self.unknown = True
-        return side.status == "entailed"
 
 
 def weaken_tree(tree: ProofTree, rhs: Optional[Expr], d, dom: QualDomain) -> Optional[ProofTree]:
@@ -706,33 +531,84 @@ def weaken_tree(tree: ProofTree, rhs: Optional[Expr], d, dom: QualDomain) -> Opt
                 return None
             return ProofTree("prim", production(stmt.lhs, target, d, stmt.hypotheses),
                              tree.children)
-        if tree.tag == "triv":
-            return tree if isinstance(target, Bottom) else None
         return None
     # atomic statements only weaken in qualification
     return ProofTree(tree.tag, stmt.with_qual(d), tree.children,
                      tree.rule_index, tree.theta)
 
 
+@deep_recursion()
 def holds(program: Program, dom: QualDomain, stmt: QStatement,
-          depth: int = 8, budget: int = 200000) -> HoldsResult:
-    """Bounded derivability of a qualified statement."""
-    d = dom.coerce(stmt.qual)
+          depth: int = 8) -> HoldsResult:
+    """Bounded derivability of a qualified statement, through the solver.
+
+    A production (lhs -> rhs) # d is solved as the goal (R == lhs) # W,
+    and an atomic statement c # d as c # W, with each component of W at
+    least that of d less CHECK_TOL, against the translated program at the
+    given depth.  Statement variables are rigid: an answer may bind each
+    only to a variable of the search of its own, renamed back to it.  An
+    answer whose residuals the hypotheses entail and whose result is
+    above rhs is replayed, mapped back to the source program
+    (transform.SourceProof) and weakened to the statement.  A bottom in
+    the statement is a rigid variable that the mapping turns back into
+    bottom.  With no such answer, the status is unknown when the search
+    was cut, a residual undecided, or an answer dropped on a residual or
+    result with a variable of the search (some value of it may do), and
+    not_found otherwise.
+    """
+    from .runtime import Limits, Solver, _Replay
+    from .transform import (FreshSupply, SourceProof, transform_goal,
+                            transform_program)
+
     if triviality(stmt) == "yes":
         return HoldsResult("derivable", ProofTree("triv", stmt))
-    search = ProofSearch(program, dom, budget)
+    stated = vars_of((stmt.lhs, stmt.rhs, stmt.atom, stmt.hypotheses))
+    supply = FreshSupply(stated | vars_of([(r.patterns, r.rhs, r.conditions)
+                                           for r in program.rules]))
+    bottoms: dict = {}
+
+    def rigid(e: Expr) -> Expr:
+        if isinstance(e, Bottom):
+            e = Var(supply.fresh())
+            bottoms[e.name] = BOTTOM
+        elif isinstance(e, App) and e.args:
+            e = App(e.symbol, tuple(map(rigid, e.args)))
+        return e
+
     if stmt.is_production():
-        for s, m, tree in search.reduce(stmt.lhs, stmt.hypotheses, depth, d):
-            if info_leq(stmt.rhs, s) and dom.leq(d, m, CHECK_TOL):
-                out = weaken_tree(tree, stmt.rhs, stmt.qual, dom)
-                if out is not None:
-                    return HoldsResult("derivable", out)
+        target = AtomicConstraint("==", (Var(supply.fresh()), rigid(stmt.lhs)), TRUE)
     else:
-        for _, m, tree in search.atom_quals(stmt.atom, stmt.hypotheses, depth, d):
-            if dom.leq(d, m, CHECK_TOL):
-                return HoldsResult("derivable",
-                                   weaken_tree(tree, None, stmt.qual, dom))
-    return HoldsResult("unknown" if search.unknown else "not_found")
+        c = stmt.atom
+        target = AtomicConstraint(c.symbol, tuple(map(rigid, c.args)), c.result)
+    fixed = vars_of(target.args[1] if stmt.is_production() else target)
+    d = dom.coerce(stmt.qual)
+    floor = dom.join([max(0.0, x - CHECK_TOL) for x in dom.split(d)])
+    goal = Goal((GoalItem(target, supply.fresh(), floor),))
+    translated, emit_map = transform_program(program, dom)
+    constraints, wvars, datavars = transform_goal(goal, program, dom)
+    solver = Solver(translated, dom, Limits(depth))
+    undecided = False
+    for ans in solver.solve(constraints, wvars, datavars):
+        bound = {v: ans.subst[v] for v in fixed & ans.subst.keys()}
+        names = {t.name: Var(v) for v, t in bound.items()
+                 if type(t) is Var and t.name.startswith("~")}
+        if len(names) < len(bound):  # bound otherwise, or two to one
+            continue
+        residual = apply_subst(ans.residual, names)
+        verdicts = {entails(stmt.hypotheses, r).status for r in residual}
+        if verdicts - {"entailed"}:
+            undecided = undecided or "unknown" in verdicts \
+                or any(n.startswith("~") for n in vars_of(residual))
+            continue
+        names = {**{k: bottoms.get(v.name, v) for k, v in names.items()}, **bottoms}
+        back = SourceProof(program, emit_map, dom, stmt.hypotheses, names, supply)
+        tree = _Replay(solver, ans.store).atom_tree(constraints[-1])
+        tree = back.tree(tree.children[1] if stmt.is_production() else tree)
+        out = weaken_tree(tree, stmt.rhs, stmt.qual, dom)
+        if out is not None:
+            return HoldsResult("derivable", out)
+        undecided = undecided or not vars_of(tree.conclusion.rhs) <= stated
+    return HoldsResult("unknown" if undecided or solver.cut else "not_found")
 
 
 # ======================================================================
@@ -787,34 +663,73 @@ class Interpretation:
         return out
 
 
-class _FactReducer(_Reducer):
+class _FactReducer:
     """Derivability of ground premises from an interpretation's facts.
 
-    A call is looked up in the indexed facts, which carry no proof tree,
-    and an atom holds when its ground evaluated form is true.
+    reduce gives the (result term, qualification) pairs of an expression
+    under the rules triv, refl, cons and prim, with a call looked up in
+    the indexed facts; atom_quals gives the qualifications of an atomic
+    statement whose ground evaluated form is true.  A leaf returns its
+    one pair directly and an application returns a generator, so no node
+    pays for a generator it does not need.
     """
 
     def __init__(self, interp: Interpretation, program: Program, dom: QualDomain):
-        super().__init__(program, dom)
         self.interp = interp
+        self.sig = program.signature
+        self.dom = dom
 
-    def _call(self, e: App, pi: tuple, depth: int, need) -> Iterator[tuple]:
+    def reduce(self, e: Expr) -> Iterable[tuple]:
+        if isinstance(e, Bottom):
+            return ((BOTTOM, self.dom.top()),)
+        if isinstance(e, (Var, Basic)):
+            return ((e, self.dom.top()),)
+        kind = self.sig.kind(e.symbol)
+        if kind == "df":
+            return self._call(e)
+        return self._apply(e, kind == "pf")
+
+    def _apply(self, e: App, primitive: bool) -> Iterator[tuple]:
+        """The cons rule, or the prim rule when primitive."""
+        for parts in self._seq(e.args):
+            terms = tuple(p[0] for p in parts)
+            d = self.dom.glb_all([p[1] for p in parts])
+            if not primitive:
+                yield App(e.symbol, terms), d
+                continue
+            try:
+                v = eval_primitive(e.symbol, terms)
+            except Exception:
+                continue
+            if v != BOTTOM:
+                yield v, d
+
+    def _call(self, e: App) -> Iterator[tuple]:
         dom = self.dom
         facts, results = self.interp.facts, self.interp.results
-        for parts in self._seq(self.reduce, e.args, pi, depth, need):
+        for parts in self._seq(e.args):
             args = tuple(p[0] for p in parts)
             ts = results.get((e.symbol, args))
             if ts:
                 d_args = dom.glb_all([p[1] for p in parts])
                 for t in ts:
                     for d0 in facts[(e.symbol, args, t)]:
-                        yield t, dom.glb(d0, d_args), None
+                        yield t, dom.glb(d0, d_args)
 
-    def _decide(self, c: AtomicConstraint, pi: tuple) -> bool:
-        return holds_under(c, {}) is True
+    def atom_quals(self, c: AtomicConstraint) -> Iterator:
+        for parts in self._seq(c.args):
+            form = AtomicConstraint(c.symbol, tuple(p[0] for p in parts), c.result)
+            if holds_under(form, {}) is True:
+                yield self.dom.glb_all([p[1] for p in parts])
 
-    def _proof(self, *_) -> None:
-        return None  # facts carry no proof, so their consequences need none
+    def _seq(self, items: tuple, i: int = 0) -> Iterator[list]:
+        """Yield a list of reduce results, one per item, for each combination."""
+        if i == len(items):
+            yield []
+            return
+        for first in self.reduce(items[i]):
+            for rest in self._seq(items, i + 1):
+                yield [first, *rest]
 
 
 class _RulePlan:
@@ -878,8 +793,7 @@ class _RulePlan:
                 return
             step = steps[i]
             if step[0] == "check":
-                ds = [d for _, d, _ in
-                      red.atom_quals(apply_subst(conds[step[1]], theta))]
+                ds = list(red.atom_quals(apply_subst(conds[step[1]], theta)))
                 if not ds:
                     yield None
                     return
@@ -888,7 +802,7 @@ class _RulePlan:
                 return
             values = universe
             if step[0] == "bind":
-                results = {t for t, _, _ in red.reduce(apply_subst(step[2], theta))}
+                results = {t for t, _ in red.reduce(apply_subst(step[2], theta))}
                 values = [u for u in universe
                           if u in results or u not in constructor]
                 if not values:
@@ -974,7 +888,7 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
                     continue
                 theta, cond_sets = inst
                 head_args = tuple(apply_subst(p, theta) for p in rule.patterns)
-                for t, d0, _ in red.reduce(apply_subst(rule.rhs, theta)):
+                for t, d0 in red.reduce(apply_subst(rule.rhs, theta)):
                     if isinstance(t, Bottom):
                         continue
                     for cond_combo in itertools.product(*cond_sets):

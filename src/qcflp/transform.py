@@ -28,18 +28,24 @@ constraint x <= alpha*y.  Product lattices are lowered by variable
 splitting: a qualification variable W stands for component variables
 W.1, W.2, ..., its leaves, threaded through calls as a constructor
 tuple, with every bound emitted componentwise.
+
+The translation is undone on derivations: SourceProof maps a tree that
+runtime replays for the translated program back to a derivation in the
+source program, qualified by the replayed values of the qualification
+arguments, which check_proof then validates against the source.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .domains import ProductDomain, QualDomain, U
+from .semantics import ProofTree, atom_statement, production
 from .syntax import Goal, Program, ProgramRule
-from .terms import (App, AtomicConstraint, Basic, Expr, Signature, TRUE, Var,
-                    vars_of)
+from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
+                    Signature, TRUE, Var, vars_of)
 
 PAIR_CTOR = "qpair"
 
@@ -68,17 +74,20 @@ class Emitter:
     """Collects lowered qualification constraints.
 
     Every emitted constraint gets a site index; a seeded mutation can
-    drop one site, which the oracle comparison must then detect.
+    drop one site, which the oracle comparison must then detect.  The
+    constraints emitted are kept, in order, in emitted.
     """
 
     dom: QualDomain
     drop_site: Optional[int] = None
     next_site: int = 0
+    emitted: list = field(default_factory=list)
 
     def emit(self, constraints: list) -> list:
         out = [c for i, c in enumerate(constraints, self.next_site)
                if i != self.drop_site]
         self.next_site += len(constraints)
+        self.emitted += out
         return out
 
 
@@ -194,8 +203,9 @@ def transform_program(program: Program, dom: QualDomain = U, *,
                       drop_site: Optional[int] = None) -> tuple:
     """Translate a whole program; returns (Program, emit_map list).
 
-    The emit map records, per source rule, the translated rule index and
-    the qualification variables introduced for it.
+    The emit map records, per source rule, the translated rule index,
+    the qualification variables introduced for it and the positions of
+    its own conditions among the translated rule's.
     """
     for name in program.signature.df:
         if name.endswith("'"):
@@ -216,10 +226,13 @@ def transform_program(program: Program, dom: QualDomain = U, *,
     rules = []
     emit_map = []
     for i, r in enumerate(program.rules):
+        start = len(em.emitted)
         new_rule, introduced = transform_rule(r, program.signature, supply, em)
         rules.append(new_rule)
+        mine = {id(c) for c in em.emitted[start:]}
+        own = [j for j, c in enumerate(new_rule.conditions) if id(c) not in mine]
         emit_map.append({"source_rule": i, "translated_rule": i,
-                         "qual_vars": introduced})
+                         "qual_vars": introduced, "source_conditions": own})
     return Program(sig, rules), emit_map
 
 
@@ -240,3 +253,90 @@ def transform_goal(goal: Goal, program: Program, dom: QualDomain = U) -> tuple:
                                         lambda: arg))
     datavars = sorted(vars_of(tuple(item.constraint for item in goal.items)))
     return out, [item.wvar for item in goal.items], datavars
+
+
+# ======================================================================
+# Back-translation of replayed derivations
+# ======================================================================
+
+def qual_value(e: Expr, dom: QualDomain):
+    """The qualification value that e, the replayed value of a call's
+    qualification argument, stands for: the inverse of qual_arg_expr."""
+    if isinstance(dom, ProductDomain):
+        return (qual_value(e.args[0], dom.left), qual_value(e.args[1], dom.right))
+    return dom.check(e.value)
+
+
+class SourceProof:
+    """Maps trees that runtime replays back to the source program.
+
+    A call f'(e1, ..., en, Q) becomes f(e1, ..., en).  A fun node keeps
+    the premises of the source_conditions that emit_map records, drops
+    the rest, that of Q and the qualification variables of its
+    substitution, and is qualified by the replayed value of Q.  A cons,
+    prim or atom node takes the glb of its premises', a refl or triv node
+    top.  Every node gets the hypotheses pi.  A variable is replaced as
+    names says, maybe by bottom (a node rewriting to it becomes triv); any
+    other variable of the search (~n, ~n~X) by a fresh name from supply.
+    Replayed nodes and terms are canonical per solver, so each is mapped
+    once, memoized on identity; the tables keep their keys alive.
+    """
+
+    def __init__(self, program: Program, emit_map: list, dom: QualDomain,
+                 pi: tuple, names: dict, supply: FreshSupply):
+        self.dom, self.pi, self.names, self.supply = dom, pi, names, supply
+        self._calls = {primed(f) for f in program.signature.df}
+        # per rule: arity, positions of its own conditions, its variables
+        self._layouts = [(len(r.patterns), e["source_conditions"],
+                          vars_of((r.patterns, r.rhs, r.conditions)))
+                         for r, e in zip(program.rules, emit_map)]
+        self._trees = {}      # id(replayed node) -> (node, source node)
+        self._terms = {}      # id(App) -> (App, source term)
+
+    def term(self, e: Expr) -> Expr:
+        if type(e) is Var:
+            out = self.names.get(e.name)
+            if out is None and e.name.startswith("~"):
+                out = self.names[e.name] = Var(self.supply.fresh())
+            return e if out is None else out
+        if type(e) is not App or not e.args:
+            return e
+        hit = self._terms.get(id(e))
+        if hit is not None:
+            return hit[1]
+        args = [self.term(a) for a in e.args]
+        if e.symbol in self._calls:
+            out = App(e.symbol[:-1], tuple(args[:-1]))
+        elif all(a is b for a, b in zip(args, e.args)):
+            out = e
+        else:
+            out = App(e.symbol, tuple(args))
+        self._terms[id(e)] = (e, out)
+        return out
+
+    def tree(self, node: ProofTree) -> ProofTree:
+        hit = self._trees.get(id(node))
+        if hit is None:
+            hit = self._trees[id(node)] = (node, self._tree(node))
+        return hit[1]
+
+    def _tree(self, node: ProofTree) -> ProofTree:
+        s, dom, pi, kids = node.conclusion, self.dom, self.pi, node.children
+        if node.tag == "fun":
+            n, conds, names = self._layouts[node.rule_index]
+            kids = (*kids[:n], kids[n + 1], *(kids[n + 2 + j] for j in conds))
+        kids = tuple(map(self.tree, kids))
+        q = dom.glb_all([k.conclusion.qual for k in kids])
+        if s.atom is not None:
+            c = s.atom
+            atom = AtomicConstraint(c.symbol, tuple(map(self.term, c.args)),
+                                    self.term(c.result))
+            return ProofTree("atom", atom_statement(atom, q, pi), kids)
+        lhs, rhs = self.term(s.lhs), self.term(s.rhs)
+        if isinstance(rhs, Bottom):
+            return ProofTree("triv", production(lhs, BOTTOM, dom.top(), pi))
+        if node.tag != "fun":
+            return ProofTree(node.tag, production(lhs, rhs, q, pi), kids)
+        theta = tuple((v, self.term(t)) for v, t in node.theta if v in names)
+        return ProofTree("fun", production(lhs, rhs, qual_value(s.lhs.args[-1], dom), pi),
+                         kids, node.rule_index, theta)

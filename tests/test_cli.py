@@ -133,6 +133,33 @@ def test_prove_not_found():
     assert run("prove", str(LIBRARY), "--statement", beyond, "--depth", "6") == 1
 
 
+PAPER_STMT = '(search("German","Essay",intermediate) -> 4) # {}'
+
+
+def test_prove_paper_statement(tmp_path, capsys):
+    # search has a variable (B) that its head does not bind; the
+    # solver binds it, so the paper's statement is derivable up to the
+    # answer's 0.7 and its certificate checks
+    cert = tmp_path / "p.proof"
+    assert run("prove", str(LIBRARY), "--statement", PAPER_STMT.format("0.65"),
+               "-o", str(cert)) == 0
+    assert capsys.readouterr().out == "derivable\n"
+    assert run("prove", str(LIBRARY), "--check", str(cert)) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert run("prove", str(LIBRARY), "--statement", PAPER_STMT.format("0.71")) == 1
+    assert capsys.readouterr().err == "not_found\n"
+    # the certificate with its root raised to 0.71 is refused
+    lines = cert.read_text().splitlines()
+    root = lines[3].split()[1]
+    (i,) = [i for i, line in enumerate(lines) if line.split("\t")[0] == root]
+    assert lines[i].endswith(" # 0.65")
+    lines[i] = lines[i][:-len("0.65")] + "0.71"
+    bad = tmp_path / "raised.proof"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("prove", str(LIBRARY), "--check", str(bad)) == 1
+    assert capsys.readouterr().out.startswith("invalid: ")
+
+
 def test_tampered_certificate_rejected(tmp_path):
     cert = tmp_path / "genre.proof"
     run("prove", str(LIBRARY), "--statement", GENRE_STMT,

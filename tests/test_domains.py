@@ -123,11 +123,3 @@ def test_lattice_laws(a, b, c):
         assert dom.leq(dom.glb(x, y), x)
         assert dom.leq(x, dom.lub(x, y))
 
-
-def test_factor_residual():
-    assert U.factor_residual(0.63, 0.9) == pytest.approx(0.7)
-    assert U.factor_residual(0.95, 0.9) is None
-    assert U.factor_residual(0.0, 0.9) == 0.0
-    assert UXU.factor_residual((0.5, 0.9), (1.0, 0.85)) is None
-    assert UXU.factor_residual((0.45, 0.4), (0.9, 0.8)) == \
-        (pytest.approx(0.5), pytest.approx(0.5))

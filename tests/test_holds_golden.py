@@ -1,7 +1,8 @@
 """Golden pins for bounded derivability: the status `holds` gives, and the
 SHA-256 of the certificate it emits, on the paper's library program and on
-seeded layered programs.  Any change to the proof search that alters a
-verdict or a byte of a certificate shows here."""
+seeded layered programs.  Any change to the solver, the replay or the
+mapping back to the source program that alters a verdict or a byte of a
+certificate shows here."""
 
 import hashlib
 import random
@@ -9,10 +10,11 @@ import random
 import pytest
 
 from conftest import BOOK2, BOOK4, random_layered_program
+from test_rule_filter import PAPER, THRESHOLD_SWEEP
 from qcflp.domains import U, domain_from_name
 from qcflp.oracle import default_universe
-from qcflp.semantics import (bounded_lfp, holds, parse_statement, production,
-                             serialize_proof)
+from qcflp.semantics import (bounded_lfp, check_proof, holds, parse_statement,
+                             production, serialize_proof)
 from qcflp.syntax import parse_program
 from qcflp.terms import App
 
@@ -59,19 +61,18 @@ LIBRARY_PINS = [
      "fa1b1142c0088bc66098d6a142e453b368479438d8e1d6d2f971fba9e2ddc805"),
     ("u", '(guessGenre(BOOK4) -> "Essay") # 0.75', "not_found", None),
     # search's rule has a variable (B) that its head does not bind
-    ("u", '(search("German","Essay",intermediate) -> 4) # 0.65', "unknown", None),
+    ("u", '(search("German","Essay",intermediate) -> 4) # 0.65', "derivable",
+     "2c43b824b43edcf6665cad04f393503e1233de39e1209f0d4827f4bab4b1a5fd"),
 ]
 
-# member's rules tell the empty list from a cons by pattern, and the
-# budget counts reduce calls: 5375 is the least that finds the second proof
-BUDGET_PINS = [
-    ("(member(BOOK2, library) -> true) # 0.9", 200000, "derivable",
+# member's rules tell the empty list from a cons by pattern
+MEMBER_PINS = [
+    ("(member(BOOK2, library) -> true) # 0.9", "derivable",
      "a43090c8c2a70f02ab679a7e270fa97c4330f8734f05c6f5532606549dac18eb"),
-    ("(member(BOOK4, library) -> true) # 1", 5375, "derivable",
+    ("(member(BOOK4, library) -> true) # 1", "derivable",
      "8b4bdf82ad6db5c53144975667b36b8dab66da2654276b173dd3e81c0af08670"),
-    ("(member(BOOK4, library) -> true) # 1", 5374, "unknown", None),
     ('(member(book(5, "X", "Y", "Z", "W", easy, 1), library) -> false) # 0.5',
-     200000, "derivable",
+     "derivable",
      "212e9c358736d8b796e3c41d87ad618ecf338f46c90e285d8c752e9cf456f074"),
 ]
 
@@ -83,13 +84,13 @@ RANDOM_PINS = {
 }
 
 
-def _library_holds(library_text, dom_name, text, budget=200000):
+def _library_holds(library_text, dom_name, text):
     """holds on the library at depth 6: (status, certificate SHA-256)."""
     dom = domain_from_name(dom_name)
     program = parse_program(library_text, dom)
     for name, book in BOOKS.items():
         text = text.replace(name, book)
-    r = holds(program, dom, parse_statement(text), depth=6, budget=budget)
+    r = holds(program, dom, parse_statement(text), depth=6)
     if r.tree is None:
         return r.status, None
     cert = serialize_proof(r.tree, dom.name, dom)
@@ -102,10 +103,10 @@ def test_library_holds_golden(library_text, dom_name, text, status, digest):
     assert _library_holds(library_text, dom_name, text) == (status, digest)
 
 
-@pytest.mark.parametrize("text, budget, status, digest", BUDGET_PINS,
-                         ids=[f"{t}-{b}" for t, b, _, _ in BUDGET_PINS])
-def test_member_holds_golden(library_text, text, budget, status, digest):
-    assert _library_holds(library_text, "u", text, budget) == (status, digest)
+@pytest.mark.parametrize("text, status, digest", MEMBER_PINS,
+                         ids=[t for t, _, _ in MEMBER_PINS])
+def test_member_holds_golden(library_text, text, status, digest):
+    assert _library_holds(library_text, "u", text) == (status, digest)
 
 
 @pytest.mark.parametrize("seed", sorted(RANDOM_PINS))
@@ -122,3 +123,25 @@ def test_layered_holds_golden(seed):
             h.update(r.status.encode() + b"\n")
             h.update(serialize_proof(r.tree, "u", U).encode())
     assert h.hexdigest() == RANDOM_PINS[seed]
+
+
+# the thresholds of the paper goal in threshold-sweep, with whether the
+# solver has a clean answer there
+PAPER_THRESHOLDS = [(goal.rpartition(">= ")[2], bool(expected))
+                    for goal, dom_name, _, expected in THRESHOLD_SWEEP
+                    if goal.startswith(f"{PAPER} | W >= 0") and dom_name == "u"]
+
+
+@pytest.mark.parametrize("threshold, answered", PAPER_THRESHOLDS)
+def test_paper_statement_across_sweep(library_text, threshold, answered):
+    # a threshold with a clean answer gives a source certificate, under
+    # u and under uxu; above the answer's 0.7 there is no derivation
+    for dom_name, qual in (("u", threshold), ("uxu", f"({threshold},{threshold})")):
+        dom = domain_from_name(dom_name)
+        program = parse_program(library_text, dom)
+        text = f'(search("German","Essay",intermediate) -> 4) # {qual}'
+        r = holds(program, dom, parse_statement(text))
+        assert r.status == ("derivable" if answered else "not_found"), dom_name
+        if answered:
+            assert r.tree.conclusion == parse_statement(text)
+            assert check_proof(program, dom, r.tree).status == "valid"

@@ -13,8 +13,8 @@ import sys
 import pytest
 
 from conftest import BOOK4
-from qcflp.runtime import (Limits, Solver, _Replay, answer_record, render_answer,
-                           replay_trees)
+from qcflp.runtime import (Limits, ReplayError, Solver, _Replay, answer_record,
+                           render_answer, replay_trees)
 import qcflp.semantics
 from qcflp.semantics import check_proof, distinct_parts, serialize_proof
 from qcflp.syntax import Goal, GoalItem, parse_goal, parse_program
@@ -325,3 +325,16 @@ def test_replay_through_arithmetic_is_valid(n):
     trees = replay_trees(solver, answer, constraints)
     assert [check_proof(translated, None, t).status for t in trees] == \
         ["valid"] * len(constraints)
+
+
+def test_replay_refuses_conditional_answers():
+    # a conditional answer's tree needs hypotheses that entail its
+    # residuals, which replay_trees does not have
+    p = parse_program("f(X) --> true <== X >= 0")
+    translated, _ = transform_program(p)
+    constraints, wvars, datavars = transform_goal(parse_goal("(f(Y) == true) # W"), p)
+    solver = Solver(translated)
+    [answer] = solver.solve(constraints, wvars, datavars)
+    assert answer.residual
+    with pytest.raises(ReplayError):
+        replay_trees(solver, answer, constraints)

@@ -265,3 +265,16 @@ def test_threaded_translation(library_text, source):
             assert not [c for c in constraints if c.symbol == "<="], printed
             leaves = {w + suf for w in wvars for suf in dom.leaf_suffixes()}
             assert not _declared_then_bounded(constraints, leaves), printed
+
+
+@pytest.mark.parametrize("dom", [U, UXU])
+def test_emit_map_source_conditions(library, dom):
+    # the emit map locates each rule's own conditions among those of its
+    # translation; every other condition is a qVal or bound it emitted
+    translated, emit_map = transform_program(library, dom)
+    for rule, new, entry in zip(library.rules, translated.rules, emit_map):
+        own = entry["source_conditions"]
+        assert [new.conditions[j].symbol for j in own] \
+            == [c.symbol for c in rule.conditions]
+        emitted = [c for j, c in enumerate(new.conditions) if j not in own]
+        assert all(c.symbol in ("qVal", "<=") for c in emitted)
