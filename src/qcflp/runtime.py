@@ -194,6 +194,14 @@ def _head_probe(rule):
     return None
 
 
+def _rules_by_symbol(program: Program) -> dict:
+    """symbol -> [(index, rule, head probe)] in program order."""
+    out = {}
+    for i, r in enumerate(program.rules):
+        out.setdefault(r.name, []).append((i, r, _head_probe(r)))
+    return out
+
+
 def _qual_caps(pats_t: tuple, compiled_t: tuple) -> tuple:
     """The qualification probe of a rule template: (path, a, strict) for
     each leaf of the last head pattern, the call's qualification
@@ -318,11 +326,11 @@ class Solver:
         self.dom = dom
         self.limits = limits or Limits()
         self.trace = trace
-        self._rules = {}            # symbol -> [(index, rule, head probe)]
-        for i, r in enumerate(program.rules):
-            self._rules.setdefault(r.name, []).append((i, r, _head_probe(r)))
-        self._templates = {}        # rule index -> rename template
-        self._quals = {}            # rule index -> its qualification variables
+        # what depends on the program alone is shared by its solvers:
+        # symbol -> [(index, rule, head probe)], rule index -> rename
+        # template, rule index -> its qualification variables
+        self._rules, self._templates, self._quals = program.memo(
+            "solver", lambda: (_rules_by_symbol(program), {}, {}))
         self._ground = {}           # id -> term, for ground data
         self._fresh = itertools.count()
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
@@ -391,10 +399,10 @@ class Solver:
         return pats, rhs, conds, dict(zip(names, vs)), compiled
 
     def _compile_rule(self, index: int, rule) -> tuple:
-        """The rename template of a rule, made on its first use: its
-        sorted variable list, the templates of its patterns, rhs and
-        conditions, its compiled conditions and its qualification probe
-        (_qual_caps)."""
+        """The rename template of a rule, made on its first use by any
+        solver of the program: its sorted variable list, the templates of
+        its patterns, rhs and conditions, its compiled conditions and its
+        qualification probe (_qual_caps)."""
         names = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
                        | vars_of(rule.conditions))
         pos = {v: i for i, v in enumerate(names)}
@@ -482,9 +490,9 @@ class Solver:
         """Whether names, the variables of a bound as written, hold a
         qualification variable that no qVal declared.  A bound may name
         data variables too, which are never declared.  The qualification
-        variables of a rule are found once, on the first bound that names
-        an undeclared variable, so well-formed posts never pay for it; a
-        goal's are all of its variables but its data variables."""
+        variables of a rule are found once per program, on the first bound
+        that names an undeclared variable, so well-formed posts never pay
+        for it; a goal's are all of its variables but its data variables."""
         undeclared = [n for n in names if n not in store.declared]
         if rule is None:
             return any(n not in store.datavars for n in undeclared)
@@ -1044,7 +1052,7 @@ class _HashCons(HashCons):
     its tag, its rule index, the ids of its conclusion's terms, of its
     theta values (the rule fixes their names) and of its children.  Equal
     parts of the trees of every answer a solver replays are then one
-    object, which check_proof decides once per call.
+    object, which check_proof decides once per program and domain.
 
     A ground data term (constructors and literals only, no variable and
     no call) resolves to the same canonical term in every store.  ground

@@ -32,6 +32,7 @@ solver answers against translated programs.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -289,32 +290,43 @@ def check_proof(program: Program, dom: Optional[QualDomain],
 
     dom None selects the qualification-free variant: statements carry no
     qualification and attenuation bounds are not checked.  A subtree
-    object that several parents share is checked once per call.
+    found valid is checked once per program and domain while it lives
+    (see _CheckState), so checking the trees of several answers costs
+    their distinct subproofs, not their occurrences.
     """
+    chk = _CheckState(program, dom)
+    if chk.valid.get(id(tree)) is tree:
+        return CheckResult("valid")
     try:
         with deep_recursion():
-            return _check_node(_CheckState(program, dom), tree, "root")
+            r = _check_node(chk, tree, "root")
     except Exception as exc:  # malformed nodes surface as invalid
         return CheckResult("invalid", f"malformed tree: {exc}")
+    if r.status == "valid":
+        chk.valid[id(tree)] = tree
+    return r
 
 
 class _CheckState:
-    """What one check_proof call has decided so far.
+    """What check_proof has decided for one program and domain.
 
     A node's verdict depends only on the program, the domain and the
-    subtree, since each parent compares its premises' conclusions itself,
-    so the ids of the subtrees found valid are kept and those subtrees
-    are not checked again; the root keeps them alive, so no id is reused
-    while the call runs.  An invalid verdict ends the check, and an
-    unknown one is recomputed under its own path, so reasons do not
-    depend on the sharing.  Every premise carries its parent's
-    hypotheses, whose vacuity is decided once per distinct tuple.
+    subtree, since each parent compares its premises' conclusions itself
+    and trees, statements and terms are frozen.  So every subtree found
+    valid is kept, by id, in a table that the program keeps per domain
+    (Program.memo), and is not checked again while it lives: a hit needs
+    the very object, and the table holds its subtrees weakly, so what it
+    keeps follows the live trees.  An invalid verdict ends the check, and
+    an unknown one is never kept and is recomputed under its own path,
+    so reasons do not depend on the sharing.  Every premise carries its
+    parent's hypotheses, whose vacuity is decided once per distinct tuple
+    and call.
     """
 
     def __init__(self, program: Program, dom: Optional[QualDomain]):
         self.program = program
         self.dom = dom
-        self.valid: set = set()
+        self.valid = program.memo(("checked", dom), weakref.WeakValueDictionary)
         self.vacuous: dict = {}
 
     def triviality(self, stmt: QStatement) -> str:
@@ -369,11 +381,12 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
         return CheckResult("valid")
 
     if tree.tag == "cons":
+        # an undeclared symbol is data, as the solver treats it
         if not stmt.is_production() or not isinstance(stmt.lhs, App) \
                 or not isinstance(stmt.rhs, App) \
                 or stmt.lhs.symbol != stmt.rhs.symbol \
                 or len(stmt.lhs.args) != len(stmt.rhs.args) \
-                or program.signature.kind(stmt.lhs.symbol) != "dc":
+                or program.signature.kind(stmt.lhs.symbol) not in ("dc", None):
             return CheckResult("invalid", f"{path}: not a constructor decomposition")
         if len(tree.children) != len(stmt.lhs.args):
             return CheckResult("invalid", f"{path}: premise count mismatch")
@@ -470,9 +483,9 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
 def _premises(chk: _CheckState, children, path: str) -> Optional[CheckResult]:
     """Check premises in order: the first invalid verdict, else the last
     unknown one, else None.  Premises found valid before are skipped."""
-    unknown = None
+    unknown, valid = None, chk.valid
     for i, child in enumerate(children):
-        if id(child) in chk.valid:
+        if valid.get(id(child)) is child:
             continue
         r = _check_node(chk, child, f"{path}.{i}")
         if r.status == "invalid":
@@ -480,7 +493,7 @@ def _premises(chk: _CheckState, children, path: str) -> Optional[CheckResult]:
         if r.status == "unknown":
             unknown = r
         else:
-            chk.valid.add(id(child))
+            valid[id(child)] = child
     return unknown
 
 
@@ -545,7 +558,8 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
     A production (lhs -> rhs) # d is solved as the goal (R == lhs) # W,
     and an atomic statement c # d as c # W, with each component of W at
     least that of d less CHECK_TOL, against the translated program at the
-    given depth.  Statement variables are rigid: an answer may bind each
+    given depth; the translation is made once per program and domain
+    (transform.translation).  Statement variables are rigid: an answer may bind each
     only to a variable of the search of its own, renamed back to it.  An
     answer whose residuals the hypotheses entail and whose result is
     above rhs is replayed, mapped back to the source program
@@ -557,14 +571,13 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
     not_found otherwise.
     """
     from .runtime import Limits, Solver, _Replay
-    from .transform import (FreshSupply, SourceProof, transform_goal,
-                            transform_program)
+    from .transform import FreshSupply, SourceProof, transform_goal, translation
 
     if triviality(stmt) == "yes":
         return HoldsResult("derivable", ProofTree("triv", stmt))
+    tr = translation(program, dom)
     stated = vars_of((stmt.lhs, stmt.rhs, stmt.atom, stmt.hypotheses))
-    supply = FreshSupply(stated | vars_of([(r.patterns, r.rhs, r.conditions)
-                                           for r in program.rules]))
+    supply = FreshSupply(stated | tr.avoid)
     bottoms: dict = {}
 
     def rigid(e: Expr) -> Expr:
@@ -584,9 +597,8 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
     d = dom.coerce(stmt.qual)
     floor = dom.join([max(0.0, x - CHECK_TOL) for x in dom.split(d)])
     goal = Goal((GoalItem(target, supply.fresh(), floor),))
-    translated, emit_map = transform_program(program, dom)
     constraints, wvars, datavars = transform_goal(goal, program, dom)
-    solver = Solver(translated, dom, Limits(depth))
+    solver = Solver(tr.translated, dom, Limits(depth))
     undecided = False
     for ans in solver.solve(constraints, wvars, datavars):
         bound = {v: ans.subst[v] for v in fixed & ans.subst.keys()}
@@ -601,7 +613,7 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
                 or any(n.startswith("~") for n in vars_of(residual))
             continue
         names = {**{k: bottoms.get(v.name, v) for k, v in names.items()}, **bottoms}
-        back = SourceProof(program, emit_map, dom, stmt.hypotheses, names, supply)
+        back = SourceProof(tr, dom, stmt.hypotheses, names, supply)
         tree = _Replay(solver, ans.store).atom_tree(constraints[-1])
         tree = back.tree(tree.children[1] if stmt.is_production() else tree)
         out = weaken_tree(tree, stmt.rhs, stmt.qual, dom)

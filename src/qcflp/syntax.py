@@ -193,12 +193,27 @@ class ProgramRule:
 
 @dataclass
 class Program:
+    """A signature and its rules, never changed once built.
+
+    What is derived from them alone (a translation, compiled rule
+    templates, checker verdicts) is kept once per program object in
+    memo, which equality and repr leave out.
+    """
+
     signature: Signature
     rules: list
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other):
         return isinstance(other, Program) and self.signature == other.signature \
             and self.rules == other.rules
+
+    def memo(self, key, make):
+        """make() for key, made on the first call for this program."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = make()
+        return out
 
 
 @dataclass(frozen=True)

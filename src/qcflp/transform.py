@@ -267,6 +267,29 @@ def qual_value(e: Expr, dom: QualDomain):
     return dom.check(e.value)
 
 
+class Translation:
+    """A program translated under one domain, with what mapping its
+    derivations back needs: the primed names of the source's defined
+    functions, per source rule its arity, the positions of its own
+    conditions (from the emit map) and its variables, and every variable
+    of the source rules, which fresh names avoid.  Made once per program
+    and domain by translation().
+    """
+
+    def __init__(self, program: Program, dom: QualDomain):
+        self.translated, emit_map = transform_program(program, dom)
+        self.calls = {primed(f) for f in program.signature.df}
+        self.layouts = [(len(r.patterns), e["source_conditions"],
+                         vars_of((r.patterns, r.rhs, r.conditions)))
+                        for r, e in zip(program.rules, emit_map)]
+        self.avoid = set().union(*(names for _, _, names in self.layouts))
+
+
+def translation(program: Program, dom: QualDomain) -> Translation:
+    """The Translation of program under dom, kept on the program."""
+    return program.memo(("translation", dom), lambda: Translation(program, dom))
+
+
 class SourceProof:
     """Maps trees that runtime replays back to the source program.
 
@@ -282,14 +305,10 @@ class SourceProof:
     once, memoized on identity; the tables keep their keys alive.
     """
 
-    def __init__(self, program: Program, emit_map: list, dom: QualDomain,
+    def __init__(self, tr: Translation, dom: QualDomain,
                  pi: tuple, names: dict, supply: FreshSupply):
         self.dom, self.pi, self.names, self.supply = dom, pi, names, supply
-        self._calls = {primed(f) for f in program.signature.df}
-        # per rule: arity, positions of its own conditions, its variables
-        self._layouts = [(len(r.patterns), e["source_conditions"],
-                          vars_of((r.patterns, r.rhs, r.conditions)))
-                         for r, e in zip(program.rules, emit_map)]
+        self._calls, self._layouts = tr.calls, tr.layouts
         self._trees = {}      # id(replayed node) -> (node, source node)
         self._terms = {}      # id(App) -> (App, source term)
 

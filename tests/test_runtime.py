@@ -364,7 +364,7 @@ def test_answer_names_do_not_depend_on_fresh_numbers(monkeypatch):
     goal = parse_goal("(f(Z) == R) # W | W >= 0.6")
     constraints, wvars, datavars = transform_goal(goal, program)
 
-    def run(start):
+    def run(start, translated=translated):
         solver = Solver(translated)
         solver._fresh = itertools.count(start)
         (ans,) = solver.solve(constraints, wvars, datavars)
@@ -378,7 +378,8 @@ def test_answer_names_do_not_depend_on_fresh_numbers(monkeypatch):
     shifted, shifted_raw = run(1000)
     monkeypatch.setattr(runtime, "_head_probe", lambda rule: None)
     monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
-    unprobed, unprobed_raw = run(0)
+    # probes are compiled once per program, so this run needs a new one
+    unprobed, unprobed_raw = run(0, transform_program(program)[0])
     assert shifted == printed and unprobed == printed
     # the answers themselves keep the solver's names, which differ
     assert len({raw, shifted_raw, unprobed_raw}) == 3

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import BOOK4
-from qcflp.domains import U
+from qcflp.domains import U, domain_from_name
 import qcflp.semantics
+import qcflp.transform
 from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
                              bounded_lfp,
                              check_proof, distinct_parts, holds,
@@ -19,7 +21,8 @@ from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
                           parse_goal, parse_program)
 from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, HashCons, TRUE,
                          Var, apply_subst, char_atom, info_leq, mkstring)
-from qcflp.transform import transform_goal, transform_program
+from qcflp.transform import (PAIR_CTOR, transform_goal, transform_program,
+                              translation)
 
 
 def stmt(text):
@@ -182,6 +185,110 @@ def test_vacuity_decided_once_per_check(monkeypatch):
     assert len(calls) == 1
 
 
+# Valid verdicts are kept on the program, per domain, for the subtree
+# objects that live; invalid and unknown ones are not kept.
+
+PAPER = '(search("German", "Essay", intermediate) -> 4) # 0.65'
+
+
+def _counting_checks(monkeypatch) -> list:
+    checked = []
+    check_node = qcflp.semantics._check_node
+
+    def counting(chk, tree, path):
+        checked.append(tree)
+        return check_node(chk, tree, path)
+
+    monkeypatch.setattr(qcflp.semantics, "_check_node", counting)
+    return checked
+
+
+def _levels(n):
+    e, tree = X, refl(X)
+    for _ in range(n):
+        e = node(e, e)
+        tree = cons(e, (tree, tree))
+    return tree
+
+
+def test_kept_verdict_needs_the_same_tree(library):
+    r = holds(library, U, stmt(PAPER))
+    assert r.status == "derivable"
+    assert check_proof(library, U, r.tree) == CheckResult("valid")
+    t = r.tree
+    raised = ProofTree(t.tag, t.conclusion.with_qual(0.71), t.children,
+                       t.rule_index, t.theta)
+    res = check_proof(library, U, raised)
+    assert res.status == "invalid" and "attenuation bound violated" in res.reason
+    assert check_proof(library, U, t) == CheckResult("valid")
+
+
+def test_kept_verdict_per_program_and_domain(monkeypatch):
+    p = parse_program(BIN)
+    tree = _levels(3)
+    checked = _counting_checks(monkeypatch)
+    assert check_proof(p, U, tree) == CheckResult("valid")
+    assert len(checked) == 4
+    assert check_proof(p, U, tree) == CheckResult("valid")
+    assert len(checked) == 4
+    # an equal program is another object, and so is another domain
+    assert check_proof(parse_program(BIN), U, tree) == CheckResult("valid")
+    assert len(checked) == 8
+    assert check_proof(p, domain_from_name("uxu"), tree) == CheckResult("valid")
+    assert len(checked) == 12
+    assert check_proof(p, None, tree).status == "invalid"
+    assert len(checked) == 13
+
+
+def test_unknown_verdict_keeps_its_reason(monkeypatch):
+    p = parse_program(BIN)
+    u = _unknown_twice()
+    expected = CheckResult("unknown", "root.1: hypotheses satisfiability unknown")
+    checked = _counting_checks(monkeypatch)
+    assert check_proof(p, U, u) == expected
+    first = len(checked)
+    assert check_proof(p, U, u) == expected
+    assert len(checked) == 2 * first
+    # under a parent, the same subtree is undecided at the parent's path
+    above = cons(node(node(X, X), X), (u, refl(X, pi=UNDECIDED)), pi=UNDECIDED)
+    assert check_proof(p, U, above) == \
+        CheckResult("unknown", "root.0.1: hypotheses satisfiability unknown")
+
+
+def test_kept_verdicts_follow_the_live_trees():
+    p = parse_program(BIN)
+    trees = [_levels(8), cons(node(X, X), (refl(X), refl(X)))]
+    assert all(check_proof(p, U, t) == CheckResult("valid") for t in trees)
+    table = qcflp.semantics._CheckState(p, U).valid
+    assert len(table) == distinct_parts(trees)[0] == 12
+    del trees
+    gc.collect()
+    assert len(table) == 0
+
+
+def test_holds_translates_once_per_domain(monkeypatch):
+    p = parse_program("f -0.9-> true")
+    uxu = domain_from_name("uxu")
+    statements = [(U, stmt("(f -> true) # 0.9")),
+                  (uxu, stmt("(f -> true) # (0.9,0.8)"))]
+    translations = []
+    transform_program = qcflp.transform.transform_program
+
+    def counting(program, dom=U, **kw):
+        translations.append(dom)
+        return transform_program(program, dom, **kw)
+
+    monkeypatch.setattr(qcflp.transform, "transform_program", counting)
+    for _ in range(2):
+        for dom, s in statements:
+            r = holds(p, dom, s, depth=2)
+            assert r.status == "derivable" and r.tree.conclusion.qual == s.qual
+            assert check_proof(p, dom, r.tree) == CheckResult("valid")
+    assert translations == [U, uxu]
+    assert translation(p, U).translated.signature.kind(PAIR_CTOR) is None
+    assert translation(p, uxu).translated.signature.kind(PAIR_CTOR) == "dc"
+
+
 def test_instantiate_rule(library):
     rule = library.rules[1]
     pats, alpha, rhs, conds = instantiate_rule(rule, {})
@@ -319,25 +426,52 @@ def test_holds_downward_closure():
                  depth=4).status == "not_found"
 
 
-def test_approximation_property_exhaustive():
-    # rewriting between plain terms holds exactly for information-weakening
-    p = parse_program("f --> true")
+def _approximation_cases():
+    # plain terms over the undeclared constructors c and a
     atoms = [BOTTOM, Var("X"), Basic(1.0), App("a")]
     terms = list(atoms)
     for x, y in itertools.product(atoms, repeat=2):
         terms.append(App("c", (x, y)))
-    for t1, t2 in itertools.product(terms, repeat=2):
-        r = holds(p, U, production(t1, t2, 0.5, ()), depth=3)
+    return itertools.product(terms, repeat=2)
+
+
+APPROXIMATION = parse_program("f --> true")
+PRESERVATION = parse_program("f(X) -0.9-> c(X)")
+PHI = production(parse_expr("f(d(Y))"), parse_expr("c(d(Y))"), 0.9, ())
+PSI = production(parse_expr("f(d(a))"), parse_expr("c(_|_)"), 0.5, ())
+
+
+def test_approximation_property_exhaustive():
+    # rewriting between plain terms holds exactly for information-weakening
+    for t1, t2 in _approximation_cases():
+        r = holds(APPROXIMATION, U, production(t1, t2, 0.5, ()), depth=3)
         assert (r.status == "derivable") == info_leq(t2, t1), (t1, t2)
 
 
 def test_entailment_preservation():
-    p = parse_program("f(X) -0.9-> c(X)")
-    phi = production(parse_expr("f(d(Y))"), parse_expr("c(d(Y))"), 0.9, ())
-    assert holds(p, U, phi, depth=3).status == "derivable"
-    psi = production(parse_expr("f(d(a))"), parse_expr("c(_|_)"), 0.5, ())
-    assert statement_entails(phi, psi, U) is not None
-    assert holds(p, U, psi, depth=3).status == "derivable"
+    assert holds(PRESERVATION, U, PHI, depth=3).status == "derivable"
+    assert statement_entails(PHI, PSI, U) is not None
+    assert holds(PRESERVATION, U, PSI, depth=3).status == "derivable"
+
+
+def test_derivable_trees_on_undeclared_constructors_check():
+    # the solver takes a symbol the program does not declare for data,
+    # and so does the checker's cons rule
+    cases = [(APPROXIMATION, production(t1, t2, 0.5, ()))
+             for t1, t2 in _approximation_cases()]
+    cases += [(PRESERVATION, PHI), (PRESERVATION, PSI)]
+    derivable = 0
+    for p, s in cases:
+        r = holds(p, U, s, depth=3)
+        if r.status == "derivable":
+            derivable += 1
+            assert check_proof(p, U, r.tree) == CheckResult("valid"), s
+    assert derivable == 74
+    # a declared function is still no constructor
+    call = production(App("f"), App("f"), 0.5, ())
+    tree = ProofTree("cons", call)
+    assert check_proof(APPROXIMATION, U, tree).reason == \
+        "root: not a constructor decomposition"
 
 
 def _prune_rng(term, rng):
