@@ -757,9 +757,43 @@ def _provably_true(c: AtomicConstraint, box: Box) -> bool:
     return False
 
 
+def _ground_data(exprs) -> bool:
+    """Whether exprs hold no variable, no bottom and no primitive
+    application: then each is its own value under any valuation."""
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if type(e) is App:
+            if e.args:
+                if e.symbol in BUILTIN_PF:
+                    return False
+                stack += e.args
+        elif type(e) is not Basic:
+            return False
+    return True
+
+
 def entails(constraints, c: AtomicConstraint) -> EntailResult:
-    """Sound three-valued entailment of one constraint by a set."""
+    """Sound three-valued entailment of one constraint by a set.
+
+    An atom over ground data (see _ground_data), such as the checker's
+    comparison of two records, is decided first by one evaluation, with
+    identical arguments equal at once: it is entailed when it holds.
+    Every other atom, and one that fails under hypotheses, takes the
+    general path below.
+    """
     constraints = list(constraints)
+    if BUILTIN_PF.get(c.symbol) == len(c.args) \
+            and _ground_data((*c.args, c.result)):
+        if c.symbol == "==" and c.args[0] is c.args[1]:
+            res = TRUE
+        else:
+            res = eval_primitive(c.symbol, list(c.args))
+        if res == c.result:
+            return EntailResult("entailed")
+        if not constraints:
+            return EntailResult("unknown") if res == BOTTOM \
+                else EntailResult("not_entailed", {})
     box = propagate(constraints, {})
     if box is None:
         return EntailResult("entailed")  # empty solution set entails anything

@@ -23,7 +23,7 @@ from .semantics import bounded_lfp
 from .syntax import Goal, GoalItem, Program, print_expr
 from .terms import (App, AtomicConstraint, Basic, Expr, TRUE, Var, is_value,
                     vars_of)
-from .transform import transform_goal, transform_program
+from .transform import transform_goal, transform_program, translation
 
 TOL = 1e-9
 WITNESS_TRIES = 4096
@@ -120,7 +120,10 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     interp = bounded_lfp(program, dom, k, universe, budget=lfp_budget)
     report.partial = interp.partial
 
-    translated, _ = transform_program(program, dom, drop_site=drop_site)
+    # the unmutated translation is the program's own, whose solvers share
+    # rule templates and replayed ground data
+    translated = translation(program, dom).translated if drop_site is None \
+        else transform_program(program, dom, drop_site=drop_site)[0]
     solver = Solver(translated, dom, Limits(depth=depth))
 
     targets = [u for u in universe if is_value(u, program.signature)]

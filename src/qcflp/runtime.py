@@ -336,7 +336,8 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        self.hashcons = _HashCons()  # what replay shares across answers
+        # what replay shares across answers, ground data across solvers
+        self.hashcons = _HashCons(program.memo("ground data", _GroundData))
 
     # ------------------------------------------------------------------
     # plumbing
@@ -707,8 +708,10 @@ class Solver:
                        depth: int) -> Iterator[None]:
         pat = self.walk(store, pat)
         if isinstance(pat, Var):
+            # bound to the end of arg's chain, so no chain grows through
+            # the pattern variables of nested calls; heads are linear
             mark = len(store.trail)
-            if self._bind(store, pat.name, arg):
+            if self._bind(store, pat.name, self.walk(store, arg)):
                 yield
             store.undo(mark)
             return
@@ -1045,39 +1048,109 @@ class ReplayError(ValueError):
     pass
 
 
+class _GroundData(HashCons):
+    """The canonical ground data of one program's replays, and its proofs.
+
+    Ground data is a literal or a constructor application whose
+    arguments are ground data: no variable and no call.  It is canonical
+    here as in terms.HashCons, keyed by its value or by its symbol and
+    the ids of its canonical arguments, never by the id of a search or
+    goal term, so the table grows with the distinct ground values that
+    replay meets and not with the queries.  proofs maps the id of every
+    canonical term to its proof against itself (refl on a literal, cons
+    on an application), or None until that is built.  The solvers of a
+    program share the table (Program.memo), so a book record of the
+    library list is proved once per program, and check_proof, which
+    keeps its verdicts on the program, decides that proof once.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.proofs = {}
+
+    def leaf(self, e: Expr) -> Expr:
+        """The canonical literal or nullary application."""
+        out = super().leaf(e)
+        self.proofs.setdefault(id(out), None)
+        return out
+
+    def app(self, symbol: str, args=()) -> App:
+        """The canonical constructor application of symbol to canonical
+        ground data args."""
+        out = super().app(symbol, args)
+        self.proofs.setdefault(id(out), None)
+        return out
+
+    def proof(self, t: Expr) -> ProofTree:
+        """The proof of canonical ground data t against itself; built
+        bottom up, without recursion."""
+        proofs = self.proofs
+        stack = [t]
+        while stack:
+            e = stack[-1]
+            if proofs[id(e)] is not None:
+                stack.pop()
+                continue
+            todo = [a for a in e.args if proofs[id(a)] is None] \
+                if type(e) is App else ()
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if type(e) is App:
+                kids = tuple([proofs[id(a)] for a in e.args])
+                proofs[id(e)] = ProofTree("cons", production(e, e), kids)
+            else:
+                proofs[id(e)] = ProofTree("refl", production(e, e))
+        return proofs[id(t)]
+
+
 class _HashCons(HashCons):
     """The canonical terms and proof nodes of one solver's replays.
 
-    Terms are canonical as in terms.HashCons.  A proof node is keyed by
-    its tag, its rule index, the ids of its conclusion's terms, of its
-    theta values (the rule fixes their names) and of its children.  Equal
-    parts of the trees of every answer a solver replays are then one
-    object, which check_proof decides once per program and domain.
+    Each term and node belongs to one table by its content: ground data
+    and its proofs against itself to the program's _GroundData, shared
+    by every solver of the program; variables, bottom, calls, the
+    applications that hold them and every other proof node to this one.
+    A proof node is keyed by its tag, its rule index, the ids of its
+    conclusion's terms, of its theta values (the rule fixes their names)
+    and of its children.  Equal parts of the trees of every answer are
+    then one object, in one of the two tables, which check_proof decides
+    once per program and domain.
 
-    A ground data term (constructors and literals only, no variable and
-    no call) resolves to the same canonical term in every store.  ground
-    maps the id of every such object that replay has met, and of its
-    canonical form, to [term, canonical term, its proof against that
-    canonical term or None until built]; a book record of the program's
-    library list is then resolved and proved once per solver.
+    A ground data search term resolves to the same canonical term in
+    every store.  ground maps the id of every such object that replay
+    has met, and of its canonical form, to (term, canonical term), so a
+    book record of the program's library list is resolved once per
+    solver.
 
     Every table keeps its key objects alive, in the canonical term or
     node it maps to or in the ground entry, so no id is reused while the
     solver lives.
     """
 
-    def __init__(self):
+    def __init__(self, data: _GroundData):
         super().__init__()
+        self.program_data = data
         self.nodes = {}
         self.ground = {}
 
+    def leaf(self, e: Expr) -> Expr:
+        if type(e) is Basic or type(e) is App:
+            return self.program_data.leaf(e)
+        return super().leaf(e)
+
     def data(self, e: App, args: list) -> App:
-        """app(e.symbol, args) for a constructor application, which is entered
-        in ground when every argument of e is ground data."""
-        out = self.app(e.symbol, args)
+        """The canonical constructor application of e.symbol to args; e
+        is entered in ground when every argument of e is ground data."""
+        program_data = self.program_data
+        for a in args:
+            if id(a) not in program_data.proofs:
+                return self.app(e.symbol, args)
+        out = program_data.app(e.symbol, args)
         ground = self.ground
         if all(type(a) is Basic or id(a) in ground for a in e.args):
-            ground[id(e)] = ground[id(out)] = [e, out, None]
+            ground[id(e)] = ground[id(out)] = (e, out)
         return out
 
     def node(self, tag: str, lhs: Expr, rhs: Expr, kids: tuple = (),
@@ -1112,10 +1185,11 @@ class _Replay:
     undefined value on result positions.
 
     Every term and proof node that replay hands out is canonical in the
-    solver's _HashCons, so structurally equal parts of the trees of all
-    the answers of one solver are one object, and replaying a goal again
-    returns the same trees.  A ground data term resolves, and is proved
-    against itself, once per solver.
+    solver's _HashCons, or for ground data in the program's _GroundData,
+    so structurally equal parts of the trees of all the answers of one
+    solver are one object, and replaying a goal again returns the same
+    trees.  A ground data search term resolves once per solver, and
+    ground data is proved against itself once per program.
 
     What depends on the store is memoized per answer: value and display
     resolve each walked App node once, and production_tree builds the
@@ -1133,6 +1207,7 @@ class _Replay:
         self.store = store
         self.sig = solver.sig
         self.share = solver.hashcons
+        self._data = self.share.program_data
         self._values = {}     # id(App) -> (App, value)
         self._shown = {}      # id(App) -> (App, display)
         self._trees = {}      # (id(e), id(target)) -> (e, target, tree)
@@ -1198,11 +1273,8 @@ class _Replay:
     def production_tree(self, e: Expr, target: Expr) -> ProofTree:
         # a variable is proved at its value, as it is displayed
         ew = self.value(e) if isinstance(e, Var) else e
-        g = self.share.ground.get(id(ew))
-        if g is not None and g[1] is target:
-            if g[2] is None:
-                g[2] = self._production_tree(ew, target)
-            return g[2]
+        if id(target) in self._data.proofs and self.display(ew) is target:
+            return self._data.proof(target)  # ground data, proved per program
         key = (id(ew), id(target))
         hit = self._trees.get(key)
         if hit is not None:

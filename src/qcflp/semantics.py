@@ -52,7 +52,7 @@ CHECK_TOL = 1e-12
 # Statements
 # ======================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QStatement:
     """A (possibly qualified) rewriting statement.
 

@@ -34,7 +34,7 @@ class Bottom:
         return "_|_"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -42,7 +42,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Basic:
     value: float
 
@@ -50,7 +50,7 @@ class Basic:
         return format_real(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     symbol: str
     args: tuple = ()
@@ -204,7 +204,7 @@ class Signature:
 # Constraints
 # ======================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicConstraint:
     """p(args) == result, with result a variable, nullary constructor or literal.
 

@@ -301,8 +301,9 @@ class SourceProof:
     top.  Every node gets the hypotheses pi.  A variable is replaced as
     names says, maybe by bottom (a node rewriting to it becomes triv); any
     other variable of the search (~n, ~n~X) by a fresh name from supply.
-    Replayed nodes and terms are canonical per solver, so each is mapped
-    once, memoized on identity; the tables keep their keys alive.
+    Replayed nodes and terms are canonical per solver (ground data per
+    program), so each is mapped once, memoized on identity; the tables
+    keep their keys alive.
     """
 
     def __init__(self, tr: Translation, dom: QualDomain,

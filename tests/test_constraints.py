@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import qcflp.constraints
 from qcflp.constraints import (Interval, entails, eval_primitive,
                                holds_under, iv_mul, propagate, satisfiable)
 from qcflp.syntax import parse_constraints, parse_expr
-from qcflp.terms import App, Basic, BOTTOM, FALSE, TRUE
+from qcflp.terms import App, AtomicConstraint, Basic, BOTTOM, FALSE, TRUE
 
 
 def c(text):
@@ -222,3 +223,83 @@ def test_no_false_unsat_on_float_witness(shape):
             tested += 1
             false_unsat += satisfiable(hyps).status == "unsat"
     assert tested > 300 and false_unsat == 0
+
+
+# ----------------------------------------------------------------------
+# Atoms over ground data are decided by one evaluation
+# ----------------------------------------------------------------------
+
+BOOK = 'book(2, "Dune", "F. P. Herbert", "English", "SciFi", medium, 345)'
+
+
+def general_path_runs(monkeypatch) -> list:
+    """A list that grows by one for each evaluation the general path of
+    entails makes (holds_under evaluates through _eval_ground_expr)."""
+    import qcflp.constraints
+    calls = []
+    inner = qcflp.constraints._eval_ground_expr
+
+    def counting(e, val):
+        calls.append(e)
+        return inner(e, val)
+
+    monkeypatch.setattr(qcflp.constraints, "_eval_ground_expr", counting)
+    return calls
+
+
+def test_ground_records_are_decided_at_once(monkeypatch):
+    calls = general_path_runs(monkeypatch)
+    book, again = parse_expr(BOOK), parse_expr(BOOK)
+    other = parse_expr(BOOK.replace("345", "346"))
+    eq = lambda a, b, want=TRUE: AtomicConstraint("==", (a, b), want)
+    assert entails([], eq(book, book)).status == "entailed"
+    assert entails([], eq(book, again)).status == "entailed"
+    assert entails([], eq(book, other, FALSE)).status == "entailed"
+    res = entails([], eq(book, other))
+    assert (res.status, res.witness) == ("not_entailed", {})
+    assert entails([], eq(book, again, FALSE)).status == "not_entailed"
+    # an order on records is undefined, as on the general path
+    assert entails([], AtomicConstraint("<=", (book, book), TRUE)).status == "unknown"
+    assert calls == []
+    # under hypotheses a true atom is entailed at once; a false one is
+    # entailed only when the hypotheses are unsatisfiable
+    assert entails(cs("A < 0"), eq(book, again)).status == "entailed"
+    assert calls == []
+    assert entails(cs("A < 0, A > 1"), eq(book, other)).status == "entailed"
+
+
+def test_primitive_applications_and_bottoms_take_the_general_path(monkeypatch):
+    calls = general_path_runs(monkeypatch)
+    # (1 + 1) == 2 reads as the atom +(1, 1) == 2, which is ground data
+    two = App("+", (Basic(1.0), Basic(1.0)))
+    assert entails([], AtomicConstraint("==", (two, Basic(2.0)), TRUE)).status \
+        == "entailed"
+    assert calls
+    calls.clear()
+    assert entails([], c("(1 + 1) == 2")).status == "entailed"
+    assert calls == []
+    calls.clear()
+    undefined = parse_expr("c(_|_)")
+    res = entails([], AtomicConstraint("==", (undefined, undefined), TRUE))
+    assert res.status == "unknown"
+    assert calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ground_atoms_agree_with_holds_under(seed):
+    # entailed exactly when the atom holds, not_entailed when it fails
+    rng = random.Random(seed)
+    leaves = [parse_expr(t) for t in ("1", "2", "a", "[]", '"x"')]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(leaves)
+        return App(rng.choice(["f", ":"]), (term(depth - 1), term(depth - 1)))
+
+    for _ in range(200):
+        symbol = rng.choice(["==", "==", "<=", ">", "qVal"])
+        args = (term(3),) if symbol == "qVal" else (term(3), term(3))
+        atom = AtomicConstraint(symbol, args, rng.choice([TRUE, FALSE]))
+        truth = holds_under(atom, {})
+        want = {True: "entailed", False: "not_entailed", None: "unknown"}[truth]
+        assert entails([], atom).status == want

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import qcflp.oracle
+import qcflp.transform
 from qcflp.domains import U, domain_from_name
 from qcflp.oracle import (OracleRecord, OracleReport, _antichain, _sets_match,
                           compare, count_qual_sites, default_universe)
@@ -276,3 +277,24 @@ def test_conditional_answer_with_a_witness_is_a_corner(source, solver, note):
     report = compare(p, U, k=4)
     assert report.mismatches == []
     assert [r.solver for r in report.records] == ([solver] if solver else [])
+
+
+def test_compare_uses_the_programs_own_translation(monkeypatch):
+    # the unmutated comparison solves the translation kept on the
+    # program, so a second comparison translates nothing
+    calls = []
+    inner = qcflp.transform.transform_program
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("drop_site"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(qcflp.transform, "transform_program", counting)
+    monkeypatch.setattr(qcflp.oracle, "transform_program", counting)
+    program = parse_program(CHAIN)
+    first = compare(program, U, k=4)
+    second = compare(program, U, k=4)
+    assert len(calls) == 1
+    assert first.mismatches == second.mismatches == []
+    compare(program, U, k=4, drop_site=0)
+    assert calls == [None, 0]

@@ -338,3 +338,105 @@ def test_replay_refuses_conditional_answers():
     assert answer.residual
     with pytest.raises(ReplayError):
         replay_trees(solver, answer, constraints)
+
+
+# ----------------------------------------------------------------------
+# Ground data and its proofs are kept on the program
+# ----------------------------------------------------------------------
+
+def book_proofs(trees) -> dict:
+    """The printed book record -> its proof, for every subproof of trees
+    that proves a book record against itself."""
+    return {repr(t.conclusion.lhs): t for t in _subproofs(trees)
+            if t.tag == "cons" and t.conclusion.lhs.symbol == "book"
+            and t.conclusion.lhs is t.conclusion.rhs}
+
+
+def test_two_solvers_share_the_proof_of_a_book_record(library):
+    translated = transform_program(library)[0]
+    goal = f"{PAPER} | W >= 0.65"
+    first, second = (book_proofs(replay_trees(s, a, cs))
+                     for s, (a,), cs in (clean_answers(library, translated, goal)
+                                         for _ in range(2)))
+    assert first and first.keys() == second.keys()
+    assert all(first[k] is second[k] for k in first)
+
+
+def test_a_second_certified_solve_checks_what_is_not_ground(library, monkeypatch):
+    translated = transform_program(library)[0]
+    goal = f"{PAPER} | W >= 0.65"
+    solver, (answer,), constraints = clean_answers(library, translated, goal)
+    assert all(check_proof(translated, None, t).status == "valid"
+               for t in replay_trees(solver, answer, constraints))
+    ground_proofs = solver.hashcons.program_data.proofs
+    checked = []
+    check_node = qcflp.semantics._check_node
+
+    def counting(chk, tree, path):
+        checked.append(tree)
+        return check_node(chk, tree, path)
+
+    monkeypatch.setattr(qcflp.semantics, "_check_node", counting)
+    solver, (answer,), constraints = clean_answers(library, translated, goal)
+    trees = replay_trees(solver, answer, constraints)
+    assert all(check_proof(translated, None, t).status == "valid" for t in trees)
+    parts = _subproofs(trees)
+    not_ground = [t for t in parts if ground_proofs.get(id(t.conclusion.lhs)) is not t]
+    assert 0 < len(checked) <= len(not_ground) < len(parts) // 2
+    assert not any(ground_proofs.get(id(t.conclusion.lhs)) is t for t in checked)
+
+
+def test_the_ground_table_grows_with_values_not_queries(library):
+    translated = transform_program(library)[0]
+
+    def certify(goal):
+        solver, answers, constraints = clean_answers(library, translated, goal)
+        for a in answers:
+            replay_trees(solver, a, constraints)
+        return solver.hashcons.program_data
+
+    table = certify(OPEN)
+    size = (len(table.terms), len(table.proofs))
+    assert size[1] > 100
+    for _ in range(20):
+        assert certify(OPEN) is table
+    assert certify("(search(Lang,Genre,Level) == Res) # Q | Q >= 0.6") is table
+    assert (len(table.terms), len(table.proofs)) == size
+
+
+MEMBER = ("member(B,[]) --> false\n"
+          "member(B,H:_T) --> true <== B == H\n"
+          "member(B,H:T) --> member(B,T) <== B /= H")
+
+
+def test_pattern_variables_bind_walked_arguments(monkeypatch):
+    # each call binds its pattern variables to the end of its argument's
+    # chain, so the chains stay short and walking them, in the search and
+    # in replay, grows linearly with the list (quadratically when each
+    # call's variables chained through the caller's)
+    steps = [0]
+
+    def walk(self, store, e):
+        while isinstance(e, Var) and e.name in store.subst:
+            steps[0] += 1
+            e = store.subst[e.name]
+        return e
+
+    monkeypatch.setattr(Solver, "walk", walk)
+    program = parse_program(MEMBER)
+    translated = transform_program(program)[0]
+    counts = {}
+    for n in (100, 200):
+        items = ",".join(map(str, range(n)))
+        steps[0] = 0
+        solver, (answer,), constraints = clean_answers(
+            program, translated, f"(member({n - 1}, [{items}]) == true) # W",
+            depth=2 * n + 8)
+        search = steps[0]
+        steps[0] = 0
+        trees = replay_trees(solver, answer, constraints)
+        assert check_proof(translated, None, trees[0]).status == "valid"
+        counts[n] = (search, steps[0])
+    for before, after in zip(counts[100], counts[200]):
+        assert before <= 30 * 100
+        assert after <= 2.2 * before

@@ -3,10 +3,11 @@ import sys
 
 from hypothesis import given, strategies as st
 
+from qcflp.semantics import production
 from qcflp.syntax import parse_expr
-from qcflp.terms import (App, Basic, BOTTOM, Signature, Var, apply_subst,
-                         compose_subst, info_leq, is_ground, is_term, is_total,
-                         term_glb, term_lub, vars_of)
+from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, Signature, TRUE,
+                         Var, apply_subst, compose_subst, info_leq, is_ground,
+                         is_term, is_total, term_glb, term_lub, vars_of)
 
 
 def e(text):
@@ -116,3 +117,14 @@ def test_vars_of_deep_terms():
         sys.setrecursionlimit(limit)
     assert found == {"X"}
     assert vars_of([App("c", (Var("A"), Var("B"))), (Var("A"),)]) == {"A", "B"}
+
+
+def test_terms_statements_and_constraints_are_slotted():
+    # the canonical ground data that a program keeps is made of these,
+    # so none of them carries a per-instance __dict__
+    objects = [Var("X"), Basic(1.0), App("f", (Basic(1.0),)),
+               AtomicConstraint("==", (Var("X"), Basic(1.0)), TRUE),
+               production(App("f"), TRUE)]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        assert obj == type(obj)(*(getattr(obj, s) for s in type(obj).__slots__))
