@@ -11,11 +11,12 @@ first in even pairs and second in odd ones, and both runs of a pair use
 the same seed.  Per metric, the output holds each side's median and
 quartiles (inclusive method), every run's value, and in how many pairs
 the change is better; per pair, the failed ops of each side; per
-workload, whether the answers digests agree on every pair.  A workload
-already in --out is replaced and the others are kept, so one file can
-collect several invocations.  --claim names a metric whose gain is
-judged: the change must win at least nine pairs in ten, and the median
-of the pairwise gains must exceed the parent's interquartile range.
+workload, whether the answers digests agree on every pair, and the
+command its runs used.  A workload already in --out is replaced and the
+others are kept, so one file can collect several invocations.  --claim
+names a metric whose gain is judged: the change must win at least nine
+pairs in ten, and the median of the pairwise gains must exceed the
+parent's interquartile range.
 --trace 1 runs traced and summarises the per-layer metrics instead.
 Nothing under benchmark/ is written.
 """
@@ -181,9 +182,10 @@ def main(argv=None) -> int:
     doc.setdefault("what", args.what or f"benchmark/run.py metrics, parent {sha[:7]} "
                    "against the working tree")
     doc["parent"] = sha
-    doc["command"] = ("python3 benchmark/run.py --workload W --seed S --seconds "
-                      f"{args.seconds:g} --trace {args.trace}, one run at a time, "
-                      "parent and change alternating which runs first")
+    doc.pop("command", None)     # each workload names its own
+    entry["command"] = (f"python3 benchmark/run.py --workload {args.workload} --seed S "
+                        f"--seconds {args.seconds:g} --trace {args.trace}, one run at a "
+                        "time, parent and change alternating which runs first")
     doc["machine"] = (f"{os.cpu_count()} CPUs, {platform.system()}, "
                       f"Python {platform.python_version()}")
     doc["statistics"] = ("median and quartiles (inclusive method) over the runs of "

@@ -248,7 +248,8 @@ def distinct_parts(trees) -> tuple:
     statements and substitutions) reachable from trees.
 
     size() counts occurrences, so a subproof that several parents share
-    counts once per parent; these are the objects the trees are made of.
+    counts once per parent; these are the objects the trees are made of,
+    and serialize_proof writes one line per ProofTree counted here.
     """
     seen_trees, seen_apps = set(), set()
     todo, terms = list(trees), []
@@ -978,37 +979,39 @@ def _fmt_raw(q) -> str:
 
 
 def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]) -> str:
-    """Line-oriented certificate: header plus one node per line."""
-    nodes = []
-
-    def walk(t: ProofTree) -> int:
-        child_ids = [walk(c) for c in t.children]
-        idx = len(nodes)
-        theta = "-"
-        if t.theta:
-            theta = "{" + "; ".join(f"{k} -> {print_expr(v)}" for k, v in t.theta) + "}"
-        nodes.append((idx, t.tag,
-                      "-" if t.rule_index is None else str(t.rule_index),
-                      theta,
-                      ",".join(map(str, child_ids)) or "-",
-                      print_statement(t.conclusion, dom)))
-        return idx
-
-    root = walk(tree)
-    lines = ["qcflp-proof v1", f"domain {domain_name}", f"nodes {len(nodes)}",
-             f"root {root}"]
-    for idx, tag, rule, theta, kids, concl in nodes:
-        lines.append("\t".join([str(idx), tag, rule, theta, kids, concl]))
-    return "\n".join(lines) + "\n"
+    """Line-oriented certificate: a header, then one line per distinct
+    ProofTree object, after its premises' lines.  A premise names its
+    node's line, so a shared subproof is written once, and the walk keeps
+    its own stack, so a deep tree needs no recursion."""
+    ids: dict = {}               # id(node) -> its line id
+    lines = []
+    todo = [tree]
+    while todo:
+        t = todo.pop()
+        if id(t) in ids:
+            continue
+        pending = [c for c in t.children if id(c) not in ids]
+        if pending:
+            todo += [t, *reversed(pending)]
+            continue
+        ids[id(t)] = idx = len(lines)
+        rule = "-" if t.rule_index is None else str(t.rule_index)
+        theta = "{" + "; ".join(f"{k} -> {print_expr(v)}" for k, v in t.theta) + "}" \
+            if t.theta else "-"
+        kids = ",".join(str(ids[id(c)]) for c in t.children) or "-"
+        lines.append(f"{idx}\t{t.tag}\t{rule}\t{theta}\t{kids}\t"
+                     + print_statement(t.conclusion, dom))
+    return "\n".join(["qcflp-proof v1", f"domain {domain_name}",
+                      f"nodes {len(lines)}", f"root {ids[id(tree)]}", *lines]) + "\n"
 
 
 def parse_proof(text: str) -> tuple:
     """Returns (domain name, ProofTree).
 
-    A premise names an earlier node line, so a certificate cannot express
-    a cycle.  A line that repeats an earlier line's tag, rule,
-    substitution, premises and conclusion yields that line's ProofTree,
-    so a subproof written once per occurrence parses into one object.
+    Each node line becomes one ProofTree, whose premises are the objects
+    of the earlier lines it names: the tree shares what the certificate
+    shares, and cannot be a cycle.  A certificate that repeats a subproof
+    once per occurrence still reads, one object per line.
     The certificate's statements and substitutions are read with one
     terms.HashCons table, so their equal terms are one object as well and
     the checker's equality tests on them stop at identity.  Lines end at
@@ -1045,7 +1048,6 @@ def parse_proof(text: str) -> tuple:
     if count != len(lines) - 4:
         fail(count_no, f"nodes {count}, but {len(lines) - 4} node lines follow")
     built: dict = {}
-    interned: dict = {}
     share = HashCons()
     for no, ln in lines[4:]:
         fields = ln.split("\t")
@@ -1061,19 +1063,15 @@ def parse_proof(text: str) -> tuple:
             if kid is None:
                 fail(no, f"premise {k.strip()} names no earlier node")
             kids.append(kid)
-        key = (tag, rule_s, theta_s, tuple(map(id, kids)), concl_s)
-        node = interned.get(key)
-        if node is None:
-            rule = None if rule_s == "-" else number(no, "rule index", rule_s)
-            try:
-                stmt = parse_statement(concl_s, share)
-                theta = _parse_theta(theta_s, share)
-            except ParseError as exc:
-                fail(no, exc.diagnostics[0].message)
-            if domain_name == "-":
-                stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
-            node = interned[key] = ProofTree(tag, stmt, tuple(kids), rule, theta)
-        built[idx] = node
+        rule = None if rule_s == "-" else number(no, "rule index", rule_s)
+        try:
+            stmt = parse_statement(concl_s, share)
+            theta = _parse_theta(theta_s, share)
+        except ParseError as exc:
+            fail(no, exc.diagnostics[0].message)
+        if domain_name == "-":
+            stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
+        built[idx] = ProofTree(tag, stmt, tuple(kids), rule, theta)
     if root not in built:
         fail(root_no, f"root {root} names no node")
     return domain_name, built[root]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 from pathlib import Path
@@ -5,6 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from qcflp.semantics import (check_proof, distinct_parts, parse_proof,
+                             serialize_proof)
 from qcflp.syntax import Program, ProgramRule, parse_program
 from qcflp.terms import App, AtomicConstraint, TRUE
 
@@ -70,3 +73,34 @@ def random_layered_program(rng: random.Random, layers: int = 3,
 def _rule_text(r: ProgramRule) -> str:
     from qcflp.syntax import print_rule
     return print_rule(r)
+
+
+def expanded_certificate(tree, domain_name: str, dom) -> str:
+    """tree's certificate with a line per occurrence of each subproof, in
+    post-order: the form certificates took before the writer put each
+    shared subproof on one line.  serialize_proof writes it from a copy
+    of tree in which no two parents share a subproof.  Pinned digests
+    hash this form, so they pin the tree a certificate denotes, not how
+    much of it is shared."""
+    built, todo = [], [(tree, False)]
+    while todo:
+        t, ready = todo.pop()
+        if not ready:
+            todo += [(t, True)] + [(c, False) for c in reversed(t.children)]
+            continue
+        at = len(built) - len(t.children)
+        kids, built[at:] = tuple(built[at:]), []
+        built.append(dataclasses.replace(t, children=kids))
+    return serialize_proof(built[0], domain_name, dom)
+
+
+def read_back(program, dom_name: str, dom, tree):
+    """tree's certificate, read back: asserts that it has a line per
+    distinct subproof, and that it denotes tree and gets tree's verdict
+    and reason from the checker.  Returns the tree read."""
+    cert = serialize_proof(tree, dom_name, dom)
+    assert cert.split("\n")[2] == f"nodes {distinct_parts([tree])[0]}"
+    name, parsed = parse_proof(cert)
+    assert name == dom_name and parsed == tree
+    assert check_proof(program, dom, parsed) == check_proof(program, dom, tree)
+    return parsed

@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
-from conftest import BOOK4, LIBRARY, ROOT
+from conftest import BOOK4, LIBRARY, ROOT, expanded_certificate
 from qcflp.cli import main
+from qcflp.domains import U
+from qcflp.semantics import (check_proof, distinct_parts, holds, parse_proof,
+                             parse_statement, serialize_proof)
 
 GOAL = '(search("German","Essay",intermediate) == R) # W | W >= 0.65'
 GENRE_STMT = f'(guessGenre({BOOK4}) -> "Essay") # 0.7'
@@ -158,6 +161,25 @@ def test_prove_paper_statement(tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     assert run("prove", str(LIBRARY), "--check", str(bad)) == 1
     assert capsys.readouterr().out.startswith("invalid: ")
+
+
+def test_certificate_with_repeated_lines_still_checks(library, tmp_path, capsys):
+    # the paper statement's certificate writes each of its distinct
+    # subproofs once; written with a line per occurrence, as certificates
+    # were before, it reads (one object per line) to the same tree and
+    # checks valid, in process and through prove --check
+    tree = holds(library, U, parse_statement(PAPER_STMT.format("0.65"))).tree
+    dag = serialize_proof(tree, "u", U)
+    expanded = expanded_certificate(tree, "u", U)
+    assert dag.count("\n") == 4 + distinct_parts([tree])[0] <= 250
+    assert expanded.count("\n") == 4 + tree.size() > 10 * dag.count("\n")
+    _, old = parse_proof(expanded)
+    assert old == parse_proof(dag)[1]
+    assert check_proof(library, U, old).status == "valid"
+    cert = tmp_path / "expanded.proof"
+    cert.write_text(expanded)
+    assert run("prove", str(LIBRARY), "--check", str(cert)) == 0
+    assert capsys.readouterr().out == "valid\n"
 
 
 def test_tampered_certificate_rejected(tmp_path):

@@ -1,20 +1,23 @@
 """Golden pins for bounded derivability: the status `holds` gives, and the
 SHA-256 of the certificate it emits, on the paper's library program and on
-seeded layered programs.  Any change to the solver, the replay or the
-mapping back to the source program that alters a verdict or a byte of a
-certificate shows here."""
+seeded layered programs.  A digest hashes the certificate read back and
+written with a line per occurrence (conftest.expanded_certificate), so it
+pins the derivation, whatever the certificate shares.  Any change to the
+solver, the replay or the mapping back to the source program that alters
+a verdict or a node of a derivation shows here."""
 
 import hashlib
 import random
 
 import pytest
 
-from conftest import BOOK2, BOOK4, random_layered_program
+from conftest import (BOOK2, BOOK4, expanded_certificate, random_layered_program,
+                      read_back)
 from test_rule_filter import PAPER, THRESHOLD_SWEEP
 from qcflp.domains import U, domain_from_name
 from qcflp.oracle import default_universe
 from qcflp.semantics import (bounded_lfp, check_proof, holds, parse_statement,
-                             production, serialize_proof)
+                             production)
 from qcflp.syntax import parse_program
 from qcflp.terms import App
 
@@ -93,8 +96,14 @@ def _library_holds(library_text, dom_name, text):
     r = holds(program, dom, parse_statement(text), depth=6)
     if r.tree is None:
         return r.status, None
-    cert = serialize_proof(r.tree, dom.name, dom)
-    return r.status, hashlib.sha256(cert.encode()).hexdigest()
+    return r.status, hashlib.sha256(pinned_form(program, dom, r.tree)).hexdigest()
+
+
+def pinned_form(program, dom, tree) -> bytes:
+    """What a pin hashes: tree's certificate, read back (checking that the
+    round trip is exact) and written with a line per occurrence."""
+    return expanded_certificate(read_back(program, dom.name, dom, tree),
+                                dom.name, dom).encode()
 
 
 @pytest.mark.parametrize("dom_name, text, status, digest", LIBRARY_PINS,
@@ -121,7 +130,7 @@ def test_layered_holds_golden(seed):
                       depth=7)
             assert r.status == "derivable"
             h.update(r.status.encode() + b"\n")
-            h.update(serialize_proof(r.tree, "u", U).encode())
+            h.update(pinned_form(p, U, r.tree))
     assert h.hexdigest() == RANDOM_PINS[seed]
 
 

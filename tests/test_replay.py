@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import BOOK4
+from conftest import BOOK4, expanded_certificate, read_back
 from qcflp.runtime import (Limits, ReplayError, Solver, _Replay, answer_record,
                            render_answer, replay_trees)
 import qcflp.semantics
@@ -25,7 +25,9 @@ PAPER = '(search("German","Essay",intermediate) == R) # W'
 
 # Tree sizes of each clean answer's replayed goal constraints, in answer
 # order, and the SHA-256 of all their certificates concatenated, taken
-# from the unmemoized replay.
+# from the unmemoized replay.  Each certificate is read back and hashed
+# with a line per occurrence (conftest.expanded_certificate), so the
+# digest pins the trees, whatever their certificates share.
 GOLDEN_GOALS = [
     (f"{PAPER} | W >= 0.65", [[2, 3, 3122]]),
     (f"{PAPER} | W >= 0.5", [[2, 3, 3122]]),
@@ -65,7 +67,8 @@ def test_golden_certificates(library, translated_library):
             for tree in trees:
                 assert check_proof(translated_library, None, tree).status \
                     == "valid"
-                digest.update(serialize_proof(tree, "u", None).encode())
+                parsed = read_back(translated_library, "u", None, tree)
+                digest.update(expanded_certificate(parsed, "u", None).encode())
         assert got == sizes, goal
     assert digest.hexdigest() == GOLDEN_SHA256
 
@@ -221,6 +224,9 @@ def test_long_list_replay_is_linear(monkeypatch):
     subtrees, apps = distinct_parts(trees)
     assert subtrees <= 15 * n < nodes
     assert apps <= 5 * n
+    # and their certificates write each distinct subtree once
+    assert sum(serialize_proof(t, "u", None).count("\n") for t in trees) \
+        <= 15 * n
 
 
 def test_recursion_limit_is_restored():

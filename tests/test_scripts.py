@@ -80,3 +80,23 @@ def test_bench_pairs_aggregation():
     pairs[0] = (pairs[0][0], bp.parse_run(canned_run(6.0, 40.0)))
     entry = bp.summarise(range(1, 11), pairs, {"ops_per_s": "higher"})
     assert bp.judge_claim(entry, "ops_per_s")["holds"] is False
+
+
+def test_bench_pairs_workloads_keep_their_commands(monkeypatch, tmp_path):
+    # two invocations into one file: each workload names the --seconds
+    # and --trace its own runs used
+    bp = load_script("bench_pairs")
+    monkeypatch.setattr(bp, "export_revision", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bp, "run_benchmark",
+                        lambda root, workload, seed, seconds, trace, log:
+                        bp.parse_run(canned_run(7.0 + trace, 40.0)))
+    out = tmp_path / "BENCH.json"
+    for trace, seconds in ((0, 20), (1, 5)):
+        assert bp.main(["--parent", "HEAD", "--workload", "catalogue",
+                        "--seeds", "1-2", "--seconds", str(seconds),
+                        "--trace", str(trace), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "command" not in doc
+    for key, flags in (("catalogue", "--seconds 20 --trace 0"),
+                       ("catalogue (traced)", "--seconds 5 --trace 1")):
+        assert f"--workload catalogue --seed S {flags}," in doc["workloads"][key]["command"]

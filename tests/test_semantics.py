@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -614,13 +615,37 @@ def test_certificate_roundtrip(library):
     assert check_proof(library, U, tree).status == "valid"
 
 
-def test_repeated_lines_parse_into_one_object():
-    tree = cons(node(X, X), (refl(X), refl(X)))
-    assert tree.children[0] is not tree.children[1]
+def test_shared_child_is_one_line_and_one_object():
+    # a premise that two parents share is written on one line and read
+    # back as one object; two equal but distinct premises are two lines
+    leaf = refl(X)
+    shared = cons(node(X, X), (leaf, leaf))
+    twins = cons(node(X, X), (refl(X), refl(X)))
+    assert shared == twins
+    for tree, lines in ((shared, 2), (twins, 3)):
+        cert = serialize_proof(tree, "u", U)
+        assert cert.split("\n")[2] == f"nodes {lines}"
+        _, parsed = parse_proof(cert)
+        assert parsed == tree
+        assert (parsed.children[0] is parsed.children[1]) == (tree is shared)
+
+
+def test_deep_certificate_at_the_default_recursion_limit():
+    # the writer and the reader keep their own stacks, so a chain far
+    # deeper than the recursion limit is written and read back as it is
+    depth = 20_000
+    assert sys.getrecursionlimit() < depth
+    tree = refl(X)
+    for i in range(depth):
+        tree = cons(App("s", (Basic(i),)), (tree,))
     cert = serialize_proof(tree, "u", U)
+    assert cert.count("\n") == 4 + depth + 1
     _, parsed = parse_proof(cert)
-    assert parsed.children[0] is parsed.children[1]
-    assert parsed == tree
+    a, b = tree, parsed
+    while a.children:
+        assert (a.tag, a.conclusion) == (b.tag, b.conclusion)
+        (a,), (b,) = a.children, b.children
+    assert a == b and not b.children
 
 
 def _unshared(tree):
