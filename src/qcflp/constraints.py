@@ -6,6 +6,13 @@ of per-variable intervals (with open/closed bounds), plus ground
 structural (dis)equality on constructor data.  Everything outside that
 fragment answers "unknown".
 
+satisfiable is the one decision procedure: unsat comes from
+propagation alone, and sampling points of the propagated box only finds
+witnesses for sat.  entails(H, c) asks it whether H together with the
+negation of c is satisfiable (the CLP(R) reduction): unsat for every
+atom of the negation means entailed, and a sat witness is a
+counterexample.
+
 Interval is the package's one interval type, and propagate_from is its
 one propagator: a worklist over compiled constraints that both the
 solver's interval store and propagate run, until nothing changes or for
@@ -41,7 +48,7 @@ FLIP = {"<=": ">", "<": ">=", ">=": "<", ">": "<="}
 # narrowing steps after which one propagation gives up; the box it stops
 # at is still an over-approximation of the solutions
 PROPAGATION_GUARD = 20000
-# satisfiable and entails try at most SEARCH_TRIES candidate valuations,
+# satisfiable tries at most SEARCH_TRIES candidate valuations,
 # drawn with a fixed seed so that their verdicts and witnesses repeat
 SEARCH_SEED = 0
 SEARCH_TRIES = 400
@@ -178,9 +185,12 @@ def iv_sub(a: Interval, b: Interval) -> Interval:
 
 
 def _mul_bound(x: float, xo: bool, y: float, yo: bool):
+    # a closed zero factor attains 0 whatever the other factor is
+    if (x == 0.0 and not xo) or (y == 0.0 and not yo):
+        return (0.0, False)
     # 0 * inf reads as 0 for bound candidates
     if (x == 0.0 and math.isinf(y)) or (y == 0.0 and math.isinf(x)):
-        return (0.0, xo or yo)
+        return (0.0, True)
     return (x * y, xo or yo)
 
 
@@ -643,6 +653,8 @@ def holds_under(c: AtomicConstraint, val: dict) -> Optional[bool]:
 
 @dataclass(frozen=True)
 class SatResult:
+    """unsat is proved by propagation; sat carries a witness under which
+    every constraint holds; unknown is neither."""
     status: str                      # "sat" | "unsat" | "unknown"
     witness: Optional[dict] = None   # var -> float (or Expr for data)
 
@@ -690,76 +702,36 @@ def _candidate_points(iv: Interval, rng: random.Random, n: int = 3):
     return [c for c in cands if iv.contains(c)]
 
 
-def _all_hold(constraints, val: dict) -> bool:
-    return all(holds_under(c, val) is True for c in constraints)
+def satisfiable(constraints) -> SatResult:
+    """Sound three-valued satisfiability of a primitive constraint set.
 
-
-def _search(names: list, box: Box, accept) -> Optional[dict]:
-    """The first of at most SEARCH_TRIES valuations of names, each drawn
-    from candidate points of the name's interval in box, that accept
-    takes; None when none does."""
+    unsat when a ground constraint fails or propagation empties an
+    interval.  Otherwise the first of at most SEARCH_TRIES valuations,
+    each drawing every variable from candidate points of its propagated
+    interval, under which every constraint holds is a sat witness; with
+    none, the verdict is unknown.  Sampling only finds witnesses: it
+    never decides unsat.
+    """
+    constraints = list(constraints)
+    if any(not vars_of(c) and holds_under(c, {}) is False for c in constraints):
+        return SatResult("unsat")
+    box = propagate(constraints, {})
+    if box is None:
+        return SatResult("unsat")
+    names = sorted(set().union(*map(vars_of, constraints)))
     rng = random.Random(SEARCH_SEED)
     columns = [_candidate_points(box.get(n, FULL), rng) or [0.0] for n in names]
     for combo in itertools.islice(itertools.product(*columns), SEARCH_TRIES):
         val = dict(zip(names, combo))
-        if accept(val):
-            return val
-    return None
+        if all(holds_under(c, val) is True for c in constraints):
+            return SatResult("sat", val)
+    return SatResult("unknown")
 
 
-def satisfiable(constraints) -> SatResult:
-    """Sound three-valued satisfiability of a primitive constraint set."""
-    constraints = list(constraints)
-    for c in constraints:
-        if not vars_of(c):
-            truth = holds_under(c, {})
-            if truth is False:
-                return SatResult("unsat")
-    box = propagate(constraints, {})
-    if box is None:
-        return SatResult("unsat")
-    val = _search(sorted(box), box, lambda val: _all_hold(constraints, val))
-    return SatResult("unknown") if val is None else SatResult("sat", val)
-
-
-def _provably_true(c: AtomicConstraint, box: Box) -> bool:
-    """Whether c holds for every point of the box (sound check)."""
-    if not vars_of(c):
-        return holds_under(c, {}) is True
-    want = c.result
-    if c.symbol == "qVal" and want == TRUE:
-        iv = eval_box(c.args[0], box)
-        return iv is not None and iv.lo >= 0.0 and iv.hi <= 1.0 \
-            and (iv.lo > 0.0 or iv.lo_open)
-    if c.symbol in RELS or (c.symbol == "==" and want in (TRUE, FALSE)
-                            and all(_numeric_expr(a) for a in c.args)):
-        ia = eval_box(c.args[0], box)
-        ib = eval_box(c.args[1], box)
-        if ia is None or ib is None:
-            return False
-        sym, pos = c.symbol, want == TRUE
-        if sym == "==":
-            if pos:
-                return ia.lo == ia.hi == ib.lo == ib.hi and not ia.lo_open and not ib.lo_open
-            # provably never equal: disjoint ranges
-            lt = ia.hi < ib.lo or (ia.hi == ib.lo and (ia.hi_open or ib.lo_open))
-            gt = ib.hi < ia.lo or (ib.hi == ia.lo and (ib.hi_open or ia.lo_open))
-            return lt or gt
-        if not pos:
-            sym = FLIP[sym]
-        if sym in (">", ">="):
-            ia, ib = ib, ia
-            sym = "<" if sym == ">" else "<="
-        if sym == "<=":
-            return ia.hi <= ib.lo
-        if sym == "<":
-            return ia.hi < ib.lo or (ia.hi == ib.lo and (ia.hi_open or ib.lo_open))
-    return False
-
-
-def _ground_data(exprs) -> bool:
-    """Whether exprs hold no variable, no bottom and no primitive
-    application: then each is its own value under any valuation."""
+def _data(exprs, ground: bool = True) -> bool:
+    """Whether exprs hold no bottom, no primitive application and, when
+    ground, no variable: then each is its own value under any valuation
+    of its variables."""
     stack = list(exprs)
     while stack:
         e = stack.pop()
@@ -768,51 +740,50 @@ def _ground_data(exprs) -> bool:
                 if e.symbol in BUILTIN_PF:
                     return False
                 stack += e.args
-        elif type(e) is not Basic:
+        elif type(e) is not Basic and (ground or type(e) is not Var):
             return False
     return True
+
+
+def _negation(c: AtomicConstraint) -> list:
+    """Atoms one of which holds under a valuation exactly when c fails."""
+    if c.symbol == "qVal" and c.result == TRUE:
+        x = c.args[0]
+        return [AtomicConstraint("<=", (x, Basic(0.0)), TRUE),
+                AtomicConstraint(">", (x, Basic(1.0)), TRUE)]
+    if c.symbol not in ARITH and c.result in (TRUE, FALSE):
+        return [AtomicConstraint(c.symbol, c.args,
+                                 FALSE if c.result == TRUE else TRUE)]
+    return [AtomicConstraint("==", (App(c.symbol, c.args), c.result), FALSE)]
 
 
 def entails(constraints, c: AtomicConstraint) -> EntailResult:
     """Sound three-valued entailment of one constraint by a set.
 
-    An atom over ground data (see _ground_data), such as the checker's
-    comparison of two records, is decided first by one evaluation, with
-    identical arguments equal at once: it is entailed when it holds.
-    Every other atom, and one that fails under hypotheses, takes the
-    general path below.
+    An identity t == t over data (see _data; variables allowed) is
+    entailed at once.  An atom over ground data, such as the checker's
+    comparison of two records, is decided first by one evaluation: it is
+    entailed when it holds.  Otherwise the hypotheses entail c exactly
+    when they are unsatisfiable together with each atom of c's negation:
+    one sat verdict is a counterexample, and any unknown one leaves the
+    entailment unknown.
     """
     constraints = list(constraints)
-    if BUILTIN_PF.get(c.symbol) == len(c.args) \
-            and _ground_data((*c.args, c.result)):
-        if c.symbol == "==" and c.args[0] is c.args[1]:
-            res = TRUE
-        else:
+    if BUILTIN_PF.get(c.symbol) == len(c.args):
+        if c.symbol == "==" and c.result == TRUE and c.args[0] == c.args[1] \
+                and _data(c.args[:1], ground=False):
+            return EntailResult("entailed")
+        if _data((*c.args, c.result)):
             res = eval_primitive(c.symbol, list(c.args))
-        if res == c.result:
-            return EntailResult("entailed")
-        if not constraints:
-            return EntailResult("unknown") if res == BOTTOM \
-                else EntailResult("not_entailed", {})
-    box = propagate(constraints, {})
-    if box is None:
-        return EntailResult("entailed")  # empty solution set entails anything
-    for v in vars_of(c):
-        box.setdefault(v, FULL)
-    if _provably_true(c, box):
-        return EntailResult("entailed")
-    # hunt for a counterexample valuation in the box
-    allvars = set(box) | vars_of(c)
-    for p in constraints:
-        allvars |= vars_of(p)
-    names = sorted(allvars)
-    if not names:
-        truth = holds_under(c, {})
-        if truth is True:
-            return EntailResult("entailed")
-        if truth is False:
-            return EntailResult("not_entailed", {})
-        return EntailResult("unknown")
-    val = _search(names, box, lambda val: _all_hold(constraints, val)
-                  and holds_under(c, val) is False)
-    return EntailResult("unknown") if val is None else EntailResult("not_entailed", val)
+            if res == c.result:
+                return EntailResult("entailed")
+            if not constraints:
+                return EntailResult("unknown") if res == BOTTOM \
+                    else EntailResult("not_entailed", {})
+    verdicts = set()
+    for neg in _negation(c):
+        res = satisfiable([*constraints, neg])
+        if res.status == "sat":
+            return EntailResult("not_entailed", res.witness)
+        verdicts.add(res.status)
+    return EntailResult("entailed" if verdicts == {"unsat"} else "unknown")

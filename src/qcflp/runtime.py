@@ -50,6 +50,7 @@ from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     FALSE, HashCons, TRUE, Var, apply_subst, deep_recursion,
                     vars_of)
+from .transform import leaf_names
 
 
 @dataclass
@@ -978,9 +979,6 @@ class Solver:
             if self.limits.answers is not None and emitted >= self.limits.answers:
                 return
 
-    def _leaves(self, wname: str) -> list:
-        return [wname + suf for suf in self.dom.leaf_suffixes()]
-
     def _answer(self, store: Store, wvars: list, datavars: list) -> Answer:
         subst = {}
         for v in datavars:
@@ -989,7 +987,7 @@ class Solver:
                 subst[v] = val
         qual = {}
         for w in wvars:
-            for leaf in self._leaves(w):
+            for leaf in leaf_names(w, self.dom):
                 root = self.walk(store, Var(leaf))
                 if isinstance(root, Var):
                     qual[leaf] = store.ivals.get(root.name, FULL)

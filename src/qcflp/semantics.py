@@ -39,10 +39,11 @@ from typing import Iterable, Iterator, Optional
 from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
 from .syntax import (Goal, GoalItem, Program, _Parser, ParseError, Diagnostic,
-                     _vars_in_order, print_constraint, print_expr)
+                     _vars_in_order, format_attenuation, print_constraint,
+                     print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     HashCons, TRUE, Var, apply_subst, constraint_exprs,
-                    constraint_info_leq, deep_recursion, format_real, info_leq,
+                    constraint_info_leq, deep_recursion, info_leq,
                     is_total, is_value, term_glb, term_lub, vars_of)
 
 CHECK_TOL = 1e-12
@@ -965,17 +966,11 @@ def print_statement(stmt: QStatement, dom: Optional[QualDomain] = None) -> str:
     else:
         body = print_constraint(stmt.atom)
     if stmt.qual is not None:
-        d = dom.format(dom.coerce(stmt.qual)) if dom else _fmt_raw(stmt.qual)
+        d = dom.format(dom.coerce(stmt.qual)) if dom else format_attenuation(stmt.qual)
         body += f" # {d}"
     if stmt.hypotheses:
         body += " <== " + ", ".join(print_constraint(c) for c in stmt.hypotheses)
     return body
-
-
-def _fmt_raw(q) -> str:
-    if isinstance(q, tuple):
-        return "(" + ",".join(_fmt_raw(x) for x in q) + ")"
-    return format_real(float(q))
 
 
 def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]) -> str:

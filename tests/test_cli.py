@@ -226,6 +226,30 @@ def test_prove_rounding_repro_not_found(tmp_path, capsys):
     assert run("prove", str(src), "--check", str(cert)) == 1
 
 
+def test_solve_keeps_a_closed_zero_product(tmp_path, capsys):
+    # Y * 0 >= 0 holds for every Y in (0, 1)
+    src = tmp_path / "f.qcflp"
+    src.write_text("f(X) --> true <== X > 0, X < 1, X * 0 >= 0\n")
+    assert run("solve", str(src), "--goal", "(f(Y) == true) # W") == 3
+    assert capsys.readouterr().out == \
+        "{ } { W in (0, 1] } << Y > 0, Y < 1, Y*0 >= 0 >> [conditional]\n"
+
+
+def test_prove_refuses_hypotheses_met_through_a_zero_product(tmp_path, capsys):
+    # X = 0, Y = 0, Z = 2 satisfies the hypotheses, so they are not vacuous
+    src = tmp_path / "t.qcflp"
+    src.write_text("data t = a | b\nf --> a\n")
+    stmt = "(f -> b) # 1 <== Z - X - 2 < Z, Y <= (X + Z)*0"
+    assert run("prove", str(src), "--statement", stmt) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "not_found\n"
+    cert = tmp_path / "triv.proof"
+    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
+                    f"0\ttriv\t-\t-\t-\t{stmt}\n")
+    assert run("prove", str(src), "--check", str(cert)) == 1
+    assert capsys.readouterr().out == "invalid: root: statement is not trivial\n"
+
+
 def test_oracle_roundtrip(tmp_path, capsys):
     src = tmp_path / "chain.qcflp"
     src.write_text("f -0.9-> true\ng -0.8-> f\n")

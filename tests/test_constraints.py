@@ -1,13 +1,14 @@
+import itertools
 import math
 import random
 
 import pytest
 
 import qcflp.constraints
-from qcflp.constraints import (Interval, entails, eval_primitive,
+from qcflp.constraints import (Interval, SatResult, entails, eval_primitive,
                                holds_under, iv_mul, propagate, satisfiable)
 from qcflp.syntax import parse_constraints, parse_expr
-from qcflp.terms import App, AtomicConstraint, Basic, BOTTOM, FALSE, TRUE
+from qcflp.terms import App, AtomicConstraint, Basic, BOTTOM, FALSE, TRUE, Var
 
 
 def c(text):
@@ -96,10 +97,50 @@ def test_entails_examples():
     assert res.status == "not_entailed"
     w = res.witness["A"]
     assert w < 0  # the counterexample satisfies the hypotheses, refutes the claim
+    # the negated atom is propagated together with the hypotheses
+    assert entails(cs("X + Y >= 2, X <= 1"), c("Y >= 1")).status == "entailed"
+    assert entails(cs("X == 2"), c("X + 1 == 3")).status == "entailed"
+    assert entails(cs("0 < W, W <= 1"), c("qVal(W)")).status == "entailed"
+    res = entails([], c("qVal(W)"))
+    assert (res.status, res.witness) == ("not_entailed", {"W": 0.0})
+
+
+def test_identity_is_entailed():
+    # t == t holds under any valuation of t's variables, unless t holds
+    # a bottom or a primitive application
+    assert entails([], c("Y == Y")).status == "entailed"
+    assert entails(cs("Y >= 2"), c("f(Y, a) == f(Y, a)")).status == "entailed"
+    undefined = parse_expr("c(_|_)")
+    assert entails([], AtomicConstraint("==", (undefined, undefined), TRUE)).status \
+        == "unknown"
+
+
+def test_closed_zero_factor_attains_zero():
+    # X * 0 is 0 for every X, however X's interval is bounded
+    assert iv_mul(Interval(0.0, 1.0, True, True), Interval(0.0, 0.0)) == Interval(0.0, 0.0)
+    assert iv_mul(Interval(0.0, 1.0), Interval(2.0, 3.0, True, True)) \
+        == Interval(0.0, 3.0, False, True)
+    hyps = cs("X > 0, X < 1, X * 0 >= 0")
+    res = satisfiable(hyps)
+    assert res.status == "sat" and holds_all(hyps, res.witness)
+    res = entails(hyps, c("X >= 7"))
+    assert res.status == "not_entailed" and holds_all(hyps, res.witness)
+
+
+def test_satisfiable_draws_data_variables():
+    # X /= a holds for any number X
+    assert satisfiable(cs("X /= a")) == SatResult("sat", {"X": 0.0})
 
 
 def test_entails_unsat_hypotheses():
     assert entails(cs("A < 0, A > 1"), c("A == 5")).status == "entailed"
+
+
+def test_ground_false_hypothesis_entails_anything():
+    # 2*2 - 0.5 == -1 is the arithmetic atom -(2*2, 0.5) -> -1, false
+    hyps = cs("2*2 - 0.5 == -1")
+    assert hyps[0].symbol == "-"
+    assert entails(hyps, c("1 >= 1.5")).status == "entailed"
 
 
 def test_entails_not_entailed_witness_valid():
@@ -303,3 +344,66 @@ def test_ground_atoms_agree_with_holds_under(seed):
         truth = holds_under(atom, {})
         want = {True: "entailed", False: "not_entailed", None: "unknown"}[truth]
         assert entails([], atom).status == want
+
+
+# ----------------------------------------------------------------------
+# Verdicts on random atoms checked against their witnesses and a grid
+# ----------------------------------------------------------------------
+
+NAMES = ("X", "Y", "Z")
+GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+GRID_POINTS = [dict(zip(NAMES, p)) for p in itertools.product(GRID, repeat=3)]
+LITERALS = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def random_term(rng, depth=2):
+    if depth == 0 or rng.random() < 0.4:
+        if rng.random() < 0.6:
+            return Var(rng.choice(NAMES))
+        return Basic(rng.choice(LITERALS))
+    return App(rng.choice("+-*"),
+               (random_term(rng, depth - 1), random_term(rng, depth - 1)))
+
+
+def random_atom(rng):
+    """A comparison, ==, /=, qVal or arithmetic atom over X, Y and Z."""
+    kind = rng.random()
+    if kind < 0.1:
+        return AtomicConstraint("qVal", (random_term(rng, 1),), TRUE)
+    if kind < 0.2:
+        return AtomicConstraint(rng.choice("+-*"), (random_term(rng, 1),
+                                random_term(rng, 1)), Basic(rng.choice(LITERALS)))
+    symbol = rng.choice(("<=", "<", ">=", ">", "==", "=="))
+    return AtomicConstraint(symbol, (random_term(rng), random_term(rng)),
+                            rng.choice((TRUE, FALSE)))
+
+
+def random_case(rng):
+    """Zero to three hypotheses and one atom."""
+    return [random_atom(rng) for _ in range(rng.randrange(4))], random_atom(rng)
+
+
+def holds_all(constraints, val) -> bool:
+    """Whether val is a real valuation under which every constraint holds."""
+    return all(math.isfinite(v) for v in val.values()) \
+        and all(holds_under(x, val) is True for x in constraints)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_random_verdicts_are_sound(seed):
+    # every witness checks, and no grid point satisfies a set called
+    # unsat or refutes an atom called entailed
+    rng = random.Random(seed)
+    for _ in range(500):
+        hyps, atom = random_case(rng)
+        sat, res = satisfiable(hyps), entails(hyps, atom)
+        if sat.status == "sat":
+            assert holds_all(hyps, sat.witness)
+        if res.status == "not_entailed":
+            assert holds_all(hyps, res.witness)
+            assert holds_under(atom, res.witness) is False
+        if sat.status == "unsat" or res.status == "entailed":
+            models = [p for p in GRID_POINTS if holds_all(hyps, p)]
+            assert sat.status != "unsat" or not models, hyps
+            assert res.status != "entailed" or all(
+                holds_under(atom, p) is not False for p in models), (hyps, atom)

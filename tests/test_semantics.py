@@ -393,6 +393,14 @@ def test_holds_variables_of_the_search(rules, text, status):
         assert "~" not in serialize_proof(r.tree, "u", U)
 
 
+def test_holds_through_an_identity_checks_valid():
+    # the tree's atom node Y == Y holds under any valuation of Y
+    p = parse_program("g(Y) --> h(Y, Z)\nh(X, Z) --> true <== X == Z, Z >= 1")
+    r = holds(p, U, stmt("(g(Y) -> true) # 1 <== Y >= 2"))
+    assert r.status == "derivable"
+    assert check_proof(p, U, r.tree).status == "valid"
+
+
 @pytest.mark.parametrize("rules", [
     "g --> h(Z)\nh(X) --> true",
     "g --> h(Z, Z)\nh(X, Y) --> true",
