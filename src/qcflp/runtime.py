@@ -797,12 +797,13 @@ class Solver:
         if isinstance(a, Basic) or isinstance(b, Basic):
             if isinstance(a, Basic) and isinstance(b, Basic):
                 return "same" if a.value == b.value else "diff"
-            if isinstance(a, App) and self.sig.kind(a.symbol) == "dc":
+            if isinstance(a, App) and self.sig.kind(a.symbol) in ("dc", None):
                 return "diff"
-            if isinstance(b, App) and self.sig.kind(b.symbol) == "dc":
+            if isinstance(b, App) and self.sig.kind(b.symbol) in ("dc", None):
                 return "diff"
             return "unknown"
-        if self.sig.kind(a.symbol) != "dc" or self.sig.kind(b.symbol) != "dc":
+        if self.sig.kind(a.symbol) not in ("dc", None) \
+                or self.sig.kind(b.symbol) not in ("dc", None):
             return "unknown"
         if a.symbol != b.symbol or len(a.args) != len(b.args):
             return "diff"

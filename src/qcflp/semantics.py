@@ -38,9 +38,9 @@ from typing import Iterable, Iterator, Optional
 
 from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
-from .syntax import (Goal, GoalItem, Program, _Parser, ParseError, Diagnostic,
-                     _vars_in_order, format_attenuation, print_constraint,
-                     print_expr)
+from .syntax import (Goal, GoalItem, Program, ParseError, Diagnostic,
+                     _vars_in_order, format_attenuation, parse_bindings,
+                     parse_statement_parts, print_constraint, print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     HashCons, TRUE, Var, apply_subst, constraint_exprs,
                     constraint_info_leq, deep_recursion, info_leq,
@@ -928,36 +928,10 @@ def parse_statement(text: str, share: Optional[HashCons] = None) -> QStatement:
     """The statement text reads; with a terms.HashCons table, its terms
     are canonical in it, so equal terms of every text read with the table
     are one object."""
-    p = _Parser(text, share)
-    save = p.pos
-    stmt = None
-    if p.at("("):
-        try:
-            p.next()
-            lhs = p.parse_expr()
-            if p.peek().kind in ("->", "-->"):
-                p.next()
-                rhs = p.parse_expr()
-                p.expect(")")
-                stmt = (lhs, rhs)
-            else:
-                p.pos = save
-        except ParseError:
-            p.pos = save
-    if stmt is None:
-        c = p.parse_constraint()
-    qual = None
-    if p.at("#"):
-        p.next()
-        qual = p.parse_qual_literal()
-    hyps = ()
-    if p.at("<=="):
-        p.next()
-        hyps = tuple(p.parse_sep_list(p.parse_constraint))
-    p.expect("EOF")
-    if stmt is not None:
-        return production(stmt[0], stmt[1], qual, hyps)
-    return atom_statement(c, qual, hyps)
+    body, qual, hyps = parse_statement_parts(text, share)
+    if isinstance(body, tuple):
+        return production(body[0], body[1], qual, hyps)
+    return atom_statement(body, qual, hyps)
 
 
 def print_statement(stmt: QStatement, dom: Optional[QualDomain] = None) -> str:
@@ -1079,14 +1053,5 @@ def _parse_theta(text: str, share: HashCons) -> tuple:
     if len(text) < 2 or text[0] != "{" or text[-1] != "}":
         raise ParseError([Diagnostic(
             1, 1, f"substitution {text!r} is not '-' or '{{...}}'")])
-    p = _Parser(text[1:-1], share)
-
-    def binding() -> tuple:
-        name = p.expect("VAR").text
-        p.expect("->")
-        return name, p.parse_expr()
-
-    pairs = [] if p.at("EOF") else p.parse_sep_list(binding, ";")
-    p.expect("EOF")
-    return tuple(pairs)
+    return parse_bindings(text[1:-1], share)
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domains import MalformedValueError, QualDomain, U
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, BUILTIN_PF,
                     Expr, FALSE, HashCons, NIL, Signature, SignatureError,
                     TRUE, Var, char_atom, format_real, is_char_atom, is_term,
-                    vars_of)
+                    is_total, vars_of)
 
 RESERVED = {"type", "data"}
 
@@ -63,118 +63,70 @@ def _fail(line: int, col: int, message: str):
 # Lexer
 # ======================================================================
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[a-z][A-Za-z0-9_']*")
-_VAR = re.compile(r"[A-Z_][A-Za-z0-9_']*(\.[0-9]+)*")
-_STRING = re.compile(r'"(\\.|[^"\\])*"')
-_CHAR = re.compile(r"'(\\.|[^'\\])'")
-
-_PUNCT = ["<==", "-->", "->", "::", "==", "/=", "<=", ">=",
-          "<", ">", "+", "-", "*", ":", "=", "|", "#",
-          "(", ")", "[", "]", ",", ";"]
+# One alternative per token kind, tried in this order at each position;
+# punctuation longest first.
+_TOKEN = re.compile("|".join([
+    r"(?P<NEWLINE>\n)",
+    r"(?P<SPACE>[ \t\r]+)",
+    r"(?P<COMMENT>--(?!>)[^\n]*)",
+    r"(?P<BOTTOM>_\|_)",
+    r"(?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)",
+    r'(?P<STRING>"(?:\\.|[^"\\])*")',
+    r"(?P<CHAR>'(?:\\.|[^'\\])')",
+    r"(?P<IDENT>[a-z][A-Za-z0-9_']*)",
+    r"(?P<VAR>[A-Z_][A-Za-z0-9_']*(?:\.[0-9]+)*)",
+    r"(?P<PUNCT><==|-->|->|::|==|/=|<=|>=|[-<>+*:=|#()\[\],;])",
+]))
 
 
 def lex(text: str) -> list:
+    """The tokens of text and an EOF token: one match of _TOKEN each, of
+    the kind its group names, or for punctuation of its text.  A column
+    counts the characters before it since the last newline token, so a
+    raw newline in a string does not start a line, and comments count
+    nothing."""
     tokens = []
+    match = _TOKEN.match
     i, line, col = 0, 1, 1
     n = len(text)
     while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+        m = match(text, i)
+        if m is None:
+            _fail(line, col, f"unexpected character {text[i]!r}")
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "NEWLINE":
             line += 1
             col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i) and not text.startswith("-->", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("_|_", i):
-            tokens.append(Token("BOTTOM", "_|_", line, col))
-            i += 3
-            col += 3
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(Token("NUMBER", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _STRING.match(text, i)
-        if m:
-            tokens.append(Token("STRING", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _CHAR.match(text, i)
-        if m:
-            tokens.append(Token("CHAR", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _VAR.match(text, i)
-        if m:
-            tokens.append(Token("VAR", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            _fail(line, col, f"unexpected character {c!r}")
+        elif kind != "COMMENT":
+            if kind != "SPACE":
+                tok = m.group()
+                tokens.append(Token(tok if kind == "PUNCT" else kind, tok, line, col))
+            col += end - i
+        i = end
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
 
+_UNESCAPE = re.compile(r"\\(.)", re.S)
+_UNESCAPES = {"n": "\n", "t": "\t"}
+_ESCAPES = {q: str.maketrans({"\\": "\\\\", q: "\\" + q, "\n": "\\n", "\t": "\\t"})
+            for q in "'\""}
+
+
 def _unescape(body: str) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            nxt = body[i + 1]
-            out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _UNESCAPE.sub(lambda m: _UNESCAPES.get(m[1], m[1]), body)
 
 
 def _escape(body: str, quote: str) -> str:
-    out = []
-    for c in body:
-        if c == "\\" or c == quote:
-            out.append("\\" + c)
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\t":
-            out.append("\\t")
-        else:
-            out.append(c)
-    return "".join(out)
+    return body.translate(_ESCAPES[quote])
 
 
 # ======================================================================
@@ -506,7 +458,7 @@ class _Parser:
 
     def parse_goal(self) -> Goal:
         entries = self.parse_sep_list(self.parse_goal_entry)
-        thresholds = {}
+        thresholds = {}          # name -> (its VAR token, literal)
         if self.at("|"):
             self.next()
             while True:
@@ -515,7 +467,7 @@ class _Parser:
                 beta = self.parse_qual_literal()
                 if w.text in thresholds:
                     _fail(w.line, w.col, f"duplicate threshold for {w.text}")
-                thresholds[w.text] = beta
+                thresholds[w.text] = w, beta
                 if self.at(","):
                     self.next()
                     continue
@@ -526,11 +478,56 @@ class _Parser:
             if w.text in seen:
                 _fail(w.line, w.col, f"duplicate qualification variable {w.text}")
             seen.add(w.text)
-            items.append(GoalItem(c, w.text, thresholds.pop(w.text, None)))
-        for name in thresholds:
-            _fail(0, 0, f"threshold for undeclared qualification variable {name}")
+            items.append(GoalItem(c, w.text, thresholds.pop(w.text, (w, None))[1]))
+        for w, _ in thresholds.values():
+            _fail(w.line, w.col, f"threshold for undeclared qualification variable {w.text}")
         self.expect("EOF")
         return Goal(tuple(items))
+
+    # -- certificate statements and substitutions ------------------------------
+
+    def parse_statement(self) -> tuple:
+        """A whole statement text: (body, qualification literal or None,
+        hypotheses), where body is a (lhs, rhs) pair for a production and
+        an atomic constraint otherwise."""
+        save = self.pos
+        body = None
+        if self.at("("):
+            try:
+                self.next()
+                lhs = self.parse_expr()
+                if self.peek().kind in ("->", "-->"):
+                    self.next()
+                    rhs = self.parse_expr()
+                    self.expect(")")
+                    body = (lhs, rhs)
+                else:
+                    self.pos = save
+            except ParseError:
+                self.pos = save
+        if body is None:
+            body = self.parse_constraint()
+        qual = None
+        if self.at("#"):
+            self.next()
+            qual = self.parse_qual_literal()
+        hyps = ()
+        if self.at("<=="):
+            self.next()
+            hyps = tuple(self.parse_sep_list(self.parse_constraint))
+        self.expect("EOF")
+        return body, qual, hyps
+
+    def parse_bindings(self) -> tuple:
+        """A whole text of bindings V -> e separated by ';', maybe none."""
+        def binding() -> tuple:
+            name = self.expect("VAR").text
+            self.expect("->")
+            return name, self.parse_expr()
+
+        pairs = [] if self.at("EOF") else self.parse_sep_list(binding, ";")
+        self.expect("EOF")
+        return tuple(pairs)
 
 
 def classify_constraint(e: Expr) -> Optional[AtomicConstraint]:
@@ -557,38 +554,32 @@ def _is_vform(e: Expr) -> bool:
 # ======================================================================
 
 def _register_use_sites(e: Expr, sig: Signature, diags: list, line: int) -> None:
-    if isinstance(e, App):
-        kind = sig.kind(e.symbol)
-        if kind is None:
-            try:
-                sig.register_dc(e.symbol, len(e.args))
-            except SignatureError as exc:
-                diags.append(Diagnostic(line, 0, str(exc)))
-        else:
-            try:
-                if sig.arity(e.symbol) != len(e.args):
-                    diags.append(Diagnostic(
-                        line, 0,
-                        f"{e.symbol!r} used with {len(e.args)} argument(s), "
-                        f"expected {sig.arity(e.symbol)}"))
-            except SignatureError as exc:
-                diags.append(Diagnostic(line, 0, str(exc)))
-        for a in e.args:
-            _register_use_sites(a, sig, diags, line)
-    elif isinstance(e, AtomicConstraint):
-        for x in e.args:
-            _register_use_sites(x, sig, diags, line)
-        _register_use_sites(e.result, sig, diags, line)
-
-
-def _contains_bottom(e) -> bool:
-    if isinstance(e, Bottom):
-        return True
-    if isinstance(e, App):
-        return any(_contains_bottom(a) for a in e.args)
-    if isinstance(e, AtomicConstraint):
-        return any(_contains_bottom(x) for x in (*e.args, e.result))
-    return False
+    """Register the undeclared symbols of e as constructors and check the
+    arity of the others, in pre-order: print_program numbers the data
+    lines by this order."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, App):
+            kind = sig.kind(e.symbol)
+            if kind is None:
+                try:
+                    sig.register_dc(e.symbol, len(e.args))
+                except SignatureError as exc:
+                    diags.append(Diagnostic(line, 0, str(exc)))
+            else:
+                try:
+                    if sig.arity(e.symbol) != len(e.args):
+                        diags.append(Diagnostic(
+                            line, 0,
+                            f"{e.symbol!r} used with {len(e.args)} argument(s), "
+                            f"expected {sig.arity(e.symbol)}"))
+                except SignatureError as exc:
+                    diags.append(Diagnostic(line, 0, str(exc)))
+            todo.extend(reversed(e.args))
+        elif isinstance(e, AtomicConstraint):
+            todo.append(e.result)
+            todo.extend(reversed(e.args))
 
 
 def build_program(decls, rules, dom: QualDomain = U) -> tuple:
@@ -631,7 +622,7 @@ def validate_program(program: Program, dom: QualDomain = U) -> list:
                     diags.append(Diagnostic(r.line, 0,
                                             f"rule for {r.name!r}: non-linear head (variable {v} repeats)"))
                 seen.add(v)
-        if any(_contains_bottom(x) for x in (*r.patterns, r.rhs, *r.conditions)):
+        if not is_total((r.patterns, r.rhs, r.conditions)):
             diags.append(Diagnostic(r.line, 0,
                                     f"rule for {r.name!r}: the undefined value cannot occur in rules"))
         try:
@@ -645,11 +636,14 @@ def validate_program(program: Program, dom: QualDomain = U) -> list:
 
 
 def _vars_in_order(e: Expr):
-    if isinstance(e, Var):
-        yield e.name
-    elif isinstance(e, App):
-        for a in e.args:
-            yield from _vars_in_order(a)
+    """The variable names of e, left to right, repeats included."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            yield e.name
+        elif isinstance(e, App):
+            todo.extend(reversed(e.args))
 
 
 def validate_goal(goal: Goal, dom: QualDomain = U) -> list:
@@ -696,6 +690,16 @@ def parse_constraints(text: str) -> list:
     out = p.parse_sep_list(p.parse_constraint)
     p.expect("EOF")
     return out
+
+
+def parse_statement_parts(text: str, share: Optional[HashCons] = None) -> tuple:
+    """_Parser.parse_statement of text, its terms canonical in share."""
+    return _Parser(text, share).parse_statement()
+
+
+def parse_bindings(text: str, share: Optional[HashCons] = None) -> tuple:
+    """_Parser.parse_bindings of text, its terms canonical in share."""
+    return _Parser(text, share).parse_bindings()
 
 
 def parse_expr(text: str) -> Expr:

@@ -290,10 +290,13 @@ def vars_of(obj) -> set:
 
 def is_term(e: Expr, sig: Signature) -> bool:
     """Constructor terms: no primitive or defined function applications."""
-    if isinstance(e, App):
-        if sig.kind(e.symbol) != "dc":
-            return False
-        return all(is_term(a, sig) for a in e.args)
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, App):
+            if sig.kind(e.symbol) != "dc":
+                return False
+            stack.extend(e.args)
     return True
 
 
@@ -305,13 +308,21 @@ def is_ground(e: Expr) -> bool:
     return True
 
 
-def is_total(e) -> bool:
-    if isinstance(e, Bottom):
-        return False
-    if isinstance(e, App):
-        return all(is_total(a) for a in e.args)
-    if isinstance(e, AtomicConstraint):
-        return all(is_total(x) for x in constraint_exprs(e))
+def is_total(obj) -> bool:
+    """No undefined value in an expression, constraint, or tuple/list of
+    such; iterative, like vars_of."""
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, Bottom):
+            return False
+        if isinstance(obj, App):
+            stack.extend(obj.args)
+        elif isinstance(obj, AtomicConstraint):
+            stack.extend(obj.args)
+            stack.append(obj.result)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
     return True
 
 

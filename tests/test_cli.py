@@ -94,6 +94,12 @@ def test_solve_threshold_too_high():
     assert run("solve", str(LIBRARY), "--goal", goal) == 1
 
 
+def test_undeclared_threshold_reports_its_position(capsys):
+    assert run("solve", str(LIBRARY), "--goal", "g == a # W | V >= 0.5") == 1
+    assert capsys.readouterr().err == \
+        "<goal>:1:14: threshold for undeclared qualification variable V\n"
+
+
 def test_solve_answer_limit(capsys):
     goal = f'(guessGenre({BOOK4}) == G) # W'
     assert run("solve", str(LIBRARY), "--goal", goal,

@@ -120,6 +120,20 @@ def test_data_bounds_are_residual(program, goal, expected):
     assert [render_answer(a) for a in answers] == [expected]
 
 
+@pytest.mark.parametrize("goal, expected", [
+    ("(g /= b) # W", ["{ } { W in (0, 1] }"]),
+    ("(c(a) /= c(a)) # W", []),
+    ("(c(a) /= c(b)) # W", ["{ } { W in (0, 1] }"]),
+    ("(X /= b) # W", ["{ } { W in (0, 1] } << X /= b >> [conditional]"]),
+], ids=["call-vs-undeclared", "equal-undeclared", "different-undeclared",
+        "variable"])
+def test_disequality_on_undeclared_constructors(goal, expected):
+    # a symbol that nothing declares or defines is data, so a disequality
+    # between such terms is decided, as unification decides their equality
+    answers, _, _ = solve_text(parse_program("data t = a\ng --> a"), goal)
+    assert [render_answer(a) for a in answers] == expected
+
+
 def test_undeclared_qualification_bound_is_malformed():
     # dropping a rule's qVal leaves its bounds on an undeclared
     # qualification variable: that is still flagged, and only that

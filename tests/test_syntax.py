@@ -1,11 +1,16 @@
 import random
+import re
+import string
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcflp.domains import domain_from_name
-from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
-                          parse_goal, parse_program, print_constraints,
-                          print_expr, print_goal, print_program)
+from qcflp.syntax import (ParseError, _escape, _spine, _unescape, lex,
+                          parse_constraints, parse_expr, parse_goal,
+                          parse_program, print_constraints, print_expr,
+                          print_goal, print_program)
 from qcflp.terms import App, FALSE, TRUE, Var, mkstring
 
 
@@ -82,6 +87,14 @@ def test_goal_threshold_optional():
 def test_threshold_for_unknown_variable():
     with pytest.raises(ParseError):
         parse_goal("f == true # W | V >= 0.5")
+
+
+def test_threshold_for_unknown_variable_has_its_position():
+    with pytest.raises(ParseError) as exc:
+        parse_goal("f == true # W | V >= 0.5")
+    d = exc.value.diagnostics[0]
+    assert (d.line, d.col) == (1, 17)
+    assert d.message == "threshold for undeclared qualification variable V"
 
 
 def test_roundtrip_library(library, library_text):
@@ -162,3 +175,66 @@ def test_diagnostics_carry_positions():
         assert d.line >= 1 and d.col >= 1
     else:
         pytest.fail("expected a parse error")
+
+
+@pytest.mark.parametrize("text, tokens", [
+    # a trailing comment does not move the end-of-input column
+    ("f --> a -- note",
+     [("IDENT", "f", 1, 1), ("-->", "-->", 1, 3), ("IDENT", "a", 1, 7),
+      ("EOF", "", 1, 9)]),
+    # --> is an arrow, -- starts a comment, -0.9-> is a minus, a number
+    # and an arrow
+    ("a --> b -- c\nf -0.9-> g",
+     [("IDENT", "a", 1, 1), ("-->", "-->", 1, 3), ("IDENT", "b", 1, 7),
+      ("IDENT", "f", 2, 1), ("-", "-", 2, 3), ("NUMBER", "0.9", 2, 4),
+      ("->", "->", 2, 7), ("IDENT", "g", 2, 10), ("EOF", "", 2, 11)]),
+    ("_|_ _ _X _|",
+     [("BOTTOM", "_|_", 1, 1), ("VAR", "_", 1, 5), ("VAR", "_X", 1, 7),
+      ("VAR", "_", 1, 10), ("|", "|", 1, 11), ("EOF", "", 1, 12)]),
+    ("W.1 f' X.1.2",
+     [("VAR", "W.1", 1, 1), ("IDENT", "f'", 1, 5), ("VAR", "X.1.2", 1, 8),
+      ("EOF", "", 1, 13)]),
+    ("'\\'' \"a\\\"b\"",
+     [("CHAR", "'\\''", 1, 1), ("STRING", '"a\\"b"', 1, 6), ("EOF", "", 1, 12)]),
+    # the line number does not advance inside a string
+    ('"a\nb" c',
+     [("STRING", '"a\nb"', 1, 1), ("IDENT", "c", 1, 7), ("EOF", "", 1, 8)]),
+    ("a\r\nb",
+     [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 1), ("EOF", "", 2, 2)]),
+], ids=["trailing-comment", "arrows-and-comments", "bottom-and-underscores",
+        "dotted-var-and-prime", "escaped-quotes", "raw-newline-in-string",
+        "carriage-return"])
+def test_lex_tokens(text, tokens):
+    assert [(t.kind, t.text, t.line, t.col) for t in lex(text)] == tokens
+
+
+def test_lex_unexpected_character():
+    with pytest.raises(ParseError) as exc:
+        lex("f(a,\n  {)")
+    assert str(exc.value) == "2:3: unexpected character '{'"
+
+
+@given(st.text(), st.sampled_from(["'", '"']))
+def test_escape_roundtrip(body, quote):
+    assert _unescape(_escape(body, quote)) == body
+
+
+def test_large_catalogue_parses_at_default_recursion_limit(library_text):
+    rng = random.Random(7)
+
+    def word():
+        return "".join(rng.choice(string.ascii_letters) for _ in range(8))
+
+    books = ",\n".join(f'book({i}, "{word()}", "{word()}", "English", "Poetry", '
+                       f"medium, {rng.randint(100, 999)})" for i in range(900))
+    text = re.sub(r"^library -->.*?\]", lambda _m: f"library --> [{books}]",
+                  library_text, count=1, flags=re.S | re.M)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        program = parse_program(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    rule = next(r for r in program.rules if r.name == "library")
+    items, tail = _spine(rule.rhs)
+    assert len(items) == 900 and tail is None
