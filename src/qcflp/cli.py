@@ -9,7 +9,8 @@ files through one guarded writer (_write).  Exit codes:
   valid, oracle found no mismatch
 * 1: an input diagnostic, as <label>:<line>:<col>: message with the
   file's path, <goal>, <statement> or <universe> as label, or a malformed
-  certificate; a program the translation rejects; no answer, no
+  certificate; a program the translation rejects; a statement whose
+  hypotheses call a defined function; no answer, no
   derivation in a search that was not cut, an invalid certificate or an
   oracle mismatch
 * 2: a usage error, an unknown --qdom, an input file that cannot be read
@@ -39,8 +40,8 @@ import sys
 from .domains import domain_from_name
 from .oracle import compare, count_qual_sites, default_universe
 from .runtime import Limits, Solver, answer_record, render_answer
-from .semantics import (check_proof, holds, parse_proof, parse_statement,
-                        serialize_proof)
+from .semantics import (StatementError, check_proof, holds, parse_proof,
+                        parse_statement, serialize_proof)
 from .syntax import (ParseError, parse_expr_list, parse_goal, parse_program,
                      print_constraints, print_program)
 from .terms import run_deep
@@ -257,7 +258,10 @@ def _prove(args) -> int:
     if args.statement is None:
         raise _Exit(2, "prove needs --statement or --check")
     dom = args.dom
-    result = holds(args.program, dom, args.statement, depth=args.depth)
+    try:
+        result = holds(args.program, dom, args.statement, depth=args.depth)
+    except StatementError as exc:
+        raise _Exit(1, f"<statement>: {exc}")
     if result.status != "derivable":
         raise _Exit(1 if result.status == "not_found" else 3, result.status)
     cert = serialize_proof(result.tree, dom.name, dom)

@@ -2,16 +2,16 @@
 
 The engine is deliberately incomplete but sound: it decides conjunctions
 of arithmetic comparison constraints by interval propagation over a box
-of per-variable intervals (with open/closed bounds), plus ground
-structural (dis)equality on constructor data.  Everything outside that
-fragment answers "unknown".
+of per-variable intervals (with open/closed bounds); an atom with no
+variable, such as a (dis)equality of constructor data, is decided by
+evaluating it.  Everything outside that fragment answers "unknown".
 
-satisfiable is the one decision procedure: unsat comes from
-propagation alone, and sampling points of the propagated box only finds
-witnesses for sat.  entails(H, c) asks it whether H together with the
-negation of c is satisfiable (the CLP(R) reduction): unsat for every
-atom of the negation means entailed, and a sat witness is a
-counterexample.
+satisfiable is the one decision procedure: unsat comes from a false
+ground atom or from propagation, and sampling points of the propagated
+box only finds witnesses for sat.  entails(H, c) asks it whether H
+together with the negation of c is satisfiable (the CLP(R) reduction):
+unsat for every atom of the negation means entailed, and a sat witness
+is a counterexample.
 
 Interval is the package's one interval type, and propagate_from is its
 one propagator: a worklist over compiled constraints that both the
@@ -22,8 +22,8 @@ bound is exact in floats or moved an ulp away from the solutions.
 Primitive evaluation follows the usual strictness discipline: a result
 is undefined (bottom) whenever a demanded argument is undefined, and any
 defined result is a literal or a nullary constructor.  Strict equality
-returns false as soon as a constructor clash is detectable, true only on
-identical total values.
+(terms.compare_data) returns false as soon as a constructor clash is
+detectable, true only on identical total values.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .terms import (App, AtomicConstraint, Basic, Bottom, Expr, FALSE, TRUE,
-                    Var, BOTTOM, BUILTIN_PF, format_real, is_ground, is_total,
-                    vars_of)
+                    Var, BOTTOM, BUILTIN_PF, compare_data, format_real, vars_of)
 
 INF = math.inf
 
@@ -52,6 +51,10 @@ PROPAGATION_GUARD = 20000
 # drawn with a fixed seed so that their verdicts and witnesses repeat
 SEARCH_SEED = 0
 SEARCH_TRIES = 400
+
+
+# strict equality's value for each verdict of terms.compare_data
+_TRUTH = {"same": TRUE, "diff": FALSE, "unknown": BOTTOM}
 
 
 class PrimitiveError(ValueError):
@@ -72,7 +75,9 @@ def eval_primitive(symbol: str, args: list) -> Expr:
     if symbol not in BUILTIN_PF:
         raise PrimitiveError(f"not a primitive symbol: {symbol!r}")
     if symbol == "==":
-        return _strict_equal(args[0], args[1])
+        # the arguments are evaluated, so only a primitive application,
+        # such as X + 1 over an unbound X, is not data in them
+        return _TRUTH[compare_data(args[0], args[1], BUILTIN_PF)]
     if symbol == "qVal":
         a = args[0]
         if isinstance(a, Basic):
@@ -102,29 +107,6 @@ def eval_primitive(symbol: str, args: list) -> Expr:
     if symbol == ">":
         return TRUE if x > y else FALSE
     raise PrimitiveError(symbol)
-
-
-def _strict_equal(a: Expr, b: Expr) -> Expr:
-    """Strict equality: true on identical totals, false on a clash, else bottom."""
-    if _clash(a, b):
-        return FALSE
-    if is_total(a) and is_total(b) and a == b:
-        return TRUE
-    return BOTTOM
-
-
-def _clash(a: Expr, b: Expr) -> bool:
-    if isinstance(a, (Bottom, Var)) or isinstance(b, (Bottom, Var)):
-        return False
-    if isinstance(a, Basic) or isinstance(b, Basic):
-        if isinstance(a, Basic) and isinstance(b, Basic):
-            return a.value != b.value
-        return True
-    if isinstance(a, App) and isinstance(b, App):
-        if a.symbol != b.symbol or len(a.args) != len(b.args):
-            return True
-        return any(_clash(x, y) for x, y in zip(a.args, b.args))
-    return False
 
 
 # ======================================================================
@@ -341,30 +323,21 @@ def _constraint_step(c: AtomicConstraint, box: Box) -> Optional[bool]:
         if want == FALSE:
             return _rel_enforce(FLIP[c.symbol], c.args[0], c.args[1], box)
         return False
-    if c.symbol == "==" and want in (TRUE, FALSE):
+    if c.symbol == "==" and want in (TRUE, FALSE) \
+            and _numeric_expr(c.args[0]) and _numeric_expr(c.args[1]):
         a, b = c.args
-        if _numeric_expr(a) and _numeric_expr(b):
-            ia, ib = eval_box(a, box), eval_box(b, box)
-            if want == TRUE:
-                both = ia.intersect(ib)
-                if both.is_empty():
-                    return None
-                if not narrow(a, both, box) or not narrow(b, both, box):
-                    return None
-                return True
-            # disequality: refuted only by two equal closed points
-            if ia.lo == ia.hi == ib.lo == ib.hi and not (ia.lo_open or ib.lo_open):
+        ia, ib = eval_box(a, box), eval_box(b, box)
+        if want == TRUE:
+            both = ia.intersect(ib)
+            if both.is_empty():
+                return None
+            if not narrow(a, both, box) or not narrow(b, both, box):
                 return None
             return True
-        # ground structural (dis)equality
-        if is_ground(a) and is_ground(b):
-            v = _strict_equal(a, b)
-            if v == want:
-                return True
-            if v != BOTTOM or _clash(a, b):
-                return None if v != want and v != BOTTOM else False
-            return False
-        return False
+        # disequality: refuted only by two equal closed points
+        if ia.lo == ia.hi == ib.lo == ib.hi and not (ia.lo_open or ib.lo_open):
+            return None
+        return True
     return False
 
 
@@ -728,10 +701,9 @@ def satisfiable(constraints) -> SatResult:
     return SatResult("unknown")
 
 
-def _data(exprs, ground: bool = True) -> bool:
-    """Whether exprs hold no bottom, no primitive application and, when
-    ground, no variable: then each is its own value under any valuation
-    of its variables."""
+def _data(exprs) -> bool:
+    """Whether exprs hold no bottom, no primitive application and no
+    variable: then each is its own value."""
     stack = list(exprs)
     while stack:
         e = stack.pop()
@@ -740,7 +712,7 @@ def _data(exprs, ground: bool = True) -> bool:
                 if e.symbol in BUILTIN_PF:
                     return False
                 stack += e.args
-        elif type(e) is not Basic and (ground or type(e) is not Var):
+        elif type(e) is not Basic:
             return False
     return True
 
@@ -760,18 +732,18 @@ def _negation(c: AtomicConstraint) -> list:
 def entails(constraints, c: AtomicConstraint) -> EntailResult:
     """Sound three-valued entailment of one constraint by a set.
 
-    An identity t == t over data (see _data; variables allowed) is
-    entailed at once.  An atom over ground data, such as the checker's
-    comparison of two records, is decided first by one evaluation: it is
-    entailed when it holds.  Otherwise the hypotheses entail c exactly
+    An identity t == t over data, variables allowed (compare_data says
+    same), is entailed at once.  An atom over ground data, such as the
+    checker's comparison of two records, is decided first by one
+    evaluation: it is entailed when it holds.  Otherwise the hypotheses entail c exactly
     when they are unsatisfiable together with each atom of c's negation:
     one sat verdict is a counterexample, and any unknown one leaves the
     entailment unknown.
     """
     constraints = list(constraints)
     if BUILTIN_PF.get(c.symbol) == len(c.args):
-        if c.symbol == "==" and c.result == TRUE and c.args[0] == c.args[1] \
-                and _data(c.args[:1], ground=False):
+        if c.symbol == "==" and c.result == TRUE \
+                and compare_data(*c.args, BUILTIN_PF) == "same":
             return EntailResult("entailed")
         if _data((*c.args, c.result)):
             res = eval_primitive(c.symbol, list(c.args))

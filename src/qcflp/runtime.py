@@ -41,15 +41,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .constraints import (ARITH, FULL, RELS, compile_bound, compile_post,
-                          eval_primitive, narrow_bound, point, propagate_from,
-                          tighten, walk_name, walk_side)
+from .constraints import (ARITH, FULL, RELS, _numeric_expr, compile_bound,
+                          compile_post, eval_primitive, narrow_bound, point,
+                          propagate_from, tighten, walk_name, walk_side)
 from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    FALSE, HashCons, TRUE, Var, apply_subst, deep_recursion,
-                    vars_of)
+                    FALSE, HashCons, TRUE, Var, apply_subst, compare_data,
+                    deep_recursion, vars_of)
 from .transform import leaf_names
 
 
@@ -177,8 +177,7 @@ def _template(e: Expr, pos: dict, sig):
         return pos[e.name]
     if isinstance(e, App) and e.args:
         kids = tuple(_template(a, pos, sig) for a in e.args)
-        if sig.kind(e.symbol) in ("df", "pf") or \
-                any(type(k) in (int, tuple) for k in kids):
+        if not sig.is_data(e.symbol) or any(type(k) in (int, tuple) for k in kids):
             return (e.symbol, kids)
     return e
 
@@ -333,6 +332,7 @@ class Solver:
         self._rules, self._templates, self._quals = program.memo(
             "solver", lambda: (_rules_by_symbol(program), {}, {}))
         self._ground = {}           # id -> term, for ground data
+        self._calls = self.sig.pf.keys() | self.sig.df.keys()  # not data
         self._fresh = itertools.count()
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
@@ -363,7 +363,7 @@ class Solver:
             e = stack[-1]
             if type(e) is Basic or id(e) in known:
                 stack.pop()
-            elif type(e) is not App or self.sig.kind(e.symbol) not in ("dc", None):
+            elif type(e) is not App or not self.sig.is_data(e.symbol):
                 return None
             else:
                 todo = [a for a in e.args if type(a) is not Basic and id(a) not in known]
@@ -628,7 +628,7 @@ class Solver:
         e = self.walk(store, e)
         if isinstance(e, Basic):
             return e.value
-        if isinstance(e, App) and self.sig.kind(e.symbol) in ("dc", None):
+        if isinstance(e, App) and self.sig.is_data(e.symbol):
             return e.symbol, len(e.args)
         return None
 
@@ -786,40 +786,10 @@ class Solver:
     # disequality
     # ------------------------------------------------------------------
 
-    def _static_compare(self, store: Store, a: Expr, b: Expr) -> str:
-        """Three-valued structural comparison without any evaluation."""
-        a = self.walk(store, a)
-        b = self.walk(store, b)
-        if isinstance(a, Var) or isinstance(b, Var):
-            return "unknown"
-        if isinstance(a, Bottom) or isinstance(b, Bottom):
-            return "unknown"
-        if isinstance(a, Basic) or isinstance(b, Basic):
-            if isinstance(a, Basic) and isinstance(b, Basic):
-                return "same" if a.value == b.value else "diff"
-            if isinstance(a, App) and self.sig.kind(a.symbol) in ("dc", None):
-                return "diff"
-            if isinstance(b, App) and self.sig.kind(b.symbol) in ("dc", None):
-                return "diff"
-            return "unknown"
-        if self.sig.kind(a.symbol) not in ("dc", None) \
-                or self.sig.kind(b.symbol) not in ("dc", None):
-            return "unknown"
-        if a.symbol != b.symbol or len(a.args) != len(b.args):
-            return "diff"
-        verdict = "same"
-        for x, y in zip(a.args, b.args):
-            sub = self._static_compare(store, x, y)
-            if sub == "diff":
-                return "diff"
-            if sub == "unknown":
-                verdict = "unknown"
-        return verdict
-
     def _disequal(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[None]:
         for ha in self._hnf(a, store, depth):
             for hb in self._hnf(b, store, depth):
-                verdict = self._static_compare(store, ha, hb)
+                verdict = compare_data(ha, hb, self._calls, store.subst)
                 if verdict == "diff":
                     yield
                 elif verdict == "unknown":
@@ -839,7 +809,7 @@ class Solver:
             if c.symbol != "==" or c.result is not FALSE:
                 keep.append(c)
                 continue
-            verdict = self._static_compare(store, c.args[0], c.args[1])
+            verdict = compare_data(*c.args, self._calls, store.subst)
             if verdict == "same":
                 return False
             if verdict == "unknown":
@@ -851,14 +821,6 @@ class Solver:
     # ------------------------------------------------------------------
     # constraint solving
     # ------------------------------------------------------------------
-
-    def _numeric_shape(self, store: Store, e: Expr) -> bool:
-        e = self.walk(store, e)
-        if isinstance(e, (Basic, Var)):
-            return True
-        if isinstance(e, App) and e.symbol in ARITH and len(e.args) == 2:
-            return all(self._numeric_shape(store, a) for a in e.args)
-        return False
 
     def _solve_all(self, cs: tuple, store: Store, depth: int, rule,
                    compiled: tuple = (), i: int = 0) -> Iterator[None]:
@@ -926,7 +888,7 @@ class Solver:
                     yield
                 continue
             if want in (TRUE, FALSE) and c.symbol in (*RELS, "qVal", "qBound", "==") \
-                    and all(self._numeric_shape(store, a) for a in args):
+                    and all(_numeric_expr(a) for a in args):
                 compiled = compile_post(AtomicConstraint(c.symbol, args, want))
                 declares = c.symbol == "qVal"
                 if self._post(store, compiled, vars_of(c), declares, names,
@@ -1214,10 +1176,6 @@ class _Replay:
     def _walk(self, e: Expr) -> Expr:
         return self.solver.walk(self.store, e)
 
-    def _is_data(self, symbol: str) -> bool:
-        kind = self.sig.kind(symbol)
-        return kind == "dc" or kind is None
-
     def value(self, e: Expr) -> Expr:
         """Result-side resolution: a term, with unevaluated calls as bottom."""
         e = self._walk(e)
@@ -1234,7 +1192,7 @@ class _Replay:
         rec = self.store.evals.get(id(e))
         if rec is not None and rec.call is e:
             out = self.value(rec.result)
-        elif self._is_data(e.symbol):
+        elif self.sig.is_data(e.symbol):
             out = self.share.data(e, [self.value(a) for a in e.args])
             if id(e) in self.share.ground:
                 return out
@@ -1260,7 +1218,7 @@ class _Replay:
         if hit is not None:
             return hit[1]
         args = [self.display(a) for a in e.args]
-        if self._is_data(e.symbol):
+        if self.sig.is_data(e.symbol):
             out = self.share.data(e, args)
             if id(e) in self.share.ground:
                 return out
@@ -1293,7 +1251,6 @@ class _Replay:
             return node("refl", shown, target)
         rec = self.store.evals.get(id(ew))
         rec = rec if rec is not None and rec.call is ew else None
-        kind = self.sig.kind(ew.symbol)
         if rec is not None and rec.kind == "fun":
             theta = tuple(sorted(
                 (orig, self.value(renamed))
@@ -1305,10 +1262,10 @@ class _Replay:
             for c in rec.conditions:
                 kids.append(self.atom_tree(c))
             return node("fun", shown, target, tuple(kids), rec.rule_index, theta)
-        if kind == "pf":
+        if ew.symbol in self.sig.pf:
             kids = tuple(self.production_tree(a, self.value(a)) for a in ew.args)
             return node("prim", shown, target, kids)
-        if kind == "dc" or kind is None:
+        if self.sig.is_data(ew.symbol):
             if not (isinstance(target, App) and target.symbol == ew.symbol
                     and len(target.args) == len(ew.args)):
                 raise ReplayError(f"constructor mismatch replaying {shown!r}")

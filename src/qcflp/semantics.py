@@ -90,6 +90,18 @@ def triviality(stmt: QStatement) -> str:
     return _vacuity(stmt.hypotheses)
 
 
+def _called_in_hypotheses(program: Program, stmt: QStatement) -> str:
+    """Why stmt is outside the logic, or "": its hypotheses are primitive
+    constraints, so they call no defined function of program.  The
+    evaluator that decides them would take such a call for data."""
+    calls = _defined(program.signature, stmt.hypotheses)
+    return f"hypotheses call the defined function {min(calls)!r}" if calls else ""
+
+
+class StatementError(ValueError):
+    """A statement that holds cannot take (see _called_in_hypotheses)."""
+
+
 def _vacuity(hypotheses: tuple) -> str:
     """'yes' / 'no' / 'unknown': are the hypotheses unsatisfiable?"""
     if not hypotheses:
@@ -296,6 +308,9 @@ def check_proof(program: Program, dom: Optional[QualDomain],
     (see _CheckState), so checking the trees of several answers costs
     their distinct subproofs, not their occurrences.
     """
+    outside = _called_in_hypotheses(program, tree.conclusion)
+    if outside:  # every premise carries the root's hypotheses
+        return CheckResult("invalid", f"root: {outside}")
     chk = _CheckState(program, dom)
     if chk.valid.get(id(tree)) is tree:
         return CheckResult("valid")
@@ -383,12 +398,11 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
         return CheckResult("valid")
 
     if tree.tag == "cons":
-        # an undeclared symbol is data, as the solver treats it
         if not stmt.is_production() or not isinstance(stmt.lhs, App) \
                 or not isinstance(stmt.rhs, App) \
                 or stmt.lhs.symbol != stmt.rhs.symbol \
                 or len(stmt.lhs.args) != len(stmt.rhs.args) \
-                or program.signature.kind(stmt.lhs.symbol) not in ("dc", None):
+                or not program.signature.is_data(stmt.lhs.symbol):
             return CheckResult("invalid", f"{path}: not a constructor decomposition")
         if len(tree.children) != len(stmt.lhs.args):
             return CheckResult("invalid", f"{path}: premise count mismatch")
@@ -570,11 +584,15 @@ def holds(program: Program, dom: QualDomain, stmt: QStatement,
     bottom.  With no such answer, the status is unknown when the search
     was cut, a residual undecided, or an answer dropped on a residual or
     result with a variable of the search (some value of it may do), and
-    not_found otherwise.
+    not_found otherwise.  A statement whose hypotheses call a defined
+    function raises StatementError.
     """
     from .runtime import Limits, Solver, _Replay
     from .transform import FreshSupply, SourceProof, transform_goal, translation
 
+    outside = _called_in_hypotheses(program, stmt)
+    if outside:
+        raise StatementError(outside)
     if triviality(stmt) == "yes":
         return HoldsResult("derivable", ProofTree("triv", stmt))
     tr = translation(program, dom)

@@ -89,8 +89,8 @@ _TOKEN = re.compile("|".join([
 def lex(text: str) -> list:
     """The tokens of text and an EOF token: one match of _TOKEN each, of
     the kind its group names, or for punctuation of its text.  A column
-    counts the characters before it since the last newline token, so a
-    raw newline in a string does not start a line, and comments count
+    counts the characters before it since the last newline, whether a
+    newline token or a raw newline in a string, and comments count
     nothing."""
     tokens = []
     match = _TOKEN.match
@@ -109,7 +109,11 @@ def lex(text: str) -> list:
             if kind != "SPACE":
                 tok = m.group()
                 tokens.append(Token(tok if kind == "PUNCT" else kind, tok, line, col))
-            col += end - i
+            if kind == "STRING" and "\n" in tok:
+                line += tok.count("\n")
+                col = len(tok) - tok.rindex("\n")
+            else:
+                col += end - i
         i = end
     tokens.append(Token("EOF", "", line, col))
     return tokens
@@ -173,6 +177,9 @@ class GoalItem:
     constraint: AtomicConstraint
     wvar: str
     threshold: object = None     # raw qualification literal, or None
+    # (line, col) of the wvar after '#' and of the threshold's variable
+    wvar_at: tuple = field(default=(0, 0), compare=False)
+    threshold_at: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -478,7 +485,9 @@ class _Parser:
             if w.text in seen:
                 _fail(w.line, w.col, f"duplicate qualification variable {w.text}")
             seen.add(w.text)
-            items.append(GoalItem(c, w.text, thresholds.pop(w.text, (w, None))[1]))
+            tw, beta = thresholds.pop(w.text, (w, None))
+            items.append(GoalItem(c, w.text, beta, (w.line, w.col),
+                                  (tw.line, tw.col)))
         for w, _ in thresholds.values():
             _fail(w.line, w.col, f"threshold for undeclared qualification variable {w.text}")
         self.expect("EOF")
@@ -650,15 +659,16 @@ def validate_goal(goal: Goal, dom: QualDomain = U) -> list:
     diags = []
     for item in goal.items:
         if item.wvar in vars_of(item.constraint):
-            diags.append(Diagnostic(0, 0,
+            diags.append(Diagnostic(*item.wvar_at,
                                     f"qualification variable {item.wvar} occurs inside its constraint"))
         if item.threshold is not None:
             try:
                 b = dom.coerce(item.threshold)
                 if not dom.is_strict(b):
-                    diags.append(Diagnostic(0, 0, f"threshold for {item.wvar} must be above bottom"))
+                    diags.append(Diagnostic(*item.threshold_at,
+                                            f"threshold for {item.wvar} must be above bottom"))
             except MalformedValueError as exc:
-                diags.append(Diagnostic(0, 0, f"threshold for {item.wvar}: {exc}"))
+                diags.append(Diagnostic(*item.threshold_at, f"threshold for {item.wvar}: {exc}"))
     return diags
 
 
@@ -776,22 +786,18 @@ def print_expr(e: Expr, prec: int = 0) -> str:
 
 
 def print_constraint(c: AtomicConstraint) -> str:
-    if c.result == TRUE:
-        if c.symbol == "==":
-            lhs, rhs = c.args
-            # bare-application sugar for defined-function conditions
-            if rhs == TRUE and isinstance(lhs, App) and lhs.args \
-                    and lhs.symbol not in BUILTIN_PF:
-                return print_expr(lhs)
-            return f"{print_expr(lhs, _PREC_CONS)} == {print_expr(rhs, _PREC_CONS)}"
-        if c.symbol in ("<=", "<", ">=", ">"):
-            return f"{print_expr(c.args[0], _PREC_CONS)} {c.symbol} {print_expr(c.args[1], _PREC_CONS)}"
-        return f"{c.symbol}({', '.join(print_expr(a) for a in c.args)})"
-    if c.result == FALSE and c.symbol == "==":
-        return f"{print_expr(c.args[0], _PREC_CONS)} /= {print_expr(c.args[1], _PREC_CONS)}"
-    if c.symbol == "==":
-        return f"({print_expr(c.args[0], _PREC_CONS)} == {print_expr(c.args[1], _PREC_CONS)}) == {print_expr(c.result)}"
-    return f"{c.symbol}({', '.join(print_expr(a) for a in c.args)}) == {print_expr(c.result)}"
+    """The expression that classify_constraint reads back as c: the
+    application p(args) when the result is true and it reads back so,
+    with the bare call f(args) for f(args) == true; else
+    (p(args)) == result."""
+    e = App(c.symbol, c.args)
+    if c.result != TRUE or classify_constraint(e) != c:
+        return print_expr(App("==", (e, c.result)))
+    lhs = c.args[0]
+    if c.symbol == "==" and c.args[1] == TRUE and isinstance(lhs, App) \
+            and lhs.args and lhs.symbol not in BUILTIN_PF:
+        return print_expr(lhs)
+    return print_expr(e)
 
 
 def format_attenuation(raw) -> str:

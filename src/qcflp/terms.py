@@ -171,6 +171,11 @@ class Signature:
             return "df"
         return None
 
+    def is_data(self, symbol: str) -> bool:
+        """Whether symbol builds data: it is neither primitive nor
+        defined, so a declared or an undeclared constructor."""
+        return symbol not in self.pf and symbol not in self.df
+
     def arity(self, symbol: str) -> int:
         for table in (self.dc, self.pf, self.df):
             if symbol in table:
@@ -301,11 +306,7 @@ def is_term(e: Expr, sig: Signature) -> bool:
 
 
 def is_ground(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return False
-    if isinstance(e, App):
-        return all(is_ground(a) for a in e.args)
-    return True
+    return not vars_of(e)
 
 
 def is_total(obj) -> bool:
@@ -329,6 +330,44 @@ def is_total(obj) -> bool:
 def is_value(e: Expr, sig: Signature) -> bool:
     """A ground, total constructor term: what a call can rewrite to."""
     return is_term(e, sig) and is_ground(e) and is_total(e)
+
+
+def compare_data(a: Expr, b: Expr, calls, subst: Optional[Subst] = None) -> str:
+    """Strict equality of a and b as far as it is decided without
+    evaluating anything: "diff" when two data heads differ somewhere
+    (value, symbol or arity), else "unknown" when some pair is not
+    data, else "same".
+
+    A literal is data, and so is an application whose symbol is not in
+    calls.  A call, bottom or an unbound variable is unknown, except
+    that a variable is the same as itself.  Variables are walked through
+    subst when it is given.  Keeps its own stack.
+    """
+    verdict = "same"
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if subst is not None:
+            while type(x) is Var and x.name in subst:
+                x = subst[x.name]
+            while type(y) is Var and y.name in subst:
+                y = subst[y.name]
+        tx, ty = type(x), type(y)
+        x_data = tx is Basic or (tx is App and x.symbol not in calls)
+        y_data = ty is Basic or (ty is App and y.symbol not in calls)
+        if x_data and y_data:
+            if tx is not ty:
+                return "diff"
+            if tx is Basic:
+                if x.value != y.value:
+                    return "diff"
+            elif x.symbol != y.symbol or len(x.args) != len(y.args):
+                return "diff"
+            else:
+                stack += zip(x.args, y.args)
+        elif not (tx is Var and ty is Var and x.name == y.name):
+            verdict = "unknown"
+    return verdict
 
 
 def info_leq(e1: Expr, e2: Expr) -> bool:

@@ -519,3 +519,90 @@ def test_input_and_output_errors_end_in_one_line(tmp_path, argv, code, label):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(label.format(**paths))
+
+
+DATA_T = "data t = a | b\nk(X) --> X\n"
+
+
+@pytest.mark.parametrize("goal, out, code", [
+    # a disequation between a term and itself has no solution
+    ("(X /= X) # W", "", 1),
+    ("(c(X) /= c(X)) # W", "", 1),
+    ("(k(X) /= X) # W", "", 1),
+    ("((X == X) == R) # W", "{ R -> true } { W in (0, 1] }\n", 0),
+    # reified strict equality
+    ("((c(a) == c(b)) == R) # W", "{ R -> false } { W in (0, 1] }\n", 0),
+    ("((c(a) == c(a)) == R) # W", "{ R -> true } { W in (0, 1] }\n", 0),
+    ("((X == a) == R) # W", "{ R -> true, X -> a } { W in (0, 1] }\n"
+     "{ R -> false } { W in (0, 1] } << X /= a >> [conditional]\n", 0),
+    # a ground primitive binds its result variable; an open one is parked
+    ("(1 + 2 == R) # W", "{ R -> 3 } { W in (0, 1] }\n", 0),
+    ("(X + 2 == R) # W", "{ } { W in (0, 1] } << X + 2 == R >> [conditional]\n", 3),
+], ids=["self-diseq", "cons-self-diseq", "call-self-diseq", "reified-self",
+        "reified-clash", "reified-same", "reified-open", "ground-primitive",
+        "open-primitive"])
+def test_strict_equality_goals(tmp_path, capsys, goal, out, code):
+    src = tmp_path / "t.qcflp"
+    src.write_text(DATA_T)
+    assert run("solve", str(src), "--goal", goal) == code
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("goal", ["(f(X) == false) # W", "(f(X) == true) # W"])
+def test_open_primitive_equality_is_undecided(tmp_path, capsys, goal):
+    # f(2) is true and f(0) false: (X + 1) == 3 is no clash of data
+    src = tmp_path / "f.qcflp"
+    src.write_text("f(X) --> (X + 1) == 3\n")
+    assert run("solve", str(src), "--goal", goal) == 3
+    assert capsys.readouterr() == (
+        "", "solve: search cut by an undecided primitive; answers may be missing\n")
+
+
+@pytest.mark.parametrize("stmt, refusal, verdict", [
+    # c(1 + 2) evaluates to c(3), so the hypothesis holds and is no clash
+    ("(f -> b) # 1 <== c(1 + 2) == c(3)", "not_found",
+     "invalid: root: statement is not trivial"),
+    # hypotheses are primitive constraints: f is a call, not data
+    ("(f -> b) # 1 <== f == a",
+     "<statement>: hypotheses call the defined function 'f'",
+     "invalid: root: hypotheses call the defined function 'f'"),
+], ids=["primitive-in-data", "defined-call"])
+def test_false_statement_with_true_hypotheses(tmp_path, capsys, stmt, refusal,
+                                              verdict):
+    src = tmp_path / "f.qcflp"
+    src.write_text("f --> a\n")
+    cert = tmp_path / "f.proof"
+    assert run("prove", str(src), "--statement", stmt, "-o", str(cert)) == 1
+    assert capsys.readouterr() == ("", refusal + "\n")
+    assert not cert.exists()
+    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
+                    f"0\ttriv\t-\t-\t-\t{stmt}\n")
+    assert run("prove", str(src), "--check", str(cert)) == 1
+    assert capsys.readouterr().out == verdict + "\n"
+
+
+def test_arithmetic_atoms_print_as_they_parse(tmp_path, capsys):
+    src = tmp_path / "f.qcflp"
+    src.write_text("f(X) --> true <== X + 1 == 3\n")
+    cert = tmp_path / "f.proof"
+    assert run("prove", str(src), "--statement", "(f(2) -> true) # 1",
+               "-o", str(cert)) == 0
+    assert "\tatom\t-\t-\t0,2\t2 + 1 == 3 # 1\n" in cert.read_text()
+    assert run("prove", str(src), "--check", str(cert)) == 0
+    out = tmp_path / "f.cflp"
+    assert run("transform", str(src), "-o", str(out)) == 0
+    assert out.read_text() == "f'(X, _W0) --> true <== X + 1 == 3\n"
+    assert run("check", str(out)) == 0
+    assert capsys.readouterr().out == "derivable\nvalid\nok\n"
+
+
+@pytest.mark.parametrize("goal, diagnostic", [
+    ("f(W) == true # W",
+     "<goal>:1:16: qualification variable W occurs inside its constraint"),
+    ("f(a) == true # W | W >= 0", "<goal>:1:20: threshold for W must be above bottom"),
+], ids=["wvar-inside", "threshold-at-bottom"])
+def test_goal_diagnostics_report_their_position(tmp_path, capsys, goal, diagnostic):
+    src = tmp_path / "f.qcflp"
+    src.write_text("f(X) --> true\n")
+    assert run("solve", str(src), "--goal", goal) == 1
+    assert capsys.readouterr().err == diagnostic + "\n"

@@ -7,7 +7,7 @@ import pytest
 import qcflp.constraints
 from qcflp.constraints import (Interval, SatResult, entails, eval_primitive,
                                holds_under, iv_mul, propagate, satisfiable)
-from qcflp.syntax import parse_constraints, parse_expr
+from qcflp.syntax import parse_constraints, parse_expr, print_constraint
 from qcflp.terms import App, AtomicConstraint, Basic, BOTTOM, FALSE, TRUE, Var
 
 
@@ -387,6 +387,22 @@ def holds_all(constraints, val) -> bool:
     """Whether val is a real valuation under which every constraint holds."""
     return all(math.isfinite(v) for v in val.values()) \
         and all(holds_under(x, val) is True for x in constraints)
+
+
+def test_primitive_application_in_data_is_not_a_clash():
+    # c(1 + 2) evaluates to c(3): the atom holds, though 1 + 2 is no literal
+    assert satisfiable(cs("c(1 + 2) == c(3)")) == SatResult("sat", {})
+    res = entails([], c("c(1 + 2) /= c(3)"))
+    assert (res.status, res.witness) == ("not_entailed", {})
+    assert eval_primitive("==", [parse_expr("X + 1"), Basic(3.0)]) == BOTTOM
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_printed_atoms_read_back(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        atom = random_atom(rng)
+        assert parse_constraints(print_constraint(atom)) == [atom]
 
 
 @pytest.mark.parametrize("seed", range(1, 4))

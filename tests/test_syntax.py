@@ -196,9 +196,9 @@ def test_diagnostics_carry_positions():
       ("EOF", "", 1, 13)]),
     ("'\\'' \"a\\\"b\"",
      [("CHAR", "'\\''", 1, 1), ("STRING", '"a\\"b"', 1, 6), ("EOF", "", 1, 12)]),
-    # the line number does not advance inside a string
+    # a raw newline in a string starts a line
     ('"a\nb" c',
-     [("STRING", '"a\nb"', 1, 1), ("IDENT", "c", 1, 7), ("EOF", "", 1, 8)]),
+     [("STRING", '"a\nb"', 1, 1), ("IDENT", "c", 2, 4), ("EOF", "", 2, 5)]),
     ("a\r\nb",
      [("IDENT", "a", 1, 1), ("IDENT", "b", 2, 1), ("EOF", "", 2, 2)]),
 ], ids=["trailing-comment", "arrows-and-comments", "bottom-and-underscores",
@@ -238,3 +238,9 @@ def test_large_catalogue_parses_at_default_recursion_limit(library_text):
     rule = next(r for r in program.rules if r.name == "library")
     items, tail = _spine(rule.rhs)
     assert len(items) == 900 and tail is None
+
+
+def test_lex_counts_the_lines_of_a_string():
+    with pytest.raises(ParseError) as exc:
+        lex('f --> "a\nb"\ng --> {')
+    assert str(exc.value) == "3:7: unexpected character '{'"

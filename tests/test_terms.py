@@ -3,11 +3,15 @@ import sys
 
 from hypothesis import given, strategies as st
 
+import pytest
+
+from qcflp.constraints import holds_under
 from qcflp.semantics import production
 from qcflp.syntax import parse_expr
-from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, Signature, TRUE,
-                         Var, apply_subst, compose_subst, info_leq, is_ground,
-                         is_term, is_total, term_glb, term_lub, vars_of)
+from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, BUILTIN_PF,
+                         Signature, TRUE, Var, apply_subst, compare_data,
+                         compose_subst, info_leq, is_ground, is_term, is_total,
+                         term_glb, term_lub, vars_of)
 
 
 def e(text):
@@ -128,3 +132,81 @@ def test_terms_statements_and_constraints_are_slotted():
     for obj in objects:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         assert obj == type(obj)(*(getattr(obj, s) for s in type(obj).__slots__))
+
+
+def test_is_data():
+    sig = Signature()
+    sig.register_df("f", 1)
+    sig.register_dc("c", 2)
+    # declared and undeclared constructors and characters build data
+    assert all(sig.is_data(x) for x in ("c", "true", ":", "'x'", "undeclared"))
+    assert not any(sig.is_data(x) for x in ("f", "+", "==", "qVal"))
+
+
+@pytest.mark.parametrize("a, b, verdict", [
+    ('c(1, "ab")', 'c(1, "ab")', "same"),
+    ("c(X, [a])", "c(X, [a])", "same"),
+    ("c(1, a)", "c(1.0, a)", "same"),
+    ("1", "2", "diff"),
+    ("a", "1", "diff"),
+    ("c(a)", "c(a, a)", "diff"),
+    ("c(a)", "d(a)", "diff"),
+    # a clash decides, wherever the unknown parts are
+    ("c(X, _|_, f(X), a)", "c(Y, 1, 2, b)", "diff"),
+    ("X", "Y", "unknown"),
+    ("X", "a", "unknown"),
+    ("_|_", "_|_", "unknown"),
+    # a call is not data, even against itself
+    ("f(X)", "f(X)", "unknown"),
+    ("c(X + 1)", "c(3)", "unknown"),
+    ("c(f(a), a)", "c(b, a)", "unknown"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_compare_data_examples(a, b, verdict):
+    assert compare_data(e(a), e(b), {"f", *BUILTIN_PF}) == verdict
+    assert compare_data(e(b), e(a), {"f", *BUILTIN_PF}) == verdict
+
+
+def test_compare_data_walks_the_substitution():
+    subst = {"X": Var("Y"), "Y": e("c(Z)"), "V": e("c(b)")}
+    calls = BUILTIN_PF
+    assert compare_data(e("X"), e("c(Z)"), calls, subst) == "same"
+    assert compare_data(e("X"), e("Y"), calls, subst) == "same"
+    assert compare_data(e("c(V)"), e("c(c(a))"), calls, subst) == "diff"
+    assert compare_data(e("X"), e("c(a)"), calls, subst) == "unknown"
+    assert compare_data(e("X"), e("c(a)"), calls) == "unknown"
+
+
+def test_compare_data_and_is_ground_keep_their_own_stacks():
+    deep = Var("X")
+    for i in range(5000):
+        deep = App("s", (deep, Basic(i)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        verdict = compare_data(deep, deep, BUILTIN_PF)
+        ground = is_ground(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict == "same" and not ground
+
+
+DATA_LEAVES = [App("a"), App("b"), Basic(0.0), Basic(1.0)]
+DATA_VALUES = st.recursive(
+    st.sampled_from(DATA_LEAVES),
+    lambda kids: st.builds(lambda x, y: App("c", (x, y)), kids, kids),
+    max_leaves=4)
+TERMS = st.recursive(
+    st.sampled_from([*DATA_LEAVES, Var("X"), Var("Y"), BOTTOM]),
+    lambda kids: st.builds(lambda f, x, y: App(f, (x, y)),
+                           st.sampled_from(["c", "+"]), kids, kids),
+    max_leaves=8)
+
+
+@given(TERMS, TERMS, DATA_VALUES, DATA_VALUES)
+def test_compare_data_agrees_with_evaluation(s, t, x, y):
+    # under every total valuation, same means that s == t evaluates to
+    # true and diff that it evaluates to false
+    verdict = compare_data(s, t, BUILTIN_PF)
+    truth = holds_under(AtomicConstraint("==", (s, t), TRUE), {"X": x, "Y": y})
+    assert {"same": truth is True, "diff": truth is False,
+            "unknown": True}[verdict]
