@@ -5,8 +5,10 @@ backtracking.  Rules are tried in program order, except that a rule whose
 head cannot match the call, as far as the call's arguments are already
 values, is skipped before it is renamed, and so is a rule whose
 attenuation caps the call's qualification below the lower bound that it
-already has; head patterns force the
-evaluation of arguments only as far as unification demands; conditions run
+already has.  A head variable that meets a variable, a literal or ground
+data takes it as the rule is renamed, with no binding; from the first
+argument that needs evaluation, unification takes over, and head patterns
+force the evaluation of arguments only as far as it demands; conditions run
 left to right before the right-hand side replaces the call.  Bindings are
 shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).  Ground data (literals
@@ -66,10 +68,10 @@ class EvalRec:
     kind: str                      # "fun" | "prim"
     result: Expr
     rule_index: Optional[int] = None
-    patterns: Optional[tuple] = None
+    patterns: Optional[tuple] = None  # walked arguments where the head matched
     rhs: Optional[Expr] = None
     conditions: Optional[tuple] = None
-    rename: Optional[dict] = None  # original rule variable -> renamed Var
+    rename: Optional[dict] = None  # rule variable -> fresh Var or the value it took
 
 
 # undo-trail markers for entries that are not plain "table[key] = old"
@@ -296,9 +298,16 @@ def _side(side) -> Expr:
     return Var(name) if k == 1 else App("*", (Basic(k), Var(name)))
 
 
-def _instance_side(side, ns: list):
+def _instance_side(side, vs: list):
+    """A compiled side with its slot's value (see walk_side): the variable
+    or literal that the slot took, else None."""
     k, p = side
-    return side if p is None else (k, ns[p])
+    if p is None:
+        return side
+    v = vs[p]
+    if type(v) is Var:
+        return (k, v.name)
+    return (k * v.value, None) if type(v) is Basic else None
 
 
 def _same_data(a: Expr, b: Expr) -> bool:
@@ -374,31 +383,84 @@ class Solver:
                     known[id(e)] = e
         return True
 
-    def _rename_rule(self, tpl: tuple):
-        """A fresh instance of a rule from its template (_compile_rule):
-        patterns, rhs, conditions, renaming and the compiled conditions
-        (None where a condition takes the general path; see
-        _post_condition).
+    def _rename_rule(self, tpl: tuple, args: tuple, store: Store):
+        """A fresh instance of a rule from its template (_compile_rule)
+        for a call with these args: patterns, rhs, conditions, renaming,
+        the compiled conditions (None where a condition takes the general
+        path; see _post_condition) and the number of head positions that
+        _match_head matched.  None when the head clashes with args.
 
         The rule is compiled once into templates over its sorted variable
         list; an instance rebuilds only the spines that hold variables or
-        calls and shares every other subterm.
+        calls and shares every other subterm.  A variable that the match
+        gave a value stands for it, so it needs no fresh Var and no
+        binding; a matched position's pattern is its walked argument.
         """
         names, pats_t, rhs_t, conds_t, compiled_t, _ = tpl
         n = next(self._fresh)
+        vs = [None] * len(names)
+        pats = self._match_head(pats_t, args, store, vs)
+        if pats is None:
+            return None
+        start = len(pats)
         ns = [f"~{n}~{v}" for v in names]
-        vs = [Var(x) for x in ns]
-        pats = tuple([_build(p, vs) for p in pats_t])
+        vs = [Var(x) if v is None else v for x, v in zip(ns, vs)]
+        pats = (*pats, *[_build(p, vs) for p in pats_t[start:]])
         rhs = _build(rhs_t, vs)
         conds = tuple([AtomicConstraint(sym, tuple([_build(a, vs) for a in args]),
                                         _build(res, vs))
                        for sym, args, res in conds_t])
-        compiled = tuple([
-            None if t is None else
-            ("qval", ns[t[1]]) if t[0] == "qval" else
-            ("mono", t[1], _instance_side(t[2], ns), _instance_side(t[3], ns))
-            for t in compiled_t])
-        return pats, rhs, conds, dict(zip(names, vs)), compiled
+        compiled = []
+        for t in compiled_t:
+            if t is not None and t[0] == "qval":
+                v = vs[t[1]]
+                t = ("qval", v.name, ns[t[1]]) if type(v) is Var else None
+            elif t is not None:
+                L, R = _instance_side(t[2], vs), _instance_side(t[3], vs)
+                t = None if L is None or R is None else ("mono", t[1], L, R, tuple(
+                    [ns[p] for _, p in (t[2], t[3]) if p is not None]))
+            compiled.append(t)
+        return pats, rhs, conds, dict(zip(names, vs)), tuple(compiled), start
+
+    def _match_head(self, pats_t: tuple, args: tuple, store: Store, vs: list):
+        """Match head pattern templates against a call's args, left to
+        right, evaluating and binding nothing: a variable slot takes a
+        walked variable, literal or ground data (heads are linear, so that
+        is binding it), other patterns decompose against data.  Stops at
+        a position that meets a call, a variable under a pattern or data
+        that is not ground in a slot: _unify_pattern unifies from there.
+        Fills vs at the matched positions' slots and returns their walked
+        arguments, or None when a literal or a data head clashes."""
+        subst = store.subst
+        matched = []
+        for t, a in zip(pats_t, args):
+            a = self.walk(store, a)
+            taken, stack = [], [(t, a)]
+            while stack:
+                t, x = stack.pop()
+                while type(x) is Var and x.name in subst:
+                    x = subst[x.name]
+                if type(t) is int:
+                    if type(x) is not Var and type(x) is not Basic \
+                            and not (type(x) is App and self._is_ground(x)):
+                        return matched
+                    taken.append((t, x))
+                elif type(x) is Basic:
+                    if type(t) is not Basic or t.value != x.value:
+                        return None
+                elif type(x) is not App or not self.sig.is_data(x.symbol):
+                    return matched
+                elif type(t) is Basic:
+                    return None
+                else:
+                    symbol, kids = t if type(t) is tuple else (t.symbol, t.args)
+                    if symbol != x.symbol or len(kids) != len(x.args):
+                        return None
+                    stack += reversed(list(zip(kids, x.args)))
+            for slot, x in taken:
+                vs[slot] = x
+            matched.append(a)
+        return matched
 
     def _compile_rule(self, index: int, rule) -> tuple:
         """The rename template of a rule, made on its first use by any
@@ -510,20 +572,21 @@ class Solver:
 
         Returns None, having changed nothing, when the condition needs the
         general path: a side bound to neither a variable nor a literal, or
-        every side a literal (the general path evaluates those).
+        every side a literal (the general path evaluates those).  The last
+        item of compiled is the instance's names of its variables, as
+        written, which _post declares or checks.
         """
         subst = store.subst
         if compiled[0] == "qval":
-            name = compiled[1]
+            _, name, orig = compiled
             if type(walk_name(subst, name)) is not str:
                 return None
-            return self._post(store, compiled, (name,), True, ())
-        _, strict, L, R = compiled
+            return self._post(store, compiled, (orig,), True, ())
+        _, strict, L, R, orig = compiled
         Lw, Rw = walk_side(subst, L), walk_side(subst, R)
         if Lw is None or Rw is None or (Lw[1] is None and Rw[1] is None):
             return None
         names = {n for n in (Lw[1], Rw[1]) if n is not None}
-        orig = [n for n in (L[1], R[1]) if n is not None]
         return self._post(store, ("mono", strict, Lw, Rw), orig, False, names, rule)
 
     def _bind(self, store: Store, name: str, value: Expr) -> bool:
@@ -610,10 +673,14 @@ class Solver:
                 # the rule's attenuation is below the qualification the
                 # call already needs: skip it as the head probe does
                 continue
-            pats, rhs, conds, ren, compiled = self._rename_rule(tpl)
+            instance = self._rename_rule(tpl, e.args, store)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
-            for _ in self._pairwise(self._unify_pattern, pats, e.args, store, depth):
+            if instance is None:
+                continue  # a literal or a data head clashes
+            pats, rhs, conds, ren, compiled, start = instance
+            for _ in self._pairwise(self._unify_pattern, pats, e.args, store,
+                                    depth, start):
                 for _ in self._solve_all(conds, store, depth - 1, index, compiled):
                     for res in self._hnf(rhs, store, depth - 1):
                         mark = len(trail)
@@ -1152,8 +1219,9 @@ class _Replay:
     trees.  A ground data search term resolves once per solver, and
     ground data is proved against itself once per program.
 
-    What depends on the store is memoized per answer: value and display
-    resolve each walked App node once, and production_tree builds the
+    What depends on the store is memoized per answer: value resolves each
+    variable and each walked App node once, display each walked App node
+    once, and production_tree builds the
     subtree for a walked node and a target once.  Replay is then linear
     in the size of the proof.  This is sound because the store is the
     answer's own snapshot, which replay only reads, and trees and terms
@@ -1169,7 +1237,7 @@ class _Replay:
         self.sig = solver.sig
         self.share = solver.hashcons
         self._data = self.share.program_data
-        self._values = {}     # id(App) -> (App, value)
+        self._values = {}     # id(Var or App) -> (term, value)
         self._shown = {}      # id(App) -> (App, display)
         self._trees = {}      # (id(e), id(target)) -> (e, target, tree)
 
@@ -1178,19 +1246,20 @@ class _Replay:
 
     def value(self, e: Expr) -> Expr:
         """Result-side resolution: a term, with unevaluated calls as bottom."""
-        e = self._walk(e)
-        if isinstance(e, Var):
-            iv = self.store.ivals.get(e.name)
-            if iv is None or e.name not in self.store.declared:
-                return self.share.leaf(e)
-            return self.share.leaf(Basic(iv.hi))
-        if not isinstance(e, App):
-            return self.share.leaf(e)
-        hit = self.share.ground.get(id(e)) or self._values.get(id(e))
+        hit = self._values.get(id(e)) or self.share.ground.get(id(e))
         if hit is not None:
             return hit[1]
-        rec = self.store.evals.get(id(e))
-        if rec is not None and rec.call is e:
+        w = self._walk(e)
+        rec = self.store.evals.get(id(w))
+        if type(w) is Var:
+            iv = self.store.ivals.get(w.name)
+            out = self.share.leaf(w if iv is None or w.name not in self.store.declared
+                                  else Basic(iv.hi))
+        elif w is not e:
+            out = self.value(w)
+        elif type(e) is not App:
+            return self.share.leaf(e)
+        elif rec is not None and rec.call is e:
             out = self.value(rec.result)
         elif self.sig.is_data(e.symbol):
             out = self.share.data(e, [self.value(a) for a in e.args])

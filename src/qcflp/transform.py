@@ -136,14 +136,24 @@ def primed(symbol: str) -> str:
 def transform_expr(e: Expr, sig: Signature, call_arg) -> Expr:
     """e with every call to a defined function primed and given its
     qualification argument: call_arg() for a call at the top of e, and
-    its caller's for a call nested in another call."""
-    if not isinstance(e, App):
-        return e
-    if sig.kind(e.symbol) == "df":
-        arg = call_arg()
-        args = tuple(transform_expr(a, sig, lambda: arg) for a in e.args)
-        return App(primed(e.symbol), args + (arg,))
-    return App(e.symbol, tuple(transform_expr(a, sig, call_arg) for a in e.args))
+    its caller's for a call nested in another call.  Keeps its own
+    stack; call_arg() is called in pre-order, left to right."""
+    out, stack = [], [(e, None)]  # (term, qualification argument of its caller)
+    while stack:
+        t, arg = stack.pop()
+        if type(t) is tuple:  # (symbol, arity, extra args): build from out
+            symbol, n, extra = t
+            out[len(out) - n:] = [App(symbol, tuple(out[len(out) - n:]) + extra)]
+        elif not isinstance(t, App):
+            out.append(t)
+        elif sig.kind(t.symbol) == "df":
+            arg = call_arg() if arg is None else arg
+            stack += [((primed(t.symbol), len(t.args), (arg,)), None),
+                      *[(a, arg) for a in reversed(t.args)]]
+        else:
+            stack += [((t.symbol, len(t.args), ()), None),
+                      *[(a, arg) for a in reversed(t.args)]]
+    return out[0]
 
 
 def transform_constraint(c: AtomicConstraint, sig: Signature,

@@ -1,0 +1,141 @@
+"""A rule instance takes the values its call already has.
+
+Before a rule is renamed, its head patterns are matched against the
+call's walked arguments, left to right: a variable slot takes a
+variable, a literal or ground data, a constructor pattern decomposes
+against data, and a clash skips the rule.  From the first position that
+would evaluate or bind, _unify_pattern takes over.  The match evaluates
+and binds nothing, so answers, certificates, rule tries and trace lines
+are those of unifying every position through the generators.
+"""
+
+import pytest
+
+from conftest import BOOK4
+from test_fixpoint import DAG
+from test_replay import UP
+from test_rule_filter import (PAPER, RESIDUAL, SPIN, THRESHOLD_SWEEP,
+                              solve, solve_certified)
+from qcflp.cli import main
+from qcflp.domains import domain_from_name
+from qcflp.runtime import Limits, Solver, Store
+from qcflp.semantics import parse_proof
+from qcflp.syntax import parse_goal, parse_program
+from qcflp.terms import App
+from qcflp.transform import transform_goal, transform_program
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the rule renamings, bindings and store assignments made."""
+    count = {"_rename_rule": 0, "_bind": 0, "assign": 0}
+    for cls, name in ((Solver, "_rename_rule"), (Solver, "_bind"), (Store, "assign")):
+        def counted(*args, _name=name, _f=getattr(cls, name)):
+            count[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cls, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("goal,tries,binds,assigns", [
+    (f"{PAPER} | W >= 0.3", 7961, 100, 10000),
+    ("(search(L,G,V) == R) # W | W >= 0.6", 509, 100, 1000),
+])
+def test_match_keeps_the_tries_and_drops_the_bindings(calls, library, goal,
+                                                      tries, binds, assigns):
+    # at the parent of the match, the paper goal made 31,889 bindings
+    # and 40,252 store assignments for the same 7,961 tries
+    translated, _ = transform_program(library)
+    constraints, wvars, datavars = transform_goal(parse_goal(goal), library)
+    solver = Solver(translated, limits=Limits(depth=64))
+    assert list(solver.solve(constraints, wvars, datavars))
+    assert calls["_rename_rule"] == tries
+    assert calls["_bind"] <= binds
+    assert calls["assign"] <= assigns
+
+
+# (program, domain name, goal, depth); None is the library
+AGREE = [pytest.param(None, dom, goal, depth, id=f"sweep-{i}")
+         for i, (goal, dom, depth, _) in enumerate(THRESHOLD_SWEEP)] + [
+    pytest.param(None, "uxu", f"(guessGenre({BOOK4}) == G) # W | W >= (0.5,0.5)",
+                 64, id="uxu-guessGenre"),
+    pytest.param(UP, "u", "(up(2) == R) # W", 12, id="up-2"),
+    pytest.param(UP, "u", "(up(30) == R) # W", 70, id="up-30"),
+    pytest.param(SPIN, "u", "(g == R) # W", 5, id="spin-g"),
+    pytest.param(SPIN, "u", "(f(s(z)) == R) # W", 8, id="spin-f"),
+    pytest.param(RESIDUAL, "u", "(f(Z) == true) # W | W >= 0.6", 64, id="residual-var"),
+    pytest.param(RESIDUAL, "u", "(f(3) == true) # W", 64, id="residual-literal"),
+    *[pytest.param(DAG, "u", f"({f}({n}) == R) # W", 8, id=f"dag-{f}-{n}")
+      for f in ("r", "s") for n in ("n1", "n6", "n4")],
+]
+
+
+@pytest.mark.parametrize("source,dom_name,goal,depth", AGREE)
+def test_match_and_generator_path_agree(monkeypatch, library_text, source,
+                                        dom_name, goal, depth):
+    # stopping the match at position 0 unifies every head position
+    # through _unify_pattern, as before the match
+    dom = domain_from_name(dom_name)
+    program = parse_program(library_text if source is None else source, dom)
+    matched = solve_certified(program, goal, depth, dom)
+    monkeypatch.setattr(Solver, "_match_head", lambda self, pats_t, args, store, vs: [])
+    assert solve_certified(program, goal, depth, dom) == matched
+
+
+CALL_IN_DATA = """
+data t = a | b
+data n = z | s(t)
+k(X) --> X
+f(s(X)) --> X
+"""
+
+
+def test_constructor_pattern_meets_data_holding_a_call(tmp_path, capsys):
+    # f(s(X)) against s(k(a)): the match stops at the call k(a), which
+    # X is then bound to unevaluated; theta records its value a
+    assert solve(CALL_IN_DATA, "(f(s(k(a))) == R) # W") == ["{ R -> a } { W in (0, 1] }"]
+    src, cert = tmp_path / "p.qcflp", tmp_path / "p.proof"
+    src.write_text(CALL_IN_DATA)
+    assert main(["prove", str(src), "--statement", "(f(s(k(a))) -> a) # 1",
+                 "-o", str(cert)]) == 0
+    assert main(["prove", str(src), "--check", str(cert)]) == 0
+    assert capsys.readouterr().out == "derivable\nvalid\n"
+    _, tree = parse_proof(cert.read_text())
+    stack, thetas = [tree], []
+    while stack:
+        node = stack.pop()
+        stack += node.children
+        if node.tag == "fun":
+            thetas.append(node.theta)
+    assert thetas == [(("X", App("a")),)] * 2
+
+
+CLASH = """
+data nat = z | s(nat)
+g(z, z) --> a
+g(z, s(N)) --> N
+g(s(N), M) --> M
+"""
+
+
+def test_a_clash_past_the_head_probe_is_a_traced_try(calls):
+    # the head probe (position 0) keeps g's first two rules for
+    # g(z, s(z)); the match skips the first on its second position,
+    # which still counts as a try and prints its trace line
+    lines = []
+    assert solve(CLASH, "(g(z, s(z)) == R) # W", trace=lines.append) == \
+        ["{ R -> z } { W in (0, 1] }"]
+    assert lines == ["try rule 0: g'", "try rule 1: g'"]
+    assert calls["_rename_rule"] == 2
+    assert calls["_bind"] == 1  # the goal's R
+
+
+def test_a_variable_slot_does_not_take_a_call(calls):
+    # g(z, k(s(z))): the match stops at the call, which _unify_pattern
+    # binds unevaluated; the clash on rule 0 shows only after evaluation
+    lines = []
+    assert solve(CLASH + "k(X) --> X", "(g(z, k(s(z))) == R) # W",
+                 trace=lines.append) == ["{ R -> z } { W in (0, 1] }"]
+    assert lines == ["try rule 0: g'", "try rule 3: k'", "try rule 1: g'",
+                     "try rule 3: k'"]
+    assert calls["_bind"] >= 1

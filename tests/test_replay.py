@@ -333,6 +333,25 @@ def test_replay_through_arithmetic_is_valid(n):
         ["valid"] * len(constraints)
 
 
+def test_replay_walks_each_variable_once(monkeypatch, library, translated_library):
+    # value memoizes a variable as it does an application, so one
+    # answer's replay walks each variable object of its store once
+    walked = []
+    walk = _Replay._walk
+
+    def recorded(self, e):
+        if type(e) is Var:
+            walked.append((self, e))  # kept alive, so their ids stay unique
+        return walk(self, e)
+    monkeypatch.setattr(_Replay, "_walk", recorded)
+    solver, answers, constraints = clean_answers(
+        library, translated_library, "(search(L,G,V) == R) # W | W >= 0.6")
+    for ans in answers:
+        replay_trees(solver, ans, constraints)
+    assert len(answers) == 13
+    assert len({(id(r), id(e)) for r, e in walked}) == len(walked) > 0
+
+
 def test_replay_refuses_conditional_answers():
     # a conditional answer's tree needs hypotheses that entail its
     # residuals, which replay_trees does not have

@@ -48,9 +48,9 @@ def count_renames(monkeypatch):
     count = [0]
     rename = Solver._rename_rule
 
-    def counted(self, tpl):
+    def counted(self, tpl, *rest):
         count[0] += 1
-        return rename(self, tpl)
+        return rename(self, tpl, *rest)
     monkeypatch.setattr(Solver, "_rename_rule", counted)
     return count
 

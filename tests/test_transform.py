@@ -1,4 +1,7 @@
 import random
+import re
+import string
+import sys
 
 import pytest
 
@@ -35,6 +38,38 @@ def test_expr_call_under_constructor(library):
     # calls under a constructor are each at the top
     p = parse_program("f(X) --> c(X)")
     assert _tx_expr("c(f(X), f(Y))", p) == parse_expr("c(f'(X, _W0), f'(Y, _W1))")
+
+
+def test_expr_calls_take_arguments_in_pre_order():
+    # call_arg() is called for each call at the top, left to right, and
+    # before the calls nested in it, which take their caller's argument
+    p = parse_program("f(X) --> X\ng(X) --> X")
+    assert _tx_expr("c(f(g(X)), c(g(Y), f(Z)))", p) == \
+        parse_expr("c(f'(g'(X, _W0), _W0), c(g'(Y, _W1), f'(Z, _W2)))")
+
+
+def test_large_catalogue_translates_at_default_recursion_limit(library_text):
+    rng = random.Random(7)
+
+    def word():
+        return "".join(rng.choice(string.ascii_letters) for _ in range(8))
+
+    books = ",\n".join(f'book({i}, "{word()}", "{word()}", "German", "Essay", '
+                       f"medium, {rng.randint(100, 999)})" for i in range(512))
+    text = re.sub(r"^library -->.*?\]", lambda _m: f"library --> [{books}]",
+                  library_text, count=1, flags=re.S | re.M)
+    program = parse_program(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        translated, _ = transform_program(program)
+    finally:
+        sys.setrecursionlimit(limit)
+    rule = next(r for r in translated.rules if r.name == "library'")
+    spine, items = rule.rhs, 0
+    while spine.args:
+        spine, items = spine.args[1], items + 1
+    assert items == 512
 
 
 def test_nested_calls_chain(library):
