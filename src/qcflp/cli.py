@@ -13,7 +13,9 @@ files through one guarded writer (_write).  Exit codes:
   hypotheses call a defined function; no answer, no
   derivation in a search that was not cut, an invalid certificate or an
   oracle mismatch
-* 2: a usage error, an unknown --qdom, an input file that cannot be read
+* 2: a usage error, including a numeric limit out of range (--answers
+  and --k below 1, --depth, --max-rules and --max-universe below 0), an
+  unknown --qdom, an input file that cannot be read
   or an output file that cannot be written, prove without --statement
   or --check, an oracle --mutate site out of range
 * 3: solve found only flagged answers, or none in a search that was cut;
@@ -48,6 +50,19 @@ from .terms import run_deep
 from .transform import TransformError, transform_goal, transform_program
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {n}")
+        return n
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qcflp",
                                  description="attenuated rewrite programs: "
@@ -72,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a goal against a program")
     p.add_argument("file")
     p.add_argument("--goal", required=True)
-    p.add_argument("--depth", type=int, default=64)
-    p.add_argument("--answers", type=int, default=None)
+    p.add_argument("--depth", type=_at_least(0), default=64)
+    p.add_argument("--answers", type=_at_least(1), default=None)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--trace", action="store_true")
     common(p)
@@ -81,18 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="search for or re-check a derivation")
     p.add_argument("file")
     p.add_argument("--statement", help="statement to derive")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_at_least(0), default=8)
     p.add_argument("-o", "--output", help="certificate output path")
     p.add_argument("--check", help="re-check this certificate instead")
     common(p)
 
     p = sub.add_parser("oracle", help="cross-check solver against fixpoint facts")
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=6, help="fixpoint iterations")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--k", type=_at_least(1), default=6, help="fixpoint iterations")
+    p.add_argument("--depth", type=_at_least(0), default=8)
     p.add_argument("--universe", help="comma-separated extra ground terms")
-    p.add_argument("--max-rules", type=int, default=8)
-    p.add_argument("--max-universe", type=int, default=24)
+    p.add_argument("--max-rules", type=_at_least(0), default=8)
+    p.add_argument("--max-universe", type=_at_least(0), default=24)
     p.add_argument("--mutate", type=int, default=None,
                    help="drop the n-th emitted qualification condition")
     common(p)

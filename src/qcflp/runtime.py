@@ -166,21 +166,29 @@ class Answer:
     store: Store = field(repr=False, compare=False, default=None)
 
 
-def _template(e: Expr, pos: dict, sig):
+def _template(e: Expr, pos: dict, sig, data: "_GroundData"):
     """Rename template of an expression (see Solver._rename_rule).
 
     A variable becomes its position in the rule's variable list; an
     application that holds a variable or a function call becomes a
     (symbol, kid templates) pair to rebuild; anything else is shared.
     Call nodes are always rebuilt, because call-time choice is keyed by
-    the identity of the call.
+    the identity of the call.  Ground data, a literal or a constructor
+    application over canonical kids, is shared as its canonical term in
+    data, the program's _GroundData, so the program's own data is
+    canonical once per program; it is built bottom up from the kids'
+    templates, in one pass over the rule.
     """
     if isinstance(e, Var):
         return pos[e.name]
     if isinstance(e, App) and e.args:
-        kids = tuple(_template(a, pos, sig) for a in e.args)
+        kids = tuple(_template(a, pos, sig, data) for a in e.args)
         if not sig.is_data(e.symbol) or any(type(k) in (int, tuple) for k in kids):
             return (e.symbol, kids)
+        if all(id(k) in data.proofs for k in kids):
+            return data.app(e.symbol, kids)
+    elif type(e) is Basic or (type(e) is App and sig.is_data(e.symbol)):
+        return data.leaf(e)
     return e
 
 
@@ -340,14 +348,16 @@ class Solver:
         # template, rule index -> its qualification variables
         self._rules, self._templates, self._quals = program.memo(
             "solver", lambda: (_rules_by_symbol(program), {}, {}))
-        self._ground = {}           # id -> term, for ground data
+        self._ground = {}           # id -> term, for other ground data
         self._calls = self.sig.pf.keys() | self.sig.df.keys()  # not data
         self._fresh = itertools.count()
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # what replay shares across answers, ground data across solvers
-        self.hashcons = _HashCons(program.memo("ground data", _GroundData))
+        # the program's canonical ground data, shared by its solvers and
+        # their templates, and what replay shares across answers
+        self._data = program.memo("ground data", _GroundData)
+        self.hashcons = _HashCons(self._data)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -363,9 +373,14 @@ class Solver:
 
     def _is_ground(self, t: Expr) -> bool:
         """Whether t is ground data: literals and constructor applications
-        only (as _hnf treats them), no variable and no call.  Decided once
-        per term object, without recursion; only ground terms are kept,
-        by id with the term, so that no id is reused."""
+        only (as _hnf treats them), no variable and no call.  The
+        program's own data is canonical once per program (_template), so
+        it is known ground by one identity test.  Other terms, such as a
+        goal's data, are decided once per term object and solver, without
+        recursion; only ground terms are kept, by id with the term, so
+        that no id is reused."""
+        if id(t) in self._data.proofs:
+            return True
         known = self._ground
         stack = [t]
         while stack:
@@ -470,13 +485,15 @@ class Solver:
         names = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
                        | vars_of(rule.conditions))
         pos = {v: i for i, v in enumerate(names)}
-        pats_t = tuple(_template(p, pos, self.sig) for p in rule.patterns)
+
+        def template(e):
+            return _template(e, pos, self.sig, self._data)
+
+        pats_t = tuple(template(p) for p in rule.patterns)
         compiled_t = tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions)
         tpl = self._templates[index] = (
-            names, pats_t,
-            _template(rule.rhs, pos, self.sig),
-            tuple((c.symbol, tuple(_template(a, pos, self.sig) for a in c.args),
-                   _template(c.result, pos, self.sig))
+            names, pats_t, template(rule.rhs),
+            tuple((c.symbol, tuple(template(a) for a in c.args), template(c.result))
                   for c in rule.conditions),
             compiled_t, _qual_caps(pats_t, compiled_t))
         return tpl
@@ -994,6 +1011,8 @@ class Solver:
     def _search(self, constraints: tuple, wvars: list,
                 datavars: list) -> Iterator[Answer]:
         self.cut = set()
+        if self.limits.answers is not None and self.limits.answers < 1:
+            return
         emitted = 0
         store = Store(datavars=frozenset(datavars))
         for _ in self._solve_all(constraints, store, self.limits.depth, None):
@@ -1077,19 +1096,21 @@ class ReplayError(ValueError):
 
 
 class _GroundData(HashCons):
-    """The canonical ground data of one program's replays, and its proofs.
+    """The canonical ground data of one program, and its proofs.
 
     Ground data is a literal or a constructor application whose
     arguments are ground data: no variable and no call.  It is canonical
     here as in terms.HashCons, keyed by its value or by its symbol and
     the ids of its canonical arguments, never by the id of a search or
-    goal term, so the table grows with the distinct ground values that
-    replay meets and not with the queries.  proofs maps the id of every
-    canonical term to its proof against itself (refl on a literal, cons
-    on an application), or None until that is built.  The solvers of a
-    program share the table (Program.memo), so a book record of the
-    library list is proved once per program, and check_proof, which
-    keeps its verdicts on the program, decides that proof once.
+    goal term, so the table grows with the program's own data, which the
+    rule templates hold in canonical form (_template), and with the
+    distinct ground values that replay meets, not with the queries.
+    proofs maps the id of every canonical term to its proof against
+    itself (refl on a literal, cons on an application), or None until
+    that is built.  The solvers of a program share the table
+    (Program.memo), so a book record of the library list is canonical
+    and proved once per program, and check_proof, which keeps its
+    verdicts on the program, decides that proof once.
     """
 
     def __init__(self):
@@ -1146,11 +1167,13 @@ class _HashCons(HashCons):
     then one object, in one of the two tables, which check_proof decides
     once per program and domain.
 
-    A ground data search term resolves to the same canonical term in
-    every store.  ground maps the id of every such object that replay
-    has met, and of its canonical form, to (term, canonical term), so a
-    book record of the program's library list is resolved once per
-    solver.
+    The program's own data is canonical once per program: the rule
+    templates hold it as its canonical term (Solver._compile_rule), so
+    replay hands it out as it is.  Other ground data, such as a book
+    record in a goal, resolves to the same canonical term in every
+    store: ground maps the id of every such object that replay has met,
+    and of its canonical form, to (term, canonical term), so it is
+    resolved once per solver.
 
     Every table keeps its key objects alive, in the canonical term or
     node it maps to or in the ground entry, so no id is reused while the
@@ -1216,8 +1239,10 @@ class _Replay:
     solver's _HashCons, or for ground data in the program's _GroundData,
     so structurally equal parts of the trees of all the answers of one
     solver are one object, and replaying a goal again returns the same
-    trees.  A ground data search term resolves once per solver, and
-    ground data is proved against itself once per program.
+    trees.  The program's own data is canonical once per program, in
+    the rule templates, so value and display return it as it is; other
+    ground data resolves once per solver, and ground data is proved
+    against itself once per program.
 
     What depends on the store is memoized per answer: value resolves each
     variable and each walked App node once, display each walked App node
@@ -1246,6 +1271,8 @@ class _Replay:
 
     def value(self, e: Expr) -> Expr:
         """Result-side resolution: a term, with unevaluated calls as bottom."""
+        if id(e) in self._data.proofs:
+            return e  # the program's data is its own value
         hit = self._values.get(id(e)) or self.share.ground.get(id(e))
         if hit is not None:
             return hit[1]
@@ -1279,6 +1306,8 @@ class _Replay:
     def display(self, e: Expr) -> Expr:
         """Left-side resolution: keeps call structure in place, except
         that a variable shows its value, as a rule's theta records it."""
+        if id(e) in self._data.proofs:
+            return e
         if isinstance(e, Var):
             return self.value(e)
         if not isinstance(e, App):

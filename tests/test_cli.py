@@ -108,6 +108,35 @@ def test_solve_answer_limit(capsys):
     assert len(out) == 1
 
 
+@pytest.mark.parametrize("command, flag, value, least", [
+    ("solve", "--answers", "0", 1), ("solve", "--answers", "-2", 1),
+    ("solve", "--depth", "-1", 0), ("prove", "--depth", "-3", 0),
+    ("oracle", "--k", "0", 1), ("oracle", "--k", "-1", 1),
+    ("oracle", "--depth", "-1", 0), ("oracle", "--max-rules", "-1", 0),
+    ("oracle", "--max-universe", "-1", 0)])
+def test_numeric_limit_out_of_range_is_a_usage_error(tmp_path, capsys, command,
+                                                       flag, value, least):
+    src = tmp_path / "f.qcflp"
+    src.write_text("f --> true\n")
+    rest = {"solve": ["--goal", "(f == R) # W"],
+            "prove": ["--statement", "(f -> true) # 1"], "oracle": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, str(src), *rest, flag, value)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least {least}, not {value}" in captured.err
+
+
+def test_numeric_limits_at_their_least_run(tmp_path, capsys):
+    src = tmp_path / "f.qcflp"
+    src.write_text("f --> true\n")
+    assert run("solve", str(src), "--goal", "(f == R) # W", "--answers", "1") == 0
+    assert run("solve", str(src), "--goal", "(f == R) # W", "--depth", "0") == 3
+    assert run("oracle", str(src), "--k", "1", "--max-rules", "1") == 0
+    assert run("oracle", str(src), "--max-rules", "0") == 4
+
+
 def test_solve_flagged_only(tmp_path):
     src = tmp_path / "resid.qcflp"
     src.write_text("f(X) --> true <== X /= a\n")

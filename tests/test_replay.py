@@ -8,6 +8,7 @@ unmemoized, unshared replay produced.
 
 import gc
 import hashlib
+import re
 import sys
 
 import pytest
@@ -465,3 +466,74 @@ def test_pattern_variables_bind_walked_arguments(monkeypatch):
     for before, after in zip(counts[100], counts[200]):
         assert before <= 30 * 100
         assert after <= 2.2 * before
+
+
+# ----------------------------------------------------------------------
+# The program's own data is canonical once per program
+# ----------------------------------------------------------------------
+
+def catalogue_text(library_text: str, n: int) -> str:
+    """library.qcflp with its list replaced by n books, of which only the
+    last one is in Latin: it is a medium Philosophy book, so the closed
+    query CLOSED names it at 0.8."""
+    books = ", ".join(
+        f'book({100 + i}, "Title {i}", "Author {i}", '
+        f'"{"Latin" if i == n - 1 else "English"}", "Philosophy", medium, '
+        f'{200 + i})' for i in range(n))
+    text, count = re.subn(r"^library -->.*?\]", lambda _m: f"library --> [{books}]",
+                          library_text, count=1, flags=re.S | re.M)
+    assert count == 1
+    return text
+
+
+CLOSED = '(search("Latin","Essay",intermediate) == 131) # W | W >= 0.6'
+
+
+def certified_text(solver, answers, constraints) -> list:
+    return [(render_answer(a), certificates(solver, a, constraints))
+            for a in answers]
+
+
+def test_the_program_data_is_canonical_once_per_program(library_text, monkeypatch):
+    program = parse_program(catalogue_text(library_text, 32))
+    translated = transform_program(program)[0]
+    solver, answers, constraints = clean_answers(program, translated, CLOSED)
+    table = solver.hashcons.program_data
+    # the library rule's rhs template is the canonical list itself
+    (index,) = [i for i, r in enumerate(translated.rules) if r.name == "library'"]
+    rhs = solver._templates[index][2]
+    assert id(rhs) in table.proofs
+    assert table.app(rhs.symbol, rhs.args) is rhs
+    first = certified_text(solver, answers, constraints)
+    assert len(first) == 1
+    # a second solver's closed query adds no entry to the table and makes
+    # none of the program's data canonical again, only the goal's data:
+    # its two strings and a constant, each once
+    made = []
+    app = type(table).app
+
+    def counted(self, symbol, args=()):
+        made.append(symbol)
+        return app(self, symbol, args)
+
+    monkeypatch.setattr(type(table), "app", counted)
+    size = (len(table.terms), len(table.proofs))
+    second = certified_text(*clean_answers(program, translated, CLOSED))
+    assert (len(table.terms), len(table.proofs)) == size
+    assert "book" not in made and len(made) <= 30
+    monkeypatch.undo()
+    # and its answers and certificates read as a fresh program's
+    fresh = parse_program(catalogue_text(library_text, 32))
+    assert second == first == certified_text(
+        *clean_answers(fresh, transform_program(fresh)[0], CLOSED))
+
+
+def test_call_time_choice_stays_per_instance():
+    # f's right-hand side call is rebuilt for each instance of f, so the
+    # two calls of coin choose apart
+    program = parse_program("coin --> 0\ncoin --> 1\nf(X) --> coin\n"
+                            "g --> p(f(a), f(b))\n")
+    translated = transform_program(program)[0]
+    _, answers, _ = clean_answers(program, translated, "(g == R) # W")
+    assert [render_answer(a) for a in answers] == [
+        f"{{ R -> p({x}, {y}) }} {{ W in (0, 1] }}" for x in (0, 1) for y in (0, 1)]

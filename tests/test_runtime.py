@@ -454,3 +454,13 @@ def test_ground_bind_is_linear(monkeypatch):
     assert calls == []
     for tree in replay_trees(solver, answers[0], constraints):
         assert check_proof(solver.program, None, tree).status == "valid"
+
+
+def test_an_answer_limit_below_one_yields_nothing():
+    program = parse_program("f --> true\n")
+    constraints, wvars, datavars = transform_goal(parse_goal("(f == R) # W"),
+                                                  program)
+    translated = transform_program(program)[0]
+    for answers, count in ((-2, 0), (0, 0), (1, 1), (None, 1)):
+        solver = Solver(translated, limits=Limits(answers=answers))
+        assert len(list(solver.solve(constraints, wvars, datavars))) == count
