@@ -150,6 +150,7 @@ class Interval(NamedTuple):
 
 
 FULL = Interval()
+_new_tuple = tuple.__new__   # builds an Interval from its 4 fields directly
 
 
 def point(x: float) -> Interval:
@@ -471,7 +472,7 @@ def tighten(iv: Interval, lo=None, lo_open=False, hi=None, hi_open=False):
             changed = True
     if not changed:
         return None
-    return Interval(clo, chi, clo_o, chi_o)
+    return _new_tuple(Interval, (clo, chi, clo_o, chi_o))
 
 
 def narrow_bound(ivals: dict, write, name: str, lo=None, lo_open=False,

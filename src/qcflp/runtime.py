@@ -9,7 +9,11 @@ already has.  A head variable that meets a variable, a literal or ground
 data takes it as the rule is renamed, with no binding; from the first
 argument that needs evaluation, unification takes over, and head patterns
 force the evaluation of arguments only as far as it demands; conditions run
-left to right before the right-hand side replaces the call.  Bindings are
+left to right before the right-hand side replaces the call.  A try builds
+only what it uses, as a WAM puts a goal's arguments just before the call:
+the head patterns that unification needs, at once; a condition's atom when
+the general path first reaches it, and the right-hand side when the
+conditions first hold, each once per instance (_Instance).  Bindings are
 shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).  Ground data (literals
 and constructors only) is bound and compared whole, with no occurs check.
@@ -20,7 +24,8 @@ aliasing by the entailment checker's own worklist (constraints.py); an
 empty interval prunes the branch, and a propagation that reaches the
 step guard flags the run as incomplete.  The qVal and monomial-bound
 conditions of a rule are compiled with its renaming template and posted
-without reducing their arguments.  Disequations that cannot be decided
+from the instance's slots, without reducing their arguments and without
+building their atoms.  Disequations that cannot be decided
 yet are parked and re-examined as bindings arrive; leftovers surface as
 residual constraints and flag the answer as conditional.
 
@@ -68,10 +73,11 @@ class EvalRec:
     kind: str                      # "fun" | "prim"
     result: Expr
     rule_index: Optional[int] = None
-    patterns: Optional[tuple] = None  # walked arguments where the head matched
-    rhs: Optional[Expr] = None
-    conditions: Optional[tuple] = None
-    rename: Optional[dict] = None  # rule variable -> fresh Var or the value it took
+    # the rule instance that reduced the call: its patterns (the walked
+    # argument where the head matched), its rhs, its condition atoms,
+    # built on first use, and its slots, the fresh Var or the value that
+    # each rule variable took
+    instance: Optional["_Instance"] = None
 
 
 # undo-trail markers for entries that are not plain "table[key] = old"
@@ -289,6 +295,32 @@ def _build(t, vs: list):
     return t
 
 
+class _Instance:
+    """A rule instance, built as far as a try uses it (Solver._rename_rule).
+
+    vs holds each rule variable's slot, pats the head patterns.  The atom
+    of condition j (self[j]) is built on its first use and the rhs when
+    the conditions first hold (Solver._hnf); each is kept, so its call
+    nodes keep one identity for call-time choice and replay.
+    """
+    __slots__ = ("tpl", "vs", "prefix", "pats", "start", "conds", "rhs")
+
+    def __init__(self, tpl: tuple, vs: list, prefix: str, pats: tuple, start: int):
+        self.tpl, self.vs, self.prefix, self.pats, self.start = tpl, vs, prefix, pats, start
+        self.conds, self.rhs = [None] * len(tpl[3]), None
+
+    def __len__(self):
+        return len(self.conds)
+
+    def __getitem__(self, j: int) -> AtomicConstraint:
+        c = self.conds[j]
+        if c is None:
+            sym, args, res = self.tpl[3][j]
+            c = self.conds[j] = AtomicConstraint(
+                sym, tuple([_build(a, self.vs) for a in args]), _build(res, self.vs))
+        return c
+
+
 def _posted(compiled) -> AtomicConstraint:
     """The constraint that a compiled post stands for (see compile_bound)."""
     if compiled[0] == "generic":
@@ -400,42 +432,27 @@ class Solver:
 
     def _rename_rule(self, tpl: tuple, args: tuple, store: Store):
         """A fresh instance of a rule from its template (_compile_rule)
-        for a call with these args: patterns, rhs, conditions, renaming,
-        the compiled conditions (None where a condition takes the general
-        path; see _post_condition) and the number of head positions that
-        _match_head matched.  None when the head clashes with args.
+        for a call with these args, or None when the head clashes.
 
         The rule is compiled once into templates over its sorted variable
-        list; an instance rebuilds only the spines that hold variables or
-        calls and shares every other subterm.  A variable that the match
-        gave a value stands for it, so it needs no fresh Var and no
-        binding; a matched position's pattern is its walked argument.
+        list.  A try builds only the slots and the head patterns; a
+        variable that the match gave a value stands for it, so it needs
+        no fresh Var and no binding, and a matched position's pattern is
+        its walked argument.  Fresh names share one prefix per instance.
+        The compiled conditions read the slots (_post_condition); an atom
+        or the rhs is built from the templates when it is first used (see
+        _Instance), sharing every subterm with no variable or call.
         """
-        names, pats_t, rhs_t, conds_t, compiled_t, _ = tpl
-        n = next(self._fresh)
+        names, pats_t = tpl[0], tpl[1]
+        prefix = f"~{next(self._fresh)}~"
         vs = [None] * len(names)
         pats = self._match_head(pats_t, args, store, vs)
         if pats is None:
             return None
         start = len(pats)
-        ns = [f"~{n}~{v}" for v in names]
-        vs = [Var(x) if v is None else v for x, v in zip(ns, vs)]
+        vs = [Var(prefix + x) if v is None else v for x, v in zip(names, vs)]
         pats = (*pats, *[_build(p, vs) for p in pats_t[start:]])
-        rhs = _build(rhs_t, vs)
-        conds = tuple([AtomicConstraint(sym, tuple([_build(a, vs) for a in args]),
-                                        _build(res, vs))
-                       for sym, args, res in conds_t])
-        compiled = []
-        for t in compiled_t:
-            if t is not None and t[0] == "qval":
-                v = vs[t[1]]
-                t = ("qval", v.name, ns[t[1]]) if type(v) is Var else None
-            elif t is not None:
-                L, R = _instance_side(t[2], vs), _instance_side(t[3], vs)
-                t = None if L is None or R is None else ("mono", t[1], L, R, tuple(
-                    [ns[p] for _, p in (t[2], t[3]) if p is not None]))
-            compiled.append(t)
-        return pats, rhs, conds, dict(zip(names, vs)), tuple(compiled), start
+        return _Instance(tpl, vs, prefix, pats, start)
 
     def _match_head(self, pats_t: tuple, args: tuple, store: Store, vs: list):
         """Match head pattern templates against a call's args, left to
@@ -449,31 +466,38 @@ class Solver:
         subst = store.subst
         matched = []
         for t, a in zip(pats_t, args):
-            a = self.walk(store, a)
-            taken, stack = [], [(t, a)]
-            while stack:
-                t, x = stack.pop()
-                while type(x) is Var and x.name in subst:
-                    x = subst[x.name]
-                if type(t) is int:
-                    if type(x) is not Var and type(x) is not Basic \
-                            and not (type(x) is App and self._is_ground(x)):
-                        return matched
-                    taken.append((t, x))
-                elif type(x) is Basic:
-                    if type(t) is not Basic or t.value != x.value:
-                        return None
-                elif type(x) is not App or not self.sig.is_data(x.symbol):
+            while type(a) is Var and a.name in subst:
+                a = subst[a.name]
+            if type(t) is int:  # a variable slot: no decomposition
+                if type(a) is not Var and type(a) is not Basic \
+                        and not (type(a) is App and self._is_ground(a)):
                     return matched
-                elif type(t) is Basic:
-                    return None
-                else:
-                    symbol, kids = t if type(t) is tuple else (t.symbol, t.args)
-                    if symbol != x.symbol or len(kids) != len(x.args):
+                vs[t] = a
+            else:
+                taken, stack = [], [(t, a)]
+                while stack:
+                    t, x = stack.pop()
+                    while type(x) is Var and x.name in subst:
+                        x = subst[x.name]
+                    if type(t) is int:
+                        if type(x) is not Var and type(x) is not Basic \
+                                and not (type(x) is App and self._is_ground(x)):
+                            return matched
+                        taken.append((t, x))
+                    elif type(x) is Basic:
+                        if type(t) is not Basic or t.value != x.value:
+                            return None
+                    elif type(x) is not App or not self.sig.is_data(x.symbol):
+                        return matched
+                    elif type(t) is Basic:
                         return None
-                    stack += reversed(list(zip(kids, x.args)))
-            for slot, x in taken:
-                vs[slot] = x
+                    else:
+                        symbol, kids = t if type(t) is tuple else (t.symbol, t.args)
+                        if symbol != x.symbol or len(kids) != len(x.args):
+                            return None
+                        stack += reversed(list(zip(kids, x.args)))
+                for slot, x in taken:
+                    vs[slot] = x
             matched.append(a)
         return matched
 
@@ -583,28 +607,32 @@ class Solver:
         # a renamed variable is "~<instance>~<name in the rule>"
         return any(n.rpartition("~")[2] in quals for n in undeclared)
 
-    def _post_condition(self, store: Store, compiled, rule: int):
-        """Post a precompiled condition of the rule with index rule (see
-        _rename_rule).
+    def _post_condition(self, store: Store, t: tuple, inst: _Instance, rule: int):
+        """Post compiled condition template t of inst, an instance of the
+        rule with index rule, from its slots (see _rename_rule).
 
         Returns None, having changed nothing, when the condition needs the
-        general path: a side bound to neither a variable nor a literal, or
-        every side a literal (the general path evaluates those).  The last
-        item of compiled is the instance's names of its variables, as
-        written, which _post declares or checks.
-        """
-        subst = store.subst
-        if compiled[0] == "qval":
-            _, name, orig = compiled
-            if type(walk_name(subst, name)) is not str:
+        general path: a side whose slot took or is bound to neither a
+        variable nor a literal, or every side a literal (the general path
+        evaluates those).  _post declares or checks the instance's names
+        of its variables, as written."""
+        subst, vs, names = store.subst, inst.vs, inst.tpl[0]
+        if t[0] == "qval":
+            v = vs[t[1]]
+            if type(v) is not Var or type(walk_name(subst, v.name)) is not str:
                 return None
-            return self._post(store, compiled, (orig,), True, ())
-        _, strict, L, R, orig = compiled
-        Lw, Rw = walk_side(subst, L), walk_side(subst, R)
+            return self._post(store, ("qval", v.name), (inst.prefix + names[t[1]],),
+                              True, ())
+        _, strict, L, R = t
+        Lw, Rw = _instance_side(L, vs), _instance_side(R, vs)
+        if Lw is None or Rw is None:
+            return None
+        Lw, Rw = walk_side(subst, Lw), walk_side(subst, Rw)
         if Lw is None or Rw is None or (Lw[1] is None and Rw[1] is None):
             return None
-        names = {n for n in (Lw[1], Rw[1]) if n is not None}
-        return self._post(store, ("mono", strict, Lw, Rw), orig, False, names, rule)
+        orig = [inst.prefix + names[p] for _, p in (L, R) if p is not None]
+        return self._post(store, ("mono", strict, Lw, Rw), orig,
+                          False, {n for n in (Lw[1], Rw[1]) if n is not None}, rule)
 
     def _bind(self, store: Store, name: str, value: Expr) -> bool:
         """Bind name to value and re-propagate; on False the caller undoes."""
@@ -690,19 +718,21 @@ class Solver:
                 # the rule's attenuation is below the qualification the
                 # call already needs: skip it as the head probe does
                 continue
-            instance = self._rename_rule(tpl, e.args, store)
+            inst = self._rename_rule(tpl, e.args, store)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
-            if instance is None:
+            if inst is None:
                 continue  # a literal or a data head clashes
-            pats, rhs, conds, ren, compiled, start = instance
-            for _ in self._pairwise(self._unify_pattern, pats, e.args, store,
-                                    depth, start):
-                for _ in self._solve_all(conds, store, depth - 1, index, compiled):
-                    for res in self._hnf(rhs, store, depth - 1):
+            # a head that matched whole has nothing left to unify
+            unified = (None,) if inst.start == len(e.args) else self._pairwise(
+                self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
+            for _ in unified:
+                for _ in self._solve_all(inst, store, depth - 1, index):
+                    if inst.rhs is None:
+                        inst.rhs = _build(tpl[2], inst.vs)
+                    for res in self._hnf(inst.rhs, store, depth - 1):
                         mark = len(trail)
-                        store.assign(store.evals, id(e), EvalRec(
-                            e, "fun", res, index, pats, rhs, conds, ren))
+                        store.assign(store.evals, id(e), EvalRec(e, "fun", res, index, inst))
                         yield res
                         store.undo(mark)
 
@@ -906,29 +936,31 @@ class Solver:
     # constraint solving
     # ------------------------------------------------------------------
 
-    def _solve_all(self, cs: tuple, store: Store, depth: int, rule,
-                   compiled: tuple = (), i: int = 0) -> Iterator[None]:
-        """Solve cs[i:] left to right: the conditions of the rule with
-        index rule, or the goal's constraints when rule is None (see
-        _bounds_undeclared_qual).  compiled[j], when given and not None,
-        is the precompiled form of cs[j] (see _post_condition)."""
+    def _solve_all(self, cs, store: Store, depth: int, rule,
+                   i: int = 0) -> Iterator[None]:
+        """Solve cs[i:] left to right: the conditions of an _Instance of
+        the rule with index rule, whose compiled conditions are posted
+        from its slots (see _post_condition), or the goal's constraints
+        when rule is None (see _bounds_undeclared_qual)."""
         mark = len(store.trail)
-        # precompiled conditions are deterministic: post them in a row
-        while i < len(compiled) and compiled[i] is not None:
-            ok = self._post_condition(store, compiled[i], rule)
-            if ok is None:
-                break
-            if not (ok and self._check_suspended(store)):
-                store.undo(mark)
-                return
-            i += 1
+        if rule is not None:
+            # precompiled conditions are deterministic: post them in a row
+            compiled = cs.tpl[4]
+            while i < len(compiled) and compiled[i] is not None:
+                ok = self._post_condition(store, compiled[i], cs, rule)
+                if ok is None:
+                    break
+                if not (ok and (not store.suspended or self._check_suspended(store))):
+                    store.undo(mark)
+                    return
+                i += 1
         if i == len(cs):
             yield
         else:
             for _ in self._solve_constraint(cs[i], store, depth, rule):
                 m = len(store.trail)
-                if self._check_suspended(store):
-                    yield from self._solve_all(cs, store, depth, rule, compiled, i + 1)
+                if not store.suspended or self._check_suspended(store):
+                    yield from self._solve_all(cs, store, depth, rule, i + 1)
                 store.undo(m)
         store.undo(mark)
 
@@ -1350,15 +1382,12 @@ class _Replay:
         rec = self.store.evals.get(id(ew))
         rec = rec if rec is not None and rec.call is ew else None
         if rec is not None and rec.kind == "fun":
-            theta = tuple(sorted(
-                (orig, self.value(renamed))
-                for orig, renamed in rec.rename.items()))
-            kids = []
-            for arg, pat in zip(ew.args, rec.patterns):
-                kids.append(self.production_tree(arg, self.value(pat)))
-            kids.append(self.production_tree(rec.rhs, target))
-            for c in rec.conditions:
-                kids.append(self.atom_tree(c))
+            inst = rec.instance  # its rule variables are sorted, as theta is
+            theta = tuple([(orig, self.value(v)) for orig, v in zip(inst.tpl[0], inst.vs)])
+            kids = [self.production_tree(arg, self.value(pat))
+                    for arg, pat in zip(ew.args, inst.pats)]
+            kids.append(self.production_tree(inst.rhs, target))
+            kids += [self.atom_tree(inst[j]) for j in range(len(inst))]
             return node("fun", shown, target, tuple(kids), rec.rule_index, theta)
         if ew.symbol in self.sig.pf:
             kids = tuple(self.production_tree(a, self.value(a)) for a in ew.args)

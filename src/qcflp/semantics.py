@@ -290,12 +290,19 @@ class CheckResult:
     reason: str = ""
 
 
-def instantiate_rule(rule, theta: dict):
-    """The rule instance under a substitution (may introduce bottoms)."""
-    return (tuple(apply_subst(p, theta) for p in rule.patterns),
-            rule.attenuation,
-            apply_subst(rule.rhs, theta),
-            tuple(apply_subst(c, theta) for c in rule.conditions))
+def instantiate_rule(rule, theta: dict, closed: dict = None):
+    """The rule instance under a substitution (may introduce bottoms).
+
+    closed, a memo that the checker keeps per program, flags by id(rule)
+    the parts of rule that have no variables, which are kept as they are.
+    """
+    parts = (*rule.patterns, rule.rhs, *rule.conditions)
+    flags = [False] * len(parts) if closed is None else closed.get(id(rule))
+    if flags is None:
+        flags = closed[id(rule)] = [not vars_of(p) for p in parts]
+    out = [p if c else apply_subst(p, theta) for p, c in zip(parts, flags)]
+    n = len(rule.patterns)
+    return tuple(out[:n]), rule.attenuation, out[n], tuple(out[n + 1:])
 
 
 def check_proof(program: Program, dom: Optional[QualDomain],
@@ -337,13 +344,15 @@ class _CheckState:
     an unknown one is never kept and is recomputed under its own path,
     so reasons do not depend on the sharing.  Every premise carries its
     parent's hypotheses, whose vacuity is decided once per distinct tuple
-    and call.
+    and call.  Which parts of a rule have no variables, and so need no
+    substitution in a fun node's instance, is found once per program.
     """
 
     def __init__(self, program: Program, dom: Optional[QualDomain]):
         self.program = program
         self.dom = dom
         self.valid = program.memo(("checked", dom), weakref.WeakValueDictionary)
+        self.closed = program.memo("closed parts", dict)  # see instantiate_rule
         self.vacuous: dict = {}
 
     def triviality(self, stmt: QStatement) -> str:
@@ -429,8 +438,7 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
         rule = program.rules[tree.rule_index]
         if rule.name != stmt.lhs.symbol:
             return CheckResult("invalid", f"{path}: rule is for {rule.name!r}")
-        theta = dict(tree.theta)
-        pats, alpha, rhs, conds = instantiate_rule(rule, theta)
+        pats, alpha, rhs, conds = instantiate_rule(rule, dict(tree.theta), chk.closed)
         n, m = len(pats), len(conds)
         if len(tree.children) != n + 1 + m:
             return CheckResult("invalid", f"{path}: premise count mismatch")
