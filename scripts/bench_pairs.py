@@ -13,10 +13,15 @@ quartiles (inclusive method), every run's value, and in how many pairs
 the change is better; per pair, the failed ops of each side; per
 workload, whether the answers digests agree on every pair, and the
 command its runs used.  A workload already in --out is replaced and the
-others are kept, so one file can collect several invocations.  --claim
-names a metric whose gain is judged: the change must win at least nine
-pairs in ten, and the median of the pairwise gains must exceed the
-parent's interquartile range.
+others are kept, so one file can collect several invocations.  Each
+end-to-end metric gets a verdict against its BENCHMARK.json bound:
+"within" when the change's median is no worse than the parent's by more
+than the bound (relative to the parent's median), "worse" when it is,
+and "unresolved" when the parent's interquartile range, relative to its
+median, exceeds the bound, unless every change run is better than every
+parent run.  --claim names a metric whose gain is judged: the change
+must win at least nine pairs in ten, and the median of the pairwise
+gains must exceed the parent's interquartile range.
 --trace 1 runs traced and summarises the per-layer metrics instead.
 Nothing under benchmark/ is written.
 """
@@ -63,10 +68,25 @@ def gain(parent: float, change: float, better: str) -> float:
     return change - parent if better == "higher" else parent - change
 
 
-def summarise(seeds: list, pairs: list, better: dict) -> dict:
+def bound_verdict(m: dict, bound: float) -> str:
+    """"within", "worse" or "unresolved": whether a metric entry of
+    summarise got worse than the parent by more than bound, a fraction
+    of the parent's median (see the module docstring)."""
+    runs, better, parent = m["runs"], m["better"], m["parent"]
+    if all(gain(p, c, better) > 0 for p in runs["parent"] for c in runs["change"]):
+        return "within"
+    scale = abs(parent["median"])
+    if parent["q3"] - parent["q1"] > bound * scale:
+        return "unresolved"
+    loss = -gain(parent["median"], m["change"]["median"], better)
+    return "worse" if loss > bound * scale else "within"
+
+
+def summarise(seeds: list, pairs: list, better: dict, bounds: dict = None) -> dict:
     """The workload entry for (parent run, change run) pairs of parse_run
-    results; better maps a metric to "higher" or "lower"."""
-    n = len(pairs)
+    results; better maps a metric to "higher" or "lower", bounds an
+    end-to-end metric to its bound, which gives it a verdict."""
+    n, bounds = len(pairs), bounds or {}
     metrics = {}
     for name, unit in pairs[0][0]["units"].items():
         runs = {side: [pair[i]["metrics"][name] for pair in pairs]
@@ -78,6 +98,9 @@ def summarise(seeds: list, pairs: list, better: dict) -> dict:
                        for p, c in zip(runs["parent"], runs["change"]))
             entry["change_wins"] = f"{wins}/{n}"
         entry["runs"] = runs
+        if name in bounds:
+            entry["bound"] = bounds[name]
+            entry["verdict"] = bound_verdict(entry, bounds[name])
         metrics[name] = entry
     return {"pairs": n, "seeds": list(seeds),
             "answers_digest_identical": all(
@@ -103,10 +126,12 @@ def judge_claim(entry: dict, metric: str) -> dict:
             "holds": wins >= 0.9 * len(gains) and median_gain > iqr}
 
 
-def metric_directions() -> dict:
+def metric_specs() -> tuple:
+    """Each metric's direction, and each end-to-end metric's bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec.get("per_layer", [])}
+    return ({m["name"]: m["better"]
+             for m in spec["end_to_end"] + spec.get("per_layer", [])},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def parse_seeds(text: str) -> list:
@@ -177,7 +202,7 @@ def main(argv=None) -> int:
             pairs.append((got["parent"], got["change"]))
             print(f"pair {i + 1}/{len(args.seeds)} seed {seed} done", file=sys.stderr)
 
-    entry = summarise(args.seeds, pairs, metric_directions())
+    entry = summarise(args.seeds, pairs, *metric_specs())
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("what", args.what or f"benchmark/run.py metrics, parent {sha[:7]} "
                    "against the working tree")
@@ -197,6 +222,8 @@ def main(argv=None) -> int:
         claims[key] = judge_claim(entry, args.claim)
     doc["claimed_gain"] = claims or None
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps({name: m["verdict"] for name, m in entry["metrics"].items()
+                      if "verdict" in m}))
     if args.claim:
         print(json.dumps(claims[key]))
     return 0

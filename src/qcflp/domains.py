@@ -61,18 +61,12 @@ class QualDomain:
 
     # -- derived helpers ---------------------------------------------------
 
-    def extremes(self) -> tuple[QualValue, QualValue]:
-        return (self.bottom(), self.top())
-
     def glb_all(self, values: Iterable[QualValue]) -> QualValue:
         """Infimum of a finite collection; the empty infimum is the top."""
         acc = self.top()
         for v in values:
             acc = self.glb(acc, v)
         return acc
-
-    def lt(self, d: QualValue, e: QualValue) -> bool:
-        return self.leq(d, e) and not self.leq(e, d)
 
     def is_strict(self, d: QualValue) -> bool:
         """True when d is above bottom (usable as factor or qualification)."""

@@ -16,7 +16,9 @@ the general path first reaches it, and the right-hand side when the
 conditions first hold, each once per instance (_Instance).  Bindings are
 shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).  Ground data (literals
-and constructors only) is bound and compared whole, with no occurs check.
+and constructors only) is canonical from the translation on
+(transform.GroundData): it is bound whole, with no occurs check, and
+compared by identity.
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -57,7 +59,7 @@ from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     FALSE, HashCons, TRUE, Var, apply_subst, compare_data,
                     deep_recursion, vars_of)
-from .transform import leaf_names
+from .transform import GroundData, leaf_names
 
 
 @dataclass
@@ -172,29 +174,22 @@ class Answer:
     store: Store = field(repr=False, compare=False, default=None)
 
 
-def _template(e: Expr, pos: dict, sig, data: "_GroundData"):
+def _template(e: Expr, pos: dict, sig):
     """Rename template of an expression (see Solver._rename_rule).
 
     A variable becomes its position in the rule's variable list; an
     application that holds a variable or a function call becomes a
-    (symbol, kid templates) pair to rebuild; anything else is shared.
+    (symbol, kid templates) pair to rebuild; anything else is shared,
+    so ground data stays the canonical term that the translation built.
     Call nodes are always rebuilt, because call-time choice is keyed by
-    the identity of the call.  Ground data, a literal or a constructor
-    application over canonical kids, is shared as its canonical term in
-    data, the program's _GroundData, so the program's own data is
-    canonical once per program; it is built bottom up from the kids'
-    templates, in one pass over the rule.
+    the identity of the call.
     """
     if isinstance(e, Var):
         return pos[e.name]
     if isinstance(e, App) and e.args:
-        kids = tuple(_template(a, pos, sig, data) for a in e.args)
+        kids = tuple(_template(a, pos, sig) for a in e.args)
         if not sig.is_data(e.symbol) or any(type(k) in (int, tuple) for k in kids):
             return (e.symbol, kids)
-        if all(id(k) in data.proofs for k in kids):
-            return data.app(e.symbol, kids)
-    elif type(e) is Basic or (type(e) is App and sig.is_data(e.symbol)):
-        return data.leaf(e)
     return e
 
 
@@ -350,23 +345,6 @@ def _instance_side(side, vs: list):
     return (k * v.value, None) if type(v) is Basic else None
 
 
-def _same_data(a: Expr, b: Expr) -> bool:
-    """Whether ground data a and b are equal, literals by value; iterative."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is Basic or type(y) is Basic:
-            if not (type(x) is type(y) and x.value == y.value):
-                return False
-        elif x.symbol != y.symbol or len(x.args) != len(y.args):
-            return False
-        else:
-            stack += zip(x.args, y.args)
-    return True
-
-
 class Solver:
     def __init__(self, program: Program, dom: QualDomain = U,
                  limits: Limits = None, trace=None):
@@ -380,15 +358,14 @@ class Solver:
         # template, rule index -> its qualification variables
         self._rules, self._templates, self._quals = program.memo(
             "solver", lambda: (_rules_by_symbol(program), {}, {}))
-        self._ground = {}           # id -> term, for other ground data
         self._calls = self.sig.pf.keys() | self.sig.df.keys()  # not data
         self._fresh = itertools.count()
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # the program's canonical ground data, shared by its solvers and
-        # their templates, and what replay shares across answers
-        self._data = program.memo("ground data", _GroundData)
+        # the program's canonical ground data, which its translation
+        # built, and what replay shares across answers
+        self._data = program.memo("ground data", GroundData)
         self.hashcons = _HashCons(self._data)
 
     # ------------------------------------------------------------------
@@ -404,31 +381,12 @@ class Solver:
         return Var(f"~{next(self._fresh)}")
 
     def _is_ground(self, t: Expr) -> bool:
-        """Whether t is ground data: literals and constructor applications
-        only (as _hnf treats them), no variable and no call.  The
-        program's own data is canonical once per program (_template), so
-        it is known ground by one identity test.  Other terms, such as a
-        goal's data, are decided once per term object and solver, without
-        recursion; only ground terms are kept, by id with the term, so
-        that no id is reused."""
-        if id(t) in self._data.proofs:
-            return True
-        known = self._ground
-        stack = [t]
-        while stack:
-            e = stack[-1]
-            if type(e) is Basic or id(e) in known:
-                stack.pop()
-            elif type(e) is not App or not self.sig.is_data(e.symbol):
-                return None
-            else:
-                todo = [a for a in e.args if type(a) is not Basic and id(a) not in known]
-                if todo:
-                    stack += todo
-                else:
-                    stack.pop()
-                    known[id(e)] = e
-        return True
+        """Whether t is known ground data: a literal, or data that is
+        canonical in the program's GroundData, as the translation builds
+        the data of the rules and goals.  Other ground data, which the
+        search builds or a program parsed from text holds, is not known
+        ground: it takes the general paths, which decompose it."""
+        return type(t) is Basic or id(t) in self._data.proofs
 
     def _rename_rule(self, tpl: tuple, args: tuple, store: Store):
         """A fresh instance of a rule from its template (_compile_rule)
@@ -457,20 +415,21 @@ class Solver:
     def _match_head(self, pats_t: tuple, args: tuple, store: Store, vs: list):
         """Match head pattern templates against a call's args, left to
         right, evaluating and binding nothing: a variable slot takes a
-        walked variable, literal or ground data (heads are linear, so that
-        is binding it), other patterns decompose against data.  Stops at
-        a position that meets a call, a variable under a pattern or data
-        that is not ground in a slot: _unify_pattern unifies from there.
-        Fills vs at the matched positions' slots and returns their walked
-        arguments, or None when a literal or a data head clashes."""
-        subst = store.subst
+        walked variable, literal or canonical ground data (heads are
+        linear, so that is binding it), other patterns decompose against
+        data.  Stops at a position that meets a call, a variable under a
+        pattern or other data in a slot (_is_ground): _unify_pattern
+        unifies from there.  Fills vs at the matched positions' slots and
+        returns their walked arguments, or None when a literal or a data
+        head clashes."""
+        subst, ground = store.subst, self._data.proofs
         matched = []
         for t, a in zip(pats_t, args):
             while type(a) is Var and a.name in subst:
                 a = subst[a.name]
             if type(t) is int:  # a variable slot: no decomposition
                 if type(a) is not Var and type(a) is not Basic \
-                        and not (type(a) is App and self._is_ground(a)):
+                        and id(a) not in ground:
                     return matched
                 vs[t] = a
             else:
@@ -481,7 +440,7 @@ class Solver:
                         x = subst[x.name]
                     if type(t) is int:
                         if type(x) is not Var and type(x) is not Basic \
-                                and not (type(x) is App and self._is_ground(x)):
+                                and id(x) not in ground:
                             return matched
                         taken.append((t, x))
                     elif type(x) is Basic:
@@ -511,7 +470,7 @@ class Solver:
         pos = {v: i for i, v in enumerate(names)}
 
         def template(e):
-            return _template(e, pos, self.sig, self._data)
+            return _template(e, pos, self.sig)
 
         pats_t = tuple(template(p) for p in rule.patterns)
         compiled_t = tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions)
@@ -890,7 +849,7 @@ class Solver:
         if isinstance(ha, App) and isinstance(hb, App) \
                 and ha.symbol == hb.symbol and len(ha.args) == len(hb.args):
             if self._is_ground(ha) and self._is_ground(hb):
-                if _same_data(ha, hb):  # ground data: compared whole
+                if ha is hb:  # canonical ground data: equal when one object
                     yield
                 return
             yield from self._pairwise(self._unify_strict, ha.args, hb.args,
@@ -1127,114 +1086,43 @@ class ReplayError(ValueError):
     pass
 
 
-class _GroundData(HashCons):
-    """The canonical ground data of one program, and its proofs.
-
-    Ground data is a literal or a constructor application whose
-    arguments are ground data: no variable and no call.  It is canonical
-    here as in terms.HashCons, keyed by its value or by its symbol and
-    the ids of its canonical arguments, never by the id of a search or
-    goal term, so the table grows with the program's own data, which the
-    rule templates hold in canonical form (_template), and with the
-    distinct ground values that replay meets, not with the queries.
-    proofs maps the id of every canonical term to its proof against
-    itself (refl on a literal, cons on an application), or None until
-    that is built.  The solvers of a program share the table
-    (Program.memo), so a book record of the library list is canonical
-    and proved once per program, and check_proof, which keeps its
-    verdicts on the program, decides that proof once.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.proofs = {}
-
-    def leaf(self, e: Expr) -> Expr:
-        """The canonical literal or nullary application."""
-        out = super().leaf(e)
-        self.proofs.setdefault(id(out), None)
-        return out
-
-    def app(self, symbol: str, args=()) -> App:
-        """The canonical constructor application of symbol to canonical
-        ground data args."""
-        out = super().app(symbol, args)
-        self.proofs.setdefault(id(out), None)
-        return out
-
-    def proof(self, t: Expr) -> ProofTree:
-        """The proof of canonical ground data t against itself; built
-        bottom up, without recursion."""
-        proofs = self.proofs
-        stack = [t]
-        while stack:
-            e = stack[-1]
-            if proofs[id(e)] is not None:
-                stack.pop()
-                continue
-            todo = [a for a in e.args if proofs[id(a)] is None] \
-                if type(e) is App else ()
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            if type(e) is App:
-                kids = tuple([proofs[id(a)] for a in e.args])
-                proofs[id(e)] = ProofTree("cons", production(e, e), kids)
-            else:
-                proofs[id(e)] = ProofTree("refl", production(e, e))
-        return proofs[id(t)]
-
-
 class _HashCons(HashCons):
     """The canonical terms and proof nodes of one solver's replays.
 
     Each term and node belongs to one table by its content: ground data
-    and its proofs against itself to the program's _GroundData, shared
+    and its proofs against itself to the program's GroundData, shared
     by every solver of the program; variables, bottom, calls, the
     applications that hold them and every other proof node to this one.
     A proof node is keyed by its tag, its rule index, the ids of its
     conclusion's terms, of its theta values (the rule fixes their names)
     and of its children.  Equal parts of the trees of every answer are
     then one object, in one of the two tables, which check_proof decides
-    once per program and domain.
-
-    The program's own data is canonical once per program: the rule
-    templates hold it as its canonical term (Solver._compile_rule), so
-    replay hands it out as it is.  Other ground data, such as a book
-    record in a goal, resolves to the same canonical term in every
-    store: ground maps the id of every such object that replay has met,
-    and of its canonical form, to (term, canonical term), so it is
-    resolved once per solver.
+    once per program and domain.  The ground data of the rules and goals
+    is canonical from the translation on, so replay hands it out as it
+    is; only the data that the search built is made canonical here.
 
     Every table keeps its key objects alive, in the canonical term or
-    node it maps to or in the ground entry, so no id is reused while the
-    solver lives.
+    node it maps to, so no id is reused while the solver lives.
     """
 
-    def __init__(self, data: _GroundData):
+    def __init__(self, data: GroundData):
         super().__init__()
         self.program_data = data
         self.nodes = {}
-        self.ground = {}
 
     def leaf(self, e: Expr) -> Expr:
         if type(e) is Basic or type(e) is App:
             return self.program_data.leaf(e)
         return super().leaf(e)
 
-    def data(self, e: App, args: list) -> App:
-        """The canonical constructor application of e.symbol to args; e
-        is entered in ground when every argument of e is ground data."""
+    def data(self, symbol: str, args: list) -> App:
+        """The canonical constructor application of symbol to args: in
+        the program's GroundData when every argument is canonical there."""
         program_data = self.program_data
         for a in args:
             if id(a) not in program_data.proofs:
-                return self.app(e.symbol, args)
-        out = program_data.app(e.symbol, args)
-        ground = self.ground
-        if all(type(a) is Basic or id(a) in ground for a in e.args):
-            ground[id(e)] = ground[id(out)] = (e, out)
-        return out
+                return self.app(symbol, args)
+        return program_data.app(symbol, args)
 
     def node(self, tag: str, lhs: Expr, rhs: Expr, kids: tuple = (),
              rule_index: Optional[int] = None, theta: tuple = ()) -> ProofTree:
@@ -1268,13 +1156,13 @@ class _Replay:
     undefined value on result positions.
 
     Every term and proof node that replay hands out is canonical in the
-    solver's _HashCons, or for ground data in the program's _GroundData,
+    solver's _HashCons, or for ground data in the program's GroundData,
     so structurally equal parts of the trees of all the answers of one
     solver are one object, and replaying a goal again returns the same
-    trees.  The program's own data is canonical once per program, in
-    the rule templates, so value and display return it as it is; other
-    ground data resolves once per solver, and ground data is proved
-    against itself once per program.
+    trees.  The ground data of the rules and goals is canonical from the
+    translation on, so value and display return it as it is, by one
+    identity test, and ground data is proved against itself once per
+    program.
 
     What depends on the store is memoized per answer: value resolves each
     variable and each walked App node once, display each walked App node
@@ -1304,8 +1192,8 @@ class _Replay:
     def value(self, e: Expr) -> Expr:
         """Result-side resolution: a term, with unevaluated calls as bottom."""
         if id(e) in self._data.proofs:
-            return e  # the program's data is its own value
-        hit = self._values.get(id(e)) or self.share.ground.get(id(e))
+            return e  # canonical ground data is its own value
+        hit = self._values.get(id(e))
         if hit is not None:
             return hit[1]
         w = self._walk(e)
@@ -1321,9 +1209,7 @@ class _Replay:
         elif rec is not None and rec.call is e:
             out = self.value(rec.result)
         elif self.sig.is_data(e.symbol):
-            out = self.share.data(e, [self.value(a) for a in e.args])
-            if id(e) in self.share.ground:
-                return out
+            out = self.share.data(e.symbol, [self.value(a) for a in e.args])
         elif self.sig.kind(e.symbol) == "pf":
             try:
                 out = self.share.leaf(eval_primitive(
@@ -1344,14 +1230,12 @@ class _Replay:
             return self.value(e)
         if not isinstance(e, App):
             return self.share.leaf(e)
-        hit = self.share.ground.get(id(e)) or self._shown.get(id(e))
+        hit = self._shown.get(id(e))
         if hit is not None:
             return hit[1]
         args = [self.display(a) for a in e.args]
         if self.sig.is_data(e.symbol):
-            out = self.share.data(e, args)
-            if id(e) in self.share.ground:
-                return out
+            out = self.share.data(e.symbol, args)
         else:
             out = self.share.app(e.symbol, args)
         self._shown[id(e)] = (e, out)

@@ -261,15 +261,6 @@ def apply_subst(obj, sigma: Subst):
     raise TypeError(f"cannot substitute in {obj!r}")
 
 
-def compose_subst(sigma: Subst, tau: Subst) -> Subst:
-    """Composition: applying the result equals applying sigma then tau."""
-    out = {x: apply_subst(e, tau) for x, e in sigma.items()}
-    for y, e in tau.items():
-        if y not in out:
-            out[y] = e
-    return out
-
-
 def vars_of(obj) -> set:
     """Names of the variables in an expression, constraint, or tuple/list
     of such; iterative, so arbitrarily deep terms are fine."""

@@ -45,7 +45,7 @@ from .domains import ProductDomain, QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Goal, Program, ProgramRule
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    Signature, TRUE, Var, vars_of)
+                    HashCons, Signature, TRUE, Var, vars_of)
 
 PAIR_CTOR = "qpair"
 
@@ -133,33 +133,113 @@ def primed(symbol: str) -> str:
     return symbol + "'"
 
 
-def transform_expr(e: Expr, sig: Signature, call_arg) -> Expr:
+class GroundData(HashCons):
+    """The canonical ground data of one program, and its proofs.
+
+    Ground data is a literal or a constructor application whose
+    arguments are ground data: no variable and no call.  The translation
+    builds every piece of it in the program's rules and goals here
+    (transform_expr), so from the translation on ground data is compared
+    by identity: two canonical terms are equal exactly when they are one
+    object.  A literal is keyed by its value alone, as the solver
+    compares literals (1 and 1.0 are one term), an application by its
+    symbol and the ids of its canonical arguments, never by the id of a
+    search or goal term, so the table grows with the program's and its
+    goals' distinct data and with the ground values that replay meets.
+
+    The table is kept on the source program (Program.memo) and on each
+    of its translations, so the solvers, replays and goals of a program
+    share it.  proofs maps the id of every canonical term to its proof
+    against itself (refl on a literal, cons on an application), or None
+    until that is built; a book record of the library list is then
+    proved once per program, and check_proof, which keeps its verdicts
+    on the program, decides that proof once.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.proofs = {}
+
+    def leaf(self, e: Expr) -> Expr:
+        """The canonical literal or nullary constructor application."""
+        key = (Basic, e.value) if type(e) is Basic else (e.symbol,)
+        out = self.terms.get(key)
+        if out is None:
+            out = self.terms[key] = e
+            self.proofs[id(e)] = None
+        return out
+
+    def app(self, symbol: str, args=()) -> App:
+        """The canonical constructor application of symbol to canonical
+        ground data args."""
+        key = (symbol, *map(id, args))
+        out = self.terms.get(key)
+        if out is None:
+            out = self.terms[key] = App(symbol, tuple(args))
+            self.proofs[id(out)] = None
+        return out
+
+    def proof(self, t: Expr) -> ProofTree:
+        """The proof of canonical ground data t against itself; built
+        bottom up, without recursion."""
+        proofs = self.proofs
+        stack = [t]
+        while stack:
+            e = stack[-1]
+            if proofs[id(e)] is not None:
+                stack.pop()
+                continue
+            todo = [a for a in e.args if proofs[id(a)] is None] \
+                if type(e) is App else ()
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            if type(e) is App:
+                kids = tuple([proofs[id(a)] for a in e.args])
+                proofs[id(e)] = ProofTree("cons", production(e, e), kids)
+            else:
+                proofs[id(e)] = ProofTree("refl", production(e, e))
+        return proofs[id(t)]
+
+
+def transform_expr(e: Expr, sig: Signature, data: GroundData, call_arg) -> Expr:
     """e with every call to a defined function primed and given its
     qualification argument: call_arg() for a call at the top of e, and
-    its caller's for a call nested in another call.  Keeps its own
+    its caller's for a call nested in another call.  Its ground data is
+    built canonical in data, one table lookup per node.  Keeps its own
     stack; call_arg() is called in pre-order, left to right."""
+    proofs = data.proofs
     out, stack = [], [(e, None)]  # (term, qualification argument of its caller)
     while stack:
         t, arg = stack.pop()
         if type(t) is tuple:  # (symbol, arity, extra args): build from out
             symbol, n, extra = t
-            out[len(out) - n:] = [App(symbol, tuple(out[len(out) - n:]) + extra)]
-        elif not isinstance(t, App):
+            kids = tuple(out[len(out) - n:])
+            if extra is None and all(id(k) in proofs for k in kids):
+                out[len(out) - n:] = [data.app(symbol, kids)]
+            else:
+                out[len(out) - n:] = [App(symbol, kids + (extra or ()))]
+        elif type(t) is Basic or (type(t) is App and not t.args
+                                  and sig.is_data(t.symbol)):
+            out.append(data.leaf(t))
+        elif type(t) is not App:
             out.append(t)
-        elif sig.kind(t.symbol) == "df":
-            arg = call_arg() if arg is None else arg
-            stack += [((primed(t.symbol), len(t.args), (arg,)), None),
-                      *[(a, arg) for a in reversed(t.args)]]
         else:
-            stack += [((t.symbol, len(t.args), ()), None),
-                      *[(a, arg) for a in reversed(t.args)]]
+            if sig.kind(t.symbol) == "df":
+                arg = call_arg() if arg is None else arg
+                build = (primed(t.symbol), len(t.args), (arg,))
+            else:  # extra None: a constructor, canonical over canonical kids
+                build = (t.symbol, len(t.args), None if sig.is_data(t.symbol) else ())
+            stack += [(build, None), *[(a, arg) for a in reversed(t.args)]]
     return out[0]
 
 
-def transform_constraint(c: AtomicConstraint, sig: Signature,
+def transform_constraint(c: AtomicConstraint, sig: Signature, data: GroundData,
                          call_arg) -> AtomicConstraint:
     return AtomicConstraint(c.symbol,
-                            tuple(transform_expr(a, sig, call_arg) for a in c.args),
+                            tuple(transform_expr(a, sig, data, call_arg)
+                                  for a in c.args),
                             c.result)
 
 
@@ -167,9 +247,10 @@ def transform_constraint(c: AtomicConstraint, sig: Signature,
 # Rules, programs, goals
 # ======================================================================
 
-def transform_rule(rule: ProgramRule, sig: Signature, supply: FreshSupply,
-                   em: Emitter) -> tuple:
-    """Translate one rule; returns (rule, introduced qualification vars)."""
+def transform_rule(rule: ProgramRule, sig: Signature, data: GroundData,
+                   supply: FreshSupply, em: Emitter) -> tuple:
+    """Translate one rule, its ground data canonical in data; returns
+    (rule, introduced qualification vars)."""
     dom = em.dom
     w = supply.fresh()
     head = leaf_names(w, dom)
@@ -192,16 +273,18 @@ def transform_rule(rule: ProgramRule, sig: Signature, supply: FreshSupply,
             + [lower_upper_bound(h, k, fresh[h]) for h, k in bounded.items()]))
         return qual_arg_expr([fresh.get(h, h) for h in head], dom)
 
-    rhs = transform_expr(rule.rhs, sig, premise)
+    # head patterns are constructor terms: they hold no call
+    patterns = tuple(transform_expr(p, sig, data, None) for p in rule.patterns)
+    rhs = transform_expr(rule.rhs, sig, data, premise)
     for c in rule.conditions:
-        conditions.append(transform_constraint(c, sig, premise))
+        conditions.append(transform_constraint(c, sig, data, premise))
     if len(introduced) == 1:
         # no bounded premise, so no site was emitted after the head's
         # qVal: alpha alone takes the sites that follow it
         declared += em.emit([lower_upper_bound(h, k) for h, k in bounded.items()])
 
     new_rule = ProgramRule(primed(rule.name),
-                           rule.patterns + (shared,),
+                           patterns + (shared,),
                            1.0,
                            rhs,
                            tuple(declared + conditions),
@@ -213,9 +296,11 @@ def transform_program(program: Program, dom: QualDomain = U, *,
                       drop_site: Optional[int] = None) -> tuple:
     """Translate a whole program; returns (Program, emit_map list).
 
-    The emit map records, per source rule, the translated rule index,
-    the qualification variables introduced for it and the positions of
-    its own conditions among the translated rule's.
+    The ground data of its rules is canonical in the program's
+    GroundData, which the translated program shares.  The emit map
+    records, per source rule, the translated rule index, the
+    qualification variables introduced for it and the positions of its
+    own conditions among the translated rule's.
     """
     for name in program.signature.df:
         if name.endswith("'"):
@@ -227,6 +312,7 @@ def transform_program(program: Program, dom: QualDomain = U, *,
         avoid |= vars_of(r.patterns) | vars_of(r.rhs) | vars_of(r.conditions)
     supply = FreshSupply(avoid)
     em = Emitter(dom, drop_site)
+    data = program.memo("ground data", GroundData)
 
     sig = Signature(dict(program.signature.dc), dict(program.signature.pf),
                     {primed(f): n + 1 for f, n in program.signature.df.items()})
@@ -237,21 +323,25 @@ def transform_program(program: Program, dom: QualDomain = U, *,
     emit_map = []
     for i, r in enumerate(program.rules):
         start = len(em.emitted)
-        new_rule, introduced = transform_rule(r, program.signature, supply, em)
+        new_rule, introduced = transform_rule(r, program.signature, data, supply, em)
         rules.append(new_rule)
         mine = {id(c) for c in em.emitted[start:]}
         own = [j for j, c in enumerate(new_rule.conditions) if id(c) not in mine]
         emit_map.append({"source_rule": i, "translated_rule": i,
                          "qual_vars": introduced, "source_conditions": own})
-    return Program(sig, rules), emit_map
+    out = Program(sig, rules)
+    out.memo("ground data", lambda: data)
+    return out, emit_map
 
 
 def transform_goal(goal: Goal, program: Program, dom: QualDomain = U) -> tuple:
     """Translate a goal; returns (constraints, goal wvars, data vars).
 
     Each item declares its W and bounds it below by its threshold, and
-    every call in the item takes that W.
+    every call in the item takes that W.  Its ground data is canonical in
+    the program's GroundData, as that of the program's rules is.
     """
+    data = program.memo("ground data", GroundData)
     out = []
     for item in goal.items:
         leaves = leaf_names(item.wvar, dom)
@@ -260,7 +350,7 @@ def transform_goal(goal: Goal, program: Program, dom: QualDomain = U) -> tuple:
         if item.threshold is not None:
             out += lower_lower_bound(item.wvar, dom.coerce(item.threshold), dom)
         out.append(transform_constraint(item.constraint, program.signature,
-                                        lambda: arg))
+                                        data, lambda: arg))
     datavars = sorted(vars_of(tuple(item.constraint for item in goal.items)))
     return out, [item.wvar for item in goal.items], datavars
 

@@ -35,13 +35,6 @@ def test_attenuate_examples():
     assert U.attenuate(0.5, 0.0) == 0.0
 
 
-def test_extremes():
-    assert U.extremes() == (0.0, 1.0)
-    assert UXU.extremes() == ((0.0, 0.0), (1.0, 1.0))
-    nested = ProductDomain(U, UXU)
-    assert nested.extremes() == ((0.0, (0.0, 0.0)), (1.0, (1.0, 1.0)))
-
-
 def test_malformed_values():
     with pytest.raises(MalformedValueError):
         U.check(1.5)

@@ -20,7 +20,7 @@ from qcflp.domains import U, domain_from_name
 from qcflp.runtime import (Limits, Solver, Store, render_answer,
                            replay_trees)
 from qcflp.semantics import serialize_proof
-from qcflp.syntax import parse_goal, parse_program
+from qcflp.syntax import parse_goal, parse_program, print_program
 from qcflp.terms import Basic, Var
 from qcflp.transform import transform_goal, transform_program
 
@@ -122,6 +122,26 @@ def test_threshold_sweep_answers_unchanged(library_text, goal, dom_name,
     dom = domain_from_name(dom_name)
     program = parse_program(library_text, dom)
     assert solve(program, goal, depth, dom) == expected
+
+
+@pytest.mark.parametrize("goal,dom_name,depth,expected", THRESHOLD_SWEEP)
+def test_data_that_is_not_canonical_takes_the_general_paths(
+        library_text, goal, dom_name, depth, expected):
+    # a translated program parsed back from text holds no canonical
+    # ground data, and the goal's data is canonical in another table, so
+    # its solver compares and binds data by decomposing it: the same
+    # answers, only slower
+    dom = domain_from_name(dom_name)
+    program = parse_program(library_text, dom)
+    translated, _ = transform_program(program, dom)
+    reparsed = parse_program(print_program(translated), dom)
+    constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
+    rendered = []
+    for p in (translated, reparsed):
+        solver = Solver(p, dom, Limits(depth=depth))
+        rendered.append([render_answer(a)
+                         for a in solver.solve(constraints, wvars, datavars)])
+    assert rendered == [expected, expected]
 
 
 # The qualification probe: a rule whose attenuation caps the call's

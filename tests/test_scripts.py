@@ -61,8 +61,9 @@ def test_bench_pairs_aggregation():
               bp.parse_run(canned_run(c, 40.0 if i else 30.0, failed=int(i == 9),
                                       digest="ffff" if i == 5 else "230545bfecae47ca")))
              for i, (p, c) in enumerate(zip(parent, change))]
-    entry = bp.summarise(range(1, 11), pairs,
-                         {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    better = {"ops_per_s": "higher", "op_p50_ms": "lower"}
+    bounds = {"ops_per_s": 0.25, "op_p50_ms": 0.25}
+    entry = bp.summarise(range(1, 11), pairs, better, bounds)
     assert entry["pairs"] == 10 and entry["seeds"] == list(range(1, 11))
     assert entry["answers_digest_identical"] is False
     assert entry["failed_ops"][9] == [0, 1] and entry["failed_ops"][0] == [0, 0]
@@ -76,10 +77,34 @@ def test_bench_pairs_aggregation():
     claim = bp.judge_claim(entry, "ops_per_s")
     assert claim["change_wins"] == "9/10" and claim["holds"] is True
     assert abs(claim["parent_iqr"] - 0.2) < 1e-9
+    # every metric with a bound gets a verdict: a gain, and a loss that
+    # the bound covers (p50 40 -> 40 in the median), are within it
+    assert ops["bound"] == 0.25 and ops["verdict"] == "within"
+    assert entry["metrics"]["op_p50_ms"]["verdict"] == "within"
     # the same gains without a ninth win do not hold
     pairs[0] = (pairs[0][0], bp.parse_run(canned_run(6.0, 40.0)))
     entry = bp.summarise(range(1, 11), pairs, {"ops_per_s": "higher"})
     assert bp.judge_claim(entry, "ops_per_s")["holds"] is False
+    assert "verdict" not in entry["metrics"]["ops_per_s"]
+
+    def verdicts(parent, change, p50s=(40.0, 40.0)):
+        runs = [(bp.parse_run(canned_run(p, p50s[0])),
+                 bp.parse_run(canned_run(c, p50s[1]))) for p, c in zip(parent, change)]
+        metrics = bp.summarise(range(len(runs)), runs, better, bounds)["metrics"]
+        return metrics["ops_per_s"]["verdict"], metrics["op_p50_ms"]["verdict"]
+    steady = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.1, 9.9, 10.0, 10.2]
+    # worse by more than the bound: a third fewer ops, a p50 half again
+    assert verdicts(steady, [x * 2 / 3 for x in steady], (40.0, 60.0)) \
+        == ("worse", "worse")
+    # worse by less than the bound
+    assert verdicts(steady, [x * 0.8 for x in steady], (40.0, 49.0)) \
+        == ("within", "within")
+    # a parent that spreads by more than the bound cannot tell
+    wide = [6.0, 14.0, 6.5, 13.5, 7.0, 13.0, 6.0, 14.0, 6.5, 13.5]
+    assert verdicts(wide, wide)[0] == "unresolved"
+    assert verdicts(wide, [x * 0.5 for x in wide])[0] == "unresolved"
+    # unless every change run is better than every parent run
+    assert verdicts(wide, [x + 10.0 for x in wide])[0] == "within"
 
 
 def test_bench_pairs_workloads_keep_their_commands(monkeypatch, tmp_path):

@@ -5,13 +5,13 @@ import sys
 
 import pytest
 
-from conftest import random_layered_program
+from conftest import BOOK4, random_layered_program
 from qcflp.domains import U, domain_from_name
 from qcflp.syntax import (parse_constraints, parse_expr, parse_goal,
                           parse_program, print_constraints, print_program,
                           print_rule)
 from qcflp.terms import Basic, Var, vars_of
-from qcflp.transform import (Emitter, FreshSupply, TransformError,
+from qcflp.transform import (Emitter, FreshSupply, GroundData, TransformError,
                              transform_expr, transform_goal, transform_program,
                              transform_rule)
 
@@ -21,7 +21,7 @@ UXU = domain_from_name("uxu")
 def _tx_expr(text, program):
     # each call at the top takes a fresh qualification argument
     supply = FreshSupply()
-    return transform_expr(parse_expr(text), program.signature,
+    return transform_expr(parse_expr(text), program.signature, GroundData(),
                           lambda: Var(supply.fresh()))
 
 
@@ -82,7 +82,8 @@ def test_nested_calls_chain(library):
 def test_rule_no_calls(library):
     rule = library.rules[1]  # the empty-list membership rule
     supply = FreshSupply()
-    new_rule, introduced = transform_rule(rule, library.signature, supply, Emitter(U))
+    new_rule, introduced = transform_rule(rule, library.signature, GroundData(),
+                                          supply, Emitter(U))
     # alpha is 1, so the head bounds nothing and declares nothing
     assert print_rule(new_rule) == "member'(B, [], _W0) --> false"
     assert introduced == ["_W0"]
@@ -90,8 +91,8 @@ def test_rule_no_calls(library):
 
 def test_rule_at_factor_one_threads_its_variable(library):
     rule = library.rules[3]  # member(B,H:T) --> member(B,T) <== B /= H
-    new_rule, introduced = transform_rule(rule, library.signature, FreshSupply(),
-                                          Emitter(U))
+    new_rule, introduced = transform_rule(rule, library.signature, GroundData(),
+                                          FreshSupply(), Emitter(U))
     assert print_rule(new_rule) == \
         "member'(B, H:T, _W0) --> member'(B, T, _W0) <== B /= H"
     assert introduced == ["_W0"]
@@ -101,7 +102,8 @@ def test_rule_with_condition_call(library):
     rule = next(r for r in library.rules
                 if r.name == "guessGenre" and r.attenuation == 0.9)
     supply = FreshSupply()
-    new_rule, introduced = transform_rule(rule, library.signature, supply, Emitter(U))
+    new_rule, introduced = transform_rule(rule, library.signature, GroundData(),
+                                          supply, Emitter(U))
     assert print_rule(new_rule) == (
         "guessGenre'(B, _W0) --> \"Fantasy\" <== qVal(_W0), "
         "qVal(_W1), _W0 <= 0.9*_W1, guessGenre'(B, _W1) == \"SciFi\"")
@@ -112,7 +114,7 @@ def test_rule_with_rhs_call():
     p = parse_program("g --> true\nf(X) -0.8-> g")
     supply = FreshSupply()
     rule = p.rules[1]
-    new_rule, _ = transform_rule(rule, p.signature, supply, Emitter(U))
+    new_rule, _ = transform_rule(rule, p.signature, GroundData(), supply, Emitter(U))
     assert print_rule(new_rule) == \
         "f'(X, _W0) --> g'(_W1) <== qVal(_W0), qVal(_W1), _W0 <= 0.8*_W1"
 
@@ -313,3 +315,24 @@ def test_emit_map_source_conditions(library, dom):
             == [c.symbol for c in rule.conditions]
         emitted = [c for j, c in enumerate(new.conditions) if j not in own]
         assert all(c.symbol in ("qVal", "<=") for c in emitted)
+
+
+def test_goal_data_is_the_rules_data(library_text):
+    # the translation builds the ground data of rules and goals in one
+    # table, kept on the source program and shared by its translation,
+    # so a goal's copy of a record of the library list is that record
+    program = parse_program(library_text)
+    translated, _ = transform_program(program)
+    data = program.memo("ground data", GroundData)
+    assert translated.memo("ground data", GroundData) is data
+    books, spine = [], next(r for r in translated.rules if r.name == "library'").rhs
+    while spine.args:
+        books, spine = books + [spine.args[0]], spine.args[1]
+    entries = len(data.terms)
+    goal = parse_goal(f'(getLanguage({BOOK4}) == "German") # W')
+    constraints, _, _ = transform_goal(goal, program)
+    call, german = constraints[-1].args
+    assert call.args[0] is books[3] and german is books[3].args[3]
+    # neither the goal nor a second translation adds an entry
+    transform_program(program)
+    assert len(data.terms) == entries
