@@ -18,7 +18,10 @@ shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).  Ground data (literals
 and constructors only) is canonical from the translation on
 (transform.GroundData): it is bound whole, with no occurs check, and
-compared by identity.
+compared by identity.  A solver remembers the demands that a call on
+ground data evaluate to a value which failed, with their qualification
+intervals and remaining depth, and fails them again at once (failure
+tabling, Solver._unify_strict).
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -59,7 +62,7 @@ from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     FALSE, HashCons, TRUE, Var, apply_subst, compare_data,
                     deep_recursion, vars_of)
-from .transform import GroundData, leaf_names
+from .transform import PAIR_CTOR, GroundData, leaf_names
 
 
 @dataclass
@@ -174,20 +177,24 @@ class Answer:
     store: Store = field(repr=False, compare=False, default=None)
 
 
-def _template(e: Expr, pos: dict, sig):
+def _template(e: Expr, pos: dict, sig, ground: dict):
     """Rename template of an expression (see Solver._rename_rule).
 
     A variable becomes its position in the rule's variable list; an
     application that holds a variable or a function call becomes a
-    (symbol, kid templates) pair to rebuild; anything else is shared,
-    so ground data stays the canonical term that the translation built.
-    Call nodes are always rebuilt, because call-time choice is keyed by
-    the identity of the call.
+    (symbol, kid templates) pair to rebuild; anything else is shared.
+    Canonical ground data (its id in ground, the program's
+    GroundData.proofs) is shared as the translation built it, by one
+    identity test, so a long list literal is not walked.  Call nodes are
+    always rebuilt, because call-time choice is keyed by the identity of
+    the call.
     """
+    if id(e) in ground:
+        return e
     if isinstance(e, Var):
         return pos[e.name]
     if isinstance(e, App) and e.args:
-        kids = tuple(_template(a, pos, sig) for a in e.args)
+        kids = tuple(_template(a, pos, sig, ground) for a in e.args)
         if not sig.is_data(e.symbol) or any(type(k) in (int, tuple) for k in kids):
             return (e.symbol, kids)
     return e
@@ -345,6 +352,63 @@ def _instance_side(side, vs: list):
     return (k * v.value, None) if type(v) is Basic else None
 
 
+def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
+    """The key of the demand a == b in the failure memo (see
+    Solver._unify_strict), or None when the memo does not apply.
+
+    It applies when one side walks to a call of a defined function that
+    this branch has not reduced (no evals record, so call-time choice is
+    untouched), each data argument walks to a literal or canonical
+    ground data, the qualification argument walks to distinct declared
+    leaf variables or literals (through the product domain's pairs),
+    and the other side walks to a literal or canonical ground data.  The
+    key is the symbol, the data arguments and the demanded value
+    (canonical data by id, a literal by its type and value), each leaf's
+    interval (a literal leaf's value) and the remaining depth.
+    """
+    subst, ground = store.subst, solver._data.proofs
+    while type(a) is Var and a.name in subst:
+        a = subst[a.name]
+    while type(b) is Var and b.name in subst:
+        b = subst[b.name]
+    df = solver.sig.df
+    if type(a) is not App or not df.get(a.symbol):
+        a, b = b, a
+        if type(a) is not App or not df.get(a.symbol):
+            return None
+    rec = store.evals.get(id(a))
+    if rec is not None and rec.call is a:
+        return None
+    key = [a.symbol]
+    for x in (*a.args[:-1], b):
+        while type(x) is Var and x.name in subst:
+            x = subst[x.name]
+        if type(x) is Basic:
+            key.append((type(x.value), x.value))
+        elif id(x) in ground:
+            key.append(id(x))
+        else:
+            return None
+    names, stack = set(), [a.args[-1]]
+    while stack:
+        x = stack.pop()
+        while type(x) is Var and x.name in subst:
+            x = subst[x.name]
+        if type(x) is Var:
+            if x.name in names or x.name not in store.declared:
+                return None
+            names.add(x.name)
+            key.append(store.ivals.get(x.name))
+        elif type(x) is Basic:
+            key.append(x.value)
+        elif type(x) is App and x.symbol == PAIR_CTOR:
+            stack += reversed(x.args)
+        else:
+            return None
+    key.append(depth)
+    return tuple(key)
+
+
 class Solver:
     def __init__(self, program: Program, dom: QualDomain = U,
                  limits: Limits = None, trace=None):
@@ -363,6 +427,10 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
+        # the failure memo (see _unify_strict): key -> the cut reasons
+        # that its exhausted subsearch raised, and the times it was used
+        self.failures = {}
+        self.failure_hits = 0
         # the program's canonical ground data, which its translation
         # built, and what replay shares across answers
         self._data = program.memo("ground data", GroundData)
@@ -470,7 +538,7 @@ class Solver:
         pos = {v: i for i, v in enumerate(names)}
 
         def template(e):
-            return _template(e, pos, self.sig)
+            return _template(e, pos, self.sig, self._data.proofs)
 
         pats_t = tuple(template(p) for p in rule.patterns)
         compiled_t = tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions)
@@ -812,10 +880,65 @@ class Solver:
         return False
 
     def _unify_strict(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[None]:
-        """Strict equality: both sides evaluate to the same total value."""
-        for ha in self._hnf(a, store, depth):
-            for hb in self._hnf(b, store, depth):
-                yield from self._unify_heads(ha, hb, store, depth)
+        """Strict equality: both sides evaluate to the same total value.
+
+        A demand that a call on ground data evaluate to a given value
+        goes through the failure memo (failure tabling), keyed as
+        _failure_key says.  A subsearch that runs to exhaustion with no
+        solution and no propagation guard records its key with the cut
+        reasons it raised; a later demand with that key adds those
+        reasons to the run's cut, so every answer keeps its flags, and
+        fails without trying a rule.  No key is recorded or used once
+        the solver has hit the guard.  The memo is this solver's own.
+
+        The failure depends on nothing but the key:
+        - inside the subsearch, rule instances see only the key's data,
+          fresh variables and the qualification leaves;
+        - the translation's bounds carry lower bounds down to a call's
+          leaves and upper bounds up from them, so while the subsearch
+          runs nothing outside it narrows the leaves, and what it
+          narrows outside empties an interval only if it empties a leaf;
+        - propagation is monotone, so a narrower context only fails
+          more; the step guard is not monotone (it stops a propagation
+          where it is), which is why runs that hit it are left out;
+        - keys may hold the ids of canonical data, because the program's
+          GroundData keeps those terms alive.
+        """
+        key = _failure_key(self, store, a, b, depth)
+        if key is None:
+            for ha in self._hnf(a, store, depth):
+                for hb in self._hnf(b, store, depth):
+                    yield from self._unify_heads(ha, hb, store, depth)
+            return
+        if not self.guard_hits:
+            cut = self.failures.get(key)
+            if cut is not None:
+                self.cut |= cut
+                self.failure_hits += 1
+                if self.trace:
+                    call, value = self.walk(store, a), self.walk(store, b)
+                    if type(call) is not App or call.symbol not in self.sig.df:
+                        call, value = value, call
+                    self.trace(f"reuse failure: {print_expr(call)} == {print_expr(value)}")
+                return
+        # the subsearch's cut reasons go to a set of their own until it
+        # yields a solution, which leaves nothing to record
+        outer, self.cut = self.cut, set()
+        try:
+            for ha in self._hnf(a, store, depth):
+                for hb in self._hnf(b, store, depth):
+                    for _ in self._unify_heads(ha, hb, store, depth):
+                        if outer is not None:
+                            outer |= self.cut
+                            self.cut, outer = outer, None
+                        yield
+        finally:
+            if outer is not None:
+                raised = self.cut
+                outer |= raised
+                self.cut = outer
+        if outer is not None and not self.guard_hits:
+            self.failures[key] = frozenset(raised)
 
     def _unify_heads(self, ha: Expr, hb: Expr, store: Store, depth: int) -> Iterator[None]:
         if isinstance(ha, Var) and isinstance(hb, Var):

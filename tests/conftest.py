@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from qcflp import runtime
 from qcflp.semantics import (check_proof, distinct_parts, parse_proof,
                              serialize_proof)
 from qcflp.syntax import Program, ProgramRule, parse_program
@@ -34,6 +35,12 @@ def library_text():
 @pytest.fixture(scope="session")
 def library(library_text):
     return parse_program(library_text)
+
+
+@pytest.fixture
+def no_failure_memo(monkeypatch):
+    """The solver with its failure memo off: no demand gets a key."""
+    monkeypatch.setattr(runtime, "_failure_key", lambda *args: None)
 
 
 def random_layered_program(rng: random.Random, layers: int = 3,

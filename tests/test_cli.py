@@ -499,10 +499,13 @@ def solve_fresh(tmp_path, program, goal):
      f"{{ R -> {nested_s(200)} }} {{ W in (0, 1] }}"),
     (None, "(member(7,[" + ",".join(str(i) for i in range(20000))
      + "]) == true) # W | W >= 0.5", "{ } { W in [0.5, 1] }"),
-], ids=["list-1500", "nested-200", "list-20000"])
+    ("data t = a\nbig --> [" + ", ".join(["a"] * 60000) + "]\nhd(X:_T) --> X\n",
+     "(hd(big) == X) # W", "{ X -> a } { W in (0, 1] }"),
+], ids=["list-1500", "nested-200", "list-20000", "rule-list-60000"])
 def test_deep_input_solves(tmp_path, program, goal, answer):
     # the parser and the translation run under the solver's raised limit;
-    # 20,000 cells overflow the C stack of a main thread
+    # 20,000 cells overflow the C stack of a main thread; a rule's ground
+    # list is shared whole by its rename template, not walked
     proc = solve_fresh(tmp_path, program, goal)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer + "\n", "")
 
