@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Search counters of the paper goal down its threshold family.
+
+    python3 scripts/growth.py
+
+Solves programs/library.qcflp's paper goal,
+(search("German","Essay",intermediate) == R) # W | W >= t, for each
+threshold t from 0.9 down to 0.1, each on a fresh solver at depth 64,
+and prints one line per threshold:
+the rule tries, propagation steps, failure-memo hits and records, the
+process time of the solve and a digest of the rendered answers.  The
+counters are deterministic; the time is for information.  The last line
+is the JSON of every row.
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from qcflp.runtime import Limits, Solver, render_answer
+from qcflp.syntax import parse_goal, parse_program
+from qcflp.transform import transform_goal, transform_program
+
+GOAL = '(search("German","Essay",intermediate) == R) # W | W >= %s'
+THRESHOLDS = ("0.9", "0.8", "0.7", "0.6", "0.5", "0.4", "0.3", "0.2", "0.15", "0.1")
+DEPTH = 64
+
+
+def measure(program, translated, threshold: str) -> dict:
+    constraints, wvars, datavars = transform_goal(parse_goal(GOAL % threshold), program)
+    solver = Solver(translated, limits=Limits(depth=DEPTH))
+    tries = 0
+    rename = solver._rename_rule
+
+    def counted(*args):
+        nonlocal tries
+        tries += 1
+        return rename(*args)
+
+    solver._rename_rule = counted
+    started = time.process_time()
+    answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
+    ms = (time.process_time() - started) * 1000
+    return {"threshold": float(threshold), "tries": tries,
+            "steps": solver.prop_steps, "memo_hits": solver.failure_hits,
+            "memo_records": sum(map(len, solver.failures.values())),
+            "answers": len(answers), "cut": sorted(solver.cut),
+            "digest": hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16],
+            "ms": round(ms, 1)}
+
+
+def main():
+    program = parse_program((ROOT / "programs" / "library.qcflp").read_text())
+    translated, _ = transform_program(program)
+    rows = []
+    for threshold in THRESHOLDS:
+        row = measure(program, translated, threshold)
+        rows.append(row)
+        print(f"W >= {threshold:<5} tries {row['tries']:>6}  steps {row['steps']:>7}"
+              f"  memo hits {row['memo_hits']:>5} records {row['memo_records']:>5}"
+              f"  answers {row['answers']} {row['digest']}  {row['ms']:.0f} ms")
+    print(json.dumps({"family": "threshold", "goal": GOAL % "t",
+                      "depth": DEPTH, "rows": rows}))
+
+if __name__ == "__main__":
+    main()

@@ -49,31 +49,55 @@ class OracleReport:
 
 
 def default_universe(program: Program, limit: int = 24) -> list:
-    """Ground constructor terms mentioned by the program, small ones first."""
-    seen = []
+    """Ground constructor terms mentioned by the program, small ones first.
 
-    def visit(e: Expr):
-        if isinstance(e, App):
-            for a in e.args:
-                visit(a)
-        if is_value(e, program.signature) and e not in seen:
-            seen.append(e)
-
+    One walk over the rules, with its own stack, visits each subterm
+    after its arguments and hash-conses the values as == compares them:
+    a literal by its value, an application by its symbol and its
+    arguments' canonical terms.  Each distinct value is kept once, as it
+    is first met, with its size, so a long list literal costs linear
+    time.  Only values that can be among the first limit by size are
+    printed for the order.
+    """
+    sig = program.signature
+    canon = {}   # id of a visited subterm -> its canonical value, or None
+    table = {}   # key -> canonical value
+    size = {}    # id of a canonical value -> its size
+    roots = []
     for r in program.rules:
-        for p in r.patterns:
-            visit(p)
-        visit(r.rhs)
+        roots += r.patterns
+        roots.append(r.rhs)
         for c in r.conditions:
-            for x in (*c.args, c.result):
-                visit(x)
-    seen.sort(key=lambda e: (_size(e), print_expr(e)))
+            roots += (*c.args, c.result)
+    stack = [(e, False) for e in reversed(roots)]
+    while stack:
+        e, kids_done = stack.pop()
+        if id(e) in canon:
+            continue
+        if type(e) is App and e.args and not kids_done:
+            stack.append((e, True))
+            stack += ((a, False) for a in reversed(e.args))
+            continue
+        kids = [canon[id(a)] for a in e.args] if type(e) is App else ()
+        if type(e) is Basic:
+            key = (Basic, e.value)
+        elif type(e) is App and sig.kind(e.symbol) == "dc" \
+                and all(k is not None for k in kids):
+            key = (e.symbol, *map(id, kids))
+        else:
+            canon[id(e)] = None
+            continue
+        value = table.get(key)
+        if value is None:
+            value = table[key] = e
+            size[id(e)] = 1 + sum(size[id(k)] for k in kids)
+        canon[id(e)] = value
+    seen = list(table.values())
+    if 0 < limit < len(seen):
+        cap = sorted(size.values())[limit - 1]
+        seen = [e for e in seen if size[id(e)] <= cap]
+    seen.sort(key=lambda e: (size[id(e)], print_expr(e)))
     return seen[:limit]
-
-
-def _size(e: Expr) -> int:
-    if isinstance(e, App):
-        return 1 + sum(_size(a) for a in e.args)
-    return 1
 
 
 def _antichain(points: list, tol: float = TOL) -> list:

@@ -21,7 +21,8 @@ and constructors only) is canonical from the translation on
 compared by identity.  A solver remembers the demands that a call on
 ground data evaluate to a value which failed, with their qualification
 intervals and remaining depth, and fails them again at once (failure
-tabling, Solver._unify_strict).
+tabling, Solver._unify_strict); a failure whose search was not cut also
+fails the same demand with narrower intervals (call subsumption).
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -362,9 +363,11 @@ def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
     ground data, the qualification argument walks to distinct declared
     leaf variables or literals (through the product domain's pairs),
     and the other side walks to a literal or canonical ground data.  The
-    key is the symbol, the data arguments and the demanded value
-    (canonical data by id, a literal by its type and value), each leaf's
-    interval (a literal leaf's value) and the remaining depth.
+    key is a pair.  Its base is the symbol, the data arguments and the
+    demanded value (canonical data by id, a literal by its type and
+    value), the qualification leaves (a literal leaf's value, None for a
+    variable) and the remaining depth; the second part is the interval
+    of each variable leaf, in order.
     """
     subst, ground = store.subst, solver._data.proofs
     while type(a) is Var and a.name in subst:
@@ -389,7 +392,7 @@ def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
             key.append(id(x))
         else:
             return None
-    names, stack = set(), [a.args[-1]]
+    names, leaves, stack = set(), [], [a.args[-1]]
     while stack:
         x = stack.pop()
         while type(x) is Var and x.name in subst:
@@ -398,7 +401,8 @@ def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
             if x.name in names or x.name not in store.declared:
                 return None
             names.add(x.name)
-            key.append(store.ivals.get(x.name))
+            key.append(None)
+            leaves.append(store.ivals.get(x.name, FULL))
         elif type(x) is Basic:
             key.append(x.value)
         elif type(x) is App and x.symbol == PAIR_CTOR:
@@ -406,7 +410,15 @@ def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
         else:
             return None
     key.append(depth)
-    return tuple(key)
+    return tuple(key), tuple(leaves)
+
+
+_CLEAN = frozenset()   # the cut reasons of a clean failure
+
+
+def _inside(leaves: tuple, wider: tuple) -> bool:
+    """Each leaf's interval lies inside its interval in wider."""
+    return all(iv.within(w) for iv, w in zip(leaves, wider))
 
 
 class Solver:
@@ -427,8 +439,9 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # the failure memo (see _unify_strict): key -> the cut reasons
-        # that its exhausted subsearch raised, and the times it was used
+        # the failure memo (see _unify_strict): a key's base -> its
+        # leaf intervals -> the cut reasons that the exhausted subsearch
+        # raised; and the times it was used
         self.failures = {}
         self.failure_hits = 0
         # the program's canonical ground data, which its translation
@@ -886,10 +899,15 @@ class Solver:
         goes through the failure memo (failure tabling), keyed as
         _failure_key says.  A subsearch that runs to exhaustion with no
         solution and no propagation guard records its key with the cut
-        reasons it raised; a later demand with that key adds those
+        reasons it raised.  A later demand with that key adds those
         reasons to the run's cut, so every answer keeps its flags, and
-        fails without trying a rule.  No key is recorded or used once
-        the solver has hit the guard.  The memo is this solver's own.
+        fails without trying a rule.  A clean record (no cut reason)
+        also serves every demand with its base whose leaf intervals lie
+        inside the recorded ones (call subsumption); the clean records
+        of one base are kept an antichain, a wider one dropping those it
+        contains.  A record with a cut reason serves its exact key only.
+        No key is recorded or used once the solver has hit the guard.
+        The memo is this solver's own.
 
         The failure depends on nothing but the key:
         - inside the subsearch, rule instances see only the key's data,
@@ -903,6 +921,15 @@ class Solver:
           where it is), which is why runs that hit it are left out;
         - keys may hold the ids of canonical data, because the program's
           GroundData keeps those terms alive.
+        Subsumption is sound for the same reason: from narrower leaves
+        every propagation ends narrower, so the rule filter skips at
+        least the rules it skipped and every branch empties no later;
+        the narrower search explores a subtree of the recorded one.
+        That subtree has no solution, and the cut reasons it raises are
+        a subset of the record's, which are none.  A record with a cut
+        reason serves its exact key only: a narrower search may raise
+        fewer reasons, and adding the record's would flag what that
+        search leaves clean.  A demand at another depth cuts elsewhere.
         """
         key = _failure_key(self, store, a, b, depth)
         if key is None:
@@ -910,8 +937,14 @@ class Solver:
                 for hb in self._hnf(b, store, depth):
                     yield from self._unify_heads(ha, hb, store, depth)
             return
+        base, leaves = key
         if not self.guard_hits:
-            cut = self.failures.get(key)
+            known, cut = self.failures.get(base), None
+            if known:
+                cut = known.get(leaves)
+                if cut is None and any(not c and _inside(leaves, wider)
+                                       for wider, c in known.items()):
+                    cut = _CLEAN
             if cut is not None:
                 self.cut |= cut
                 self.failure_hits += 1
@@ -938,7 +971,16 @@ class Solver:
                 outer |= raised
                 self.cut = outer
         if outer is not None and not self.guard_hits:
-            self.failures[key] = frozenset(raised)
+            known = self.failures.setdefault(base, {})
+            if raised:
+                known[leaves] = frozenset(raised)
+            else:
+                # no record serves this key (the lookup found none, and
+                # the subsearch demands at a lower depth or a smaller
+                # value), so dropping what it contains keeps an antichain
+                for narrower in [w for w, c in known.items() if not c and _inside(w, leaves)]:
+                    del known[narrower]
+                known[leaves] = _CLEAN
 
     def _unify_heads(self, ha: Expr, hb: Expr, store: Store, depth: int) -> Iterator[None]:
         if isinstance(ha, Var) and isinstance(hb, Var):

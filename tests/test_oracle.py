@@ -1,4 +1,6 @@
 import itertools
+import sys
+import time
 
 import pytest
 
@@ -97,6 +99,28 @@ def test_default_universe_collects_ground_terms():
     p = parse_program(BRANCHING)
     terms = default_universe(p)
     assert parse_expr("z") in terms and parse_expr("true") in terms
+
+
+def test_default_universe_walks_a_long_list_in_linear_time():
+    # one walk with its own stack, each value hash-consed: no structural
+    # comparison of every suffix of the list with every earlier one
+    program = parse_program("data t = a | b\nbig --> [" + ", ".join(["a"] * 60000)
+                            + "]\none --> 1\nsame --> 1.0\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        started = time.process_time()
+        terms = default_universe(program)
+        elapsed = time.process_time() - started
+    finally:
+        sys.setrecursionlimit(limit)
+    assert elapsed < 2
+    assert len(terms) == 24
+    assert [print_expr(t) for t in terms[:4]] == ["1", "[]", "a", "[a]"]
+    # of two equal literals, the first one met is kept
+    one, same = (next(r.rhs for r in program.rules if r.name == name)
+                 for name in ("one", "same"))
+    assert terms[0] is one and terms[0] is not same
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts under scripts/."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -32,6 +33,37 @@ def test_oracle_sweep():
     counts = re.findall(r"(\d+)/(\d+) dropped conditions caught", proc.stdout)
     assert counts
     assert all(caught == sites for caught, sites in counts)
+
+
+def ladder_answer(threshold: str) -> str:
+    if float(threshold) > 0.7:
+        return ""
+    if threshold == "0.7":
+        return "{ R -> 4 } { W in 0.7 }"
+    return f"{{ R -> 4 }} {{ W in [{threshold}, 0.7] }}"
+
+
+def test_growth():
+    # a guard on growth: with exact memo keys only, the paper goal took
+    # 2,059 tries at 0.3 and 42,163 at 0.1
+    proc = run_script("growth.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11 and lines[6].startswith("W >= 0.3 ")
+    doc = json.loads(lines[-1])
+    assert (doc["family"], doc["depth"]) == ("threshold", 64)
+    tries = {}
+    for threshold, row in zip(("0.9", "0.8", "0.7", "0.6", "0.5", "0.4",
+                               "0.3", "0.2", "0.15", "0.1"), doc["rows"], strict=True):
+        assert row["threshold"] == float(threshold)
+        answer = ladder_answer(threshold)
+        assert row["answers"] == (1 if answer else 0), threshold
+        assert row["digest"] == hashlib.sha256(answer.encode()).hexdigest()[:16], threshold
+        assert row["cut"] == [], threshold
+        tries[threshold] = row["tries"]
+    assert 0 < tries["0.7"] < tries["0.3"] < 700
+    assert tries["0.1"] < 4000
+    assert doc["rows"][6]["memo_hits"] > 0 and doc["rows"][6]["memo_records"] > 0
 
 
 def load_script(name: str):
