@@ -5,8 +5,9 @@
 
 Solves programs/library.qcflp's paper goal,
 (search("German","Essay",intermediate) == R) # W | W >= t, for each
-threshold t from 0.9 down to 0.1, each on a fresh solver at depth 64,
-and prints one line per threshold:
+threshold t from 0.9 down to 0.1, and then two threshold-free goals, the
+paper goal and the open search (search(L,G,V) == R) # W, each on a fresh
+solver at depth 64, and prints one line per goal:
 the rule tries, propagation steps, failure-memo hits and records, the
 process time of the solve and a digest of the rendered answers.  The
 counters are deterministic; the time is for information.  The last line
@@ -26,13 +27,15 @@ from qcflp.runtime import Limits, Solver, render_answer
 from qcflp.syntax import parse_goal, parse_program
 from qcflp.transform import transform_goal, transform_program
 
-GOAL = '(search("German","Essay",intermediate) == R) # W | W >= %s'
+PAPER = '(search("German","Essay",intermediate) == R) # W'
+GOAL = PAPER + " | W >= %s"
 THRESHOLDS = ("0.9", "0.8", "0.7", "0.6", "0.5", "0.4", "0.3", "0.2", "0.15", "0.1")
+FREE = (PAPER, "(search(L,G,V) == R) # W")
 DEPTH = 64
 
 
-def measure(program, translated, threshold: str) -> dict:
-    constraints, wvars, datavars = transform_goal(parse_goal(GOAL % threshold), program)
+def measure(program, translated, goal: str) -> dict:
+    constraints, wvars, datavars = transform_goal(parse_goal(goal), program)
     solver = Solver(translated, limits=Limits(depth=DEPTH))
     tries = 0
     rename = solver._rename_rule
@@ -46,7 +49,7 @@ def measure(program, translated, threshold: str) -> dict:
     started = time.process_time()
     answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
     ms = (time.process_time() - started) * 1000
-    return {"threshold": float(threshold), "tries": tries,
+    return {"tries": tries,
             "steps": solver.prop_steps, "memo_hits": solver.failure_hits,
             "memo_records": sum(map(len, solver.failures.values())),
             "answers": len(answers), "cut": sorted(solver.cut),
@@ -54,18 +57,25 @@ def measure(program, translated, threshold: str) -> dict:
             "ms": round(ms, 1)}
 
 
+def show(label: str, row: dict):
+    print(f"{label:<10} tries {row['tries']:>6}  steps {row['steps']:>7}"
+          f"  memo hits {row['memo_hits']:>5} records {row['memo_records']:>5}"
+          f"  answers {row['answers']} {row['digest']}  {row['ms']:.0f} ms")
+
+
 def main():
     program = parse_program((ROOT / "programs" / "library.qcflp").read_text())
     translated, _ = transform_program(program)
-    rows = []
+    rows, free = [], []
     for threshold in THRESHOLDS:
-        row = measure(program, translated, threshold)
-        rows.append(row)
-        print(f"W >= {threshold:<5} tries {row['tries']:>6}  steps {row['steps']:>7}"
-              f"  memo hits {row['memo_hits']:>5} records {row['memo_records']:>5}"
-              f"  answers {row['answers']} {row['digest']}  {row['ms']:.0f} ms")
+        rows.append({"threshold": float(threshold),
+                     **measure(program, translated, GOAL % threshold)})
+        show(f"W >= {threshold}", rows[-1])
+    for goal in FREE:
+        free.append({"goal": goal, **measure(program, translated, goal)})
+        show("free", free[-1])
     print(json.dumps({"family": "threshold", "goal": GOAL % "t",
-                      "depth": DEPTH, "rows": rows}))
+                      "depth": DEPTH, "rows": rows, "free": free}))
 
 if __name__ == "__main__":
     main()

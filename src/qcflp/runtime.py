@@ -18,11 +18,14 @@ shared through the substitution and a call reached through a variable is
 evaluated at most once per branch (call-time choice).  Ground data (literals
 and constructors only) is canonical from the translation on
 (transform.GroundData): it is bound whole, with no occurs check, and
-compared by identity.  A solver remembers the demands that a call on
-ground data evaluate to a value which failed, with their qualification
-intervals and remaining depth, and fails them again at once (failure
-tabling, Solver._unify_strict); a failure whose search was not cut also
-fails the same demand with narrower intervals (call subsumption).
+compared by identity.  A strict equality whose one side already is a
+literal or data demands that value of the other side's evaluation: a
+rule whose rhs clashes with it cannot give it, so its try runs only for
+the reasons that cut it.  A solver remembers such tries on ground data
+that failed, with their qualification intervals and remaining depth,
+and fails them again at once (failure tabling, Solver._clashing_try); a
+failure whose search was not cut also fails the same try with narrower
+intervals (call subsumption).
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -213,12 +216,33 @@ def _head_probe(rule):
     return None
 
 
+def _value(e: Expr, sig):
+    """e when it is a literal or a data application, else None."""
+    if type(e) is Basic or (type(e) is App and sig.is_data(e.symbol)):
+        return e
+    return None
+
+
 def _rules_by_symbol(program: Program) -> dict:
-    """symbol -> [(index, rule, head probe)] in program order."""
+    """symbol -> [(index, rule, head probe, rhs value)] in program order;
+    the rhs value is the rhs when it is a literal or data (_value)."""
     out = {}
     for i, r in enumerate(program.rules):
-        out.setdefault(r.name, []).append((i, r, _head_probe(r)))
+        out.setdefault(r.name, []).append(
+            (i, r, _head_probe(r), _value(r.rhs, program.signature)))
     return out
+
+
+def _clash(result: Expr, demand: Expr, ground: dict) -> bool:
+    """Whether _unify_heads rejects result against demand, two values
+    (_value), without evaluating anything: a literal against another
+    literal or against data, data against another constructor or arity,
+    and canonical ground data (its id in ground) against other canonical
+    ground data."""
+    if type(result) is Basic or type(demand) is Basic:
+        return type(result) is not type(demand) or result.value != demand.value
+    return result.symbol != demand.symbol or len(result.args) != len(demand.args) \
+        or (result is not demand and id(result) in ground and id(demand) in ground)
 
 
 def _qual_caps(pats_t: tuple, compiled_t: tuple) -> tuple:
@@ -353,37 +377,23 @@ def _instance_side(side, vs: list):
     return (k * v.value, None) if type(v) is Basic else None
 
 
-def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
-    """The key of the demand a == b in the failure memo (see
-    Solver._unify_strict), or None when the memo does not apply.
+def _failure_key(solver: "Solver", store: Store, call: App, index: int, depth: int):
+    """The key of a try of the rule with this index on call in the
+    failure memo (see Solver._clashing_try), or None when the memo does
+    not apply.
 
-    It applies when one side walks to a call of a defined function that
-    this branch has not reduced (no evals record, so call-time choice is
-    untouched), each data argument walks to a literal or canonical
-    ground data, the qualification argument walks to distinct declared
-    leaf variables or literals (through the product domain's pairs),
-    and the other side walks to a literal or canonical ground data.  The
-    key is a pair.  Its base is the symbol, the data arguments and the
-    demanded value (canonical data by id, a literal by its type and
-    value), the qualification leaves (a literal leaf's value, None for a
-    variable) and the remaining depth; the second part is the interval
-    of each variable leaf, in order.
+    It applies when each data argument walks to a literal or canonical
+    ground data, and the qualification argument walks to distinct
+    declared leaf variables or literals (through the product domain's
+    pairs).  The key is a pair.  Its base is the rule index, which fixes
+    the symbol, the data arguments (canonical data by id, a literal by
+    its type and value), the qualification leaves (a literal leaf's
+    value, None for a variable) and the remaining depth; the second part
+    is the interval of each variable leaf, in order.
     """
     subst, ground = store.subst, solver._data.proofs
-    while type(a) is Var and a.name in subst:
-        a = subst[a.name]
-    while type(b) is Var and b.name in subst:
-        b = subst[b.name]
-    df = solver.sig.df
-    if type(a) is not App or not df.get(a.symbol):
-        a, b = b, a
-        if type(a) is not App or not df.get(a.symbol):
-            return None
-    rec = store.evals.get(id(a))
-    if rec is not None and rec.call is a:
-        return None
-    key = [a.symbol]
-    for x in (*a.args[:-1], b):
+    key = [index]
+    for x in call.args[:-1]:
         while type(x) is Var and x.name in subst:
             x = subst[x.name]
         if type(x) is Basic:
@@ -392,7 +402,7 @@ def _failure_key(solver: "Solver", store: Store, a: Expr, b: Expr, depth: int):
             key.append(id(x))
         else:
             return None
-    names, leaves, stack = set(), [], [a.args[-1]]
+    names, leaves, stack = set(), [], [call.args[-1]]
     while stack:
         x = stack.pop()
         while type(x) is Var and x.name in subst:
@@ -430,7 +440,7 @@ class Solver:
         self.limits = limits or Limits()
         self.trace = trace
         # what depends on the program alone is shared by its solvers:
-        # symbol -> [(index, rule, head probe)], rule index -> rename
+        # symbol -> [(index, rule, head probe, rhs value)], rule index -> rename
         # template, rule index -> its qualification variables
         self._rules, self._templates, self._quals = program.memo(
             "solver", lambda: (_rules_by_symbol(program), {}, {}))
@@ -439,9 +449,9 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # the failure memo (see _unify_strict): a key's base -> its
-        # leaf intervals -> the cut reasons that the exhausted subsearch
-        # raised; and the times it was used
+        # the failure memo (see _clashing_try): a key's base -> its leaf
+        # intervals -> the cut reasons that the exhausted try raised; and
+        # the times it was used
         self.failures = {}
         self.failure_hits = 0
         # the program's canonical ground data, which its translation
@@ -708,7 +718,11 @@ class Solver:
     # or _post is undone the same way.
     # ------------------------------------------------------------------
 
-    def _hnf(self, e: Expr, store: Store, depth: int) -> Iterator[Expr]:
+    def _hnf(self, e: Expr, store: Store, depth: int,
+             demand: Expr = None) -> Iterator[Expr]:
+        """The head normal forms of e.  demand is a value (_value) that a
+        strict equality compares them with, or None; a rule whose rhs
+        value clashes with it gives none (see _clashing_try)."""
         e = self.walk(store, e)
         if isinstance(e, (Var, Basic)):
             yield e
@@ -748,7 +762,7 @@ class Solver:
         if depth <= 0:
             self.cut.add("depth")
             return
-        for index, rule, probe in self._rules.get(e.symbol, ()):
+        for index, rule, probe, result in self._rules.get(e.symbol, ()):
             if probe is not None:
                 head = self._value_head(store, e.args[probe[0]])
                 if head is not None and head != probe[1]:
@@ -757,6 +771,10 @@ class Solver:
             if tpl[5] and self._over_cap(store, e.args[-1], tpl[5]):
                 # the rule's attenuation is below the qualification the
                 # call already needs: skip it as the head probe does
+                continue
+            if demand is not None and result is not None \
+                    and _clash(result, demand, self._data.proofs):
+                self._clashing_try(e, store, depth, index, rule.name, tpl)
                 continue
             inst = self._rename_rule(tpl, e.args, store)
             if self.trace:
@@ -775,6 +793,96 @@ class Solver:
                         store.assign(store.evals, id(e), EvalRec(e, "fun", res, index, inst))
                         yield res
                         store.undo(mark)
+
+    def _clashing_try(self, e: App, store: Store, depth: int, index: int,
+                      name: str, tpl: tuple) -> None:
+        """A try of the rule with this index on the call e, whose rhs
+        clashes with the demand: _unify_heads would reject each of its
+        results without evaluating anything, so the try never evaluates
+        its rhs or yields, and only the reasons that cut its head
+        unification and conditions show.
+
+        Such a try on ground data goes through the failure memo (failure
+        tabling), keyed as _failure_key says.  A try that runs to
+        exhaustion with no propagation guard records its key with the
+        cut reasons it raised.  A later try with that key adds those
+        reasons to the run's cut, so every answer keeps its flags, and
+        fails before renaming; --trace prints "reuse failure: rule
+        <index> on <call>".  A clean record (no cut reason) also serves
+        every try with its base whose leaf intervals lie inside the
+        recorded ones (call subsumption); the clean records of one base
+        are kept an antichain, a wider one dropping those it contains.
+        A record with a cut reason serves its exact key only.  No key is
+        recorded or used once the solver has hit the guard.  The memo is
+        this solver's own.  The key holds no demand, so a record serves
+        every demand that the rule clashes with.
+
+        The failure depends on nothing but the key:
+        - inside the try, the rule instance sees only the key's data,
+          fresh variables and the qualification leaves;
+        - the translation's bounds carry lower bounds down to a call's
+          leaves and upper bounds up from them, so while the try runs
+          nothing outside it narrows the leaves, and what it narrows
+          outside empties an interval only if it empties a leaf;
+        - propagation is monotone, so a narrower context only fails
+          more; the step guard is not monotone (it stops a propagation
+          where it is), which is why runs that hit it are left out;
+        - keys may hold the ids of canonical data, because the program's
+          GroundData keeps those terms alive;
+        - a call that its branch has reduced keeps its value (_hnf), so
+          call-time choice never meets the memo.
+        Subsumption is sound for the same reason: from narrower leaves
+        every propagation ends narrower, so the rule filter skips at
+        least the rules it skipped and every branch empties no later;
+        the narrower search explores a subtree of the recorded one.
+        That subtree has no solution, and the cut reasons it raises are
+        a subset of the record's, which are none.  A record with a cut
+        reason serves its exact key only: a narrower search may raise
+        fewer reasons, and adding the record's would flag what that
+        search leaves clean.  A try at another depth cuts elsewhere.
+        """
+        key = None if self.guard_hits else _failure_key(self, store, e, index, depth)
+        if key is not None:
+            base, leaves = key
+            known, cut = self.failures.get(base), None
+            if known:
+                cut = known.get(leaves)
+                if cut is None and any(not c and _inside(leaves, wider)
+                                       for wider, c in known.items()):
+                    cut = _CLEAN
+            if cut is not None:
+                self.cut |= cut
+                self.failure_hits += 1
+                if self.trace:
+                    self.trace(f"reuse failure: rule {index} on {print_expr(e)}")
+                return
+        # the try's cut reasons go to a set of their own
+        outer, self.cut = self.cut, set()
+        try:
+            inst = self._rename_rule(tpl, e.args, store)
+            if self.trace:
+                self.trace(f"try rule {index}: {name}")
+            if inst is not None:
+                unified = (None,) if inst.start == len(e.args) else self._pairwise(
+                    self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
+                for _ in unified:
+                    for _ in self._solve_all(inst, store, depth - 1, index):
+                        pass
+        finally:
+            raised = self.cut
+            outer |= raised
+            self.cut = outer
+        if key is not None and not self.guard_hits:
+            known = self.failures.setdefault(base, {})
+            if raised:
+                known[leaves] = frozenset(raised)
+            else:
+                # no record serves this key (the lookup found none, and
+                # the try's subsearch keys lower depths), so dropping
+                # what it contains keeps an antichain
+                for narrower in [w for w, c in known.items() if not c and _inside(w, leaves)]:
+                    del known[narrower]
+                known[leaves] = _CLEAN
 
     def _value_head(self, store: Store, e: Expr):
         """The head of e (see _head_probe) when e already walks to a
@@ -894,93 +1002,13 @@ class Solver:
 
     def _unify_strict(self, a: Expr, b: Expr, store: Store, depth: int) -> Iterator[None]:
         """Strict equality: both sides evaluate to the same total value.
-
-        A demand that a call on ground data evaluate to a given value
-        goes through the failure memo (failure tabling), keyed as
-        _failure_key says.  A subsearch that runs to exhaustion with no
-        solution and no propagation guard records its key with the cut
-        reasons it raised.  A later demand with that key adds those
-        reasons to the run's cut, so every answer keeps its flags, and
-        fails without trying a rule.  A clean record (no cut reason)
-        also serves every demand with its base whose leaf intervals lie
-        inside the recorded ones (call subsumption); the clean records
-        of one base are kept an antichain, a wider one dropping those it
-        contains.  A record with a cut reason serves its exact key only.
-        No key is recorded or used once the solver has hit the guard.
-        The memo is this solver's own.
-
-        The failure depends on nothing but the key:
-        - inside the subsearch, rule instances see only the key's data,
-          fresh variables and the qualification leaves;
-        - the translation's bounds carry lower bounds down to a call's
-          leaves and upper bounds up from them, so while the subsearch
-          runs nothing outside it narrows the leaves, and what it
-          narrows outside empties an interval only if it empties a leaf;
-        - propagation is monotone, so a narrower context only fails
-          more; the step guard is not monotone (it stops a propagation
-          where it is), which is why runs that hit it are left out;
-        - keys may hold the ids of canonical data, because the program's
-          GroundData keeps those terms alive.
-        Subsumption is sound for the same reason: from narrower leaves
-        every propagation ends narrower, so the rule filter skips at
-        least the rules it skipped and every branch empties no later;
-        the narrower search explores a subtree of the recorded one.
-        That subtree has no solution, and the cut reasons it raises are
-        a subset of the record's, which are none.  A record with a cut
-        reason serves its exact key only: a narrower search may raise
-        fewer reasons, and adding the record's would flag what that
-        search leaves clean.  A demand at another depth cuts elsewhere.
-        """
-        key = _failure_key(self, store, a, b, depth)
-        if key is None:
-            for ha in self._hnf(a, store, depth):
-                for hb in self._hnf(b, store, depth):
-                    yield from self._unify_heads(ha, hb, store, depth)
-            return
-        base, leaves = key
-        if not self.guard_hits:
-            known, cut = self.failures.get(base), None
-            if known:
-                cut = known.get(leaves)
-                if cut is None and any(not c and _inside(leaves, wider)
-                                       for wider, c in known.items()):
-                    cut = _CLEAN
-            if cut is not None:
-                self.cut |= cut
-                self.failure_hits += 1
-                if self.trace:
-                    call, value = self.walk(store, a), self.walk(store, b)
-                    if type(call) is not App or call.symbol not in self.sig.df:
-                        call, value = value, call
-                    self.trace(f"reuse failure: {print_expr(call)} == {print_expr(value)}")
-                return
-        # the subsearch's cut reasons go to a set of their own until it
-        # yields a solution, which leaves nothing to record
-        outer, self.cut = self.cut, set()
-        try:
-            for ha in self._hnf(a, store, depth):
-                for hb in self._hnf(b, store, depth):
-                    for _ in self._unify_heads(ha, hb, store, depth):
-                        if outer is not None:
-                            outer |= self.cut
-                            self.cut, outer = outer, None
-                        yield
-        finally:
-            if outer is not None:
-                raised = self.cut
-                outer |= raised
-                self.cut = outer
-        if outer is not None and not self.guard_hits:
-            known = self.failures.setdefault(base, {})
-            if raised:
-                known[leaves] = frozenset(raised)
-            else:
-                # no record serves this key (the lookup found none, and
-                # the subsearch demands at a lower depth or a smaller
-                # value), so dropping what it contains keeps an antichain
-                for narrower in [w for w, c in known.items() if not c and _inside(w, leaves)]:
-                    del known[narrower]
-                known[leaves] = _CLEAN
+        A side that already walks to a literal or data is the demand of
+        the other side's evaluation (see _hnf)."""
+        a, b = self.walk(store, a), self.walk(store, b)
+        demand_a, demand_b = _value(b, self.sig), _value(a, self.sig)
+        for ha in self._hnf(a, store, depth, demand_a):
+            for hb in self._hnf(b, store, depth, demand_b):
+                yield from self._unify_heads(ha, hb, store, depth)
 
     def _unify_heads(self, ha: Expr, hb: Expr, store: Store, depth: int) -> Iterator[None]:
         if isinstance(ha, Var) and isinstance(hb, Var):

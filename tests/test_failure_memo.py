@@ -1,14 +1,16 @@
-"""A solver remembers the demands that failed.
+"""A solver remembers the rule tries that failed.
 
-A demand that a call on ground data evaluate to a literal or to ground
-data (guessGenre(B) == "SciFi" for one book) is keyed by a base (the
-call's symbol and data, the demanded value, its literal qualification
+A strict equality whose one side is a literal or data demands that value
+of the other side.  A rule whose rhs clashes with the demand ("Fantasy"
+for guessGenre(B) == "SciFi") cannot give it, so its try never yields,
+and only its cut reasons show.  Such a try on a call on ground data is
+keyed by a base (the rule, the call's data, its literal qualification
 leaves and the remaining depth) and its variable leaves' intervals.  A
-subsearch that fails with no propagation guard records its key and the
-cut reasons it raised; the same demand later adds those reasons to the
-run's cut and fails at once.  A clean record, one with no cut reason,
-also fails every demand with its base whose leaf intervals lie inside
-its own (call subsumption), and the clean records of a base are kept an
+try that fails with no propagation guard records its key and the cut
+reasons it raised; the same try later adds those reasons to the run's
+cut and fails before renaming.  A clean record, one with no cut reason,
+also fails every try with its base whose leaf intervals lie inside its
+own (call subsumption), and the clean records of a base are kept an
 antichain.  Answers, flags, residuals, certificates and cut lines are
 those of the search without the memo.
 """
@@ -19,24 +21,26 @@ import sys
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, random_layered_program
 from test_rule_filter import PAPER, THRESHOLD_SWEEP
 from qcflp.cli import main
-from qcflp.constraints import Interval
+from qcflp.constraints import FULL, Interval
 from qcflp.domains import U, domain_from_name
 from qcflp.runtime import (EvalRec, Limits, Solver, Store, _failure_key,
                            answer_record, replay_trees)
 from qcflp.semantics import serialize_proof
-from qcflp.syntax import parse_constraints, parse_goal, parse_program
+from qcflp.syntax import parse_constraints, parse_goal, parse_program, print_expr
 from qcflp.terms import App, Basic, Var
 from qcflp.transform import PAIR_CTOR, transform_goal, transform_program
 
 
-def outcome(program, goal, depth, dom):
+def outcome(program, goal, depth, dom, translated=None):
     """Everything a solve shows: each answer's record (bindings,
     qualification, residuals, flags), the certificates of the clean
-    answers and the reasons the run was cut; and the solver."""
-    translated, _ = transform_program(program, dom)
+    answers and the reasons the run was cut; and the solver.  translated
+    is the program's translation, when the caller has made it."""
+    if translated is None:
+        translated, _ = transform_program(program, dom)
     constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
     solver = Solver(translated, dom, Limits(depth=depth))
     answers = list(solver.solve(constraints, wvars, datavars))
@@ -100,6 +104,32 @@ def test_subsumption_keeps_what_the_exact_memo_shows(monkeypatch, library):
     assert solver.failure_hits < exact_solver.failure_hits
 
 
+# conftest's seeded layered programs: every function against every value
+VALUES = ("tt", "ff", "mk(tt)")
+
+
+def test_memo_keeps_what_random_programs_show(request):
+    programs = [random_layered_program(random.Random(seed)) for seed in range(100)]
+
+    def show_all():
+        shown, hits = [], 0
+        for program in programs:
+            translated, _ = transform_program(program)
+            for f in sorted({r.name for r in program.rules}):
+                for value in VALUES:
+                    out, solver = outcome(program, f"({f} == {value}) # W", 6, U,
+                                          translated)
+                    shown.append(out)
+                    hits += solver.failure_hits
+        return shown, hits
+
+    memo, hits = show_all()
+    request.getfixturevalue("no_failure_memo")
+    plain, plain_hits = show_all()
+    assert memo == plain
+    assert hits > 0 and plain_hits == 0
+
+
 @pytest.fixture
 def tries(monkeypatch):
     """The rule tries made, one entry each."""
@@ -112,24 +142,25 @@ def tries(monkeypatch):
 
 def test_paper_goal_counts(library, tries):
     # without the memo: 7,961 tries and 19,610 propagation steps; with
-    # exact keys only: 2,059 tries, 5,959 steps, 338 hits, 387 records
+    # the memo on demands: 637 tries, 2,037 steps, 196 hits and 65
+    # records (2,059, 5,959, 338 and 387 when it served exact keys only)
     (answers, _, cut), solver = outcome(library, f"{PAPER} | W >= 0.3", 64, U)
     assert [r["qual"]["W"] for r in answers] == \
         [{"lo": 0.3, "hi": 0.7, "lo_open": False, "hi_open": False}]
-    assert (len(tries), solver.prop_steps) == (637, 2037)
+    assert (len(tries), solver.prop_steps) == (320, 621)
     records = sum(map(len, solver.failures.values()))
-    assert (solver.failure_hits, records) == (196, 65)
+    assert (solver.failure_hits, records) == (167, 82)
     assert cut == set()
 
 
-# two rules of q demand p(a) == true alike; p's condition loops until
-# the depth bound cuts it
+# p's rule gives b, which clashes with the demand p(a) == a that both
+# rules of q make; its condition loops until the depth bound cuts it
 LOOP = """
 data t = a | b
 loop(X) --> loop(X)
-p(X) --> true <== loop(X) == b
-q --> true <== p(a) == true
-q --> true <== p(a) == true
+p(X) --> b <== loop(X) == b
+q --> true <== p(a) == a
+q --> true <== p(a) == a
 """
 
 
@@ -140,7 +171,7 @@ def test_a_hit_replays_the_depth_cut(tmp_path, capsys, monkeypatch):
     assert main(argv) == 3
     memo = capsys.readouterr()
     trace = memo.err.splitlines()
-    assert trace[-3:] == ["-- try rule 3: q'", "-- reuse failure: p'(a, W) == true",
+    assert trace[-3:] == ["-- try rule 3: q'", "-- reuse failure: rule 1 on p'(a, W)",
                           "solve: search cut by --depth 8; answers may be missing"]
     assert trace.count("-- try rule 0: loop'") == 6
     monkeypatch.setattr("qcflp.runtime._failure_key", lambda *args: None)
@@ -148,13 +179,14 @@ def test_a_hit_replays_the_depth_cut(tmp_path, capsys, monkeypatch):
     plain = capsys.readouterr()
     assert plain.out == memo.out == ""
     assert plain.err.splitlines()[-1] == trace[-1]
+    assert plain.err.count("-- try rule 0: loop'") == 12
     assert "reuse failure" not in plain.err
 
 
 def test_a_later_run_of_the_solver_replays_the_cut():
-    # the first run records the goal's own demand, with the depth cut
-    # that its subsearch raised; the second run tries no rule, and that
-    # cut still flags it
+    # the first run records p's try, with the depth cut that it raised;
+    # in the second run neither rule of q tries p, and that cut still
+    # flags the run
     program = parse_program(LOOP)
     translated, _ = transform_program(program)
     constraints, wvars, datavars = transform_goal(parse_goal("(q == true) # W"), program)
@@ -164,60 +196,59 @@ def test_a_later_run_of_the_solver_replays_the_cut():
     assert solver.cut == {"depth"} and solver.failure_hits == 1
     lines.clear()
     assert list(solver.solve(constraints, wvars, datavars)) == []
-    assert lines == ["reuse failure: q'(W) == true"]
-    assert solver.cut == {"depth"} and solver.failure_hits == 2
+    assert lines == ["try rule 2: q'", "reuse failure: rule 1 on p'(a, W)",
+                     "try rule 3: q'", "reuse failure: rule 1 on p'(a, W)"]
+    assert solver.cut == {"depth"} and solver.failure_hits == 3
 
 
 def test_a_reduced_call_is_not_served_from_the_memo():
     # a call node that this branch has reduced keeps its value (call-time
-    # choice), even where its key has a recorded failure
-    program = parse_program("data t = a | b\nk --> a\n")
-    translated, _ = transform_program(program)
-    solver = Solver(translated)
+    # choice), even where a try on it has a recorded failure
+    program = parse_program("data t = a | b\nk --> b\nk --> a\n")
+    solver = Solver(transform_program(program)[0])
     call, a = App("k'", (Var("W"),)), solver._data.leaf(App("a"))
     store = Store(declared={"W"})
-    key = _failure_key(solver, store, call, a, 5)
-    assert key is not None and _failure_key(solver, store, a, call, 5) == key
-    base, leaves = key
+    base, leaves = _failure_key(solver, store, call, 0, 5)
     solver.failures[base] = {leaves: frozenset({"depth"})}
-    assert list(solver._unify_strict(call, a, store, 5)) == []
+    # k's first rule gives b, which clashes with the demanded a
+    assert list(solver._unify_strict(call, a, store, 5)) == [None]
     assert (solver.failure_hits, solver.cut) == (1, {"depth"})
     solver.cut = set()
     store.evals[id(call)] = EvalRec(call, "fun", a)
-    assert _failure_key(solver, store, call, a, 5) is None
     assert list(solver._unify_strict(call, a, store, 5)) == [None]
     assert (solver.failure_hits, solver.cut) == (1, set())
 
 
-# (call, demanded value); None stands for the canonical a
-@pytest.mark.parametrize("call,value", [
-    (App("k'", (Var("W"),)), Var("X")),                     # a free value
-    (App("f'", (App("k'", (Var("W"),)), Var("W"))), None),  # a call as data
-    (App("k'", (Var("V"),)), None),                         # undeclared leaf
-    (App("g'", (Var("W"), Var("W"))), None),                # a data variable
-    (App("k'", (Var("W"),)), App("a")),                     # not canonical
-], ids=["free-value", "call-argument", "undeclared-leaf", "variable-argument",
+# calls on which a try gets no key
+@pytest.mark.parametrize("call", [
+    App("f'", (App("k'", (Var("W"),)), Var("W"))),         # a call as data
+    App("k'", (Var("V"),)),                                 # undeclared leaf
+    App("k'", (App(PAIR_CTOR, (Var("W"), Var("W"))),)),     # a repeated leaf
+    App("g'", (Var("W"), Var("W"))),                        # a data variable
+    App("f'", (App("a"), Var("W"))),                        # not canonical
+], ids=["call-argument", "undeclared-leaf", "repeated-leaf", "variable-argument",
         "other-data"])
-def test_demands_outside_the_memo_get_no_key(call, value):
+def test_tries_outside_the_memo_get_no_key(call):
     program = parse_program("data t = a | b\nk --> a\nf(X) --> X\ng(X) --> X\n")
     solver = Solver(transform_program(program)[0])
-    a = solver._data.leaf(App("a"))
     store = Store(declared={"W"})
-    assert _failure_key(solver, store, call, a if value is None else value, 5) is None
-    # the canonical a or a literal demanded of a call on a literal has one
-    for value in (a, Basic(1)):
-        assert _failure_key(solver, store, App("f'", (Basic(1), Var("W"))), value, 5)
+    assert _failure_key(solver, store, call, 1, 5) is None
+    # a try on the canonical a or on a literal has one, led by the rule
+    for arg in (solver._data.leaf(App("a")), Basic(1)):
+        base, leaves = _failure_key(solver, store, App("f'", (arg, Var("W"))), 1, 5)
+        assert base[0] == 1 and leaves == (FULL,)
 
 
 # a translated program: r's second rule runs a propagation into the step
-# guard (see test_runtime) before it demands what its first rule did;
-# its third rule demands something new
+# guard (see test_runtime) before it makes the demand that its first rule
+# made; its third rule makes a new one.  p's rule gives 3, which clashes
+# with each demand of 4
 GUARDED = """
 loop'(X, W) --> loop'(X, W)
 p'(X, W) --> 3 <== loop'(X, W) == 2
-r'(W) --> true <== p'(1, W) == 3
-r'(W) --> true <== qVal(A), qVal(B), A <= 0.99*B, B <= A, p'(1, W) == 3
-r'(W) --> true <== p'(2, W) == 3
+r'(W) --> true <== p'(1, W) == 4
+r'(W) --> true <== qVal(A), qVal(B), A <= 0.99*B, B <= A, p'(1, W) == 4
+r'(W) --> true <== p'(2, W) == 4
 """
 
 
@@ -226,13 +257,13 @@ def test_no_failure_is_reused_or_recorded_past_the_guard():
     constraints = parse_constraints("qVal(W), r'(W) == true")
     assert list(solver.solve(constraints, ["W"], [])) == []
     assert solver.cut == {"depth", "guard"}
-    # p(1)'s and loop(1)'s demands, before the guard; none after it
-    assert (solver.failure_hits, len(solver.failures)) == (0, 2)
+    # p's try on 1, before the guard; none after it
+    assert (solver.failure_hits, len(solver.failures)) == (0, 1)
 
 
 # ----------------------------------------------------------------------
-# call subsumption, on the demand k == a, whose search succeeds: a
-# demand served from the memo fails instead
+# call subsumption, on the try of k's one rule, which gives a, against
+# the demand k == b
 # ----------------------------------------------------------------------
 
 SMALL = "data t = a | b\nk --> a\n"
@@ -242,47 +273,50 @@ def small_solver(dom=U):
     return Solver(transform_program(parse_program(SMALL, dom), dom)[0], dom)
 
 
-def k_demand(solver, intervals, value="a"):
-    """The demand k'(W) == value (k'(qpair(W0, W1)) under uxu), its
-    leaves in intervals: (call, value, store)."""
+def k_call(intervals):
+    """The call k'(W) (k'(qpair(W0, W1)) under uxu), its leaves in
+    intervals: (call, store)."""
     names = [f"W{i}" for i in range(len(intervals))]
     qual = Var(names[0]) if len(names) == 1 else App(PAIR_CTOR, tuple(map(Var, names)))
     store = Store(ivals=dict(zip(names, intervals)), declared=set(names))
-    return App("k'", (qual,)), solver._data.leaf(App(value)), store
+    return App("k'", (qual,)), store
 
 
 def record(solver, intervals, cut=frozenset(), depth=5):
-    call, value, store = k_demand(solver, intervals)
-    base, leaves = _failure_key(solver, store, call, value, depth)
+    call, store = k_call(intervals)
+    base, leaves = _failure_key(solver, store, call, 0, depth)
     solver.failures.setdefault(base, {})[leaves] = cut
 
 
 def served(solver, intervals, depth=5) -> bool:
-    """Whether the demand k == a is served from the memo, so fails."""
-    call, value, store = k_demand(solver, intervals)
-    hits = solver.failure_hits
-    found = list(solver._unify_strict(call, value, store, depth))
-    assert (not found) == (solver.failure_hits > hits)
-    return not found
+    """Whether k's try on the demand k == b is served from the memo,
+    by the one trace line that the try prints."""
+    call, store = k_call(intervals)
+    lines = []
+    solver.trace = lines.append
+    assert list(solver._unify_strict(call, solver._data.leaf(App("b")), store, depth)) == []
+    reuse = f"reuse failure: rule 0 on {print_expr(call)}"
+    assert lines in ([reuse], ["try rule 0: k'"])
+    return lines == [reuse]
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval(lo, hi, lo_open, hi_open)
 
 
-def test_a_clean_failure_serves_a_narrower_demand():
+def test_a_clean_failure_serves_a_narrower_try():
     solver = small_solver()
     record(solver, [iv(0.3, 1)])
     for narrower in (iv(0.3, 1), iv(0.5, 0.9), iv(0.3, 0.3), iv(0.3, 1, True, True)):
         assert served(solver, [narrower]), narrower
-    assert solver.cut == set()
+    assert solver.cut == set() and solver.failure_hits == 4
 
 
 @pytest.mark.parametrize("demand", [iv(0.3, 1), iv(0.3, 0.7), iv(0.7, 1),
                                     iv(0.5, 0.9)],
                          ids=["wider", "overlap-below", "overlap-above",
                               "closed-ends"])
-def test_a_clean_failure_serves_no_wider_or_overlapping_demand(demand):
+def test_a_clean_failure_serves_no_wider_or_overlapping_try(demand):
     solver = small_solver()
     record(solver, [iv(0.5, 0.9, True, False)])
     assert not served(solver, [demand])
@@ -297,7 +331,7 @@ def test_a_failure_with_a_cut_serves_only_its_exact_key():
     assert solver.cut == {"depth"}
 
 
-def test_a_demand_at_another_depth_is_not_served():
+def test_a_try_at_another_depth_is_not_served():
     solver = small_solver()
     record(solver, [iv(0.3, 1)], depth=5)
     assert not served(solver, [iv(0.5, 0.9)], depth=4)
@@ -312,21 +346,21 @@ def test_a_demand_at_another_depth_is_not_served():
     ((iv(0.2, 1), iv(0.6, 1)), False),
     ((iv(0.2, 1), iv(0.4, 1)), False),
 ], ids=["both-inside", "equal", "second-outside", "first-outside", "neither"])
-def test_uxu_demand_is_served_only_when_every_leaf_lies_inside(leaves, inside):
+def test_uxu_try_is_served_only_when_every_leaf_lies_inside(leaves, inside):
     solver = small_solver(domain_from_name("uxu"))
     record(solver, [iv(0.3, 1), iv(0.5, 1)])
     assert served(solver, list(leaves)) == inside
 
 
 def test_the_clean_failures_of_a_base_stay_an_antichain():
-    # k == b fails cleanly; each demand that is not served records its
+    # k's try fails cleanly; each try that is not served records its
     # intervals, and a wider record drops those it contains
     solver = small_solver()
 
     def fail(interval):
-        call, value, store = k_demand(solver, [interval], "b")
-        assert list(solver._unify_strict(call, value, store, 5)) == []
-        return _failure_key(solver, store, call, value, 5)[0]
+        served(solver, [interval])
+        call, store = k_call([interval])
+        return _failure_key(solver, store, call, 0, 5)[0]
 
     base = fail(iv(0.5, 0.9))
     fail(iv(0.7, 1))

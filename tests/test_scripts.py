@@ -45,11 +45,13 @@ def ladder_answer(threshold: str) -> str:
 
 def test_growth():
     # a guard on growth: with exact memo keys only, the paper goal took
-    # 2,059 tries at 0.3 and 42,163 at 0.1
+    # 2,059 tries at 0.3 and 42,163 at 0.1, and with the memo on demands
+    # 637 and 2,673; without the memo on rule tries, the threshold-free
+    # paper goal took 68,165 tries and the open search did not finish
     proc = run_script("growth.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 11 and lines[6].startswith("W >= 0.3 ")
+    assert len(lines) == 13 and lines[6].startswith("W >= 0.3 ")
     doc = json.loads(lines[-1])
     assert (doc["family"], doc["depth"]) == ("threshold", 64)
     tries = {}
@@ -61,9 +63,18 @@ def test_growth():
         assert row["digest"] == hashlib.sha256(answer.encode()).hexdigest()[:16], threshold
         assert row["cut"] == [], threshold
         tries[threshold] = row["tries"]
-    assert 0 < tries["0.7"] < tries["0.3"] < 700
-    assert tries["0.1"] < 4000
+    assert 0 < tries["0.7"] < tries["0.3"] < 400
+    assert tries["0.1"] < 800
     assert doc["rows"][6]["memo_hits"] > 0 and doc["rows"][6]["memo_records"] > 0
+    # the threshold-free goals at the default depth
+    paper, search = doc["free"]
+    assert paper["goal"] == '(search("German","Essay",intermediate) == R) # W'
+    answer = "{ R -> 4 } { W in (0, 0.7] } [incomplete]"
+    assert paper["digest"] == hashlib.sha256(answer.encode()).hexdigest()[:16]
+    assert (paper["answers"], paper["cut"]) == (1, ["depth"])
+    assert paper["tries"] < 3000
+    assert search["goal"] == "(search(L,G,V) == R) # W"
+    assert search["answers"] == 13 and search["tries"] < 6000
 
 
 def load_script(name: str):
