@@ -21,8 +21,8 @@ from .domains import QualDomain, U
 from .runtime import Limits, Solver
 from .semantics import bounded_lfp
 from .syntax import Goal, GoalItem, Program, print_expr
-from .terms import (App, AtomicConstraint, Basic, Expr, TRUE, Var, is_value,
-                    vars_of)
+from .terms import (App, AtomicConstraint, Basic, Expr, HashCons, TRUE, Var,
+                    is_value, vars_of)
 from .transform import transform_goal, transform_program, translation
 
 TOL = 1e-9
@@ -52,16 +52,16 @@ def default_universe(program: Program, limit: int = 24) -> list:
     """Ground constructor terms mentioned by the program, small ones first.
 
     One walk over the rules, with its own stack, visits each subterm
-    after its arguments and hash-conses the values as == compares them:
-    a literal by its value, an application by its symbol and its
-    arguments' canonical terms.  Each distinct value is kept once, as it
-    is first met, with its size, so a long list literal costs linear
-    time.  Only values that can be among the first limit by size are
-    printed for the order.
+    after its arguments and makes the values canonical in a local
+    terms.HashCons, whose keys agree with ==: a literal by its value, an
+    application by its symbol and its arguments' canonical terms.  Each
+    distinct value is kept once, in the order it is first met, with its
+    size, so a long list literal costs linear time.  Only values that can
+    be among the first limit by size are printed for the order.
     """
     sig = program.signature
     canon = {}   # id of a visited subterm -> its canonical value, or None
-    table = {}   # key -> canonical value
+    table = HashCons()
     size = {}    # id of a canonical value -> its size
     roots = []
     for r in program.rules:
@@ -80,19 +80,17 @@ def default_universe(program: Program, limit: int = 24) -> list:
             continue
         kids = [canon[id(a)] for a in e.args] if type(e) is App else ()
         if type(e) is Basic:
-            key = (Basic, e.value)
+            value = table.leaf(e)
         elif type(e) is App and sig.kind(e.symbol) == "dc" \
                 and all(k is not None for k in kids):
-            key = (e.symbol, *map(id, kids))
+            value = table.app(e.symbol, kids)
         else:
             canon[id(e)] = None
             continue
-        value = table.get(key)
-        if value is None:
-            value = table[key] = e
-            size[id(e)] = 1 + sum(size[id(k)] for k in kids)
+        if id(value) not in size:
+            size[id(value)] = 1 + sum(size[id(k)] for k in kids)
         canon[id(e)] = value
-    seen = list(table.values())
+    seen = list(table.terms.values())
     if 0 < limit < len(seen):
         cap = sorted(size.values())[limit - 1]
         seen = [e for e in seen if size[id(e)] <= cap]

@@ -205,14 +205,15 @@ def _template(e: Expr, pos: dict, sig, ground: dict):
 
 
 def _head_probe(rule):
-    """(position, head) of the first head pattern that is not a variable,
-    or None.  The head is the value of a literal and (symbol, arity) of a
-    constructor pattern.  Heads are linear, so unifying the variables
-    before it only binds them.
+    """(position, pattern) of the first head pattern that is not a
+    variable, or None.  The pattern is a literal or a constructor
+    pattern, a value that _clash tests against the call's argument there
+    when that already is one.  Heads are linear, so unifying the
+    variables before it only binds them.
     """
     for i, p in enumerate(rule.patterns):
         if not isinstance(p, Var):
-            return i, (p.value if isinstance(p, Basic) else (p.symbol, len(p.args)))
+            return i, p
     return None
 
 
@@ -238,7 +239,9 @@ def _clash(result: Expr, demand: Expr, ground: dict) -> bool:
     (_value), without evaluating anything: a literal against another
     literal or against data, data against another constructor or arity,
     and canonical ground data (its id in ground) against other canonical
-    ground data."""
+    ground data.  A value that holds a variable or a call compares by its
+    head alone.  It tests a rule's rhs against a strict equality's demand
+    and a rule's head probe (_head_probe) against the call's argument."""
     if type(result) is Basic or type(demand) is Basic:
         return type(result) is not type(demand) or result.value != demand.value
     return result.symbol != demand.symbol or len(result.args) != len(demand.args) \
@@ -762,10 +765,11 @@ class Solver:
         if depth <= 0:
             self.cut.add("depth")
             return
+        ground = self._data.proofs
         for index, rule, probe, result in self._rules.get(e.symbol, ()):
             if probe is not None:
-                head = self._value_head(store, e.args[probe[0]])
-                if head is not None and head != probe[1]:
+                arg = _value(self.walk(store, e.args[probe[0]]), self.sig)
+                if arg is not None and _clash(probe[1], arg, ground):
                     continue  # the head cannot match: skip the renaming
             tpl = self._templates.get(index) or self._compile_rule(index, rule)
             if tpl[5] and self._over_cap(store, e.args[-1], tpl[5]):
@@ -773,7 +777,7 @@ class Solver:
                 # call already needs: skip it as the head probe does
                 continue
             if demand is not None and result is not None \
-                    and _clash(result, demand, self._data.proofs):
+                    and _clash(result, demand, ground):
                 self._clashing_try(e, store, depth, index, rule.name, tpl)
                 continue
             inst = self._rename_rule(tpl, e.args, store)
@@ -883,16 +887,6 @@ class Solver:
                 for narrower in [w for w, c in known.items() if not c and _inside(w, leaves)]:
                     del known[narrower]
                 known[leaves] = _CLEAN
-
-    def _value_head(self, store: Store, e: Expr):
-        """The head of e (see _head_probe) when e already walks to a
-        literal or a constructor value, else None; evaluates nothing."""
-        e = self.walk(store, e)
-        if isinstance(e, Basic):
-            return e.value
-        if isinstance(e, App) and self.sig.is_data(e.symbol):
-            return e.symbol, len(e.args)
-        return None
 
     def _over_cap(self, store: Store, arg: Expr, caps: tuple) -> bool:
         """Whether a rule with these caps (see _qual_caps) fails on the

@@ -313,7 +313,9 @@ def check_proof(program: Program, dom: Optional[QualDomain],
     qualification and attenuation bounds are not checked.  A subtree
     found valid is checked once per program and domain while it lives
     (see _CheckState), so checking the trees of several answers costs
-    their distinct subproofs, not their occurrences.
+    their distinct subproofs, not their occurrences.  A tree nested too
+    deeply for the recursion limit raises RecursionError, as every other
+    layer does; any other failure on a malformed node makes it invalid.
     """
     outside = _called_in_hypotheses(program, tree.conclusion)
     if outside:  # every premise carries the root's hypotheses
@@ -324,6 +326,8 @@ def check_proof(program: Program, dom: Optional[QualDomain],
     try:
         with deep_recursion():
             r = _check_node(chk, tree, "root")
+    except RecursionError:  # too deep to check is not invalid
+        raise
     except Exception as exc:  # malformed nodes surface as invalid
         return CheckResult("invalid", f"malformed tree: {exc}")
     if r.status == "valid":

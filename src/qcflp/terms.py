@@ -104,27 +104,31 @@ class HashCons:
 
     A term is canonical when it is the one object of its structure in
     the table: an application is keyed by its symbol and the ids of its
-    canonical arguments, a literal by its type and value, a nullary
-    application, a variable or bottom by its value.  Equality tests on
-    canonical terms of one table then stop at identity.  The table keeps
-    every key object alive, in the canonical term it maps to, so no id is
-    reused while the table lives (Filliâtre & Conchon, "Type-safe modular
-    hash-consing", 2006).
+    canonical arguments, a literal by its value, as the solver compares
+    literals (1 and 1.0 are one term; the parser reads every number as a
+    float), a nullary application, a variable or bottom by its value.
+    Equality tests on canonical terms of one table then stop at
+    identity.  The table keeps every key object alive, in the canonical
+    term it maps to, so no id is reused while the table lives
+    (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
     """
 
     def __init__(self):
         self.terms = {}
 
+    def added(self, e: Expr) -> None:
+        """Called once with each canonical term as it enters the table,
+        for a subclass that keeps something per term."""
+
     def leaf(self, e: Expr) -> Expr:
         """The canonical literal, variable, bottom or nullary application."""
-        if isinstance(e, Basic):
-            # an int and a float of one value can print apart
-            key = (Basic, type(e.value), e.value)
-        elif isinstance(e, App):
-            key = (e.symbol,)
-        else:
-            key = e
-        return self.terms.setdefault(key, e)
+        key = (Basic, e.value) if type(e) is Basic \
+            else (e.symbol,) if type(e) is App else e
+        out = self.terms.get(key)
+        if out is None:
+            out = self.terms[key] = e
+            self.added(e)
+        return out
 
     def app(self, symbol: str, args=()) -> App:
         """The canonical application of symbol to canonical args."""
@@ -132,6 +136,7 @@ class HashCons:
         out = self.terms.get(key)
         if out is None:
             out = self.terms[key] = App(symbol, tuple(args))
+            self.added(out)
         return out
 
 

@@ -141,43 +141,28 @@ class GroundData(HashCons):
     builds every piece of it in the program's rules and goals here
     (transform_expr), so from the translation on ground data is compared
     by identity: two canonical terms are equal exactly when they are one
-    object.  A literal is keyed by its value alone, as the solver
-    compares literals (1 and 1.0 are one term), an application by its
-    symbol and the ids of its canonical arguments, never by the id of a
-    search or goal term, so the table grows with the program's and its
+    object.  Its terms are keyed as in every HashCons, never by the id of
+    a search or goal term, so the table grows with the program's and its
     goals' distinct data and with the ground values that replay meets.
+    Only literals, nullary constructor applications and constructor
+    applications over its own terms enter it.
 
     The table is kept on the source program (Program.memo) and on each
     of its translations, so the solvers, replays and goals of a program
-    share it.  proofs maps the id of every canonical term to its proof
-    against itself (refl on a literal, cons on an application), or None
-    until that is built; a book record of the library list is then
-    proved once per program, and check_proof, which keeps its verdicts
-    on the program, decides that proof once.
+    share it.  proofs maps the id of every canonical term, registered as
+    it enters (added), to its proof against itself (refl on a literal,
+    cons on an application), or None until that is built; a book record
+    of the library list is then proved once per program, and
+    check_proof, which keeps its verdicts on the program, decides that
+    proof once.
     """
 
     def __init__(self):
         super().__init__()
         self.proofs = {}
 
-    def leaf(self, e: Expr) -> Expr:
-        """The canonical literal or nullary constructor application."""
-        key = (Basic, e.value) if type(e) is Basic else (e.symbol,)
-        out = self.terms.get(key)
-        if out is None:
-            out = self.terms[key] = e
-            self.proofs[id(e)] = None
-        return out
-
-    def app(self, symbol: str, args=()) -> App:
-        """The canonical constructor application of symbol to canonical
-        ground data args."""
-        key = (symbol, *map(id, args))
-        out = self.terms.get(key)
-        if out is None:
-            out = self.terms[key] = App(symbol, tuple(args))
-            self.proofs[id(out)] = None
-        return out
+    def added(self, e: Expr) -> None:
+        self.proofs[id(e)] = None
 
     def proof(self, t: Expr) -> ProofTree:
         """The proof of canonical ground data t against itself; built

@@ -133,6 +133,17 @@ def test_a_clash_past_the_head_probe_is_a_traced_try(calls):
     assert calls["_bind"] == 1  # the goal's R
 
 
+def test_other_canonical_data_fails_the_head_probe(calls):
+    # "ab" and "cd" are both canonical ground data with the head ':' of
+    # arity 2; the probe compares them by identity and skips rule 0
+    # before it is renamed, so it is neither counted nor traced
+    lines = []
+    assert solve('g("ab") --> 1\ng("cd") --> 2', '(g("cd") == R) # W',
+                 trace=lines.append) == ["{ R -> 2 } { W in (0, 1] }"]
+    assert lines == ["try rule 1: g'"]
+    assert calls["_rename_rule"] == 1
+
+
 def test_a_variable_slot_does_not_take_a_call(calls):
     # g(z, k(s(z))): the match stops at the call, which _unify_pattern
     # binds unevaluated; the clash on rule 0 shows only after evaluation

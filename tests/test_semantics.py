@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import BOOK4
 from qcflp.domains import U, domain_from_name
 import qcflp.semantics
+import qcflp.terms
 import qcflp.transform
 from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
                              bounded_lfp,
@@ -17,7 +18,7 @@ from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
                              instantiate_rule, parse_proof, parse_statement,
                              print_statement, production, serialize_proof,
                              statement_entails, weaken_tree)
-from qcflp.runtime import Solver
+from qcflp.runtime import Limits, Solver, replay_trees
 from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
                           parse_goal, parse_program)
 from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, HashCons, TRUE,
@@ -654,6 +655,28 @@ def test_deep_certificate_at_the_default_recursion_limit():
         assert (a.tag, a.conclusion) == (b.tag, b.conclusion)
         (a,), (b,) = a.children, b.children
     assert a == b and not b.children
+
+
+def test_check_proof_raises_on_a_tree_too_deep_to_check(monkeypatch):
+    # a valid tree nested deeper than the recursion limit is not invalid:
+    # the checker raises RecursionError, which prove --check reports as
+    # exit 5 ("term nested too deeply"), as every other layer does
+    monkeypatch.setattr(qcflp.terms, "DEEP_RECURSION_LIMIT", 3000)
+    program = parse_program("data t = a\nbig --> [" + ", ".join(["a"] * 5000)
+                            + "]\nhd(X:_T) --> X\n")
+    translated, _ = transform_program(program)
+    constraints, wvars, datavars = transform_goal(parse_goal("(hd(big) == X) # W"),
+                                                  program)
+
+    def check():
+        solver = Solver(translated, limits=Limits(depth=8))
+        answer = next(iter(solver.solve(constraints, wvars, datavars)))
+        *_, tree = replay_trees(solver, answer, constraints)
+        assert tree.conclusion.atom.symbol == "=="
+        with pytest.raises(RecursionError):
+            check_proof(translated, None, tree)
+
+    qcflp.terms.run_deep(check)
 
 
 def _unshared(tree):

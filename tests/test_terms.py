@@ -9,7 +9,7 @@ from qcflp.constraints import holds_under
 from qcflp.semantics import production
 from qcflp.syntax import parse_expr
 from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, BUILTIN_PF,
-                         Signature, TRUE, Var, apply_subst, compare_data,
+                         HashCons, Signature, TRUE, Var, apply_subst, compare_data,
                          info_leq, is_ground, is_term, is_total,
                          term_glb, term_lub, vars_of)
 from qcflp.transform import GroundData, transform_expr
@@ -204,3 +204,16 @@ def test_canonical_data_is_one_object_exactly_when_same(x, y):
     data, sig = GroundData(), Signature()
     cx, cy = (transform_expr(t, sig, data, None) for t in (x, y))
     assert (cx is cy) == (compare_data(x, y, BUILTIN_PF) == "same")
+
+
+@pytest.mark.parametrize("table", [HashCons, GroundData])
+def test_one_literal_key_rule(table):
+    # every table keys a literal by its value: 1 and 1.0 are one term,
+    # the first one met, and so are the applications over it
+    share = table()
+    one = Basic(1)
+    assert share.leaf(one) is one and share.leaf(Basic(1.0)) is one
+    assert share.app("c", (one,)) is share.app("c", (share.leaf(Basic(1.0)),))
+    if table is GroundData:
+        # each canonical term is registered once, as it enters
+        assert len(share.proofs) == len(share.terms) == 2
