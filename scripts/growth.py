@@ -8,8 +8,9 @@ Solves programs/library.qcflp's paper goal,
 threshold t from 0.9 down to 0.1, and then two threshold-free goals, the
 paper goal and the open search (search(L,G,V) == R) # W, each on a fresh
 solver at depth 64, and prints one line per goal:
-the rule tries, propagation steps, failure-memo hits and records, the
-process time of the solve and a digest of the rendered answers.  The
+the rule tries, propagation steps, clashing tries skipped as unable to
+cut (Solver.skips), failure-memo hits and records, the process time of
+the solve and a digest of the rendered answers.  The
 counters are deterministic; the time is for information.  The last line
 is the JSON of every row.
 """
@@ -50,7 +51,8 @@ def measure(program, translated, goal: str) -> dict:
     answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
     ms = (time.process_time() - started) * 1000
     return {"tries": tries,
-            "steps": solver.prop_steps, "memo_hits": solver.failure_hits,
+            "steps": solver.prop_steps, "skips": solver.skips,
+            "memo_hits": solver.failure_hits,
             "memo_records": sum(map(len, solver.failures.values())),
             "answers": len(answers), "cut": sorted(solver.cut),
             "digest": hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16],
@@ -59,6 +61,7 @@ def measure(program, translated, goal: str) -> dict:
 
 def show(label: str, row: dict):
     print(f"{label:<10} tries {row['tries']:>6}  steps {row['steps']:>7}"
+          f"  skips {row['skips']:>4}"
           f"  memo hits {row['memo_hits']:>5} records {row['memo_records']:>5}"
           f"  answers {row['answers']} {row['digest']}  {row['ms']:.0f} ms")
 

@@ -21,11 +21,16 @@ and constructors only) is canonical from the translation on
 compared by identity.  A strict equality whose one side already is a
 literal or data demands that value of the other side's evaluation: a
 rule whose rhs clashes with it cannot give it, so its try runs only for
-the reasons that cut it.  A solver remembers such tries on ground data
-that failed, with their qualification intervals and remaining depth,
-and fails them again at once (failure tabling, Solver._clashing_try); a
-failure whose search was not cut also fails the same try with narrower
-intervals (call subsumption).
+the reasons that cut it.  Such a try on ground data is skipped outright
+when a static bound on its chains of nested calls keeps them clear of
+the depth bound (Solver._cannot_cut): each attenuated call divides the
+qualification lower bound by its factor, and a bound above 1 ends the
+chain, so goals with a positive threshold skip most of them.  A solver
+remembers the other such tries on ground data that failed, with their
+qualification intervals and remaining depth, and fails them again at
+once (failure tabling, Solver._clashing_try); a failure whose search
+was not cut also fails the same try with narrower intervals (call
+subsumption).
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -297,6 +302,112 @@ def _leaf_paths(t, path: tuple, out: dict) -> dict:
     return out
 
 
+def _body_calls(rule, sig, ground: dict):
+    """The calls of a rule's body, its uncompiled conditions and its rhs,
+    as (symbol, factor) pairs; None when the body is not readable.
+
+    A call's factor is 1 when its qualification argument is the head's
+    leaf, and a when it is a variable V that earlier conditions declare
+    by qVal(V) and bound by leaf <= a*V with a < 1: when the call runs,
+    V's lower bound is the leaf's divided by a.  Any other qualification
+    argument, a head leaf that is not a variable (the product domain), a
+    primitive application (an undecided one cuts) or a call inside
+    another call's arguments (bound lazily, evaluated deeper) makes the
+    body unreadable.  Canonical ground data (its id in ground) holds no
+    call, so it is not walked.
+    """
+    leaf = rule.patterns[-1] if rule.patterns else None
+    if type(leaf) is not Var:
+        return None
+    qvals, caps, calls = set(), {}, []
+    for c in (*rule.conditions, None):  # None: the rhs, after them
+        bound = None if c is None else compile_bound(c, str)
+        if bound is None:
+            stack = [(e, False) for e in ((rule.rhs,) if c is None else c.args)]
+            while stack:
+                e, inside = stack.pop()
+                if type(e) is not App or id(e) in ground:
+                    continue
+                kind = sig.kind(e.symbol)
+                if kind == "pf" or (kind == "df" and inside):
+                    return None
+                if kind == "df":
+                    q = e.args[-1] if e.args else None
+                    a = 1.0 if q == leaf else caps.get(q.name) \
+                        if type(q) is Var and q.name in qvals else None
+                    if a is None:
+                        return None
+                    calls.append((e.symbol, a))
+                    inside = True
+                stack += [(x, inside) for x in e.args]
+        elif bound[0] == "qval":
+            qvals.add(bound[1])
+        elif bound[2] == (1.0, leaf.name) and bound[3][1] is not None \
+                and 0.0 < bound[3][0] < 1.0:
+            caps.setdefault(bound[3][1], bound[3][0])
+    return calls
+
+
+def _chain_bounds(program: Program) -> list:
+    """Per rule index, (run, a_max, a) for each call of its body
+    (_body_calls), or None; see Solver._cannot_cut.
+
+    The triple bounds the chains of nested calls that the call (symbol
+    g, factor a) starts: run is one more than the longest path of
+    factor-1 calls among the functions reachable from g, and a_max the
+    largest factor below 1 on their calls, None when there is none.  A
+    body is None unless every rule of every function it reaches is
+    readable and no cycle of factor-1 calls joins them.
+    """
+    sig, ground = program.signature, program.memo("ground data", GroundData).proofs
+    calls = [_body_calls(r, sig, ground) for r in program.rules]
+    out = {}  # function -> the calls of its rules, None when one is unreadable
+    for r, cs in zip(program.rules, calls):
+        known = out.get(r.name, ())
+        out[r.name] = None if cs is None or known is None else [*known, *cs]
+    flat, heights = {}, {}
+
+    def flat_path(f, path=frozenset()):
+        """The longest path of factor-1 calls from f; None on a cycle."""
+        if f not in flat:
+            n = None if f in path or out.get(f, ()) is None else 0
+            for g, a in out.get(f) or ():
+                if n is not None and a == 1.0:
+                    m = flat_path(g, path | {f})
+                    n = None if m is None else max(n, m + 1)
+            flat[f] = n
+        return flat[f]
+
+    def height(g):
+        if g not in heights:
+            seen, todo, run, a_max = {g}, [g], 1, None
+            while todo and run is not None:
+                f = todo.pop()
+                n = flat_path(f)
+                run = None if n is None else max(run, n + 1)
+                for h, a in out.get(f) or ():
+                    if a < 1.0:
+                        a_max = max(a_max or 0.0, a)
+                    if h not in seen:
+                        seen.add(h)
+                        todo.append(h)
+            heights[g] = None if run is None else (run, a_max)
+        return heights[g]
+
+    bounds = []
+    for cs in calls:
+        hs = None if cs is None else [(height(g), a) for g, a in cs]
+        bounds.append(None if hs is None or any(h is None for h, _ in hs)
+                      else tuple((*h, a) for h, a in hs))
+    return bounds
+
+
+# each division of the chain check (Solver._cannot_cut) shrinks its
+# lower bound by this factor, far more than the propagator's own
+# division (constraints._div_down) can round it down
+_ROUNDING = 1.0 - 1e-9
+
+
 def _qual_vars(rule, sig) -> set:
     """Names of the qualification variables of a translated rule: those
     of the qualification argument of its head and of each call, and
@@ -380,6 +491,19 @@ def _instance_side(side, vs: list):
     return (k * v.value, None) if type(v) is Basic else None
 
 
+def _ground_args(store: Store, args: tuple, ground: dict):
+    """args, each walked, when every one is a literal or canonical ground
+    data (its id in ground); else None."""
+    subst, out = store.subst, []
+    for x in args:
+        while type(x) is Var and x.name in subst:
+            x = subst[x.name]
+        if type(x) is not Basic and id(x) not in ground:
+            return None
+        out.append(x)
+    return out
+
+
 def _failure_key(solver: "Solver", store: Store, call: App, index: int, depth: int):
     """The key of a try of the rule with this index on call in the
     failure memo (see Solver._clashing_try), or None when the memo does
@@ -394,17 +518,11 @@ def _failure_key(solver: "Solver", store: Store, call: App, index: int, depth: i
     value, None for a variable) and the remaining depth; the second part
     is the interval of each variable leaf, in order.
     """
-    subst, ground = store.subst, solver._data.proofs
-    key = [index]
-    for x in call.args[:-1]:
-        while type(x) is Var and x.name in subst:
-            x = subst[x.name]
-        if type(x) is Basic:
-            key.append((type(x.value), x.value))
-        elif id(x) in ground:
-            key.append(id(x))
-        else:
-            return None
+    data = _ground_args(store, call.args[:-1], solver._data.proofs)
+    if data is None:
+        return None
+    subst = store.subst
+    key = [index, *[(type(x.value), x.value) if type(x) is Basic else id(x) for x in data]]
     names, leaves, stack = set(), [], [call.args[-1]]
     while stack:
         x = stack.pop()
@@ -457,6 +575,10 @@ class Solver:
         # the times it was used
         self.failures = {}
         self.failure_hits = 0
+        # clashing tries skipped as unable to cut (see _cannot_cut), and
+        # the program's chain bounds, made on the first clashing try
+        self.skips = 0
+        self._chains = None
         # the program's canonical ground data, which its translation
         # built, and what replay shares across answers
         self._data = program.memo("ground data", GroundData)
@@ -725,7 +847,9 @@ class Solver:
              demand: Expr = None) -> Iterator[Expr]:
         """The head normal forms of e.  demand is a value (_value) that a
         strict equality compares them with, or None; a rule whose rhs
-        value clashes with it gives none (see _clashing_try)."""
+        value clashes with it gives none, so its try is skipped when it
+        cannot cut either (_cannot_cut), and otherwise only shows its cut
+        reasons (_clashing_try)."""
         e = self.walk(store, e)
         if isinstance(e, (Var, Basic)):
             yield e
@@ -778,7 +902,10 @@ class Solver:
                 continue
             if demand is not None and result is not None \
                     and _clash(result, demand, ground):
-                self._clashing_try(e, store, depth, index, rule.name, tpl)
+                if self._cannot_cut(store, e, index, depth):
+                    self.skips += 1
+                else:
+                    self._clashing_try(e, store, depth, index, rule.name, tpl)
                 continue
             inst = self._rename_rule(tpl, e.args, store)
             if self.trace:
@@ -804,7 +931,11 @@ class Solver:
         clashes with the demand: _unify_heads would reject each of its
         results without evaluating anything, so the try never evaluates
         its rhs or yields, and only the reasons that cut its head
-        unification and conditions show.
+        unification and conditions show.  _hnf makes it only when
+        _cannot_cut finds no bound that keeps it from cutting: a
+        threshold-free goal, a product domain, a call on data that is
+        not ground, or a rule that reaches a factor-1 cycle, a primitive
+        application or a call inside a call's arguments.
 
         Such a try on ground data goes through the failure memo (failure
         tabling), keyed as _failure_key says.  A try that runs to
@@ -887,6 +1018,57 @@ class Solver:
                 for narrower in [w for w, c in known.items() if not c and _inside(w, leaves)]:
                     del known[narrower]
                 known[leaves] = _CLEAN
+
+    def _cannot_cut(self, store: Store, e: App, index: int, depth: int) -> bool:
+        """Whether a try of the rule with this index on the call e, at
+        this depth, can raise no cut reason, so that a clashing try,
+        which yields nothing, may be skipped outright.
+
+        The call's data arguments must walk to literals or canonical
+        ground data, so that head unification evaluates nothing, and the
+        rule must have chain bounds (_chain_bounds): its body, and every
+        rule that it reaches, then raise no "primitive" reason, and each
+        call that they make runs one depth below its caller or higher.
+        What remains is the "depth" reason, raised by a call at depth 0.
+        With lo the lower bound of the call's leaf, a body call at factor
+        a starts a chain with its leaf at lo/a or above.  Each later call
+        at a factor below 1 divides that bound by its factor, at most
+        a_max, through the bound and the qVal that its caller posts
+        before it, and a bound above 1 empties that qVal, so the call
+        does not run.  The body call, and each such call, starts a run
+        of at most run calls at factor 1.  The try is skipped when every
+        chain is shorter than depth.  With lo at 0, a chain that meets a
+        factor below 1 has no bound.  A propagation that the step guard
+        stops may not carry the bound down, which the skipped try would
+        have flagged.
+        """
+        if self._chains is None:
+            self._chains = self.program.memo("chain bounds",
+                                             lambda: _chain_bounds(self.program))
+        body = self._chains[index]
+        if body is None:
+            return False
+        if _ground_args(store, e.args[:-1], self._data.proofs) is None:
+            return False
+        q = self.walk(store, e.args[-1])
+        if type(q) is Var:
+            lo = store.ivals.get(q.name, FULL).lo
+        elif type(q) is Basic:
+            lo = q.value
+        else:
+            return False
+        for run, a_max, a in body:
+            n, b = run, lo / a * _ROUNDING
+            if a_max is not None:
+                if not b > 0.0:
+                    return False
+                b = b / a_max * _ROUNDING
+                while b <= 1.0 and n < depth:
+                    n += run
+                    b = b / a_max * _ROUNDING
+            if n >= depth:
+                return False
+        return True
 
     def _over_cap(self, store: Store, arg: Expr, caps: tuple) -> bool:
         """Whether a rule with these caps (see _qual_caps) fails on the

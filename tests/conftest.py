@@ -43,6 +43,12 @@ def no_failure_memo(monkeypatch):
     monkeypatch.setattr(runtime, "_failure_key", lambda *args: None)
 
 
+@pytest.fixture
+def no_clash_skips(monkeypatch):
+    """The solver with its chain check off: every clashing try runs."""
+    monkeypatch.setattr(runtime.Solver, "_cannot_cut", lambda self, *args: False)
+
+
 def random_layered_program(rng: random.Random, layers: int = 3,
                            per_layer: int = 2) -> Program:
     """A terminating program: each function calls only earlier layers.

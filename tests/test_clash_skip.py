@@ -1,0 +1,220 @@
+"""A clashing try that cannot cut is skipped outright.
+
+A rule whose rhs clashes with a strict equality's demand cannot give it,
+so its try only shows the reasons that cut it.  When the call is on
+ground data and a static bound on the rule's chains of nested calls
+shows that none of them reaches depth 0 (Solver._cannot_cut), the try
+raises no reason either, and the solver skips it before renaming: no
+memo lookup and no record.  The bound comes from the qualification lower
+bound of the call, which each attenuated call divides by its factor, so
+thresholded goals skip most tries; a threshold-free goal skips only
+tries whose chains meet no attenuation.  Answers, certificates, cut sets
+and holds verdicts are those of running every try.
+"""
+
+import pytest
+
+from conftest import BOOK2, BOOK4
+from test_failure_memo import LOOP, OPEN, outcome
+from test_holds_golden import BOOKS
+from test_rule_filter import PAPER
+from qcflp.domains import U
+from qcflp.runtime import Limits, Solver, render_answer
+from qcflp.semantics import holds, parse_statement, serialize_proof
+from qcflp.syntax import parse_constraints, parse_goal, parse_program
+from qcflp.transform import transform_goal, transform_program
+
+THRESHOLDS = ("0.9", "0.7", "0.5", "0.3", "0.1")
+DEPTHS = (3, 5, 6, 8, 64)
+
+# goals of the library, each at every threshold and depth above
+GOALS = [
+    PAPER,
+    OPEN,
+    f"(guessGenre({BOOK4}) == \"Essay\") # W",
+    f"(guessReaderLevel({BOOK2}) == upper) # W",
+    '(search("English",G,V) == R) # W',
+]
+
+
+@pytest.mark.parametrize("goal", GOALS, ids=["paper", "open", "guessGenre",
+                                             "guessReaderLevel", "search-english"])
+def test_skips_keep_what_the_search_shows(request, library, goal):
+    runs = [(f"{goal} | W >= {t}", depth) for t in THRESHOLDS for depth in DEPTHS]
+    runs += [(goal, depth) for depth in (5, 6)]
+    skipped = [outcome(library, g, depth, U) for g, depth in runs]
+    request.getfixturevalue("no_clash_skips")
+    for (shown, solver), (g, depth) in zip(skipped, runs):
+        plain, every = outcome(library, g, depth, U)
+        assert shown == plain, (g, depth)
+        assert every.skips == 0
+    assert sum(solver.skips for _, solver in skipped) > 0
+
+
+STATEMENTS = [
+    '(guessGenre(BOOK1) -> "Essay") # 0.5',
+    '(guessGenre(BOOK3) -> "Essay") # 0.7',
+    '(guessGenre(BOOK2) -> "Adventure") # 0.5',
+    '(guessReaderLevel(BOOK3) -> proficiency) # 0.8',
+    '(search("German","Essay",intermediate) -> 4) # 0.65',
+]
+
+
+def test_skips_keep_the_holds_verdicts(request, library):
+    def verdicts():
+        out = []
+        for text in STATEMENTS:
+            for name, book in BOOKS.items():
+                text = text.replace(name, book)
+            for depth in (4, 6, 8, 12):
+                r = holds(library, U, parse_statement(text), depth)
+                out.append((r.status, r.tree and serialize_proof(r.tree, "u", U)))
+        return out
+
+    skipped = verdicts()
+    request.getfixturevalue("no_clash_skips")
+    assert verdicts() == skipped
+    # BOOK1's statement is unknown at depths 4 and 6, not found at 8 and
+    # 12; the search statement is unknown at depth 4
+    assert [status for status, _ in skipped].count("unknown") == 3
+
+
+def counted(program, goal, depth=64):
+    """The rendered answers of a solve, its rule tries and its solver."""
+    translated, _ = transform_program(program)
+    constraints, wvars, datavars = transform_goal(parse_goal(goal), program)
+    solver = Solver(translated, limits=Limits(depth=depth))
+    tries, rename = [], solver._rename_rule
+    solver._rename_rule = lambda *args: tries.append(1) or rename(*args)
+    answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
+    return answers, len(tries), solver
+
+
+@pytest.mark.parametrize("threshold", ["0.7", "0.6", "0.5", "0.4", "0.3", "0.2",
+                                       "0.15", "0.1"])
+def test_the_paper_goal_takes_at_most_40_tries_down_the_ladder(library, threshold):
+    # 83 tries at 0.7 to 620 at 0.1 with every clashing try run
+    answers, tries, solver = counted(library, f"{PAPER} | W >= {threshold}")
+    assert len(answers) == 1 and tries <= 40
+    assert solver.skips > 0 and solver.failure_hits == 0 and solver.cut == set()
+
+
+@pytest.mark.parametrize("depth,most", [(5, 121), (6, 152)])
+def test_threshold_free_goal_keeps_its_flag(library, depth, most):
+    # the chains of guessGenre's attenuated rules have no bound at a lower
+    # bound of 0, so only tries whose chains meet no attenuation are skipped
+    answers, tries, solver = counted(library, PAPER, depth)
+    assert answers == ["{ R -> 4 } { W in (0, 0.7] } [incomplete]"]
+    assert solver.cut == {"depth"} and tries <= most
+
+
+# p's try calls g, g calls h at factor 1 and h calls g at factor 0.5:
+# from W >= 0.25 the chain is g, h, g, h, g, h, with g's leaf at 0.25,
+# 0.5 and 1 (less a rounding), and the bound the check computes is
+# exact.  The last h runs at depth 0 when p's try runs at depth 6
+CHAIN = """
+data t = a | b | c
+p(X) --> b <== g(X) == a
+g(X) --> h(X)
+g(X) --> b
+h(X) -0.5-> a <== g(X) == c
+"""
+
+
+@pytest.mark.parametrize("depth,cut,skipped", [(6, {"depth"}, False), (7, set(), True)])
+def test_the_bound_is_tight_on_a_chain(request, depth, cut, skipped):
+    program = parse_program(CHAIN)
+    goal = "(p(1) == a) # W | W >= 0.25"
+    shown, solver = outcome(program, goal, depth, U)
+    assert (shown[2], solver.skips == 1) == (cut, skipped)
+    request.getfixturevalue("no_clash_skips")
+    assert outcome(program, goal, depth, U)[0] == shown
+
+
+# ----------------------------------------------------------------------
+# tries that must run: each program's p(1) gives b against the demand a
+# ----------------------------------------------------------------------
+
+def p_solver(source, goal="(p(1) == a) # W | W >= 0.5", depth=8):
+    """The answers of goal on source's program, and its solver."""
+    program = parse_program("data t = a | b\n" + source)
+    translated, _ = transform_program(program)
+    constraints, wvars, datavars = transform_goal(parse_goal(goal), program)
+    solver = Solver(translated, limits=Limits(depth=depth))
+    return list(solver.solve(constraints, wvars, datavars)), solver
+
+
+@pytest.mark.parametrize("source", [
+    "p(X) --> b <== g(X) == a\ng(X) --> a\n",
+    "p(X) --> b <== g(X) == a\ng(X) -0.9-> a <== g(X) == b\ng(X) --> b\n",
+], ids=["plain-call", "attenuated-recursion"])
+def test_a_bounded_try_is_skipped(source):
+    answers, solver = p_solver(source)
+    assert (answers, solver.skips, solver.failures, solver.cut) == ([], 1, {}, set())
+
+
+@pytest.mark.parametrize("source,goal", [
+    ("p(X) --> b <== loop(X) == a\nloop(X) --> loop(X)\n", None),
+    ("p(X) --> b <== member(X, [1, 2]) == true\n"
+     "member(B,[]) --> false\nmember(B,H:_T) --> true <== B == H\n"
+     "member(B,H:T) --> member(B,T) <== B /= H\n", None),
+    ("p(X) --> b <== X + 1 > 0\n", None),
+    ("p(X) --> b <== g(k(X)) == a\ng(X) --> a\nk(X) --> X\n", None),
+    ("p(X) --> b <== g(X) == a\ng(X) --> a\n", "(p(Y) == a) # W | W >= 0.5"),
+], ids=["factor-1-cycle", "member", "primitive", "call-in-arguments",
+        "non-ground-call"])
+def test_a_try_that_the_bound_misses_runs(source, goal):
+    answers, solver = p_solver(source, *([goal] if goal else []))
+    assert answers == [] and solver.skips == 0
+    # the try ran through the failure memo, unless its call has no key
+    assert solver.failures or goal
+
+
+# translated programs: the recursive call of h's first rule runs before
+# the bound that attenuates it (AFTER), or before the qVal that caps
+# its leaf at 1 (QVAL_AFTER), so its chains have no bound; from
+# W >= 0.5 the depth cuts them, and in QVAL_AFTER a call whose leaf's
+# lower bound is above 1 still runs
+AFTER = """
+h'(X, W) --> b <== qVal(W), qVal(V), h'(X, V) == a, W <= 0.5*V
+h'(X, W) --> a
+"""
+BEFORE = AFTER.replace("h'(X, V) == a, W <= 0.5*V", "W <= 0.5*V, h'(X, V) == a")
+QVAL_AFTER = AFTER.replace("qVal(V), h'(X, V) == a, W <= 0.5*V",
+                           "W <= 0.5*V, h'(X, V) == a, qVal(V)")
+
+
+@pytest.mark.parametrize("source,depth,skips,cut", [
+    (AFTER, 6, 0, {"depth"}), (BEFORE, 6, 1, set()), (QVAL_AFTER, 2, 0, {"depth"}),
+], ids=["bound-after-call", "bound-before-call", "qval-after-call"])
+def test_a_bound_after_the_call_does_not_count(source, depth, skips, cut):
+    program = parse_program("data t = a | b\n" + source)
+    solver = Solver(program, limits=Limits(depth=depth))
+    constraints = parse_constraints("qVal(W), W >= 0.5, h'(1, W) == a")
+    assert len(list(solver.solve(constraints, ["W"], []))) == 1
+    assert (solver.skips, solver.cut) == (skips, cut)
+
+
+def test_a_chain_longer_than_the_depth_runs(request, library):
+    # at W >= 0.5 and depth 6, some chains of guessGenre's calls are
+    # longer than the remaining depth: their tries run, and the depth
+    # still cuts the search
+    goal = f"{PAPER} | W >= 0.5"
+    answers, tries, solver = counted(library, goal, 6)
+    assert answers == ["{ R -> 4 } { W in [0.5, 0.7] } [incomplete]"]
+    assert solver.cut == {"depth"} and solver.failures and solver.skips > 0
+    request.getfixturevalue("no_clash_skips")
+    plain, _, every = counted(library, goal, 6)
+    assert (plain, every.cut) == (answers, solver.cut)
+
+
+def test_loop_runs_its_clashing_try():
+    # LOOP's p calls loop, a factor-1 cycle, so its try runs, and fails
+    # from the memo the second time
+    program = parse_program(LOOP)
+    translated, _ = transform_program(program)
+    constraints, wvars, datavars = transform_goal(
+        parse_goal("(q == true) # W | W >= 0.5"), program)
+    solver = Solver(translated, limits=Limits(depth=8))
+    assert list(solver.solve(constraints, wvars, datavars)) == []
+    assert (solver.skips, solver.cut, solver.failure_hits) == (0, {"depth"}, 1)
