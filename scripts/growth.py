@@ -5,9 +5,10 @@
 
 Solves programs/library.qcflp's paper goal,
 (search("German","Essay",intermediate) == R) # W | W >= t, for each
-threshold t from 0.9 down to 0.1, and then two threshold-free goals, the
-paper goal and the open search (search(L,G,V) == R) # W, each on a fresh
-solver at depth 64, and prints one line per goal:
+threshold t from 0.9 down to 0.1, then two threshold-free goals, the
+paper goal and the open search (search(L,G,V) == R) # W, and then the
+paper goal under the product domain uxu at each threshold (t,t), each on
+a fresh solver at depth 64, and prints one line per goal:
 the rule tries, propagation steps, clashing tries skipped as unable to
 cut (Solver.skips), failure-memo hits and records, the process time of
 the solve and a digest of the rendered answers.  The
@@ -24,6 +25,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from qcflp.domains import U, domain_from_name
 from qcflp.runtime import Limits, Solver, render_answer
 from qcflp.syntax import parse_goal, parse_program
 from qcflp.transform import transform_goal, transform_program
@@ -35,9 +37,9 @@ FREE = (PAPER, "(search(L,G,V) == R) # W")
 DEPTH = 64
 
 
-def measure(program, translated, goal: str) -> dict:
-    constraints, wvars, datavars = transform_goal(parse_goal(goal), program)
-    solver = Solver(translated, limits=Limits(depth=DEPTH))
+def measure(program, translated, goal: str, dom=U) -> dict:
+    constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
+    solver = Solver(translated, dom, Limits(depth=DEPTH))
     tries = 0
     rename = solver._rename_rule
 
@@ -53,23 +55,24 @@ def measure(program, translated, goal: str) -> dict:
     return {"tries": tries,
             "steps": solver.prop_steps, "skips": solver.skips,
             "memo_hits": solver.failure_hits,
-            "memo_records": sum(map(len, solver.failures.values())),
+            "memo_records": len(solver.failures),
             "answers": len(answers), "cut": sorted(solver.cut),
             "digest": hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16],
             "ms": round(ms, 1)}
 
 
 def show(label: str, row: dict):
-    print(f"{label:<10} tries {row['tries']:>6}  steps {row['steps']:>7}"
+    print(f"{label:<20} tries {row['tries']:>6}  steps {row['steps']:>7}"
           f"  skips {row['skips']:>4}"
           f"  memo hits {row['memo_hits']:>5} records {row['memo_records']:>5}"
           f"  answers {row['answers']} {row['digest']}  {row['ms']:.0f} ms")
 
 
 def main():
-    program = parse_program((ROOT / "programs" / "library.qcflp").read_text())
+    text = (ROOT / "programs" / "library.qcflp").read_text()
+    program = parse_program(text)
     translated, _ = transform_program(program)
-    rows, free = [], []
+    rows, free, uxu_rows = [], [], []
     for threshold in THRESHOLDS:
         rows.append({"threshold": float(threshold),
                      **measure(program, translated, GOAL % threshold)})
@@ -77,8 +80,17 @@ def main():
     for goal in FREE:
         free.append({"goal": goal, **measure(program, translated, goal)})
         show("free", free[-1])
+    uxu = domain_from_name("uxu")
+    program = parse_program(text, uxu)
+    translated, _ = transform_program(program, uxu)
+    for threshold in THRESHOLDS:
+        pair = f"({threshold},{threshold})"
+        uxu_rows.append({"threshold": float(threshold),
+                         **measure(program, translated, GOAL % pair, uxu)})
+        show(f"uxu W >= {pair}", uxu_rows[-1])
     print(json.dumps({"family": "threshold", "goal": GOAL % "t",
-                      "depth": DEPTH, "rows": rows, "free": free}))
+                      "depth": DEPTH, "rows": rows, "free": free,
+                      "uxu": uxu_rows}))
 
 if __name__ == "__main__":
     main()

@@ -3,13 +3,12 @@
 The solver performs demand-driven conditional narrowing with chronological
 backtracking.  Rules are tried in program order, except that a rule whose
 head cannot match the call, as far as the call's arguments are already
-values, is skipped before it is renamed, and so is a rule whose
-attenuation caps the call's qualification below the lower bound that it
-already has.  A head variable that meets a variable, a literal or ground
-data takes it as the rule is renamed, with no binding; from the first
-argument that needs evaluation, unification takes over, and head patterns
-force the evaluation of arguments only as far as it demands; conditions run
-left to right before the right-hand side replaces the call.  A try builds
+values, is skipped before it is renamed.  A head variable that meets a
+variable, a literal or ground data takes it as the rule is renamed, with
+no binding; from the first argument that needs evaluation, unification
+takes over, and head patterns force the evaluation of arguments only as
+far as it demands; conditions run left to right before the right-hand
+side replaces the call.  A try builds
 only what it uses, as a WAM puts a goal's arguments just before the call:
 the head patterns that unification needs, at once; a condition's atom when
 the general path first reaches it, and the right-hand side when the
@@ -23,14 +22,13 @@ literal or data demands that value of the other side's evaluation: a
 rule whose rhs clashes with it cannot give it, so its try runs only for
 the reasons that cut it.  Such a try on ground data is skipped outright
 when a static bound on its chains of nested calls keeps them clear of
-the depth bound (Solver._cannot_cut): each attenuated call divides the
-qualification lower bound by its factor, and a bound above 1 ends the
-chain, so goals with a positive threshold skip most of them.  A solver
-remembers the other such tries on ground data that failed, with their
-qualification intervals and remaining depth, and fails them again at
-once (failure tabling, Solver._clashing_try); a failure whose search
-was not cut also fails the same try with narrower intervals (call
-subsumption).
+the depth bound (Solver._cannot_cut): in one component of the
+qualification, each attenuated call divides the lower bound by its
+factor, and a bound above 1 ends the chain, so goals with a positive
+threshold skip most of them, in every domain.  A solver remembers the
+other such tries on ground data that failed, with their qualification
+intervals and remaining depth, and fails the same try again at once
+(failure tabling, Solver._clashing_try).
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -64,7 +62,7 @@ from typing import Iterator, Optional
 
 from .constraints import (ARITH, FULL, RELS, _numeric_expr, compile_bound,
                           compile_post, eval_primitive, narrow_bound, point,
-                          propagate_from, tighten, walk_name, walk_side)
+                          propagate_from, walk_name, walk_side)
 from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Program, print_constraint, print_expr
@@ -253,70 +251,39 @@ def _clash(result: Expr, demand: Expr, ground: dict) -> bool:
         or (result is not demand and id(result) in ground and id(demand) in ground)
 
 
-def _qual_caps(pats_t: tuple, compiled_t: tuple) -> tuple:
-    """The qualification probe of a rule template: (path, a, strict) for
-    each leaf of the last head pattern, the call's qualification
-    argument, that a leading compiled bound caps at a: leaf <= a, or
-    leaf <= a*V after a qVal(V), as V <= 1 (leaf < a when strict).
-    path is the (constructor, argument index) steps from the pattern
-    down to the leaf.
-
-    Only the leading run of compiled conditions counts, up to the first
-    one that names a data pattern variable: the posts in it evaluate
-    nothing.  A cap at the top (leaf <= 1) is left out, as a qVal posts
-    it too.  A rule with a data pattern that is not a variable gets no
-    probe, since unifying that pattern can evaluate a call.
-    """
-    data = pats_t[:-1]
-    for p in data:
-        if type(p) is not int:
-            return ()
-    leaves = _leaf_paths(pats_t[-1], (), {}) if pats_t else {}
-    caps = {}
-    qvals = {None}              # None: the constant side of a bound
-    for c in compiled_t:
-        if c is None:
-            break
-        if c[0] == "qval":
-            if c[1] in data:
-                break
-            qvals.add(c[1])
-            continue
-        _, strict, (k, x), (a, y) = c
-        if x in data or y in data:
-            break
-        if y in qvals and k == 1.0 and x in leaves and x not in caps \
-                and (a, strict) != (1.0, False):
-            caps[x] = (leaves[x], a, strict)
-    return tuple(caps.values())
-
-
-def _leaf_paths(t, path: tuple, out: dict) -> dict:
-    """out, with each variable position of pattern template t mapped to
-    its path (see _qual_caps)."""
-    if type(t) is int:
-        out[t] = path
-    elif type(t) is tuple:
-        for i, k in enumerate(t[1]):
-            _leaf_paths(k, path + ((t[0], i),), out)
+def _leaves(q: Expr, subst: dict) -> list:
+    """The leaves of a qualification argument, one per component of the
+    domain, left to right through the product domain's pairs, each
+    walked in subst."""
+    out, stack = [], [q]
+    while stack:
+        x = stack.pop()
+        while type(x) is Var and x.name in subst:
+            x = subst[x.name]
+        if type(x) is App and x.symbol == PAIR_CTOR:
+            stack += reversed(x.args)
+        else:
+            out.append(x)
     return out
 
 
-def _body_calls(rule, sig, ground: dict):
+def _body_calls(rule, sig, ground: dict, k: int):
     """The calls of a rule's body, its uncompiled conditions and its rhs,
-    as (symbol, factor) pairs; None when the body is not readable.
+    as (symbol, factor) pairs in component k of the qualification; None
+    when the body is not readable there.
 
-    A call's factor is 1 when its qualification argument is the head's
-    leaf, and a when it is a variable V that earlier conditions declare
-    by qVal(V) and bound by leaf <= a*V with a < 1: when the call runs,
-    V's lower bound is the leaf's divided by a.  Any other qualification
-    argument, a head leaf that is not a variable (the product domain), a
-    primitive application (an undecided one cuts) or a call inside
-    another call's arguments (bound lazily, evaluated deeper) makes the
-    body unreadable.  Canonical ground data (its id in ground) holds no
-    call, so it is not walked.
+    Each qualification argument is read at its leaf k (_leaves).  A
+    call's factor is 1 when its leaf is the head's, and a when it is a
+    variable V that earlier conditions declare by qVal(V) and bound by
+    leaf <= a*V with a < 1: when the call runs, V's lower bound is the
+    head leaf's divided by a.  Any other leaf, a head leaf that is not a
+    variable, a primitive application (an undecided one cuts) or a call
+    inside another call's arguments (bound lazily, evaluated deeper)
+    makes the body unreadable.  Canonical ground data (its id in ground)
+    holds no call, so it is not walked.
     """
-    leaf = rule.patterns[-1] if rule.patterns else None
+    heads = _leaves(rule.patterns[-1], {}) if rule.patterns else ()
+    leaf = heads[k] if k < len(heads) else None
     if type(leaf) is not Var:
         return None
     qvals, caps, calls = set(), {}, []
@@ -332,7 +299,8 @@ def _body_calls(rule, sig, ground: dict):
                 if kind == "pf" or (kind == "df" and inside):
                     return None
                 if kind == "df":
-                    q = e.args[-1] if e.args else None
+                    qs = _leaves(e.args[-1], {}) if e.args else ()
+                    q = qs[k] if len(qs) == len(heads) else None
                     a = 1.0 if q == leaf else caps.get(q.name) \
                         if type(q) is Var and q.name in qvals else None
                     if a is None:
@@ -348,9 +316,9 @@ def _body_calls(rule, sig, ground: dict):
     return calls
 
 
-def _chain_bounds(program: Program) -> list:
-    """Per rule index, (run, a_max, a) for each call of its body
-    (_body_calls), or None; see Solver._cannot_cut.
+def _chain_bounds(program: Program, k: int) -> list:
+    """Per rule index, (run, a_max, a) for each call of its body in
+    component k (_body_calls), or None; see Solver._cannot_cut.
 
     The triple bounds the chains of nested calls that the call (symbol
     g, factor a) starts: run is one more than the longest path of
@@ -360,7 +328,7 @@ def _chain_bounds(program: Program) -> list:
     readable and no cycle of factor-1 calls joins them.
     """
     sig, ground = program.signature, program.memo("ground data", GroundData).proofs
-    calls = [_body_calls(r, sig, ground) for r in program.rules]
+    calls = [_body_calls(r, sig, ground, k) for r in program.rules]
     out = {}  # function -> the calls of its rules, None when one is unreadable
     for r, cs in zip(program.rules, calls):
         known = out.get(r.name, ())
@@ -406,6 +374,25 @@ def _chain_bounds(program: Program) -> list:
 # lower bound by this factor, far more than the propagator's own
 # division (constraints._div_down) can round it down
 _ROUNDING = 1.0 - 1e-9
+
+
+def _chains_short(body: tuple, lo: float, depth: int) -> bool:
+    """Whether every chain that the calls of a body start (its chain
+    bounds in one component, see _chain_bounds) is shorter than depth,
+    from a call whose leaf in that component has the lower bound lo;
+    see Solver._cannot_cut."""
+    for run, a_max, a in body:
+        n, b = run, lo / a * _ROUNDING
+        if a_max is not None:
+            if not b > 0.0:
+                return False
+            b = b / a_max * _ROUNDING
+            while b <= 1.0 and n < depth:
+                n += run
+                b = b / a_max * _ROUNDING
+        if n >= depth:
+            return False
+    return True
 
 
 def _qual_vars(rule, sig) -> set:
@@ -510,24 +497,20 @@ def _failure_key(solver: "Solver", store: Store, call: App, index: int, depth: i
     not apply.
 
     It applies when each data argument walks to a literal or canonical
-    ground data, and the qualification argument walks to distinct
-    declared leaf variables or literals (through the product domain's
-    pairs).  The key is a pair.  Its base is the rule index, which fixes
-    the symbol, the data arguments (canonical data by id, a literal by
-    its type and value), the qualification leaves (a literal leaf's
-    value, None for a variable) and the remaining depth; the second part
-    is the interval of each variable leaf, in order.
+    ground data, and each leaf of the qualification argument (_leaves)
+    to a distinct declared variable or a literal.  The key is a pair.
+    Its base is the rule index, which fixes the symbol, the data
+    arguments (canonical data by id, a literal by its type and value),
+    the qualification leaves (a literal leaf's value, None for a
+    variable) and the remaining depth; the second part is the interval
+    of each variable leaf, in order.  A record serves its key exactly.
     """
     data = _ground_args(store, call.args[:-1], solver._data.proofs)
     if data is None:
         return None
-    subst = store.subst
     key = [index, *[(type(x.value), x.value) if type(x) is Basic else id(x) for x in data]]
-    names, leaves, stack = set(), [], [call.args[-1]]
-    while stack:
-        x = stack.pop()
-        while type(x) is Var and x.name in subst:
-            x = subst[x.name]
+    names, leaves = set(), []
+    for x in _leaves(call.args[-1], store.subst):
         if type(x) is Var:
             if x.name in names or x.name not in store.declared:
                 return None
@@ -536,20 +519,10 @@ def _failure_key(solver: "Solver", store: Store, call: App, index: int, depth: i
             leaves.append(store.ivals.get(x.name, FULL))
         elif type(x) is Basic:
             key.append(x.value)
-        elif type(x) is App and x.symbol == PAIR_CTOR:
-            stack += reversed(x.args)
         else:
             return None
     key.append(depth)
     return tuple(key), tuple(leaves)
-
-
-_CLEAN = frozenset()   # the cut reasons of a clean failure
-
-
-def _inside(leaves: tuple, wider: tuple) -> bool:
-    """Each leaf's interval lies inside its interval in wider."""
-    return all(iv.within(w) for iv, w in zip(leaves, wider))
 
 
 class Solver:
@@ -570,15 +543,13 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # the failure memo (see _clashing_try): a key's base -> its leaf
-        # intervals -> the cut reasons that the exhausted try raised; and
-        # the times it was used
+        # the failure memo (see _clashing_try): a key (_failure_key) ->
+        # the cut reasons that the exhausted try raised; and the times it
+        # was used
         self.failures = {}
         self.failure_hits = 0
-        # clashing tries skipped as unable to cut (see _cannot_cut), and
-        # the program's chain bounds, made on the first clashing try
+        # clashing tries skipped as unable to cut (see _cannot_cut)
         self.skips = 0
-        self._chains = None
         # the program's canonical ground data, which its translation
         # built, and what replay shares across answers
         self._data = program.memo("ground data", GroundData)
@@ -679,8 +650,7 @@ class Solver:
     def _compile_rule(self, index: int, rule) -> tuple:
         """The rename template of a rule, made on its first use by any
         solver of the program: its sorted variable list, the templates of
-        its patterns, rhs and conditions, its compiled conditions and its
-        qualification probe (_qual_caps)."""
+        its patterns, rhs and conditions, and its compiled conditions."""
         names = sorted(vars_of(rule.patterns) | vars_of(rule.rhs)
                        | vars_of(rule.conditions))
         pos = {v: i for i, v in enumerate(names)}
@@ -688,13 +658,11 @@ class Solver:
         def template(e):
             return _template(e, pos, self.sig, self._data.proofs)
 
-        pats_t = tuple(template(p) for p in rule.patterns)
-        compiled_t = tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions)
         tpl = self._templates[index] = (
-            names, pats_t, template(rule.rhs),
+            names, tuple(template(p) for p in rule.patterns), template(rule.rhs),
             tuple((c.symbol, tuple(template(a) for a in c.args), template(c.result))
                   for c in rule.conditions),
-            compiled_t, _qual_caps(pats_t, compiled_t))
+            tuple(compile_bound(c, pos.__getitem__) for c in rule.conditions))
         return tpl
 
     # ------------------------------------------------------------------
@@ -896,10 +864,6 @@ class Solver:
                 if arg is not None and _clash(probe[1], arg, ground):
                     continue  # the head cannot match: skip the renaming
             tpl = self._templates.get(index) or self._compile_rule(index, rule)
-            if tpl[5] and self._over_cap(store, e.args[-1], tpl[5]):
-                # the rule's attenuation is below the qualification the
-                # call already needs: skip it as the head probe does
-                continue
             if demand is not None and result is not None \
                     and _clash(result, demand, ground):
                 if self._cannot_cut(store, e, index, depth):
@@ -932,10 +896,11 @@ class Solver:
         results without evaluating anything, so the try never evaluates
         its rhs or yields, and only the reasons that cut its head
         unification and conditions show.  _hnf makes it only when
-        _cannot_cut finds no bound that keeps it from cutting: a
-        threshold-free goal, a product domain, a call on data that is
-        not ground, or a rule that reaches a factor-1 cycle, a primitive
-        application or a call inside a call's arguments.
+        _cannot_cut finds no component whose bound keeps it from
+        cutting: a threshold-free goal, a call on data that is not
+        ground, or a rule that reaches a primitive application, a call
+        inside a call's arguments or, in every component, a factor-1
+        cycle.
 
         Such a try on ground data goes through the failure memo (failure
         tabling), keyed as _failure_key says.  A try that runs to
@@ -943,14 +908,10 @@ class Solver:
         cut reasons it raised.  A later try with that key adds those
         reasons to the run's cut, so every answer keeps its flags, and
         fails before renaming; --trace prints "reuse failure: rule
-        <index> on <call>".  A clean record (no cut reason) also serves
-        every try with its base whose leaf intervals lie inside the
-        recorded ones (call subsumption); the clean records of one base
-        are kept an antichain, a wider one dropping those it contains.
-        A record with a cut reason serves its exact key only.  No key is
-        recorded or used once the solver has hit the guard.  The memo is
-        this solver's own.  The key holds no demand, so a record serves
-        every demand that the rule clashes with.
+        <index> on <call>".  No key is recorded or used once the solver
+        has hit the guard.  The memo is this solver's own.  The key
+        holds no demand, so a record serves every demand that the rule
+        clashes with.
 
         The failure depends on nothing but the key:
         - inside the try, the rule instance sees only the key's data,
@@ -959,32 +920,18 @@ class Solver:
           leaves and upper bounds up from them, so while the try runs
           nothing outside it narrows the leaves, and what it narrows
           outside empties an interval only if it empties a leaf;
-        - propagation is monotone, so a narrower context only fails
-          more; the step guard is not monotone (it stops a propagation
-          where it is), which is why runs that hit it are left out;
+        - the step guard stops a propagation where it is, so a run that
+          hits it may fail where another would not, which is why such
+          runs are left out;
         - keys may hold the ids of canonical data, because the program's
           GroundData keeps those terms alive;
         - a call that its branch has reduced keeps its value (_hnf), so
           call-time choice never meets the memo.
-        Subsumption is sound for the same reason: from narrower leaves
-        every propagation ends narrower, so the rule filter skips at
-        least the rules it skipped and every branch empties no later;
-        the narrower search explores a subtree of the recorded one.
-        That subtree has no solution, and the cut reasons it raises are
-        a subset of the record's, which are none.  A record with a cut
-        reason serves its exact key only: a narrower search may raise
-        fewer reasons, and adding the record's would flag what that
-        search leaves clean.  A try at another depth cuts elsewhere.
+        A try at another depth cuts elsewhere.
         """
         key = None if self.guard_hits else _failure_key(self, store, e, index, depth)
         if key is not None:
-            base, leaves = key
-            known, cut = self.failures.get(base), None
-            if known:
-                cut = known.get(leaves)
-                if cut is None and any(not c and _inside(leaves, wider)
-                                       for wider, c in known.items()):
-                    cut = _CLEAN
+            cut = self.failures.get(key)
             if cut is not None:
                 self.cut |= cut
                 self.failure_hits += 1
@@ -1008,16 +955,7 @@ class Solver:
             outer |= raised
             self.cut = outer
         if key is not None and not self.guard_hits:
-            known = self.failures.setdefault(base, {})
-            if raised:
-                known[leaves] = frozenset(raised)
-            else:
-                # no record serves this key (the lookup found none, and
-                # the try's subsearch keys lower depths), so dropping
-                # what it contains keeps an antichain
-                for narrower in [w for w, c in known.items() if not c and _inside(w, leaves)]:
-                    del known[narrower]
-                known[leaves] = _CLEAN
+            self.failures[key] = frozenset(raised)
 
     def _cannot_cut(self, store: Store, e: App, index: int, depth: int) -> bool:
         """Whether a try of the rule with this index on the call e, at
@@ -1025,73 +963,39 @@ class Solver:
         which yields nothing, may be skipped outright.
 
         The call's data arguments must walk to literals or canonical
-        ground data, so that head unification evaluates nothing, and the
-        rule must have chain bounds (_chain_bounds): its body, and every
-        rule that it reaches, then raise no "primitive" reason, and each
-        call that they make runs one depth below its caller or higher.
-        What remains is the "depth" reason, raised by a call at depth 0.
-        With lo the lower bound of the call's leaf, a body call at factor
-        a starts a chain with its leaf at lo/a or above.  Each later call
-        at a factor below 1 divides that bound by its factor, at most
-        a_max, through the bound and the qVal that its caller posts
-        before it, and a bound above 1 empties that qVal, so the call
-        does not run.  The body call, and each such call, starts a run
-        of at most run calls at factor 1.  The try is skipped when every
-        chain is shorter than depth.  With lo at 0, a chain that meets a
-        factor below 1 has no bound.  A propagation that the step guard
-        stops may not carry the bound down, which the skipped try would
-        have flagged.
+        ground data, so that head unification evaluates nothing.  Each
+        leaf of its qualification argument, one per component of the
+        domain (_leaves), is then read on its own, through the rule's
+        chain bounds in that component (_chain_bounds): the rule's body,
+        and every rule that it reaches, raise no "primitive" reason, and
+        each call that they make runs one depth below its caller or
+        higher.  What remains is the "depth" reason, raised by a call at
+        depth 0.  With lo the lower bound of the leaf, a body call at
+        factor a starts a chain with its leaf at lo/a or above.  Each
+        later call at a factor below 1 divides that bound by its factor,
+        at most a_max, through the bound and the qVal that its caller
+        posts before it, and a bound above 1 empties that qVal, so the
+        call does not run.  The body call, and each such call, starts a
+        run of at most run calls at factor 1 (_chains_short).  A call
+        runs only when the qVal of each of its components holds, so the
+        try is skipped when one component keeps every chain shorter
+        than depth.  With lo at 0, a chain that meets a factor below 1
+        has no bound.  A propagation that the step guard stops may not
+        carry the bound down, which the skipped try would have flagged.
         """
-        if self._chains is None:
-            self._chains = self.program.memo("chain bounds",
-                                             lambda: _chain_bounds(self.program))
-        body = self._chains[index]
-        if body is None:
-            return False
         if _ground_args(store, e.args[:-1], self._data.proofs) is None:
             return False
-        q = self.walk(store, e.args[-1])
-        if type(q) is Var:
-            lo = store.ivals.get(q.name, FULL).lo
-        elif type(q) is Basic:
-            lo = q.value
-        else:
-            return False
-        for run, a_max, a in body:
-            n, b = run, lo / a * _ROUNDING
-            if a_max is not None:
-                if not b > 0.0:
-                    return False
-                b = b / a_max * _ROUNDING
-                while b <= 1.0 and n < depth:
-                    n += run
-                    b = b / a_max * _ROUNDING
-            if n >= depth:
-                return False
-        return True
-
-    def _over_cap(self, store: Store, arg: Expr, caps: tuple) -> bool:
-        """Whether a rule with these caps (see _qual_caps) fails on the
-        call's qualification argument arg: posting some cap on the leaf
-        it bounds would empty that leaf's interval, as narrow_bound
-        tests it.  The posts before a cap only narrow, so the rule would
-        fail at that post; evaluates nothing."""
-        for path, a, strict in caps:
-            x = self.walk(store, arg)
-            for symbol, i in path:
-                x = self.walk(store, x.args[i]) \
-                    if type(x) is App and x.symbol == symbol else None
-            if type(x) is Var:
-                iv = store.ivals.get(x.name)
-            elif type(x) is Basic:
-                iv = point(x.value)
+        program = self.program
+        for k, q in enumerate(_leaves(e.args[-1], store.subst)):
+            if type(q) is Var:
+                lo = store.ivals.get(q.name, FULL).lo
+            elif type(q) is Basic:
+                lo = q.value
             else:
                 continue
-            # only an interval that starts at or above the cap can empty
-            if iv is not None and iv.lo >= a:
-                iv = tighten(iv, hi=a, hi_open=strict)
-                if iv is not None and iv.is_empty():
-                    return True
+            body = program.memo(("chain bounds", k), lambda: _chain_bounds(program, k))[index]
+            if body is not None and _chains_short(body, lo, depth):
+                return True
         return False
 
     def _reduce_args(self, args: tuple, store: Store, depth: int,

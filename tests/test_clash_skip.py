@@ -8,8 +8,10 @@ raises no reason either, and the solver skips it before renaming: no
 memo lookup and no record.  The bound comes from the qualification lower
 bound of the call, which each attenuated call divides by its factor, so
 thresholded goals skip most tries; a threshold-free goal skips only
-tries whose chains meet no attenuation.  Answers, certificates, cut sets
-and holds verdicts are those of running every try.
+tries whose chains meet no attenuation.  Under the product domain each
+component is read on its own, and one that bounds every chain is
+enough.  Answers, certificates, cut sets and holds verdicts are those of
+running every try.
 """
 
 import pytest
@@ -18,7 +20,7 @@ from conftest import BOOK2, BOOK4
 from test_failure_memo import LOOP, OPEN, outcome
 from test_holds_golden import BOOKS
 from test_rule_filter import PAPER
-from qcflp.domains import U
+from qcflp.domains import U, domain_from_name
 from qcflp.runtime import Limits, Solver, render_answer
 from qcflp.semantics import holds, parse_statement, serialize_proof
 from qcflp.syntax import parse_constraints, parse_goal, parse_program
@@ -37,18 +39,69 @@ GOALS = [
 ]
 
 
-@pytest.mark.parametrize("goal", GOALS, ids=["paper", "open", "guessGenre",
-                                             "guessReaderLevel", "search-english"])
-def test_skips_keep_what_the_search_shows(request, library, goal):
-    runs = [(f"{goal} | W >= {t}", depth) for t in THRESHOLDS for depth in DEPTHS]
-    runs += [(goal, depth) for depth in (5, 6)]
-    skipped = [outcome(library, g, depth, U) for g, depth in runs]
+IDS = ["paper", "open", "guessGenre", "guessReaderLevel", "search-english"]
+
+# under uxu each threshold t is (t,t); three goals at two depths keep
+# the runs with every clashing try short
+UXU_GOALS = (0, 2, 3)
+
+
+@pytest.mark.parametrize("dom_name,goal", [
+    *[pytest.param("u", goal, id=name) for goal, name in zip(GOALS, IDS)],
+    *[pytest.param("uxu", GOALS[i], id=f"uxu-{IDS[i]}") for i in UXU_GOALS],
+])
+def test_skips_keep_what_the_search_shows(request, library_text, dom_name, goal):
+    dom = domain_from_name(dom_name)
+    program = parse_program(library_text, dom)
+    if dom is U:
+        runs = [(f"{goal} | W >= {t}", depth) for t in THRESHOLDS for depth in DEPTHS]
+        runs += [(goal, depth) for depth in (5, 6)]
+    else:
+        runs = [(f"{goal} | W >= ({t},{t})", depth) for t in THRESHOLDS for depth in (5, 8)]
+        runs += [(goal, 5)]
+    assert_skips_keep(request, program, dom, runs)
+
+
+def assert_skips_keep(request, program, dom, runs):
+    """Each (goal, depth) of runs shows what it shows with every clashing
+    try run, and some try is skipped; returns what each run shows."""
+    skipped = [outcome(program, g, depth, dom) for g, depth in runs]
     request.getfixturevalue("no_clash_skips")
     for (shown, solver), (g, depth) in zip(skipped, runs):
-        plain, every = outcome(library, g, depth, U)
+        plain, every = outcome(program, g, depth, dom)
         assert shown == plain, (g, depth)
         assert every.skips == 0
     assert sum(solver.skips for _, solver in skipped) > 0
+    return [shown for shown, _ in skipped]
+
+
+# components that attenuate differently: h's second rule is a factor-1
+# cycle in the first component and attenuates by 0.8 in the second, so
+# only the second can bound the chains that reach h.  From (0.05,0.6)
+# it does; from (0.6,0.05) neither does, and the depth cuts the search
+PRODUCT = """
+data t = a | b | c
+p(X) --> b <== g(X) == a
+g(X) -(0.9,0.5)-> h(X)
+g(X) --> c
+h(X) -(0.5,0.9)-> a <== g(X) == c
+h(X) -(1,0.8)-> c <== h(X) == a
+"""
+
+
+def test_skips_keep_what_the_search_shows_per_component(request):
+    uxu = domain_from_name("uxu")
+    program = parse_program(PRODUCT, uxu)
+    runs = [(f"({goal}) # W | W >= {t}", depth)
+            for goal in ("p(1) == R", "g(1) == a", "h(1) == R", "h(1) == c")
+            for t in ("(0.05,0.6)", "(0.6,0.05)", "(0.3,0.3)") for depth in (4, 6, 8)]
+    shown = assert_skips_keep(request, program, uxu, runs)
+    for (answers, _, cut), (g, depth) in zip(shown, runs):
+        if "(0.05,0.6)" in g:
+            assert cut == set(), (g, depth)
+        elif "(0.6,0.05)" in g:
+            assert (answers, cut) == ([], {"depth"}), (g, depth)
+    assert sum(len(answers) for answers, _, _ in shown) > 0
 
 
 STATEMENTS = [
@@ -121,14 +174,24 @@ h(X) -0.5-> a <== g(X) == c
 """
 
 
+# the same chain under uxu, where h's factor is 1 in the second
+# component: g and h make a factor-1 cycle there, and the first
+# component bounds the chain as u does
+CHAIN_UXU = CHAIN.replace("-0.5->", "-(0.5,1)->")
+
+
+@pytest.mark.parametrize("dom_name,source,threshold", [
+    ("u", CHAIN, "0.25"), ("uxu", CHAIN_UXU, "(0.25,0.25)")], ids=["u", "uxu"])
 @pytest.mark.parametrize("depth,cut,skipped", [(6, {"depth"}, False), (7, set(), True)])
-def test_the_bound_is_tight_on_a_chain(request, depth, cut, skipped):
-    program = parse_program(CHAIN)
-    goal = "(p(1) == a) # W | W >= 0.25"
-    shown, solver = outcome(program, goal, depth, U)
+def test_the_bound_is_tight_on_a_chain(request, depth, cut, skipped, dom_name,
+                                       source, threshold):
+    dom = domain_from_name(dom_name)
+    program = parse_program(source, dom)
+    goal = f"(p(1) == a) # W | W >= {threshold}"
+    shown, solver = outcome(program, goal, depth, dom)
     assert (shown[2], solver.skips == 1) == (cut, skipped)
     request.getfixturevalue("no_clash_skips")
-    assert outcome(program, goal, depth, U)[0] == shown
+    assert outcome(program, goal, depth, dom)[0] == shown
 
 
 # ----------------------------------------------------------------------

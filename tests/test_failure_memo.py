@@ -4,15 +4,12 @@ A strict equality whose one side is a literal or data demands that value
 of the other side.  A rule whose rhs clashes with the demand ("Fantasy"
 for guessGenre(B) == "SciFi") cannot give it, so its try never yields,
 and only its cut reasons show.  Such a try on a call on ground data is
-keyed by a base (the rule, the call's data, its literal qualification
-leaves and the remaining depth) and its variable leaves' intervals.  A
-try that fails with no propagation guard records its key and the cut
-reasons it raised; the same try later adds those reasons to the run's
-cut and fails before renaming.  A clean record, one with no cut reason,
-also fails every try with its base whose leaf intervals lie inside its
-own (call subsumption), and the clean records of a base are kept an
-antichain.  Answers, flags, residuals, certificates and cut lines are
-those of the search without the memo.
+keyed by the rule, the call's data, its literal qualification leaves,
+the remaining depth and its variable leaves' intervals.  A try that
+fails with no propagation guard records its key and the cut reasons it
+raised; a later try with the same key adds those reasons to the run's
+cut and fails before renaming.  Answers, flags, residuals, certificates
+and cut lines are those of the search without the memo.
 """
 
 import importlib
@@ -90,22 +87,6 @@ def test_memo_keeps_what_the_search_shows(monkeypatch, library_text, goal,
     plain, unmemoized = outcome(program, goal, depth, dom)
     assert memo == plain
     assert unmemoized.failure_hits == 0 and not unmemoized.failures
-
-
-# At 0.1 the search without the memo takes over 4 minutes, so this
-# compares with the memo that serves exact keys only (no interval lies
-# inside another), which the cases above check against no memo at all.
-# Under uxu no clashing try is skipped (see test_clash_skip), so the
-# paper goal's tries still go through the memo
-def test_subsumption_keeps_what_the_exact_memo_shows(monkeypatch, library_text):
-    uxu = domain_from_name("uxu")
-    program = parse_program(library_text, uxu)
-    goal = f"{PAPER} | W >= (0.1,0.1)"
-    subsumed, solver = outcome(program, goal, 64, uxu)
-    monkeypatch.setattr("qcflp.runtime._inside", lambda *args: False)
-    exact, exact_solver = outcome(program, goal, 64, uxu)
-    assert subsumed == exact
-    assert solver.failure_hits < exact_solver.failure_hits
 
 
 # conftest's seeded layered programs: every function against every value.
@@ -217,8 +198,7 @@ def test_a_reduced_call_is_not_served_from_the_memo():
     solver = Solver(transform_program(program)[0])
     call, a = App("k'", (Var("W"),)), solver._data.leaf(App("a"))
     store = Store(declared={"W"})
-    base, leaves = _failure_key(solver, store, call, 0, 5)
-    solver.failures[base] = {leaves: frozenset({"depth"})}
+    solver.failures[_failure_key(solver, store, call, 0, 5)] = frozenset({"depth"})
     # k's first rule gives b, which clashes with the demanded a
     assert list(solver._unify_strict(call, a, store, 5)) == [None]
     assert (solver.failure_hits, solver.cut) == (1, {"depth"})
@@ -271,9 +251,9 @@ def test_no_failure_is_reused_or_recorded_past_the_guard():
 
 
 # ----------------------------------------------------------------------
-# call subsumption, on the try of k's one rule, which gives a, against
-# the demand k == b.  Its condition applies a primitive, so the chain
-# check leaves the try to the memo (see test_clash_skip)
+# exact keys, on the try of k's one rule, which gives a, against the
+# demand k == b.  Its condition applies a primitive, so the chain check
+# leaves the try to the memo (see test_clash_skip)
 # ----------------------------------------------------------------------
 
 SMALL = "data t = a | b\nk --> a <== 1 + 1 > 0\n"
@@ -294,8 +274,7 @@ def k_call(intervals):
 
 def record(solver, intervals, cut=frozenset(), depth=5):
     call, store = k_call(intervals)
-    base, leaves = _failure_key(solver, store, call, 0, depth)
-    solver.failures.setdefault(base, {})[leaves] = cut
+    solver.failures[_failure_key(solver, store, call, 0, depth)] = cut
 
 
 def served(solver, intervals, depth=5) -> bool:
@@ -314,70 +293,33 @@ def iv(lo, hi, lo_open=False, hi_open=False):
     return Interval(lo, hi, lo_open, hi_open)
 
 
-def test_a_clean_failure_serves_a_narrower_try():
+@pytest.mark.parametrize("cut", [frozenset(), frozenset({"depth"})], ids=["clean", "cut"])
+def test_a_failure_serves_only_its_exact_key(cut):
+    # a narrower try is not served, even from a clean record
     solver = small_solver()
-    record(solver, [iv(0.3, 1)])
-    for narrower in (iv(0.3, 1), iv(0.5, 0.9), iv(0.3, 0.3), iv(0.3, 1, True, True)):
-        assert served(solver, [narrower]), narrower
-    assert solver.cut == set() and solver.failure_hits == 4
-
-
-@pytest.mark.parametrize("demand", [iv(0.3, 1), iv(0.3, 0.7), iv(0.7, 1),
-                                    iv(0.5, 0.9)],
-                         ids=["wider", "overlap-below", "overlap-above",
-                              "closed-ends"])
-def test_a_clean_failure_serves_no_wider_or_overlapping_try(demand):
-    solver = small_solver()
-    record(solver, [iv(0.5, 0.9, True, False)])
-    assert not served(solver, [demand])
-
-
-def test_a_failure_with_a_cut_serves_only_its_exact_key():
-    solver = small_solver()
-    record(solver, [iv(0.3, 1)], frozenset({"depth"}))
-    assert not served(solver, [iv(0.5, 0.9)])
+    record(solver, [iv(0.3, 1)], cut)
+    for narrower in (iv(0.5, 0.9), iv(0.3, 0.3), iv(0.3, 1, True, True)):
+        assert not served(solver, [narrower]), narrower
     assert solver.cut == set()
     assert served(solver, [iv(0.3, 1)])
-    assert solver.cut == {"depth"}
+    assert solver.cut == cut and solver.failure_hits == 1
 
 
 def test_a_try_at_another_depth_is_not_served():
     solver = small_solver()
     record(solver, [iv(0.3, 1)], depth=5)
-    assert not served(solver, [iv(0.5, 0.9)], depth=4)
-    assert not served(solver, [iv(0.5, 0.9)], depth=6)
-    assert served(solver, [iv(0.5, 0.9)], depth=5)
+    assert not served(solver, [iv(0.3, 1)], depth=4)
+    assert not served(solver, [iv(0.3, 1)], depth=6)
+    assert served(solver, [iv(0.3, 1)], depth=5)
 
 
-@pytest.mark.parametrize("leaves,inside", [
-    ((iv(0.4, 1), iv(0.6, 1)), True),
+@pytest.mark.parametrize("leaves,exact", [
     ((iv(0.3, 1), iv(0.5, 1)), True),
-    ((iv(0.4, 1), iv(0.4, 1)), False),
-    ((iv(0.2, 1), iv(0.6, 1)), False),
-    ((iv(0.2, 1), iv(0.4, 1)), False),
-], ids=["both-inside", "equal", "second-outside", "first-outside", "neither"])
-def test_uxu_try_is_served_only_when_every_leaf_lies_inside(leaves, inside):
+    ((iv(0.4, 1), iv(0.6, 1)), False),
+    ((iv(0.3, 1), iv(0.6, 1)), False),
+    ((iv(0.2, 1), iv(0.5, 1)), False),
+], ids=["equal", "both-inside", "second-inside", "first-outside"])
+def test_uxu_try_is_served_only_on_its_exact_leaves(leaves, exact):
     solver = small_solver(domain_from_name("uxu"))
     record(solver, [iv(0.3, 1), iv(0.5, 1)])
-    assert served(solver, list(leaves)) == inside
-
-
-def test_the_clean_failures_of_a_base_stay_an_antichain():
-    # k's try fails cleanly; each try that is not served records its
-    # intervals, and a wider record drops those it contains
-    solver = small_solver()
-
-    def fail(interval):
-        served(solver, [interval])
-        call, store = k_call([interval])
-        return _failure_key(solver, store, call, 0, 5)[0]
-
-    base = fail(iv(0.5, 0.9))
-    fail(iv(0.7, 1))
-    assert solver.failures == {base: {(iv(0.5, 0.9),): frozenset(),
-                                      (iv(0.7, 1),): frozenset()}}
-    fail(iv(0.6, 0.8))
-    assert solver.failure_hits == 1 and len(solver.failures[base]) == 2
-    fail(iv(0.4, 1))
-    assert solver.failures == {base: {(iv(0.4, 1),): frozenset()}}
-    assert solver.failure_hits == 1
+    assert served(solver, list(leaves)) == exact

@@ -3,11 +3,10 @@
 A rule's head probe is its first head pattern that is not a variable;
 when the call argument there already is a literal or a constructor
 value with another head, the solver goes on to the next rule without
-renaming this one.  Its qualification probe is the constant bound that
-its attenuation puts on the call's qualification argument; when that
-argument's interval lies above it, the rule is skipped as well.  The
-filters evaluate nothing, so answers, flags, certificates and variable
-names are those of trying every rule.
+renaming this one.  The probe evaluates nothing, so answers, flags,
+certificates and variable names are those of trying every rule.  A rule
+whose attenuation caps the call's qualification below its threshold is
+renamed, and fails as its bound is posted.
 """
 
 import pytest
@@ -17,11 +16,10 @@ from test_fixpoint import DAG
 from qcflp import runtime
 from qcflp.constraints import Interval, narrow_bound
 from qcflp.domains import U, domain_from_name
-from qcflp.runtime import (Limits, Solver, Store, render_answer,
-                           replay_trees)
+from qcflp.runtime import Limits, Solver, render_answer, replay_trees
 from qcflp.semantics import serialize_proof
-from qcflp.syntax import parse_goal, parse_program, print_program
-from qcflp.terms import Basic, Var
+from qcflp.syntax import (parse_constraints, parse_goal, parse_program,
+                          print_program)
 from qcflp.transform import transform_goal, transform_program
 
 SPIN = """
@@ -144,10 +142,6 @@ def test_data_that_is_not_canonical_takes_the_general_paths(
     assert rendered == [expected, expected]
 
 
-# The qualification probe: a rule whose attenuation caps the call's
-# qualification below the lower bound it already has is skipped before
-# it is renamed, as a rule whose head cannot match is.
-
 def solve_certified(program, goal, depth, dom):
     """The rendered answers of a goal, and the certificates of the
     replayed trees of each clean answer."""
@@ -161,28 +155,29 @@ def solve_certified(program, goal, depth, dom):
     return [render_answer(a) for a in answers], certs
 
 
-# rule renamings with the probe, both runs under the failure memo: at
-# most so many, or exactly so many where no goal threshold lets it fire
-# (196 and 305 when the failure memo served demands, 121 and 152 before
-# clashing tries that cannot cut were skipped)
-MAX_RENAMES = {(f"{PAPER} | W >= 0.3", 64): 2100,
-               (f"(guessGenre({BOOK4}) == G) # W | W >= 0.3", 64): 1200}
+# rule renamings with the chain check, under the failure memo: at most
+# so many on a thresholded goal (89 to 620 on the paper goal when a
+# qualification probe and call subsumption stood in for the check under
+# uxu), or exactly so many threshold-free, where only tries whose chains
+# meet no attenuation are skipped (121 and 152 with every clashing try run)
+MAX_THRESHOLDED_RENAMES = 40
 EXACT_RENAMES = {(PAPER, 5): 103, (PAPER, 6): 134}
 
 
 @pytest.mark.parametrize("goal,dom_name,depth,expected", THRESHOLD_SWEEP)
-def test_qual_probe_keeps_answers_and_certificates(
-        monkeypatch, count_renames, library_text, goal, dom_name, depth, expected):
+def test_chain_check_keeps_answers_and_certificates(
+        request, count_renames, library_text, goal, dom_name, depth, expected):
     dom = domain_from_name(dom_name)
     program = parse_program(library_text, dom)
-    probed = solve_certified(program, goal, depth, dom)
+    checked = solve_certified(program, goal, depth, dom)
     renames = count_renames[0]
-    monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
+    request.getfixturevalue("no_clash_skips")
     count_renames[0] = 0
-    assert solve_certified(program, goal, depth, dom) == probed
-    assert probed[0] == expected
+    assert solve_certified(program, goal, depth, dom) == checked
+    assert checked[0] == expected
     assert renames <= count_renames[0]
-    assert renames <= MAX_RENAMES.get((goal, depth), renames)
+    if "|" in goal:
+        assert renames <= MAX_THRESHOLDED_RENAMES
     assert renames == EXACT_RENAMES.get((goal, depth), renames)
 
 
@@ -198,16 +193,18 @@ def test_paper_goal_posts_no_implied_bounds(count_renames, no_failure_memo,
     solver = Solver(translated, limits=Limits(depth=64))
     answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
     assert answers == ["{ R -> 4 } { W in [0.3, 0.7] }"]
-    assert count_renames[0] == 7961
+    assert count_renames[0] == 15881
     assert solver.prop_steps <= 40000
 
 
 # goal, depth, rule tries, answers, and the propagation steps that the
 # chained translation (a fresh variable and W <= Wi per premise at
-# factor 1) made on it, without the failure memo
+# factor 1) made on it, without the failure memo.  The tries are those
+# of trying every rule whose attenuation caps the call below its
+# threshold (104 and 509 when such rules were skipped before renaming)
 SHARED_PREMISE_SEARCH = [
-    (f"{PAPER} | W >= 0.65", 64, 104, 1, 258),
-    ("(search(L,G,V) == R) # W | W >= 0.6", 64, 509, 13, 1395),
+    (f"{PAPER} | W >= 0.65", 64, 167, 1, 258),
+    ("(search(L,G,V) == R) # W | W >= 0.6", 64, 951, 13, 1395),
     ("(guessGenre(B) == G) # W", 6, 7166, 6, 37774),
 ]
 
@@ -231,63 +228,33 @@ def test_shared_premise_variable_keeps_the_search(count_renames, no_failure_memo
     assert solver.prop_steps < chained_steps
 
 
-def test_qual_probe_reads_the_cap_from_a_premise_bound(library):
-    # guessGenre(B) -0.9-> "Fantasy" <== guessGenre(B) == "SciFi" bounds
-    # its W only by W <= 0.9*V after qVal(V); as V <= 1, that caps W at 0.9
-    translated, _ = transform_program(library)
-    solver = Solver(translated)
-    caps = []
-    for i, (source, rule) in enumerate(zip(library.rules, translated.rules)):
-        if source.name == "guessGenre" and source.attenuation < 1:
-            assert not [c for c in rule.conditions
-                        if c.symbol == "<=" and isinstance(c.args[1], Basic)]
-            assert solver._compile_rule(i, rule)[-1] == \
-                (((), source.attenuation, False),)
-            caps.append(source.attenuation)
-    assert caps == [0.9, 0.8, 0.7, 0.7]
-
-
-def test_probe_keeps_a_rule_whose_cap_the_threshold_meets(count_renames):
-    assert solve("f -0.9-> true", "(f == true) # W | W >= 0.9") == \
-        ["{ } { W in 0.9 }"]
-    assert count_renames[0] == 1
-    count_renames[0] = 0
-    assert solve("f -0.9-> true", "(f == true) # W | W >= 0.91") == []
-    assert count_renames[0] == 0
-
-
-def test_trace_leaves_out_rules_the_qual_probe_skips():
-    lines = []
-    assert solve("f -0.9-> true\nf --> true", "(f == true) # W | W >= 0.95",
-                 trace=lines.append) == ["{ } { W in [0.95, 1] }"]
-    assert lines == ["try rule 1: f'"]
+@pytest.mark.parametrize("dom_name,source,threshold,answers", [
+    ("u", "f -0.9-> true", "0.9", ["{ } { W in 0.9 }"]),
+    ("u", "f -0.9-> true", "0.91", []),
+    ("uxu", "f -(0.9,0.8)-> true", "(0.9,0.8)", ["{ } { W.1 in 0.9, W.2 in 0.8 }"]),
+    ("uxu", "f -(0.9,0.8)-> true", "(0.9,0.81)", []),
+    ("uxu", "f -(0.9,0.8)-> true", "(0.91,0.5)", []),
+], ids=["u-at-cap", "u-above", "uxu-at-cap", "uxu-second-above", "uxu-first-above"])
+def test_an_attenuation_caps_each_component(dom_name, source, threshold, answers):
+    dom = domain_from_name(dom_name)
+    assert solve(parse_program(source, dom), f"(f == true) # W | W >= {threshold}",
+                 dom=dom) == answers
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["cap", "strict-cap"])
 @pytest.mark.parametrize("lo_open", [False, True], ids=["closed", "open"])
-def test_probe_and_propagator_agree_at_the_cap(lo_open, strict):
-    # W >= 0.9 (or W > 0.9) against the cap W <= 0.9 (or W < 0.9)
+def test_a_cap_at_the_threshold_fails_when_either_end_is_open(lo_open, strict):
+    # W >= 0.9 (or W > 0.9) against the cap W <= 0.9*V (or W < 0.9*V),
+    # with V <= 1: the propagator empties W, and the rule fails
     iv = Interval(0.9, 1.0, lo_open, False)
-    solver = Solver(parse_program("f --> true"))
-    skips = solver._over_cap(Store(ivals={"W": iv}), Var("W"), (((), 0.9, strict),))
     ivals = {"W": iv}
     fails = narrow_bound(ivals, ivals.__setitem__, "W", hi=0.9, hi_open=strict)
-    assert skips == (fails == "fail") == (lo_open or strict)
-    # a literal argument is a closed point
-    literal = Store(subst={"W": Basic(0.9)})
-    assert solver._over_cap(literal, Var("W"), (((), 0.9, strict),)) == strict
-
-
-@pytest.mark.parametrize("threshold,answers", [
-    ("(0.9,0.8)", ["{ } { W.1 in 0.9, W.2 in 0.8 }"]),
-    ("(0.9,0.81)", []),
-    ("(0.91,0.5)", []),
-])
-def test_uxu_probe_skips_on_either_component(count_renames, threshold, answers):
-    uxu = domain_from_name("uxu")
-    assert solve(parse_program("m -(0.9,0.8)-> true", uxu),
-                 f"(m == true) # W | W >= {threshold}", dom=uxu) == answers
-    assert count_renames[0] == len(answers)
+    assert (fails == "fail") == (lo_open or strict)
+    program = parse_program(
+        f"f'(W) --> true <== qVal(W), qVal(V), W {'<' if strict else '<='} 0.9*V")
+    goal = parse_constraints(f"qVal(W), W {'>' if lo_open else '>='} 0.9, f'(W) == true")
+    answers = list(Solver(program).solve(goal, ["W"], []))
+    assert len(answers) == (0 if lo_open or strict else 1)
 
 
 RESIDUAL = """
@@ -297,13 +264,11 @@ g(X) --> true <== Y * Y < X
 """
 
 
-def test_probe_keeps_fresh_variable_names(monkeypatch, count_renames):
-    goal = "(f(Z) == true) # W | W >= 0.6"
-    probed = solve(RESIDUAL, goal)
-    assert probed == ["{ } { W in [0.6, 1] } << ~0~Y*~0~Y < Z >> [conditional]"]
-    assert count_renames[0] == 2
-    monkeypatch.setattr(runtime, "_qual_caps", lambda pats_t, compiled_t: ())
-    assert solve(RESIDUAL, goal) == probed
+def test_a_rule_that_its_cap_fails_keeps_fresh_variable_names():
+    # f's first rule is renamed and fails at its cap; the residual of
+    # the answer still names g's Y first
+    assert solve(RESIDUAL, "(f(Z) == true) # W | W >= 0.6") == \
+        ["{ } { W in [0.6, 1] } << ~0~Y*~0~Y < Z >> [conditional]"]
 
 
 CAPPED_SPIN = """
@@ -316,7 +281,7 @@ g --> true
 """
 
 
-def test_qual_probe_behind_a_cut_call_keeps_incomplete():
+def test_capped_rules_behind_a_cut_call_keep_incomplete():
     # both f rules are capped below the threshold, but matching their
     # constructor patterns evaluates spin(z), and the depth cut that
     # this hits flags the answer of g's second rule

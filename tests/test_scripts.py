@@ -35,12 +35,33 @@ def test_oracle_sweep():
     assert all(caught == sites for caught, sites in counts)
 
 
-def ladder_answer(threshold: str) -> str:
+def ladder_answer(threshold: str, leaves=("W",)) -> str:
+    """The paper goal's answer at W >= threshold, or at (threshold,
+    threshold) under uxu with leaves W.1 and W.2."""
     if float(threshold) > 0.7:
         return ""
-    if threshold == "0.7":
-        return "{ R -> 4 } { W in 0.7 }"
-    return f"{{ R -> 4 }} {{ W in [{threshold}, 0.7] }}"
+    interval = "0.7" if threshold == "0.7" else f"[{threshold}, 0.7]"
+    return "{ R -> 4 } { " + ", ".join(f"{w} in {interval}" for w in leaves) + " }"
+
+
+LADDER = ("0.9", "0.8", "0.7", "0.6", "0.5", "0.4", "0.3", "0.2", "0.15", "0.1")
+
+
+def assert_flat(rows, leaves=("W",)):
+    """Each ladder row has the paper goal's answer and no cut, skips and
+    no memo hit; from 0.7 down the tries are the same, at most 40."""
+    tries = {}
+    for threshold, row in zip(LADDER, rows, strict=True):
+        assert row["threshold"] == float(threshold)
+        answer = ladder_answer(threshold, leaves)
+        assert row["answers"] == (1 if answer else 0), threshold
+        assert row["digest"] == hashlib.sha256(answer.encode()).hexdigest()[:16], threshold
+        assert row["cut"] == [], threshold
+        tries[threshold] = row["tries"]
+        assert row["skips"] > 0 and row["memo_hits"] == 0, threshold
+    assert tries["0.9"] < tries["0.8"] < tries["0.7"]
+    assert {tries[t] for t in LADDER[2:]} == {tries["0.7"]}
+    assert tries["0.7"] <= 40
 
 
 def test_growth():
@@ -53,23 +74,15 @@ def test_growth():
     proc = run_script("growth.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 13 and lines[6].startswith("W >= 0.3 ")
+    assert len(lines) == 23 and lines[6].startswith("W >= 0.3 ")
+    assert lines[18].startswith("uxu W >= (0.3,0.3) ")
     doc = json.loads(lines[-1])
     assert (doc["family"], doc["depth"]) == ("threshold", 64)
-    tries = {}
-    for threshold, row in zip(("0.9", "0.8", "0.7", "0.6", "0.5", "0.4",
-                               "0.3", "0.2", "0.15", "0.1"), doc["rows"], strict=True):
-        assert row["threshold"] == float(threshold)
-        answer = ladder_answer(threshold)
-        assert row["answers"] == (1 if answer else 0), threshold
-        assert row["digest"] == hashlib.sha256(answer.encode()).hexdigest()[:16], threshold
-        assert row["cut"] == [], threshold
-        tries[threshold] = row["tries"]
-        assert row["skips"] > 0 and row["memo_hits"] == 0, threshold
-    assert tries["0.9"] < tries["0.8"] < tries["0.7"]
-    assert {tries[t] for t in ("0.7", "0.6", "0.5", "0.4", "0.3", "0.2", "0.15",
-                               "0.1")} == {tries["0.7"]}
-    assert tries["0.7"] <= 40
+    assert_flat(doc["rows"])
+    # under uxu the chain check reads each component, so the ladder is
+    # flat there too (89 tries at (0.65,0.65) to 620 at (0.1,0.1), with
+    # 489 memo hits, when it read no product-domain rule)
+    assert_flat(doc["uxu"], ("W.1", "W.2"))
     # the threshold-free goals at the default depth
     paper, search = doc["free"]
     assert paper["goal"] == '(search("German","Essay",intermediate) == R) # W'
