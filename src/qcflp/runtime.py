@@ -19,16 +19,15 @@ and constructors only) is canonical from the translation on
 (transform.GroundData): it is bound whole, with no occurs check, and
 compared by identity.  A strict equality whose one side already is a
 literal or data demands that value of the other side's evaluation: a
-rule whose rhs clashes with it cannot give it, so its try runs only for
-the reasons that cut it.  Such a try on ground data is skipped outright
-when a static bound on its chains of nested calls keeps them clear of
-the depth bound (Solver._cannot_cut): in one component of the
+rule whose rhs clashes with it cannot give it, so its try stops before
+its rhs and shows only the reasons that cut it (Solver._hnf).  On ground
+data such a try is skipped when a static bound on its chains of nested
+calls keeps them clear of the depth bound: in one component of the
 qualification, each attenuated call divides the lower bound by its
 factor, and a bound above 1 ends the chain, so goals with a positive
-threshold skip most of them, in every domain.  A solver remembers the
-other such tries on ground data that failed, with their qualification
-intervals and remaining depth, and fails the same try again at once
-(failure tabling, Solver._clashing_try).
+threshold skip most of them, in every domain.  The other such tries
+that failed are remembered with their qualification intervals and
+remaining depth, and fail again at once (failure tabling, _clash_key).
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -318,7 +317,7 @@ def _body_calls(rule, sig, ground: dict, k: int):
 
 def _chain_bounds(program: Program, k: int) -> list:
     """Per rule index, (run, a_max, a) for each call of its body in
-    component k (_body_calls), or None; see Solver._cannot_cut.
+    component k (_body_calls), or None; see _clash_key.
 
     The triple bounds the chains of nested calls that the call (symbol
     g, factor a) starts: run is one more than the longest path of
@@ -370,7 +369,7 @@ def _chain_bounds(program: Program, k: int) -> list:
     return bounds
 
 
-# each division of the chain check (Solver._cannot_cut) shrinks its
+# each division of the chain check (_chains_short) shrinks its
 # lower bound by this factor, far more than the propagator's own
 # division (constraints._div_down) can round it down
 _ROUNDING = 1.0 - 1e-9
@@ -379,8 +378,14 @@ _ROUNDING = 1.0 - 1e-9
 def _chains_short(body: tuple, lo: float, depth: int) -> bool:
     """Whether every chain that the calls of a body start (its chain
     bounds in one component, see _chain_bounds) is shorter than depth,
-    from a call whose leaf in that component has the lower bound lo;
-    see Solver._cannot_cut."""
+    from a call whose leaf in that component has the lower bound lo.
+    The body call at factor a starts a chain with its leaf at lo/a or
+    above; each later call at a factor below 1, at most a_max, divides
+    that bound by its factor through the bound and qVal that its caller
+    posts, and a bound above 1 empties that qVal, so the call does not
+    run.  Each of these calls starts a run of at most run calls at
+    factor 1.  With lo at 0, a chain that meets a factor below 1 has no
+    bound."""
     for run, a_max, a in body:
         n, b = run, lo / a * _ROUNDING
         if a_max is not None:
@@ -478,51 +483,64 @@ def _instance_side(side, vs: list):
     return (k * v.value, None) if type(v) is Basic else None
 
 
-def _ground_args(store: Store, args: tuple, ground: dict):
-    """args, each walked, when every one is a literal or canonical ground
-    data (its id in ground); else None."""
-    subst, out = store.subst, []
-    for x in args:
+def _clash_key(solver: "Solver", store: Store, call: App, index: int, depth: int):
+    """What a clashing try (Solver._hnf) of the rule with this index on
+    call, at this depth, comes to: "skip" when it can raise no cut
+    reason, else its key in the failure memo, or None.
+
+    Both need each data argument to walk to a literal or canonical ground
+    data, so that head unification evaluates nothing.  The try is
+    skipped when one leaf of the qualification argument (_leaves), read
+    through the rule's chain bounds in its component (_chain_bounds),
+    keeps every chain of calls shorter than depth (_chains_short): the
+    rule's body and every rule that it reaches raise no "primitive"
+    reason, each call that they make runs one depth below its caller or
+    higher, and a call runs only when the qVal of each of its components
+    holds, so no call reaches depth 0.  A propagation that the step guard
+    stops may not carry the bound down, which the skipped try would have
+    flagged.
+
+    Otherwise the try has a key when each leaf is a distinct declared
+    variable or a literal and the solver has not hit the step guard: the
+    rule index, which fixes the symbol, the data arguments (canonical
+    data by id, a literal by its type and value), the leaves (a literal
+    leaf's value, None for a variable) and the depth, paired with the
+    interval of each variable leaf.  A record serves its key exactly.
+    """
+    subst, ground = store.subst, solver._data.proofs
+    key = [index]
+    for x in call.args[:-1]:
         while type(x) is Var and x.name in subst:
             x = subst[x.name]
-        if type(x) is not Basic and id(x) not in ground:
-            return None
-        out.append(x)
-    return out
-
-
-def _failure_key(solver: "Solver", store: Store, call: App, index: int, depth: int):
-    """The key of a try of the rule with this index on call in the
-    failure memo (see Solver._clashing_try), or None when the memo does
-    not apply.
-
-    It applies when each data argument walks to a literal or canonical
-    ground data, and each leaf of the qualification argument (_leaves)
-    to a distinct declared variable or a literal.  The key is a pair.
-    Its base is the rule index, which fixes the symbol, the data
-    arguments (canonical data by id, a literal by its type and value),
-    the qualification leaves (a literal leaf's value, None for a
-    variable) and the remaining depth; the second part is the interval
-    of each variable leaf, in order.  A record serves its key exactly.
-    """
-    data = _ground_args(store, call.args[:-1], solver._data.proofs)
-    if data is None:
-        return None
-    key = [index, *[(type(x.value), x.value) if type(x) is Basic else id(x) for x in data]]
-    names, leaves = set(), []
-    for x in _leaves(call.args[-1], store.subst):
-        if type(x) is Var:
-            if x.name in names or x.name not in store.declared:
-                return None
-            names.add(x.name)
-            key.append(None)
-            leaves.append(store.ivals.get(x.name, FULL))
-        elif type(x) is Basic:
-            key.append(x.value)
+        if type(x) is Basic:
+            key.append((type(x.value), x.value))
+        elif id(x) in ground:
+            key.append(id(x))
         else:
             return None
-    key.append(depth)
-    return tuple(key), tuple(leaves)
+    leaves, ivals = _leaves(call.args[-1], subst), []
+    for k, x in enumerate(leaves):
+        if type(x) is Var:
+            ivals.append(store.ivals.get(x.name, FULL))
+            lo = ivals[-1].lo
+        elif type(x) is Basic:
+            lo = x.value
+        else:
+            key = None
+            continue
+        chains = solver._chains.get(k)
+        if chains is None:
+            program = solver.program
+            chains = solver._chains[k] = program.memo(
+                ("chain bounds", k), lambda: _chain_bounds(program, k))
+        if chains[index] is not None and _chains_short(chains[index], lo, depth):
+            return "skip"
+    names = {x.name for x in leaves if type(x) is Var}
+    if key is None or solver.guard_hits or len(names) < len(ivals) \
+            or not store.declared.issuperset(names):
+        return None
+    key += [None if type(x) is Var else x.value for x in leaves]
+    return (*key, depth), tuple(ivals)
 
 
 class Solver:
@@ -543,13 +561,11 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # the failure memo (see _clashing_try): a key (_failure_key) ->
-        # the cut reasons that the exhausted try raised; and the times it
-        # was used
-        self.failures = {}
-        self.failure_hits = 0
-        # clashing tries skipped as unable to cut (see _cannot_cut)
-        self.skips = 0
+        # the failure memo (see _hnf): a key (_clash_key) -> the cut
+        # reasons that the exhausted try raised; the times it was used;
+        # the clashing tries skipped as unable to cut; and component ->
+        # the program's chain bounds in it, looked up on first use
+        self.failures, self.failure_hits, self.skips, self._chains = {}, 0, 0, {}
         # the program's canonical ground data, which its translation
         # built, and what replay shares across answers
         self._data = program.memo("ground data", GroundData)
@@ -814,10 +830,34 @@ class Solver:
     def _hnf(self, e: Expr, store: Store, depth: int,
              demand: Expr = None) -> Iterator[Expr]:
         """The head normal forms of e.  demand is a value (_value) that a
-        strict equality compares them with, or None; a rule whose rhs
-        value clashes with it gives none, so its try is skipped when it
-        cannot cut either (_cannot_cut), and otherwise only shows its cut
-        reasons (_clashing_try)."""
+        strict equality compares them with, or None.
+
+        A rule whose rhs value clashes with the demand gives none, as
+        _unify_heads would reject each result unevaluated: its try stops
+        before its rhs, and only the reasons that cut it show, gathered
+        in a set of their own.  By _clash_key, such a try is skipped when
+        it cannot cut, or goes through the failure memo (failure
+        tabling): a try that runs to exhaustion records its key with the
+        cut reasons it raised, and a later try with that key adds them
+        to the run's cut, so every answer keeps its flags, and fails
+        before renaming, tracing "reuse failure: rule <index> on <call>".
+        The memo is this solver's own, and a record serves every demand
+        that the rule clashes with, as the failure depends on nothing but
+        the key:
+        - the rule instance sees only the key's data, fresh variables and
+          the qualification leaves;
+        - the translation's bounds carry lower bounds down to a call's
+          leaves and upper bounds up from them, so while the try runs
+          nothing outside it narrows the leaves, and what it narrows
+          outside empties an interval only if it empties a leaf;
+        - a propagation that the step guard stops may fail where another
+          would not, so a solver past the guard records and uses no key;
+        - keys may hold the ids of canonical data, which the program's
+          GroundData keeps alive;
+        - a call that its branch has reduced keeps its value, so
+          call-time choice never meets the memo;
+        - a try at another depth cuts elsewhere.
+        """
         e = self.walk(store, e)
         if isinstance(e, (Var, Basic)):
             yield e
@@ -863,140 +903,49 @@ class Solver:
                 arg = _value(self.walk(store, e.args[probe[0]]), self.sig)
                 if arg is not None and _clash(probe[1], arg, ground):
                     continue  # the head cannot match: skip the renaming
-            tpl = self._templates.get(index) or self._compile_rule(index, rule)
-            if demand is not None and result is not None \
-                    and _clash(result, demand, ground):
-                if self._cannot_cut(store, e, index, depth):
+            clashing = demand is not None and result is not None \
+                and _clash(result, demand, ground)
+            if clashing:
+                key = _clash_key(self, store, e, index, depth)
+                if key == "skip":
                     self.skips += 1
-                else:
-                    self._clashing_try(e, store, depth, index, rule.name, tpl)
-                continue
-            inst = self._rename_rule(tpl, e.args, store)
-            if self.trace:
-                self.trace(f"try rule {index}: {rule.name}")
-            if inst is None:
-                continue  # a literal or a data head clashes
-            # a head that matched whole has nothing left to unify
-            unified = (None,) if inst.start == len(e.args) else self._pairwise(
-                self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
-            for _ in unified:
-                for _ in self._solve_all(inst, store, depth - 1, index):
-                    if inst.rhs is None:
-                        inst.rhs = _build(tpl[2], inst.vs)
-                    for res in self._hnf(inst.rhs, store, depth - 1):
-                        mark = len(trail)
-                        store.assign(store.evals, id(e), EvalRec(e, "fun", res, index, inst))
-                        yield res
-                        store.undo(mark)
-
-    def _clashing_try(self, e: App, store: Store, depth: int, index: int,
-                      name: str, tpl: tuple) -> None:
-        """A try of the rule with this index on the call e, whose rhs
-        clashes with the demand: _unify_heads would reject each of its
-        results without evaluating anything, so the try never evaluates
-        its rhs or yields, and only the reasons that cut its head
-        unification and conditions show.  _hnf makes it only when
-        _cannot_cut finds no component whose bound keeps it from
-        cutting: a threshold-free goal, a call on data that is not
-        ground, or a rule that reaches a primitive application, a call
-        inside a call's arguments or, in every component, a factor-1
-        cycle.
-
-        Such a try on ground data goes through the failure memo (failure
-        tabling), keyed as _failure_key says.  A try that runs to
-        exhaustion with no propagation guard records its key with the
-        cut reasons it raised.  A later try with that key adds those
-        reasons to the run's cut, so every answer keeps its flags, and
-        fails before renaming; --trace prints "reuse failure: rule
-        <index> on <call>".  No key is recorded or used once the solver
-        has hit the guard.  The memo is this solver's own.  The key
-        holds no demand, so a record serves every demand that the rule
-        clashes with.
-
-        The failure depends on nothing but the key:
-        - inside the try, the rule instance sees only the key's data,
-          fresh variables and the qualification leaves;
-        - the translation's bounds carry lower bounds down to a call's
-          leaves and upper bounds up from them, so while the try runs
-          nothing outside it narrows the leaves, and what it narrows
-          outside empties an interval only if it empties a leaf;
-        - the step guard stops a propagation where it is, so a run that
-          hits it may fail where another would not, which is why such
-          runs are left out;
-        - keys may hold the ids of canonical data, because the program's
-          GroundData keeps those terms alive;
-        - a call that its branch has reduced keeps its value (_hnf), so
-          call-time choice never meets the memo.
-        A try at another depth cuts elsewhere.
-        """
-        key = None if self.guard_hits else _failure_key(self, store, e, index, depth)
-        if key is not None:
-            cut = self.failures.get(key)
-            if cut is not None:
-                self.cut |= cut
-                self.failure_hits += 1
+                    continue
+                cut = self.failures.get(key)
+                if cut is not None:
+                    self.cut |= cut
+                    self.failure_hits += 1
+                    if self.trace:
+                        self.trace(f"reuse failure: rule {index} on {print_expr(e)}")
+                    continue
+                outer, self.cut = self.cut, set()
+            tpl = self._templates.get(index) or self._compile_rule(index, rule)
+            try:
+                inst = self._rename_rule(tpl, e.args, store)
                 if self.trace:
-                    self.trace(f"reuse failure: rule {index} on {print_expr(e)}")
-                return
-        # the try's cut reasons go to a set of their own
-        outer, self.cut = self.cut, set()
-        try:
-            inst = self._rename_rule(tpl, e.args, store)
-            if self.trace:
-                self.trace(f"try rule {index}: {name}")
-            if inst is not None:
-                unified = (None,) if inst.start == len(e.args) else self._pairwise(
-                    self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
+                    self.trace(f"try rule {index}: {rule.name}")
+                if inst is None:  # a literal or a data head clashes
+                    unified = ()
+                else:  # a head that matched whole has nothing left to unify
+                    unified = (None,) if inst.start == len(e.args) else self._pairwise(
+                        self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
                 for _ in unified:
                     for _ in self._solve_all(inst, store, depth - 1, index):
-                        pass
-        finally:
-            raised = self.cut
-            outer |= raised
-            self.cut = outer
-        if key is not None and not self.guard_hits:
-            self.failures[key] = frozenset(raised)
-
-    def _cannot_cut(self, store: Store, e: App, index: int, depth: int) -> bool:
-        """Whether a try of the rule with this index on the call e, at
-        this depth, can raise no cut reason, so that a clashing try,
-        which yields nothing, may be skipped outright.
-
-        The call's data arguments must walk to literals or canonical
-        ground data, so that head unification evaluates nothing.  Each
-        leaf of its qualification argument, one per component of the
-        domain (_leaves), is then read on its own, through the rule's
-        chain bounds in that component (_chain_bounds): the rule's body,
-        and every rule that it reaches, raise no "primitive" reason, and
-        each call that they make runs one depth below its caller or
-        higher.  What remains is the "depth" reason, raised by a call at
-        depth 0.  With lo the lower bound of the leaf, a body call at
-        factor a starts a chain with its leaf at lo/a or above.  Each
-        later call at a factor below 1 divides that bound by its factor,
-        at most a_max, through the bound and the qVal that its caller
-        posts before it, and a bound above 1 empties that qVal, so the
-        call does not run.  The body call, and each such call, starts a
-        run of at most run calls at factor 1 (_chains_short).  A call
-        runs only when the qVal of each of its components holds, so the
-        try is skipped when one component keeps every chain shorter
-        than depth.  With lo at 0, a chain that meets a factor below 1
-        has no bound.  A propagation that the step guard stops may not
-        carry the bound down, which the skipped try would have flagged.
-        """
-        if _ground_args(store, e.args[:-1], self._data.proofs) is None:
-            return False
-        program = self.program
-        for k, q in enumerate(_leaves(e.args[-1], store.subst)):
-            if type(q) is Var:
-                lo = store.ivals.get(q.name, FULL).lo
-            elif type(q) is Basic:
-                lo = q.value
-            else:
-                continue
-            body = program.memo(("chain bounds", k), lambda: _chain_bounds(program, k))[index]
-            if body is not None and _chains_short(body, lo, depth):
-                return True
-        return False
+                        if clashing:
+                            continue  # its rhs cannot give the demand
+                        if inst.rhs is None:
+                            inst.rhs = _build(tpl[2], inst.vs)
+                        for res in self._hnf(inst.rhs, store, depth - 1):
+                            mark = len(trail)
+                            store.assign(store.evals, id(e),
+                                         EvalRec(e, "fun", res, index, inst))
+                            yield res
+                            store.undo(mark)
+                if clashing and key is not None and not self.guard_hits:
+                    self.failures[key] = frozenset(self.cut)
+            finally:
+                if clashing:
+                    outer |= self.cut
+                    self.cut = outer
 
     def _reduce_args(self, args: tuple, store: Store, depth: int,
                      i: int = 0) -> Iterator[tuple]:

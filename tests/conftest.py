@@ -39,14 +39,16 @@ def library(library_text):
 
 @pytest.fixture
 def no_failure_memo(monkeypatch):
-    """The solver with its failure memo off: no demand gets a key."""
-    monkeypatch.setattr(runtime, "_failure_key", lambda *args: None)
+    """The solver with its failure memo off: no try gets a key."""
+    clash_key = runtime._clash_key
+    monkeypatch.setattr(runtime, "_clash_key",
+                        lambda *args: "skip" if clash_key(*args) == "skip" else None)
 
 
 @pytest.fixture
 def no_clash_skips(monkeypatch):
     """The solver with its chain check off: every clashing try runs."""
-    monkeypatch.setattr(runtime.Solver, "_cannot_cut", lambda self, *args: False)
+    monkeypatch.setattr(runtime, "_chains_short", lambda *args: False)
 
 
 def random_layered_program(rng: random.Random, layers: int = 3,

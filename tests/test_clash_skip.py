@@ -3,7 +3,7 @@
 A rule whose rhs clashes with a strict equality's demand cannot give it,
 so its try only shows the reasons that cut it.  When the call is on
 ground data and a static bound on the rule's chains of nested calls
-shows that none of them reaches depth 0 (Solver._cannot_cut), the try
+shows that none of them reaches depth 0 (runtime._clash_key), the try
 raises no reason either, and the solver skips it before renaming: no
 memo lookup and no record.  The bound comes from the qualification lower
 bound of the call, which each attenuated call divides by its factor, so

@@ -18,12 +18,13 @@ import sys
 
 import pytest
 
-from conftest import ROOT, random_layered_program
+from conftest import LIBRARY, ROOT, random_layered_program
 from test_rule_filter import PAPER, THRESHOLD_SWEEP
 from qcflp.cli import main
 from qcflp.constraints import FULL, Interval
 from qcflp.domains import U, domain_from_name
-from qcflp.runtime import (EvalRec, Limits, Solver, Store, _failure_key,
+from qcflp import runtime
+from qcflp.runtime import (EvalRec, Limits, Solver, Store, _clash_key,
                            answer_record, replay_trees)
 from qcflp.semantics import serialize_proof
 from qcflp.syntax import parse_constraints, parse_goal, parse_program, print_expr
@@ -45,6 +46,14 @@ def outcome(program, goal, depth, dom, translated=None):
              for a in answers if not a.flags
              for tree in replay_trees(solver, a, constraints)]
     return ([answer_record(a) for a in answers], certs, solver.cut), solver
+
+
+def memo_key(solver, store, call, index, depth):
+    """The failure memo key of a try (_clash_key), with the chain check
+    off, so that no try is skipped instead; None when it has none."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runtime, "_chains_short", lambda *args: False)
+        return _clash_key(solver, store, call, index, depth)
 
 
 def books16_text(library_text: str) -> str:
@@ -78,12 +87,12 @@ DIFFERENTIAL = [
 
 
 @pytest.mark.parametrize("goal,dom_name,depth,source", DIFFERENTIAL)
-def test_memo_keeps_what_the_search_shows(monkeypatch, library_text, goal,
+def test_memo_keeps_what_the_search_shows(request, library_text, goal,
                                           dom_name, depth, source):
     dom = domain_from_name(dom_name)
     program = parse_program(library_text if source is None else source(library_text), dom)
     memo, solver = outcome(program, goal, depth, dom)
-    monkeypatch.setattr("qcflp.runtime._failure_key", lambda *args: None)
+    request.getfixturevalue("no_failure_memo")
     plain, unmemoized = outcome(program, goal, depth, dom)
     assert memo == plain
     assert unmemoized.failure_hits == 0 and not unmemoized.failures
@@ -153,7 +162,7 @@ q --> true <== p(a) == a
 """
 
 
-def test_a_hit_replays_the_depth_cut(tmp_path, capsys, monkeypatch):
+def test_a_hit_replays_the_depth_cut(tmp_path, capsys, request):
     src = tmp_path / "loop.qcflp"
     src.write_text(LOOP)
     argv = ["solve", str(src), "--goal", "(q == true) # W", "--depth", "8", "--trace"]
@@ -163,7 +172,7 @@ def test_a_hit_replays_the_depth_cut(tmp_path, capsys, monkeypatch):
     assert trace[-3:] == ["-- try rule 3: q'", "-- reuse failure: rule 1 on p'(a, W)",
                           "solve: search cut by --depth 8; answers may be missing"]
     assert trace.count("-- try rule 0: loop'") == 6
-    monkeypatch.setattr("qcflp.runtime._failure_key", lambda *args: None)
+    request.getfixturevalue("no_failure_memo")
     assert main(argv) == 3
     plain = capsys.readouterr()
     assert plain.out == memo.out == ""
@@ -190,6 +199,24 @@ def test_a_later_run_of_the_solver_replays_the_cut():
     assert solver.cut == {"depth"} and solver.failure_hits == 3
 
 
+@pytest.mark.parametrize("depth,tried,reused", [(5, 103, 71), (6, 134, 101)])
+def test_library_trace_shows_each_try_once(monkeypatch, capsys, depth, tried, reused):
+    # the threshold-free paper goal: each rule try, clashing or not,
+    # prints one "try rule" line, and each memo hit one "reuse failure"
+    solvers = []
+    init = Solver.__init__
+    monkeypatch.setattr(Solver, "__init__",
+                        lambda self, *args: solvers.append(self) or init(self, *args))
+    argv = ["solve", str(LIBRARY), "--goal", PAPER, "--depth", str(depth), "--trace"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "{ R -> 4 } { W in (0, 0.7] } [incomplete]\n"
+    lines = err.splitlines()
+    assert sum(line.startswith("-- try rule ") for line in lines) == tried
+    reuses = sum(line.startswith("-- reuse failure: ") for line in lines)
+    assert reuses == reused == solvers[0].failure_hits
+
+
 def test_a_reduced_call_is_not_served_from_the_memo():
     # a call node that this branch has reduced keeps its value (call-time
     # choice), even where a try on it has a recorded failure.  k's first
@@ -198,7 +225,7 @@ def test_a_reduced_call_is_not_served_from_the_memo():
     solver = Solver(transform_program(program)[0])
     call, a = App("k'", (Var("W"),)), solver._data.leaf(App("a"))
     store = Store(declared={"W"})
-    solver.failures[_failure_key(solver, store, call, 0, 5)] = frozenset({"depth"})
+    solver.failures[memo_key(solver, store, call, 0, 5)] = frozenset({"depth"})
     # k's first rule gives b, which clashes with the demanded a
     assert list(solver._unify_strict(call, a, store, 5)) == [None]
     assert (solver.failure_hits, solver.cut) == (1, {"depth"})
@@ -221,10 +248,10 @@ def test_tries_outside_the_memo_get_no_key(call):
     program = parse_program("data t = a | b\nk --> a\nf(X) --> X\ng(X) --> X\n")
     solver = Solver(transform_program(program)[0])
     store = Store(declared={"W"})
-    assert _failure_key(solver, store, call, 1, 5) is None
+    assert memo_key(solver, store, call, 1, 5) is None
     # a try on the canonical a or on a literal has one, led by the rule
     for arg in (solver._data.leaf(App("a")), Basic(1)):
-        base, leaves = _failure_key(solver, store, App("f'", (arg, Var("W"))), 1, 5)
+        base, leaves = memo_key(solver, store, App("f'", (arg, Var("W"))), 1, 5)
         assert base[0] == 1 and leaves == (FULL,)
 
 
@@ -274,7 +301,7 @@ def k_call(intervals):
 
 def record(solver, intervals, cut=frozenset(), depth=5):
     call, store = k_call(intervals)
-    solver.failures[_failure_key(solver, store, call, 0, depth)] = cut
+    solver.failures[memo_key(solver, store, call, 0, depth)] = cut
 
 
 def served(solver, intervals, depth=5) -> bool:
@@ -287,6 +314,23 @@ def served(solver, intervals, depth=5) -> bool:
     reuse = f"reuse failure: rule 0 on {print_expr(call)}"
     assert lines in ([reuse], ["try rule 0: k'"])
     return lines == [reuse]
+
+
+def test_a_try_that_raises_records_nothing(monkeypatch):
+    # an exception inside k's clashing try propagates; the run's cut
+    # keeps its reasons, with the try's own, and the memo stays empty
+    def raising(self, *args):
+        self.cut.add("primitive")
+        raise RuntimeError("inside the try")
+        yield
+
+    solver = small_solver()
+    solver.cut = {"depth"}
+    call, store = k_call([FULL])
+    monkeypatch.setattr(Solver, "_solve_all", raising)
+    with pytest.raises(RuntimeError, match="inside the try"):
+        list(solver._unify_strict(call, solver._data.leaf(App("b")), store, 5))
+    assert solver.cut == {"depth", "primitive"} and solver.failures == {}
 
 
 def iv(lo, hi, lo_open=False, hi_open=False):
