@@ -20,14 +20,14 @@ and constructors only) is canonical from the translation on
 compared by identity.  A strict equality whose one side already is a
 literal or data demands that value of the other side's evaluation: a
 rule whose rhs clashes with it cannot give it, so its try stops before
-its rhs and shows only the reasons that cut it (Solver._hnf).  On ground
-data such a try is skipped when a static bound on its chains of nested
-calls keeps them clear of the depth bound: in one component of the
-qualification, each attenuated call divides the lower bound by its
-factor, and a bound above 1 ends the chain, so goals with a positive
-threshold skip most of them, in every domain.  The other such tries
-that failed are remembered with their qualification intervals and
-remaining depth, and fail again at once (failure tabling, _clash_key).
+its rhs and shows only the reasons that cut it (Solver._hnf).  Such a
+try is skipped when it can add no new reason to the run's cut: when
+the cut holds the depth bound, and an undecided primitive too if the
+run may raise one (_try_reasons), or when a static bound on its chains
+of nested calls keeps them clear of the depth bound (_chains_clear): in
+one component of the qualification, each attenuated call divides the
+lower bound by its factor, and a bound above 1 ends the chain, so goals
+with a positive threshold skip most of them, in every domain.
 
 Qualification constraints are numeric and never enumerate their variables:
 they feed a per-variable interval store, propagated after every post or
@@ -317,7 +317,7 @@ def _body_calls(rule, sig, ground: dict, k: int):
 
 def _chain_bounds(program: Program, k: int) -> list:
     """Per rule index, (run, a_max, a) for each call of its body in
-    component k (_body_calls), or None; see _clash_key.
+    component k (_body_calls), or None; see _chains_clear.
 
     The triple bounds the chains of nested calls that the call (symbol
     g, factor a) starts: run is one more than the longest path of
@@ -483,50 +483,32 @@ def _instance_side(side, vs: list):
     return (k * v.value, None) if type(v) is Basic else None
 
 
-def _clash_key(solver: "Solver", store: Store, call: App, index: int, depth: int):
-    """What a clashing try (Solver._hnf) of the rule with this index on
-    call, at this depth, comes to: "skip" when it can raise no cut
-    reason, else its key in the failure memo, or None.
+def _chains_clear(solver: "Solver", store: Store, call: App, index: int,
+                  depth: int) -> bool:
+    """Whether a clashing try (Solver._hnf) of the rule with this index
+    on call, at this depth, raises no cut reason, by the chain check.
 
-    Both need each data argument to walk to a literal or canonical ground
-    data, so that head unification evaluates nothing.  The try is
-    skipped when one leaf of the qualification argument (_leaves), read
-    through the rule's chain bounds in its component (_chain_bounds),
-    keeps every chain of calls shorter than depth (_chains_short): the
-    rule's body and every rule that it reaches raise no "primitive"
-    reason, each call that they make runs one depth below its caller or
-    higher, and a call runs only when the qVal of each of its components
-    holds, so no call reaches depth 0.  A propagation that the step guard
-    stops may not carry the bound down, which the skipped try would have
-    flagged.
-
-    Otherwise the try has a key when each leaf is a distinct declared
-    variable or a literal and the solver has not hit the step guard: the
-    rule index, which fixes the symbol, the data arguments (canonical
-    data by id, a literal by its type and value), the leaves (a literal
-    leaf's value, None for a variable) and the depth, paired with the
-    interval of each variable leaf.  A record serves its key exactly.
+    Each data argument walks to a literal or canonical ground data, so
+    head unification evaluates nothing, and one leaf of the qualification
+    argument (_leaves), read through the rule's chain bounds in its
+    component (_chain_bounds), keeps every chain of calls shorter than
+    depth (_chains_short): the rule's body and every rule that it reaches
+    raise no "primitive" reason, each call that they make runs one depth
+    below its caller or higher, and a call runs only when the qVal of
+    each of its components holds, so no call reaches depth 0.
     """
     subst, ground = store.subst, solver._data.proofs
-    key = [index]
     for x in call.args[:-1]:
         while type(x) is Var and x.name in subst:
             x = subst[x.name]
-        if type(x) is Basic:
-            key.append((type(x.value), x.value))
-        elif id(x) in ground:
-            key.append(id(x))
-        else:
-            return None
-    leaves, ivals = _leaves(call.args[-1], subst), []
-    for k, x in enumerate(leaves):
+        if type(x) is not Basic and id(x) not in ground:
+            return False
+    for k, x in enumerate(_leaves(call.args[-1], subst)):
         if type(x) is Var:
-            ivals.append(store.ivals.get(x.name, FULL))
-            lo = ivals[-1].lo
+            lo = store.ivals.get(x.name, FULL).lo
         elif type(x) is Basic:
             lo = x.value
         else:
-            key = None
             continue
         chains = solver._chains.get(k)
         if chains is None:
@@ -534,13 +516,37 @@ def _clash_key(solver: "Solver", store: Store, call: App, index: int, depth: int
             chains = solver._chains[k] = program.memo(
                 ("chain bounds", k), lambda: _chain_bounds(program, k))
         if chains[index] is not None and _chains_short(chains[index], lo, depth):
-            return "skip"
-    names = {x.name for x in leaves if type(x) is Var}
-    if key is None or solver.guard_hits or len(names) < len(ivals) \
-            or not store.declared.issuperset(names):
-        return None
-    key += [None if type(x) is Var else x.value for x in leaves]
-    return (*key, depth), tuple(ivals)
+            return True
+    return False
+
+
+def _applies_primitive(sig, conditions, *exprs) -> bool:
+    """Whether a primitive application, which _hnf may find undecided,
+    occurs in exprs or in conditions outside compiled bounds
+    (compile_bound), whose monomial sides propagation reads and _hnf
+    never does.  A search builds primitive applications only from these."""
+    stack = [*exprs, *(x for c in conditions if compile_bound(c, str) is None
+                       for x in (*c.args, c.result))]
+    while stack:
+        e = stack.pop()
+        if type(e) is App:
+            if sig.kind(e.symbol) == "pf":
+                return True
+            stack += e.args
+    return False
+
+
+def _try_reasons(program: Program, goal) -> frozenset:
+    """The cut reasons that a clashing try may raise in a run of goal, a
+    list of translated constraints, on program, step guard aside:
+    "depth", and "primitive" when its rules (looked at once per program)
+    or the goal apply a primitive (_applies_primitive)."""
+    sig = program.signature
+    rules = program.memo("applies primitive", lambda: any(
+        _applies_primitive(sig, r.conditions, r.rhs)
+        for r in program.rules))
+    primitive = rules or _applies_primitive(sig, goal)
+    return frozenset(("depth", "primitive") if primitive else ("depth",))
 
 
 class Solver:
@@ -561,11 +567,10 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
-        # the failure memo (see _hnf): a key (_clash_key) -> the cut
-        # reasons that the exhausted try raised; the times it was used;
-        # the clashing tries skipped as unable to cut; and component ->
-        # the program's chain bounds in it, looked up on first use
-        self.failures, self.failure_hits, self.skips, self._chains = {}, 0, 0, {}
+        # the clashing tries skipped (see _hnf); the cut reasons that one
+        # may raise, set again for each goal; and component -> the
+        # program's chain bounds in it, looked up on first use
+        self.skips, self._reasons, self._chains = 0, _try_reasons(program, ()), {}
         # the program's canonical ground data, which its translation
         # built, and what replay shares across answers
         self._data = program.memo("ground data", GroundData)
@@ -834,29 +839,18 @@ class Solver:
 
         A rule whose rhs value clashes with the demand gives none, as
         _unify_heads would reject each result unevaluated: its try stops
-        before its rhs, and only the reasons that cut it show, gathered
-        in a set of their own.  By _clash_key, such a try is skipped when
-        it cannot cut, or goes through the failure memo (failure
-        tabling): a try that runs to exhaustion records its key with the
-        cut reasons it raised, and a later try with that key adds them
-        to the run's cut, so every answer keeps its flags, and fails
-        before renaming, tracing "reuse failure: rule <index> on <call>".
-        The memo is this solver's own, and a record serves every demand
-        that the rule clashes with, as the failure depends on nothing but
-        the key:
-        - the rule instance sees only the key's data, fresh variables and
-          the qualification leaves;
-        - the translation's bounds carry lower bounds down to a call's
-          leaves and upper bounds up from them, so while the try runs
-          nothing outside it narrows the leaves, and what it narrows
-          outside empties an interval only if it empties a leaf;
-        - a propagation that the step guard stops may fail where another
-          would not, so a solver past the guard records and uses no key;
-        - keys may hold the ids of canonical data, which the program's
-          GroundData keeps alive;
-        - a call that its branch has reduced keeps its value, so
-          call-time choice never meets the memo;
-        - a try at another depth cuts elsewhere.
+        before its rhs, and only the reasons that cut it show.  Such a
+        try is skipped when it can add no new reason to the run's cut:
+        when the cut holds every reason that a clashing try of this run
+        may raise (_try_reasons), or when the chain check (_chains_clear)
+        shows that it raises none.  The skip is exact:
+        - the try never yields, and it undoes what it binds;
+        - each answer's "incomplete" flag reads whether the cut, a set
+          that only grows, is non-empty when the answer is yielded;
+        - so only the counters, the fresh numbers and the --trace lines
+          change, and printed names do not depend on fresh numbers.
+        A skipped try makes no propagation, so a step-guard hit inside
+        it can no longer add "guard" to the cut.
         """
         e = self.walk(store, e)
         if isinstance(e, (Var, Basic)):
@@ -905,47 +899,31 @@ class Solver:
                     continue  # the head cannot match: skip the renaming
             clashing = demand is not None and result is not None \
                 and _clash(result, demand, ground)
-            if clashing:
-                key = _clash_key(self, store, e, index, depth)
-                if key == "skip":
-                    self.skips += 1
-                    continue
-                cut = self.failures.get(key)
-                if cut is not None:
-                    self.cut |= cut
-                    self.failure_hits += 1
-                    if self.trace:
-                        self.trace(f"reuse failure: rule {index} on {print_expr(e)}")
-                    continue
-                outer, self.cut = self.cut, set()
+            if clashing and (self._reasons <= self.cut
+                             or _chains_clear(self, store, e, index, depth)):
+                self.skips += 1
+                continue
             tpl = self._templates.get(index) or self._compile_rule(index, rule)
-            try:
-                inst = self._rename_rule(tpl, e.args, store)
-                if self.trace:
-                    self.trace(f"try rule {index}: {rule.name}")
-                if inst is None:  # a literal or a data head clashes
-                    unified = ()
-                else:  # a head that matched whole has nothing left to unify
-                    unified = (None,) if inst.start == len(e.args) else self._pairwise(
-                        self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
-                for _ in unified:
-                    for _ in self._solve_all(inst, store, depth - 1, index):
-                        if clashing:
-                            continue  # its rhs cannot give the demand
-                        if inst.rhs is None:
-                            inst.rhs = _build(tpl[2], inst.vs)
-                        for res in self._hnf(inst.rhs, store, depth - 1):
-                            mark = len(trail)
-                            store.assign(store.evals, id(e),
-                                         EvalRec(e, "fun", res, index, inst))
-                            yield res
-                            store.undo(mark)
-                if clashing and key is not None and not self.guard_hits:
-                    self.failures[key] = frozenset(self.cut)
-            finally:
-                if clashing:
-                    outer |= self.cut
-                    self.cut = outer
+            inst = self._rename_rule(tpl, e.args, store)
+            if self.trace:
+                self.trace(f"try rule {index}: {rule.name}")
+            if inst is None:  # a literal or a data head clashes
+                continue
+            # a head that matched whole has nothing left to unify
+            unified = (None,) if inst.start == len(e.args) else self._pairwise(
+                self._unify_pattern, inst.pats, e.args, store, depth, inst.start)
+            for _ in unified:
+                for _ in self._solve_all(inst, store, depth - 1, index):
+                    if clashing:
+                        continue  # its rhs cannot give the demand
+                    if inst.rhs is None:
+                        inst.rhs = _build(tpl[2], inst.vs)
+                    for res in self._hnf(inst.rhs, store, depth - 1):
+                        mark = len(trail)
+                        store.assign(store.evals, id(e),
+                                     EvalRec(e, "fun", res, index, inst))
+                        yield res
+                        store.undo(mark)
 
     def _reduce_args(self, args: tuple, store: Store, depth: int,
                      i: int = 0) -> Iterator[tuple]:
@@ -1223,7 +1201,7 @@ class Solver:
 
     def _search(self, constraints: tuple, wvars: list,
                 datavars: list) -> Iterator[Answer]:
-        self.cut = set()
+        self.cut, self._reasons = set(), _try_reasons(self.program, constraints)
         if self.limits.answers is not None and self.limits.answers < 1:
             return
         emitted = 0

@@ -38,11 +38,11 @@ def library(library_text):
 
 
 @pytest.fixture
-def no_failure_memo(monkeypatch):
-    """The solver with its failure memo off: no try gets a key."""
-    clash_key = runtime._clash_key
-    monkeypatch.setattr(runtime, "_clash_key",
-                        lambda *args: "skip" if clash_key(*args) == "skip" else None)
+def no_cut_skips(monkeypatch):
+    """The solver with its cut check off: the reasons that a clashing
+    try may raise include one that no run raises, so no cut holds them
+    all."""
+    monkeypatch.setattr(runtime, "_try_reasons", lambda *args: frozenset({"none"}))
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ correct search, whatever the solver skips or remembers.
 
 import pytest
 
-from test_failure_memo import OPEN, outcome
+from test_cut_skip import OPEN, outcome
 from test_rule_filter import PAPER
 from qcflp.domains import U, domain_from_name
 from qcflp.syntax import parse_program

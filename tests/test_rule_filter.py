@@ -155,13 +155,14 @@ def solve_certified(program, goal, depth, dom):
     return [render_answer(a) for a in answers], certs
 
 
-# rule renamings with the chain check, under the failure memo: at most
-# so many on a thresholded goal (89 to 620 on the paper goal when a
-# qualification probe and call subsumption stood in for the check under
-# uxu), or exactly so many threshold-free, where only tries whose chains
-# meet no attenuation are skipped (121 and 152 with every clashing try run)
+# rule renamings with the chain check: at most so many on a thresholded
+# goal (89 to 620 on the paper goal when a qualification probe and call
+# subsumption stood in for the check under uxu), or exactly so many
+# threshold-free, where the chain check skips only tries whose chains
+# meet no attenuation, and the cut check every clashing try after the
+# first depth cut (103 and 134 with a failure memo in its place)
 MAX_THRESHOLDED_RENAMES = 40
-EXACT_RENAMES = {(PAPER, 5): 103, (PAPER, 6): 134}
+EXACT_RENAMES = {(PAPER, 5): 42, (PAPER, 6): 46}
 
 
 @pytest.mark.parametrize("goal,dom_name,depth,expected", THRESHOLD_SWEEP)
@@ -181,12 +182,11 @@ def test_chain_check_keeps_answers_and_certificates(
     assert renames == EXACT_RENAMES.get((goal, depth), renames)
 
 
-def test_paper_goal_posts_no_implied_bounds(count_renames, no_failure_memo,
+def test_paper_goal_posts_no_implied_bounds(count_renames, no_cut_skips,
                                             no_clash_skips, library):
     # the translation emits no bound that qVal or a premise bound implies,
     # so the solver propagates fewer posts for the same rule tries (the
-    # search without the failure memo and with every clashing try run,
-    # which the bound was taken on)
+    # search with every clashing try run, which the bound was taken on)
     translated, _ = transform_program(library)
     constraints, wvars, datavars = transform_goal(
         parse_goal(f"{PAPER} | W >= 0.3"), library)
@@ -199,7 +199,7 @@ def test_paper_goal_posts_no_implied_bounds(count_renames, no_failure_memo,
 
 # goal, depth, rule tries, answers, and the propagation steps that the
 # chained translation (a fresh variable and W <= Wi per premise at
-# factor 1) made on it, without the failure memo.  The tries are those
+# factor 1) made on it, with every clashing try run.  The tries are those
 # of trying every rule whose attenuation caps the call below its
 # threshold (104 and 509 when such rules were skipped before renaming)
 SHARED_PREMISE_SEARCH = [
@@ -211,7 +211,7 @@ SHARED_PREMISE_SEARCH = [
 
 @pytest.mark.parametrize("goal,depth,tries,answers,chained_steps",
                          SHARED_PREMISE_SEARCH, ids=["paper", "search", "guessGenre"])
-def test_shared_premise_variable_keeps_the_search(count_renames, no_failure_memo,
+def test_shared_premise_variable_keeps_the_search(count_renames, no_cut_skips,
                                                   no_clash_skips, library, goal,
                                                   depth, tries, answers,
                                                   chained_steps):
