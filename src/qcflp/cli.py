@@ -47,7 +47,7 @@ from .semantics import (StatementError, check_proof, holds, parse_proof,
 from .syntax import (ParseError, parse_expr_list, parse_goal, parse_program,
                      print_constraints, print_program)
 from .terms import run_deep
-from .transform import TransformError, transform_goal, transform_program
+from .transform import TransformError, transform_goal, translation
 
 
 def _at_least(least: int):
@@ -217,9 +217,9 @@ def _check(args) -> int:
 
 def _transform(args) -> int:
     program, dom = args.program, args.dom
-    translated, emit_map = transform_program(program, dom)
-    out_text = print_program(translated)
-    map_text = "".join(json.dumps(entry) + "\n" for entry in emit_map) \
+    tr = translation(program, dom)
+    out_text = print_program(tr.translated)
+    map_text = "".join(json.dumps(entry) + "\n" for entry in tr.emit_map) \
         if args.emit_map else ""
     if args.output:
         _write(args.output, out_text)
@@ -235,7 +235,7 @@ def _transform(args) -> int:
 
 def _solve(args) -> int:
     program, dom = args.program, args.dom
-    translated, _ = transform_program(program, dom)
+    translated = translation(program, dom).translated
     constraints, wvars, datavars = transform_goal(args.goal, program, dom)
     trace = (lambda msg: print(f"-- {msg}", file=sys.stderr)) if args.trace else None
     solver = Solver(translated, dom, Limits(args.depth, args.answers), trace)

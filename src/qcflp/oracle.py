@@ -266,6 +266,6 @@ def count_qual_sites(program: Program, dom: QualDomain = U) -> int:
     A translated rule keeps one condition per source condition; every
     other condition it has is an emitted site.
     """
-    translated, _ = transform_program(program, dom)
+    translated = translation(program, dom).translated
     return sum(len(t.conditions) - len(r.conditions)
                for t, r in zip(translated.rules, program.rules))

@@ -1,14 +1,15 @@
 """Goal solver for translated constraint programs.
 
 The solver performs demand-driven conditional narrowing with chronological
-backtracking.  Rules are tried in program order, except that a rule whose
-head cannot match the call, as far as the call's arguments are already
-values, is skipped before it is renamed.  A head variable that meets a
-variable, a literal or ground data takes it as the rule is renamed, with
-no binding; from the first argument that needs evaluation, unification
-takes over, and head patterns force the evaluation of arguments only as
-far as it demands; conditions run left to right before the right-hand
-side replaces the call.  A try builds
+backtracking.  Rules are tried in program order.  One head test
+(Solver._match_head) matches a rule's head against the call, left to
+right, as far as the call's arguments are already values, before the
+rule is renamed, traced or counted: a head that clashes there is no try.
+A head variable that meets a variable, a literal or ground data takes it
+with no binding; from the first argument that needs evaluation,
+unification takes over, and head patterns force the evaluation of
+arguments only as far as it demands; conditions run left to right
+before the right-hand side replaces the call.  A try builds
 only what it uses, as a WAM puts a goal's arguments just before the call:
 the head patterns that unification needs, at once; a condition's atom when
 the general path first reaches it, and the right-hand side when the
@@ -206,19 +207,6 @@ def _template(e: Expr, pos: dict, sig, ground: dict):
     return e
 
 
-def _head_probe(rule):
-    """(position, pattern) of the first head pattern that is not a
-    variable, or None.  The pattern is a literal or a constructor
-    pattern, a value that _clash tests against the call's argument there
-    when that already is one.  Heads are linear, so unifying the
-    variables before it only binds them.
-    """
-    for i, p in enumerate(rule.patterns):
-        if not isinstance(p, Var):
-            return i, p
-    return None
-
-
 def _value(e: Expr, sig):
     """e when it is a literal or a data application, else None."""
     if type(e) is Basic or (type(e) is App and sig.is_data(e.symbol)):
@@ -227,12 +215,11 @@ def _value(e: Expr, sig):
 
 
 def _rules_by_symbol(program: Program) -> dict:
-    """symbol -> [(index, rule, head probe, rhs value)] in program order;
-    the rhs value is the rhs when it is a literal or data (_value)."""
+    """symbol -> [(index, rule, rhs value)] in program order; the rhs
+    value is the rhs when it is a literal or data (_value)."""
     out = {}
     for i, r in enumerate(program.rules):
-        out.setdefault(r.name, []).append(
-            (i, r, _head_probe(r), _value(r.rhs, program.signature)))
+        out.setdefault(r.name, []).append((i, r, _value(r.rhs, program.signature)))
     return out
 
 
@@ -242,8 +229,8 @@ def _clash(result: Expr, demand: Expr, ground: dict) -> bool:
     literal or against data, data against another constructor or arity,
     and canonical ground data (its id in ground) against other canonical
     ground data.  A value that holds a variable or a call compares by its
-    head alone.  It tests a rule's rhs against a strict equality's demand
-    and a rule's head probe (_head_probe) against the call's argument."""
+    head alone.  It tests a rule's rhs against a strict equality's demand;
+    Solver._match_head tests the heads."""
     if type(result) is Basic or type(demand) is Basic:
         return type(result) is not type(demand) or result.value != demand.value
     return result.symbol != demand.symbol or len(result.args) != len(demand.args) \
@@ -558,7 +545,7 @@ class Solver:
         self.limits = limits or Limits()
         self.trace = trace
         # what depends on the program alone is shared by its solvers:
-        # symbol -> [(index, rule, head probe, rhs value)], rule index -> rename
+        # symbol -> [(index, rule, rhs value)], rule index -> rename
         # template, rule index -> its qualification variables
         self._rules, self._templates, self._quals = program.memo(
             "solver", lambda: (_rules_by_symbol(program), {}, {}))
@@ -596,9 +583,10 @@ class Solver:
         ground: it takes the general paths, which decompose it."""
         return type(t) is Basic or id(t) in self._data.proofs
 
-    def _rename_rule(self, tpl: tuple, args: tuple, store: Store):
-        """A fresh instance of a rule from its template (_compile_rule)
-        for a call with these args, or None when the head clashes.
+    def _rename_rule(self, tpl: tuple, pats: list, vs: list) -> _Instance:
+        """A fresh instance of a rule from its template (_compile_rule),
+        whose head _match_head matched: pats are the walked arguments of
+        the matched positions and vs the slots that the match filled.
 
         The rule is compiled once into templates over its sorted variable
         list.  A try builds only the slots and the head patterns; a
@@ -611,10 +599,6 @@ class Solver:
         """
         names, pats_t = tpl[0], tpl[1]
         prefix = f"~{next(self._fresh)}~"
-        vs = [None] * len(names)
-        pats = self._match_head(pats_t, args, store, vs)
-        if pats is None:
-            return None
         start = len(pats)
         vs = [Var(prefix + x) if v is None else v for x, v in zip(names, vs)]
         pats = (*pats, *[_build(p, vs) for p in pats_t[start:]])
@@ -622,14 +606,16 @@ class Solver:
 
     def _match_head(self, pats_t: tuple, args: tuple, store: Store, vs: list):
         """Match head pattern templates against a call's args, left to
-        right, evaluating and binding nothing: a variable slot takes a
-        walked variable, literal or canonical ground data (heads are
-        linear, so that is binding it), other patterns decompose against
-        data.  Stops at a position that meets a call, a variable under a
-        pattern or other data in a slot (_is_ground): _unify_pattern
-        unifies from there.  Fills vs at the matched positions' slots and
-        returns their walked arguments, or None when a literal or a data
-        head clashes."""
+        right, evaluating and binding nothing; the one head test, made
+        before a rule is renamed: a variable slot takes a walked
+        variable, literal or canonical ground data (heads are linear, so
+        that is binding it), a pattern and an argument that both are
+        canonical ground data (ids in the program's GroundData.proofs)
+        match by identity, other patterns decompose against data.  Stops
+        at a position that meets a call, a variable under a pattern or
+        other data in a slot (_is_ground): _unify_pattern unifies from
+        there.  Fills vs at the matched positions' slots and returns their
+        walked arguments, or None when a literal or a data head clashes."""
         subst, ground = store.subst, self._data.proofs
         matched = []
         for t, a in zip(pats_t, args):
@@ -640,6 +626,9 @@ class Solver:
                         and id(a) not in ground:
                     return matched
                 vs[t] = a
+            elif id(t) in ground and id(a) in ground:
+                if t is not a:  # canonical: equal data is one object
+                    return None
             else:
                 taken, stack = [], [(t, a)]
                 while stack:
@@ -892,23 +881,21 @@ class Solver:
             self.cut.add("depth")
             return
         ground = self._data.proofs
-        for index, rule, probe, result in self._rules.get(e.symbol, ()):
-            if probe is not None:
-                arg = _value(self.walk(store, e.args[probe[0]]), self.sig)
-                if arg is not None and _clash(probe[1], arg, ground):
-                    continue  # the head cannot match: skip the renaming
+        for index, rule, result in self._rules.get(e.symbol, ()):
+            tpl = self._templates.get(index) or self._compile_rule(index, rule)
+            vs = [None] * len(tpl[0])
+            pats = self._match_head(tpl[1], e.args, store, vs)
+            if pats is None:
+                continue  # the head cannot match: no try
             clashing = demand is not None and result is not None \
                 and _clash(result, demand, ground)
             if clashing and (self._reasons <= self.cut
                              or _chains_clear(self, store, e, index, depth)):
                 self.skips += 1
                 continue
-            tpl = self._templates.get(index) or self._compile_rule(index, rule)
-            inst = self._rename_rule(tpl, e.args, store)
+            inst = self._rename_rule(tpl, pats, vs)
             if self.trace:
                 self.trace(f"try rule {index}: {rule.name}")
-            if inst is None:  # a literal or a data head clashes
-                continue
             # a head that matched whole has nothing left to unify
             unified = (None,) if inst.start == len(e.args) else self._pairwise(
                 self._unify_pattern, inst.pats, e.args, store, depth, inst.start)

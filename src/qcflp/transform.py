@@ -353,20 +353,21 @@ def qual_value(e: Expr, dom: QualDomain):
 
 
 class Translation:
-    """A program translated under one domain, with what mapping its
-    derivations back needs: the primed names of the source's defined
-    functions, per source rule its arity, the positions of its own
-    conditions (from the emit map) and its variables, and every variable
-    of the source rules, which fresh names avoid.  Made once per program
-    and domain by translation().
+    """A program translated under one domain, its emit map
+    (transform_program), and what mapping its derivations back needs:
+    the primed names of the source's defined functions, per source rule
+    its arity, the positions of its own conditions (from the emit map)
+    and its variables, and every variable of the source rules, which
+    fresh names avoid.  Made once per program and domain by
+    translation().
     """
 
     def __init__(self, program: Program, dom: QualDomain):
-        self.translated, emit_map = transform_program(program, dom)
+        self.translated, self.emit_map = transform_program(program, dom)
         self.calls = {primed(f) for f in program.signature.df}
         self.layouts = [(len(r.patterns), e["source_conditions"],
                          vars_of((r.patterns, r.rhs, r.conditions)))
-                        for r, e in zip(program.rules, emit_map)]
+                        for r, e in zip(program.rules, self.emit_map)]
         self.avoid = set().union(*(names for _, _, names in self.layouts))
 
 

@@ -1,10 +1,12 @@
 """Rules that cannot succeed on a call are skipped before renaming.
 
-A rule's head probe is its first head pattern that is not a variable;
-when the call argument there already is a literal or a constructor
-value with another head, the solver goes on to the next rule without
-renaming this one.  The probe evaluates nothing, so answers, flags,
-certificates and variable names are those of trying every rule.  A rule
+The one head test, Solver._match_head, matches a rule's head against
+the call left to right, as far as the call's arguments are already
+values; when a pattern there meets a literal or a constructor value
+with another head, the solver goes on to the next rule without
+renaming, tracing or counting this one.  The match evaluates nothing,
+so answers, flags, certificates and printed variable names are those of
+unifying every head.  A rule
 whose attenuation caps the call's qualification below its threshold is
 renamed, and fails as its bound is posted.
 """
@@ -13,7 +15,6 @@ import pytest
 
 from conftest import BOOK4
 from test_fixpoint import DAG
-from qcflp import runtime
 from qcflp.constraints import Interval, narrow_bound
 from qcflp.domains import U, domain_from_name
 from qcflp.runtime import Limits, Solver, render_answer, replay_trees
@@ -76,7 +77,7 @@ def test_dag_renames_fall_and_answers_stay(monkeypatch, count_renames):
              sorted({c.symbol for r in program.rules for c in r.patterns})]
     filtered = [solve(program, g, depth=8) for g in goals]
     renames = count_renames[0]
-    monkeypatch.setattr(runtime, "_head_probe", lambda rule: None)
+    monkeypatch.setattr(Solver, "_match_head", lambda self, pats_t, args, store, vs: [])
     count_renames[0] = 0
     assert [solve(program, g, depth=8) for g in goals] == filtered
     assert count_renames[0] >= 5 * renames
@@ -85,7 +86,7 @@ def test_dag_renames_fall_and_answers_stay(monkeypatch, count_renames):
 
 def test_filter_keeps_fresh_variable_names(monkeypatch):
     filtered = solve(SPIN, "(g == R) # W", depth=5)
-    monkeypatch.setattr(runtime, "_head_probe", lambda rule: None)
+    monkeypatch.setattr(Solver, "_match_head", lambda self, pats_t, args, store, vs: [])
     assert solve(SPIN, "(g == R) # W", depth=5) == filtered
 
 
