@@ -3,8 +3,10 @@
 
 Parses the catalogue program, shows a slice of the translated rules,
 solves the flagship query at a few thresholds, replays the first
-answer as a machine-checked derivation, and replays every answer of an
-open query on one solver, which shares equal subproofs across answers.
+answer as a machine-checked derivation, replays every answer of an
+open query on one solver, which shares equal subproofs across answers,
+and proves the flagship statement against the source program through
+a certificate that it writes, reads back and checks.
 """
 
 import pathlib
@@ -14,13 +16,16 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from qcflp.runtime import Limits, Solver, render_answer, replay_trees
-from qcflp.semantics import check_proof, distinct_parts
+from qcflp.domains import U
+from qcflp.semantics import (check_proof, distinct_parts, holds, parse_proof,
+                             parse_statement, serialize_proof)
 from qcflp.syntax import parse_goal, parse_program, print_rule
 from qcflp.transform import transform_goal, transform_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOAL = '(search("German","Essay",intermediate) == R) # W | W >= %s'
 OPEN = "(search(L,G,V) == R) # W | W >= 0.6"
+STATEMENT = '(search("German","Essay",intermediate) -> 4) # 0.65'
 
 
 def main():
@@ -65,6 +70,13 @@ def main():
     subproofs, _ = distinct_parts(trees)
     print(f"replayed {len(answers)} answers of {OPEN} on one solver: "
           f"{occurrences} proof nodes, {subproofs} distinct subproofs")
+
+    proved = holds(program, U, parse_statement(STATEMENT), depth=64)
+    cert = serialize_proof(proved.tree, "u", U)
+    _, tree = parse_proof(cert)
+    print(f"\nholds {STATEMENT}: {proved.status}; its certificate has "
+          f"{distinct_parts([tree])[0]} nodes; source checker says: "
+          f"{check_proof(program, U, tree).status}")
 
 
 if __name__ == "__main__":

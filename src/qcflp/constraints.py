@@ -129,14 +129,6 @@ class Interval(NamedTuple):
             return False
         return True
 
-    def within(self, other: "Interval") -> bool:
-        """Every point of self lies in other."""
-        if self.lo < other.lo or (self.lo == other.lo and other.lo_open
-                                  and not self.lo_open):
-            return False
-        return not (self.hi > other.hi or (self.hi == other.hi and other.hi_open
-                                           and not self.hi_open))
-
     def intersect(self, other: "Interval") -> "Interval":
         if other.lo > self.lo or (other.lo == self.lo and other.lo_open):
             lo, lo_open = other.lo, other.lo_open

@@ -473,24 +473,19 @@ def _instance_side(side, vs: list):
 def _chains_clear(solver: "Solver", store: Store, call: App, index: int,
                   depth: int) -> bool:
     """Whether a clashing try (Solver._hnf) of the rule with this index
-    on call, at this depth, raises no cut reason, by the chain check.
+    on call, whose head _match_head matched whole, at this depth, raises
+    no cut reason, by the chain check.
 
-    Each data argument walks to a literal or canonical ground data, so
-    head unification evaluates nothing, and one leaf of the qualification
-    argument (_leaves), read through the rule's chain bounds in its
-    component (_chain_bounds), keeps every chain of calls shorter than
-    depth (_chains_short): the rule's body and every rule that it reaches
-    raise no "primitive" reason, each call that they make runs one depth
-    below its caller or higher, and a call runs only when the qVal of
-    each of its components holds, so no call reaches depth 0.
+    A whole head match evaluates and binds nothing, and one leaf of the
+    qualification argument (_leaves), read through the rule's chain
+    bounds in its component (_chain_bounds), keeps every chain of calls
+    shorter than depth (_chains_short): the rule's body and every rule
+    that it reaches raise no "primitive" reason, each call that they
+    make runs one depth below its caller or higher, and a call runs only
+    when the qVal of each of its components holds, so no call reaches
+    depth 0.
     """
-    subst, ground = store.subst, solver._data.proofs
-    for x in call.args[:-1]:
-        while type(x) is Var and x.name in subst:
-            x = subst[x.name]
-        if type(x) is not Basic and id(x) not in ground:
-            return False
-    for k, x in enumerate(_leaves(call.args[-1], subst)):
+    for k, x in enumerate(_leaves(call.args[-1], store.subst)):
         if type(x) is Var:
             lo = store.ivals.get(x.name, FULL).lo
         elif type(x) is Basic:
@@ -831,8 +826,9 @@ class Solver:
         before its rhs, and only the reasons that cut it show.  Such a
         try is skipped when it can add no new reason to the run's cut:
         when the cut holds every reason that a clashing try of this run
-        may raise (_try_reasons), or when the chain check (_chains_clear)
-        shows that it raises none.  The skip is exact:
+        may raise (_try_reasons), or when its head matched the call whole
+        and the chain check (_chains_clear) shows that it raises none.
+        The skip is exact:
         - the try never yields, and it undoes what it binds;
         - each answer's "incomplete" flag reads whether the cut, a set
           that only grows, is non-empty when the answer is yielded;
@@ -890,7 +886,8 @@ class Solver:
             clashing = demand is not None and result is not None \
                 and _clash(result, demand, ground)
             if clashing and (self._reasons <= self.cut
-                             or _chains_clear(self, store, e, index, depth)):
+                             or len(pats) == len(e.args)
+                             and _chains_clear(self, store, e, index, depth)):
                 self.skips += 1
                 continue
             inst = self._rename_rule(tpl, pats, vs)

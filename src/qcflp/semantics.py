@@ -83,11 +83,22 @@ def atom_statement(c: AtomicConstraint, qual=None, hypotheses=()) -> QStatement:
     return QStatement(None, None, c, qual, tuple(hypotheses))
 
 
-def triviality(stmt: QStatement) -> str:
-    """'yes' / 'no' / 'unknown': is the statement vacuously derivable?"""
+def triviality(stmt: QStatement, vacuous: Optional[dict] = None) -> str:
+    """'yes' / 'no' / 'unknown': is the statement vacuously derivable,
+    its result undefined or its hypotheses unsatisfiable?  vacuous, a
+    memo that check_proof keeps per call, holds the verdict on each
+    tuple of hypotheses decided so far."""
     if stmt.is_production() and stmt.rhs == BOTTOM:
         return "yes"
-    return _vacuity(stmt.hypotheses)
+    pi = stmt.hypotheses
+    if not pi:
+        return "no"
+    vacuous = {} if vacuous is None else vacuous
+    t = vacuous.get(pi)
+    if t is None:
+        status = satisfiable(pi).status
+        t = vacuous[pi] = {"unsat": "yes", "sat": "no"}.get(status, "unknown")
+    return t
 
 
 def _called_in_hypotheses(program: Program, stmt: QStatement) -> str:
@@ -100,18 +111,6 @@ def _called_in_hypotheses(program: Program, stmt: QStatement) -> str:
 
 class StatementError(ValueError):
     """A statement that holds cannot take (see _called_in_hypotheses)."""
-
-
-def _vacuity(hypotheses: tuple) -> str:
-    """'yes' / 'no' / 'unknown': are the hypotheses unsatisfiable?"""
-    if not hypotheses:
-        return "no"
-    verdict = satisfiable(hypotheses)
-    if verdict.status == "unsat":
-        return "yes"
-    if verdict.status == "sat":
-        return "no"
-    return "unknown"
 
 
 # ======================================================================
@@ -357,20 +356,11 @@ class _CheckState:
         self.dom = dom
         self.valid = program.memo(("checked", dom), weakref.WeakValueDictionary)
         self.closed = program.memo("closed parts", dict)  # see instantiate_rule
-        self.vacuous: dict = {}
-
-    def triviality(self, stmt: QStatement) -> str:
-        if stmt.is_production() and stmt.rhs == BOTTOM:
-            return "yes"
-        pi = stmt.hypotheses
-        t = self.vacuous.get(pi)
-        if t is None:
-            t = self.vacuous[pi] = _vacuity(pi)
-        return t
+        self.vacuous: dict = {}  # see triviality
 
 
 def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
-    program, dom = chk.program, chk.dom
+    dom = chk.dom
     stmt = tree.conclusion
     if dom is not None:
         if stmt.qual is None:
@@ -383,7 +373,7 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
     if tree.tag == "triv":
         if tree.children:
             return CheckResult("invalid", f"{path}: trivial nodes have no premises")
-        t = chk.triviality(stmt)
+        t = triviality(stmt, chk.vacuous)
         if t == "yes":
             return CheckResult("valid")
         if t == "no":
@@ -391,121 +381,106 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
         return CheckResult("unknown", f"{path}: hypotheses satisfiability unknown")
 
     # the trivial rule is mandatory for trivial statements
-    t = chk.triviality(stmt)
-    if t == "yes":
+    if triviality(stmt, chk.vacuous) == "yes":
         return CheckResult("invalid", f"{path}: trivial statement proved by {tree.tag}")
 
+    wants = _wants(chk, tree)
+    if isinstance(wants, str):
+        return CheckResult("invalid", f"{path}: {wants}")
+    premises, side = wants
+    if len(tree.children) != len(premises):
+        return CheckResult("invalid", f"{path}: premise count mismatch")
     pi = stmt.hypotheses
-
-    def qbound(d, bound) -> bool:
-        if dom is None:
-            return True
-        return dom.leq(dom.coerce(d), dom.coerce(bound), CHECK_TOL)
-
-    if tree.tag == "refl":
-        if not stmt.is_production() or stmt.lhs != stmt.rhs \
-                or not isinstance(stmt.lhs, (Var, Basic)):
-            return CheckResult("invalid", f"{path}: not a reflexivity statement")
-        if tree.children:
-            return CheckResult("invalid", f"{path}: reflexivity has no premises")
-        return CheckResult("valid")
-
-    if tree.tag == "cons":
-        if not stmt.is_production() or not isinstance(stmt.lhs, App) \
-                or not isinstance(stmt.rhs, App) \
-                or stmt.lhs.symbol != stmt.rhs.symbol \
-                or len(stmt.lhs.args) != len(stmt.rhs.args) \
-                or not program.signature.is_data(stmt.lhs.symbol):
-            return CheckResult("invalid", f"{path}: not a constructor decomposition")
-        if len(tree.children) != len(stmt.lhs.args):
-            return CheckResult("invalid", f"{path}: premise count mismatch")
-        for i, (child, e, t_) in enumerate(zip(tree.children, stmt.lhs.args,
-                                               stmt.rhs.args)):
-            c = child.conclusion
-            if not c.is_production() or c.lhs != e or c.rhs != t_ or c.hypotheses != pi:
-                bad = CheckResult("invalid", f"{path}.{i}: premise shape mismatch")
-            elif not qbound(stmt.qual, c.qual):
-                bad = CheckResult("invalid", f"{path}.{i}: qualification bound violated")
-            else:
-                continue
-            # the premises before the first malformed one are checked first
-            r = _premises(chk, tree.children[:i], path)
-            return r if r is not None and r.status == "invalid" else bad
-        return _premises(chk, tree.children, path) or CheckResult("valid")
-
-    if tree.tag == "fun":
-        if not stmt.is_production() or not isinstance(stmt.lhs, App) \
-                or program.signature.kind(stmt.lhs.symbol) != "df":
-            return CheckResult("invalid", f"{path}: not a defined-function statement")
-        if tree.rule_index is None or not (0 <= tree.rule_index < len(program.rules)):
-            return CheckResult("invalid", f"{path}: bad rule index")
-        rule = program.rules[tree.rule_index]
-        if rule.name != stmt.lhs.symbol:
-            return CheckResult("invalid", f"{path}: rule is for {rule.name!r}")
-        pats, alpha, rhs, conds = instantiate_rule(rule, dict(tree.theta), chk.closed)
-        n, m = len(pats), len(conds)
-        if len(tree.children) != n + 1 + m:
-            return CheckResult("invalid", f"{path}: premise count mismatch")
-        for i in range(n):
-            c = tree.children[i].conclusion
-            if not c.is_production() or c.lhs != stmt.lhs.args[i] \
-                    or c.rhs != pats[i] or c.hypotheses != pi:
-                return CheckResult("invalid", f"{path}.{i}: argument premise mismatch")
-            if not qbound(stmt.qual, c.qual):
-                return CheckResult("invalid", f"{path}.{i}: qualification bound violated")
-        c = tree.children[n].conclusion
-        if not c.is_production() or c.lhs != rhs or c.rhs != stmt.rhs \
+    d = None if dom is None else dom.coerce(stmt.qual)
+    for i, (child, (lhs, rhs, atom, factor, what)) in enumerate(zip(tree.children,
+                                                                   premises)):
+        c = child.conclusion
+        if c.lhs != lhs or (rhs is not None and c.rhs != rhs) or c.atom != atom \
                 or c.hypotheses != pi:
-            return CheckResult("invalid", f"{path}.{n}: right-hand side premise mismatch")
-        a = None if dom is None else dom.coerce(alpha)
-        if a is not None and not qbound(stmt.qual, dom.attenuate(a, dom.coerce(c.qual))):
-            return CheckResult("invalid", f"{path}.{n}: attenuation bound violated")
-        for j in range(m):
-            c = tree.children[n + 1 + j].conclusion
-            if c.is_production() or c.atom != conds[j] or c.hypotheses != pi:
-                return CheckResult("invalid", f"{path}.{n+1+j}: condition premise mismatch")
-            if a is not None and not qbound(stmt.qual,
-                                            dom.attenuate(a, dom.coerce(c.qual))):
-                return CheckResult("invalid",
-                                   f"{path}.{n+1+j}: attenuation bound violated")
-        return _premises(chk, tree.children, path) or CheckResult("valid")
-
-    if tree.tag in ("prim", "atom"):
-        if tree.tag == "prim":
-            if not stmt.is_production() or not isinstance(stmt.lhs, App) \
-                    or program.signature.kind(stmt.lhs.symbol) != "pf":
-                return CheckResult("invalid", f"{path}: not a primitive statement")
-            args, result = stmt.lhs.args, stmt.rhs
-            symbol = stmt.lhs.symbol
-            if not (isinstance(result, (Var, Basic))
-                    or (isinstance(result, App) and not result.args)):
-                return CheckResult("invalid", f"{path}: result must be flat")
+            bad = f"{what} mismatch"
+        elif d is None:
+            continue
         else:
-            if stmt.is_production():
-                return CheckResult("invalid", f"{path}: expected an atomic statement")
-            args, result = stmt.atom.args, stmt.atom.result
-            symbol = stmt.atom.symbol
-        if len(tree.children) != len(args):
-            return CheckResult("invalid", f"{path}: premise count mismatch")
-        reduced = []
-        for i, (child, e) in enumerate(zip(tree.children, args)):
-            c = child.conclusion
-            if not c.is_production() or c.lhs != e or c.hypotheses != pi:
-                return CheckResult("invalid", f"{path}.{i}: argument premise mismatch")
-            if not qbound(stmt.qual, c.qual):
-                return CheckResult("invalid", f"{path}.{i}: qualification bound violated")
-            reduced.append(c.rhs)
-        r = _premises(chk, tree.children, path)
-        if r is not None and r.status == "invalid":
-            return r
-        side = entails(pi, AtomicConstraint(symbol, tuple(reduced), result))
-        if side.status == "not_entailed":
+            e = dom.coerce(c.qual)
+            if factor is not None:
+                e = dom.attenuate(dom.coerce(factor), e)
+            if dom.leq(d, e, CHECK_TOL):
+                continue
+            bad = "qualification bound violated" if factor is None \
+                else "attenuation bound violated"
+        if tree.tag == "cons":  # checks the premises before the malformed one first
+            r = _premises(chk, tree.children[:i], path)
+            if r is not None and r.status == "invalid":
+                return r
+        return CheckResult("invalid", f"{path}.{i}: {bad}")
+    r = _premises(chk, tree.children, path)
+    if side is not None and (r is None or r.status != "invalid"):
+        reduced = tuple(child.conclusion.rhs for child in tree.children)
+        status = entails(pi, AtomicConstraint(side[0], reduced, side[1])).status
+        if status == "not_entailed":
             return CheckResult("invalid", f"{path}: hypotheses do not entail the evaluation")
-        if side.status == "unknown":
+        if status == "unknown":
             return CheckResult("unknown", f"{path}: entailment undecided")
-        return r or CheckResult("valid")
+    return r or CheckResult("valid")
 
-    return CheckResult("invalid", f"{path}: unknown tag {tree.tag!r}")
+
+def _wants(chk: _CheckState, tree: ProofTree):
+    """(premises, side) for a node of the rule refl, cons, fun, prim or
+    atom, or why its conclusion has the wrong shape for it.
+
+    A premise is (lhs, rhs, atom, factor, what): the conclusion it must
+    have under the node's hypotheses, rhs None leaving its result free;
+    the rule's attenuation, which scales its qualification, or None; and
+    its name in a mismatch's reason.  side is (symbol, result) for a prim
+    or atom node, whose hypotheses must entail the symbol applied to the
+    premises' results, else None.
+    """
+    program, stmt, tag = chk.program, tree.conclusion, tree.tag
+    lhs, sig = stmt.lhs, program.signature
+    if tag == "refl":
+        if not stmt.is_production() or lhs != stmt.rhs \
+                or not isinstance(lhs, (Var, Basic)):
+            return "not a reflexivity statement"
+        return "reflexivity has no premises" if tree.children else ((), None)
+    if tag == "cons":
+        if not stmt.is_production() or not isinstance(lhs, App) \
+                or not isinstance(stmt.rhs, App) \
+                or lhs.symbol != stmt.rhs.symbol \
+                or len(lhs.args) != len(stmt.rhs.args) \
+                or not sig.is_data(lhs.symbol):
+            return "not a constructor decomposition"
+        return [(e, t, None, None, "premise shape")
+                for e, t in zip(lhs.args, stmt.rhs.args)], None
+    if tag == "fun":
+        if not stmt.is_production() or not isinstance(lhs, App) \
+                or sig.kind(lhs.symbol) != "df":
+            return "not a defined-function statement"
+        if tree.rule_index is None or not (0 <= tree.rule_index < len(program.rules)):
+            return "bad rule index"
+        rule = program.rules[tree.rule_index]
+        if rule.name != lhs.symbol:
+            return f"rule is for {rule.name!r}"
+        pats, alpha, rhs, conds = instantiate_rule(rule, dict(tree.theta), chk.closed)
+        # indexed: a call short of the rule's patterns is a malformed tree
+        return [(lhs.args[i], p, None, None, "argument premise")
+                for i, p in enumerate(pats)] \
+            + [(rhs, stmt.rhs, None, alpha, "right-hand side premise")] \
+            + [(None, None, c, alpha, "condition premise") for c in conds], None
+    if tag == "prim":
+        if not stmt.is_production() or not isinstance(lhs, App) \
+                or sig.kind(lhs.symbol) != "pf":
+            return "not a primitive statement"
+        if not (isinstance(stmt.rhs, (Var, Basic))
+                or (isinstance(stmt.rhs, App) and not stmt.rhs.args)):
+            return "result must be flat"
+        args, side = lhs.args, (lhs.symbol, stmt.rhs)
+    elif tag == "atom":
+        if stmt.is_production():
+            return "expected an atomic statement"
+        args, side = stmt.atom.args, (stmt.atom.symbol, stmt.atom.result)
+    else:
+        return f"unknown tag {tag!r}"
+    return [(e, None, None, None, "argument premise") for e in args], side
 
 
 def _premises(chk: _CheckState, children, path: str) -> Optional[CheckResult]:

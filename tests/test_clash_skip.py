@@ -1,9 +1,9 @@
 """A clashing try that cannot cut is skipped outright.
 
 A rule whose rhs clashes with a strict equality's demand cannot give it,
-so its try only shows the reasons that cut it.  When the call is on
-ground data and a static bound on the rule's chains of nested calls
-shows that none of them reaches depth 0 (runtime._chains_clear), the
+so its try only shows the reasons that cut it.  When the rule's head
+matches the call whole and a static bound on the rule's chains of
+nested calls shows that none of them reaches depth 0 (runtime._chains_clear), the
 try raises no reason either, and the solver skips it before renaming.
 The bound comes from the qualification lower
 bound of the call, which each attenuated call divides by its factor, so
@@ -228,12 +228,14 @@ def p_solver(source, goal="(p(1) == a) # W | W >= 0.5", depth=8):
     return list(solver.solve(constraints, wvars, datavars)), solver
 
 
-@pytest.mark.parametrize("source", [
-    "p(X) --> b <== g(X) == a\ng(X) --> a\n",
-    "p(X) --> b <== g(X) == a\ng(X) -0.9-> a <== g(X) == b\ng(X) --> b\n",
-], ids=["plain-call", "attenuated-recursion"])
-def test_a_bounded_try_is_skipped(source):
-    answers, solver = p_solver(source)
+@pytest.mark.parametrize("source,goal", [
+    ("p(X) --> b <== g(X) == a\ng(X) --> a\n", None),
+    ("p(X) --> b <== g(X) == a\ng(X) -0.9-> a <== g(X) == b\ng(X) --> b\n", None),
+    # p's head matches the variable Y whole, binding nothing
+    ("p(X) --> b <== g(X) == a\ng(X) --> a\n", "(p(Y) == a) # W | W >= 0.5"),
+], ids=["plain-call", "attenuated-recursion", "non-ground-call"])
+def test_a_bounded_try_is_skipped(source, goal):
+    answers, solver = p_solver(source, *([goal] if goal else []))
     assert (answers, solver.skips, solver.cut) == ([], 1, set())
 
 
@@ -244,9 +246,7 @@ def test_a_bounded_try_is_skipped(source):
      "member(B,H:T) --> member(B,T) <== B /= H\n", None, set()),
     ("p(X) --> b <== X + 1 > 0\n", None, set()),
     ("p(X) --> b <== g(k(X)) == a\ng(X) --> a\nk(X) --> X\n", None, set()),
-    ("p(X) --> b <== g(X) == a\ng(X) --> a\n", "(p(Y) == a) # W | W >= 0.5", set()),
-], ids=["factor-1-cycle", "member", "primitive", "call-in-arguments",
-        "non-ground-call"])
+], ids=["factor-1-cycle", "member", "primitive", "call-in-arguments"])
 def test_a_try_that_the_bound_misses_runs(source, goal, cut):
     # the try runs, and shows the reasons that cut it
     answers, solver = p_solver(source, *([goal] if goal else []))
@@ -260,19 +260,24 @@ ARGS_PROGRAM = "data t = a | b\nk --> a\nf(X) --> X\n"
 
 @pytest.mark.parametrize("arg,cleared", [
     (lambda data: App("k'", (Var("W"),)), False),
-    (lambda data: Var("X"), False),
+    (lambda data: Var("X"), True),
     (lambda data: App("a"), False),
     (lambda data: data.leaf(App("a")), True),
     (lambda data: Basic(1), True),
 ], ids=["call-argument", "variable-argument", "other-data", "canonical-data",
         "literal"])
 def test_the_chain_check_reads_ground_arguments_only(arg, cleared):
-    # head unification on an argument that is a call, a variable or data
-    # outside the program's canonical ground data may evaluate or bind,
-    # so the chain check clears no try on it
+    # the chain check runs on a head that matched the call whole
+    # (Solver._match_head), which evaluates and binds nothing: a call or
+    # data outside the program's canonical ground data stops the match,
+    # and a variable in a variable's slot takes it with no binding
     solver = Solver(transform_program(parse_program(ARGS_PROGRAM))[0])
-    call = App("f'", (arg(solver._data), Var("W")))
-    assert _chains_clear(solver, Store(declared={"W"}), call, 1, 5) is cleared
+    call, store = App("f'", (arg(solver._data), Var("W"))), Store(declared={"W"})
+    (index, rule, _), = solver._rules["f'"]
+    tpl = solver._compile_rule(index, rule)
+    pats = solver._match_head(tpl[1], call.args, store, [None] * len(tpl[0]))
+    whole = len(pats) == len(call.args)
+    assert (whole and _chains_clear(solver, store, call, index, 5)) is cleared
 
 # translated programs: the recursive call of h's first rule runs before
 # the bound that attenuates it (AFTER), or before the qVal that caps

@@ -14,6 +14,12 @@ Depth monotonicity: a run that the depth bound does not cut gives the
 same answers at every greater depth, and an answer that no cut flags at
 one depth is found again one depth deeper.
 
+Certificate agreement: each clean answer's statement, the goal's
+call rewriting to the answer's result at the upper bound of its
+qualification, is derivable, and its certificate, written and read
+back, checks valid against the source program; a hair above that
+bound, the statement is not found.
+
 The relations hold under any correct search, whatever the solver skips
 or remembers.
 """
@@ -24,6 +30,8 @@ from test_cut_skip import GUESS, OPEN, outcome
 from test_rule_filter import PAPER
 from qcflp.domains import U, domain_from_name
 from qcflp.runtime import Limits, Solver, answer_record
+from qcflp.semantics import (CheckResult, check_proof, holds, parse_proof,
+                             parse_statement, serialize_proof)
 from qcflp.syntax import parse_goal, parse_program
 from qcflp.transform import transform_goal, translation
 
@@ -93,3 +101,31 @@ def test_a_clean_answer_is_found_one_depth_deeper(library, goal):
         for r in shown:
             if not r["flags"]:
                 assert r in deeper, (depth, r)
+
+
+@pytest.mark.parametrize("dom_name,goal,call", [
+    ("u", f"{OPEN} | W >= 0.6", "search({L}, {G}, {V})"),
+    ("u", f"{PAPER} | W >= 0.3", 'search("German", "Essay", intermediate)'),
+    ("uxu", f"{PAPER} | W >= (0.3,0.3)", 'search("German", "Essay", intermediate)'),
+], ids=["open", "paper", "paper-uxu"])
+def test_certificate_agreement(library_text, dom_name, goal, call):
+    dom = domain_from_name(dom_name)
+    program = parse_program(library_text, dom)
+    (answers, _, cut), _ = outcome(program, goal, 64, dom)
+    clean = [a for a in answers if not a["flags"]]
+    assert not cut and len(clean) == (13 if "L" in call else 1)
+    for a in clean:
+        hi = [q["hi"] for _, q in sorted(a["qual"].items())]
+        text = f"({call.format(**a['subst'])} -> {a['subst']['R']})"
+        r = holds(program, dom, parse_statement(f"{text} # {qual(hi)}"), 64)
+        assert r.status == "derivable", text
+        _, tree = parse_proof(serialize_proof(r.tree, dom_name, dom))
+        assert check_proof(program, dom, tree) == CheckResult("valid"), text
+        above = parse_statement(f"{text} # {qual([x * (1 + 1e-6) for x in hi])}")
+        assert holds(program, dom, above, 64).status == "not_found", text
+
+
+def qual(components: list) -> str:
+    """A qualification's text: one number, or a pair."""
+    return repr(components[0]) if len(components) == 1 else \
+        "(" + ",".join(map(repr, components)) + ")"

@@ -25,6 +25,9 @@ def test_library_demo():
         r"(\d+) proof nodes, (\d+) distinct subproofs", proc.stdout)
     assert int(answers) == 13
     assert 0 < int(distinct) < int(nodes) // 10
+    # the flagship statement, proved and checked through its certificate
+    assert "derivable; its certificate has" in proc.stdout
+    assert "source checker says: valid" in proc.stdout
 
 
 def test_oracle_sweep():

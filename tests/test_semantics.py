@@ -171,6 +171,117 @@ def test_shared_subtree_reasons(build, expected):
     assert check_proof(parse_program(BIN), U, build()) == expected
 
 
+# One malformed certificate per reason the checker gives: f's one rule
+# has a pattern, an attenuated right-hand side and a condition, so its
+# node needs three premises
+REASONS = parse_program("data t = a | b | c(t) | d(t, t)\n"
+                        "f(X) -0.5-> c(X) <== X == a\ng --> a\n")
+THETA = (("X", App("a")),)
+
+
+def pt(tag, text, *premises, rule=None, theta=()):
+    return ProofTree(tag, parse_statement(text), premises, rule, theta)
+
+
+def a_node(q="0.8"):
+    return pt("cons", f"(a -> a) # {q}")
+
+
+def f_of_a(q="0.4", call="f(a)", premises=None, rule=0):
+    """f(a) -> c(a) through f's rule, valid as it stands."""
+    if premises is None:
+        premises = (a_node(), rhs_node(), cond_node())
+    return pt("fun", f"({call} -> c(a)) # {q}", *premises, rule=rule, theta=THETA)
+
+
+def one_plus_two(result="3", q="0.5", left="(1 -> 1) # 0.5"):
+    return pt("prim", f"(1 + 2 -> {result}) # {q}", pt("refl", left),
+              pt("refl", "(2 -> 2) # 0.5"))
+
+
+def rhs_node(q="0.8", rhs="c(a)"):
+    return pt("cons", f"({rhs} -> {rhs}) # {q}", a_node())
+
+
+def cond_node(q="0.8", atom="a == a"):
+    return pt("atom", f"{atom} # {q}", a_node(), a_node())
+
+
+def invalid(reason):
+    return CheckResult("invalid", reason)
+
+
+UNSURE = "<== X*X == 2"  # hypotheses whose satisfiability is undecided
+
+
+@pytest.mark.parametrize("tree,dom,expected", [
+    (f_of_a(), U, CheckResult("valid")),
+    (one_plus_two(), U, CheckResult("valid")),
+    (pt("refl", "(X -> X) # 0.5 <== f(X) == a"), U,
+     invalid("root: hypotheses call the defined function 'f'")),
+    # a call short of the argument that the rule's pattern matches
+    (f_of_a(call="f"), U, invalid("malformed tree: tuple index out of range")),
+    (pt("refl", "(X -> X)"), U, invalid("root: missing qualification")),
+    (pt("refl", "(X -> X) # 0"), U,
+     invalid("root: qualification must be above bottom")),
+    (pt("refl", "(X -> X) # 0.5"), None, invalid("root: unexpected qualification")),
+    (pt("triv", "(X -> _|_) # 0.5", a_node()), U,
+     invalid("root: trivial nodes have no premises")),
+    (pt("triv", "(X -> X) # 0.5"), U, invalid("root: statement is not trivial")),
+    (pt("triv", f"(X -> X) # 0.5 {UNSURE}"), U,
+     CheckResult("unknown", "root: hypotheses satisfiability unknown")),
+    (pt("refl", "(X -> _|_) # 0.5"), U,
+     invalid("root: trivial statement proved by refl")),
+    (pt("refl", "(a -> a) # 0.5"), U, invalid("root: not a reflexivity statement")),
+    (pt("refl", "(X -> X) # 0.5", pt("refl", "(X -> X) # 0.5")), U,
+     invalid("root: reflexivity has no premises")),
+    (pt("cons", "(f(a) -> f(a)) # 0.5", a_node()), U,
+     invalid("root: not a constructor decomposition")),
+    (pt("cons", "(c(a) -> c(a)) # 0.5"), U, invalid("root: premise count mismatch")),
+    (pt("cons", "(c(a) -> c(a)) # 0.5", pt("cons", "(b -> b) # 0.5")), U,
+     invalid("root.0: premise shape mismatch")),
+    (pt("cons", "(c(a) -> c(a)) # 0.9", a_node()), U,
+     invalid("root.0: qualification bound violated")),
+    # a cons node checks the premises before its first malformed one first
+    (pt("cons", "(d(a, a) -> d(a, a)) # 0.5", pt("cons", "(a -> a) # 0.5", a_node()),
+        pt("cons", "(b -> b) # 0.5")), U, invalid("root.0: premise count mismatch")),
+    (pt("fun", "(c(a) -> c(a)) # 0.5", rule=0), U,
+     invalid("root: not a defined-function statement")),
+    (f_of_a(rule=None), U, invalid("root: bad rule index")),
+    (f_of_a(rule=2), U, invalid("root: bad rule index")),
+    (f_of_a(rule=1), U, invalid("root: rule is for 'g'")),
+    (f_of_a(premises=(a_node(),)), U, invalid("root: premise count mismatch")),
+    (f_of_a(premises=(pt("cons", "(b -> b) # 0.8"), rhs_node(), cond_node())), U,
+     invalid("root.0: argument premise mismatch")),
+    (f_of_a(premises=(a_node("0.3"), rhs_node(), cond_node())), U,
+     invalid("root.0: qualification bound violated")),
+    (f_of_a(premises=(a_node(), rhs_node(rhs="c(b)"), cond_node())), U,
+     invalid("root.1: right-hand side premise mismatch")),
+    (f_of_a(premises=(a_node(), rhs_node("0.7"), cond_node())), U,
+     invalid("root.1: attenuation bound violated")),
+    (f_of_a(premises=(a_node(), rhs_node(), cond_node(atom="a == b"))), U,
+     invalid("root.2: condition premise mismatch")),
+    (f_of_a(premises=(a_node(), rhs_node(), cond_node("0.7"))), U,
+     invalid("root.2: attenuation bound violated")),
+    (pt("prim", "(f(a) -> c(a)) # 0.5"), U, invalid("root: not a primitive statement")),
+    (one_plus_two(result="c(a)"), U, invalid("root: result must be flat")),
+    (pt("atom", "(1 + 2 -> 3) # 0.5"), U, invalid("root: expected an atomic statement")),
+    (pt("prim", "(1 + 2 -> 3) # 0.5"), U, invalid("root: premise count mismatch")),
+    (one_plus_two(left="(2 -> 2) # 0.5"), U,
+     invalid("root.0: argument premise mismatch")),
+    (one_plus_two(q="0.6"), U, invalid("root.0: qualification bound violated")),
+    (one_plus_two(result="4"), U,
+     invalid("root: hypotheses do not entail the evaluation")),
+    (pt("prim", f"(X * X -> 3) # 0.5 {UNSURE}", pt("refl", f"(X -> X) # 0.5 {UNSURE}"),
+        pt("refl", f"(X -> X) # 0.5 {UNSURE}")), U,
+     CheckResult("unknown", "root: entailment undecided")),
+    (pt("step", "(X -> X) # 0.5"), U, invalid("root: unknown tag 'step'")),
+], ids=lambda x: x.tag if isinstance(x, ProofTree) else
+    "plain" if x is None else "u" if x is U else x.reason.split(": ", 1)[-1] or x.status)
+def test_each_checker_reason(tree, dom, expected):
+    assert check_proof(REASONS, dom, tree) == expected
+
+
 def test_vacuity_decided_once_per_check(monkeypatch):
     p = parse_program("f(X) --> g(s(X), X)\ng(A, X) --> true <== X >= 0")
     r = holds(p, U, stmt("(f(Y) -> true) # 1 <== Y >= 1"))
