@@ -6,9 +6,10 @@
 
 Runs benchmark/run.py on the committed files of the parent revision,
 exported with `git archive` into a temporary directory, and on the
-working tree, one run at a time, in alternating pairs: the parent runs
-first in even pairs and second in odd ones, and both runs of a pair use
-the same seed.  Per metric, the output holds each side's median and
+working tree, one run at a time, each with a fresh bytecode cache
+(PYTHONPYCACHEPREFIX), in alternating pairs: the parent runs first in
+even pairs and second in odd ones, and both runs of a pair use the same
+seed.  Per metric, the output holds each side's median and
 quartiles (inclusive method), every run's value, and in how many pairs
 the change is better; per pair, the failed ops of each side; per
 workload, whether the answers digests agree on every pair, and the
@@ -159,10 +160,15 @@ def export_revision(rev: str, into: Path) -> str:
 
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float,
                   trace: int, log: Path = None) -> dict:
+    """One run in root.  Its bytecode cache is a fresh directory, so no
+    __pycache__ left in root, or by an earlier run, is read: every run
+    compiles its sources, as the parent's fresh export would once."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    with tempfile.TemporaryDirectory(prefix="bench_pycache_") as cache:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
+                              timeout=RUN_TIMEOUT_S)
     if log is not None:
         log.write_text(proc.stdout + proc.stderr, encoding="utf-8")
     if proc.returncode != 0:

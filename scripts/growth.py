@@ -9,9 +9,10 @@ threshold t from 0.9 down to 0.1, then three threshold-free goals, the
 paper goal, the open search (search(L,G,V) == R) # W and
 (guessGenre(B) == G) # W, and then the paper goal under the product
 domain uxu at each threshold (t,t), each on a fresh solver at depth 64,
-and prints one line per goal: the rule tries, propagation steps,
-clashing tries skipped as unable to add a cut reason (Solver.skips), the
-process time of the solve and a digest of the rendered answers.  The
+and prints one line per goal: the rule tries (Solver.tries), propagation
+steps, clashing tries skipped as unable to add a cut reason
+(Solver.skips), the process time of the solve and a digest of the
+rendered answers.  The
 counters are deterministic; the time is for information.  The last line
 is the JSON of every row.
 """
@@ -40,19 +41,10 @@ DEPTH = 64
 def measure(program, translated, goal: str, dom=U) -> dict:
     constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
     solver = Solver(translated, dom, Limits(depth=DEPTH))
-    tries = 0
-    rename = solver._rename_rule
-
-    def counted(*args):
-        nonlocal tries
-        tries += 1
-        return rename(*args)
-
-    solver._rename_rule = counted
     started = time.process_time()
     answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
     ms = (time.process_time() - started) * 1000
-    return {"tries": tries,
+    return {"tries": solver.tries,
             "steps": solver.prop_steps, "skips": solver.skips,
             "answers": len(answers), "cut": sorted(solver.cut),
             "digest": hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16],

@@ -2,11 +2,11 @@
 
 The package parses attenuated conditional rewrite programs, translates
 them into qualification-free constrained programs, and solves goals
-under qualification thresholds.  Two semantic engines, a rewriting-logic
-prover and a bounded fixpoint oracle, cross-check the solver.  They share
-the constructor and primitive rules and differ in how a call rewrites;
-an independent proof checker validates every certificate the prover
-emits.
+under qualification thresholds.  The solver is the one derivation
+engine: prove derives a statement through it and maps the derivation
+back to the source program.  A bounded fixpoint iteration, which shares
+no code with the solver, cross-checks its answers (the oracle), and an
+independent proof checker validates every certificate.
 """
 
 from .domains import (CertaintyDomain, MalformedValueError, ProductDomain,

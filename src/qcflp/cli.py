@@ -14,15 +14,14 @@ files through one guarded writer (_write).  Exit codes:
   derivation in a search that was not cut, an invalid certificate or an
   oracle mismatch
 * 2: a usage error, including a numeric limit out of range (--answers
-  and --k below 1, --depth, --max-rules and --max-universe below 0), an
-  unknown --qdom, an input file that cannot be read
-  or an output file that cannot be written, prove without --statement
-  or --check, an oracle --mutate site out of range
+  and --k below 1, --depth below 0), an unknown --qdom, an input file
+  that cannot be read or an output file that cannot be written, prove
+  without --statement or --check, an oracle --mutate site out of range
 * 3: solve found only flagged answers, or none in a search that was cut;
   prove found no derivation in a search that was cut or left a residual
   undecided, or could not decide the certificate
-* 4: oracle exceeded --max-rules or --max-universe, or its goal cap or
-  fixpoint budget
+* 4: oracle ran out of its step budget (oracle.compare) before it
+  compared every goal
 * 5: input nested too deeply for the raised recursion limit that every
   command runs under (terms.run_deep)
 
@@ -40,7 +39,7 @@ import os
 import sys
 
 from .domains import domain_from_name
-from .oracle import compare, count_qual_sites, default_universe
+from .oracle import BUDGET, compare, count_qual_sites, default_universe
 from .runtime import Limits, Solver, answer_record, render_answer
 from .semantics import (StatementError, check_proof, holds, parse_proof,
                         parse_statement, serialize_proof)
@@ -106,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_at_least(1), default=6, help="fixpoint iterations")
     p.add_argument("--depth", type=_at_least(0), default=8)
     p.add_argument("--universe", help="comma-separated extra ground terms")
-    p.add_argument("--max-rules", type=_at_least(0), default=8)
-    p.add_argument("--max-universe", type=_at_least(0), default=24)
     p.add_argument("--mutate", type=int, default=None,
                    help="drop the n-th emitted qualification condition")
     common(p)
@@ -155,13 +152,15 @@ def _load(args):
     except ValueError as exc:
         raise _Exit(2, str(exc))
     args.program = _parsed(args.file, parse_program, _read(args.file), args.dom)
+    sig = args.program.signature
     given = vars(args)
     if given.get("goal") is not None:
-        args.goal = _parsed("<goal>", parse_goal, args.goal, args.dom)
+        args.goal = _parsed("<goal>", parse_goal, args.goal, args.dom, sig)
     if given.get("statement") is not None:
-        args.statement = _parsed("<statement>", parse_statement, args.statement)
+        args.statement = _parsed("<statement>", parse_statement, args.statement,
+                                 None, sig)
     if given.get("universe") is not None:
-        args.universe = _parsed("<universe>", parse_expr_list, args.universe)
+        args.universe = _parsed("<universe>", parse_expr_list, args.universe, sig)
     if given.get("check") is not None:
         # a certificate's lines end at "\n" only; a string in it may hold "\r"
         text = _read(args.check, newline="")
@@ -294,9 +293,6 @@ def _oracle(args) -> int:
     for term in args.universe or ():
         if term not in universe:
             universe.append(term)
-    if len(program.rules) > args.max_rules or len(universe) > args.max_universe:
-        raise _Exit(4, f"guardrail exceeded: {len(program.rules)} rules, "
-                       f"{len(universe)} universe terms")
     if args.mutate is not None:
         total = count_qual_sites(program, dom)
         if not 0 <= args.mutate < total:
@@ -307,8 +303,8 @@ def _oracle(args) -> int:
         status = "ok" if rec.match else "MISMATCH"
         extra = f" ({rec.note})" if rec.note else ""
         print(f"{status:8s} {rec.goal}  fixpoint={rec.fixpoint} solver={rec.solver}{extra}")
-    print(f"{len(report.records)} goals, {len(report.mismatches)} mismatches"
-          + (", partial" if report.partial else ""))
+    partial = f", partial: the budget of {BUDGET} steps ran out" if report.partial else ""
+    print(f"{len(report.records)} goals, {len(report.mismatches)} mismatches{partial}")
     if report.partial:
         return 4
     return 1 if report.mismatches else 0

@@ -19,7 +19,7 @@ from typing import Optional
 from .constraints import INF, holds_under
 from .domains import QualDomain, U
 from .runtime import Limits, Solver
-from .semantics import bounded_lfp
+from .semantics import BUDGET, bounded_lfp
 from .syntax import Goal, GoalItem, Program, print_expr
 from .terms import (App, AtomicConstraint, Basic, Expr, HashCons, TRUE, Var,
                     is_value, vars_of)
@@ -121,16 +121,15 @@ def _sets_match(a: list, b: list, tol: float = TOL) -> bool:
 
 def compare(program: Program, dom: QualDomain = U, k: int = 6,
             universe: Optional[list] = None, depth: int = 8,
-            drop_site: Optional[int] = None, max_goals: int = 400,
-            lfp_budget: int = 2000000) -> OracleReport:
+            drop_site: Optional[int] = None, budget: int = BUDGET) -> OracleReport:
     """Compare fixpoint-derived facts with solver answers over a goal family.
 
     The goals are f(args) == target for each defined f, with args drawn
     from the universe and target from its constructor terms (is_value):
     a call rewrites only to those, so a fact never has a call as result.
-    max_goals counts these (call, target) pairs.  lfp_budget caps the
-    rule instances the fixpoint evaluates (see bounded_lfp).  One solver
-    answers every goal, so each rule is compiled once per comparison.
+    Each instance the fixpoint evaluates (bounded_lfp) and each pair
+    asked is a step of budget, and the report is partial when it runs
+    out.  One solver answers every goal, so each rule compiles once.
 
     The solver is asked f(args) == T once per call, with the result T
     free, and its answers are grouped by the value of T (see
@@ -139,7 +138,7 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     """
     report = OracleReport()
     universe = default_universe(program) if universe is None else list(universe)
-    interp = bounded_lfp(program, dom, k, universe, budget=lfp_budget)
+    interp = bounded_lfp(program, dom, k, universe, budget=budget)
     report.partial = interp.partial
 
     # the unmutated translation is the program's own, whose solvers share
@@ -150,11 +149,11 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
 
     targets = [u for u in universe if is_value(u, program.signature)]
     points = [float(u.value) if isinstance(u, Basic) else u for u in targets]
-    goals = 0
+    steps = interp.steps
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
-            asked = targets[:max(max_goals - goals, 0)]
-            goals += len(asked)
+            asked = targets[:max(budget - steps, 0)]
+            steps += len(asked)
             call = App(fname, tuple(args))
             by_result = _answers_by_result(solver, program, dom, call) if asked else {}
             for target in asked:

@@ -549,6 +549,7 @@ class Solver:
         self.cut = set()            # why it was cut: "depth", "guard", "primitive"
         self.guard_hits = 0         # propagations stopped by the step guard
         self.prop_steps = 0         # worklist steps over all propagations
+        self.tries = 0              # rule tries: instances renamed
         # the clashing tries skipped (see _hnf); the cut reasons that one
         # may raise, set again for each goal; and component -> the
         # program's chain bounds in it, looked up on first use
@@ -592,6 +593,7 @@ class Solver:
         or the rhs is built from the templates when it is first used (see
         _Instance), sharing every subterm with no variable or call.
         """
+        self.tries += 1
         names, pats_t = tpl[0], tpl[1]
         prefix = f"~{next(self._fresh)}~"
         start = len(pats)

@@ -42,11 +42,14 @@ from .syntax import (Goal, GoalItem, Program, ParseError, Diagnostic,
                      _vars_in_order, format_attenuation, parse_bindings,
                      parse_statement_parts, print_constraint, print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    HashCons, TRUE, Var, apply_subst, constraint_exprs,
-                    constraint_info_leq, deep_recursion, info_leq,
-                    is_total, is_value, term_glb, term_lub, vars_of)
+                    HashCons, Signature, TRUE, Var, apply_subst,
+                    constraint_exprs, constraint_info_leq, deep_recursion,
+                    info_leq, is_total, is_value, term_glb, term_lub, vars_of)
 
 CHECK_TOL = 1e-12
+# The oracle's steps (bounded_lfp's instances, oracle.compare's goals):
+# some 60 times the largest comparison of the tests and the benchmark.
+BUDGET = 20000
 
 
 # ======================================================================
@@ -460,10 +463,10 @@ def _wants(chk: _CheckState, tree: ProofTree):
         rule = program.rules[tree.rule_index]
         if rule.name != lhs.symbol:
             return f"rule is for {rule.name!r}"
+        if len(lhs.args) != len(rule.patterns):
+            return "call arity mismatch"
         pats, alpha, rhs, conds = instantiate_rule(rule, dict(tree.theta), chk.closed)
-        # indexed: a call short of the rule's patterns is a malformed tree
-        return [(lhs.args[i], p, None, None, "argument premise")
-                for i, p in enumerate(pats)] \
+        return [(e, p, None, None, "argument premise") for e, p in zip(lhs.args, pats)] \
             + [(rhs, stmt.rhs, None, alpha, "right-hand side premise")] \
             + [(None, None, c, alpha, "condition premise") for c in conds], None
     if tag == "prim":
@@ -646,6 +649,7 @@ class Interpretation:
 
     facts: dict = field(default_factory=dict)   # (f,args,result) -> [quals]
     partial: bool = False
+    steps: int = 0      # the instances bounded_lfp evaluated
     results: dict = field(default_factory=dict, init=False, repr=False)
 
     def add(self, key, d, dom: QualDomain) -> bool:
@@ -863,7 +867,7 @@ def _defined(sig, exprs) -> set:
 
 
 def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
-                budget: int = 2000000) -> Interpretation:
+                budget: int = BUDGET) -> Interpretation:
     """Iterate the immediate-consequence step k times over a finite family.
 
     Round i computes interp_i = interp_{i-1} join T(interp_{i-1}), where T
@@ -879,15 +883,14 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
     conditions cannot all hold.
 
     budget caps the rule instances evaluated: each ground instance, and
-    each partial instance that a condition rules out, counts one.  A
-    blown budget sets the partial flag.
+    each partial instance that a condition rules out, is one step that
+    interp.steps counts.  A blown budget sets the partial flag.
     """
     interp = Interpretation()
     sig = program.signature
     constructor = {u for u in universe if is_value(u, sig)}
     universe_calls = _defined(sig, [u for u in universe if u not in constructor])
     plans = [_RulePlan(rule, sig, universe_calls) for rule in program.rules]
-    steps = 0
     changed = None              # symbols improved by the last round
     for _ in range(k):
         red = _FactReducer(interp, program, dom)
@@ -898,11 +901,11 @@ def bounded_lfp(program: Program, dom: QualDomain, k: int, universe: list,
             rule = plan.rule
             alpha = dom.coerce(rule.attenuation)
             for inst in plan.instances(red, universe, constructor):
-                steps += 1
-                if steps > budget:
+                if interp.steps >= budget:
                     _extend(interp, derived, dom)
                     interp.partial = True
                     return interp
+                interp.steps += 1
                 if inst is None:
                     continue
                 theta, cond_sets = inst
@@ -929,11 +932,13 @@ def _extend(interp: Interpretation, derived: list, dom: QualDomain) -> set:
 # Statement and certificate input/output
 # ======================================================================
 
-def parse_statement(text: str, share: Optional[HashCons] = None) -> QStatement:
+def parse_statement(text: str, share: Optional[HashCons] = None,
+                    sig: Optional[Signature] = None) -> QStatement:
     """The statement text reads; with a terms.HashCons table, its terms
     are canonical in it, so equal terms of every text read with the table
-    are one object."""
-    body, qual, hyps = parse_statement_parts(text, share)
+    are one object.  With a program's signature, its symbols must have
+    their arities in it."""
+    body, qual, hyps = parse_statement_parts(text, share, sig)
     if isinstance(body, tuple):
         return production(body[0], body[1], qual, hyps)
     return atom_statement(body, qual, hyps)

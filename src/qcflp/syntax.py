@@ -200,7 +200,9 @@ class _Parser:
     they are its methods, so every term read with one table is canonical
     in it, and a whole string is also kept under its token text.
     Programs and goals are read without a table: the solver keys
-    call-time choice on the identity of a call.
+    call-time choice on the identity of a call.  With a program's
+    signature, a symbol of it applied to another number of arguments is
+    a diagnostic.
     """
 
     app = App
@@ -209,11 +211,13 @@ class _Parser:
     def leaf(e: Expr) -> Expr:
         return e
 
-    def __init__(self, text: str, share: Optional[HashCons] = None):
+    def __init__(self, text: str, share: Optional[HashCons] = None,
+                 sig: Optional[Signature] = None):
         self.tokens = lex(text)
         self.pos = 0
         self.anon = 0
         self.share = share
+        self.sig = sig
         if share is not None:
             self.app = share.app
             self.leaf = share.leaf
@@ -312,12 +316,17 @@ class _Parser:
             if t.text in RESERVED:
                 _fail(t.line, t.col, f"reserved word {t.text!r} cannot be used in an expression")
             self.next()
+            args = ()
             if self.at("("):
                 self.next()
-                args = self.parse_sep_list(self.parse_expr)
+                args = tuple(self.parse_sep_list(self.parse_expr))
                 self.expect(")")
-                return self.app(t.text, tuple(args))
-            return self.app(t.text)
+            sig = self.sig
+            if sig is not None and sig.kind(t.text) is not None \
+                    and sig.arity(t.text) != len(args):
+                _fail(t.line, t.col, f"{t.text!r} used with {len(args)} argument(s), "
+                                     f"expected {sig.arity(t.text)}")
+            return self.app(t.text, args)
         if t.kind == "(":
             self.next()
             e = self.parse_expr()
@@ -685,8 +694,11 @@ def parse_program(text: str, dom: QualDomain = U) -> Program:
     return program
 
 
-def parse_goal(text: str, dom: QualDomain = U) -> Goal:
-    p = _Parser(text)
+def parse_goal(text: str, dom: QualDomain = U,
+               sig: Optional[Signature] = None) -> Goal:
+    """The goal text reads; with a program's signature, its symbols must
+    have their arities in it."""
+    p = _Parser(text, sig=sig)
     goal = p.parse_goal()
     diags = validate_goal(goal, dom)
     if diags:
@@ -702,9 +714,11 @@ def parse_constraints(text: str) -> list:
     return out
 
 
-def parse_statement_parts(text: str, share: Optional[HashCons] = None) -> tuple:
-    """_Parser.parse_statement of text, its terms canonical in share."""
-    return _Parser(text, share).parse_statement()
+def parse_statement_parts(text: str, share: Optional[HashCons] = None,
+                          sig: Optional[Signature] = None) -> tuple:
+    """_Parser.parse_statement of text, its terms canonical in share and
+    its symbols of sig applied to their arities."""
+    return _Parser(text, share, sig).parse_statement()
 
 
 def parse_bindings(text: str, share: Optional[HashCons] = None) -> tuple:
@@ -719,9 +733,10 @@ def parse_expr(text: str) -> Expr:
     return e
 
 
-def parse_expr_list(text: str) -> list:
-    """A comma-separated list of expressions (oracle --universe)."""
-    p = _Parser(text)
+def parse_expr_list(text: str, sig: Optional[Signature] = None) -> list:
+    """A comma-separated list of expressions (oracle --universe), the
+    symbols of sig applied to their arities."""
+    p = _Parser(text, sig=sig)
     out = p.parse_sep_list(p.parse_expr)
     p.expect("EOF")
     return out

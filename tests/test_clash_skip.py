@@ -154,10 +154,8 @@ def counted(program, goal, depth=64):
     translated, _ = transform_program(program)
     constraints, wvars, datavars = transform_goal(parse_goal(goal), program)
     solver = Solver(translated, limits=Limits(depth=depth))
-    tries, rename = [], solver._rename_rule
-    solver._rename_rule = lambda *args: tries.append(1) or rename(*args)
     answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
-    return answers, len(tries), solver
+    return answers, solver.tries, solver
 
 
 @pytest.mark.parametrize("threshold", ["0.7", "0.6", "0.5", "0.4", "0.3", "0.2",

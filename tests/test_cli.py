@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import BOOK4, LIBRARY, ROOT, expanded_certificate
 from qcflp.cli import main
 from qcflp.domains import U
-from qcflp.semantics import (check_proof, distinct_parts, holds, parse_proof,
-                             parse_statement, serialize_proof)
+from qcflp.semantics import (BUDGET, check_proof, distinct_parts, holds,
+                             parse_proof, parse_statement, serialize_proof)
 
 GOAL = '(search("German","Essay",intermediate) == R) # W | W >= 0.65'
 GENRE_STMT = f'(guessGenre({BOOK4}) -> "Essay") # 0.7'
@@ -112,8 +113,7 @@ def test_solve_answer_limit(capsys):
     ("solve", "--answers", "0", 1), ("solve", "--answers", "-2", 1),
     ("solve", "--depth", "-1", 0), ("prove", "--depth", "-3", 0),
     ("oracle", "--k", "0", 1), ("oracle", "--k", "-1", 1),
-    ("oracle", "--depth", "-1", 0), ("oracle", "--max-rules", "-1", 0),
-    ("oracle", "--max-universe", "-1", 0)])
+    ("oracle", "--depth", "-1", 0)])
 def test_numeric_limit_out_of_range_is_a_usage_error(tmp_path, capsys, command,
                                                        flag, value, least):
     src = tmp_path / "f.qcflp"
@@ -133,8 +133,9 @@ def test_numeric_limits_at_their_least_run(tmp_path, capsys):
     src.write_text("f --> true\n")
     assert run("solve", str(src), "--goal", "(f == R) # W", "--answers", "1") == 0
     assert run("solve", str(src), "--goal", "(f == R) # W", "--depth", "0") == 3
-    assert run("oracle", str(src), "--k", "1", "--max-rules", "1") == 0
-    assert run("oracle", str(src), "--max-rules", "0") == 4
+    assert run("oracle", str(src), "--k", "1") == 0
+    # a depth of 0 runs, and the solver it cuts misses the fact
+    assert run("oracle", str(src), "--depth", "0") == 1
 
 
 def test_solve_flagged_only(tmp_path):
@@ -371,10 +372,25 @@ def test_oracle_transform_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
-def test_oracle_guardrail(tmp_path):
+def test_oracle_has_no_rule_count_limit(tmp_path, capsys):
+    # 30 rule instances and 30 goals: well within the step budget
     src = tmp_path / "big.qcflp"
     src.write_text("\n".join(f"f{i} --> true" for i in range(30)))
-    assert run("oracle", str(src)) == 4
+    assert run("oracle", str(src)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("ok ") for line in out) == 30
+    assert out[-1] == "30 goals, 0 mismatches"
+
+
+def test_oracle_budget_runs_out_on_the_library(capsys):
+    # the fixpoint over the library's 24 universe terms spends the
+    # whole budget, so no goal is asked
+    started = time.perf_counter()
+    assert run("oracle", str(LIBRARY)) == 4
+    assert time.perf_counter() - started < 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"0 goals, 0 mismatches, partial: the budget of {BUDGET} "
+                   "steps ran out"]
 
 
 def test_unknown_domain():
@@ -638,3 +654,22 @@ def test_goal_diagnostics_report_their_position(tmp_path, capsys, goal, diagnost
     src.write_text("f(X) --> true\n")
     assert run("solve", str(src), "--goal", goal) == 1
     assert capsys.readouterr().err == diagnostic + "\n"
+
+
+WRONG_BOOK = 'getId(book(1, "a", "b", "c", "d", easy, 65), 7)'
+
+
+@pytest.mark.parametrize("argv, diagnostic", [
+    # the head match would zip the call's two arguments with one pattern
+    (["solve", "--goal", f"({WRONG_BOOK} == R) # W"],
+     "<goal>:1:2: 'getId' used with 2 argument(s), expected 1"),
+    (["prove", "--statement", f"({WRONG_BOOK} -> 1) # 0.5"],
+     "<statement>:1:2: 'getId' used with 2 argument(s), expected 1"),
+    (["solve", "--goal", '(search("German","Essay",easy(1)) == R) # W | W >= 0.5'],
+     "<goal>:1:26: 'easy' used with 1 argument(s), expected 0"),
+    (["oracle", "--universe", "medium, easy(1)"],
+     "<universe>:1:9: 'easy' used with 1 argument(s), expected 0"),
+], ids=["goal-call", "statement-call", "goal-constructor", "universe-constructor"])
+def test_wrong_arity_is_a_diagnostic(capsys, argv, diagnostic):
+    assert run(argv[0], str(LIBRARY), *argv[1:]) == 1
+    assert capsys.readouterr() == ("", diagnostic + "\n")

@@ -170,17 +170,7 @@ def test_cut_skips_keep_what_random_programs_show(request, no_clash_skips):
     assert any(cut for _, _, cut in plain)
 
 
-@pytest.fixture
-def tries(monkeypatch):
-    """The rule tries made, one entry each."""
-    made = []
-    rename = Solver._rename_rule
-    monkeypatch.setattr(Solver, "_rename_rule",
-                        lambda self, *args: made.append(1) or rename(self, *args))
-    return made
-
-
-def test_paper_goal_counts(library, tries):
+def test_paper_goal_counts(library):
     # with every clashing try run: 7,961 tries and 19,610 propagation
     # steps; with a failure memo on demands: 637 tries, 2,037 steps (2,059
     # and 5,959 when it served exact keys only); with the memo on rule
@@ -189,7 +179,7 @@ def test_paper_goal_counts(library, tries):
     (answers, _, cut), solver = outcome(library, f"{PAPER} | W >= 0.3", 64, U)
     assert [r["qual"]["W"] for r in answers] == \
         [{"lo": 0.3, "hi": 0.7, "lo_open": False, "hi_open": False}]
-    assert (len(tries), solver.prop_steps, solver.skips) == (35, 13, 20)
+    assert (solver.tries, solver.prop_steps, solver.skips) == (35, 13, 20)
     assert cut == set()
 
 

@@ -212,6 +212,7 @@ def test_join_evaluates_few_instances():
     # instances a round; joining with the succ facts takes 43 in all
     program, dom, universe = _program("join")
     full = bounded_lfp(program, dom, 6, universe)
+    assert full.steps == 43
     assert not bounded_lfp(program, dom, 6, universe, budget=50).partial
     cut = bounded_lfp(program, dom, 6, universe, budget=20)
     assert cut.partial
@@ -251,6 +252,7 @@ def test_budget_counts_ruled_out_instances():
     # every instance of q fails its condition, and still counts one
     program = parse_program("q(X) --> true <== X /= X")
     universe = [parse_expr(t) for t in ("a", "b", "c")]
-    assert bounded_lfp(program, U, 1, universe, budget=2).partial
+    cut = bounded_lfp(program, U, 1, universe, budget=2)
+    assert (cut.partial, cut.steps) == (True, 2)
     done = bounded_lfp(program, U, 1, universe, budget=3)
-    assert not done.partial and done.facts == {}
+    assert (done.partial, done.steps, done.facts) == (False, 3, {})

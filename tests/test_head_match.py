@@ -58,7 +58,7 @@ def test_match_keeps_the_tries_and_drops_the_bindings(calls, library, goal,
     constraints, wvars, datavars = transform_goal(parse_goal(goal), library)
     solver = Solver(translated, limits=Limits(depth=64))
     assert list(solver.solve(constraints, wvars, datavars))
-    assert calls["_rename_rule"] == tries
+    assert solver.tries == calls["_rename_rule"] == tries
     assert calls["_bind"] <= binds
     assert calls["assign"] <= assigns
 

@@ -154,3 +154,28 @@ def test_paper_statement_across_sweep(library_text, threshold, answered):
         if answered:
             assert r.tree.conclusion == parse_statement(text)
             assert check_proof(program, dom, r.tree).status == "valid"
+
+
+# an atomic statement, and a production by a primitive: holds weakens
+# the replayed tree in its qualification only
+ATOMIC_PINS = [
+    ("getPages(BOOK3) >= 200 # 0.9", "derivable"),
+    ("(1 + 2 -> 3) # 1", "derivable"),
+    ('guessGenre(BOOK4) == "Essay" # 0.7', "derivable"),
+    ('guessGenre(BOOK4) == "Essay" # 0.8', "not_found"),
+    ("getPages(BOOK3) >= 2000 # 0.9", "not_found"),
+    ("(1 + 2 -> 4) # 1", "not_found"),
+]
+
+
+@pytest.mark.parametrize("text, status", ATOMIC_PINS, ids=[t for t, _ in ATOMIC_PINS])
+def test_atomic_and_primitive_holds(library, text, status):
+    for name, book in BOOKS.items():
+        text = text.replace(name, book)
+    stmt = parse_statement(text)
+    r = holds(library, U, stmt, depth=6)
+    assert r.status == status
+    if r.tree is not None:
+        assert r.tree.conclusion == stmt
+        assert check_proof(library, U, read_back(library, "u", U, r.tree)).status \
+            == "valid"

@@ -10,7 +10,7 @@ from qcflp.domains import U, domain_from_name
 from qcflp.oracle import (OracleRecord, OracleReport, _antichain, _sets_match,
                           compare, count_qual_sites, default_universe)
 from qcflp.runtime import Limits, Solver
-from qcflp.semantics import bounded_lfp
+from qcflp.semantics import BUDGET, bounded_lfp
 from qcflp.syntax import Goal, GoalItem, parse_expr, parse_program, print_expr
 from qcflp.terms import App, AtomicConstraint, Basic, TRUE, is_value
 from qcflp.transform import transform_goal, transform_program
@@ -128,25 +128,26 @@ def test_default_universe_walks_a_long_list_in_linear_time():
 # ----------------------------------------------------------------------
 
 def per_target_compare(program, dom=U, k=6, universe=None, depth=8,
-                       drop_site=None, max_goals=400, lfp_budget=2000000):
+                       drop_site=None, budget=BUDGET):
     """compare as it was before the result was asked free: one solve for
-    every (call, target) pair.  The reference for the grouped queries;
-    it reads corners with oracle._corners, so it checks only the
-    grouping."""
+    every (call, target) pair, each a step of the budget that the
+    fixpoint's instances spent first.  The reference for the grouped
+    queries; it reads corners with oracle._corners, so it checks only
+    the grouping."""
     report = OracleReport()
     universe = default_universe(program) if universe is None else list(universe)
-    interp = bounded_lfp(program, dom, k, universe, budget=lfp_budget)
+    interp = bounded_lfp(program, dom, k, universe, budget=budget)
     report.partial = interp.partial
     translated, _ = transform_program(program, dom, drop_site=drop_site)
     solver = Solver(translated, dom, Limits(depth=depth))
     targets = [u for u in universe if is_value(u, program.signature)]
     points = [float(u.value) if isinstance(u, Basic) else u for u in targets]
-    goals = 0
+    steps = interp.steps
     for fname, arity in sorted(program.signature.df.items()):
         for args in itertools.product(universe, repeat=arity):
             for target in targets:
-                goals += 1
-                if goals > max_goals:
+                steps += 1
+                if steps > budget:
                     report.partial = True
                     return report
                 call = App(fname, tuple(args))
@@ -202,7 +203,11 @@ def _cases():
     cases.append(pytest.param(p, U, universe, {}, id="cut-before-flagged"))
     p = parse_program(BRANCHING, U)
     universe = default_universe(p) + [parse_expr("s(z)")]
-    cases.append(pytest.param(p, U, universe, {"max_goals": 5}, id="truncated"))
+    # the fixpoint spends 26 steps: 36 leave ten goals, of which
+    # c(s(z)) == true is the last, and 20 leave none
+    cases.append(pytest.param(p, U, universe, {"budget": 36}, id="truncated"))
+    cases.append(pytest.param(p, U, universe, {"budget": 20},
+                              id="truncated-fixpoint"))
     return cases
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import importlib.util
 import json
+import os
+import py_compile
 import re
 import subprocess
 import sys
@@ -193,3 +195,30 @@ def test_bench_pairs_workloads_keep_their_commands(monkeypatch, tmp_path):
     for key, flags in (("catalogue", "--seconds 20 --trace 0"),
                        ("catalogue (traced)", "--seconds 5 --trace 1")):
         assert f"--workload catalogue --seed S {flags}," in doc["workloads"][key]["command"]
+
+
+def test_bench_pairs_runs_read_no_stale_bytecode(tmp_path):
+    # a stale __pycache__ in the run's root, valid by its source's size
+    # and mtime, is not read: every run compiles the sources it is given
+    bp = load_script("bench_pairs")
+    bench = tmp_path / "benchmark"
+    bench.mkdir()
+    mod = bench / "stale.py"
+    mod.write_text("VALUE = 1.0\n")
+    py_compile.compile(str(mod), cfile=str(
+        bench / "__pycache__" / f"stale.{sys.implementation.cache_tag}.pyc"),
+        invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    stat = mod.stat()
+    mod.write_text("VALUE = 2.0\n")
+    os.utime(mod, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    (bench / "run.py").write_text(
+        "import json, stale\n"
+        "print(json.dumps({'metrics': {'ops_per_s': {'value': stale.VALUE,"
+        " 'unit': '1/ref_s'}}, 'failed': 0, 'correct': True}))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    plain = subprocess.run([sys.executable, "-B", "benchmark/run.py"], cwd=tmp_path,
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert bp.parse_run(plain.stdout)["metrics"]["ops_per_s"] == 1.0
+    for _ in range(2):
+        run = bp.run_benchmark(tmp_path, "w", 1, 1.0, 0)
+        assert run["metrics"]["ops_per_s"] == 2.0

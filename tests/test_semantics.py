@@ -219,8 +219,10 @@ UNSURE = "<== X*X == 2"  # hypotheses whose satisfiability is undecided
     (one_plus_two(), U, CheckResult("valid")),
     (pt("refl", "(X -> X) # 0.5 <== f(X) == a"), U,
      invalid("root: hypotheses call the defined function 'f'")),
-    # a call short of the argument that the rule's pattern matches
-    (f_of_a(call="f"), U, invalid("malformed tree: tuple index out of range")),
+    # a call short of the argument that the rule's pattern matches, or
+    # with one more
+    (f_of_a(call="f"), U, invalid("root: call arity mismatch")),
+    (f_of_a(call="f(a, b)"), U, invalid("root: call arity mismatch")),
     (pt("refl", "(X -> X)"), U, invalid("root: missing qualification")),
     (pt("refl", "(X -> X) # 0"), U,
      invalid("root: qualification must be above bottom")),
