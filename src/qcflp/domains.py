@@ -10,11 +10,11 @@ Two structures are built in:
 
 * the certainty lattice over the real interval [0, 1], with the numeric
   ordering and multiplication as attenuation, and
-* binary cartesian products of existing lattices, with everything
-  defined componentwise.
+* binary cartesian products of two leaf lattices (lattices that are
+  not products themselves), with everything defined componentwise.
 
-Values are plain data: a float for the certainty lattice, a nested pair
-of values for products.  Domain objects validate shapes and provide the
+Values are plain data: a float for the certainty lattice, a pair of
+leaf values for products.  Domain objects validate shapes and provide the
 lattice operations; they hold no mutable state and are safe to share.
 """
 
@@ -79,10 +79,10 @@ class QualDomain:
     def leaf_suffixes(self) -> list[str]:
         """Variable-name suffixes for the real-valued components of a value.
 
-        The certainty lattice contributes one unsuffixed component; a
-        product contributes the components of both factors, suffixed by
-        their position.  Used when lowering qualification constraints to
-        real arithmetic by variable splitting.
+        The certainty lattice has one unsuffixed component; a product
+        has one per factor, suffixed by its position.  Used when lowering
+        qualification constraints to real arithmetic by variable
+        splitting.
         """
         raise NotImplementedError
 
@@ -153,9 +153,12 @@ class CertaintyDomain(QualDomain):
 
 
 class ProductDomain(QualDomain):
-    """Cartesian product of two lattices, everything componentwise."""
+    """Cartesian product of two leaf lattices, everything componentwise."""
 
     def __init__(self, left: QualDomain, right: QualDomain):
+        if isinstance(left, ProductDomain) or isinstance(right, ProductDomain):
+            raise ValueError("the factors of a product domain must be leaf "
+                             f"domains, not {left.name} and {right.name}")
         self.left = left
         self.right = right
         self.name = f"{left.name}x{right.name}"
@@ -192,19 +195,13 @@ class ProductDomain(QualDomain):
         return (self.left.top(), self.right.top())
 
     def leaf_suffixes(self) -> list[str]:
-        out = []
-        for i, factor in ((1, self.left), (2, self.right)):
-            for suf in factor.leaf_suffixes():
-                out.append(f".{i}{suf}")
-        return out
+        return [".1", ".2"]
 
     def split(self, d):
-        d = self.check(d)
-        return self.left.split(d[0]) + self.right.split(d[1])
+        return list(self.check(d))
 
     def join(self, comps):
-        n = len(self.left.leaf_suffixes())
-        return (self.left.join(comps[:n]), self.right.join(comps[n:]))
+        return self.check(tuple(comps))
 
     def coerce(self, raw) -> tuple:
         if isinstance(raw, tuple):

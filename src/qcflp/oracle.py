@@ -27,6 +27,7 @@ from .transform import transform_goal, transform_program, translation
 
 TOL = 1e-9
 WITNESS_TRIES = 4096
+UNIVERSE_TERMS = 24  # the terms that default_universe keeps
 
 
 @dataclass
@@ -48,8 +49,9 @@ class OracleReport:
         return [r for r in self.records if not r.match]
 
 
-def default_universe(program: Program, limit: int = 24) -> list:
-    """Ground constructor terms mentioned by the program, small ones first.
+def default_universe(program: Program) -> list:
+    """The UNIVERSE_TERMS smallest ground constructor terms mentioned by
+    the program, small ones first.
 
     One walk over the rules, with its own stack, visits each subterm
     after its arguments and makes the values canonical in a local
@@ -57,7 +59,7 @@ def default_universe(program: Program, limit: int = 24) -> list:
     application by its symbol and its arguments' canonical terms.  Each
     distinct value is kept once, in the order it is first met, with its
     size, so a long list literal costs linear time.  Only values that can
-    be among the first limit by size are printed for the order.
+    be among the first UNIVERSE_TERMS by size are printed for the order.
     """
     sig = program.signature
     canon = {}   # id of a visited subterm -> its canonical value, or None
@@ -91,11 +93,11 @@ def default_universe(program: Program, limit: int = 24) -> list:
             size[id(value)] = 1 + sum(size[id(k)] for k in kids)
         canon[id(e)] = value
     seen = list(table.terms.values())
-    if 0 < limit < len(seen):
-        cap = sorted(size.values())[limit - 1]
+    if UNIVERSE_TERMS < len(seen):
+        cap = sorted(size.values())[UNIVERSE_TERMS - 1]
         seen = [e for e in seen if size[id(e)] <= cap]
     seen.sort(key=lambda e: (size[id(e)], print_expr(e)))
-    return seen[:limit]
+    return seen[:UNIVERSE_TERMS]
 
 
 def _antichain(points: list, tol: float = TOL) -> list:

@@ -69,7 +69,7 @@ from .syntax import Program, print_constraint, print_expr
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     FALSE, HashCons, TRUE, Var, apply_subst, compare_data,
                     deep_recursion, vars_of)
-from .transform import PAIR_CTOR, GroundData, leaf_names
+from .transform import GroundData, leaf_names
 
 
 @dataclass
@@ -237,39 +237,22 @@ def _clash(result: Expr, demand: Expr, ground: dict) -> bool:
         or (result is not demand and id(result) in ground and id(demand) in ground)
 
 
-def _leaves(q: Expr, subst: dict) -> list:
-    """The leaves of a qualification argument, one per component of the
-    domain, left to right through the product domain's pairs, each
-    walked in subst."""
-    out, stack = [], [q]
-    while stack:
-        x = stack.pop()
-        while type(x) is Var and x.name in subst:
-            x = subst[x.name]
-        if type(x) is App and x.symbol == PAIR_CTOR:
-            stack += reversed(x.args)
-        else:
-            out.append(x)
-    return out
-
-
-def _body_calls(rule, sig, ground: dict, k: int):
+def _body_calls(rule, sig, ground: dict, k: int, m: int):
     """The calls of a rule's body, its uncompiled conditions and its rhs,
-    as (symbol, factor) pairs in component k of the qualification; None
-    when the body is not readable there.
+    as (symbol, factor) pairs in component k of a qualification of m
+    leaves; None when the body is not readable there.
 
-    Each qualification argument is read at its leaf k (_leaves).  A
-    call's factor is 1 when its leaf is the head's, and a when it is a
-    variable V that earlier conditions declare by qVal(V) and bound by
-    leaf <= a*V with a < 1: when the call runs, V's lower bound is the
-    head leaf's divided by a.  Any other leaf, a head leaf that is not a
+    The head and each call are read at their leaf k, the k-th of their
+    last m arguments.  A call's factor is 1 when its leaf is the head's,
+    and a when it is a variable V that earlier conditions declare by
+    qVal(V) and bound by leaf <= a*V with a < 1: when the call runs, V's
+    lower bound is the head leaf's divided by a.  Any other leaf, a head leaf that is not a
     variable, a primitive application (an undecided one cuts) or a call
     inside another call's arguments (bound lazily, evaluated deeper)
     makes the body unreadable.  Canonical ground data (its id in ground)
     holds no call, so it is not walked.
     """
-    heads = _leaves(rule.patterns[-1], {}) if rule.patterns else ()
-    leaf = heads[k] if k < len(heads) else None
+    leaf = rule.patterns[k - m] if len(rule.patterns) >= m else None
     if type(leaf) is not Var:
         return None
     qvals, caps, calls = set(), {}, []
@@ -285,8 +268,7 @@ def _body_calls(rule, sig, ground: dict, k: int):
                 if kind == "pf" or (kind == "df" and inside):
                     return None
                 if kind == "df":
-                    qs = _leaves(e.args[-1], {}) if e.args else ()
-                    q = qs[k] if len(qs) == len(heads) else None
+                    q = e.args[k - m] if len(e.args) >= m else None
                     a = 1.0 if q == leaf else caps.get(q.name) \
                         if type(q) is Var and q.name in qvals else None
                     if a is None:
@@ -302,9 +284,9 @@ def _body_calls(rule, sig, ground: dict, k: int):
     return calls
 
 
-def _chain_bounds(program: Program, k: int) -> list:
+def _chain_bounds(program: Program, k: int, m: int) -> list:
     """Per rule index, (run, a_max, a) for each call of its body in
-    component k (_body_calls), or None; see _chains_clear.
+    component k of m (_body_calls), or None; see _chains_clear.
 
     The triple bounds the chains of nested calls that the call (symbol
     g, factor a) starts: run is one more than the longest path of
@@ -314,7 +296,7 @@ def _chain_bounds(program: Program, k: int) -> list:
     readable and no cycle of factor-1 calls joins them.
     """
     sig, ground = program.signature, program.memo("ground data", GroundData).proofs
-    calls = [_body_calls(r, sig, ground, k) for r in program.rules]
+    calls = [_body_calls(r, sig, ground, k, m) for r in program.rules]
     out = {}  # function -> the calls of its rules, None when one is unreadable
     for r, cs in zip(program.rules, calls):
         known = out.get(r.name, ())
@@ -387,11 +369,11 @@ def _chains_short(body: tuple, lo: float, depth: int) -> bool:
     return True
 
 
-def _qual_vars(rule, sig) -> set:
+def _qual_vars(rule, sig, m: int) -> set:
     """Names of the qualification variables of a translated rule: those
-    of the qualification argument of its head and of each call, and
-    those that a qVal condition names.  The rest are data variables."""
-    out = vars_of(rule.patterns[-1]) if rule.patterns else set()
+    of the leaves, the last m arguments, of its head and of each call,
+    and those that a qVal condition names.  The rest are data variables."""
+    out = vars_of(rule.patterns[-m:])
     stack = [rule.rhs]
     for c in rule.conditions:
         if c.symbol == "qVal":
@@ -401,7 +383,7 @@ def _qual_vars(rule, sig) -> set:
         e = stack.pop()
         if isinstance(e, App) and e.args:
             if sig.kind(e.symbol) == "df":
-                out |= vars_of(e.args[-1])
+                out |= vars_of(e.args[-m:])
             stack.extend(e.args)
     return out
 
@@ -477,15 +459,17 @@ def _chains_clear(solver: "Solver", store: Store, call: App, index: int,
     no cut reason, by the chain check.
 
     A whole head match evaluates and binds nothing, and one leaf of the
-    qualification argument (_leaves), read through the rule's chain
-    bounds in its component (_chain_bounds), keeps every chain of calls
-    shorter than depth (_chains_short): the rule's body and every rule
-    that it reaches raise no "primitive" reason, each call that they
-    make runs one depth below its caller or higher, and a call runs only
-    when the qVal of each of its components holds, so no call reaches
-    depth 0.
+    call, one of its last m arguments (Solver.leaves), read through the
+    rule's chain bounds in its component (_chain_bounds), keeps every
+    chain of calls shorter than depth (_chains_short): the rule's body
+    and every rule that it reaches raise no "primitive" reason, each call
+    that they make runs one depth below its caller or higher, and a call
+    runs only when the qVal of each of its components holds, so no call
+    reaches depth 0.
     """
-    for k, x in enumerate(_leaves(call.args[-1], store.subst)):
+    m = solver.leaves
+    for k, x in enumerate(call.args[-m:]):
+        x = solver.walk(store, x)
         if type(x) is Var:
             lo = store.ivals.get(x.name, FULL).lo
         elif type(x) is Basic:
@@ -496,7 +480,7 @@ def _chains_clear(solver: "Solver", store: Store, call: App, index: int,
         if chains is None:
             program = solver.program
             chains = solver._chains[k] = program.memo(
-                ("chain bounds", k), lambda: _chain_bounds(program, k))
+                ("chain bounds", k), lambda: _chain_bounds(program, k, m))
         if chains[index] is not None and _chains_short(chains[index], lo, depth):
             return True
     return False
@@ -537,6 +521,8 @@ class Solver:
         self.program = program
         self.sig = program.signature
         self.dom = dom
+        # a call's qualification is its last arguments, one per leaf
+        self.leaves = len(dom.leaf_suffixes())
         self.limits = limits or Limits()
         self.trace = trace
         # what depends on the program alone is shared by its solvers:
@@ -680,10 +666,10 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _post_qval(self, store: Store, name: str) -> bool:
-        """Narrow the root of name to (0, 1] and propagate what watches it."""
+        """Narrow the root of name, which no literal or term is bound to
+        (the callers post on a variable that walks to an unbound one), to
+        (0, 1] and propagate what watches it."""
         v = walk_name(store.subst, name)
-        if type(v) is not str:
-            return isinstance(v, Basic) and 0.0 < v.value <= 1.0
         r = narrow_bound(store.ivals, store.set_interval, v, 0.0, True, 1.0)
         if r == "fail":
             return False
@@ -753,7 +739,8 @@ class Solver:
             return any(n not in store.datavars for n in undeclared)
         quals = self._quals.get(rule)
         if quals is None:
-            quals = self._quals[rule] = _qual_vars(self.program.rules[rule], self.sig)
+            quals = self._quals[rule] = _qual_vars(self.program.rules[rule], self.sig,
+                                                   self.leaves)
         # a renamed variable is "~<instance>~<name in the rule>"
         return any(n.rpartition("~")[2] in quals for n in undeclared)
 

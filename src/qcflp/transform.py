@@ -1,9 +1,10 @@
 """Translation into qualification-free constrained programs.
 
-Every defined function f of arity n becomes a function f' of arity n+1
-whose extra argument threads a qualification variable W: at most the
-qualification the call is derived with.  Rules bound W by their
-attenuation; goals add the user threshold as a lower bound.
+Every defined function f of arity n becomes a function f' of arity n+m
+whose m extra arguments thread a qualification variable W, one argument
+per leaf (see below): at most the qualification the call is derived
+with.  Rules bound W by their attenuation; goals add the user threshold
+as a lower bound.
 
 A premise is a call in a rule's right-hand side or conditions (at the
 rule's factor alpha), a call at the top of a goal item (at the top
@@ -26,12 +27,13 @@ Qualification bounds are lowered to real arithmetic at emission time.
 For the certainty lattice a bound "x at most alpha times y" becomes the
 constraint x <= alpha*y.  Product lattices are lowered by variable
 splitting: a qualification variable W stands for component variables
-W.1, W.2, ..., its leaves, threaded through calls as a constructor
-tuple, with every bound emitted componentwise.
+W.1 and W.2, its leaves, each threaded through calls as an argument of
+its own, with every bound emitted componentwise.  The certainty lattice
+has one leaf, W itself, so m is 1 there.
 
 The translation is undone on derivations: SourceProof maps a tree that
 runtime replays for the translated program back to a derivation in the
-source program, qualified by the replayed values of the qualification
+source program, qualified by the replayed values of the leaf
 arguments, which check_proof then validates against the source.
 """
 
@@ -41,13 +43,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .domains import ProductDomain, QualDomain, U
+from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Goal, Program, ProgramRule
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     HashCons, Signature, TRUE, Var, vars_of)
-
-PAIR_CTOR = "qpair"
 
 
 class TransformError(ValueError):
@@ -94,16 +94,6 @@ class Emitter:
 # ======================================================================
 # Lowering of qualification constraints to real arithmetic
 # ======================================================================
-
-def qual_arg_expr(leaves: list, dom: QualDomain) -> Expr:
-    """The expression that threads leaves, one variable name per
-    component in leaf_suffixes order, through a translated call."""
-    if isinstance(dom, ProductDomain):
-        n = len(dom.left.leaf_suffixes())
-        return App(PAIR_CTOR, (qual_arg_expr(leaves[:n], dom.left),
-                               qual_arg_expr(leaves[n:], dom.right)))
-    return Var(leaves[0])
-
 
 def leaf_names(wname: str, dom: QualDomain) -> list:
     return [wname + suf for suf in dom.leaf_suffixes()]
@@ -190,12 +180,12 @@ class GroundData(HashCons):
 
 def transform_expr(e: Expr, sig: Signature, data: GroundData, call_arg) -> Expr:
     """e with every call to a defined function primed and given its
-    qualification argument: call_arg() for a call at the top of e, and
+    leaf arguments, a tuple: call_arg() for a call at the top of e, and
     its caller's for a call nested in another call.  Its ground data is
     built canonical in data, one table lookup per node.  Keeps its own
     stack; call_arg() is called in pre-order, left to right."""
     proofs = data.proofs
-    out, stack = [], [(e, None)]  # (term, qualification argument of its caller)
+    out, stack = [], [(e, None)]  # (term, leaf arguments of its caller)
     while stack:
         t, arg = stack.pop()
         if type(t) is tuple:  # (symbol, arity, extra args): build from out
@@ -213,7 +203,7 @@ def transform_expr(e: Expr, sig: Signature, data: GroundData, call_arg) -> Expr:
         else:
             if sig.kind(t.symbol) == "df":
                 arg = call_arg() if arg is None else arg
-                build = (primed(t.symbol), len(t.args), (arg,))
+                build = (primed(t.symbol), len(t.args), arg)
             else:  # extra None: a constructor, canonical over canonical kids
                 build = (t.symbol, len(t.args), None if sig.is_data(t.symbol) else ())
             stack += [(build, None), *[(a, arg) for a in reversed(t.args)]]
@@ -244,9 +234,9 @@ def transform_rule(rule: ProgramRule, sig: Signature, data: GroundData,
     declared = em.emit(lower_qval(list(bounded)))
     conditions = []
     introduced = [w]
-    shared = qual_arg_expr(head, dom)
+    shared = tuple(map(Var, head))
 
-    def premise() -> Expr:
+    def premise() -> tuple:
         # the call's leaves: the head's where alpha is 1, else fresh ones
         if not bounded:
             return shared
@@ -256,7 +246,7 @@ def transform_rule(rule: ProgramRule, sig: Signature, data: GroundData,
         conditions.extend(em.emit(
             lower_qval(list(fresh.values()))
             + [lower_upper_bound(h, k, fresh[h]) for h, k in bounded.items()]))
-        return qual_arg_expr([fresh.get(h, h) for h in head], dom)
+        return tuple(Var(fresh.get(h, h)) for h in head)
 
     # head patterns are constructor terms: they hold no call
     patterns = tuple(transform_expr(p, sig, data, None) for p in rule.patterns)
@@ -269,7 +259,7 @@ def transform_rule(rule: ProgramRule, sig: Signature, data: GroundData,
         declared += em.emit([lower_upper_bound(h, k) for h, k in bounded.items()])
 
     new_rule = ProgramRule(primed(rule.name),
-                           patterns + (shared,),
+                           patterns + shared,
                            1.0,
                            rhs,
                            tuple(declared + conditions),
@@ -299,10 +289,9 @@ def transform_program(program: Program, dom: QualDomain = U, *,
     em = Emitter(dom, drop_site)
     data = program.memo("ground data", GroundData)
 
+    m = len(dom.leaf_suffixes())
     sig = Signature(dict(program.signature.dc), dict(program.signature.pf),
-                    {primed(f): n + 1 for f, n in program.signature.df.items()})
-    if isinstance(dom, ProductDomain):
-        sig.register_dc(PAIR_CTOR, 2)
+                    {primed(f): n + m for f, n in program.signature.df.items()})
 
     rules = []
     emit_map = []
@@ -319,18 +308,35 @@ def transform_program(program: Program, dom: QualDomain = U, *,
     return out, emit_map
 
 
+def _check_arities(c: AtomicConstraint, sig: Signature) -> None:
+    """Raise TransformError on a symbol of sig in c applied to another
+    number of arguments than its arity."""
+    stack = [*c.args, c.result]
+    while stack:
+        e = stack.pop()
+        if type(e) is App:
+            if sig.kind(e.symbol) is not None and sig.arity(e.symbol) != len(e.args):
+                raise TransformError(
+                    f"{e.symbol!r} applied to {len(e.args)} argument(s), "
+                    f"but its arity is {sig.arity(e.symbol)}")
+            stack += e.args
+
+
 def transform_goal(goal: Goal, program: Program, dom: QualDomain = U) -> tuple:
     """Translate a goal; returns (constraints, goal wvars, data vars).
 
     Each item declares its W and bounds it below by its threshold, and
-    every call in the item takes that W.  Its ground data is canonical in
-    the program's GroundData, as that of the program's rules is.
+    every call in the item takes the leaves of that W.  Its ground data
+    is canonical in the program's GroundData, as that of the program's
+    rules is.  A symbol of the program's signature applied to another
+    number of arguments than its arity raises TransformError.
     """
     data = program.memo("ground data", GroundData)
     out = []
     for item in goal.items:
+        _check_arities(item.constraint, program.signature)
         leaves = leaf_names(item.wvar, dom)
-        arg = qual_arg_expr(leaves, dom)
+        arg = tuple(map(Var, leaves))
         out += lower_qval(leaves)
         if item.threshold is not None:
             out += lower_lower_bound(item.wvar, dom.coerce(item.threshold), dom)
@@ -343,14 +349,6 @@ def transform_goal(goal: Goal, program: Program, dom: QualDomain = U) -> tuple:
 # ======================================================================
 # Back-translation of replayed derivations
 # ======================================================================
-
-def qual_value(e: Expr, dom: QualDomain):
-    """The qualification value that e, the replayed value of a call's
-    qualification argument, stands for: the inverse of qual_arg_expr."""
-    if isinstance(dom, ProductDomain):
-        return (qual_value(e.args[0], dom.left), qual_value(e.args[1], dom.right))
-    return dom.check(e.value)
-
 
 class Translation:
     """A program translated under one domain, its emit map
@@ -379,23 +377,25 @@ def translation(program: Program, dom: QualDomain) -> Translation:
 class SourceProof:
     """Maps trees that runtime replays back to the source program.
 
-    A call f'(e1, ..., en, Q) becomes f(e1, ..., en).  A fun node keeps
-    the premises of the source_conditions that emit_map records, drops
-    the rest, that of Q and the qualification variables of its
-    substitution, and is qualified by the replayed value of Q.  A cons,
-    prim or atom node takes the glb of its premises', a refl or triv node
-    top.  Every node gets the hypotheses pi.  A variable is replaced as
-    names says, maybe by bottom (a node rewriting to it becomes triv); any
-    other variable of the search (~n, ~n~X) by a fresh name from supply.
-    Replayed nodes and terms are canonical per solver (ground data per
-    program), so each is mapped once, memoized on identity; the tables
-    keep their keys alive.
+    A call f'(e1, ..., en, Q1, ..., Qm), whose last m arguments are the
+    leaves of its qualification, becomes f(e1, ..., en).  A fun node
+    keeps the premises of the source_conditions that emit_map records,
+    drops the rest, those of the leaves and the qualification variables
+    of its substitution, and is qualified by the join of the replayed
+    values of the leaves.  A cons, prim or atom node takes the glb of its
+    premises', a refl or triv node top.  Every node gets the hypotheses
+    pi.  A variable is replaced as names says, maybe by bottom (a node
+    rewriting to it becomes triv); any other variable of the search (~n,
+    ~n~X) by a fresh name from supply.  Replayed nodes and terms are
+    canonical per solver (ground data per program), so each is mapped
+    once, memoized on identity; the tables keep their keys alive.
     """
 
     def __init__(self, tr: Translation, dom: QualDomain,
                  pi: tuple, names: dict, supply: FreshSupply):
         self.dom, self.pi, self.names, self.supply = dom, pi, names, supply
         self._calls, self._layouts = tr.calls, tr.layouts
+        self._m = len(dom.leaf_suffixes())  # a call's last arguments
         self._trees = {}      # id(replayed node) -> (node, source node)
         self._terms = {}      # id(App) -> (App, source term)
 
@@ -412,7 +412,7 @@ class SourceProof:
             return hit[1]
         args = [self.term(a) for a in e.args]
         if e.symbol in self._calls:
-            out = App(e.symbol[:-1], tuple(args[:-1]))
+            out = App(e.symbol[:-1], tuple(args[:-self._m]))
         elif all(a is b for a, b in zip(args, e.args)):
             out = e
         else:
@@ -427,10 +427,10 @@ class SourceProof:
         return hit[1]
 
     def _tree(self, node: ProofTree) -> ProofTree:
-        s, dom, pi, kids = node.conclusion, self.dom, self.pi, node.children
+        s, dom, pi, kids, m = node.conclusion, self.dom, self.pi, node.children, self._m
         if node.tag == "fun":
             n, conds, names = self._layouts[node.rule_index]
-            kids = (*kids[:n], kids[n + 1], *(kids[n + 2 + j] for j in conds))
+            kids = (*kids[:n], kids[n + m], *(kids[n + m + 1 + j] for j in conds))
         kids = tuple(map(self.tree, kids))
         q = dom.glb_all([k.conclusion.qual for k in kids])
         if s.atom is not None:
@@ -444,5 +444,6 @@ class SourceProof:
         if node.tag != "fun":
             return ProofTree(node.tag, production(lhs, rhs, q, pi), kids)
         theta = tuple((v, self.term(t)) for v, t in node.theta if v in names)
-        return ProofTree("fun", production(lhs, rhs, qual_value(s.lhs.args[-1], dom), pi),
+        leaves = [a.value for a in s.lhs.args[-m:]]
+        return ProofTree("fun", production(lhs, rhs, dom.join(leaves), pi),
                          kids, node.rule_index, theta)

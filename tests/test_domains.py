@@ -54,15 +54,19 @@ def test_domain_lookup():
 def test_coerce_broadcast():
     assert UXU.coerce(0.9) == (0.9, 0.9)
     assert UXU.coerce((0.9, 0.8)) == (0.9, 0.8)
-    nested = ProductDomain(U, UXU)
-    assert nested.coerce(0.5) == (0.5, (0.5, 0.5))
 
 
 def test_split_join_roundtrip():
-    nested = ProductDomain(U, UXU)
-    v = (0.3, (0.6, 0.9))
-    assert nested.join(nested.split(v)) == v
-    assert nested.leaf_suffixes() == [".1", ".2.1", ".2.2"]
+    v = (0.6, 0.9)
+    assert UXU.split(v) == [0.6, 0.9]
+    assert UXU.join(UXU.split(v)) == v
+    assert UXU.leaf_suffixes() == [".1", ".2"]
+
+
+@pytest.mark.parametrize("left,right", [(U, UXU), (UXU, U), (UXU, UXU)])
+def test_a_product_is_made_of_leaf_domains(left, right):
+    with pytest.raises(ValueError, match="leaf domains"):
+        ProductDomain(left, right)
 
 
 @given(units, units, units)

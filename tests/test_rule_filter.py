@@ -33,25 +33,17 @@ g --> f(s(z))
 """
 
 
-def solve(source, goal, depth=64, dom=U, trace=None):
+def solve(source, goal, depth=64, dom=U, trace=None, tries=None):
+    """The rendered answers of a goal; its rule tries (Solver.tries) are
+    appended to the list tries, when one is given."""
     program = parse_program(source, dom) if isinstance(source, str) else source
     translated, _ = transform_program(program, dom)
     constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
     solver = Solver(translated, dom, Limits(depth=depth), trace)
-    return [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
-
-
-@pytest.fixture
-def count_renames(monkeypatch):
-    """A list whose one item counts the rule renamings made so far."""
-    count = [0]
-    rename = Solver._rename_rule
-
-    def counted(self, tpl, *rest):
-        count[0] += 1
-        return rename(self, tpl, *rest)
-    monkeypatch.setattr(Solver, "_rename_rule", counted)
-    return count
+    answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
+    if tries is not None:
+        tries.append(solver.tries)
+    return answers
 
 
 def test_probe_behind_a_cut_call_keeps_incomplete():
@@ -71,16 +63,15 @@ def test_trace_shows_only_rules_whose_head_can_match():
     assert "try rule 1: f'" in lines and "try rule 2: f'" in lines
 
 
-def test_dag_renames_fall_and_answers_stay(monkeypatch, count_renames):
+def test_dag_renames_fall_and_answers_stay(monkeypatch):
     program = parse_program(DAG)
     goals = [f"({f}({n}) == R) # W" for f in ("r", "s") for n in
              sorted({c.symbol for r in program.rules for c in r.patterns})]
-    filtered = [solve(program, g, depth=8) for g in goals]
-    renames = count_renames[0]
+    renames, unfiltered = [], []
+    filtered = [solve(program, g, depth=8, tries=renames) for g in goals]
     monkeypatch.setattr(Solver, "_match_head", lambda self, pats_t, args, store, vs: [])
-    count_renames[0] = 0
-    assert [solve(program, g, depth=8) for g in goals] == filtered
-    assert count_renames[0] >= 5 * renames
+    assert [solve(program, g, depth=8, tries=unfiltered) for g in goals] == filtered
+    assert sum(unfiltered) >= 5 * sum(renames)
     assert any(filtered)
 
 
@@ -143,9 +134,10 @@ def test_data_that_is_not_canonical_takes_the_general_paths(
     assert rendered == [expected, expected]
 
 
-def solve_certified(program, goal, depth, dom):
+def solve_certified(program, goal, depth, dom, tries=None):
     """The rendered answers of a goal, and the certificates of the
-    replayed trees of each clean answer."""
+    replayed trees of each clean answer; its rule tries are appended to
+    tries, as in solve."""
     translated, _ = transform_program(program, dom)
     constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
     solver = Solver(translated, dom, Limits(depth=depth))
@@ -153,6 +145,8 @@ def solve_certified(program, goal, depth, dom):
     certs = [serialize_proof(tree, dom.name, None)
              for a in answers if not a.flags
              for tree in replay_trees(solver, a, constraints)]
+    if tries is not None:
+        tries.append(solver.tries)
     return [render_answer(a) for a in answers], certs
 
 
@@ -168,23 +162,22 @@ EXACT_RENAMES = {(PAPER, 5): 42, (PAPER, 6): 46}
 
 @pytest.mark.parametrize("goal,dom_name,depth,expected", THRESHOLD_SWEEP)
 def test_chain_check_keeps_answers_and_certificates(
-        request, count_renames, library_text, goal, dom_name, depth, expected):
+        request, library_text, goal, dom_name, depth, expected):
     dom = domain_from_name(dom_name)
     program = parse_program(library_text, dom)
-    checked = solve_certified(program, goal, depth, dom)
-    renames = count_renames[0]
+    tries = []
+    checked = solve_certified(program, goal, depth, dom, tries)
     request.getfixturevalue("no_clash_skips")
-    count_renames[0] = 0
-    assert solve_certified(program, goal, depth, dom) == checked
+    assert solve_certified(program, goal, depth, dom, tries) == checked
     assert checked[0] == expected
-    assert renames <= count_renames[0]
+    renames, every = tries
+    assert renames <= every
     if "|" in goal:
         assert renames <= MAX_THRESHOLDED_RENAMES
     assert renames == EXACT_RENAMES.get((goal, depth), renames)
 
 
-def test_paper_goal_posts_no_implied_bounds(count_renames, no_cut_skips,
-                                            no_clash_skips, library):
+def test_paper_goal_posts_no_implied_bounds(no_cut_skips, no_clash_skips, library):
     # the translation emits no bound that qVal or a premise bound implies,
     # so the solver propagates fewer posts for the same rule tries (the
     # search with every clashing try run, which the bound was taken on)
@@ -194,7 +187,7 @@ def test_paper_goal_posts_no_implied_bounds(count_renames, no_cut_skips,
     solver = Solver(translated, limits=Limits(depth=64))
     answers = [render_answer(a) for a in solver.solve(constraints, wvars, datavars)]
     assert answers == ["{ R -> 4 } { W in [0.3, 0.7] }"]
-    assert count_renames[0] == 15881
+    assert solver.tries == 15881
     assert solver.prop_steps <= 40000
 
 
@@ -212,10 +205,9 @@ SHARED_PREMISE_SEARCH = [
 
 @pytest.mark.parametrize("goal,depth,tries,answers,chained_steps",
                          SHARED_PREMISE_SEARCH, ids=["paper", "search", "guessGenre"])
-def test_shared_premise_variable_keeps_the_search(count_renames, no_cut_skips,
-                                                  no_clash_skips, library, goal,
-                                                  depth, tries, answers,
-                                                  chained_steps):
+def test_shared_premise_variable_keeps_the_search(no_cut_skips, no_clash_skips,
+                                                  library, goal, depth, tries,
+                                                  answers, chained_steps):
     # a premise at factor 1 passes its parent's variable on instead of a
     # chained fresh one: the rule tries and answers are those of the
     # chained translation, and the solver propagates fewer steps.  Every
@@ -225,7 +217,7 @@ def test_shared_premise_variable_keeps_the_search(count_renames, no_cut_skips,
     constraints, wvars, datavars = transform_goal(parse_goal(goal), library)
     solver = Solver(translated, limits=Limits(depth=depth))
     assert len(list(solver.solve(constraints, wvars, datavars))) == answers
-    assert count_renames[0] == tries
+    assert solver.tries == tries
     assert solver.prop_steps < chained_steps
 
 

@@ -464,3 +464,41 @@ def test_an_answer_limit_below_one_yields_nothing():
     for answers, count in ((-2, 0), (0, 0), (1, 1), (None, 1)):
         solver = Solver(translated, limits=Limits(answers=answers))
         assert len(list(solver.solve(constraints, wvars, datavars))) == count
+
+
+def test_literal_pattern_meets_an_evaluated_argument():
+    # the match stops at the call g, so _unify_pattern evaluates it and
+    # compares each rule's literal pattern with its value
+    answers, solver, constraints = solve_text(
+        parse_program("g --> 1\nf(1) --> true\nf(2) --> false"), "(f(g) == R) # W")
+    assert [render_answer(a) for a in answers] == ["{ R -> true } { W in (0, 1] }"]
+    for tree in replay_trees(solver, answers[0], constraints):
+        assert check_proof(solver.program, None, tree).status == "valid"
+
+
+def test_residual_shows_the_value_of_a_call_evaluated_after_it_was_parked():
+    # B takes the call f unevaluated; the disequation is parked before
+    # B == 1 evaluates f, and the residual resolves B through that
+    # recorded evaluation
+    answers, _, _ = solve_text(
+        parse_program("f --> 1\nk(B) --> true <== c(B) /= c(Y), B == 1"),
+        "(k(f) == R) # W")
+    assert [render_answer(a) for a in answers] == \
+        ["{ R -> true } { W in (0, 1] } << c(1) /= c(~0~Y) >> [conditional]"]
+
+
+def test_a_qualification_bound_to_a_literal_is_a_point():
+    solver = Solver(transform_program(parse_program("f --> true"))[0])
+    answers = list(solver.solve(parse_constraints("qVal(W), W == 0.5"), ["W"], []))
+    assert [render_answer(a) for a in answers] == ["{ } { W in 0.5 }"]
+
+
+@pytest.mark.parametrize("extra,rendered", [
+    ("", ["{ } { W in [0.8, 1], X in (0, 0.5] }"]),
+    (", X >= 0.6", []),
+])
+def test_qbound_propagates_as_a_product_bound(extra, rendered):
+    # qBound(X, k, W) reads X <= k*W: it caps X at 0.5 from W <= 1
+    solver = Solver(transform_program(parse_program("f --> true"))[0])
+    constraints = parse_constraints(f"qVal(W), W >= 0.8, qVal(X), qBound(X, 0.5, W){extra}")
+    assert [render_answer(a) for a in solver.solve(constraints, ["W", "X"], [])] == rendered

@@ -23,7 +23,7 @@ from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
                           parse_goal, parse_program)
 from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, HashCons, TRUE,
                          Var, apply_subst, char_atom, info_leq, mkstring)
-from qcflp.transform import (PAIR_CTOR, transform_goal, transform_program,
+from qcflp.transform import (transform_goal, transform_program,
                               translation)
 
 
@@ -400,8 +400,10 @@ def test_holds_translates_once_per_domain(monkeypatch):
             assert r.status == "derivable" and r.tree.conclusion.qual == s.qual
             assert check_proof(p, dom, r.tree) == CheckResult("valid")
     assert translations == [U, uxu]
-    assert translation(p, U).translated.signature.kind(PAIR_CTOR) is None
-    assert translation(p, uxu).translated.signature.kind(PAIR_CTOR) == "dc"
+    # one argument per leaf of the domain, and no constructor of its own
+    for dom, arity in ((U, 1), (uxu, 2)):
+        sig = translation(p, dom).translated.signature
+        assert sig.df == {"f'": arity} and sig.dc == p.signature.dc
 
 
 def test_instantiate_rule(library):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import BOOK4, random_layered_program
 from qcflp.domains import U, domain_from_name
+from qcflp.semantics import holds, parse_statement
 from qcflp.syntax import (parse_constraints, parse_expr, parse_goal,
                           parse_program, print_constraints, print_program,
                           print_rule)
@@ -19,10 +20,10 @@ UXU = domain_from_name("uxu")
 
 
 def _tx_expr(text, program):
-    # each call at the top takes a fresh qualification argument
+    # each call at the top takes a fresh leaf argument
     supply = FreshSupply()
     return transform_expr(parse_expr(text), program.signature, GroundData(),
-                          lambda: Var(supply.fresh()))
+                          lambda: (Var(supply.fresh()),))
 
 
 def test_expr_atoms_unchanged(library):
@@ -74,7 +75,7 @@ def test_large_catalogue_translates_at_default_recursion_limit(library_text):
 
 def test_nested_calls_chain(library):
     # a call nested in a call is a premise at factor 1: it takes its
-    # caller's qualification argument
+    # caller's leaf argument
     assert _tx_expr("guessGenre(member(B, library))", library) == \
         parse_expr("guessGenre'(member'(B, library'(_W0), _W0), _W0)")
 
@@ -204,8 +205,18 @@ def test_uxu_lowering():
     p = parse_program("m -(0.9,0.8)-> true", UXU)
     t, _ = transform_program(p, UXU)
     assert print_rule(t.rules[0]) == (
-        "m'(qpair(_W0.1, _W0.2)) --> true "
+        "m'(_W0.1, _W0.2) --> true "
         "<== qVal(_W0.1), qVal(_W0.2), _W0.1 <= 0.9, _W0.2 <= 0.8")
+
+
+def test_uxu_call_takes_one_argument_per_leaf(library_text):
+    # each f of arity n becomes f' of arity n + 2, and no constructor
+    # threads the two leaves
+    program = parse_program(library_text, UXU)
+    translated, _ = transform_program(program, UXU)
+    assert translated.signature.df == \
+        {f + "'": n + 2 for f, n in program.signature.df.items()}
+    assert translated.signature.dc == program.signature.dc
 
 
 def test_uxu_premise_shares_the_component_at_factor_one():
@@ -214,7 +225,7 @@ def test_uxu_premise_shares_the_component_at_factor_one():
     p = parse_program("g --> true\nm -(0.9,1)-> g", UXU)
     t, _ = transform_program(p, UXU)
     assert print_rule(t.rules[1]) == (
-        "m'(qpair(_W1.1, _W1.2)) --> g'(qpair(_W2.1, _W1.2)) "
+        "m'(_W1.1, _W1.2) --> g'(_W2.1, _W1.2) "
         "<== qVal(_W1.1), qVal(_W2.1), _W1.1 <= 0.9*_W2.1")
 
 
@@ -336,3 +347,24 @@ def test_goal_data_is_the_rules_data(library_text):
     # neither the goal nor a second translation adds an entry
     transform_program(program)
     assert len(data.terms) == entries
+
+
+BOOK1 = 'book(1, "a", "b", "c", "d", easy, 65)'
+
+
+@pytest.mark.parametrize("text,symbol,args,arity", [
+    (f"(getId({BOOK1}, 7) == R) # W", "getId", 2, 1),
+    ("(getId(book(1, easy)) == R) # W", "book", 2, 7),
+], ids=["function", "constructor"])
+def test_goal_symbol_at_another_arity_is_refused(library, text, symbol, args, arity):
+    # the goal parses without the program's signature; its translation
+    # refuses a symbol of the signature at another arity
+    with pytest.raises(TransformError, match=re.escape(
+            f"{symbol!r} applied to {args} argument(s), but its arity is {arity}")):
+        transform_goal(parse_goal(text), library)
+
+
+def test_statement_symbol_at_another_arity_is_refused(library):
+    statement = parse_statement(f"(getId({BOOK1}, 7) -> 1) # 0.5")
+    with pytest.raises(TransformError, match="'getId' applied to 2 argument"):
+        holds(library, U, statement)
