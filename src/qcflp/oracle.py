@@ -132,69 +132,113 @@ def compare(program: Program, dom: QualDomain = U, k: int = 6,
     Each instance the fixpoint evaluates (bounded_lfp) and each pair
     asked is a step of budget, and the report is partial when it runs
     out.  One solver answers every goal, so each rule compiles once.
+    A drop_site that is not an emitted site raises TransformError.
 
-    The solver is asked f(args) == T once per call, with the result T
-    free, and its answers are grouped by the value of T (see
-    _answers_by_result); a call whose answers do not all give T a value
-    has each target posed as its own goal.
+    The fixpoint side is planned once per universe list (_plan): the
+    comparisons of a mutation sweep, which differ only in the
+    translation, share it.  The solver is asked f(args) == T once per
+    call, with the result T free, and its answers are grouped by the
+    value of T (see _answers_by_result); a call whose answers do not all
+    give T a value has each target posed as its own goal.  A target
+    with neither a fixpoint corner nor a grouped answer matches and
+    makes no record, so it is skipped.
     """
-    report = OracleReport()
     universe = default_universe(program) if universe is None else list(universe)
-    interp = bounded_lfp(program, dom, k, universe, budget=budget)
-    report.partial = interp.partial
-
     # the unmutated translation is the program's own, whose solvers share
     # rule templates and replayed ground data
     translated = translation(program, dom).translated if drop_site is None \
         else transform_program(program, dom, drop_site=drop_site)[0]
+    targets, points, calls, partial = _plan(program, dom, k, universe, budget)
     solver = Solver(translated, dom, Limits(depth=depth))
+    report = OracleReport(partial=partial)
+    for call, goal, asked, fixes in calls:
+        by_result = _answers_by_result(solver, program, goal) if asked else {}
+        for i, target in enumerate(targets[:asked]):
+            fix = fixes.get(i, [])
+            if by_result is None:
+                answers = _solve(solver, program, dom, call, target)
+            else:
+                answers = by_result.get(target, ())
+                if not (fix or answers):
+                    continue
+            run, note = _corners(answers, dom, points)
+            match = _sets_match(fix, run)
+            if fix or run or not match:
+                report.records.append(OracleRecord(
+                    f"{print_expr(call)} == {print_expr(target)}",
+                    fix, run, match, note))
+    return report
 
+
+def _plan(program: Program, dom: QualDomain, k: int, universe: list,
+          budget: int) -> tuple:
+    """The fixpoint side of compare: (targets, points, calls, partial).
+
+    calls lists, in the order that budget spends its steps, each call
+    f(args) as (call, its translated goal (call == T) # W, how many
+    targets are asked, the fixpoint's maximal corners by target index);
+    only a target with a fact has corners.  The list stops at the call
+    the budget cuts, and partial is set then or when bounded_lfp ran
+    out.
+
+    One slot per program and domain holds the last plan, keyed on k,
+    budget and the universe's terms by identity, which it keeps alive,
+    so no id is reused.  A new universe list, even an equal one, is
+    planned again: default_universe and parse_expr make fresh terms, so
+    only comparisons over one list, such as a sweep's, share a plan.
+    """
+    slot = program.memo(("oracle plan", dom), dict)
+    key = (k, budget, *map(id, universe))
+    if slot.get("key") == key:
+        return slot["plan"]
+    interp = bounded_lfp(program, dom, k, universe, budget=budget)
     targets = [u for u in universe if is_value(u, program.signature)]
     points = [float(u.value) if isinstance(u, Basic) else u for u in targets]
-    steps = interp.steps
-    for fname, arity in sorted(program.signature.df.items()):
-        for args in itertools.product(universe, repeat=arity):
-            asked = targets[:max(budget - steps, 0)]
-            steps += len(asked)
-            call = App(fname, tuple(args))
-            by_result = _answers_by_result(solver, program, dom, call) if asked else {}
-            for target in asked:
-                fix = [tuple(dom.split(d))
-                       for d in interp.max_quals(fname, tuple(args), target, dom)]
-                fix = _antichain(fix)
-                if by_result is None:
-                    answers = _solve(solver, program, dom, call, target)
-                else:
-                    answers = by_result.get(target, ())
-                run, note = _corners(answers, dom, points)
-                match = _sets_match(fix, run)
-                if fix or run or not match:
-                    report.records.append(OracleRecord(
-                        f"{print_expr(call)} == {print_expr(target)}",
-                        fix, run, match, note))
-            if len(asked) < len(targets):
-                report.partial = True
-                return report
-    return report
+    partial, steps, calls = interp.partial, interp.steps, []
+    for fname, args in ((f, args) for f, n in sorted(program.signature.df.items())
+                        for args in itertools.product(universe, repeat=n)):
+        asked = min(max(budget - steps, 0), len(targets))
+        steps += asked
+        call = App(fname, args)
+        fixes = {}
+        for i, target in enumerate(targets[:asked]):
+            fix = _antichain([tuple(dom.split(d))
+                              for d in interp.max_quals(fname, args, target, dom)])
+            if fix:
+                fixes[i] = fix
+        goal = _goal(program, dom, call, RESULT) if asked else None
+        calls.append((call, goal, asked, fixes))
+        if asked < len(targets):
+            partial = True
+            break
+    plan = (targets, points, calls, partial)
+    slot.update(key=key, terms=tuple(universe), plan=plan)
+    return plan
 
 
 RESULT = Var("T")
 
 
+def _goal(program: Program, dom: QualDomain, call: App, result: Expr) -> tuple:
+    """The translated goal (call == result) # W."""
+    goal = Goal((GoalItem(AtomicConstraint("==", (call, result), TRUE), "W", None),))
+    return transform_goal(goal, program, dom)
+
+
 def _solve(solver: Solver, program: Program, dom: QualDomain, call: App,
            result: Expr):
     """The solver's answers to the goal (call == result) # W."""
-    goal = Goal((GoalItem(AtomicConstraint("==", (call, result), TRUE), "W", None),))
-    return solver.solve(*transform_goal(goal, program, dom))
+    return solver.solve(*_goal(program, dom, call, result))
 
 
 def _flagged(ans) -> bool:
     return "conditional" in ans.flags or "malformed-qual" in ans.flags
 
 
-def _answers_by_result(solver: Solver, program: Program, dom: QualDomain,
-                       call: App) -> Optional[dict]:
-    """The answers to (call == T) # W, grouped by the value of T.
+def _answers_by_result(solver: Solver, program: Program,
+                       goal: tuple) -> Optional[dict]:
+    """The answers to goal, the translated (call == T) # W, grouped by
+    the value of T.
 
     A group holds the answers that the goal call == value has, in the
     same order: strict equality demands a constructor value, so fixing
@@ -207,7 +251,7 @@ def _answers_by_result(solver: Solver, program: Program, dom: QualDomain,
     flags of a flagged answer.
     """
     groups = {}
-    for ans in _solve(solver, program, dom, call, RESULT):
+    for ans in solver.solve(*goal):
         value = ans.subst.get(RESULT.name)
         if value is None or not is_value(value, program.signature) \
                 or (_flagged(ans) and "incomplete" in ans.flags):

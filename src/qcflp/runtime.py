@@ -518,6 +518,12 @@ def _try_reasons(program: Program, goal) -> frozenset:
 class Solver:
     def __init__(self, program: Program, dom: QualDomain = U,
                  limits: Limits = None, trace=None):
+        # the domain that transform_program recorded; None for a
+        # program that no translation made
+        made = program.memo("domain", lambda: None)
+        if made is not None and made.name != dom.name:
+            raise ValueError(f"a program translated under {made.name} "
+                             f"cannot be solved under {dom.name}")
         self.program = program
         self.sig = program.signature
         self.dom = dom

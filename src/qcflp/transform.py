@@ -271,6 +271,10 @@ def transform_program(program: Program, dom: QualDomain = U, *,
                       drop_site: Optional[int] = None) -> tuple:
     """Translate a whole program; returns (Program, emit_map list).
 
+    drop_site, when given, drops that emitted site (Emitter); one that
+    is not in range(sites) raises TransformError.  The translated
+    program records dom, so a Solver refuses to run it under another.
+
     The ground data of its rules is canonical in the program's
     GroundData, which the translated program shares.  The emit map
     records, per source rule, the translated rule index, the
@@ -303,8 +307,12 @@ def transform_program(program: Program, dom: QualDomain = U, *,
         own = [j for j, c in enumerate(new_rule.conditions) if id(c) not in mine]
         emit_map.append({"source_rule": i, "translated_rule": i,
                          "qual_vars": introduced, "source_conditions": own})
+    if drop_site is not None and not 0 <= drop_site < em.next_site:
+        raise TransformError(
+            f"mutation site out of range (0..{em.next_site - 1})")
     out = Program(sig, rules)
     out.memo("ground data", lambda: data)
+    out.memo("domain", lambda: dom)
     return out, emit_map
 
 

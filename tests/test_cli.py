@@ -297,6 +297,10 @@ def test_oracle_roundtrip(tmp_path, capsys):
     # dropping a chained factor is caught too
     assert run("oracle", str(src), "--k", "4", "--depth", "6",
                "--mutate", "4") == 1
+    capsys.readouterr()
+    for site in ("5", "-1"):
+        assert run("oracle", str(src), "--k", "4", "--mutate", site) == 2
+        assert "mutation site out of range (0..4)" in capsys.readouterr().err
 
 
 def test_oracle_call_in_universe(tmp_path, capsys):

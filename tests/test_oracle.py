@@ -13,7 +13,7 @@ from qcflp.runtime import Limits, Solver
 from qcflp.semantics import BUDGET, bounded_lfp
 from qcflp.syntax import Goal, GoalItem, parse_expr, parse_program, print_expr
 from qcflp.terms import App, AtomicConstraint, Basic, TRUE, is_value
-from qcflp.transform import transform_goal, transform_program
+from qcflp.transform import TransformError, transform_goal, transform_program
 
 UXU = domain_from_name("uxu")
 
@@ -93,6 +93,15 @@ def test_mismatch_direction_readable():
     assert report.mismatches
     rec = report.mismatches[0]
     assert rec.fixpoint != rec.solver
+
+
+def test_a_fact_the_solver_misses_is_a_mismatch():
+    # at depth 0 the solver answers no goal: a target with a fact but
+    # no answer keeps its record, while those with neither are skipped
+    report = compare(parse_program(CHAIN), U, k=6, depth=0)
+    assert [(r.goal, r.solver, r.match) for r in report.records] == [
+        ("f == true", [], False), ("g == true", [], False),
+        ("h == true", [], False)]
 
 
 def test_default_universe_collects_ground_terms():
@@ -327,3 +336,47 @@ def test_compare_uses_the_programs_own_translation(monkeypatch):
     assert first.mismatches == second.mismatches == []
     compare(program, U, k=4, drop_site=0)
     assert calls == [None, 0]
+
+
+def test_one_fixpoint_per_universe_list(monkeypatch):
+    # a sweep's comparisons over one universe list share the fixpoint
+    # side; an equal but newly built universe, another k and another
+    # budget each compute it again
+    calls = []
+    inner = qcflp.oracle.bounded_lfp
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(qcflp.oracle, "bounded_lfp", counting)
+    p = parse_program(BRANCHING, U)
+
+    def fresh_universe():
+        return default_universe(p) + [parse_expr("s(z)"), parse_expr("s(s(z))")]
+
+    universe = fresh_universe()
+    sites = count_qual_sites(p, U)
+    assert sites == 12
+    for site in [None, *range(sites)]:
+        compare(p, U, k=6, universe=universe, depth=8, drop_site=site)
+    assert len(calls) == 1
+    compare(p, U, k=6, universe=fresh_universe(), depth=8)
+    assert len(calls) == 2
+    compare(p, U, k=5, universe=universe, depth=8)
+    assert len(calls) == 3
+    compare(p, U, k=6, universe=universe, depth=8, budget=BUDGET - 1)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("site", [99, -1, 5])
+def test_out_of_range_mutation_site_is_refused(site):
+    # the program emits 5 sites: another drop_site used to compare the
+    # unmutated translation and report no mismatch
+    p = parse_program("f -0.9-> true\ng -0.8-> f\n")
+    assert count_qual_sites(p, U) == 5
+    with pytest.raises(TransformError, match=r"out of range \(0\.\.4\)"):
+        compare(p, U, k=4, drop_site=site)
+    with pytest.raises(TransformError):
+        transform_program(p, U, drop_site=site)
+    assert compare(p, U, k=4, drop_site=4).mismatches

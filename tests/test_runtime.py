@@ -5,7 +5,7 @@ import pytest
 
 from conftest import BOOK2, BOOK4, random_layered_program
 from qcflp.constraints import Interval
-from qcflp.domains import U
+from qcflp.domains import U, domain_from_name
 from qcflp.runtime import (Limits, Solver, Store, answer_record, render_answer,
                            replay_trees)
 from qcflp.semantics import check_proof
@@ -39,6 +39,15 @@ def test_interval_posting_examples():
 
     constraints = parse_constraints("qVal(W), W <= 0.7, W >= 0.8")
     assert list(solver.solve(constraints, ["W"], [])) == []
+
+
+def test_solver_refuses_a_translation_under_another_domain():
+    # the default U used to answer (f == R) # W with W in (-inf, inf)
+    uxu = domain_from_name("uxu")
+    translated, _ = transform_program(parse_program("f -(0.9,0.8)-> true", uxu), uxu)
+    with pytest.raises(ValueError, match="translated under uxu .* under u$"):
+        Solver(translated)
+    assert Solver(translated, uxu).dom is uxu
 
 
 def test_post_qual_store_operation():
