@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Search counters of the paper goal down its threshold family.
+"""Search counters of the paper goal down its threshold family, and
+certificate sizes down a list family.
 
     python3 scripts/growth.py
 
@@ -12,9 +13,11 @@ domain uxu at each threshold (t,t), each on a fresh solver at depth 64,
 and prints one line per goal: the rule tries (Solver.tries), propagation
 steps, clashing tries skipped as unable to add a cut reason
 (Solver.skips), the process time of the solve and a digest of the
-rendered answers.  The
-counters are deterministic; the time is for information.  The last line
-is the JSON of every row.
+rendered answers.  Then, for a list big of n a's with n from 250 to
+2,000, it proves (hd(big) -> a) # 1 and prints the bytes, term lines and
+node lines of the statement's certificate.  The counters are
+deterministic; the time is for information.  The last line is the JSON
+of every row.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from qcflp.domains import U, domain_from_name
 from qcflp.runtime import Limits, Solver, render_answer
+from qcflp.semantics import holds, parse_statement, serialize_proof
 from qcflp.syntax import parse_goal, parse_program
 from qcflp.transform import transform_goal, transform_program
 
@@ -36,6 +40,8 @@ GOAL = PAPER + " | W >= %s"
 THRESHOLDS = ("0.9", "0.8", "0.7", "0.6", "0.5", "0.4", "0.3", "0.2", "0.15", "0.1")
 FREE = (PAPER, "(search(L,G,V) == R) # W", "(guessGenre(B) == G) # W")
 DEPTH = 64
+LIST = "data t = a\nbig --> [{}]\nhd(X:_T) --> X\n"
+LENGTHS = (250, 500, 1000, 2000)
 
 
 def measure(program, translated, goal: str, dom=U) -> dict:
@@ -49,6 +55,18 @@ def measure(program, translated, goal: str, dom=U) -> dict:
             "answers": len(answers), "cut": sorted(solver.cut),
             "digest": hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16],
             "ms": round(ms, 1)}
+
+
+def certificate(n: int) -> dict:
+    """The size of the certificate of (hd(big) -> a) # 1, big a list of
+    n a's."""
+    program = parse_program(LIST.format(", ".join(["a"] * n)))
+    tree = holds(program, U, parse_statement("(hd(big) -> a) # 1")).tree
+    cert = serialize_proof(tree, "u", U)
+    lines = cert.split("\n")[4:-1]
+    terms = sum(ln[0] == "t" for ln in lines)
+    return {"n": n, "bytes": len(cert.encode()), "terms": terms,
+            "nodes": len(lines) - terms}
 
 
 def show(label: str, row: dict):
@@ -77,9 +95,13 @@ def main():
         uxu_rows.append({"threshold": float(threshold),
                          **measure(program, translated, GOAL % pair, uxu)})
         show(f"uxu W >= {pair}", uxu_rows[-1])
+    certificates = [certificate(n) for n in LENGTHS]
+    for row in certificates:
+        print(f"certificate n={row['n']:<5} bytes {row['bytes']:>7}"
+              f"  term lines {row['terms']:>5}  node lines {row['nodes']:>5}")
     print(json.dumps({"family": "threshold", "goal": GOAL % "t",
                       "depth": DEPTH, "rows": rows, "free": free,
-                      "uxu": uxu_rows}))
+                      "uxu": uxu_rows, "certificates": certificates}))
 
 if __name__ == "__main__":
     main()

@@ -157,8 +157,7 @@ def _load(args):
     if given.get("goal") is not None:
         args.goal = _parsed("<goal>", parse_goal, args.goal, args.dom, sig)
     if given.get("statement") is not None:
-        args.statement = _parsed("<statement>", parse_statement, args.statement,
-                                 None, sig)
+        args.statement = _parsed("<statement>", parse_statement, args.statement, sig)
     if given.get("universe") is not None:
         args.universe = _parsed("<universe>", parse_expr_list, args.universe, sig)
     if given.get("check") is not None:
@@ -168,7 +167,7 @@ def _load(args):
             name, tree = parse_proof(text)
             args.certificate = (None if name == "-" else domain_from_name(name),
                                 tree)
-        except (ParseError, ValueError, KeyError, IndexError) as exc:
+        except (ParseError, ValueError) as exc:
             raise _Exit(1, f"{args.check}: malformed certificate: {exc}")
     return args
 

@@ -32,6 +32,7 @@ solver answers against translated programs.
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -39,8 +40,8 @@ from typing import Iterable, Iterator, Optional
 from .constraints import entails, eval_primitive, holds_under, satisfiable
 from .domains import QualDomain, U
 from .syntax import (Goal, GoalItem, Program, ParseError, Diagnostic,
-                     _vars_in_order, format_attenuation, parse_bindings,
-                     parse_statement_parts, print_constraint, print_expr)
+                     _unescape, _vars_in_order, format_attenuation,
+                     parse_statement_parts, print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
                     HashCons, Signature, TRUE, Var, apply_subst,
                     constraint_exprs, constraint_info_leq, deep_recursion,
@@ -264,7 +265,7 @@ def distinct_parts(trees) -> tuple:
 
     size() counts occurrences, so a subproof that several parents share
     counts once per parent; these are the objects the trees are made of,
-    and serialize_proof writes one line per ProofTree counted here.
+    and serialize_proof writes one node line per ProofTree counted here.
     """
     seen_trees, seen_apps = set(), set()
     todo, terms = list(trees), []
@@ -932,38 +933,43 @@ def _extend(interp: Interpretation, derived: list, dom: QualDomain) -> set:
 # Statement and certificate input/output
 # ======================================================================
 
-def parse_statement(text: str, share: Optional[HashCons] = None,
-                    sig: Optional[Signature] = None) -> QStatement:
-    """The statement text reads; with a terms.HashCons table, its terms
-    are canonical in it, so equal terms of every text read with the table
-    are one object.  With a program's signature, its symbols must have
-    their arities in it."""
-    body, qual, hyps = parse_statement_parts(text, share, sig)
+def parse_statement(text: str, sig: Optional[Signature] = None) -> QStatement:
+    """The statement text reads; with a program's signature, its symbols
+    must have their arities in it."""
+    body, qual, hyps = parse_statement_parts(text, sig)
     if isinstance(body, tuple):
         return production(body[0], body[1], qual, hyps)
     return atom_statement(body, qual, hyps)
 
 
-def print_statement(stmt: QStatement, dom: Optional[QualDomain] = None) -> str:
-    if stmt.is_production():
-        body = f"({print_expr(stmt.lhs)} -> {print_expr(stmt.rhs)})"
-    else:
-        body = print_constraint(stmt.atom)
-    if stmt.qual is not None:
-        d = dom.format(dom.coerce(stmt.qual)) if dom else format_attenuation(stmt.qual)
-        body += f" # {d}"
-    if stmt.hypotheses:
-        body += " <== " + ", ".join(print_constraint(c) for c in stmt.hypotheses)
-    return body
-
-
 def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]) -> str:
-    """Line-oriented certificate: a header, then one line per distinct
-    ProofTree object, after its premises' lines.  A premise names its
-    node's line, so a shared subproof is written once, and the walk keeps
-    its own stack, so a deep tree needs no recursion."""
-    ids: dict = {}               # id(node) -> its line id
-    lines = []
+    """qcflp-proof v2: a header, a line per distinct term (a leaf's token
+    text, or a symbol and argument ids) after its arguments' lines, then a
+    line per distinct ProofTree after its premises', naming terms by id.
+    Both walks keep their own stacks, so a deep tree needs no recursion."""
+    names: dict = {}             # id(term) -> its term id
+    seen: dict = {}              # a term line's text after the id -> that id
+    ids, nodes = {}, []          # id(node) -> its node id; node lines
+
+    def name(e: Expr) -> str:
+        todo = [e]
+        while todo:
+            t = todo.pop()
+            if id(t) in names:
+                continue
+            args = t.args if type(t) is App else ()
+            pending = [a for a in args if id(a) not in names]
+            if pending:
+                todo += [t, *reversed(pending)]
+                continue
+            text = f"{t.symbol}\t{','.join([names[id(a)] for a in args])}" if args \
+                else print_expr(t)
+            names[id(t)] = seen.setdefault(text, f"t{len(seen)}")
+        return names[id(e)]
+
+    def atom(c: AtomicConstraint) -> str:
+        return " ".join([c.symbol, *map(name, c.args), name(c.result)])
+
     todo = [tree]
     while todo:
         t = todo.pop()
@@ -973,95 +979,134 @@ def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]
         if pending:
             todo += [t, *reversed(pending)]
             continue
-        ids[id(t)] = idx = len(lines)
-        rule = "-" if t.rule_index is None else str(t.rule_index)
-        theta = "{" + "; ".join(f"{k} -> {print_expr(v)}" for k, v in t.theta) + "}" \
+        ids[id(t)] = len(nodes)
+        s = t.conclusion
+        text = f"{name(s.lhs)} -> {name(s.rhs)}" if s.atom is None else atom(s.atom)
+        if s.qual is not None:
+            text += " # " + (dom.format(dom.coerce(s.qual)) if dom
+                             else format_attenuation(s.qual))
+        if s.hypotheses:
+            text += " <== " + ", ".join(map(atom, s.hypotheses))
+        theta = "{" + "; ".join(f"{k} -> {name(v)}" for k, v in t.theta) + "}" \
             if t.theta else "-"
+        rule = "-" if t.rule_index is None else str(t.rule_index)
         kids = ",".join(str(ids[id(c)]) for c in t.children) or "-"
-        lines.append(f"{idx}\t{t.tag}\t{rule}\t{theta}\t{kids}\t"
-                     + print_statement(t.conclusion, dom))
-    return "\n".join(["qcflp-proof v1", f"domain {domain_name}",
-                      f"nodes {len(lines)}", f"root {ids[id(tree)]}", *lines]) + "\n"
+        nodes.append(f"{len(nodes)}\t{t.tag}\t{rule}\t{theta}\t{kids}\t{text}")
+    return "\n".join(["qcflp-proof v2", f"domain {domain_name}", f"nodes {len(nodes)}",
+                      f"root {ids[id(tree)]}", *(f"{tid}\t{text}" for text, tid in seen.items()),
+                      *nodes]) + "\n"
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 def parse_proof(text: str) -> tuple:
-    """Returns (domain name, ProofTree).
+    """Returns (domain name, ProofTree) of a qcflp-proof v2 certificate.
 
-    Each node line becomes one ProofTree, whose premises are the objects
-    of the earlier lines it names: the tree shares what the certificate
-    shares, and cannot be a cycle.  A certificate that repeats a subproof
-    once per occurrence still reads, one object per line.
-    The certificate's statements and substitutions are read with one
-    terms.HashCons table, so their equal terms are one object as well and
-    the checker's equality tests on them stop at identity.  Lines end at
-    "\n" only, as serialize_proof writes them: a string or char may hold
-    any other line-breaking character.
+    The reader only splits lines and fields.  Each term line becomes one
+    term of a terms.HashCons table, and each node line one ProofTree over
+    the earlier lines it names: the tree shares what the certificate
+    shares, and cannot be a cycle.  A leaf is a char ('...'), _|_, a
+    number, a variable (from an upper-case letter, _ or ~) or a constant.
+    Lines end at "\n" only: a char may be any other line break.
     """
     lines = [(no, ln) for no, ln in enumerate(text.split("\n"), 1) if ln.strip()]
-    if not lines or lines[0][1].split() != ["qcflp-proof", "v1"]:
-        raise ParseError([Diagnostic(1, 1, "not a proof certificate")])
+    head = [ln.split() for _, ln in lines[:4]]
+    no, share, terms, built = 1, HashCons(), {}, {}
 
-    def fail(no: int, message: str):
+    def fail(message: str):
         raise ParseError([Diagnostic(no, 1, message)])
 
-    def number(no: int, what: str, text: str) -> int:
+    def number(what: str, text: str) -> int:
         try:
             return int(text)
         except ValueError:
-            fail(no, f"{what} {text.strip()!r} is not an integer")
+            fail(f"{what} {text.strip()!r} is not an integer")
 
-    def header(i: int, key: str) -> tuple:
+    def term(tid: str) -> Expr:
+        e = terms.get(tid)
+        if e is None:
+            fail(f"term {tid!r} names no earlier term")
+        return e
+
+    def atom(text: str) -> AtomicConstraint:
+        symbol, *args, result = text.split(" ") if " " in text else ("", "")
+        if not symbol:
+            fail(f"atom {text!r} is not a symbol and term ids")
+        return AtomicConstraint(symbol, tuple(map(term, args)), term(result))
+
+    if not head or head[0] != ["qcflp-proof", "v2"]:
+        fail("a qcflp-proof v1 certificate: prove the statement again to write v2"
+             if head and head[0] == ["qcflp-proof", "v1"] else "not a proof certificate")
+    header = []
+    for i, key in enumerate(("domain", "nodes", "root"), 1):
+        no = lines[min(i, len(lines) - 1)][0]
         if i == len(lines):
-            fail(lines[-1][0], f"certificate ends before its '{key}' line")
-        no, ln = lines[i]
-        words = ln.split()
-        if len(words) != 2 or words[0] != key:
-            fail(no, f"expected '{key} <value>', found {ln.strip()!r}")
-        return no, words[1]
-
-    domain_name = header(1, "domain")[1]
-    count_no, count = header(2, "nodes")
-    count = number(count_no, "nodes", count)
-    root_no, root = header(3, "root")
-    root = number(root_no, "root", root)
-    if count != len(lines) - 4:
-        fail(count_no, f"nodes {count}, but {len(lines) - 4} node lines follow")
-    built: dict = {}
-    share = HashCons()
+            fail(f"certificate ends before its '{key}' line")
+        if len(head[i]) != 2 or head[i][0] != key:
+            fail(f"expected '{key} <value>', found {lines[i][1].strip()!r}")
+        header.append((no, head[i][1] if i == 1 else number(key, head[i][1])))
+    (_, domain_name), (count_no, count), (root_no, root) = header
     for no, ln in lines[4:]:
         fields = ln.split("\t")
+        if ln[0] == "t":  # a term line
+            tid, *rest = fields
+            if tid in terms:
+                fail(f"term {tid!r} is defined twice")
+            if len(rest) == 2 and rest[0]:
+                terms[tid] = share.app(rest[0], tuple(map(term, rest[1].split(","))))
+                continue
+            leaf = rest[0] if len(rest) == 1 else ""
+            c = leaf[:1]
+            if c == "'":
+                ok, e = len(leaf) > 2 and leaf[-1] == "'", App(f"'{_unescape(leaf[1:-1])}'")
+            elif c.isdigit() or c == "-":
+                ok = _NUMBER.fullmatch(leaf)
+                e = ok and Basic(float(leaf))
+            else:
+                ok = leaf and " " not in leaf
+                e = BOTTOM if leaf == "_|_" else Var(leaf) \
+                    if c.isupper() or c in "_~" else App(leaf)
+            if not ok:
+                fail(f"bad leaf {leaf!r}" if len(rest) == 1 else "a term line is an id "
+                     "and a leaf, or an id, a symbol and argument ids")
+            terms[tid] = share.leaf(e)
+            continue
         if len(fields) != 6:
-            fail(no, f"a node line has 6 tab-separated fields, not {len(fields)}")
+            fail(f"a node line has 6 tab-separated fields, not {len(fields)}")
         idx_s, tag, rule_s, theta_s, kids_s, concl_s = fields
-        idx = number(no, "node id", idx_s)
+        idx = number("node id", idx_s)
         if idx in built:
-            fail(no, f"node {idx} is defined twice")
+            fail(f"node {idx} is defined twice")
         kids = []
         for k in ([] if kids_s == "-" else kids_s.split(",")):
-            kid = built.get(number(no, "premise", k))
+            kid = built.get(number("premise", k))
             if kid is None:
-                fail(no, f"premise {k.strip()} names no earlier node")
+                fail(f"premise {k.strip()} names no earlier node")
             kids.append(kid)
-        rule = None if rule_s == "-" else number(no, "rule index", rule_s)
-        try:
-            stmt = parse_statement(concl_s, share)
-            theta = _parse_theta(theta_s, share)
-        except ParseError as exc:
-            fail(no, exc.diagnostics[0].message)
-        if domain_name == "-":
-            stmt = QStatement(stmt.lhs, stmt.rhs, stmt.atom, None, stmt.hypotheses)
+        rule = None if rule_s == "-" else number("rule index", rule_s)
+        binds = [b.partition(" -> ") for b in theta_s[1:-1].split("; ")]
+        if theta_s != "-" and not (theta_s[:1] == "{" and theta_s[-1:] == "}"
+                                   and all(k and arrow for k, arrow, _ in binds)):
+            fail(f"substitution {theta_s!r} is not '-' or '{{...}}'")
+        theta = () if theta_s == "-" else tuple([(k, term(v)) for k, _, v in binds])
+        rest, _, hyps = concl_s.partition(" <== ")
+        body, hashed, qual = rest.partition(" # ")
+        pair = qual[:1] == "(" and qual[-1:] == ")"
+        parts = qual[1:-1].split(",") if pair else [qual]
+        if hashed and (len(parts) != 1 + pair or not all(map(_NUMBER.fullmatch, parts))):
+            fail(f"bad qualification {qual!r}")
+        qual = None if not hashed or domain_name == "-" else \
+            tuple(map(float, parts)) if pair else float(qual)
+        hyps = tuple(map(atom, hyps.split(", "))) if hyps else ()
+        words = body.split(" ")
+        stmt = production(term(words[0]), term(words[2]), qual, hyps) \
+            if len(words) == 3 and words[1] == "->" else \
+            atom_statement(atom(body), qual, hyps)
         built[idx] = ProofTree(tag, stmt, tuple(kids), rule, theta)
-    if root not in built:
-        fail(root_no, f"root {root} names no node")
+    for no, bad, message in (
+            (count_no, count != len(built), f"nodes {count}, but {len(built)} node lines follow"),
+            (root_no, root not in built, f"root {root} names no node")):
+        if bad:
+            fail(message)
     return domain_name, built[root]
-
-
-def _parse_theta(text: str, share: HashCons) -> tuple:
-    """A node's substitution: - or {V -> e; ...}."""
-    if text == "-":
-        return ()
-    if len(text) < 2 or text[0] != "{" or text[-1] != "}":
-        raise ParseError([Diagnostic(
-            1, 1, f"substitution {text!r} is not '-' or '{{...}}'")])
-    return parse_bindings(text[1:-1], share)
-

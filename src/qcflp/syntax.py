@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .domains import MalformedValueError, QualDomain, U
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, BUILTIN_PF,
-                    Expr, FALSE, HashCons, NIL, Signature, SignatureError,
+                    Expr, FALSE, NIL, Signature, SignatureError,
                     TRUE, Var, char_atom, format_real, is_char_atom, is_term,
                     is_total, vars_of)
 
@@ -194,33 +194,17 @@ class Goal:
 class _Parser:
     """Recursive descent over the tokens of one text.
 
-    Every term goes through two hooks: app builds an application and
-    leaf returns a number, variable, char, bottom or nullary constant.
-    Without a table they build plain terms.  With a terms.HashCons table
-    they are its methods, so every term read with one table is canonical
-    in it, and a whole string is also kept under its token text.
-    Programs and goals are read without a table: the solver keys
+    Programs and goals are read as plain terms: the solver keys
     call-time choice on the identity of a call.  With a program's
     signature, a symbol of it applied to another number of arguments is
     a diagnostic.
     """
 
-    app = App
-
-    @staticmethod
-    def leaf(e: Expr) -> Expr:
-        return e
-
-    def __init__(self, text: str, share: Optional[HashCons] = None,
-                 sig: Optional[Signature] = None):
+    def __init__(self, text: str, sig: Optional[Signature] = None):
         self.tokens = lex(text)
         self.pos = 0
         self.anon = 0
-        self.share = share
         self.sig = sig
-        if share is not None:
-            self.app = share.app
-            self.leaf = share.leaf
 
     # -- token plumbing ------------------------------------------------
 
@@ -262,8 +246,8 @@ class _Parser:
             self.next()
             rhs = self.parse_cons()
             if t.kind == "/=":
-                return self.app("==", (self.app("==", (lhs, rhs)), self.leaf(FALSE)))
-            return self.app(t.kind, (lhs, rhs))
+                return App("==", (App("==", (lhs, rhs)), FALSE))
+            return App(t.kind, (lhs, rhs))
         return lhs
 
     def parse_cons(self) -> Expr:
@@ -271,47 +255,47 @@ class _Parser:
         if self.at(":"):
             self.next()
             tail = self.parse_cons()
-            return self.app(":", (head, tail))
+            return App(":", (head, tail))
         return head
 
     def parse_add(self) -> Expr:
         e = self.parse_mul()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            e = self.app(op, (e, self.parse_mul()))
+            e = App(op, (e, self.parse_mul()))
         return e
 
     def parse_mul(self) -> Expr:
         e = self.parse_atom()
         while self.at("*"):
             self.next()
-            e = self.app("*", (e, self.parse_atom()))
+            e = App("*", (e, self.parse_atom()))
         return e
 
     def parse_atom(self) -> Expr:
         t = self.peek()
         if t.kind == "NUMBER":
             self.next()
-            return self.leaf(Basic(float(t.text)))
+            return Basic(float(t.text))
         if t.kind == "-" and self.peek(1).kind == "NUMBER":
             self.next()
             num = self.next()
-            return self.leaf(Basic(-float(num.text)))
+            return Basic(-float(num.text))
         if t.kind == "STRING":
             self.next()
-            return self.parse_string(t.text)
+            return self.cons_list([char_atom(c) for c in _unescape(t.text[1:-1])])
         if t.kind == "CHAR":
             self.next()
-            return self.leaf(char_atom(_unescape(t.text[1:-1])))
+            return char_atom(_unescape(t.text[1:-1]))
         if t.kind == "BOTTOM":
             self.next()
-            return self.leaf(BOTTOM)
+            return BOTTOM
         if t.kind == "VAR":
             self.next()
             if t.text == "_":
                 self.anon += 1
-                return self.leaf(Var(f"_u{self.anon}"))
-            return self.leaf(Var(t.text))
+                return Var(f"_u{self.anon}")
+            return Var(t.text)
         if t.kind == "IDENT":
             if t.text in RESERVED:
                 _fail(t.line, t.col, f"reserved word {t.text!r} cannot be used in an expression")
@@ -326,7 +310,7 @@ class _Parser:
                     and sig.arity(t.text) != len(args):
                 _fail(t.line, t.col, f"{t.text!r} used with {len(args)} argument(s), "
                                      f"expected {sig.arity(t.text)}")
-            return self.app(t.text, args)
+            return App(t.text, args)
         if t.kind == "(":
             self.next()
             e = self.parse_expr()
@@ -340,19 +324,9 @@ class _Parser:
         _fail(t.line, t.col, f"unexpected token {t.text!r}")
 
     def cons_list(self, items: list) -> Expr:
-        out = self.leaf(NIL)
+        out = NIL
         for item in reversed(items):
-            out = self.app(":", (item, out))
-        return out
-
-    def parse_string(self, token: str) -> Expr:
-        """The character list of a string token; with a table, built once
-        per token text."""
-        terms = {} if self.share is None else self.share.terms
-        out = terms.get(token)
-        if out is None:
-            out = terms[token] = self.cons_list(
-                [self.leaf(char_atom(c)) for c in _unescape(token[1:-1])])
+            out = App(":", (item, out))
         return out
 
     # -- constraints -----------------------------------------------------
@@ -536,17 +510,6 @@ class _Parser:
         self.expect("EOF")
         return body, qual, hyps
 
-    def parse_bindings(self) -> tuple:
-        """A whole text of bindings V -> e separated by ';', maybe none."""
-        def binding() -> tuple:
-            name = self.expect("VAR").text
-            self.expect("->")
-            return name, self.parse_expr()
-
-        pairs = [] if self.at("EOF") else self.parse_sep_list(binding, ";")
-        self.expect("EOF")
-        return tuple(pairs)
-
 
 def classify_constraint(e: Expr) -> Optional[AtomicConstraint]:
     """Canonical atomic-constraint form of a parsed condition expression."""
@@ -714,16 +677,10 @@ def parse_constraints(text: str) -> list:
     return out
 
 
-def parse_statement_parts(text: str, share: Optional[HashCons] = None,
-                          sig: Optional[Signature] = None) -> tuple:
-    """_Parser.parse_statement of text, its terms canonical in share and
-    its symbols of sig applied to their arities."""
-    return _Parser(text, share, sig).parse_statement()
-
-
-def parse_bindings(text: str, share: Optional[HashCons] = None) -> tuple:
-    """_Parser.parse_bindings of text, its terms canonical in share."""
-    return _Parser(text, share).parse_bindings()
+def parse_statement_parts(text: str, sig: Optional[Signature] = None) -> tuple:
+    """_Parser.parse_statement of text, its symbols of sig applied to
+    their arities."""
+    return _Parser(text, sig).parse_statement()
 
 
 def parse_expr(text: str) -> Expr:

@@ -169,7 +169,6 @@ class GroundData(HashCons):
             if todo:
                 stack += todo
                 continue
-            stack.pop()
             if type(e) is App:
                 kids = tuple([proofs[id(a)] for a in e.args])
                 proofs[id(e)] = ProofTree("cons", production(e, e), kids)

@@ -9,7 +9,8 @@ from hypothesis import settings
 from qcflp import runtime
 from qcflp.semantics import (check_proof, distinct_parts, parse_proof,
                              serialize_proof)
-from qcflp.syntax import Program, ProgramRule, parse_program
+from qcflp.syntax import (Program, ProgramRule, format_attenuation, parse_program,
+                          print_constraint, print_expr)
 from qcflp.terms import App, AtomicConstraint, TRUE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,13 +91,52 @@ def _rule_text(r: ProgramRule) -> str:
     return print_rule(r)
 
 
-def expanded_certificate(tree, domain_name: str, dom) -> str:
-    """tree's certificate with a line per occurrence of each subproof, in
-    post-order: the form certificates took before the writer put each
-    shared subproof on one line.  serialize_proof writes it from a copy
-    of tree in which no two parents share a subproof.  Pinned digests
-    hash this form, so they pin the tree a certificate denotes, not how
-    much of it is shared."""
+def print_statement(stmt, dom=None) -> str:
+    """A statement in source syntax, which parse_statement reads back."""
+    if stmt.is_production():
+        body = f"({print_expr(stmt.lhs)} -> {print_expr(stmt.rhs)})"
+    else:
+        body = print_constraint(stmt.atom)
+    if stmt.qual is not None:
+        d = dom.format(dom.coerce(stmt.qual)) if dom else format_attenuation(stmt.qual)
+        body += f" # {d}"
+    if stmt.hypotheses:
+        body += " <== " + ", ".join(print_constraint(c) for c in stmt.hypotheses)
+    return body
+
+
+def pinned_form(tree, domain_name: str, dom) -> str:
+    """tree in the pinned form: the qcflp-proof v1 layout, a header and
+    one line per distinct ProofTree object, after its premises' lines,
+    each printing its whole statement and substitution in source syntax.
+    Pinned digests hash this form, which depends on the tree alone, not
+    on how the certificate format shares terms: a pin that moves is a
+    tree that changed."""
+    ids: dict = {}               # id(node) -> its line id
+    lines = []
+    todo = [tree]
+    while todo:
+        t = todo.pop()
+        if id(t) in ids:
+            continue
+        pending = [c for c in t.children if id(c) not in ids]
+        if pending:
+            todo += [t, *reversed(pending)]
+            continue
+        ids[id(t)] = idx = len(lines)
+        rule = "-" if t.rule_index is None else str(t.rule_index)
+        theta = "{" + "; ".join(f"{k} -> {print_expr(v)}" for k, v in t.theta) + "}" \
+            if t.theta else "-"
+        kids = ",".join(str(ids[id(c)]) for c in t.children) or "-"
+        lines.append(f"{idx}\t{t.tag}\t{rule}\t{theta}\t{kids}\t"
+                     + print_statement(t.conclusion, dom))
+    return "\n".join(["qcflp-proof v1", f"domain {domain_name}",
+                      f"nodes {len(lines)}", f"root {ids[id(tree)]}", *lines]) + "\n"
+
+
+def unshared_copy(tree):
+    """A copy of tree in which no two parents share a subproof: a node
+    per occurrence, built in post-order without recursion."""
     built, todo = [], [(tree, False)]
     while todo:
         t, ready = todo.pop()
@@ -106,7 +146,15 @@ def expanded_certificate(tree, domain_name: str, dom) -> str:
         at = len(built) - len(t.children)
         kids, built[at:] = tuple(built[at:]), []
         built.append(dataclasses.replace(t, children=kids))
-    return serialize_proof(built[0], domain_name, dom)
+    return built[0]
+
+
+def expanded_certificate(tree, domain_name: str, dom) -> str:
+    """tree in the pinned form with a line per occurrence of each
+    subproof: the form certificates took before the writer put each
+    shared subproof on one line.  Pinned digests hash it, so they pin
+    the tree a certificate denotes, not how much of it is shared."""
+    return pinned_form(unshared_copy(tree), domain_name, dom)
 
 
 def read_back(program, dom_name: str, dom, tree):

@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from conftest import BOOK4, LIBRARY, ROOT, expanded_certificate
+from conftest import BOOK4, LIBRARY, ROOT, unshared_copy
 from qcflp.cli import main
 from qcflp.domains import U
-from qcflp.semantics import (BUDGET, check_proof, distinct_parts, holds,
-                             parse_proof, parse_statement, serialize_proof)
+from qcflp.semantics import (BUDGET, ProofTree, check_proof, distinct_parts,
+                             holds, parse_proof, parse_statement, serialize_proof)
 
 GOAL = '(search("German","Essay",intermediate) == R) # W | W >= 0.65'
 GENRE_STMT = f'(guessGenre({BOOK4}) -> "Essay") # 0.7'
@@ -18,6 +18,11 @@ GENRE_STMT = f'(guessGenre({BOOK4}) -> "Essay") # 0.7'
 
 def run(*argv):
     return main(list(argv))
+
+
+def triv_certificate(stmt: str) -> str:
+    """A one-node certificate calling stmt vacuous."""
+    return serialize_proof(ProofTree("triv", parse_statement(stmt)), "u", U)
 
 
 def test_check_ok():
@@ -206,9 +211,11 @@ def test_certificate_with_repeated_lines_still_checks(library, tmp_path, capsys)
     # checks valid, in process and through prove --check
     tree = holds(library, U, parse_statement(PAPER_STMT.format("0.65"))).tree
     dag = serialize_proof(tree, "u", U)
-    expanded = expanded_certificate(tree, "u", U)
-    assert dag.count("\n") == 4 + distinct_parts([tree])[0] <= 250
-    assert expanded.count("\n") == 4 + tree.size() > 10 * dag.count("\n")
+    expanded = serialize_proof(unshared_copy(tree), "u", U)
+    distinct = distinct_parts([tree])[0]
+    assert dag.split("\n")[2] == f"nodes {distinct}" and distinct <= 250
+    assert expanded.split("\n")[2] == f"nodes {tree.size()}"
+    assert tree.size() > 10 * distinct
     _, old = parse_proof(expanded)
     assert old == parse_proof(dag)[1]
     assert check_proof(library, U, old).status == "valid"
@@ -230,20 +237,20 @@ def test_tampered_certificate_rejected(tmp_path):
 
 def test_dangling_certificate_reference(tmp_path, capsys):
     cert = tmp_path / "dangling.proof"
-    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
-                    "0\tcons\t-\t-\t5\t(c(X) -> c(X)) # 0.5\n")
+    cert.write_text("qcflp-proof v2\ndomain u\nnodes 1\nroot 0\nt0\tX\nt1\tc\tt0\n"
+                    "0\tcons\t-\t-\t5\tt1 -> t1 # 0.5\n")
     assert run("prove", str(LIBRARY), "--check", str(cert)) == 1
     assert capsys.readouterr().err == \
-        f"{cert}: malformed certificate: 5:1: premise 5 names no earlier node\n"
+        f"{cert}: malformed certificate: 7:1: premise 5 names no earlier node\n"
 
 
 def test_malformed_certificate_line(tmp_path, capsys):
     cert = tmp_path / "bad-id.proof"
-    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
-                    "a1\trefl\t-\t-\t-\t(X -> X) # 0.5\n")
+    cert.write_text("qcflp-proof v2\ndomain u\nnodes 1\nroot 0\nt0\tX\n"
+                    "a1\trefl\t-\t-\t-\tt0 -> t0 # 0.5\n")
     assert run("prove", str(LIBRARY), "--check", str(cert)) == 1
     assert capsys.readouterr().err == \
-        f"{cert}: malformed certificate: 5:1: node id 'a1' is not an integer\n"
+        f"{cert}: malformed certificate: 6:1: node id 'a1' is not an integer\n"
 
 
 def test_prove_rounding_repro_not_found(tmp_path, capsys):
@@ -257,8 +264,7 @@ def test_prove_rounding_repro_not_found(tmp_path, capsys):
     assert captured.out == "" and captured.err == "not_found\n"
     # a one-node certificate calling the statement vacuous is rejected
     cert = tmp_path / "triv.proof"
-    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
-                    f"0\ttriv\t-\t-\t-\t{stmt}\n")
+    cert.write_text(triv_certificate(stmt))
     assert run("prove", str(src), "--check", str(cert)) == 1
 
 
@@ -280,8 +286,7 @@ def test_prove_refuses_hypotheses_met_through_a_zero_product(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "not_found\n"
     cert = tmp_path / "triv.proof"
-    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
-                    f"0\ttriv\t-\t-\t-\t{stmt}\n")
+    cert.write_text(triv_certificate(stmt))
     assert run("prove", str(src), "--check", str(cert)) == 1
     assert capsys.readouterr().out == "invalid: root: statement is not trivial\n"
 
@@ -557,8 +562,8 @@ def test_input_and_output_errors_end_in_one_line(tmp_path, argv, code, label):
     paths = {"p": tmp_path / "p.qcflp", "cert": tmp_path / "c.proof",
              "out": tmp_path / "x.cflp"}
     paths["p"].write_text("f -0.9-> true\n")
-    paths["cert"].write_text("qcflp-proof v1\ndomain zzz\nnodes 1\nroot 0\n"
-                             "0\trefl\t-\t-\t-\t(X -> X) # 0.5\n")
+    paths["cert"].write_text("qcflp-proof v2\ndomain zzz\nnodes 1\nroot 0\nt0\tX\n"
+                             "0\trefl\t-\t-\t-\tt0 -> t0 # 0.5\n")
     (tmp_path / "x.cflp.map").mkdir()
     src = str(ROOT / "src")
     old = os.environ.get("PYTHONPATH")
@@ -627,8 +632,7 @@ def test_false_statement_with_true_hypotheses(tmp_path, capsys, stmt, refusal,
     assert run("prove", str(src), "--statement", stmt, "-o", str(cert)) == 1
     assert capsys.readouterr() == ("", refusal + "\n")
     assert not cert.exists()
-    cert.write_text("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n"
-                    f"0\ttriv\t-\t-\t-\t{stmt}\n")
+    cert.write_text(triv_certificate(stmt))
     assert run("prove", str(src), "--check", str(cert)) == 1
     assert capsys.readouterr().out == verdict + "\n"
 
@@ -639,7 +643,9 @@ def test_arithmetic_atoms_print_as_they_parse(tmp_path, capsys):
     cert = tmp_path / "f.proof"
     assert run("prove", str(src), "--statement", "(f(2) -> true) # 1",
                "-o", str(cert)) == 0
-    assert "\tatom\t-\t-\t0,2\t2 + 1 == 3 # 1\n" in cert.read_text()
+    text = cert.read_text()
+    assert "\nt0\t2\nt1\ttrue\nt2\t1\nt3\t3\n" in text
+    assert "\n3\tatom\t-\t-\t0,2\t+ t0 t2 t3 # 1\n" in text
     assert run("prove", str(src), "--check", str(cert)) == 0
     out = tmp_path / "f.cflp"
     assert run("transform", str(src), "-o", str(out)) == 0

@@ -18,14 +18,13 @@ import sys
 
 import pytest
 
-from conftest import LIBRARY, ROOT, random_layered_program
+from conftest import LIBRARY, ROOT, pinned_form, random_layered_program
 from test_rule_filter import PAPER, THRESHOLD_SWEEP
 from qcflp.cli import main
 from qcflp.constraints import FULL
 from qcflp.domains import U, domain_from_name
 from qcflp.runtime import (EvalRec, Limits, Solver, Store, answer_record,
                            replay_trees)
-from qcflp.semantics import serialize_proof
 from qcflp.syntax import parse_constraints, parse_goal, parse_program
 from qcflp.terms import App, Var
 from qcflp.transform import transform_goal, transform_program
@@ -34,14 +33,15 @@ from qcflp.transform import transform_goal, transform_program
 def outcome(program, goal, depth, dom, translated=None):
     """Everything a solve shows: each answer's record (bindings,
     qualification, residuals, flags), the certificates of the clean
-    answers and the reasons the run was cut; and the solver.  translated
-    is the program's translation, when the caller has made it."""
+    answers in the pinned form (conftest.pinned_form) and the reasons the
+    run was cut; and the solver.  translated is the program's
+    translation, when the caller has made it."""
     if translated is None:
         translated, _ = transform_program(program, dom)
     constraints, wvars, datavars = transform_goal(parse_goal(goal, dom), program, dom)
     solver = Solver(translated, dom, Limits(depth=depth))
     answers = list(solver.solve(constraints, wvars, datavars))
-    certs = [serialize_proof(tree, dom.name, None)
+    certs = [pinned_form(tree, dom.name, None)
              for a in answers if not a.flags
              for tree in replay_trees(solver, a, constraints)]
     return ([answer_record(a) for a in answers], certs, solver.cut), solver

@@ -14,11 +14,12 @@ import hashlib
 
 import pytest
 
+from conftest import pinned_form
 from test_acceptance import _rebuild
 from test_rule_filter import PAPER
 import qcflp.semantics
 from qcflp.runtime import Limits, Solver, render_answer, replay_trees
-from qcflp.semantics import check_proof, serialize_proof
+from qcflp.semantics import check_proof
 from qcflp.syntax import parse_goal, parse_program
 from qcflp.terms import AtomicConstraint
 from qcflp.transform import transform_goal, transform_program
@@ -67,8 +68,9 @@ g(X) --> X
 f -0.9-> p(Y, g(Y)) <== k == Y
 """
 
-# SHA-256 of each answer's certificates, concatenated, as every part of
-# the instance built up front gave them
+# SHA-256 of each answer's certificates in the pinned form
+# (conftest.pinned_form), concatenated, as every part of the instance
+# built up front gave them
 IDENTITY_CERTS = [
     "92f4684f251bf26faea0dc9c9ffd3511b495be437f0fd806ab02a628231581e9",
     "ab5ca9354f1ff6a68df9418da4a1c9912a2141a29978b2fd6e01b3aea2d71954",
@@ -96,7 +98,7 @@ def test_instance_parts_keep_one_identity_across_condition_solutions():
             trees = replay_trees(solver, a, constraints)
             assert [check_proof(translated, None, t).status for t in trees] == \
                 ["valid"] * len(trees)
-            text = "".join(serialize_proof(t, "u", None) for t in trees)
+            text = "".join(pinned_form(t, "u", None) for t in trees)
             certs.append(hashlib.sha256(text.encode()).hexdigest())
         assert certs == IDENTITY_CERTS
 

@@ -80,7 +80,7 @@ def test_growth():
     proc = run_script("growth.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 24 and lines[6].startswith("W >= 0.3 ")
+    assert len(lines) == 28 and lines[6].startswith("W >= 0.3 ")
     assert lines[19].startswith("uxu W >= (0.3,0.3) ")
     doc = json.loads(lines[-1])
     assert (doc["family"], doc["depth"]) == ("threshold", 64)
@@ -102,6 +102,13 @@ def test_growth():
     assert search["answers"] == 13 and search["tries"] <= 400
     assert guess["goal"] == "(guessGenre(B) == G) # W"
     assert (guess["answers"], guess["cut"]) == (6, ["depth"])
+    # certificates of (hd(big) -> a) # 1 grow linearly with the list:
+    # with each statement printed whole, bytes grew 15.4 times from 250
+    # to 1,000 (197,242 to 3,039,003)
+    sizes = {row["n"]: row for row in doc["certificates"]}
+    assert list(sizes) == [250, 500, 1000, 2000]
+    assert sizes[1000]["bytes"] / sizes[250]["bytes"] < 5
+    assert sizes[1000]["bytes"] < 100_000
 
 
 def load_script(name: str):

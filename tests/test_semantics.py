@@ -7,21 +7,22 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import BOOK4
+from conftest import BOOK4, print_statement
 from qcflp.domains import U, domain_from_name
 import qcflp.semantics
+import qcflp.syntax
 import qcflp.terms
 import qcflp.transform
 from qcflp.semantics import (CheckResult, ProofTree, QStatement, atom_statement,
                              bounded_lfp,
                              check_proof, distinct_parts, holds,
                              instantiate_rule, parse_proof, parse_statement,
-                             print_statement, production, serialize_proof,
+                             production, serialize_proof,
                              statement_entails, weaken_tree)
 from qcflp.runtime import Limits, Solver, replay_trees
 from qcflp.syntax import (ParseError, parse_constraints, parse_expr,
                           parse_goal, parse_program)
-from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, HashCons, TRUE,
+from qcflp.terms import (App, AtomicConstraint, Basic, BOTTOM, TRUE,
                          Var, apply_subst, char_atom, info_leq, mkstring)
 from qcflp.transform import (transform_goal, transform_program,
                               translation)
@@ -763,7 +764,10 @@ def test_deep_certificate_at_the_default_recursion_limit():
     for i in range(depth):
         tree = cons(App("s", (Basic(i),)), (tree,))
     cert = serialize_proof(tree, "u", U)
-    assert cert.count("\n") == 4 + depth + 1
+    # a node line per level and one for the leaf; a term line for X and
+    # for each level's i and s(i)
+    assert cert.split("\n")[2] == f"nodes {depth + 1}"
+    assert cert.count("\n") == 4 + 2 * depth + 1 + depth + 1
     _, parsed = parse_proof(cert)
     a, b = tree, parsed
     while a.children:
@@ -838,12 +842,14 @@ def test_certificate_terms_are_shared(library_text):
     assert check_proof(library, U, parsed).status == "valid"
     rng = random.Random(3)
     lines = cert.splitlines()
-    words = ["0.7", "0.5", "1", "true", "\"Essay\"", "X", "0", "cons", "refl"]
+    first = next(i for i, ln in enumerate(lines) if i > 3 and ln[0] != "t")
+    words = ["0.7", "0.5", "1", "->", "-", "0", "cons", "refl",
+             *(lines[i].split("\t")[0] for i in range(4, first, 9))]
     statuses = set()
     for n in range(61):
         tampered = list(lines)
         if n:  # round 0 reads the certificate as written
-            i = rng.randrange(4, len(lines))
+            i = rng.randrange(first, len(lines))
             parts = tampered[i].split("\t")
             j = rng.choice((3, 5, 5))  # the substitution or the conclusion
             toks = parts[j].split(" ")
@@ -860,28 +866,34 @@ def test_certificate_terms_are_shared(library_text):
     assert statuses == {"valid", "invalid"}
 
 
-def _apps(e):
-    """Every App occurrence in e."""
-    if isinstance(e, App):
-        yield e
-        for a in e.args:
-            yield from _apps(a)
+def _subterms(e):
+    """Every subterm occurrence of e, e first."""
+    yield e
+    for a in e.args if isinstance(e, App) else ():
+        yield from _subterms(a)
 
 
-def test_statement_terms_are_canonical_in_a_table():
-    # every distinct subterm of a statement read with a table is one
-    # object: strings, lists, chars, numbers and variables alike
-    share = HashCons()
+def test_certificate_terms_are_canonical_in_one_table():
+    # the writer writes each distinct term once, and the reader reads
+    # each term line into one object, across the lines of a certificate:
+    # strings, lists, chars, numbers and variables alike
     s = parse_statement('(f("ab", ["ab", \'a\', 1, X], \'a\':"b", g(X, 1.0, -2))'
-                        ' -> g(X, 1, "ab":[[]], [])) # 0.5', share)
-    apps = [*_apps(s.lhs), *_apps(s.rhs)]
+                        ' -> g(X, 1, "ab":[[]], [])) # 0.5')
+    again = parse_statement('("b" -> [X, 1]) # 0.5')
+    tree = ProofTree("fun", s, (ProofTree("refl", again),))
+    cert = serialize_proof(tree, "u", U)
+    _, parsed = parse_proof(cert)
+    assert parsed == tree
+    p, q = parsed.conclusion, parsed.children[0].conclusion
+    apps = [t for e in (p.lhs, p.rhs) for t in _subterms(e) if isinstance(t, App)]
     structural = len(set(apps))
-    assert distinct_parts([ProofTree("refl", s)])[1] == structural < len(apps)
-    again = parse_statement('("b" -> [X, 1])', share)
-    assert again.lhs is s.lhs.args[2].args[1]
-    assert again.rhs.args[0] is s.lhs.args[3].args[0]  # X
-    assert again.rhs.args[1].args[0] is s.lhs.args[3].args[1]  # 1
-    # without a table, nothing is shared
+    assert distinct_parts([ProofTree("refl", p)])[1] == structural < len(apps)
+    assert q.lhs is p.lhs.args[2].args[1]
+    assert q.rhs.args[0] is p.lhs.args[3].args[0]  # X
+    assert q.rhs.args[1].args[0] is p.lhs.args[3].args[1]  # 1
+    terms = {t for e in (p.lhs, p.rhs, q.lhs, q.rhs) for t in _subterms(e)}
+    assert sum(ln[0] == "t" for ln in cert.split("\n")[4:] if ln) == len(terms) == 19
+    # parse_statement shares nothing
     plain = parse_statement('(f("ab", "ab") -> [])')
     assert plain.lhs.args[0] == plain.lhs.args[1]
     assert plain.lhs.args[0] is not plain.lhs.args[1]
@@ -906,17 +918,19 @@ def test_certificates_round_trip_any_string_or_char(term):
     assert check_proof(F_ID, U, parsed).status == "valid"
 
 
-HEAD = "qcflp-proof v1\ndomain u\nnodes {}\nroot {}\n"
-LEAF = "\trefl\t-\t-\t-\t(X -> X) # 0.5"
-PAIR = "\tcons\t-\t-\t{}\t(node(X, X) -> node(X, X)) # 0.5"
+# a certificate's header, then its T term lines: X and node(X, X)
+HEAD = "qcflp-proof v2\ndomain u\nnodes {}\nroot {}\nt0\tX\nt1\tnode\tt0,t0\n"
+T = 2
+LEAF = "\trefl\t-\t-\t-\tt0 -> t0 # 0.5"
+PAIR = "\tcons\t-\t-\t{}\tt1 -> t1 # 0.5"
 
 
 @pytest.mark.parametrize("lines, count, root, line, message", [
     (["0" + LEAF, "1" + PAIR.format("0,5")], 2, 1,
-     6, "premise 5 names no earlier node"),
+     6 + T, "premise 5 names no earlier node"),
     (["0" + PAIR.format("1,1"), "1" + LEAF], 2, 0,
-     5, "premise 1 names no earlier node"),
-    (["0" + LEAF, "0" + LEAF], 2, 0, 6, "node 0 is defined twice"),
+     5 + T, "premise 1 names no earlier node"),
+    (["0" + LEAF, "0" + LEAF], 2, 0, 6 + T, "node 0 is defined twice"),
     (["0" + LEAF, "1" + PAIR.format("0,0")], 2, 3, 4, "root 3 names no node"),
     (["0" + LEAF], 2, 0, 3, "nodes 2, but 1 node lines follow"),
 ], ids=["dangling", "forward", "repeated-id", "root", "count"])
@@ -928,30 +942,71 @@ def test_bad_certificate_references(lines, count, root, line, message):
     assert (diag.line, diag.message) == (line, message)
 
 
+def header(count=1, root=0):
+    """The four header lines, with no term line."""
+    return HEAD.format(count, root).split("t0", 1)[0]
+
+
 @pytest.mark.parametrize("text, line, message", [
-    (HEAD.format(1, 0) + "a1" + LEAF, 5, "node id 'a1' is not an integer"),
-    (HEAD.format(1, 0) + "0\tfun\tx\t-\t-\t(X -> X) # 0.5", 5,
+    (HEAD.format(1, 0) + "a1" + LEAF, 5 + T, "node id 'a1' is not an integer"),
+    (HEAD.format(1, 0) + "0\tfun\tx\t-\t-\tt0 -> t0 # 0.5", 5 + T,
      "rule index 'x' is not an integer"),
-    (HEAD.format(2, 1) + "0" + LEAF + "\n1" + PAIR.format("0,b"), 6,
+    (HEAD.format(2, 1) + "0" + LEAF + "\n1" + PAIR.format("0,b"), 6 + T,
      "premise 'b' is not an integer"),
-    (HEAD.format(1, 0) + "0\trefl\t-\t-\t(X -> X) # 0.5", 5,
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\tt0 -> t0 # 0.5", 5 + T,
      "a node line has 6 tab-separated fields, not 5"),
-    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\t(X -> ", 5,
-     "expected ')', found '->'"),
-    ("qcflp-proof v1\ndomain\nnodes 1\nroot 0\n0" + LEAF, 2,
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\tt0 -> ", 5 + T,
+     "term '' names no earlier term"),
+    ("qcflp-proof v2\ndomain\nnodes 1\nroot 0\n0" + LEAF, 2,
      "expected 'domain <value>', found 'domain'"),
-    ("qcflp-proof v1\ndomain u\nnodes x\nroot 0\n0" + LEAF, 3,
+    ("qcflp-proof v2\ndomain u\nnodes x\nroot 0\n0" + LEAF, 3,
      "nodes 'x' is not an integer"),
-    ("qcflp-proof v1\ndomain u\nnodes 1\nroot 0.5\n0" + LEAF, 4,
+    ("qcflp-proof v2\ndomain u\nnodes 1\nroot 0.5\n0" + LEAF, 4,
      "root '0.5' is not an integer"),
-    ("qcflp-proof v1\ndomain u\n", 2,
+    ("qcflp-proof v2\ndomain u\n", 2,
      "certificate ends before its 'nodes' line"),
-    (HEAD.format(1, 0) + "0\trefl\t-\tX\t-\t(X -> X) # 0.5", 5,
+    (HEAD.format(1, 0) + "0\trefl\t-\tX\t-\tt0 -> t0 # 0.5", 5 + T,
      "substitution 'X' is not '-' or '{...}'"),
-    (HEAD.format(1, 0) + "0\trefl\t-\t0\t-\t(X -> X) # 0.5", 5,
+    (HEAD.format(1, 0) + "0\trefl\t-\t0\t-\tt0 -> t0 # 0.5", 5 + T,
      "substitution '0' is not '-' or '{...}'"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t{X t0}\t-\tt0 -> t0 # 0.5", 5 + T,
+     "substitution '{X t0}' is not '-' or '{...}'"),
+    (HEAD.format(1, 0) + "0\tatom\t-\t-\t-\t== # 0.5", 5 + T,
+     "atom '==' is not a symbol and term ids"),
+    # term lines
+    (header() + "t0\tnode\tt1,t1\nt1\tX\n0" + LEAF, 5,
+     "term 't1' names no earlier term"),
+    (header() + "t0\tX\nt1\tnode\tt0,t7\n0" + LEAF, 6,
+     "term 't7' names no earlier term"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\tt0 -> t9 # 0.5", 5 + T,
+     "term 't9' names no earlier term"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t{X -> t9}\t-\tt0 -> t0 # 0.5", 5 + T,
+     "term 't9' names no earlier term"),
+    (header() + "t0\tX\nt0\tY\n0" + LEAF, 6, "term 't0' is defined twice"),
+    (header() + "t0\t'a\n0" + LEAF, 5, "bad leaf \"'a\""),
+    (header() + "t0\t''\n0" + LEAF, 5, "bad leaf \"''\""),
+    (header() + "t0\t1.5.2\n0" + LEAF, 5, "bad leaf '1.5.2'"),
+    (header() + "t0\t-x\n0" + LEAF, 5, "bad leaf '-x'"),
+    (header() + "t0\tfoo bar\n0" + LEAF, 5, "bad leaf 'foo bar'"),
+    (header() + "t0\t\n0" + LEAF, 5, "bad leaf ''"),
+    (header() + "t0\tf\tt1\tt2\n0" + LEAF, 5,
+     "a term line is an id and a leaf, or an id, a symbol and argument ids"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\tt0 -> t0 # high", 5 + T,
+     "bad qualification 'high'"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\tt0 -> t0 # (0.5)", 5 + T,
+     "bad qualification '(0.5)'"),
+    (HEAD.format(1, 0) + "0\trefl\t-\t-\t-\tt0 -> t0 # (0.5,0.5,0.5)", 5 + T,
+     "bad qualification '(0.5,0.5,0.5)'"),
+    ("qcflp-proof v1\ndomain u\nnodes 1\nroot 0\n0\trefl\t-\t-\t-\t(X -> X) # 0.5",
+     1, "a qcflp-proof v1 certificate: prove the statement again to write v2"),
+    ("", 1, "not a proof certificate"),
 ], ids=["node-id", "rule-index", "premise", "fields", "conclusion",
-        "domain", "nodes", "root", "short", "theta-var", "theta-number"])
+        "domain", "nodes", "root", "short", "theta-var", "theta-number",
+        "theta-binding", "atom", "forward-term", "dangling-term",
+        "dangling-conclusion-term", "dangling-theta-term", "repeated-term",
+        "open-char", "empty-char", "number", "minus", "spaced-constant",
+        "empty-leaf", "term-fields", "qualification", "short-pair",
+        "long-pair", "v1", "empty"])
 def test_malformed_certificate_lines(text, line, message):
     with pytest.raises(ParseError) as err:
         parse_proof(text + "\n")
@@ -965,8 +1020,65 @@ def test_certificate_cannot_express_a_cycle():
     for lines in (["0" + PAIR.format("0,0")],
                   ["0" + PAIR.format("1,1"), "1" + PAIR.format("0,0")]):
         text = HEAD.format(len(lines), 0) + "\n".join(lines) + "\n"
-        with pytest.raises(ParseError, match="5:1: premise"):
+        with pytest.raises(ParseError, match=f"{5 + T}:1: premise"):
             parse_proof(text)
+
+
+def test_mutated_certificates_parse_or_get_a_verdict(library):
+    # every certificate one edit away from the paper statement's, with a
+    # line deleted or two neighbouring fields of a line swapped (split at
+    # tabs, at spaces or at commas, so ids swap too), is refused by the
+    # reader with a ParseError, or read and given a verdict by the
+    # checker; none raises anything else
+    r = holds(library, U, stmt('(search("German","Essay",intermediate) -> 4) # 0.65'))
+    lines = serialize_proof(r.tree, "u", U).splitlines()
+    mutants = set()
+    for i, ln in enumerate(lines):
+        mutants.add(tuple(lines[:i] + lines[i + 1:]))
+        for sep in "\t ,":
+            fields = ln.split(sep)
+            for j in range(len(fields) - 1):
+                swapped = fields[:j] + [fields[j + 1], fields[j]] + fields[j + 2:]
+                mutants.add(tuple(lines[:i] + [sep.join(swapped)] + lines[i + 1:]))
+    mutants.discard(tuple(lines))
+    outcomes = {"ParseError": 0, "valid": 0, "invalid": 0, "unknown": 0}
+    for mutant in mutants:
+        try:
+            name, tree = parse_proof("\n".join(mutant) + "\n")
+        except ParseError:
+            outcomes["ParseError"] += 1
+            continue
+        outcomes[check_proof(library, domain_from_name(name), tree).status] += 1
+    assert sum(outcomes.values()) == len(mutants) > 1000
+    assert outcomes["ParseError"] > 0 and outcomes["invalid"] > 0
+
+
+@pytest.mark.parametrize("dom_name", ["u", "uxu", "-"])
+def test_certificates_round_trip_awkward_leaves(monkeypatch, dom_name):
+    # leaves whose token text the certificate's separators, escapes and
+    # leaf classes could confuse, in statements with qualifications of
+    # every domain, hypotheses, atoms and substitutions; the reader
+    # never runs the program lexer
+    monkeypatch.setattr(qcflp.syntax, "lex", None)
+    dom = None if dom_name == "-" else domain_from_name(dom_name)
+    qual = None if dom is None else (0.5, 0.25) if dom_name == "uxu" else 0.625
+    leaves = [*map(char_atom, ["\t", "\n", "\r", "\u2028", "#", " ", "'", "\\", ","]),
+              Basic(-2.0), Basic(-0.5), Basic(0.1), Basic(1e-7), Basic(-1e20),
+              BOTTOM, Var("~3~X"), Var("_W0.1"), Var("~7"), App("[]"), App("a"),
+              App("t0"), App("f'"), App("-", (Basic(3.0), Basic(-3.0)))]
+    X = Var("X")
+    hyps = (AtomicConstraint(">=", (X, Basic(-0.5)), TRUE),
+            AtomicConstraint("+", (X, Basic(1.5)), Var("~3~X")),
+            AtomicConstraint("==", (X, char_atom("\t")), App("false")))
+    trees = [ProofTree("refl", production(e, e, qual)) for e in leaves]
+    big = App("f", tuple(leaves))
+    trees.append(ProofTree("fun", production(big, mkstring("a#b -> c"), qual, hyps),
+                           tuple(trees), 3, (("X", big), ("_W0.1", BOTTOM))))
+    trees.append(ProofTree("atom", atom_statement(hyps[1], qual, hyps[:1]),
+                           (trees[-1], trees[0])))
+    for tree in trees:
+        name, parsed = parse_proof(serialize_proof(tree, dom_name, dom))
+        assert (name, parsed) == (dom_name, tree)
 
 
 def test_weaken_tree(library):
