@@ -43,9 +43,10 @@ from .syntax import (Goal, GoalItem, Program, ParseError, Diagnostic,
                      _unescape, _vars_in_order, format_attenuation,
                      parse_statement_parts, print_expr)
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    HashCons, Signature, TRUE, Var, apply_subst,
+                    FALSE, HashCons, Signature, TRUE, Var, apply_subst,
                     constraint_exprs, constraint_info_leq, deep_recursion,
-                    info_leq, is_total, is_value, term_glb, term_lub, vars_of)
+                    info_leq, is_total, is_value, post_order, term_glb,
+                    term_lub, vars_of)
 
 CHECK_TOL = 1e-12
 # The oracle's steps (bounded_lfp's instances, oracle.compare's goals):
@@ -256,7 +257,11 @@ class ProofTree:
     theta: tuple = ()            # sorted (name, Expr) pairs for fun nodes
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        """The number of node occurrences: a subproof that several parents
+        share counts once per parent.  Each distinct node is summed once."""
+        sizes = {}
+        return post_order(self, "children", sizes,
+                          lambda t: 1 + sum([sizes[id(c)] for c in t.children]))
 
 
 def distinct_parts(trees) -> tuple:
@@ -353,6 +358,7 @@ class _CheckState:
     parent's hypotheses, whose vacuity is decided once per distinct tuple
     and call.  Which parts of a rule have no variables, and so need no
     substitution in a fun node's instance, is found once per program.
+    ground: the canonical data of a translated program (_identical).
     """
 
     def __init__(self, program: Program, dom: Optional[QualDomain]):
@@ -360,6 +366,8 @@ class _CheckState:
         self.dom = dom
         self.valid = program.memo(("checked", dom), weakref.WeakValueDictionary)
         self.closed = program.memo("closed parts", dict)  # see instantiate_rule
+        data = program.memo("ground data")  # made by a translation, if any
+        self.ground = None if data is None or data.nan else data.proofs
         self.vacuous: dict = {}  # see triviality
 
 
@@ -420,12 +428,26 @@ def _check_node(chk: _CheckState, tree: ProofTree, path: str) -> CheckResult:
     r = _premises(chk, tree.children, path)
     if side is not None and (r is None or r.status != "invalid"):
         reduced = tuple(child.conclusion.rhs for child in tree.children)
-        status = entails(pi, AtomicConstraint(side[0], reduced, side[1])).status
+        status = "entailed" if _identical(chk.ground, side, reduced) else \
+            entails(pi, AtomicConstraint(side[0], reduced, side[1])).status
         if status == "not_entailed":
             return CheckResult("invalid", f"{path}: hypotheses do not entail the evaluation")
         if status == "unknown":
             return CheckResult("unknown", f"{path}: entailment undecided")
     return r or CheckResult("valid")
+
+
+def _identical(ground: Optional[dict], side: tuple, reduced: tuple) -> bool:
+    """Whether the == side over reduced is entailed by identity alone:
+    both are applications canonical in ground, equal exactly when they
+    are one object, and the result says so.  Else entails decides it.
+    A nan literal is one object but not equal to itself, so literals,
+    and every term of a table that holds a nan, are left out."""
+    if ground is None or side[0] != "==" or len(reduced) != 2:
+        return False
+    a, b = reduced
+    return type(a) is App and type(b) is App and id(a) in ground \
+        and id(b) in ground and side[1] == (TRUE if a is b else FALSE)
 
 
 def _wants(chk: _CheckState, tree: ProofTree):
@@ -946,40 +968,24 @@ def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]
     """qcflp-proof v2: a header, a line per distinct term (a leaf's token
     text, or a symbol and argument ids) after its arguments' lines, then a
     line per distinct ProofTree after its premises', naming terms by id.
-    Both walks keep their own stacks, so a deep tree needs no recursion."""
+    Both walks are terms.post_order, so a deep tree needs no recursion."""
     names: dict = {}             # id(term) -> its term id
     seen: dict = {}              # a term line's text after the id -> that id
     ids, nodes = {}, []          # id(node) -> its node id; node lines
 
+    def term_line(t: Expr) -> str:
+        args = t.args if type(t) is App else ()
+        text = f"{t.symbol}\t{','.join([names[id(a)] for a in args])}" if args \
+            else print_expr(t)
+        return seen.setdefault(text, f"t{len(seen)}")
+
     def name(e: Expr) -> str:
-        todo = [e]
-        while todo:
-            t = todo.pop()
-            if id(t) in names:
-                continue
-            args = t.args if type(t) is App else ()
-            pending = [a for a in args if id(a) not in names]
-            if pending:
-                todo += [t, *reversed(pending)]
-                continue
-            text = f"{t.symbol}\t{','.join([names[id(a)] for a in args])}" if args \
-                else print_expr(t)
-            names[id(t)] = seen.setdefault(text, f"t{len(seen)}")
-        return names[id(e)]
+        return names.get(id(e)) or post_order(e, "args", names, term_line)
 
     def atom(c: AtomicConstraint) -> str:
         return " ".join([c.symbol, *map(name, c.args), name(c.result)])
 
-    todo = [tree]
-    while todo:
-        t = todo.pop()
-        if id(t) in ids:
-            continue
-        pending = [c for c in t.children if id(c) not in ids]
-        if pending:
-            todo += [t, *reversed(pending)]
-            continue
-        ids[id(t)] = len(nodes)
+    def node_line(t: ProofTree) -> int:
         s = t.conclusion
         text = f"{name(s.lhs)} -> {name(s.rhs)}" if s.atom is None else atom(s.atom)
         if s.qual is not None:
@@ -992,8 +998,11 @@ def serialize_proof(tree: ProofTree, domain_name: str, dom: Optional[QualDomain]
         rule = "-" if t.rule_index is None else str(t.rule_index)
         kids = ",".join(str(ids[id(c)]) for c in t.children) or "-"
         nodes.append(f"{len(nodes)}\t{t.tag}\t{rule}\t{theta}\t{kids}\t{text}")
+        return len(nodes) - 1
+
+    root = post_order(tree, "children", ids, node_line)
     return "\n".join(["qcflp-proof v2", f"domain {domain_name}", f"nodes {len(nodes)}",
-                      f"root {ids[id(tree)]}", *(f"{tid}\t{text}" for text, tid in seen.items()),
+                      f"root {root}", *(f"{tid}\t{text}" for text, tid in seen.items()),
                       *nodes]) + "\n"
 
 
@@ -1060,9 +1069,9 @@ def parse_proof(text: str) -> tuple:
             c = leaf[:1]
             if c == "'":
                 ok, e = len(leaf) > 2 and leaf[-1] == "'", App(f"'{_unescape(leaf[1:-1])}'")
-            elif c.isdigit() or c == "-":
-                ok = _NUMBER.fullmatch(leaf)
-                e = ok and Basic(float(leaf))
+            elif c.isdigit() or c == "-":  # a finite number
+                e = _NUMBER.fullmatch(leaf) and Basic(float(leaf))
+                ok = e and abs(e.value) < float("inf")
             else:
                 ok = leaf and " " not in leaf
                 e = BOTTOM if leaf == "_|_" else Var(leaf) \

@@ -91,7 +91,7 @@ def lex(text: str) -> list:
     the kind its group names, or for punctuation of its text.  A column
     counts the characters before it since the last newline, whether a
     newline token or a raw newline in a string, and comments count
-    nothing."""
+    nothing.  A number too large for a float, such as 1e400, is refused."""
     tokens = []
     match = _TOKEN.match
     i, line, col = 0, 1, 1
@@ -108,6 +108,8 @@ def lex(text: str) -> list:
         elif kind != "COMMENT":
             if kind != "SPACE":
                 tok = m.group()
+                if kind == "NUMBER" and float(tok) == float("inf"):
+                    _fail(line, col, f"number {tok} is out of range")
                 tokens.append(Token(tok if kind == "PUNCT" else kind, tok, line, col))
             if kind == "STRING" and "\n" in tok:
                 line += tok.count("\n")
@@ -164,10 +166,11 @@ class Program:
         return isinstance(other, Program) and self.signature == other.signature \
             and self.rules == other.rules
 
-    def memo(self, key, make):
-        """make() for key, made on the first call for this program."""
+    def memo(self, key, make=None):
+        """make() for key, made on the first call for this program; with
+        no make, what was made for key, or None."""
         out = self._memo.get(key)
-        if out is None:
+        if out is None and make is not None:
             out = self._memo[key] = make()
         return out
 

@@ -285,6 +285,25 @@ def vars_of(obj) -> set:
     return acc
 
 
+def post_order(root, kids: str, done: dict, make):
+    """done[id(root)], after done[id(x)] = make(x) for each x reachable
+    from root through its attribute kids (none without it) that done
+    maps to nothing or None, after those it reaches, left to right: a
+    shared or deep structure costs its distinct nodes, with no recursion.
+    The caller keeps it alive."""
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if done.get(id(x)) is not None:
+            continue
+        todo = [k for k in getattr(x, kids, ()) if done.get(id(k)) is None]
+        if todo:
+            stack += [x, *reversed(todo)]
+        else:
+            done[id(x)] = make(x)
+    return done[id(root)]
+
+
 # ======================================================================
 # Classification and orderings
 # ======================================================================

@@ -47,7 +47,7 @@ from .domains import QualDomain, U
 from .semantics import ProofTree, atom_statement, production
 from .syntax import Goal, Program, ProgramRule
 from .terms import (App, AtomicConstraint, Basic, Bottom, BOTTOM, Expr,
-                    HashCons, Signature, TRUE, Var, vars_of)
+                    HashCons, Signature, TRUE, Var, post_order, vars_of)
 
 
 class TransformError(ValueError):
@@ -150,31 +150,20 @@ class GroundData(HashCons):
     def __init__(self):
         super().__init__()
         self.proofs = {}
+        self.nan = False  # whether a nan literal, not equal to itself, entered
 
     def added(self, e: Expr) -> None:
         self.proofs[id(e)] = None
+        self.nan = self.nan or (type(e) is Basic and e.value != e.value)
 
-    def proof(self, t: Expr) -> ProofTree:
-        """The proof of canonical ground data t against itself; built
-        bottom up, without recursion."""
-        proofs = self.proofs
-        stack = [t]
-        while stack:
-            e = stack[-1]
-            if proofs[id(e)] is not None:
-                stack.pop()
-                continue
-            todo = [a for a in e.args if proofs[id(a)] is None] \
-                if type(e) is App else ()
-            if todo:
-                stack += todo
-                continue
-            if type(e) is App:
-                kids = tuple([proofs[id(a)] for a in e.args])
-                proofs[id(e)] = ProofTree("cons", production(e, e), kids)
-            else:
-                proofs[id(e)] = ProofTree("refl", production(e, e))
-        return proofs[id(t)]
+    def proof(self, t: Expr, qual=None, proofs=None) -> ProofTree:
+        """The proof of canonical ground data t against itself at qual,
+        kept by id in proofs (by default the table's own, unqualified);
+        built bottom up, without recursion, on first use."""
+        proofs = self.proofs if proofs is None else proofs
+        return proofs.get(id(t)) or post_order(t, "args", proofs, lambda e: ProofTree(
+            "cons" if type(e) is App else "refl", production(e, e, qual),
+            tuple([proofs[id(a)] for a in getattr(e, "args", ())])))
 
 
 def transform_expr(e: Expr, sig: Signature, data: GroundData, call_arg) -> Expr:
@@ -362,9 +351,10 @@ class Translation:
     (transform_program), and what mapping its derivations back needs:
     the primed names of the source's defined functions, per source rule
     its arity, the positions of its own conditions (from the emit map)
-    and its variables, and every variable of the source rules, which
-    fresh names avoid.  Made once per program and domain by
-    translation().
+    and its variables, every variable of the source rules, which fresh
+    names avoid, the program's GroundData, and sourced: the source proof
+    of canonical data against itself at top, made once (SourceProof).
+    Made once per program and domain by translation().
     """
 
     def __init__(self, program: Program, dom: QualDomain):
@@ -374,6 +364,8 @@ class Translation:
                          vars_of((r.patterns, r.rhs, r.conditions)))
                         for r, e in zip(program.rules, self.emit_map)]
         self.avoid = set().union(*(names for _, _, names in self.layouts))
+        self.data = program.memo("ground data")
+        self.sourced = {}  # id(canonical data) -> its source proof, at top
 
 
 def translation(program: Program, dom: QualDomain) -> Translation:
@@ -396,12 +388,16 @@ class SourceProof:
     ~n~X) by a fresh name from supply.  Replayed nodes and terms are
     canonical per solver (ground data per program), so each is mapped
     once, memoized on identity; the tables keep their keys alive.
+    Canonical data is its own source term, and with no pi its proof
+    against itself (GroundData.proof) maps to one node per program and
+    domain, in the Translation's sourced.
     """
 
     def __init__(self, tr: Translation, dom: QualDomain,
                  pi: tuple, names: dict, supply: FreshSupply):
         self.dom, self.pi, self.names, self.supply = dom, pi, names, supply
         self._calls, self._layouts = tr.calls, tr.layouts
+        self._data, self._sourced = tr.data, tr.sourced
         self._m = len(dom.leaf_suffixes())  # a call's last arguments
         self._trees = {}      # id(replayed node) -> (node, source node)
         self._terms = {}      # id(App) -> (App, source term)
@@ -412,7 +408,7 @@ class SourceProof:
             if out is None and e.name.startswith("~"):
                 out = self.names[e.name] = Var(self.supply.fresh())
             return e if out is None else out
-        if type(e) is not App or not e.args:
+        if type(e) is not App or not e.args or id(e) in self._data.proofs:
             return e
         hit = self._terms.get(id(e))
         if hit is not None:
@@ -430,6 +426,9 @@ class SourceProof:
     def tree(self, node: ProofTree) -> ProofTree:
         hit = self._trees.get(id(node))
         if hit is None:
+            t = node.conclusion.lhs
+            if not self.pi and self._data.proofs.get(id(t)) is node:
+                return self._data.proof(t, self.dom.top(), self._sourced)
             hit = self._trees[id(node)] = (node, self._tree(node))
         return hit[1]
 

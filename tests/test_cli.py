@@ -502,19 +502,22 @@ def nested_s(n):
     return "s(" * n + "z" + ")" * n
 
 
+def run_fresh(*argv):
+    """The command in a fresh interpreter, so the recursion limit starts
+    at the default one."""
+    src = str(ROOT / "src")
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+    return subprocess.run([sys.executable, "-m", "qcflp", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def solve_fresh(tmp_path, program, goal):
-    """solve in a fresh interpreter, so the recursion limit starts at the
-    default one."""
     path = LIBRARY
     if program is not None:
         path = tmp_path / "nat.qcflp"
         path.write_text(program)
-    src = str(ROOT / "src")
-    old = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
-    return subprocess.run(
-        [sys.executable, "-m", "qcflp", "solve", str(path), "--goal", goal],
-        capture_output=True, text=True, env=env, timeout=120)
+    return run_fresh("solve", str(path), "--goal", goal)
 
 
 @pytest.mark.parametrize("program, goal, answer", [
@@ -533,6 +536,19 @@ def test_deep_input_solves(tmp_path, program, goal, answer):
     # list is shared whole by its rename template, not walked
     proc = solve_fresh(tmp_path, program, goal)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer + "\n", "")
+
+
+def test_prove_on_a_deep_ground_list(tmp_path):
+    # the list is canonical data: its proof maps back to the source
+    # without walking it, so no recursion limit is reached
+    path = tmp_path / "big.qcflp"
+    path.write_text("data t = a\nbig --> [" + ", ".join(["a"] * 60000)
+                    + "]\nhd(X:_T) --> X\n")
+    cert = tmp_path / "big.proof"
+    proc = run_fresh("prove", str(path), "--statement", "(hd(big) -> a) # 1",
+                     "-o", str(cert))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "derivable\n", "")
+    assert cert.read_text().split("\n")[2] == "nodes 60005"
 
 
 def test_deep_term_exit_5(tmp_path):
@@ -576,6 +592,36 @@ def test_input_and_output_errors_end_in_one_line(tmp_path, argv, code, label):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(label.format(**paths))
+
+
+@pytest.mark.parametrize("program, argv, label", [
+    ("f(X) --> X\n", ["prove", "--statement", "(f(1e400) -> 1e400) # 1"],
+     "<statement>:1:4: number 1e400 is out of range"),
+    ("f(X) --> X\n", ["solve", "--goal", "(f(1) == R) # W | W >= 1e999"],
+     "<goal>:1:24: number 1e999 is out of range"),
+    ("f(X) --> X\n", ["oracle", "--universe", "a, -1e400"],
+     "<universe>:1:5: number 1e400 is out of range"),
+    ("f(X) --> g(X, 2e308)\n", ["check"],
+     "{p}:1:15: number 2e308 is out of range"),
+], ids=["statement", "threshold", "universe", "program"])
+def test_number_out_of_range_is_a_diagnostic(tmp_path, capsys, program, argv, label):
+    # a literal too large for a float is refused where it stands, so that
+    # none reads as infinity and prints as the constant inf
+    path = tmp_path / "p.qcflp"
+    path.write_text(program)
+    command, *rest = argv
+    assert run(command, str(path), *rest) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", label.format(p=path) + "\n")
+
+
+def test_certificate_number_out_of_range_is_malformed(tmp_path, capsys):
+    cert = tmp_path / "inf.proof"
+    cert.write_text("qcflp-proof v2\ndomain u\nnodes 1\nroot 0\nt0\t1e400\n"
+                    "0\trefl\t-\t-\t-\tt0 -> t0 # 1\n")
+    assert run("prove", str(LIBRARY), "--check", str(cert)) == 1
+    assert capsys.readouterr().err == \
+        f"{cert}: malformed certificate: 5:1: bad leaf '1e400'\n"
 
 
 DATA_T = "data t = a | b\nk(X) --> X\n"

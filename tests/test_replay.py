@@ -16,8 +16,10 @@ import pytest
 from conftest import BOOK4, expanded_certificate, read_back
 from qcflp.runtime import (Limits, ReplayError, Solver, _Replay, answer_record,
                            render_answer, replay_trees)
+import qcflp.constraints
 import qcflp.semantics
-from qcflp.semantics import check_proof, distinct_parts, serialize_proof
+from qcflp.semantics import (CheckResult, ProofTree, atom_statement, check_proof,
+                             distinct_parts, serialize_proof)
 from qcflp.syntax import Goal, GoalItem, parse_goal, parse_program
 from qcflp.terms import App, AtomicConstraint, TRUE, Var, deep_recursion
 from qcflp.transform import transform_goal, transform_program
@@ -537,3 +539,71 @@ def test_call_time_choice_stays_per_instance():
     _, answers, _ = clean_answers(program, translated, "(g == R) # W")
     assert [render_answer(a) for a in answers] == [
         f"{{ R -> p({x}, {y}) }} {{ W in (0, 1] }}" for x in (0, 1) for y in (0, 1)]
+
+
+# ----------------------------------------------------------------------
+# The checker decides equations between canonical records by identity
+# ----------------------------------------------------------------------
+
+def _record(proofs, e) -> bool:
+    """Whether e is a constructor application canonical in the table
+    whose proofs are given."""
+    return type(e) is App and bool(e.args) and id(e) in proofs
+
+
+def _record_equations(library_text):
+    """(translated library, its canonical data, the == atom nodes of the
+    open goal's clean answers whose two premises reduce to canonical
+    records, as member's B == H and B /= H do)."""
+    program = parse_program(library_text)
+    translated = transform_program(program)[0]
+    solver, answers, constraints = clean_answers(program, translated, OPEN)
+    trees = [t for a in answers for t in replay_trees(solver, a, constraints)]
+    proofs = solver.hashcons.program_data.proofs
+    nodes = [t for t in _subproofs(trees) if t.tag == "atom"
+             and t.conclusion.atom.symbol == "==" and len(t.children) == 2
+             and all(_record(proofs, k.conclusion.rhs) for k in t.children)]
+    return translated, proofs, trees, nodes
+
+
+def test_certifying_walks_no_canonical_record(library_text, monkeypatch):
+    translated, proofs, trees, nodes = _record_equations(library_text)
+    results = {t.conclusion.atom.result.symbol for t in nodes}
+    assert results == {"true", "false"}
+    walked = []
+
+    def recording(fn, arguments):
+        def wrapped(*args):
+            walked.append((fn.__name__, arguments(*args)))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(qcflp.constraints, "compare_data", recording(
+        qcflp.constraints.compare_data, lambda a, b, *rest: (a, b)))
+    monkeypatch.setattr(qcflp.constraints, "_data", recording(
+        qcflp.constraints._data, tuple))
+    assert all(check_proof(translated, None, t).status == "valid" for t in trees)
+    assert walked  # entails still decides every other side
+    assert not [name for name, args in walked
+                if sum(_record(proofs, e) for e in args) >= 2]
+
+
+def test_a_tampered_record_equation_is_invalid(library_text):
+    # swap one record of a replayed B == H or B /= H premise for another,
+    # so that the premise is false: the checker refuses it, as entails did
+    translated, proofs, _, nodes = _record_equations(library_text)
+
+    def equation(kids, result):
+        atom = AtomicConstraint("==", tuple(k.conclusion.lhs for k in kids), result)
+        return ProofTree("atom", atom_statement(atom), kids)
+
+    same = next(t for t in nodes if t.conclusion.atom.result.symbol == "true")
+    differ = next(t for t in nodes if t.conclusion.atom.result.symbol == "false")
+    b, h = (k.conclusion.rhs for k in differ.children)
+    assert b is not h
+    (x, _), result = same.children, same.conclusion.atom.result
+    y = next(k for k in differ.children if k.conclusion.rhs is not x.conclusion.rhs)
+    for tampered in (equation((x, y), result), equation((y, x), result),
+                     equation(differ.children[:1] * 2, differ.conclusion.atom.result)):
+        assert check_proof(translated, None, tampered) == CheckResult(
+            "invalid", "root: hypotheses do not entail the evaluation")

@@ -130,6 +130,24 @@ def test_shared_subtree_is_checked_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_size_counts_occurrences_without_recursion():
+    # the 64 levels above: 2^65 - 1 occurrences over 65 distinct subtrees
+    e, tree = X, refl(X)
+    for _ in range(64):
+        e = node(e, e)
+        tree = cons(e, (tree, tree))
+    t0 = time.perf_counter()
+    assert tree.size() == 2 ** 65 - 1
+    assert time.perf_counter() - t0 < 1.0
+    # a list proof nested deeper than the default recursion limit
+    n = 1000
+    program = parse_program("data t = a\nbig --> [" + ", ".join(["a"] * n)
+                            + "]\nhd(X:_T) --> X\n")
+    deep = holds(program, U, stmt("(hd(big) -> a) # 1")).tree
+    assert sys.getrecursionlimit() <= n
+    assert deep.size() == 2 * n + 4
+
+
 def _invalid_below_shared():
     bad = ProofTree("refl", production(Y, Y, 0.5, ()), (refl(Y),))
     shared = cons(node(X, Y), (refl(X), bad))
@@ -170,6 +188,61 @@ def _unknown_below_shared():
         "unknown-below-shared"])
 def test_shared_subtree_reasons(build, expected):
     assert check_proof(parse_program(BIN), U, build()) == expected
+
+
+def test_equations_over_literals_or_calls_go_to_entails(monkeypatch):
+    # two applications canonical in the program's GroundData are compared
+    # by identity; an application that holds a call, which the table never
+    # makes canonical, or a nan, one object but not equal to itself, is
+    # decided by entails, as before
+    program = parse_program("data box = c(real)\nf --> 1\n")
+    transform_program(program)
+    data = program.memo("ground data")
+    asked = []
+    entails = qcflp.semantics.entails
+
+    def recording(pi, c):
+        asked.append(c.args[0])
+        return entails(pi, c)
+
+    def equation(e, kid, pi=()):
+        atom = AtomicConstraint("==", (e, e), TRUE)
+        return ProofTree("atom", atom_statement(atom, None, pi), (kid, kid))
+
+    monkeypatch.setattr(qcflp.semantics, "entails", recording)
+    one = data.app("c", (data.leaf(Basic(1.0)),))
+    assert check_proof(program, None, equation(one, data.proof(one))) == \
+        CheckResult("valid")
+    assert asked == []
+    call = App("c", (App("f"),))
+    undecided = ProofTree("triv", production(call, call, None, UNDECIDED))
+    assert check_proof(program, None, equation(call, undecided, UNDECIDED)) == \
+        CheckResult("unknown", "root.1: hypotheses satisfiability unknown")
+    nan = data.leaf(Basic(float("nan")))
+    record = data.app("c", (nan,))
+    for e in (nan, record):
+        assert check_proof(program, None, equation(e, data.proof(e))) == \
+            CheckResult("invalid", "root: hypotheses do not entail the evaluation")
+    assert len(asked) == 3 and all(a is b for a, b in zip(asked, (call, nan, record)))
+
+
+def test_an_untranslated_program_checks_through_entails(monkeypatch):
+    # reading the table does not make one, so a program that was never
+    # translated, as in prove --check alone, keeps deciding by entails
+    program = parse_program("data box = c(real)\n")
+    one = App("c", (Basic(1.0),))
+    kid = ProofTree("cons", production(one, one), (ProofTree("refl", production(
+        Basic(1.0), Basic(1.0))),))
+    tree = ProofTree("atom", atom_statement(AtomicConstraint("==", (one, one), TRUE)),
+                     (kid, kid))
+    asked = []
+    entails = qcflp.semantics.entails
+    monkeypatch.setattr(qcflp.semantics, "entails",
+                        lambda pi, c: asked.append(c) or entails(pi, c))
+    assert check_proof(program, None, tree) == CheckResult("valid")
+    assert len(asked) == 1 and program.memo("ground data") is None
+    assert transform_program(program)[0].memo("ground data") \
+        is program.memo("ground data") is not None
 
 
 # One malformed certificate per reason the checker gives: f's one rule
@@ -448,6 +521,23 @@ def test_holds_genre_statement(library):
 
     beyond = stmt(f"(guessGenre({BOOK4}) -> \"Essay\") # 0.75")
     assert holds(library, U, beyond, depth=6).status == "not_found"
+
+
+def test_holds_calls_share_the_proof_of_a_record(library_text):
+    # a book record proved against itself maps to one source node per
+    # program and domain, which every holds call about the book shares
+    program = parse_program(library_text)
+    records = []
+    for text in ('(guessGenre({}) -> "Biography") # 0.5',
+                 '(getGenre({}) -> "Biography") # 0.9'):
+        tree = holds(program, U, stmt(text.format(BOOK4)), depth=6).tree
+        assert check_proof(program, U, tree).status == "valid"
+        records.append({id(t): t for t in _collect(tree, "cons")
+                        if t.conclusion.lhs.symbol == "book"})
+    (first,), (second,) = (r.values() for r in records)
+    assert first is second
+    s = first.conclusion
+    assert s.lhs is s.rhs and (s.qual, s.hypotheses) == (1.0, ())
 
 
 def test_holds_chain_within_tolerance():

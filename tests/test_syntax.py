@@ -167,6 +167,26 @@ def test_pair_attenuation_roundtrip():
     assert parse_program(print_program(p), uxu) == p
 
 
+@pytest.mark.parametrize("parse, text, line, col, number", [
+    (parse_program, "f --> g(1e400)", 1, 9, "1e400"),
+    (parse_program, "f -1e400-> true", 1, 4, "1e400"),
+    (parse_goal, "(f(X) == R) # W |\n  W >= 1e309", 2, 8, "1e309"),
+    (parse_constraints, "X <= 2 * 10, X >= 9e99999", 1, 19, "9e99999"),
+    (parse_expr, "[1, -2e400]", 1, 6, "2e400"),
+], ids=["program", "attenuation", "threshold", "constraints", "negative"])
+def test_number_out_of_range_is_a_diagnostic(parse, text, line, col, number):
+    # a literal that a float cannot hold would read as infinity
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    (d,) = exc.value.diagnostics
+    assert (d.line, d.col, d.message) == (line, col, f"number {number} is out of range")
+
+
+def test_the_largest_float_is_a_number():
+    assert [t.kind for t in lex("1.7976931348623157e308 1e-400")] == \
+        ["NUMBER", "NUMBER", "EOF"]
+
+
 def test_diagnostics_carry_positions():
     try:
         parse_program("f -->\n")
